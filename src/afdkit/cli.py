@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,7 @@ from .hardy import (
     grid_points,
     next_pow2,
     quadrant_split,
+    real_field_2d,
 )
 from .szego import AtomSpec, TensorAtomSpec, szego_coeffs
 from .afd1d import AFDRecord, AFDStep, afd_decompose_1d, reconstruct_1d
@@ -63,6 +65,9 @@ __all__ = [
     "load_image_2d",
     "RecordSection",
     "RecordFile",
+    "STEP_LAYOUTS",
+    "encode_section",
+    "decode_section",
     "save_record",
     "load_record",
     "verify_record",
@@ -72,7 +77,6 @@ __all__ = [
 ]
 
 FORMAT_HEADER = "afdkit-record 1"
-ALGORITHMS = ("afd1d", "afd2d-tm", "pga2d", "poga1d", "poga2d")
 ALGS_1D = ("afd1d", "poga1d")
 
 
@@ -93,8 +97,6 @@ class RunConfig:
     max_radius: float = 0.995
     rho: float = 1.0
     threshold: float = 1e-12
-    input_path: str | None = None
-    output_path: str | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -347,35 +349,144 @@ def load_record(path):
     return record
 
 
-# Step layouts: field lists after the "step" keyword, residual energy last.
-_COEFF_SLICE = {
-    "afd1d": slice(2, 4),
-    "pga2d": slice(4, 6),
-    "poga1d": slice(3, 5),
-    "poga2d": slice(6, 8),
+def _meta_field(meta, key, kind=str, default=None):
+    """A metadata value converted by ``kind``; absent or malformed is a format error."""
+    value = meta.get(key, default)
+    if value is None:
+        raise RecordFormatError("record has no meta %s" % key)
+    try:
+        return kind(value)
+    except ValueError:
+        raise RecordFormatError("record meta %s has a malformed value %r" % (key, value))
+
+
+def _whole(x):
+    """A count or multiplicity field, stored as a float, as an int."""
+    if not (x >= 0 and float(x).is_integer()):
+        raise RecordFormatError("step field %r is not a non-negative whole number" % x)
+    return int(x)
+
+
+@dataclass(frozen=True)
+class StepLayout:
+    """Fields of one algorithm's ``step`` lines and the library types they carry.
+
+    ``arity`` is the field count, or a function of the fields for steps whose
+    length is stored in the step itself.  ``encode`` maps a library step to
+    its fields; ``decode`` maps fields of the right arity back.
+    """
+
+    record: type
+    arity: int | Callable[[list[float]], int]
+    encode: Callable[[object], list[float]]
+    decode: Callable[[list[float]], object]
+
+
+# Step field positions appear nowhere else.  Multiplicities and the afd2d-tm
+# count are whole numbers stored as floats.
+STEP_LAYOUTS = {
+    # a, coeff, residual
+    "afd1d": StepLayout(
+        AFDRecord,
+        5,
+        lambda s: [s.a.real, s.a.imag, s.coeff.real, s.coeff.imag, s.residual_energy],
+        lambda f: AFDStep(a=complex(f[0], f[1]), coeff=complex(f[2], f[3]), residual_energy=f[4]),
+    ),
+    # a, b, block energy, residual, count, then count block entries (2n - 1 at step n)
+    "afd2d-tm": StepLayout(
+        Afd2dRecord,
+        lambda f: 7 + 2 * _whole(f[6]) if len(f) >= 7 else 7,
+        lambda s: [s.a.real, s.a.imag, s.b.real, s.b.imag, s.block_energy, s.residual_energy,
+                   len(s.block)] + [x for c in s.block for x in (c.real, c.imag)],
+        lambda f: Afd2dStep(
+            a=complex(f[0], f[1]),
+            b=complex(f[2], f[3]),
+            block=np.array(f[7:], dtype=float).view(complex),
+            block_energy=f[4],
+            residual_energy=f[5],
+        ),
+    ),
+    # a, b, coeff, residual
+    "pga2d": StepLayout(
+        PGARecord,
+        7,
+        lambda s: [s.atom.left.a.real, s.atom.left.a.imag, s.atom.right.a.real,
+                   s.atom.right.a.imag, s.coeff.real, s.coeff.imag, s.residual_energy],
+        lambda f: PGAStep(
+            atom=TensorAtomSpec.of(complex(f[0], f[1]), complex(f[2], f[3])),
+            coeff=complex(f[4], f[5]),
+            residual_energy=f[6],
+        ),
+    ),
+    # a, m, coeff, r, r_sup, residual
+    "poga1d": StepLayout(
+        PogaRecord,
+        8,
+        lambda s: [s.atom.a.real, s.atom.a.imag, float(s.atom.m), s.coeff.real, s.coeff.imag,
+                   s.r, s.r_sup, s.residual_energy],
+        lambda f: PogaStep(
+            atom=AtomSpec(complex(f[0], f[1]), _whole(f[2])),
+            coeff=complex(f[3], f[4]),
+            r=f[5],
+            r_sup=f[6],
+            residual_energy=f[7],
+        ),
+    ),
+    # a, m_a, b, m_b, coeff, r, r_sup, residual
+    "poga2d": StepLayout(
+        PogaRecord,
+        11,
+        lambda s: [s.atom.left.a.real, s.atom.left.a.imag, float(s.atom.left.m),
+                   s.atom.right.a.real, s.atom.right.a.imag, float(s.atom.right.m),
+                   s.coeff.real, s.coeff.imag, s.r, s.r_sup, s.residual_energy],
+        lambda f: PogaStep(
+            atom=TensorAtomSpec(
+                AtomSpec(complex(f[0], f[1]), _whole(f[2])),
+                AtomSpec(complex(f[3], f[4]), _whole(f[5])),
+            ),
+            coeff=complex(f[6], f[7]),
+            r=f[8],
+            r_sup=f[9],
+            residual_energy=f[10],
+        ),
+    ),
 }
-_STEP_LEN = {"afd1d": 5, "pga2d": 7, "poga1d": 8, "poga2d": 11}
+ALGORITHMS = tuple(STEP_LAYOUTS)
 
 
-def _step_energy(algorithm, fields):
-    """Energy extracted by one recorded step."""
-    if algorithm == "afd2d-tm":
-        count = int(fields[6])
-        block = np.asarray(fields[7 : 7 + 2 * count])
-        return float(np.sum(block[0::2] ** 2 + block[1::2] ** 2))
-    sl = _COEFF_SLICE[algorithm]
-    re, im = fields[sl]
-    return re * re + im * im
+def _layout(algorithm):
+    try:
+        return STEP_LAYOUTS[algorithm]
+    except KeyError:
+        raise RecordFormatError("unknown algorithm %r in record" % algorithm)
 
 
-def _validate_step_shape(algorithm, fields):
-    if algorithm == "afd2d-tm":
-        if len(fields) < 7 or len(fields) != 7 + 2 * int(fields[6]):
-            raise RecordFormatError("bad afd2d-tm step arity %d" % len(fields))
-    elif len(fields) != _STEP_LEN[algorithm]:
-        raise RecordFormatError(
-            "bad %s step arity %d (expected %d)" % (algorithm, len(fields), _STEP_LEN[algorithm])
-        )
+def encode_section(name, algorithm, rec):
+    """File section holding the steps of a library record."""
+    encode = _layout(algorithm).encode
+    return RecordSection(name, algorithm, rec.initial_energy, [encode(s) for s in rec.steps])
+
+
+def decode_section(sec, meta):
+    """Library record of a file section; POGA records take ``rho`` from ``meta``."""
+    layout = _layout(sec.algorithm)
+    extra = {"rho": _meta_field(meta, "rho", float, "1")} if layout.record is PogaRecord else {}
+    rec = layout.record(initial_energy=sec.initial_energy, **extra)
+    for fields in sec.steps:
+        arity = layout.arity(fields) if callable(layout.arity) else layout.arity
+        if len(fields) != arity:
+            raise RecordFormatError(
+                "bad %s step arity %d (expected %d)" % (sec.algorithm, len(fields), arity)
+            )
+        rec.steps.append(layout.decode(fields))
+    return rec
+
+
+def _extracted_energy(step):
+    """Energy one step removes: |coeff|^2, or the block energy of a product-TM step."""
+    if isinstance(step, Afd2dStep):
+        return float(np.sum(step.block.real ** 2 + step.block.imag ** 2))
+    return step.coeff.real * step.coeff.real + step.coeff.imag * step.coeff.imag
 
 
 @dataclass
@@ -397,27 +508,20 @@ def verify_record(record, tol=1e-8):
     checks = []
     meta = record.meta_dict()
     for sec in record.sections:
-        alg = sec.algorithm
-        if alg not in ALGORITHMS:
-            raise RecordFormatError("unknown algorithm %r in record" % alg)
-        running = sec.initial_energy
-        worst = 0.0
-        monotone = True
-        blocks_ok = True
-        prev = sec.initial_energy
-        for fields in sec.steps:
-            _validate_step_shape(alg, fields)
-            running -= _step_energy(alg, fields)
-            stored = fields[-1] if alg != "afd2d-tm" else fields[5]
-            worst = max(worst, abs(running - stored))
-            if stored > prev + 1e-12 * max(1.0, sec.initial_energy):
-                monotone = False
-            prev = stored
-            if alg == "afd2d-tm":
-                recomputed = _step_energy(alg, fields)
-                if abs(recomputed - fields[4]) > tol * max(1.0, sec.initial_energy):
-                    blocks_ok = False
+        rec = decode_section(sec, meta)
         scale = max(1.0, sec.initial_energy)
+        running = prev = sec.initial_energy
+        worst = 0.0
+        monotone = blocks_ok = True
+        for step in rec.steps:
+            energy = _extracted_energy(step)
+            running -= energy
+            worst = max(worst, abs(running - step.residual_energy))
+            if step.residual_energy > prev + 1e-12 * scale:
+                monotone = False
+            prev = step.residual_energy
+            if isinstance(step, Afd2dStep) and abs(energy - step.block_energy) > tol * scale:
+                blocks_ok = False
         checks.append(
             CheckResult(
                 name="%s.ledger" % sec.name,
@@ -432,7 +536,7 @@ def verify_record(record, tol=1e-8):
                 detail="residual energies non-increasing" if monotone else "residual increased",
             )
         )
-        if alg == "afd2d-tm":
+        if isinstance(rec, Afd2dRecord):
             checks.append(
                 CheckResult(
                     name="%s.blocks" % sec.name,
@@ -442,9 +546,8 @@ def verify_record(record, tol=1e-8):
                     else "block energy mismatch",
                 )
             )
-        if alg in ("poga1d", "poga2d") and "M" in meta:
-            poga_rec = _section_to_poga(sec, meta)
-            report = rate_report(poga_rec, float(meta["M"]))
+        if isinstance(rec, PogaRecord) and "M" in meta:
+            report = rate_report(rec, _meta_field(meta, "M", float))
             min_slack = min((row.slack for row in report.rows), default=0.0)
             checks.append(
                 CheckResult(
@@ -454,115 +557,6 @@ def verify_record(record, tol=1e-8):
                 )
             )
     return checks
-
-
-# ---------------------------------------------------------------------------
-# Conversions between library records and file sections
-# ---------------------------------------------------------------------------
-
-
-def section_from_afd(name, rec):
-    steps = [[s.a.real, s.a.imag, s.coeff.real, s.coeff.imag, s.residual_energy] for s in rec.steps]
-    return RecordSection(name, "afd1d", rec.initial_energy, steps)
-
-
-def section_to_afd(sec):
-    rec = AFDRecord(initial_energy=sec.initial_energy)
-    for f in sec.steps:
-        rec.steps.append(AFDStep(a=complex(f[0], f[1]), coeff=complex(f[2], f[3]), residual_energy=f[4]))
-    return rec
-
-
-def section_from_pga(name, rec):
-    steps = []
-    for s in rec.steps:
-        steps.append(
-            [
-                s.atom.left.a.real,
-                s.atom.left.a.imag,
-                s.atom.right.a.real,
-                s.atom.right.a.imag,
-                s.coeff.real,
-                s.coeff.imag,
-                s.residual_energy,
-            ]
-        )
-    return RecordSection(name, "pga2d", rec.initial_energy, steps)
-
-
-def section_to_pga(sec):
-    rec = PGARecord(initial_energy=sec.initial_energy)
-    for f in sec.steps:
-        rec.steps.append(
-            PGAStep(
-                atom=TensorAtomSpec.of(complex(f[0], f[1]), complex(f[2], f[3])),
-                coeff=complex(f[4], f[5]),
-                residual_energy=f[6],
-            )
-        )
-    return rec
-
-
-def section_from_afd2d(name, rec):
-    steps = []
-    for s in rec.steps:
-        fields = [s.a.real, s.a.imag, s.b.real, s.b.imag, s.block_energy, s.residual_energy, len(s.block)]
-        for c in s.block:
-            fields.extend([c.real, c.imag])
-        steps.append(fields)
-    return RecordSection(name, "afd2d-tm", rec.initial_energy, steps)
-
-
-def section_to_afd2d(sec):
-    rec = Afd2dRecord(initial_energy=sec.initial_energy)
-    for f in sec.steps:
-        count = int(f[6])
-        block = np.asarray(f[7 : 7 + 2 * count])
-        rec.steps.append(
-            Afd2dStep(
-                a=complex(f[0], f[1]),
-                b=complex(f[2], f[3]),
-                block=block[0::2] + 1j * block[1::2],
-                block_energy=f[4],
-                residual_energy=f[5],
-            )
-        )
-    return rec
-
-
-def section_from_poga(name, rec, two_d):
-    steps = []
-    for s in rec.steps:
-        if two_d:
-            fields = [
-                s.atom.left.a.real,
-                s.atom.left.a.imag,
-                float(s.atom.left.m),
-                s.atom.right.a.real,
-                s.atom.right.a.imag,
-                float(s.atom.right.m),
-            ]
-        else:
-            fields = [s.atom.a.real, s.atom.a.imag, float(s.atom.m)]
-        fields.extend([s.coeff.real, s.coeff.imag, s.r, s.r_sup, s.residual_energy])
-        steps.append(fields)
-    return RecordSection(name, "poga2d" if two_d else "poga1d", rec.initial_energy, steps)
-
-
-def _section_to_poga(sec, meta):
-    rec = PogaRecord(initial_energy=sec.initial_energy, rho=float(meta.get("rho", "1")))
-    for f in sec.steps:
-        if sec.algorithm == "poga2d":
-            atom = TensorAtomSpec(
-                AtomSpec(complex(f[0], f[1]), int(f[2])),
-                AtomSpec(complex(f[3], f[4]), int(f[5])),
-            )
-            c, r, r_sup, resid = complex(f[6], f[7]), f[8], f[9], f[10]
-        else:
-            atom = AtomSpec(complex(f[0], f[1]), int(f[2]))
-            c, r, r_sup, resid = complex(f[3], f[4]), f[5], f[6], f[7]
-        rec.steps.append(PogaStep(atom=atom, coeff=c, r=r, r_sup=r_sup, residual_energy=resid))
-    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -639,16 +633,8 @@ def _config_from_args(args):
         max_radius=args.max_radius,
         rho=args.rho,
         threshold=args.threshold,
-        input_path=getattr(args, "input", None),
-        output_path=getattr(args, "output", None),
         seed=getattr(args, "seed", 0),
     )
-
-
-def _print_residual_table(header_cols, rows):
-    print(",".join(header_cols))
-    for row in rows:
-        print(",".join(row))
 
 
 def _cmd_synth(args):
@@ -691,25 +677,6 @@ def _decompose_2d_part(algorithm, part, cfg, grid, synthesis=None):
     )
 
 
-def _section_for(name, algorithm, rec):
-    if algorithm == "afd1d":
-        return section_from_afd(name, rec)
-    if algorithm == "pga2d":
-        return section_from_pga(name, rec)
-    if algorithm == "afd2d-tm":
-        return section_from_afd2d(name, rec)
-    return section_from_poga(name, rec, two_d=algorithm == "poga2d")
-
-
-def _residual_rows(sec):
-    rows = []
-    for i, fields in enumerate(sec.steps, start=1):
-        resid = fields[-1] if sec.algorithm != "afd2d-tm" else fields[5]
-        energy = _step_energy(sec.algorithm, fields)
-        rows.append([str(i), "%.6e" % energy, "%.6e" % resid])
-    return rows
-
-
 def _cmd_decompose(args):
     cfg = _config_from_args(args)
     grid = cfg.grid()
@@ -727,37 +694,36 @@ def _cmd_decompose(args):
             ]
         record.meta.append(("M", _fmt(meta["M"])))
 
+    record.meta.append(("samples", str(next_pow2(2 * (cfg.order + 1)))))
     if cfg.algorithm in ALGS_1D:
         f = load_signal_1d(args.input, cfg.order)
-        record.meta.append(("samples", str(next_pow2(2 * (cfg.order + 1)))))
         if cfg.algorithm == "afd1d":
-            rec = afd_decompose_1d(f, cfg.n_terms, grid, threshold=cfg.threshold)
+            main = afd_decompose_1d(f, cfg.n_terms, grid, threshold=cfg.threshold)
         else:
             dictionary = SzegoDictionary1D(cfg.order, grid)
-            rec = poga_decompose(
+            main = poga_decompose(
                 f, cfg.n_terms, dictionary, rho=cfg.rho, synthesis=synthesis,
                 threshold=cfg.threshold,
             )
-        record.sections.append(_section_for("main", cfg.algorithm, rec))
+        record.sections.append(encode_section("main", cfg.algorithm, main))
     else:
         full, parts = load_image_2d(args.input, cfg.order)
-        record.meta.append(("samples", str(next_pow2(2 * (cfg.order + 1)))))
         main = _decompose_2d_part(cfg.algorithm, parts.hardy_pp(), cfg, grid, synthesis)
-        record.sections.append(_section_for("main", cfg.algorithm, main))
+        record.sections.append(encode_section("main", cfg.algorithm, main))
         if args.full_recon:
             record.meta.append(("c00", "%s %s" % (_fmt(parts.c00.real), _fmt(parts.c00.imag))))
             pm = _decompose_2d_part(cfg.algorithm, parts.hardy_pm(), cfg, grid, None)
-            record.sections.append(_section_for("fpm", cfg.algorithm, pm))
+            record.sections.append(encode_section("fpm", cfg.algorithm, pm))
             for nm, marginal in (("F", parts.F), ("G", parts.G)):
                 rec1 = afd_decompose_1d(
                     analytic_part(marginal), cfg.n_terms, grid, threshold=cfg.threshold
                 )
-                record.sections.append(section_from_afd(nm, rec1))
+                record.sections.append(encode_section(nm, "afd1d", rec1))
 
     save_record(record, args.output)
-    _print_residual_table(
-        ["step", "extracted_energy", "residual_energy"], _residual_rows(record.sections[0])
-    )
+    print("step,extracted_energy,residual_energy")
+    for i, step in enumerate(main.steps, start=1):
+        print("%d,%.6e,%.6e" % (i, _extracted_energy(step), step.residual_energy))
     return 0
 
 
@@ -773,68 +739,57 @@ def _cmd_verify(args):
     return 0
 
 
-def _reconstruct_1d_section(sec, meta):
-    order = int(meta["order"])
-    if sec.algorithm == "afd1d":
-        return reconstruct_1d(section_to_afd(sec), order)
+def _reconstruct_section(record, name, algorithm, meta):
+    """Hardy coefficients of the partial sum stored in section ``name``."""
+    sec = record.section(name)
+    if sec.algorithm != algorithm:
+        raise RecordFormatError(
+            "section %s holds %s steps, expected %s" % (name, sec.algorithm, algorithm)
+        )
+    rec = decode_section(sec, meta)
+    order = _meta_field(meta, "order", int)
+    if algorithm == "afd1d":
+        return reconstruct_1d(rec, order)
+    if algorithm == "afd2d-tm":
+        return reconstruct_product_tm(rec, order)
+    if algorithm == "pga2d":
+        return reconstruct_pga(rec, order)
     grid = GridSpec(
-        radial_count=int(meta["grid_radial"]),
-        angular_count=int(meta["grid_angular"]),
-        refine_levels=int(meta["refine_levels"]),
-        max_radius=float(meta["max_radius"]),
+        radial_count=_meta_field(meta, "grid_radial", int),
+        angular_count=_meta_field(meta, "grid_angular", int),
+        refine_levels=_meta_field(meta, "refine_levels", int),
+        max_radius=_meta_field(meta, "max_radius", float),
     )
-    dictionary = SzegoDictionary1D(order, grid)
-    vec = reconstruct_poga(_section_to_poga(sec, meta), dictionary)
-    return FourierCoeffs1D(vec, hardy=True)
-
-
-def _reconstruct_2d_section(sec, meta):
-    order = int(meta["order"])
-    if sec.algorithm == "afd2d-tm":
-        return reconstruct_product_tm(section_to_afd2d(sec), order)
-    if sec.algorithm == "pga2d":
-        return reconstruct_pga(section_to_pga(sec), order)
-    grid = GridSpec(
-        radial_count=int(meta["grid_radial"]),
-        angular_count=int(meta["grid_angular"]),
-        refine_levels=int(meta["refine_levels"]),
-        max_radius=float(meta["max_radius"]),
-    )
-    dictionary = ProductSzegoDictionary2D(order, grid)
-    vec = reconstruct_poga(_section_to_poga(sec, meta), dictionary)
+    if algorithm == "poga1d":
+        return FourierCoeffs1D(reconstruct_poga(rec, SzegoDictionary1D(order, grid)), hardy=True)
+    vec = reconstruct_poga(rec, ProductSzegoDictionary2D(order, grid))
     return FourierCoeffs2D(vec.reshape(order + 1, order + 1), hardy=True)
 
 
 def _cmd_reconstruct(args):
     record = load_record(args.input)
     meta = record.meta_dict()
-    algorithm = meta["algorithm"]
-    size = int(meta["samples"])
+    algorithm = _meta_field(meta, "algorithm")
+    size = _meta_field(meta, "samples", int)
+    main = _reconstruct_section(record, "main", algorithm, meta)
     if algorithm in ALGS_1D:
-        f = _reconstruct_1d_section(record.section("main"), meta)
-        samples = real_samples_1d(f, size)
+        samples = real_samples_1d(main, size)
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write("# reconstruction\n")
             for v in samples:
                 handle.write("%.17g\n" % v)
         print("wrote %d samples to %s" % (size, args.output))
         return 0
-    size = max(size, next_pow2(2 * int(meta["order"]) + 2))
-    main = _reconstruct_2d_section(record.section("main"), meta)
-    names = [sec.name for sec in record.sections]
-    if "fpm" in names and "F" in names and "G" in names and "c00" in meta:
-        pm = _reconstruct_2d_section(record.section("fpm"), meta)
-        fplus = _reconstruct_1d_section(record.section("F"), meta)
-        gplus = _reconstruct_1d_section(record.section("G"), meta)
-        c00 = float(meta["c00"].split(" ")[0])
-        app = main.boundary_samples(size)
-        apm = pm.boundary_samples(size)[:, (-np.arange(size)) % size]
-        fieldvals = (
-            2.0 * app.real
-            + 2.0 * apm.real
-            - 2.0 * fplus.boundary_samples(size).real[:, None]
-            - 2.0 * gplus.boundary_samples(size).real[None, :]
-            + c00
+    size = max(size, next_pow2(2 * _meta_field(meta, "order", int) + 2))
+    names = {sec.name for sec in record.sections}
+    if {"fpm", "F", "G"} <= names and "c00" in meta:
+        fieldvals = real_field_2d(
+            main,
+            _reconstruct_section(record, "fpm", algorithm, meta),
+            _reconstruct_section(record, "F", "afd1d", meta),
+            _reconstruct_section(record, "G", "afd1d", meta),
+            _meta_field(meta, "c00", lambda v: float(v.split(" ")[0])),
+            size,
         )
     else:
         fieldvals = 2.0 * main.boundary_samples(size).real
@@ -880,7 +835,6 @@ def build_parser():
     _add_common(p_dec)
     p_dec.add_argument("--input", required=True)
     p_dec.add_argument("--output", required=True)
-    p_dec.add_argument("--seed", type=int, default=0)
     p_dec.add_argument("--synthesis", default=None, help="synthesis metadata JSON (poga runs)")
     p_dec.add_argument("--full-recon", dest="full_recon", action="store_true")
     p_dec.set_defaults(func=_cmd_decompose)

@@ -31,6 +31,7 @@ __all__ = [
     "analytic_part",
     "quadrant_split",
     "real_reconstruct_2d",
+    "real_field_2d",
     "grid_points",
     "grid_argmax",
     "grid_argmax_pairs",
@@ -488,27 +489,36 @@ def quadrant_split(f, tol=1e-9):
 
 
 def real_reconstruct_2d(parts, size=None):
-    """Rebuild the real signal from its quadrant parts on a boundary grid.
+    """Rebuild the real signal from its quadrant parts on a boundary grid."""
+    if size is None:
+        size = next_pow2(2 * parts.fpp.order + 2)
+    return BoundaryGrid(
+        real_field_2d(
+            parts.hardy_pp(),
+            parts.hardy_pm(),
+            analytic_part(parts.F),
+            analytic_part(parts.G),
+            parts.c00.real,
+            size,
+        )
+    )
+
+
+def real_field_2d(fpp, fpm, fplus, gplus, c00, size):
+    """Real field of Hardy parts on a ``size`` x ``size`` boundary grid.
 
     Evaluates  2 Re{f^{++}}(t, s) + 2 Re{[f(., -.)]^{++}}(t, -s)
-    - 2 Re{F^+}(t) - 2 Re{G^+}(s) + c00.
+    - 2 Re{F^+}(t) - 2 Re{G^+}(s) + c00,  where ``fpm`` holds the Hardy
+    part of the reflected signal f(., -.).
     """
-    n = parts.fpp.order
-    if size is None:
-        size = next_pow2(2 * n + 2)
-    app = parts.hardy_pp().boundary_samples(size)
-    apm = parts.hardy_pm().boundary_samples(size)
-    apm_neg_s = apm[:, (-np.arange(size)) % size]
-    fp = analytic_part(parts.F).boundary_samples(size)
-    gp = analytic_part(parts.G).boundary_samples(size)
-    recon = (
-        2.0 * app.real
+    apm_neg_s = fpm.boundary_samples(size)[:, (-np.arange(size)) % size]
+    return (
+        2.0 * fpp.boundary_samples(size).real
         + 2.0 * apm_neg_s.real
-        - 2.0 * fp.real[:, None]
-        - 2.0 * gp.real[None, :]
-        + parts.c00.real
+        - 2.0 * fplus.boundary_samples(size).real[:, None]
+        - 2.0 * gplus.boundary_samples(size).real[None, :]
+        + c00
     )
-    return BoundaryGrid(recon)
 
 
 @dataclass(frozen=True)

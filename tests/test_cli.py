@@ -1,22 +1,42 @@
 """Ingestion, record files, verification, and the command-line surface."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from afdkit import (
+    AFDRecord,
+    AFDStep,
+    Afd2dRecord,
+    Afd2dStep,
+    AtomSpec,
     GridSpec,
     IngestError,
     RecordFormatError,
     load_image_2d,
     load_record,
     load_signal_1d,
+    PGARecord,
+    PGAStep,
+    PogaRecord,
+    PogaStep,
     save_record,
     synth_signal_1d,
+    TensorAtomSpec,
     verify_record,
 )
-from afdkit.cli import RecordFile, RecordSection, cli_main, real_samples_1d, write_pgm
+from afdkit.cli import (
+    ALGORITHMS,
+    RecordFile,
+    RecordSection,
+    cli_main,
+    decode_section,
+    encode_section,
+    real_samples_1d,
+    write_pgm,
+)
 
 
 def write_csv(path, values, header=None):
@@ -104,7 +124,59 @@ class TestLoadImage2D:
             load_image_2d(path, 8)
 
 
+def library_record(algorithm):
+    """A two-step library record with full-precision fields and signed zeros."""
+    third, seventh = 1.0 / 3.0, -1.0 / 7.0
+    if algorithm == "afd1d":
+        return AFDRecord(1.25, [AFDStep(0.5 + third * 1j, third - 0.25j, 1.0),
+                                AFDStep(complex(-0.0, seventh), 0.05 + 0j, 0.9)])
+    if algorithm == "afd2d-tm":
+        return Afd2dRecord(2.0, [
+            Afd2dStep(third, seventh * 1j, np.array([0.5 - third * 1j]), 0.36, 1.64),
+            Afd2dStep(-0.2 + 0.1j, 0.0, np.array([third, complex(-0.0, 0.1), seventh - 1j]), 1.03, 0.61),
+        ])
+    if algorithm == "pga2d":
+        return PGARecord(1.5, [PGAStep(TensorAtomSpec.of(third, seventh * 1j), 0.7 - 0.1j, 1.0),
+                               PGAStep(TensorAtomSpec.of(-0.5j, 0.25), third + 0j, 0.88)])
+    if algorithm == "poga1d":
+        atoms = [AtomSpec(third * 1j), AtomSpec(third * 1j, 2)]
+    else:
+        atoms = [TensorAtomSpec.of(third, -0.2j), TensorAtomSpec.of(third, -0.2j, 3, 2)]
+    return PogaRecord(1.0, 0.9, [PogaStep(atoms[0], 0.6 + third * 1j, 0.8, 0.9, 0.53),
+                                 PogaStep(atoms[1], seventh + 0j, 0.4, 0.5, 0.51)])
+
+
+def same_step(x, y):
+    return type(x) is type(y) and all(
+        np.array_equal(getattr(x, f.name), getattr(y, f.name)) for f in dataclasses.fields(x)
+    )
+
+
 class TestRecordRoundTrip:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_decode_inverts_encode(self, tmp_path, algorithm):
+        rec = library_record(algorithm)
+        path = tmp_path / "rec.txt"
+        save_record(RecordFile([("rho", "0.9")], [encode_section("main", algorithm, rec)]), path)
+        loaded = load_record(path)
+        back = decode_section(loaded.section("main"), loaded.meta_dict())
+        assert type(back) is type(rec) and back.initial_energy == rec.initial_energy
+        assert len(back.steps) == len(rec.steps)
+        assert all(same_step(x, y) for x, y in zip(back.steps, rec.steps))
+        if algorithm.startswith("poga"):
+            assert back.rho == rec.rho
+        again = tmp_path / "again.txt"
+        save_record(RecordFile(loaded.meta, [encode_section("main", algorithm, back)]), again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_encoded_save_load_save_is_byte_identical(self, tmp_path, algorithm):
+        p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
+        section = encode_section("main", algorithm, library_record(algorithm))
+        save_record(RecordFile(sections=[section]), p1)
+        save_record(load_record(p1), p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
     def _sample_record(self):
         rec = RecordFile(meta=[("algorithm", "afd1d"), ("order", "64")])
         rec.sections.append(
@@ -245,6 +317,40 @@ class TestCliEndToEnd:
 
     def test_missing_input_is_exit_2(self, tmp_path):
         assert cli_main(["verify", "--input", str(tmp_path / "absent.txt")]) == 2
+
+    def _write_afd1d_record(self, path, meta, step):
+        rec = RecordFile(meta=meta)
+        rec.sections.append(RecordSection("main", "afd1d", 1.25, [step]))
+        save_record(rec, path)
+        return str(path)
+
+    def test_reconstruct_rejects_short_step(self, tmp_path, capsys):
+        meta = [("algorithm", "afd1d"), ("order", "64"), ("samples", "256")]
+        rec = self._write_afd1d_record(tmp_path / "short.txt", meta, [0.5, 0.0, 0.3, -0.25])
+        out = str(tmp_path / "out.csv")
+        assert cli_main(["verify", "--input", rec]) == 2
+        assert cli_main(["reconstruct", "--input", rec, "--output", out]) == 2
+        assert "bad afd1d step arity 4 (expected 5)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("missing", ["algorithm", "order", "samples"])
+    def test_reconstruct_rejects_missing_meta(self, tmp_path, capsys, missing):
+        meta = [(k, v) for k, v in [("algorithm", "afd1d"), ("order", "64"), ("samples", "256")]
+                if k != missing]
+        rec = self._write_afd1d_record(tmp_path / "rec.txt", meta, [0.5, 0.0, 0.3, -0.25, 1.0975])
+        out = str(tmp_path / "out.csv")
+        assert cli_main(["reconstruct", "--input", rec, "--output", out]) == 2
+        assert "record has no meta %s" % missing in capsys.readouterr().err
+
+    def test_verify_rejects_zero_multiplicity(self, tmp_path, capsys):
+        # a consistent ledger, so only the multiplicity is wrong
+        rec = RecordFile(meta=[("algorithm", "poga1d"), ("rho", "1")])
+        rec.sections.append(
+            RecordSection("main", "poga1d", 1.0, [[0.5, 0.0, 0.0, 0.6, 0.0, 0.8, 0.8, 0.64]])
+        )
+        path = tmp_path / "m0.txt"
+        save_record(rec, path)
+        assert cli_main(["verify", "--input", str(path)]) == 2
+        assert "multiplicity" in capsys.readouterr().err
 
     def test_poga_with_synthesis_and_reconstruct(self, tmp_path):
         sig = str(tmp_path / "sig.csv")
