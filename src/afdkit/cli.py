@@ -281,7 +281,10 @@ def load_record(path):
     """Parse a record file; malformed input reports the offending byte offset."""
     with open(path, "rb") as handle:
         buf = handle.read()
-    text = buf.decode("utf-8")
+    try:
+        text = buf.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise RecordFormatError("%s: not UTF-8 text at byte %d" % (path, exc.start))
     lines = []
     offset = 0
     for raw in text.split("\n"):
@@ -677,22 +680,42 @@ def _decompose_2d_part(algorithm, part, cfg, grid, synthesis=None):
     )
 
 
+def _load_synthesis(path, algorithm):
+    """Synthesis atoms (poga runs only, else None) and the bound M of a --synthesis file."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            meta = json.load(handle)
+    except ValueError as exc:
+        raise ConfigError("synthesis file %s is not JSON: %s" % (path, exc))
+
+    def field(key, parse):
+        if not isinstance(meta, dict) or key not in meta:
+            raise ConfigError("synthesis file %s has no %r" % (path, key))
+        try:
+            return parse(meta[key])
+        except (TypeError, ValueError, IndexError):
+            raise ConfigError("synthesis file %s has a malformed %r" % (path, key))
+
+    M = field("M", float)
+    if algorithm == "poga1d":
+        params = field("atoms", lambda atoms: [complex(re, im) for re, im in atoms])
+        return [AtomSpec(a) for a in params], M
+    if algorithm == "poga2d":
+        pairs = field("atoms", lambda atoms: [
+            (complex(a[0], a[1]), complex(b[0], b[1])) for a, b in atoms
+        ])
+        return [TensorAtomSpec.of(a, b) for a, b in pairs], M
+    return None, M
+
+
 def _cmd_decompose(args):
     cfg = _config_from_args(args)
     grid = cfg.grid()
     record = RecordFile(meta=cfg.meta_items())
     synthesis = None
     if args.synthesis:
-        with open(args.synthesis, "r", encoding="utf-8") as handle:
-            meta = json.load(handle)
-        if cfg.algorithm == "poga1d":
-            synthesis = [AtomSpec(complex(re, im)) for re, im in meta["atoms"]]
-        elif cfg.algorithm == "poga2d":
-            synthesis = [
-                TensorAtomSpec.of(complex(a[0], a[1]), complex(b[0], b[1]))
-                for a, b in meta["atoms"]
-            ]
-        record.meta.append(("M", _fmt(meta["M"])))
+        synthesis, M = _load_synthesis(args.synthesis, cfg.algorithm)
+        record.meta.append(("M", _fmt(M)))
 
     record.meta.append(("samples", str(next_pow2(2 * (cfg.order + 1)))))
     if cfg.algorithm in ALGS_1D:

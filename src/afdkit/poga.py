@@ -19,6 +19,7 @@ which keeps the rate constant small.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +74,7 @@ class OrthoFrame:
         self.dim = int(dim)
         self.matrix = np.zeros((0, self.dim), dtype=complex)
         self.specs = []
+        self.reorthogonalizations = 0  # each call rewrites rows that scans may have cached
 
     def __len__(self):
         return self.matrix.shape[0]
@@ -114,6 +116,7 @@ class OrthoFrame:
 
     def reorthogonalize(self):
         """Sequential double Gram-Schmidt pass over the existing basis."""
+        self.reorthogonalizations += 1
         for k in range(len(self)):
             v = self.matrix[k]
             for _ in range(2):
@@ -121,6 +124,27 @@ class OrthoFrame:
                     head = self.matrix[:k]
                     v = v - (np.conj(head) @ v) @ head
             self.matrix[k] = v / np.linalg.norm(v)
+
+
+def _kernel_rows(params, order):
+    """Rows sqrt(1-|a|^2) conj(a)^k, k = 0..order, of the unit kernels at ``params``."""
+    k = np.arange(order + 1)
+    weights = np.sqrt(1.0 - np.abs(params) ** 2)
+    return weights[:, None] * np.conj(params)[:, None] ** k[None, :]
+
+
+@dataclass
+class ScanState:
+    """What a dictionary scan keeps between the steps of one run on one frame.
+
+    ``r_sq`` is the unclipped squared residual norm of every base atom
+    after the first ``rows`` frame rows were subtracted, valid while the
+    frame has been re-orthogonalized ``epoch`` times.
+    """
+
+    r_sq: np.ndarray | None = None
+    rows: int = 0
+    epoch: int = 0
 
 
 def project_residual(frame, x):
@@ -170,11 +194,16 @@ class SzegoDictionary1D:
         self.order = int(order)
         self.grid = grid
         self.params = grid_points(grid)
-        k = np.arange(self.order + 1)
-        weights = np.sqrt(1.0 - np.abs(self.params) ** 2)
-        self._base = weights[:, None] * np.conj(self.params)[:, None] ** k[None, :]
-        self._base_norms_sq = np.sum(np.abs(self._base) ** 2, axis=1)
         self._index = {complex(p): i for i, p in enumerate(self.params)}
+
+    @cached_property
+    def _base(self):
+        """Coefficient rows of every base atom; built on the first scan only."""
+        return _kernel_rows(self.params, self.order)
+
+    @cached_property
+    def _base_norms_sq(self):
+        return np.sum(np.abs(self._base) ** 2, axis=1)
 
     @property
     def dim(self):
@@ -198,8 +227,12 @@ class SzegoDictionary1D:
     def escalations(self, spec):
         return [AtomSpec(spec.a, spec.m + 1)]
 
-    def scan(self, g, frame):
-        """(|<g, atom_i>|, r_i) for every base atom against the frame."""
+    def scan(self, g, frame, state=None):
+        """(|<g, atom_i>|, r_i) for every base atom against the frame.
+
+        Recomputed in full on every call; ``state`` is accepted for the
+        common scan signature and ignored.
+        """
         g = _as_vector(g)
         inner = np.abs(np.conj(self._base) @ g)
         if len(frame):
@@ -221,11 +254,16 @@ class ProductSzegoDictionary2D:
         self.order = int(order)
         self.grid = grid
         self.params = grid_points(grid)
-        k = np.arange(self.order + 1)
-        weights = np.sqrt(1.0 - np.abs(self.params) ** 2)
-        self._factors = weights[:, None] * np.conj(self.params)[:, None] ** k[None, :]
-        self._factor_norms_sq = np.sum(np.abs(self._factors) ** 2, axis=1)
         self._index = {complex(p): i for i, p in enumerate(self.params)}
+
+    @cached_property
+    def _factors(self):
+        """Coefficient rows of every one-factor kernel; built on the first scan only."""
+        return _kernel_rows(self.params, self.order)
+
+    @cached_property
+    def _factor_norms_sq(self):
+        return np.sum(np.abs(self._factors) ** 2, axis=1)
 
     @property
     def dim(self):
@@ -258,16 +296,29 @@ class ProductSzegoDictionary2D:
             TensorAtomSpec(spec.left, AtomSpec(spec.right.a, spec.right.m + 1)),
         ]
 
-    def scan(self, g, frame):
+    def scan(self, g, frame, state=None):
+        """(|<g, atom_i>|, r_i) for every pair of grid points against the frame.
+
+        With a ``ScanState`` the unclipped r^2 of the previous call is kept
+        and only the frame rows added since are subtracted, in the order a
+        full recomputation would use, so both give the same bits; a
+        re-orthogonalized frame starts the sum over.
+        """
         side = self.order + 1
         G = _as_vector(g).reshape(side, side)
         A = self._factors
         inner = np.abs(np.conj(A) @ G @ np.conj(A).T)
-        r_sq = np.outer(self._factor_norms_sq, self._factor_norms_sq)
-        for j in range(len(frame)):
+        if state is None:
+            state = ScanState()
+        if state.r_sq is None or state.epoch != frame.reorthogonalizations:
+            state.r_sq = np.outer(self._factor_norms_sq, self._factor_norms_sq)
+            state.rows = 0
+            state.epoch = frame.reorthogonalizations
+        for j in range(state.rows, len(frame)):
             B = frame.matrix[j].reshape(side, side)
-            r_sq = r_sq - np.abs(A @ np.conj(B) @ A.T) ** 2
-        return inner.ravel(), np.sqrt(np.clip(r_sq, 0.0, None).ravel())
+            state.r_sq -= np.abs(A @ np.conj(B) @ A.T) ** 2
+        state.rows = len(frame)
+        return inner.ravel(), np.sqrt(np.clip(state.r_sq, 0.0, None).ravel())
 
 
 def _escalated_candidates(dictionary, spec, frame):
@@ -298,35 +349,32 @@ def _escalated_candidates(dictionary, spec, frame):
     return out
 
 
-def _select(g, frame, dictionary, rho):
+def _select(g, frame, dictionary, rho, state=None):
     """Shared core of poga_select and poga_decompose.
 
+    Base atoms rank by (r, grid index) and escalated candidates after all of
+    them in the order they are generated; the winner is the first qualifying
+    candidate in that order.  ``state`` goes to the dictionary scan.
     Returns (outcome, sup_gain, sup_r_grid).
     """
     g = _as_vector(g)
     require_nonzero(float(np.linalg.norm(g)) ** 2, "greedy remainder")
-    inner, r = dictionary.scan(g, frame)
+    inner, r = dictionary.scan(g, frame, state)
     selected = set(s for s in frame.specs if s is not None)
 
     # already-selected base atoms are in-span by construction, whatever the
     # cancellation-limited scan residual says
-    structural = set()
+    degenerate = r < EPS_SPAN
     for s in selected:
         idx = dictionary.base_index(s)
         if idx is not None:
-            structural.add(idx)
+            degenerate[idx] = True
+    usable = np.flatnonzero(~degenerate)
+    base_r = r[usable]
+    base_gain = inner[usable] / base_r
 
-    candidates = []  # (gain, r, order_index, spec)
-    degenerate = []
-    for i in range(inner.size):
-        spec = None
-        if r[i] < EPS_SPAN or i in structural:
-            degenerate.append(i)
-            continue
-        candidates.append((float(inner[i] / r[i]), float(r[i]), i, spec))
-
-    order_index = inner.size
-    for i in degenerate:
+    escalated = []  # (r, gain, spec) in generation order
+    for i in np.flatnonzero(degenerate):
         spec = dictionary.base_spec(i)
         for esc in _escalated_candidates(dictionary, spec, frame):
             vec = dictionary.atom_vector(esc)
@@ -339,19 +387,22 @@ def _select(g, frame, dictionary, rho):
                 attempts += 1
             if r_esc < EPS_SPAN:
                 continue
-            gain = abs(complex(np.vdot(vec, g))) / r_esc
-            candidates.append((gain, float(r_esc), order_index, esc))
-            order_index += 1
+            escalated.append((float(r_esc), abs(complex(np.vdot(vec, g))) / r_esc, esc))
 
-    if not candidates:
+    if not usable.size and not escalated:
         raise DegenerateInputError("no usable candidate atom on the grid")
 
-    sup_gain = max(c[0] for c in candidates)
-    qualifying = [c for c in candidates if c[0] >= rho * sup_gain]
-    qualifying.sort(key=lambda c: (c[1], c[2]))
-    gain, r_sel, idx, spec = qualifying[0]
-    if spec is None:
-        spec = dictionary.base_spec(idx)
+    sup_gain = max([c[1] for c in escalated] + ([float(np.max(base_gain))] if usable.size else []))
+    floor = rho * sup_gain
+    best = None  # (r, gain, spec) of the first qualifying candidate by r
+    qualifying = np.flatnonzero(base_gain >= floor)
+    if qualifying.size:
+        k = qualifying[np.argmin(base_r[qualifying])]
+        best = (float(base_r[k]), float(base_gain[k]), dictionary.base_spec(usable[k]))
+    for cand in escalated:
+        if cand[1] >= floor and (best is None or cand[0] < best[0]):
+            best = cand
+    r_sel, gain, spec = best
     sup_r = float(np.max(r)) if r.size else 0.0
     return SelectionOutcome(atom=spec, r=r_sel, gain=gain), sup_gain, sup_r
 
@@ -440,11 +491,12 @@ def poga_decompose(
     if synthesis is not None:
         synth_vectors = [dictionary.atom_vector(s) for s in synthesis]
     record = PogaRecord(initial_energy=initial, rho=rho)
+    state = ScanState()
     for _ in range(n_terms):
         energy = float(np.linalg.norm(g)) ** 2
         if energy <= threshold * initial:
             break
-        outcome, _, sup_r_grid = _select(g, frame, dictionary, rho)
+        outcome, _, sup_r_grid = _select(g, frame, dictionary, rho, state)
         if synth_vectors is not None:
             r_sup = max(frame.project_residual(v)[1] for v in synth_vectors)
         else:

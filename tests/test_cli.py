@@ -352,6 +352,35 @@ class TestCliEndToEnd:
         assert cli_main(["verify", "--input", str(path)]) == 2
         assert "multiplicity" in capsys.readouterr().err
 
+    def test_non_utf8_record_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"afdkit-record 1\n\xff\nend\n")
+        out = str(tmp_path / "out.csv")
+        assert cli_main(["verify", "--input", str(path)]) == 2
+        assert "not UTF-8 text at byte 16" in capsys.readouterr().err
+        assert cli_main(["reconstruct", "--input", str(path), "--output", out]) == 2
+        assert "not UTF-8 text at byte 16" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "synthesis, message",
+        [('{"atoms": []}', "has no 'M'"), ('{"M": 2.0}', "has no 'atoms'"),
+         ('{"atoms": [[0.1]], "M": 2.0}', "malformed 'atoms'"),
+         ('{"atoms": [], "M": "two"}', "malformed 'M'"), ("M = 2", "is not JSON")],
+        ids=["missing-M", "missing-atoms", "malformed-atoms", "malformed-M", "not-json"],
+    )
+    def test_decompose_rejects_bad_synthesis(self, tmp_path, capsys, synthesis, message):
+        sig = str(tmp_path / "sig.csv")
+        meta = tmp_path / "meta.json"
+        meta.write_text(synthesis)
+        assert cli_main(["synth", "--output", sig, "--seed", "2", "--order", "32"]) == 0
+        code = cli_main(
+            ["decompose", "--algorithm", "poga1d", "--input", sig, "--output",
+             str(tmp_path / "rec.txt"), "--order", "32", "--terms", "2", "--max-radius", "0.6",
+             "--synthesis", str(meta)]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_poga_with_synthesis_and_reconstruct(self, tmp_path):
         sig = str(tmp_path / "sig.csv")
         meta = str(tmp_path / "meta.json")

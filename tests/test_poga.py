@@ -1,7 +1,11 @@
 """Pre-orthogonal greedy selection, escalation, rates, and the 1-d equivalence."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afdkit import (
     AtomSpec,
@@ -26,7 +30,7 @@ from afdkit import (
     szego_coeffs,
     tensor_atom_coeffs,
 )
-from afdkit.poga import _select
+from afdkit.poga import EPS_SPAN, MAX_ESCALATION, ScanState, _escalated_candidates, _select
 from conftest import kernel_ip, random_hardy_1d, random_hardy_2d
 
 ORDER = 256
@@ -332,3 +336,181 @@ class TestRateReport:
         record.steps[2].residual_energy = record.initial_energy * 4.0
         report = rate_report(record, 2.0)
         assert not report.ok
+
+
+def reference_select(g, frame, dictionary, rho):
+    """The selector as one tuple per candidate, sorted by (r, order index).
+
+    Kept as the oracle for the array version in ``afdkit.poga._select``.
+    """
+    g = np.asarray(g, dtype=complex).ravel()
+    inner, r = dictionary.scan(g, frame)
+    selected = set(s for s in frame.specs if s is not None)
+    structural = set()
+    for s in selected:
+        idx = dictionary.base_index(s)
+        if idx is not None:
+            structural.add(idx)
+
+    candidates = []  # (gain, r, order_index, spec)
+    degenerate = []
+    for i in range(inner.size):
+        if r[i] < EPS_SPAN or i in structural:
+            degenerate.append(i)
+            continue
+        candidates.append((float(inner[i] / r[i]), float(r[i]), i, None))
+
+    order_index = inner.size
+    for i in degenerate:
+        for esc in _escalated_candidates(dictionary, dictionary.base_spec(i), frame):
+            vec = dictionary.atom_vector(esc)
+            _, r_esc = frame.project_residual(vec)
+            attempts = 0
+            while r_esc < EPS_SPAN and attempts < MAX_ESCALATION:
+                esc = _escalated_candidates(dictionary, esc, frame)[0]
+                vec = dictionary.atom_vector(esc)
+                _, r_esc = frame.project_residual(vec)
+                attempts += 1
+            if r_esc < EPS_SPAN:
+                continue
+            gain = abs(complex(np.vdot(vec, g))) / r_esc
+            candidates.append((gain, float(r_esc), order_index, esc))
+            order_index += 1
+
+    sup_gain = max(c[0] for c in candidates)
+    qualifying = [c for c in candidates if c[0] >= rho * sup_gain]
+    qualifying.sort(key=lambda c: (c[1], c[2]))
+    gain, r_sel, idx, spec = qualifying[0]
+    if spec is None:
+        spec = dictionary.base_spec(idx)
+    return spec, r_sel, gain, sup_gain, float(np.max(r))
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+SMALL_1D = SzegoDictionary1D(
+    32, GridSpec(radial_count=6, angular_count=12, refine_levels=0, max_radius=0.6)
+)
+SMALL_2D = ProductSzegoDictionary2D(
+    16, GridSpec(radial_count=3, angular_count=8, refine_levels=0, max_radius=0.5)
+)
+
+
+def _seeded_run(dictionary, seed):
+    """A remainder and a frame that already holds a grid atom and its escalations."""
+    rng = np.random.default_rng(seed)
+    frame = OrthoFrame(dictionary.dim)
+    spec = dictionary.base_spec(int(rng.integers(len(dictionary))))
+    for s in [spec] + dictionary.escalations(spec):
+        frame.extend(dictionary.atom_vector(s), spec=s)
+    f = np.zeros(dictionary.dim, dtype=complex)
+    for i in rng.choice(len(dictionary), size=2, replace=False):
+        spec = dictionary.base_spec(int(i))
+        c = rng.standard_normal() + 1j * rng.standard_normal()
+        f += c * dictionary.atom_vector(spec)
+        for esc in dictionary.escalations(spec):
+            f += 0.3 * c * dictionary.atom_vector(esc)
+    f += 1e-3 * (rng.standard_normal(f.size) + 1j * rng.standard_normal(f.size))
+    return frame.project_residual(f)[0], frame
+
+
+class TestSelectorOracle:
+    """The array selector picks what the tuple-and-sort oracle picks, bit for bit."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        rho=st.sampled_from([1.0, 0.8, 0.5, 0.2]),
+        two_d=st.booleans(),
+    )
+    def test_matches_reference_over_a_run(self, seed, rho, two_d):
+        dictionary = SMALL_2D if two_d else SMALL_1D
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            g, frame = _seeded_run(dictionary, seed)
+            for _ in range(6):
+                outcome, sup_gain, sup_r = _select(g, frame, dictionary, rho)
+                spec, r, gain, ref_sup_gain, ref_sup_r = reference_select(g, frame, dictionary, rho)
+                assert outcome.atom == spec
+                assert bits(outcome.r) == bits(r) and bits(outcome.gain) == bits(gain)
+                assert bits(sup_gain) == bits(ref_sup_gain) and bits(sup_r) == bits(ref_sup_r)
+                try:
+                    vec, _ = frame.extend(dictionary.atom_vector(spec), spec=spec)
+                except SpanDegeneracyError:
+                    break
+                g = g - np.vdot(vec, g) * vec
+
+
+class _FixedScan:
+    """Specs are grid indices and the scan returns given arrays.
+
+    A last grid entry with r = 0 escalates to one atom whose residual
+    against the frame ``[1, 0]`` is ``r_esc``.
+    """
+
+    dim = 2
+
+    def __init__(self, inner, r, r_esc):
+        self.inner, self.r = np.array(inner + (0.0,)), np.array(r + (0.0,))
+        self.esc_vector = np.array([np.sqrt(1.0 - r_esc**2), r_esc], dtype=complex)
+
+    def scan(self, g, frame, state=None):
+        return self.inner, self.r
+
+    def base_spec(self, i):
+        return int(i)
+
+    def base_index(self, spec):
+        return None
+
+    def escalations(self, spec):
+        return [("escalated", spec)]
+
+    def atom_vector(self, spec):
+        return self.esc_vector
+
+
+TIE_VALUES = st.sampled_from([0.25, 0.5, 1.0])
+
+
+class TestSelectorTies:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        entries=st.lists(st.tuples(TIE_VALUES, TIE_VALUES), min_size=1, max_size=12),
+        r_esc=TIE_VALUES,
+        gain_esc=TIE_VALUES,
+        rho=st.sampled_from([1.0, 0.8, 0.5, 0.2]),
+    )
+    def test_ties_in_r_go_to_the_earlier_candidate(self, entries, r_esc, gain_esc, rho):
+        inner, r = zip(*entries)
+        dictionary = _FixedScan(inner, r, r_esc)
+        frame = OrthoFrame(2)
+        frame.extend(np.array([1.0, 0.0]), spec="frame")
+        g = np.array([0.0, gain_esc])
+        outcome, sup_gain, sup_r = _select(g, frame, dictionary, rho)
+        assert (outcome.atom, outcome.r, outcome.gain, sup_gain, sup_r) == reference_select(
+            g, frame, dictionary, rho
+        )
+
+
+class TestIncrementalScan2D:
+    def test_cached_r_equals_full_scan(self):
+        dictionary = SMALL_2D
+        state = ScanState()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            g, frame = _seeded_run(dictionary, 11)
+            for step in range(8):
+                if step == 4:
+                    frame.reorthogonalize()
+                inner, r = dictionary.scan(g, frame, state)
+                inner_full, r_full = dictionary.scan(g, frame)
+                assert inner.tobytes() == inner_full.tobytes()
+                assert r.tobytes() == r_full.tobytes()
+                assert state.rows == len(frame)
+                outcome, _, _ = _select(g, frame, dictionary, 1.0, state)
+                vec, _ = frame.extend(dictionary.atom_vector(outcome.atom), spec=outcome.atom)
+                g = g - np.vdot(vec, g) * vec
+        assert frame.reorthogonalizations >= 1
