@@ -581,16 +581,49 @@ def _refine_offsets():
 
 
 def _local_candidates(center, step_r, step_t, max_radius):
+    """Polar 5 x 5 neighbourhood of ``center``, deduplicated and sorted.
+
+    Returns the candidate points and the index of the center's own entry.
+    A center on the rim has ``abs(center)`` within rounding of
+    ``max_radius``; it is snapped there, so the clamped outward offsets
+    coincide with it instead of adding a near-copy of the same point.
+    """
     r0 = abs(center)
+    if max_radius - r0 <= 1e-12:
+        r0 = max_radius
     t0 = float(np.angle(center)) % (2.0 * np.pi)
-    cands = []
+    cands = set()
     for dr in _refine_offsets() * step_r:
         r = min(max(r0 + dr, 0.0), max_radius)
         for dt in _refine_offsets() * step_t:
             t = (t0 + dt) % (2.0 * np.pi)
-            cands.append((r, t if r > 0 else 0.0))
-    cands = sorted(set(cands))
-    return np.array([r * np.exp(1j * t) for r, t in cands])
+            cands.add((r, t if r > 0 else 0.0))
+    cands = sorted(cands)
+    own = cands.index((r0, t0 if r0 > 0 else 0.0))
+    return np.array([r * np.exp(1j * t) for r, t in cands]), own
+
+
+def _refine(evaluate, best, best_val, spec):
+    """Local refinement shared by the point and pair argmax.
+
+    ``best`` is a tuple of points (one per axis) and ``evaluate`` maps one
+    candidate array per axis to the value array over their product.  Each
+    level halves the cell and moves only on strict improvement; the running
+    best itself is left out of the comparison, since its value is known.
+    """
+    step_r = spec.max_radius / spec.radial_count
+    step_t = 2.0 * np.pi / spec.angular_count
+    for _ in range(spec.refine_levels):
+        step_r /= 2.0
+        step_t /= 2.0
+        local = [_local_candidates(c, step_r, step_t, spec.max_radius) for c in best]
+        vals = evaluate(*(cands for cands, _ in local))
+        vals[tuple(own for _, own in local)] = -np.inf
+        j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        if vals[j] > best_val:
+            best = tuple(complex(cands[k]) for (cands, _), k in zip(local, j))
+            best_val = float(vals[j])
+    return best, best_val
 
 
 def grid_argmax(objective, spec):
@@ -608,18 +641,9 @@ def grid_argmax(objective, spec):
     pts = grid_points(spec)
     vals = _eval_objective(objective, pts)
     idx = int(np.argmax(vals))
-    best, best_val = complex(pts[idx]), float(vals[idx])
-
-    step_r = spec.max_radius / spec.radial_count
-    step_t = 2.0 * np.pi / spec.angular_count
-    for _ in range(spec.refine_levels):
-        step_r /= 2.0
-        step_t /= 2.0
-        cands = _local_candidates(best, step_r, step_t, spec.max_radius)
-        cvals = _eval_objective(objective, cands)
-        j = int(np.argmax(cvals))
-        if cvals[j] > best_val:
-            best, best_val = complex(cands[j]), float(cvals[j])
+    (best,), best_val = _refine(
+        lambda cands: np.array(_eval_objective(objective, cands)), (complex(pts[idx]),), float(vals[idx]), spec
+    )
     return best, best_val
 
 
@@ -638,25 +662,14 @@ def grid_argmax_pairs(objective, spec):
     table = np.asarray(objective(pts, pts), dtype=float)
     if table.shape != (pts.size, pts.size):
         raise ConfigError("pair objective must return a len(a) x len(b) matrix")
-    flat = int(np.argmax(table))
-    ia, ib = divmod(flat, pts.size)
-    best = (complex(pts[ia]), complex(pts[ib]))
-    best_val = float(table[ia, ib])
-
-    step_r = spec.max_radius / spec.radial_count
-    step_t = 2.0 * np.pi / spec.angular_count
-    for _ in range(spec.refine_levels):
-        step_r /= 2.0
-        step_t /= 2.0
-        ca = _local_candidates(best[0], step_r, step_t, spec.max_radius)
-        cb = _local_candidates(best[1], step_r, step_t, spec.max_radius)
-        tab = np.asarray(objective(ca, cb), dtype=float)
-        flat = int(np.argmax(tab))
-        ja, jb = divmod(flat, cb.size)
-        if tab[ja, jb] > best_val:
-            best = (complex(ca[ja]), complex(cb[jb]))
-            best_val = float(tab[ja, jb])
-    return best[0], best[1], best_val
+    ia, ib = divmod(int(np.argmax(table)), pts.size)
+    (a, b), best_val = _refine(
+        lambda ca, cb: np.array(objective(ca, cb), dtype=float),
+        (complex(pts[ia]), complex(pts[ib])),
+        float(table[ia, ib]),
+        spec,
+    )
+    return a, b, best_val
 
 
 def require_nonzero(energy, what="input signal"):

@@ -13,6 +13,7 @@ from afdkit import (
     GridSpec,
     analytic_part,
     grid_argmax,
+    grid_argmax_pairs,
     grid_points,
     hilbert_transform,
     inner_product_1d,
@@ -23,6 +24,7 @@ from afdkit import (
     tensor_atom_coeffs,
     TensorAtomSpec,
 )
+from afdkit.hardy import _local_candidates
 from conftest import kernel_ip, random_hardy_1d, random_real_full_1d, random_real_full_2d
 
 KERNEL_IP_05_03 = 0.9719242142269592  # sqrt(.75) sqrt(.91) / (1 - .15)
@@ -299,3 +301,31 @@ class TestGridArgmax:
         _, v0 = grid_argmax(objective, spec0)
         _, v2 = grid_argmax(objective, spec2)
         assert v2 >= v0
+
+    def test_rim_maximiser_has_a_single_candidate(self):
+        # rim points whose modulus rounds one ulp below max_radius used to get
+        # a second, clamped copy of themselves in the refinement neighbourhood
+        spec = GridSpec(radial_count=6, angular_count=9, refine_levels=1, max_radius=0.85)
+        step_r, step_t = spec.max_radius / 12, np.pi / 9
+        rim = grid_points(spec)[-spec.angular_count :]
+        assert any(abs(p) < spec.max_radius for p in rim)
+        for center in rim:
+            cands, own = _local_candidates(complex(center), step_r, step_t, spec.max_radius)
+            assert abs(cands[own] - center) < 1e-15
+            gaps = np.abs(cands[:, None] - cands[None, :]) + np.eye(cands.size)
+            assert np.min(gaps) > 1e-6
+            assert np.sum(np.abs(cands) > spec.max_radius - 1e-12) == 5
+
+    def test_refinement_over_flat_neighbourhood_stays(self):
+        spec = GridSpec(radial_count=6, angular_count=9, refine_levels=2, max_radius=0.85)
+        pts = grid_points(spec)
+
+        def objective(p):
+            return np.where(np.abs(np.asarray(p)) > 0.5, 1.0, 0.0)
+
+        pt, val = grid_argmax(objective, spec)
+        assert pt == complex(pts[np.argmax(objective(pts))]) and val == 1.0
+        a, b, val = grid_argmax_pairs(
+            lambda pa, pb: objective(pa)[:, None] * objective(pb)[None, :], spec
+        )
+        assert a == b == pt and val == 1.0
