@@ -16,9 +16,11 @@ import numpy as np
 from .errors import DomainError
 from .hardy import (
     FourierCoeffs2D,
+    eval_pairs,
     grid_argmax_pairs,
     grid_points,
     inner_product_2d,
+    power_rows,
     require_nonzero,
 )
 from .afd1d import OVERSAMPLE, _tm_grid_size, blaschke_eval, tm_matrix
@@ -89,20 +91,53 @@ def dn_energy(f, history, candidate, oversample=OVERSAMPLE):
     return float(np.sum(np.abs(_block_entries(table, n)) ** 2))
 
 
-def _new_factor_rows(points, prefix_samples, order):
-    """Truncated coefficients of the candidate basis functions for one axis.
+def _blaschke_toeplitz(params, order, oversample=OVERSAMPLE):
+    """Coefficient map of g -> P+[g conj(phi)] on frequencies 0..order.
 
-    Each row is the Szego factor at the candidate point times the fixed
-    Blaschke prefix of the axis history, sampled and transformed.
+    ``phi`` is the Blaschke product with zeros ``params``; the map is the
+    upper-triangular Toeplitz matrix T[k, m] = conj(phi_{m-k}) (m >= k) of
+    its Taylor coefficients, taken from one oversampled FFT.
     """
-    size = prefix_samples.size
-    z = np.exp(2j * np.pi * np.arange(size) / size)
-    pts = np.asarray(points, dtype=complex).ravel()
-    weights = np.sqrt(1.0 - np.abs(pts) ** 2)
-    samples = weights[:, None] / (1.0 - np.conj(pts)[:, None] * z[None, :])
-    samples *= prefix_samples[None, :]
-    spec = np.fft.fft(samples, axis=1) / size
-    return spec[:, : order + 1]
+    size = _tm_grid_size(order, oversample)
+    phi = np.fft.fft(blaschke_eval(params, size))[: order + 1] / size
+    lag = np.arange(order + 1)[None, :] - np.arange(order + 1)[:, None]
+    return np.where(lag >= 0, np.conj(phi)[np.maximum(lag, 0)], 0.0)
+
+
+def _product_tm_objective(f, history, grid, oversample=OVERSAMPLE):
+    """Step-n block energy of every candidate pair, as ``objective(a_pts, b_pts)``.
+
+    With phi, psi the Blaschke products of the a- and b-history, the new
+    basis functions are e_a phi and e_b psi, and by the reproducing property
+    <g, e_a phi> = sqrt(1 - |a|^2) P+[g conj(phi)](a).  Hence the coupled
+    entry is sqrt(1 - |a|^2) sqrt(1 - |b|^2) h(a, b) with coefficient block
+    H = A C B^T (A, B from ``_blaschke_toeplitz``), and the single-axis
+    entries against the fixed rows of the other axis evaluate Ga = A R_b and
+    Gb = B L_a^T the same way.
+    """
+    C = _hardy_block(f)
+    order = f.order
+    a_hist = [p[0] for p in history]
+    b_hist = [p[1] for p in history]
+    A = _blaschke_toeplitz(a_hist, order, oversample)
+    B = _blaschke_toeplitz(b_hist, order, oversample)
+    hist_rows_a = tm_matrix(a_hist, order, oversample) if a_hist else np.zeros((0, order + 1))
+    hist_rows_b = tm_matrix(b_hist, order, oversample) if b_hist else np.zeros((0, order + 1))
+    H = A @ C @ B.T
+    Ga = A @ (C @ np.conj(hist_rows_b).T)  # column l: <f, . (x) B_l> times conj(phi)
+    Gb = B @ (np.conj(hist_rows_a) @ C).T  # column k: <f, B_k (x) .> times conj(psi)
+
+    def objective(a_pts, b_pts):
+        a = np.asarray(a_pts, dtype=complex).ravel()
+        b = np.asarray(b_pts, dtype=complex).ravel()
+        wa = 1.0 - np.abs(a) ** 2
+        wb = 1.0 - np.abs(b) ** 2
+        main = (wa[:, None] * wb[None, :]) * np.abs(eval_pairs(H, a, b, grid)) ** 2
+        gain_a = wa * np.sum(np.abs(power_rows(a, order, grid) @ Ga) ** 2, axis=1)
+        gain_b = wb * np.sum(np.abs(power_rows(b, order, grid) @ Gb) ** 2, axis=1)
+        return main + gain_a[:, None] + gain_b[None, :]
+
+    return objective
 
 
 @dataclass
@@ -128,29 +163,18 @@ def msp_product_tm(f, history, grid, oversample=OVERSAMPLE):
     polar grid.  The block objective splits into a coupled term plus two
     single-axis terms, so candidate axes are evaluated independently and
     combined, which keeps the search quadratic only in the grid size.
+
+    No candidate basis row is built: with phi and psi the Blaschke products
+    of the a- and b-history,
+
+        <f, e_a phi (x) e_b psi> = sqrt(1 - |a|^2) sqrt(1 - |b|^2) h(a, b),
+        h = P++[f conj(phi (x) psi)],
+
+    so every term is a power series evaluated on the grid (cached power
+    rows, ``hardy.eval_pairs``).
     """
     require_nonzero(f.energy())
-    C = _hardy_block(f)
-    order = f.order
-    a_hist = [p[0] for p in history]
-    b_hist = [p[1] for p in history]
-    size = _tm_grid_size(order, oversample)
-    prefix_a = blaschke_eval(a_hist, size)
-    prefix_b = blaschke_eval(b_hist, size)
-    hist_rows_a = tm_matrix(a_hist, order, oversample) if a_hist else np.zeros((0, order + 1))
-    hist_rows_b = tm_matrix(b_hist, order, oversample) if b_hist else np.zeros((0, order + 1))
-    # Fixed-axis inner product tables reused by every candidate.
-    left_fixed = np.conj(hist_rows_a) @ C  # (n-1, order+1), rows <f, B_k (x) .>
-    right_fixed = C @ np.conj(hist_rows_b).T  # (order+1, n-1)
-
-    def objective(a_pts, b_pts):
-        U = _new_factor_rows(a_pts, prefix_a, order)
-        V = _new_factor_rows(b_pts, prefix_b, order)
-        main = np.abs(np.conj(U) @ C @ np.conj(V).T) ** 2
-        gain_a = np.sum(np.abs(np.conj(U) @ right_fixed) ** 2, axis=1)
-        gain_b = np.sum(np.abs(left_fixed @ np.conj(V).T) ** 2, axis=0)
-        return main + gain_a[:, None] + gain_b[None, :]
-
+    objective = _product_tm_objective(f, history, grid, oversample)
     a, b, value = grid_argmax_pairs(objective, grid)
 
     pts = grid_points(grid)
@@ -251,14 +275,11 @@ def pga_step(g, grid):
     require_nonzero(g.energy())
     C = _hardy_block(g)
     order = g.order
-    powers = np.arange(order + 1)
 
     def objective(a_pts, b_pts):
         a = np.asarray(a_pts, dtype=complex).ravel()
         b = np.asarray(b_pts, dtype=complex).ravel()
-        pa = a[:, None] ** powers[None, :]
-        pb = b[:, None] ** powers[None, :]
-        vals = np.abs(pa @ C @ pb.T)
+        vals = np.abs(eval_pairs(C, a, b, grid))
         wa = np.sqrt(1.0 - np.abs(a) ** 2)
         wb = np.sqrt(1.0 - np.abs(b) ** 2)
         return (wa[:, None] * wb[None, :]) * vals

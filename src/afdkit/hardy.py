@@ -12,6 +12,7 @@ grid-argmax engine shared by every maximal-selection routine in the package.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,8 @@ __all__ = [
     "real_reconstruct_2d",
     "real_field_2d",
     "grid_points",
+    "power_rows",
+    "eval_pairs",
     "grid_argmax",
     "grid_argmax_pairs",
 ]
@@ -280,12 +283,7 @@ class FourierCoeffs2D:
         """
         if not self.hardy:
             raise DomainError("interior evaluation requires Hardy coefficients")
-        n = self.order
-        a = np.asarray(a_points, dtype=complex).ravel()
-        b = np.asarray(b_points, dtype=complex).ravel()
-        pa = a[:, None] ** np.arange(n + 1)[None, :]
-        pb = b[:, None] ** np.arange(n + 1)[None, :]
-        return pa @ self.data @ pb.T
+        return eval_pairs(self.data, a_points, b_points)
 
     def boundary_samples(self, size):
         n = self.order
@@ -566,12 +564,52 @@ def grid_points(spec):
     return np.concatenate([[0j], pts])
 
 
+@functools.lru_cache(maxsize=4)
+def _grid_powers(spec, order):
+    pts = grid_points(spec)
+    powers = pts[:, None] ** np.arange(order + 1)[None, :]
+    pts.flags.writeable = powers.flags.writeable = False
+    return pts, powers
+
+
+def power_rows(points, order, spec=None):
+    """Rows ``points[i] ** k`` for k = 0..order.
+
+    A Hardy coefficient vector evaluates at interior points as the product
+    with these rows.  When ``points`` is the coarse grid of ``spec`` the
+    rows come from a cache kept per (spec, order), so every selection step
+    on that grid shares one power matrix.
+    """
+    pts = np.asarray(points, dtype=complex).ravel()
+    if spec is not None:
+        grid, powers = _grid_powers(spec, order)
+        if np.array_equal(pts, grid):
+            return powers
+    return pts[:, None] ** np.arange(order + 1)[None, :]
+
+
+def eval_pairs(block, a_points, b_points, spec=None):
+    """Holomorphic extension h(a_i, b_j) of a Hardy coefficient block.
+
+    Returns the matrix over all point combinations, ``P_a @ block @ P_b^T``
+    with the power rows of each axis (cached on the coarse grid of
+    ``spec``).
+    """
+    order = block.shape[0] - 1
+    return power_rows(a_points, order, spec) @ block @ power_rows(b_points, order, spec).T
+
+
 def _eval_objective(objective, pts):
+    """Values of a vectorized objective, or of a scalar one point by point.
+
+    A scalar-only objective signals itself by raising TypeError on an array
+    (or by returning one value); any other error propagates.
+    """
     try:
         vals = np.asarray(objective(pts), dtype=float)
         if vals.shape == pts.shape:
             return vals
-    except Exception:
+    except TypeError:
         pass
     return np.asarray([float(objective(p)) for p in pts], dtype=float)
 

@@ -354,7 +354,10 @@ def _select(g, frame, dictionary, rho, state=None):
 
     Base atoms rank by (r, grid index) and escalated candidates after all of
     them in the order they are generated; the winner is the first qualifying
-    candidate in that order.  ``state`` goes to the dictionary scan.
+    candidate in that order.  A winning base atom is confirmed against the
+    frame directly: if its residual is below EPS_SPAN after all (the scan
+    value is cancellation-limited), it is treated as degenerate and the
+    reduction runs again.  ``state`` goes to the dictionary scan.
     Returns (outcome, sup_gain, sup_r_grid).
     """
     g = _as_vector(g)
@@ -369,6 +372,20 @@ def _select(g, frame, dictionary, rho, state=None):
         idx = dictionary.base_index(s)
         if idx is not None:
             degenerate[idx] = True
+    while True:
+        (r_sel, gain, spec), sup_gain, index = _reduce(g, frame, dictionary, inner, r, degenerate, rho)
+        if index is None or frame.project_residual(dictionary.atom_vector(spec))[1] >= EPS_SPAN:
+            break
+        degenerate[index] = True
+    sup_r = float(np.max(r)) if r.size else 0.0
+    return SelectionOutcome(atom=spec, r=r_sel, gain=gain), sup_gain, sup_r
+
+
+def _reduce(g, frame, dictionary, inner, r, degenerate, rho):
+    """Winner among the usable base atoms and the escalations of the degenerate ones.
+
+    Returns ((r, gain, spec), sup_gain, grid index of a base winner or None).
+    """
     usable = np.flatnonzero(~degenerate)
     base_r = r[usable]
     base_gain = inner[usable] / base_r
@@ -394,17 +411,16 @@ def _select(g, frame, dictionary, rho, state=None):
 
     sup_gain = max([c[1] for c in escalated] + ([float(np.max(base_gain))] if usable.size else []))
     floor = rho * sup_gain
-    best = None  # (r, gain, spec) of the first qualifying candidate by r
+    best, index = None, None  # (r, gain, spec) of the first qualifying candidate by r
     qualifying = np.flatnonzero(base_gain >= floor)
     if qualifying.size:
         k = qualifying[np.argmin(base_r[qualifying])]
-        best = (float(base_r[k]), float(base_gain[k]), dictionary.base_spec(usable[k]))
+        index = int(usable[k])
+        best = (float(base_r[k]), float(base_gain[k]), dictionary.base_spec(index))
     for cand in escalated:
         if cand[1] >= floor and (best is None or cand[0] < best[0]):
-            best = cand
-    r_sel, gain, spec = best
-    sup_r = float(np.max(r)) if r.size else 0.0
-    return SelectionOutcome(atom=spec, r=r_sel, gain=gain), sup_gain, sup_r
+            best, index = cand, None
+    return best, sup_gain, index
 
 
 def poga_select(g, frame, dictionary, rho=1.0):

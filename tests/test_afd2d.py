@@ -1,7 +1,11 @@
 """Product-system decomposition and pure greedy selection on the 2-torus."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afdkit import (
     DegenerateInputError,
@@ -23,6 +27,9 @@ from afdkit import (
     tensor_atom_coeffs,
     tm_matrix,
 )
+from afdkit import afd2d
+from afdkit.afd1d import _tm_grid_size, blaschke_eval
+from afdkit.afd2d import _product_tm_objective
 from afdkit.hardy import grid_radii
 from conftest import kernel_ip, random_hardy_2d
 
@@ -178,6 +185,95 @@ class TestMspProductTm:
         ia, ib = np.unravel_index(np.argmax(table), table.shape)
         assert sel.a == complex(pts[ia]) and sel.b == complex(pts[ib])
         assert sel.value == pytest.approx(table[ia, ib], rel=1e-9)
+
+
+def reference_objective(f, history, order):
+    """The block-energy objective through explicit candidate basis rows.
+
+    Each row holds the truncated coefficients of e_a times the Blaschke
+    prefix of its axis history, sampled and transformed with one FFT per
+    candidate.  Kept as the oracle for ``afd2d._product_tm_objective``.
+    """
+    C = f.data
+    size = _tm_grid_size(order)
+    z = np.exp(2j * np.pi * np.arange(size) / size)
+    a_hist = [p[0] for p in history]
+    b_hist = [p[1] for p in history]
+    prefix_a, prefix_b = blaschke_eval(a_hist, size), blaschke_eval(b_hist, size)
+    left_fixed = np.conj(tm_matrix(a_hist, order)) @ C
+    right_fixed = C @ np.conj(tm_matrix(b_hist, order)).T
+
+    def rows(points, prefix):
+        pts = np.asarray(points, dtype=complex).ravel()
+        samples = np.sqrt(1.0 - np.abs(pts) ** 2)[:, None] / (1.0 - np.conj(pts)[:, None] * z[None, :])
+        return (np.fft.fft(samples * prefix[None, :], axis=1) / size)[:, : order + 1]
+
+    def objective(a_pts, b_pts):
+        U, V = rows(a_pts, prefix_a), rows(b_pts, prefix_b)
+        main = np.abs(np.conj(U) @ C @ np.conj(V).T) ** 2
+        gain_a = np.sum(np.abs(np.conj(U) @ right_fixed) ** 2, axis=1)
+        gain_b = np.sum(np.abs(left_fixed @ np.conj(V).T) ** 2, axis=0)
+        return main + gain_a[:, None] + gain_b[None, :]
+
+    return objective
+
+
+class TestProductTmObjective:
+    """The reproducing-kernel objective against the FFT-row oracle."""
+
+    GRID = GridSpec(radial_count=4, angular_count=6, refine_levels=0, max_radius=0.9)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_hist=st.integers(0, 3),
+        radii=st.lists(st.floats(0.0, 0.9), min_size=6, max_size=6),
+        angles=st.lists(st.floats(0.0, 2 * np.pi), min_size=6, max_size=6),
+    )
+    def test_table_matches_fft_rows(self, seed, n_hist, radii, angles):
+        order = 64
+        f = random_hardy_2d(seed, order)
+        pts = [complex(r * np.exp(1j * t)) for r, t in zip(radii, angles)]
+        history = list(zip(pts[:n_hist], pts[3 : 3 + n_hist]))
+        grid_pts = grid_points(self.GRID)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ref = reference_objective(f, history, order)(grid_pts, grid_pts)
+            got = _product_tm_objective(f, history, self.GRID)(grid_pts, grid_pts)
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0)
+        top2 = np.sort(ref.ravel())[-2:]
+        if top2[1] - top2[0] > 1e-9 * top2[1]:
+            assert np.argmax(got) == np.argmax(ref)
+
+    def test_refinement_points_match_fft_rows(self):
+        f = random_hardy_2d(3, 64)
+        history = [(0.5 - 0.2j, 0.1j), (-0.3, 0.7)]
+        a_pts = np.array([0.2 + 0.3j, 0.85j, -0.6])
+        b_pts = np.array([0.0, 0.45 - 0.45j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ref = reference_objective(f, history, 64)(a_pts, b_pts)
+            got = _product_tm_objective(f, history, self.GRID)(a_pts, b_pts)
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0)
+
+    def test_cached_pga_table_is_bitwise_uncached(self, monkeypatch):
+        grid = GridSpec(radial_count=5, angular_count=8, refine_levels=0, max_radius=0.85)
+        g = random_hardy_2d(11, 32)
+        captured = []
+
+        def capture(objective, spec):
+            captured.append(objective)
+            return 0.0, 0.0, 0.0
+
+        monkeypatch.setattr(afd2d, "grid_argmax_pairs", capture)
+        pga_step(g, grid)
+        pts = grid_points(grid)
+        powers = pts[:, None] ** np.arange(33)[None, :]
+        w = np.sqrt(1.0 - np.abs(pts) ** 2)
+        uncached = (w[:, None] * w[None, :]) * np.abs(powers @ g.data @ powers.T)
+        cached = captured[0](pts, pts)
+        assert cached.tobytes() == uncached.tobytes()
+        assert captured[0](pts, pts).tobytes() == cached.tobytes()
 
 
 class TestAfd2dDecompose:

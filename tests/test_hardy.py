@@ -290,6 +290,18 @@ class TestGridArgmax:
         pt, val = grid_argmax(lambda p: float(abs(p)), spec)
         assert val == pytest.approx(0.5)
 
+    def test_failing_objective_propagates(self):
+        spec = GridSpec(radial_count=3, angular_count=4, refine_levels=1, max_radius=0.5)
+        calls = []
+
+        def objective(p):
+            calls.append(p)
+            return 1.0 / 0
+
+        with pytest.raises(ZeroDivisionError):
+            grid_argmax(objective, spec)
+        assert len(calls) == 1
+
     def test_refinement_improves(self):
         spec0 = GridSpec(radial_count=6, angular_count=8, refine_levels=0, max_radius=0.9)
         spec2 = GridSpec(radial_count=6, angular_count=8, refine_levels=2, max_radius=0.9)

@@ -264,6 +264,25 @@ class TestPogaDecompose:
             assert abs(abs(s1.coeff) - abs(s2.coeff)) < 1e-8
             assert abs(s1.residual_energy - s2.residual_energy) < 1e-8
 
+    def test_weak_selection_confirms_scan_residual(self):
+        # at step 11 the scan gives the winning grid atom r = 1.05e-8 while its
+        # direct residual is 8.1e-9, below EPS_SPAN: it must escalate instead
+        # of reaching OrthoFrame.extend
+        rng = np.random.default_rng(0)
+        k = np.arange(65)
+        x, y = rng.standard_normal(65), rng.standard_normal(65)
+        f = (x + 1j * y) / (1 + k) ** 1.2
+        grid = GridSpec(radial_count=16, angular_count=32, max_radius=0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            record = poga_decompose(f, 12, SzegoDictionary1D(64, grid), rho=0.5)
+        assert len(record.steps) == 12
+        assert all(step.r >= EPS_SPAN for step in record.steps)
+        assert [step.atom.m for step in record.steps[-2:]] == [2, 4]
+        d = [record.initial_energy] + record.residual_energies()
+        for i, step in enumerate(record.steps):
+            assert abs(d[i] - d[i + 1] - abs(step.coeff) ** 2) < 1e-10
+
     def test_reconstruction_matches_remainder(self, dict1d):
         f = random_hardy_1d(90, ORDER)
         record = poga_decompose(f.data, 6, dict1d)
@@ -338,15 +357,17 @@ class TestRateReport:
         assert not report.ok
 
 
-def reference_select(g, frame, dictionary, rho):
+def reference_select(g, frame, dictionary, rho, demoted=frozenset()):
     """The selector as one tuple per candidate, sorted by (r, order index).
 
     Kept as the oracle for the array version in ``afdkit.poga._select``.
+    A winning grid atom whose direct residual is below EPS_SPAN joins
+    ``demoted`` (treated as degenerate) and the selection runs again.
     """
     g = np.asarray(g, dtype=complex).ravel()
     inner, r = dictionary.scan(g, frame)
     selected = set(s for s in frame.specs if s is not None)
-    structural = set()
+    structural = set(demoted)
     for s in selected:
         idx = dictionary.base_index(s)
         if idx is not None:
@@ -383,6 +404,8 @@ def reference_select(g, frame, dictionary, rho):
     gain, r_sel, idx, spec = qualifying[0]
     if spec is None:
         spec = dictionary.base_spec(idx)
+        if frame.project_residual(dictionary.atom_vector(spec))[1] < EPS_SPAN:
+            return reference_select(g, frame, dictionary, rho, demoted | {idx})
     return spec, r_sel, gain, sup_gain, float(np.max(r))
 
 
