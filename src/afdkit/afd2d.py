@@ -107,13 +107,10 @@ def _blaschke_toeplitz(params, order, oversample=OVERSAMPLE):
 def _product_tm_objective(f, history, grid, oversample=OVERSAMPLE):
     """Step-n block energy of every candidate pair, as ``objective(a_pts, b_pts)``.
 
-    With phi, psi the Blaschke products of the a- and b-history, the new
-    basis functions are e_a phi and e_b psi, and by the reproducing property
-    <g, e_a phi> = sqrt(1 - |a|^2) P+[g conj(phi)](a).  Hence the coupled
-    entry is sqrt(1 - |a|^2) sqrt(1 - |b|^2) h(a, b) with coefficient block
-    H = A C B^T (A, B from ``_blaschke_toeplitz``), and the single-axis
-    entries against the fixed rows of the other axis evaluate Ga = A R_b and
-    Gb = B L_a^T the same way.
+    The coupled entry is sqrt(1 - |a|^2) sqrt(1 - |b|^2) h(a, b), h with
+    coefficient block H = A C B^T (A, B from ``_blaschke_toeplitz``); the
+    single-axis entries against the fixed rows of the other axis are the
+    1-d analogue, with Ga = A R_b and Gb = B L_a^T.
     """
     C = _hardy_block(f)
     order = f.order
@@ -132,9 +129,10 @@ def _product_tm_objective(f, history, grid, oversample=OVERSAMPLE):
         b = np.asarray(b_pts, dtype=complex).ravel()
         wa = 1.0 - np.abs(a) ** 2
         wb = 1.0 - np.abs(b) ** 2
-        main = (wa[:, None] * wb[None, :]) * np.abs(eval_pairs(H, a, b, grid)) ** 2
-        gain_a = wa * np.sum(np.abs(power_rows(a, order, grid) @ Ga) ** 2, axis=1)
-        gain_b = wb * np.sum(np.abs(power_rows(b, order, grid) @ Gb) ** 2, axis=1)
+        Pa, Pb = power_rows(a, order, grid), power_rows(b, order, grid)
+        main = (wa[:, None] * wb[None, :]) * np.abs(Pa @ H @ Pb.T) ** 2
+        gain_a = wa * np.sum(np.abs(Pa @ Ga) ** 2, axis=1)
+        gain_b = wb * np.sum(np.abs(Pb @ Gb) ** 2, axis=1)
         return main + gain_a[:, None] + gain_b[None, :]
 
     return objective
@@ -164,14 +162,14 @@ def msp_product_tm(f, history, grid, oversample=OVERSAMPLE):
     single-axis terms, so candidate axes are evaluated independently and
     combined, which keeps the search quadratic only in the grid size.
 
-    No candidate basis row is built: with phi and psi the Blaschke products
-    of the a- and b-history,
+    The energy comes from the reproducing property: with phi and psi the
+    Blaschke products of the a- and b-history,
 
         <f, e_a phi (x) e_b psi> = sqrt(1 - |a|^2) sqrt(1 - |b|^2) h(a, b),
         h = P++[f conj(phi (x) psi)],
 
-    so every term is a power series evaluated on the grid (cached power
-    rows, ``hardy.eval_pairs``).
+    so every term is a power series evaluated on the grid, through power
+    rows that ``hardy.power_rows`` caches for the coarse grid.
     """
     require_nonzero(f.energy())
     objective = _product_tm_objective(f, history, grid, oversample)
