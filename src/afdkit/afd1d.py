@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DomainError, TruncationError, TruncationWarning
 from .hardy import (
     FourierCoeffs1D,
+    eval_series,
     grid_argmax,
     inner_product_1d,
     next_pow2,
@@ -170,7 +171,7 @@ def msp_1d(f, grid):
     data = f.data
 
     def objective(pts):
-        vals = np.polynomial.polynomial.polyval(pts, data)
+        vals = eval_series(data, pts, grid)
         return (1.0 - np.abs(pts) ** 2) * np.abs(vals) ** 2
 
     return grid_argmax(objective, grid)

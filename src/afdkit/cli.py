@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -153,9 +154,12 @@ def load_signal_1d(path, order, analytic=True):
             if not line or line.startswith("#"):
                 continue
             try:
-                samples.append(float(line.split(",")[0]))
+                value = float(line.split(",")[0])
             except ValueError:
                 raise IngestError("%s: row %d is not numeric: %r" % (path, lineno, line))
+            if not math.isfinite(value):
+                raise IngestError("%s: row %d is not finite: %r" % (path, lineno, line))
+            samples.append(value)
     minimum = 2 * order + 2
     if len(samples) < minimum:
         raise IngestError(
@@ -331,15 +335,20 @@ def load_record(path):
                 count = int(s_parts[1])
             except ValueError:
                 fail(i + 1, "non-numeric section header")
+            if not math.isfinite(energy):
+                fail(i + 1, "non-finite energy")
             sec = RecordSection(name=name, algorithm=algorithm, initial_energy=energy)
             i += 3
             for k in range(count):
                 if i >= len(lines) or not lines[i][1].startswith("step "):
                     fail(i, "truncated record (missing step %d of %d)" % (k + 1, count))
                 try:
-                    sec.steps.append([float(x) for x in lines[i][1].split(" ")[1:]])
+                    fields = [float(x) for x in lines[i][1].split(" ")[1:]]
                 except ValueError:
                     fail(i, "non-numeric step fields")
+                if not all(map(math.isfinite, fields)):
+                    fail(i, "non-finite step fields")
+                sec.steps.append(fields)
                 i += 1
             record.sections.append(sec)
         elif parts[0] == "end" and len(parts) == 1:

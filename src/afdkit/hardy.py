@@ -35,6 +35,7 @@ __all__ = [
     "real_field_2d",
     "grid_points",
     "power_rows",
+    "eval_series",
     "eval_pairs",
     "grid_argmax",
     "grid_argmax_pairs",
@@ -138,13 +139,12 @@ class FourierCoeffs1D:
     def eval_interior(self, points):
         """Evaluate the holomorphic extension at points inside the disc.
 
-        Hardy instances only; uses direct power-series summation of the
-        stored coefficients (Horner), valid for |point| < 1.
+        Hardy instances only; sums the power series of the stored
+        coefficients (``eval_series``), valid for |point| < 1.
         """
         if not self.hardy:
             raise DomainError("interior evaluation requires Hardy coefficients")
-        pts = np.asarray(points, dtype=complex)
-        return np.polynomial.polynomial.polyval(pts, self.data)
+        return eval_series(self.data, points)
 
     def boundary_samples(self, size):
         """Samples at t_j = 2 pi j / size via the inverse FFT."""
@@ -551,25 +551,35 @@ def grid_radii(spec):
     return radii[::-1].copy()
 
 
+@functools.lru_cache(maxsize=4)
 def grid_points(spec):
     """Coarse grid points in deterministic (radius, angle) order.
 
     The center 0 comes first, then each radius in ascending order with its
-    full ring of angles ascending in [0, 2 pi).
+    full ring of angles ascending in [0, 2 pi).  The array is computed once
+    per spec and shared, so it is read-only.
     """
     radii = grid_radii(spec)
     angles = 2.0 * np.pi * np.arange(spec.angular_count) / spec.angular_count
     ring = np.exp(1j * angles)
-    pts = (radii[:, None] * ring[None, :]).ravel()
-    return np.concatenate([[0j], pts])
+    pts = np.concatenate([[0j], (radii[:, None] * ring[None, :]).ravel()])
+    pts.flags.writeable = False
+    return pts
+
+
+def _on_grid(points, spec):
+    """Whether ``points`` is the coarse grid of ``spec``; no spec means no grid."""
+    if spec is None:
+        return False
+    grid = grid_points(spec)
+    return points is grid or np.array_equal(points, grid)
 
 
 @functools.lru_cache(maxsize=4)
 def _grid_powers(spec, order):
-    pts = grid_points(spec)
-    powers = pts[:, None] ** np.arange(order + 1)[None, :]
-    pts.flags.writeable = powers.flags.writeable = False
-    return pts, powers
+    powers = grid_points(spec)[:, None] ** np.arange(order + 1)[None, :]
+    powers.flags.writeable = False
+    return powers
 
 
 def power_rows(points, order, spec=None):
@@ -581,11 +591,45 @@ def power_rows(points, order, spec=None):
     on that grid shares one power matrix.
     """
     pts = np.asarray(points, dtype=complex).ravel()
-    if spec is not None:
-        grid, powers = _grid_powers(spec, order)
-        if np.array_equal(pts, grid):
-            return powers
+    if _on_grid(pts, spec):
+        return _grid_powers(spec, order)
     return pts[:, None] ** np.arange(order + 1)[None, :]
+
+
+@functools.lru_cache(maxsize=4)
+def _ring_powers(spec, order):
+    """Ring radii to the powers 0, 1, ..., through whole periods of angular_count covering order."""
+    periods = -(-(order + 1) // spec.angular_count)
+    table = grid_radii(spec)[:, None] ** np.arange(periods * spec.angular_count)[None, :]
+    table.flags.writeable = False
+    return table
+
+
+def eval_series(coeffs, points, spec=None):
+    """Power series sum_k coeffs[k] z^k at every point, in the shape of ``points``.
+
+    On the coarse grid of ``spec`` each ring of ``angular_count`` angles
+    sees only the coefficients folded mod ``angular_count``, scaled by the
+    ring's radius powers, so the whole grid is one batched inverse FFT over
+    the rings.  Elsewhere the power rows are running products of the points.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    pts = np.asarray(points, dtype=complex)
+    if _on_grid(pts, spec):
+        table = _ring_powers(spec, c.size - 1)
+        padded = np.zeros(table.shape[1], dtype=complex)
+        padded[: c.size] = c
+        m = spec.angular_count
+        folded = (table * padded).reshape(spec.radial_count, -1, m).sum(axis=1)
+        rings = np.fft.ifft(folded, axis=1) * m
+        return np.concatenate([c[:1], rings.ravel()])
+    powers = np.empty(pts.shape + c.shape, dtype=complex)
+    powers[..., :1] = 1.0
+    powers[..., 1:] = pts[..., None]
+    # Summed in NumPy rather than by a BLAS product: these point sets are a
+    # few dozen refinement candidates, and BLAS threads burn more CPU waiting
+    # on such small calls than the product itself takes.
+    return (np.cumprod(powers, axis=-1) * c).sum(axis=-1)
 
 
 def eval_pairs(block, a_points, b_points, spec=None):

@@ -341,6 +341,33 @@ class TestCliEndToEnd:
         assert cli_main(["reconstruct", "--input", rec, "--output", out]) == 2
         assert "record has no meta %s" % missing in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_decompose_rejects_non_finite_row(self, tmp_path, capsys, value):
+        sig = tmp_path / "sig.csv"
+        sig.write_text(value + "\n" + "".join("%g\n" % (0.01 * k) for k in range(10, 61)))
+        rec = tmp_path / "rec.txt"
+        code = cli_main(
+            ["decompose", "--algorithm", "afd1d", "--input", str(sig), "--output", str(rec),
+             "--order", "16", "--terms", "3", "--max-radius", "0.8"]
+        )
+        assert code == 2
+        assert "row 1 is not finite" in capsys.readouterr().err
+        assert not rec.exists()
+
+    @pytest.mark.parametrize(
+        "energy, step, message",
+        [(float("inf"), None, "non-finite energy"),
+         (1.25, [0.5, 0.0, 0.3, -0.25, float("nan")], "non-finite step fields")],
+        ids=["energy-inf", "residual-nan"],
+    )
+    def test_verify_rejects_non_finite_record(self, tmp_path, capsys, energy, step, message):
+        rec = RecordFile(meta=[("algorithm", "afd1d"), ("order", "16"), ("samples", "64")])
+        rec.sections.append(RecordSection("main", "afd1d", energy, [step] if step else []))
+        path = tmp_path / "rec.txt"
+        save_record(rec, path)
+        assert cli_main(["verify", "--input", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_verify_rejects_zero_multiplicity(self, tmp_path, capsys):
         # a consistent ledger, so only the multiplicity is wrong
         rec = RecordFile(meta=[("algorithm", "poga1d"), ("rho", "1")])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from afdkit import (
     BoundaryGrid,
@@ -16,6 +18,7 @@ from afdkit import (
     grid_argmax_pairs,
     grid_points,
     hilbert_transform,
+    msp_1d,
     inner_product_1d,
     inner_product_2d,
     quadrant_split,
@@ -24,7 +27,7 @@ from afdkit import (
     tensor_atom_coeffs,
     TensorAtomSpec,
 )
-from afdkit.hardy import _local_candidates
+from afdkit.hardy import _local_candidates, _ring_powers, eval_series, power_rows
 from conftest import kernel_ip, random_hardy_1d, random_real_full_1d, random_real_full_2d
 
 KERNEL_IP_05_03 = 0.9719242142269592  # sqrt(.75) sqrt(.91) / (1 - .15)
@@ -341,3 +344,107 @@ class TestGridArgmax:
             lambda pa, pb: objective(pa)[:, None] * objective(pb)[None, :], spec
         )
         assert a == b == pt and val == 1.0
+
+
+# eval_series against Horner summation: an absolute error of at most
+# SERIES_RTOL times sum |c_k| r^k, the bound of |f| on the disc of radius r.
+SERIES_RTOL = 1e-12
+
+grid_specs = st.builds(
+    GridSpec,
+    radial_count=st.integers(1, 12),
+    angular_count=st.integers(1, 400),
+    refine_levels=st.integers(0, 2),
+    max_radius=st.floats(0.01, 0.995),
+)
+
+
+def _random_series(seed, order):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
+
+
+def _series_scale(c, radius):
+    return float(np.sum(np.abs(c) * radius ** np.arange(c.size)))
+
+
+class TestEvalSeries:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=grid_specs, order=st.integers(0, 300), seed=st.integers(0, 2**16))
+    def test_grid_table_matches_polyval(self, spec, order, seed):
+        c = _random_series(seed, order)
+        pts = grid_points(spec)
+        got = eval_series(c, pts, spec)
+        want = np.polynomial.polynomial.polyval(pts, c)
+        assert got.shape == pts.shape
+        atol = SERIES_RTOL * _series_scale(c, spec.max_radius)
+        np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("order, angular", [(256, 96), (16, 96), (95, 96), (96, 96), (0, 1), (7, 1)])
+    def test_fold_around_the_period(self, order, angular):
+        spec = GridSpec(radial_count=5, angular_count=angular, max_radius=0.995)
+        c = _random_series(order, order)
+        pts = grid_points(spec)
+        atol = SERIES_RTOL * _series_scale(c, spec.max_radius)
+        np.testing.assert_allclose(
+            eval_series(c, pts, spec), np.polynomial.polynomial.polyval(pts, c), rtol=0, atol=atol
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        order=st.integers(0, 300),
+        seed=st.integers(0, 2**16),
+        radii=st.lists(st.floats(0.0, 0.995), min_size=1, max_size=30),
+        angle=st.floats(0.0, 2 * np.pi),
+        spec=grid_specs,
+    )
+    def test_off_grid_points_match_polyval(self, order, seed, radii, angle, spec):
+        c = _random_series(seed, order)
+        pts = np.asarray(radii) * np.exp(1j * (angle + np.arange(len(radii))))
+        want = np.polynomial.polynomial.polyval(pts, c)
+        atol = SERIES_RTOL * _series_scale(c, max(radii))
+        for got in (eval_series(c, pts), eval_series(c, pts, spec)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+        np.testing.assert_allclose(eval_series(c, pts.reshape(1, -1)), want.reshape(1, -1), rtol=0, atol=atol)
+        assert eval_series(c, complex(pts[0])) == pytest.approx(complex(want[0]), abs=atol)
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec=grid_specs, order=st.integers(0, 300), seed=st.integers(0, 2**16))
+    def test_msp_argmax_matches_polyval(self, spec, order, seed):
+        f = FourierCoeffs1D(_random_series(seed, order), hardy=True)
+        gaps = []
+
+        def oracle(pts):
+            pts = np.asarray(pts)
+            vals = (1.0 - np.abs(pts) ** 2) * np.abs(np.polynomial.polynomial.polyval(pts, f.data)) ** 2
+            top = np.sort(vals)[-2:]
+            gaps.append((top[-1] - top[0]) / top[-1] if top.size == 2 else np.inf)
+            return vals
+
+        want = grid_argmax(oracle, spec)
+        # every reduction (the coarse grid and each refinement level) is decided
+        assume(min(gaps) > 1e-9)
+        got = msp_1d(f, spec)
+        assert got[0] == want[0]
+        assert got[1] == pytest.approx(want[1], rel=1e-9)
+
+    def test_tables_are_cached_read_only(self):
+        spec = GridSpec(radial_count=4, angular_count=10, max_radius=0.9)
+        pts = grid_points(spec)
+        table = _ring_powers(spec, 25)
+        assert grid_points(GridSpec(radial_count=4, angular_count=10, max_radius=0.9)) is pts
+        assert _ring_powers(spec, 25) is table and _ring_powers(spec, 26) is not table
+        assert table.shape == (4, 30)
+        assert power_rows(pts.copy(), 25, spec) is power_rows(pts, 25, spec)
+        for cached in (pts, table, power_rows(pts, 25, spec)):
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0] = 0
+
+    def test_result_does_not_alias_the_cache(self):
+        spec = GridSpec(radial_count=3, angular_count=4, max_radius=0.8)
+        c = _random_series(0, 6)
+        pts = grid_points(spec)
+        first = eval_series(c, pts, spec)
+        first[:] = 0
+        assert np.all(eval_series(c, pts, spec)[1:] != 0)
