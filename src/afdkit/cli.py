@@ -362,14 +362,17 @@ def load_record(path):
 
 
 def _meta_field(meta, key, kind=str, default=None):
-    """A metadata value converted by ``kind``; absent or malformed is a format error."""
+    """A metadata value converted by ``kind``; absent, malformed or non-finite is a format error."""
     value = meta.get(key, default)
     if value is None:
         raise RecordFormatError("record has no meta %s" % key)
     try:
-        return kind(value)
+        out = kind(value)
     except ValueError:
         raise RecordFormatError("record meta %s has a malformed value %r" % (key, value))
+    if isinstance(out, float) and not math.isfinite(out):
+        raise RecordFormatError("record meta %s is not finite: %r" % (key, value))
+    return out
 
 
 def _whole(x):
@@ -706,6 +709,8 @@ def _load_synthesis(path, algorithm):
             raise ConfigError("synthesis file %s has a malformed %r" % (path, key))
 
     M = field("M", float)
+    if not 0.0 < M < math.inf:
+        raise ConfigError("synthesis file %s needs a finite 'M' > 0, got %r" % (path, M))
     if algorithm == "poga1d":
         params = field("atoms", lambda atoms: [complex(re, im) for re, im in atoms])
         return [AtomSpec(a) for a in params], M

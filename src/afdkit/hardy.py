@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateInputError, DimensionMismatchError, DomainError
 
 __all__ = [
+    "FourierCoeffs",
     "FourierCoeffs1D",
     "FourierCoeffs2D",
     "BoundaryGrid",
@@ -54,17 +55,26 @@ def _boundary_nodes(size):
     return 2.0 * np.pi * np.arange(size) / size
 
 
-class FourierCoeffs1D:
-    """Truncated Fourier coefficients of a boundary signal on the circle.
+def _spectrum_index(order, hardy, size, ndim):
+    """Open-mesh index of the stored frequencies in a ``size``-point FFT spectrum per axis."""
+    k = np.arange(0 if hardy else -order, order + 1) % size
+    return np.ix_(*[k] * ndim)
 
-    Layout: Hardy instances store ``data[k] = c_k`` for ``k = 0..N``; full
-    instances store ``data[k + N] = c_k`` for ``k = -N..N``.  Instances are
-    treated as immutable; operations return new objects.
+
+class FourierCoeffs:
+    """Truncated Fourier coefficients of a boundary signal, one axis per variable.
+
+    ``FourierCoeffs1D`` lives on the circle, ``FourierCoeffs2D`` on the
+    2-torus, where the first axis pairs with the variable t and the second
+    with s.  Along every axis Hardy instances store ``c_k`` at index ``k``
+    for ``k = 0..N``, and full instances store it at ``k + N`` for
+    ``k = -N..N``.  Instances are treated as immutable; operations return
+    new objects.
 
     Parameters
     ----------
     data : array_like of complex
-        Coefficient array in the layout above.
+        Coefficient array with ``ndim`` equal sides, in the layout above.
     hardy : bool
         Whether the instance represents a Hardy-space signal (no negative
         frequencies stored).
@@ -74,11 +84,13 @@ class FourierCoeffs1D:
 
     def __init__(self, data, hardy=False):
         data = np.asarray(data, dtype=complex)
-        if data.ndim != 1 or data.size == 0:
-            raise DimensionMismatchError("expected a nonempty 1-d coefficient array")
-        if not hardy and data.size % 2 == 0:
+        if data.ndim != self.ndim or data.size == 0 or len(set(data.shape)) != 1:
             raise DimensionMismatchError(
-                "full-range coefficients must have odd length 2N+1, got %d" % data.size
+                "expected a nonempty %d-d coefficient array with equal sides" % self.ndim
+            )
+        if not hardy and data.shape[0] % 2 == 0:
+            raise DimensionMismatchError(
+                "full-range coefficients must have odd side 2N+1, got %d" % data.shape[0]
             )
         self.data = data
         self.hardy = bool(hardy)
@@ -86,36 +98,38 @@ class FourierCoeffs1D:
     @property
     def order(self):
         """Truncation order N."""
-        if self.hardy:
-            return self.data.size - 1
-        return (self.data.size - 1) // 2
+        side = self.data.shape[0]
+        return side - 1 if self.hardy else (side - 1) // 2
 
     @classmethod
     def zeros(cls, order, hardy=False):
-        size = order + 1 if hardy else 2 * order + 1
-        return cls(np.zeros(size, dtype=complex), hardy=hardy)
+        side = order + 1 if hardy else 2 * order + 1
+        return cls(np.zeros((side,) * cls.ndim, dtype=complex), hardy=hardy)
 
     @classmethod
     def from_terms(cls, order, terms, hardy=False):
-        """Build coefficients from a ``{frequency: value}`` mapping."""
+        """Build coefficients from a ``{frequency: value}`` mapping; a 2-d frequency is a pair."""
         out = cls.zeros(order, hardy=hardy)
         for k, val in terms.items():
-            if hardy and not 0 <= k <= order:
-                raise DomainError("frequency %d outside Hardy range 0..%d" % (k, order))
-            if not hardy and abs(k) > order:
-                raise DomainError("frequency %d outside range -%d..%d" % (k, order, order))
-            out.data[k if hardy else k + order] = val
+            pos = out._position(np.atleast_1d(k))
+            if pos is None:
+                raise DomainError("frequency %s outside the stored range of order %d" % (k, order))
+            out.data[pos] = val
         return out
 
-    def get(self, k):
-        """Coefficient c_k, zero outside the stored range."""
-        if self.hardy:
-            if 0 <= k <= self.order:
-                return complex(self.data[k])
-            return 0j
-        if abs(k) <= self.order:
-            return complex(self.data[k + self.order])
-        return 0j
+    def _position(self, k):
+        """Array index of the frequency ``k`` (one per axis), None outside the stored range."""
+        if len(k) != self.ndim:
+            raise DimensionMismatchError("expected %d frequency indices" % self.ndim)
+        low = 0 if self.hardy else -self.order
+        if not all(low <= x <= self.order for x in k):
+            return None
+        return tuple(int(x) - low for x in k)
+
+    def get(self, *k):
+        """Coefficient c_k, one frequency per axis, zero outside the stored range."""
+        pos = self._position(k)
+        return 0j if pos is None else complex(self.data[pos])
 
     def energy(self):
         """Squared norm sum(|c_k|^2)."""
@@ -125,218 +139,96 @@ class FourierCoeffs1D:
         return float(np.sqrt(self.energy()))
 
     def copy(self):
-        return FourierCoeffs1D(self.data.copy(), hardy=self.hardy)
+        return type(self)(self.data.copy(), hardy=self.hardy)
 
     def to_full(self):
         """Re-embed into the full -N..N layout."""
         if not self.hardy:
             return self.copy()
         n = self.order
-        data = np.zeros(2 * n + 1, dtype=complex)
-        data[n:] = self.data
-        return FourierCoeffs1D(data, hardy=False)
-
-    def eval_interior(self, points):
-        """Evaluate the holomorphic extension at points inside the disc.
-
-        Hardy instances only; sums the power series of the stored
-        coefficients (``eval_series``), valid for |point| < 1.
-        """
-        if not self.hardy:
-            raise DomainError("interior evaluation requires Hardy coefficients")
-        return eval_series(self.data, points)
+        data = np.zeros((2 * n + 1,) * self.ndim, dtype=complex)
+        data[(slice(n, None),) * self.ndim] = self.data
+        return type(self)(data, hardy=False)
 
     def boundary_samples(self, size):
-        """Samples at t_j = 2 pi j / size via the inverse FFT."""
+        """Samples at t_j = 2 pi j / size on every axis via the inverse FFT."""
         n = self.order
-        needed = n + 1 if self.hardy else 2 * n + 1
-        if size < needed:
-            raise DimensionMismatchError(
-                "grid size %d too small for order %d" % (size, n)
-            )
-        spectrum = np.zeros(size, dtype=complex)
-        if self.hardy:
-            spectrum[: n + 1] = self.data
-        else:
-            spectrum[: n + 1] = self.data[n:]
-            spectrum[size - n :] = self.data[:n]
-        return np.fft.ifft(spectrum) * size
+        if size < self.data.shape[0]:
+            raise DimensionMismatchError("grid size %d too small for order %d" % (size, n))
+        spectrum = np.zeros((size,) * self.ndim, dtype=complex)
+        spectrum[_spectrum_index(n, self.hardy, size, self.ndim)] = self.data
+        samples = np.fft.ifftn(spectrum)
+        # one factor per axis: a single size**ndim rounds differently
+        for _ in range(self.ndim):
+            samples *= size
+        return samples
 
     @classmethod
     def from_samples(cls, samples, order, hardy=False):
         """FFT of uniform boundary samples, truncated to the given order.
 
-        Exact whenever the sampled signal is bandlimited to ``order`` and
-        ``len(samples) >= 2*order + 1``; higher content aliases.
+        Exact whenever the sampled signal is bandlimited to ``order`` and the
+        grid side is at least ``2*order + 1``; higher content aliases.
         """
         samples = np.asarray(samples)
-        size = samples.size
+        if samples.ndim != cls.ndim or len(set(samples.shape)) != 1:
+            raise DimensionMismatchError("expected a %d-d sample grid with equal sides" % cls.ndim)
+        size = samples.shape[0]
         if size < 2 * order + 1:
             raise DimensionMismatchError(
-                "need at least %d samples for order %d, got %d"
+                "need a grid side of at least %d for order %d, got %d"
                 % (2 * order + 1, order, size)
             )
-        spectrum = np.fft.fft(samples) / size
-        if hardy:
-            return cls(spectrum[: order + 1].copy(), hardy=True)
-        data = np.concatenate([spectrum[size - order :], spectrum[: order + 1]])
-        return cls(data, hardy=False)
+        spectrum = np.fft.fftn(samples) / size**cls.ndim
+        return cls(spectrum[_spectrum_index(order, hardy, size, cls.ndim)], hardy=hardy)
 
     def __add__(self, other):
         self._check_compatible(other)
-        return FourierCoeffs1D(self.data + other.data, hardy=self.hardy)
+        return type(self)(self.data + other.data, hardy=self.hardy)
 
     def __sub__(self, other):
         self._check_compatible(other)
-        return FourierCoeffs1D(self.data - other.data, hardy=self.hardy)
+        return type(self)(self.data - other.data, hardy=self.hardy)
 
     def __mul__(self, scalar):
-        return FourierCoeffs1D(self.data * complex(scalar), hardy=self.hardy)
+        return type(self)(self.data * complex(scalar), hardy=self.hardy)
 
     __rmul__ = __mul__
 
     def _check_compatible(self, other):
-        if not isinstance(other, FourierCoeffs1D):
-            raise TypeError("expected FourierCoeffs1D")
+        if not isinstance(other, type(self)):
+            raise TypeError("expected %s" % type(self).__name__)
         if other.order != self.order or other.hardy != self.hardy:
             raise DimensionMismatchError("mixed truncation orders or layouts")
 
     def __repr__(self):
-        return "FourierCoeffs1D(order=%d, hardy=%s)" % (self.order, self.hardy)
+        return "%s(order=%d, hardy=%s)" % (type(self).__name__, self.order, self.hardy)
 
 
-class FourierCoeffs2D:
-    """Truncated Fourier coefficients on the 2-torus.
+class FourierCoeffs1D(FourierCoeffs):
+    """Truncated Fourier coefficients on the circle."""
 
-    Hardy instances store the quadrant block ``data[k, l] = c_kl`` for
-    ``0 <= k, l <= N``; full instances store ``data[k + N, l + N]`` over
-    ``[-N, N]^2``.  First index pairs with the variable t, second with s.
-    """
+    __slots__ = ()
+    ndim = 1
 
-    __slots__ = ("data", "hardy")
-
-    def __init__(self, data, hardy=False):
-        data = np.asarray(data, dtype=complex)
-        if data.ndim != 2 or data.shape[0] != data.shape[1] or data.size == 0:
-            raise DimensionMismatchError("expected a square coefficient matrix")
-        if not hardy and data.shape[0] % 2 == 0:
-            raise DimensionMismatchError("full-range matrix must have odd side 2N+1")
-        self.data = data
-        self.hardy = bool(hardy)
-
-    @property
-    def order(self):
-        if self.hardy:
-            return self.data.shape[0] - 1
-        return (self.data.shape[0] - 1) // 2
-
-    @classmethod
-    def zeros(cls, order, hardy=False):
-        side = order + 1 if hardy else 2 * order + 1
-        return cls(np.zeros((side, side), dtype=complex), hardy=hardy)
-
-    @classmethod
-    def from_terms(cls, order, terms, hardy=False):
-        out = cls.zeros(order, hardy=hardy)
-        for (k, l), val in terms.items():
-            if hardy and not (0 <= k <= order and 0 <= l <= order):
-                raise DomainError("frequency (%d, %d) outside Hardy quadrant" % (k, l))
-            if not hardy and (abs(k) > order or abs(l) > order):
-                raise DomainError("frequency (%d, %d) outside range" % (k, l))
-            if hardy:
-                out.data[k, l] = val
-            else:
-                out.data[k + order, l + order] = val
-        return out
-
-    def get(self, k, l):
-        n = self.order
-        if self.hardy:
-            if 0 <= k <= n and 0 <= l <= n:
-                return complex(self.data[k, l])
-            return 0j
-        if abs(k) <= n and abs(l) <= n:
-            return complex(self.data[k + n, l + n])
-        return 0j
-
-    def energy(self):
-        return float(np.sum(np.abs(self.data) ** 2))
-
-    def norm(self):
-        return float(np.sqrt(self.energy()))
-
-    def copy(self):
-        return FourierCoeffs2D(self.data.copy(), hardy=self.hardy)
-
-    def to_full(self):
+    def eval_interior(self, points):
+        """Holomorphic extension at points inside the disc (Hardy instances only)."""
         if not self.hardy:
-            return self.copy()
-        n = self.order
-        data = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
-        data[n:, n:] = self.data
-        return FourierCoeffs2D(data, hardy=False)
+            raise DomainError("interior evaluation requires Hardy coefficients")
+        return eval_series(self.data, points)
+
+
+class FourierCoeffs2D(FourierCoeffs):
+    """Truncated Fourier coefficients on the 2-torus."""
+
+    __slots__ = ()
+    ndim = 2
 
     def eval_interior(self, a_points, b_points):
-        """Holomorphic extension at interior point pairs.
-
-        Returns the matrix ``f(a_i, b_j)`` for Hardy instances.
-        """
+        """The matrix ``f(a_i, b_j)`` of the holomorphic extension (Hardy instances only)."""
         if not self.hardy:
             raise DomainError("interior evaluation requires Hardy coefficients")
         return eval_pairs(self.data, a_points, b_points)
-
-    def boundary_samples(self, size):
-        n = self.order
-        needed = n + 1 if self.hardy else 2 * n + 1
-        if size < needed:
-            raise DimensionMismatchError("grid size %d too small for order %d" % (size, n))
-        spectrum = np.zeros((size, size), dtype=complex)
-        if self.hardy:
-            spectrum[: n + 1, : n + 1] = self.data
-        else:
-            idx = np.r_[n : 2 * n + 1, 0:n]
-            rows = np.r_[0 : n + 1, size - n : size]
-            block = self.data[idx][:, idx]
-            spectrum[np.ix_(rows, rows)] = block
-        return np.fft.ifft2(spectrum) * size * size
-
-    @classmethod
-    def from_samples(cls, samples, order, hardy=False):
-        samples = np.asarray(samples)
-        size = samples.shape[0]
-        if samples.ndim != 2 or samples.shape[0] != samples.shape[1]:
-            raise DimensionMismatchError("expected a square sample grid")
-        if size < 2 * order + 1:
-            raise DimensionMismatchError(
-                "need a grid side of at least %d for order %d" % (2 * order + 1, order)
-            )
-        spectrum = np.fft.fft2(samples) / (size * size)
-        if hardy:
-            return cls(spectrum[: order + 1, : order + 1].copy(), hardy=True)
-        idx = np.r_[size - order : size, 0 : order + 1]
-        return cls(spectrum[np.ix_(idx, idx)].copy(), hardy=False)
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        return FourierCoeffs2D(self.data + other.data, hardy=self.hardy)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return FourierCoeffs2D(self.data - other.data, hardy=self.hardy)
-
-    def __mul__(self, scalar):
-        return FourierCoeffs2D(self.data * complex(scalar), hardy=self.hardy)
-
-    __rmul__ = __mul__
-
-    def _check_compatible(self, other):
-        if not isinstance(other, FourierCoeffs2D):
-            raise TypeError("expected FourierCoeffs2D")
-        if other.order != self.order or other.hardy != self.hardy:
-            raise DimensionMismatchError("mixed truncation orders or layouts")
-
-    def __repr__(self):
-        return "FourierCoeffs2D(order=%d, hardy=%s)" % (self.order, self.hardy)
 
 
 @dataclass
@@ -383,39 +275,22 @@ class QuadrantParts:
         return FourierCoeffs2D(block.copy(), hardy=True)
 
 
-def _aligned_1d(f, g):
-    if f.order != g.order:
-        raise DimensionMismatchError(
-            "mismatched truncation orders %d and %d" % (f.order, g.order)
-        )
-    if f.hardy == g.hardy:
-        return f.data, g.data
-    lhs = f.to_full().data if f.hardy else f.data
-    rhs = g.to_full().data if g.hardy else g.data
-    return lhs, rhs
-
-
 def inner_product_1d(f, g):
-    """Hermitian inner product sum_k c_k(f) conj(c_k(g)).
+    """Hermitian inner product sum_k c_k(f) conj(c_k(g)), on the circle or the 2-torus.
 
-    By Parseval this equals (1/2pi) int f conj(g) dt on the boundary.
+    By Parseval this equals the boundary mean of f conj(g).  Operands in
+    different layouts are compared in the full layout.
     """
-    fd, gd = _aligned_1d(f, g)
-    return complex(np.vdot(gd, fd))
-
-
-def inner_product_2d(f, g):
-    """Double-sum inner product, the 2-torus analogue of inner_product_1d."""
     if f.order != g.order:
         raise DimensionMismatchError(
             "mismatched truncation orders %d and %d" % (f.order, g.order)
         )
-    if f.hardy == g.hardy:
-        fd, gd = f.data, g.data
-    else:
-        fd = f.to_full().data if f.hardy else f.data
-        gd = g.to_full().data if g.hardy else g.data
-    return complex(np.vdot(gd.ravel(), fd.ravel()))
+    if f.hardy != g.hardy:
+        f, g = f.to_full(), g.to_full()
+    return complex(np.vdot(g.data, f.data))
+
+
+inner_product_2d = inner_product_1d
 
 
 def hilbert_transform(f):
@@ -426,12 +301,16 @@ def hilbert_transform(f):
     return FourierCoeffs1D(f.data * mult, hardy=f.hardy)
 
 
-def _hermitian_defect_1d(data):
-    return float(np.max(np.abs(data - np.conj(data[::-1]))))
+def _require_real(f, tol, caller):
+    """Reject coefficients that are not full-range or fail c_{-k} = conj(c_k) beyond ``tol`` (relative).
 
-
-def _hermitian_defect_2d(data):
-    return float(np.max(np.abs(data - np.conj(data[::-1, ::-1]))))
+    ``np.flip`` reverses every axis, so one check serves both dimensions.
+    """
+    if f.hardy:
+        raise DomainError("%s expects full-range coefficients" % caller)
+    scale = max(1.0, float(np.max(np.abs(f.data))))
+    if np.max(np.abs(f.data - np.conj(np.flip(f.data)))) > tol * scale:
+        raise DomainError("coefficients are not Hermitian symmetric (signal not real)")
 
 
 def analytic_part(f, tol=1e-9):
@@ -446,11 +325,7 @@ def analytic_part(f, tol=1e-9):
         If the input is not in the full layout or the coefficients fail the
         Hermitian symmetry c_{-k} = conj(c_k) beyond ``tol`` (relative).
     """
-    if f.hardy:
-        raise DomainError("analytic_part expects full-range coefficients")
-    scale = max(1.0, float(np.max(np.abs(f.data))))
-    if _hermitian_defect_1d(f.data) > tol * scale:
-        raise DomainError("coefficients are not Hermitian symmetric (signal not real)")
+    _require_real(f, tol, "analytic_part")
     n = f.order
     return FourierCoeffs1D(f.data[n:].copy(), hardy=True)
 
@@ -462,11 +337,7 @@ def quadrant_split(f, tol=1e-9):
     quadrant) together with the marginal means F (average over s), G
     (average over t) and the scalar mean c00.
     """
-    if f.hardy:
-        raise DomainError("quadrant_split expects full-range coefficients")
-    scale = max(1.0, float(np.max(np.abs(f.data))))
-    if _hermitian_defect_2d(f.data) > tol * scale:
-        raise DomainError("coefficients are not Hermitian symmetric (signal not real)")
+    _require_real(f, tol, "quadrant_split")
     n = f.order
     d = f.data
 

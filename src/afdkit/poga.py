@@ -29,7 +29,7 @@ from .errors import (
     DomainError,
     SpanDegeneracyError,
 )
-from .hardy import FourierCoeffs1D, FourierCoeffs2D, grid_points, require_nonzero
+from .hardy import FourierCoeffs, grid_points, require_nonzero
 from .szego import AtomSpec, TensorAtomSpec, normalized_atom_coeffs, tensor_atom_coeffs
 
 __all__ = [
@@ -56,7 +56,7 @@ MAX_ESCALATION = 24
 
 
 def _as_vector(x):
-    if isinstance(x, (FourierCoeffs1D, FourierCoeffs2D)):
+    if isinstance(x, FourierCoeffs):
         return x.data.ravel()
     return np.asarray(x, dtype=complex).ravel()
 

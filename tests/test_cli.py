@@ -355,18 +355,37 @@ class TestCliEndToEnd:
         assert not rec.exists()
 
     @pytest.mark.parametrize(
-        "energy, step, message",
-        [(float("inf"), None, "non-finite energy"),
-         (1.25, [0.5, 0.0, 0.3, -0.25, float("nan")], "non-finite step fields")],
-        ids=["energy-inf", "residual-nan"],
+        "algorithm, meta, energy, step, message",
+        [("afd1d", [], float("inf"), None, "non-finite energy"),
+         ("afd1d", [], 1.25, [0.5, 0.0, 0.3, -0.25, float("nan")], "non-finite step fields"),
+         ("poga1d", [("rho", "nan")], 1.0, [0.5, 0.0, 1.0, 0.6, 0.0, 0.8, 0.8, 0.64],
+          "meta rho is not finite"),
+         ("poga1d", [("rho", "1"), ("M", "nan")], 1.0, [0.5, 0.0, 1.0, 0.6, 0.0, 0.8, 0.8, 0.64],
+          "meta M is not finite")],
+        ids=["energy-inf", "residual-nan", "meta-rho-nan", "meta-M-nan"],
     )
-    def test_verify_rejects_non_finite_record(self, tmp_path, capsys, energy, step, message):
-        rec = RecordFile(meta=[("algorithm", "afd1d"), ("order", "16"), ("samples", "64")])
-        rec.sections.append(RecordSection("main", "afd1d", energy, [step] if step else []))
+    def test_verify_rejects_non_finite_record(
+        self, tmp_path, capsys, algorithm, meta, energy, step, message
+    ):
+        rec = RecordFile(meta=[("algorithm", algorithm), ("order", "16"), ("samples", "64")] + meta)
+        rec.sections.append(RecordSection("main", algorithm, energy, [step] if step else []))
         path = tmp_path / "rec.txt"
         save_record(rec, path)
         assert cli_main(["verify", "--input", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+    def test_reconstruct_rejects_non_finite_mean(self, tmp_path, capsys):
+        rec = RecordFile(meta=[("algorithm", "pga2d"), ("order", "8"), ("samples", "32"),
+                               ("c00", "nan 0")])
+        for name, algorithm in [("main", "pga2d"), ("fpm", "pga2d"), ("F", "afd1d"),
+                                ("G", "afd1d")]:
+            rec.sections.append(RecordSection(name, algorithm, 0.0, []))
+        path = tmp_path / "rec.txt"
+        save_record(rec, path)
+        out = tmp_path / "out.pgm"
+        assert cli_main(["reconstruct", "--input", str(path), "--output", str(out)]) == 2
+        assert "meta c00 is not finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_verify_rejects_zero_multiplicity(self, tmp_path, capsys):
         # a consistent ledger, so only the multiplicity is wrong
@@ -392,8 +411,13 @@ class TestCliEndToEnd:
         "synthesis, message",
         [('{"atoms": []}', "has no 'M'"), ('{"M": 2.0}', "has no 'atoms'"),
          ('{"atoms": [[0.1]], "M": 2.0}', "malformed 'atoms'"),
-         ('{"atoms": [], "M": "two"}', "malformed 'M'"), ("M = 2", "is not JSON")],
-        ids=["missing-M", "missing-atoms", "malformed-atoms", "malformed-M", "not-json"],
+         ('{"atoms": [], "M": "two"}', "malformed 'M'"), ("M = 2", "is not JSON"),
+         ('{"atoms": [[0.3, 0.1]], "M": NaN}', "finite 'M' > 0"),
+         ('{"atoms": [[0.3, 0.1]], "M": Infinity}', "finite 'M' > 0"),
+         ('{"atoms": [[0.3, 0.1]], "M": 0}', "finite 'M' > 0"),
+         ('{"atoms": [[0.3, 0.1]], "M": -2.0}', "finite 'M' > 0")],
+        ids=["missing-M", "missing-atoms", "malformed-atoms", "malformed-M", "not-json",
+             "nan-M", "infinite-M", "zero-M", "negative-M"],
     )
     def test_decompose_rejects_bad_synthesis(self, tmp_path, capsys, synthesis, message):
         sig = str(tmp_path / "sig.csv")

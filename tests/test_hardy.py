@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from afdkit import (
@@ -63,6 +63,157 @@ class TestRoundTrips:
         g = BoundaryGrid(np.zeros(8))
         assert g.size == 8
         assert np.allclose(g.nodes(), 2 * np.pi * np.arange(8) / 8)
+
+
+def _reference_boundary_samples(f, size):
+    """The per-dimension scatter and inverse FFT that the shared class replaced."""
+    n = f.order
+    if f.data.ndim == 1:
+        spectrum = np.zeros(size, dtype=complex)
+        if f.hardy:
+            spectrum[: n + 1] = f.data
+        else:
+            spectrum[: n + 1] = f.data[n:]
+            spectrum[size - n :] = f.data[:n]
+        return np.fft.ifft(spectrum) * size
+    spectrum = np.zeros((size, size), dtype=complex)
+    if f.hardy:
+        spectrum[: n + 1, : n + 1] = f.data
+    else:
+        idx = np.r_[n : 2 * n + 1, 0:n]
+        rows = np.r_[0 : n + 1, size - n : size]
+        spectrum[np.ix_(rows, rows)] = f.data[idx][:, idx]
+    return np.fft.ifft2(spectrum) * size * size
+
+
+def _reference_from_samples(samples, order, hardy):
+    size = samples.shape[0]
+    if samples.ndim == 1:
+        spectrum = np.fft.fft(samples) / size
+        if hardy:
+            return spectrum[: order + 1]
+        return np.concatenate([spectrum[size - order :], spectrum[: order + 1]])
+    spectrum = np.fft.fft2(samples) / (size * size)
+    if hardy:
+        return spectrum[: order + 1, : order + 1]
+    idx = np.r_[size - order : size, 0 : order + 1]
+    return spectrum[np.ix_(idx, idx)]
+
+
+COEFF_TYPES = [FourierCoeffs1D, FourierCoeffs2D]
+
+
+def _random_coeffs(cls, seed, order, hardy):
+    rng = np.random.default_rng(seed)
+    shape = (order + 1 if hardy else 2 * order + 1,) * cls.ndim
+    return cls(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), hardy=hardy)
+
+
+class TestFftViewsBitwise:
+    """The FFT views equal the per-dimension expressions bit for bit.
+
+    Non-power-of-two sides are where the scaling differs: one ``size ** 2``
+    factor rounds differently from multiplying by ``size`` once per axis.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        cls=st.sampled_from(COEFF_TYPES),
+        order=st.integers(0, 24),
+        hardy=st.booleans(),
+        extra=st.integers(0, 40),
+        seed=st.integers(0, 2**16),
+    )
+    @example(cls=FourierCoeffs2D, order=16, hardy=True, extra=20, seed=37)  # a 37 x 37 image
+    @example(cls=FourierCoeffs2D, order=16, hardy=True, extra=53, seed=70)  # a 70 x 70 image
+    def test_boundary_samples(self, cls, order, hardy, extra, seed):
+        f = _random_coeffs(cls, seed, order, hardy)
+        size = f.data.shape[0] + extra
+        got = f.boundary_samples(size)
+        assert np.array_equal(got, _reference_boundary_samples(f, size))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        cls=st.sampled_from(COEFF_TYPES),
+        order=st.integers(0, 24),
+        hardy=st.booleans(),
+        extra=st.integers(0, 40),
+        seed=st.integers(0, 2**16),
+    )
+    def test_from_samples(self, cls, order, hardy, extra, seed):
+        rng = np.random.default_rng(seed)
+        size = 2 * order + 1 + extra
+        samples = rng.standard_normal((size,) * cls.ndim)
+        got = cls.from_samples(samples, order, hardy=hardy)
+        assert got.hardy is hardy
+        assert np.array_equal(got.data, _reference_from_samples(samples, order, hardy))
+
+
+@pytest.mark.parametrize("cls", COEFF_TYPES, ids=["1d", "2d"])
+class TestSharedSurface:
+    def test_constructor_rejects_wrong_ndim(self, cls):
+        with pytest.raises(DimensionMismatchError):
+            cls(np.zeros((3,) * (cls.ndim + 1)))
+        with pytest.raises(DimensionMismatchError):
+            cls(np.zeros((0,) * cls.ndim), hardy=True)
+
+    def test_constructor_rejects_even_full_side(self, cls):
+        with pytest.raises(DimensionMismatchError):
+            cls(np.zeros((4,) * cls.ndim), hardy=False)
+        assert cls(np.zeros((4,) * cls.ndim), hardy=True).order == 3
+
+    def test_mixed_dimensions_do_not_add(self, cls):
+        other = COEFF_TYPES[2 - cls.ndim]
+        with pytest.raises(TypeError):
+            cls.zeros(3, hardy=True) + other.zeros(3, hardy=True)
+        with pytest.raises(TypeError):
+            cls.zeros(3, hardy=True) - np.zeros((4,) * cls.ndim)
+
+    @pytest.mark.parametrize("hardy", [True, False])
+    def test_get_outside_range_is_zero(self, cls, hardy):
+        f = _random_coeffs(cls, 5, 3, hardy)
+        low = 0 if hardy else -3
+        inside = (low,) * cls.ndim
+        assert f.get(*inside) == complex(f.data[(0,) * cls.ndim]) != 0
+        for k in (low - 1, 4):
+            assert f.get(*(inside[:-1] + (k,))) == 0j
+            assert f.get(*((k,) * cls.ndim)) == 0j
+        key = lambda k: k if cls.ndim == 1 else (k, k)
+        assert cls.from_terms(3, {key(low): 2.0}, hardy=hardy).get(*inside) == 2.0
+        with pytest.raises(DomainError):
+            cls.from_terms(3, {key(4): 1.0}, hardy=hardy)
+
+    def test_get_checks_the_number_of_indices(self, cls):
+        with pytest.raises(DimensionMismatchError):
+            cls.zeros(3, hardy=True).get(*(0,) * (cls.ndim + 1))
+
+    def test_mixed_layout_inner_product(self, cls):
+        h = _random_coeffs(cls, 7, 6, True)
+        g = _random_coeffs(cls, 8, 6, True)
+        same = inner_product_1d(h, g)
+        assert inner_product_1d(h, g.to_full()) == pytest.approx(same, rel=1e-14)
+        assert inner_product_1d(h.to_full(), g) == pytest.approx(same, rel=1e-14)
+        assert inner_product_2d(h.to_full(), g.to_full()) == pytest.approx(same, rel=1e-14)
+
+    def test_to_full_embeds_the_hardy_block(self, cls):
+        h = _random_coeffs(cls, 9, 4, True)
+        full = h.to_full()
+        assert type(full) is cls and not full.hardy and full.order == 4
+        assert np.array_equal(full.data[(slice(4, None),) * cls.ndim], h.data)
+        assert full.energy() == pytest.approx(h.energy(), rel=1e-15)
+
+    def test_repr_names_the_subclass(self, cls):
+        assert repr(cls.zeros(2, hardy=True)) == "%s(order=2, hardy=True)" % cls.__name__
+        assert type(2.0 * cls.zeros(2)) is cls
+
+
+def test_non_square_2d_rejected():
+    with pytest.raises(DimensionMismatchError):
+        FourierCoeffs2D(np.zeros((3, 5)))
+    with pytest.raises(DimensionMismatchError):
+        FourierCoeffs2D.from_samples(np.zeros((9, 10)), 2)
+    with pytest.raises(DimensionMismatchError):
+        FourierCoeffs1D.from_samples(np.zeros((9, 9)), 2)
 
 
 class TestInnerProducts:
