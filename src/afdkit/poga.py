@@ -29,7 +29,7 @@ from .errors import (
     DomainError,
     SpanDegeneracyError,
 )
-from .hardy import FourierCoeffs, grid_points, require_nonzero
+from .hardy import FourierCoeffs, eval_series, grid_points, require_nonzero
 from .szego import AtomSpec, TensorAtomSpec, normalized_atom_coeffs, tensor_atom_coeffs
 
 __all__ = [
@@ -126,25 +126,36 @@ class OrthoFrame:
             self.matrix[k] = v / np.linalg.norm(v)
 
 
-def _kernel_rows(params, order):
-    """Rows sqrt(1-|a|^2) conj(a)^k, k = 0..order, of the unit kernels at ``params``."""
-    k = np.arange(order + 1)
-    weights = np.sqrt(1.0 - np.abs(params) ** 2)
-    return weights[:, None] * np.conj(params)[:, None] ** k[None, :]
-
-
 @dataclass
 class ScanState:
     """What a dictionary scan keeps between the steps of one run on one frame.
 
     ``r_sq`` is the unclipped squared residual norm of every base atom
     after the first ``rows`` frame rows were subtracted, valid while the
-    frame has been re-orthogonalized ``epoch`` times.
+    frame has been re-orthogonalized ``epoch`` times.  A 2-d scan also keeps
+    its inner-product ``table`` for the remainder ``g``.
     """
 
     r_sq: np.ndarray | None = None
     rows: int = 0
     epoch: int = 0
+    table: np.ndarray | None = None
+    g: np.ndarray | None = None
+
+    def new_rows(self, frame, norms_sq):
+        """Frame rows not yet subtracted from ``r_sq``, which restarts at ``norms_sq()``.
+
+        A fresh state or a re-orthogonalized frame starts the sum over and
+        drops the table.
+        """
+        if self.r_sq is None or self.epoch != frame.reorthogonalizations:
+            self.r_sq = norms_sq()
+            self.rows = 0
+            self.epoch = frame.reorthogonalizations
+            self.table = self.g = None
+        rows = range(self.rows, len(frame))
+        self.rows = len(frame)
+        return rows
 
 
 def project_residual(frame, x):
@@ -197,13 +208,13 @@ class SzegoDictionary1D:
         self._index = {complex(p): i for i, p in enumerate(self.params)}
 
     @cached_property
-    def _base(self):
-        """Coefficient rows of every base atom; built on the first scan only."""
-        return _kernel_rows(self.params, self.order)
+    def _weights(self):
+        """Normalizing factors sqrt(1-|a|^2) of the unit kernels, one per grid point."""
+        return np.sqrt(1.0 - np.abs(self.params) ** 2)
 
-    @cached_property
-    def _base_norms_sq(self):
-        return np.sum(np.abs(self._base) ** 2, axis=1)
+    def _norms_sq(self):
+        """Squared norms 1-|a|^(2N+2) of the truncated base atoms."""
+        return 1.0 - np.abs(self.params) ** (2 * self.order + 2)
 
     @property
     def dim(self):
@@ -230,17 +241,20 @@ class SzegoDictionary1D:
     def scan(self, g, frame, state=None):
         """(|<g, atom_i>|, r_i) for every base atom against the frame.
 
-        Recomputed in full on every call; ``state`` is accepted for the
-        common scan signature and ignored.
+        The base atom at a is w conj(a)^k with w = sqrt(1-|a|^2), so
+        <g, atom> = w g(a) and its projection on a frame row B is
+        w conj(B(a)): every value is one power series on the grid
+        (``eval_series``).  With a ``ScanState`` only the frame rows added
+        since the last call are evaluated and subtracted from r^2, in the
+        order a full recomputation would use, so both give the same bits.
         """
-        g = _as_vector(g)
-        inner = np.abs(np.conj(self._base) @ g)
-        if len(frame):
-            proj = self._base @ np.conj(frame.matrix).T
-            r_sq = self._base_norms_sq - np.sum(np.abs(proj) ** 2, axis=1)
-        else:
-            r_sq = self._base_norms_sq.copy()
-        return inner, np.sqrt(np.clip(r_sq, 0.0, None))
+        w = self._weights
+        inner = w * np.abs(eval_series(_as_vector(g), self.params, self.grid))
+        if state is None:
+            state = ScanState()
+        for j in state.new_rows(frame, self._norms_sq):
+            state.r_sq -= (w * np.abs(eval_series(frame.matrix[j], self.params, self.grid))) ** 2
+        return inner, np.sqrt(np.clip(state.r_sq, 0.0, None))
 
 
 class ProductSzegoDictionary2D:
@@ -258,8 +272,10 @@ class ProductSzegoDictionary2D:
 
     @cached_property
     def _factors(self):
-        """Coefficient rows of every one-factor kernel; built on the first scan only."""
-        return _kernel_rows(self.params, self.order)
+        """Rows sqrt(1-|a|^2) conj(a)^k, k = 0..order, of the one-factor kernels; built on the first scan."""
+        k = np.arange(self.order + 1)
+        weights = np.sqrt(1.0 - np.abs(self.params) ** 2)
+        return weights[:, None] * np.conj(self.params)[:, None] ** k[None, :]
 
     @cached_property
     def _factor_norms_sq(self):
@@ -299,26 +315,40 @@ class ProductSzegoDictionary2D:
     def scan(self, g, frame, state=None):
         """(|<g, atom_i>|, r_i) for every pair of grid points against the frame.
 
-        With a ``ScanState`` the unclipped r^2 of the previous call is kept
-        and only the frame rows added since are subtracted, in the order a
-        full recomputation would use, so both give the same bits; a
-        re-orthogonalized frame starts the sum over.
+        With A the factor rows, the table W = A conj(G) A^T holds the inner
+        products and frame row B_j removes |M_j|^2, M_j = A conj(B_j) A^T,
+        from r^2.  A ``ScanState`` keeps r^2 and W between calls: only the
+        rows added since are subtracted, in the order a full recomputation
+        would use, so r has the same bits; and when g is exactly the last
+        remainder with those rows projected out, g_prev - c_j B_j with
+        c_j = <B_j, g_prev>, W follows as W - conj(c_j) M_j.  Otherwise, and
+        after a re-orthogonalization, W is computed in full.
         """
         side = self.order + 1
-        G = _as_vector(g).reshape(side, side)
+        g = _as_vector(g)
         A = self._factors
-        inner = np.abs(np.conj(A) @ G @ np.conj(A).T)
         if state is None:
             state = ScanState()
-        if state.r_sq is None or state.epoch != frame.reorthogonalizations:
-            state.r_sq = np.outer(self._factor_norms_sq, self._factor_norms_sq)
-            state.rows = 0
-            state.epoch = frame.reorthogonalizations
-        for j in range(state.rows, len(frame)):
-            B = frame.matrix[j].reshape(side, side)
-            state.r_sq -= np.abs(A @ np.conj(B) @ A.T) ** 2
-        state.rows = len(frame)
-        return inner.ravel(), np.sqrt(np.clip(state.r_sq, 0.0, None).ravel())
+        rows = state.new_rows(frame, lambda: np.outer(self._factor_norms_sq, self._factor_norms_sq))
+        coeffs, carried = [], state.table is not None
+        if carried:
+            expected = state.g
+            for j in rows:
+                coeffs.append(complex(np.vdot(frame.matrix[j], expected)))
+                expected = expected - coeffs[-1] * frame.matrix[j]
+            carried = np.array_equal(expected, g)
+        for k, j in enumerate(rows):
+            M = A @ np.conj(frame.matrix[j].reshape(side, side)) @ A.T
+            square = np.abs(M)
+            state.r_sq -= np.square(square, out=square)
+            if carried:
+                M *= np.conj(coeffs[k])
+                state.table -= M
+            del M, square
+        if not carried:
+            state.table = A @ np.conj(g.reshape(side, side)) @ A.T
+        state.g = g.copy()
+        return np.abs(state.table).ravel(), np.sqrt(np.clip(state.r_sq, 0.0, None).ravel())
 
 
 def _escalated_candidates(dictionary, spec, frame):
@@ -386,9 +416,9 @@ def _reduce(g, frame, dictionary, inner, r, degenerate, rho):
 
     Returns ((r, gain, spec), sup_gain, grid index of a base winner or None).
     """
-    usable = np.flatnonzero(~degenerate)
-    base_r = r[usable]
-    base_gain = inner[usable] / base_r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = inner / r
+    gain[degenerate] = -np.inf  # never qualifies
 
     escalated = []  # (r, gain, spec) in generation order
     for i in np.flatnonzero(degenerate):
@@ -406,17 +436,17 @@ def _reduce(g, frame, dictionary, inner, r, degenerate, rho):
                 continue
             escalated.append((float(r_esc), abs(complex(np.vdot(vec, g))) / r_esc, esc))
 
-    if not usable.size and not escalated:
+    usable = not degenerate.all()
+    if not usable and not escalated:
         raise DegenerateInputError("no usable candidate atom on the grid")
 
-    sup_gain = max([c[1] for c in escalated] + ([float(np.max(base_gain))] if usable.size else []))
+    sup_gain = max([c[1] for c in escalated] + ([float(np.max(gain))] if usable else []))
     floor = rho * sup_gain
     best, index = None, None  # (r, gain, spec) of the first qualifying candidate by r
-    qualifying = np.flatnonzero(base_gain >= floor)
+    qualifying = np.flatnonzero(gain >= floor)
     if qualifying.size:
-        k = qualifying[np.argmin(base_r[qualifying])]
-        index = int(usable[k])
-        best = (float(base_r[k]), float(base_gain[k]), dictionary.base_spec(index))
+        index = int(qualifying[np.argmin(r[qualifying])])
+        best = (float(r[index]), float(gain[index]), dictionary.base_spec(index))
     for cand in escalated:
         if cand[1] >= floor and (best is None or cand[0] < best[0]):
             best, index = cand, None
@@ -499,6 +529,8 @@ def poga_decompose(
         raise DomainError("rho must lie in (0, 1]")
     if n_terms < 1:
         raise DomainError("n_terms must be at least 1")
+    if synthesis is not None and not len(synthesis):
+        raise DomainError("synthesis needs at least one atom")
     g = _as_vector(f).copy()
     initial = float(np.linalg.norm(g)) ** 2
     require_nonzero(initial)

@@ -415,9 +415,10 @@ class TestCliEndToEnd:
          ('{"atoms": [[0.3, 0.1]], "M": NaN}', "finite 'M' > 0"),
          ('{"atoms": [[0.3, 0.1]], "M": Infinity}', "finite 'M' > 0"),
          ('{"atoms": [[0.3, 0.1]], "M": 0}', "finite 'M' > 0"),
-         ('{"atoms": [[0.3, 0.1]], "M": -2.0}', "finite 'M' > 0")],
+         ('{"atoms": [[0.3, 0.1]], "M": -2.0}', "finite 'M' > 0"),
+         ('{"atoms": [], "M": 2.0}', "at least one atom")],
         ids=["missing-M", "missing-atoms", "malformed-atoms", "malformed-M", "not-json",
-             "nan-M", "infinite-M", "zero-M", "negative-M"],
+             "nan-M", "infinite-M", "zero-M", "negative-M", "empty-atoms"],
     )
     def test_decompose_rejects_bad_synthesis(self, tmp_path, capsys, synthesis, message):
         sig = str(tmp_path / "sig.csv")
