@@ -16,11 +16,10 @@ import numpy as np
 from .errors import DomainError
 from .hardy import (
     FourierCoeffs2D,
-    eval_pairs,
     grid_argmax_pairs,
     grid_points,
     inner_product_2d,
-    power_rows,
+    kernel_rows,
     require_nonzero,
 )
 from .afd1d import OVERSAMPLE, _tm_grid_size, blaschke_eval, tm_matrix
@@ -61,6 +60,11 @@ def product_coeff(f, bk, bl):
     return complex(np.conj(bk.data) @ C @ np.conj(bl.data))
 
 
+def _history_rows(history, order, oversample=OVERSAMPLE):
+    """``tm_matrix`` rows of the a-parameters and of the b-parameters of ``history``."""
+    return tuple(tm_matrix([p[axis] for p in history], order, oversample) for axis in (0, 1))
+
+
 def _cross_table(C, rows_a, rows_b):
     """Matrix of <f, B_k (x) B_l> for all row combinations."""
     return np.conj(rows_a) @ C @ np.conj(rows_b).T
@@ -82,13 +86,9 @@ def dn_energy(f, history, candidate, oversample=OVERSAMPLE):
     Builds both factor systems extended by the candidate and sums the
     squared moduli of the 2n - 1 new cross coefficients.
     """
-    a_params = [p[0] for p in history] + [candidate[0]]
-    b_params = [p[1] for p in history] + [candidate[1]]
-    n = len(a_params)
-    rows_a = tm_matrix(a_params, f.order, oversample)
-    rows_b = tm_matrix(b_params, f.order, oversample)
-    table = _cross_table(_hardy_block(f), rows_a, rows_b)
-    return float(np.sum(np.abs(_block_entries(table, n)) ** 2))
+    pairs = list(history) + [candidate]
+    table = _cross_table(_hardy_block(f), *_history_rows(pairs, f.order, oversample))
+    return float(np.sum(np.abs(_block_entries(table, len(pairs))) ** 2))
 
 
 def _blaschke_toeplitz(params, order, oversample=OVERSAMPLE):
@@ -104,36 +104,40 @@ def _blaschke_toeplitz(params, order, oversample=OVERSAMPLE):
     return np.where(lag >= 0, np.conj(phi)[np.maximum(lag, 0)], 0.0)
 
 
-def _product_tm_objective(f, history, grid, oversample=OVERSAMPLE):
+def _kernel_table(block, a_pts, b_pts, grid):
+    """``|K_a block K_b^T|`` over all point pairs, K the ``kernel_rows`` of each axis.
+
+    The kernel rows are temporaries of the product, so they are freed before
+    the float table is allocated next to the complex one.
+    """
+    order = block.shape[0] - 1
+    return np.abs(kernel_rows(a_pts, order, grid) @ block @ kernel_rows(b_pts, order, grid).T)
+
+
+def _product_tm_objective(f, history, grid, oversample=OVERSAMPLE, rows=None):
     """Step-n block energy of every candidate pair, as ``objective(a_pts, b_pts)``.
 
     The coupled entry is sqrt(1 - |a|^2) sqrt(1 - |b|^2) h(a, b), h with
     coefficient block H = A C B^T (A, B from ``_blaschke_toeplitz``); the
     single-axis entries against the fixed rows of the other axis are the
-    1-d analogue, with Ga = A R_b and Gb = B L_a^T.
+    1-d analogue, with Ga = A R_b and Gb = B L_a^T.  ``rows`` are the
+    ``_history_rows`` of ``history`` when the caller already holds them.
     """
     C = _hardy_block(f)
     order = f.order
-    a_hist = [p[0] for p in history]
-    b_hist = [p[1] for p in history]
-    A = _blaschke_toeplitz(a_hist, order, oversample)
-    B = _blaschke_toeplitz(b_hist, order, oversample)
-    hist_rows_a = tm_matrix(a_hist, order, oversample) if a_hist else np.zeros((0, order + 1))
-    hist_rows_b = tm_matrix(b_hist, order, oversample) if b_hist else np.zeros((0, order + 1))
+    A = _blaschke_toeplitz([p[0] for p in history], order, oversample)
+    B = _blaschke_toeplitz([p[1] for p in history], order, oversample)
+    hist_rows_a, hist_rows_b = _history_rows(history, order, oversample) if rows is None else rows
     H = A @ C @ B.T
     Ga = A @ (C @ np.conj(hist_rows_b).T)  # column l: <f, . (x) B_l> times conj(phi)
     Gb = B @ (np.conj(hist_rows_a) @ C).T  # column k: <f, B_k (x) .> times conj(psi)
 
     def objective(a_pts, b_pts):
-        a = np.asarray(a_pts, dtype=complex).ravel()
-        b = np.asarray(b_pts, dtype=complex).ravel()
-        wa = 1.0 - np.abs(a) ** 2
-        wb = 1.0 - np.abs(b) ** 2
-        Pa, Pb = power_rows(a, order, grid), power_rows(b, order, grid)
-        main = (wa[:, None] * wb[None, :]) * np.abs(Pa @ H @ Pb.T) ** 2
-        gain_a = wa * np.sum(np.abs(Pa @ Ga) ** 2, axis=1)
-        gain_b = wb * np.sum(np.abs(Pb @ Gb) ** 2, axis=1)
-        return main + gain_a[:, None] + gain_b[None, :]
+        table = _kernel_table(H, a_pts, b_pts, grid)
+        np.square(table, out=table)
+        table += np.sum(np.abs(kernel_rows(a_pts, order, grid) @ Ga) ** 2, axis=1)[:, None]
+        table += np.sum(np.abs(kernel_rows(b_pts, order, grid) @ Gb) ** 2, axis=1)[None, :]
+        return table
 
     return objective
 
@@ -154,7 +158,7 @@ class MspPairSelection:
     flat_b: bool = False
 
 
-def msp_product_tm(f, history, grid, oversample=OVERSAMPLE):
+def msp_product_tm(f, history, grid, oversample=OVERSAMPLE, *, _rows=None):
     """Joint maximal selection of the next parameter pair.
 
     Maximizes the step-n block energy over the product of two copies of the
@@ -168,11 +172,13 @@ def msp_product_tm(f, history, grid, oversample=OVERSAMPLE):
         <f, e_a phi (x) e_b psi> = sqrt(1 - |a|^2) sqrt(1 - |b|^2) h(a, b),
         h = P++[f conj(phi (x) psi)],
 
-    so every term is a power series evaluated on the grid, through power
-    rows that ``hardy.power_rows`` caches for the coarse grid.
+    so every term is a power series evaluated on the grid, through the
+    ``hardy.kernel_rows`` of each axis.  ``_rows`` passes the
+    ``tm_matrix`` rows of the history that ``afd2d_tm_decompose`` already
+    built at the previous step.
     """
     require_nonzero(f.energy())
-    objective = _product_tm_objective(f, history, grid, oversample)
+    objective = _product_tm_objective(f, history, grid, oversample, _rows)
     a, b, value = grid_argmax_pairs(objective, grid)
 
     pts = grid_points(grid)
@@ -223,15 +229,15 @@ def afd2d_tm_decompose(f, n_terms, grid, threshold=1e-12, oversample=OVERSAMPLE)
     initial = f.energy()
     record = Afd2dRecord(initial_energy=initial)
     history = []
+    rows = (np.zeros((0, f.order + 1), dtype=complex),) * 2
     residual = initial
     for n in range(1, n_terms + 1):
         if residual <= threshold * initial:
             break
-        sel = msp_product_tm(f, history, grid, oversample)
+        sel = msp_product_tm(f, history, grid, oversample, _rows=rows)
         history.append((sel.a, sel.b))
-        rows_a = tm_matrix([p[0] for p in history], f.order, oversample)
-        rows_b = tm_matrix([p[1] for p in history], f.order, oversample)
-        block = _block_entries(_cross_table(C, rows_a, rows_b), n)
+        rows = _history_rows(history, f.order, oversample)
+        block = _block_entries(_cross_table(C, *rows), n)
         block_energy = float(np.sum(np.abs(block) ** 2))
         residual -= block_energy
         record.steps.append(
@@ -252,8 +258,7 @@ def reconstruct_product_tm(record, order, oversample=OVERSAMPLE):
     out = np.zeros((order + 1, order + 1), dtype=complex)
     if n == 0:
         return FourierCoeffs2D(out, hardy=True)
-    rows_a = tm_matrix([s.a for s in record.steps], order, oversample)
-    rows_b = tm_matrix([s.b for s in record.steps], order, oversample)
+    rows_a, rows_b = _history_rows(record.pairs(), order, oversample)
     for step_idx, step in enumerate(record.steps, start=1):
         entries = step.block
         for j in range(step_idx - 1):
@@ -267,24 +272,15 @@ def pga_step(g, grid):
     """One pure greedy selection over the tensor kernel dictionary.
 
     Maximizes |<g, e_a (x) e_b>| via the reproducing identity
-    sqrt(1 - |a|^2) sqrt(1 - |b|^2) |g(a, b)|, then returns the selected
-    tensor atom and its coefficient.
+    sqrt(1 - |a|^2) sqrt(1 - |b|^2) |g(a, b)| = |K_a C K_b^T|, with K the
+    ``hardy.kernel_rows`` of each axis, then returns the selected tensor
+    atom and its coefficient.
     """
     require_nonzero(g.energy())
     C = _hardy_block(g)
-    order = g.order
-
-    def objective(a_pts, b_pts):
-        a = np.asarray(a_pts, dtype=complex).ravel()
-        b = np.asarray(b_pts, dtype=complex).ravel()
-        vals = np.abs(eval_pairs(C, a, b, grid))
-        wa = np.sqrt(1.0 - np.abs(a) ** 2)
-        wb = np.sqrt(1.0 - np.abs(b) ** 2)
-        return (wa[:, None] * wb[None, :]) * vals
-
-    a, b, _ = grid_argmax_pairs(objective, grid)
+    a, b, _ = grid_argmax_pairs(lambda a_pts, b_pts: _kernel_table(C, a_pts, b_pts, grid), grid)
     spec = TensorAtomSpec.of(a, b)
-    coeff = inner_product_2d(g, tensor_atom_coeffs(spec, order))
+    coeff = inner_product_2d(g, tensor_atom_coeffs(spec, g.order))
     return spec, coeff
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "real_field_2d",
     "grid_points",
     "power_rows",
+    "kernel_rows",
     "eval_series",
     "eval_pairs",
     "grid_argmax",
@@ -503,15 +504,25 @@ def eval_series(coeffs, points, spec=None):
     return (np.cumprod(powers, axis=-1) * c).sum(axis=-1)
 
 
-def eval_pairs(block, a_points, b_points, spec=None):
+def kernel_rows(points, order, spec=None):
+    """Rows ``sqrt(1 - |a|^2) a^k``, k = 0..order, one per point a.
+
+    Row a times a Hardy coefficient vector g is <g, e_a> = sqrt(1 - |a|^2)
+    g(a), with e_a the normalized Szego kernel.  The power rows are those of
+    ``power_rows``, cached on the coarse grid of ``spec``.
+    """
+    pts = np.asarray(points, dtype=complex).ravel()
+    return np.sqrt(1.0 - np.abs(pts) ** 2)[:, None] * power_rows(pts, order, spec)
+
+
+def eval_pairs(block, a_points, b_points):
     """Holomorphic extension h(a_i, b_j) of a Hardy coefficient block.
 
     Returns the matrix over all point combinations, ``P_a @ block @ P_b^T``
-    with the power rows of each axis (cached on the coarse grid of
-    ``spec``).
+    with the power rows of each axis.
     """
     order = block.shape[0] - 1
-    return power_rows(a_points, order, spec) @ block @ power_rows(b_points, order, spec).T
+    return power_rows(a_points, order) @ block @ power_rows(b_points, order).T
 
 
 def _eval_objective(objective, pts):

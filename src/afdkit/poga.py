@@ -29,7 +29,7 @@ from .errors import (
     DomainError,
     SpanDegeneracyError,
 )
-from .hardy import FourierCoeffs, eval_series, grid_points, require_nonzero
+from .hardy import FourierCoeffs, eval_series, grid_points, kernel_rows, require_nonzero
 from .szego import AtomSpec, TensorAtomSpec, normalized_atom_coeffs, tensor_atom_coeffs
 
 __all__ = [
@@ -272,10 +272,11 @@ class ProductSzegoDictionary2D:
 
     @cached_property
     def _factors(self):
-        """Rows sqrt(1-|a|^2) conj(a)^k, k = 0..order, of the one-factor kernels; built on the first scan."""
-        k = np.arange(self.order + 1)
-        weights = np.sqrt(1.0 - np.abs(self.params) ** 2)
-        return weights[:, None] * np.conj(self.params)[:, None] ** k[None, :]
+        """Rows sqrt(1-|a|^2) conj(a)^k, k = 0..order, of the one-factor kernels; built on the first scan.
+
+        Kernel rows at conj(a): conjugating the grid's rows would flip the signs of zero imaginary parts.
+        """
+        return kernel_rows(np.conj(self.params), self.order)
 
     @cached_property
     def _factor_norms_sq(self):

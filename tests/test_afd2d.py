@@ -1,5 +1,6 @@
 """Product-system decomposition and pure greedy selection on the 2-torus."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,9 @@ from afdkit import (
     FourierCoeffs1D,
     FourierCoeffs2D,
     GridSpec,
+    ProductSzegoDictionary2D,
     TensorAtomSpec,
+    TruncationWarning,
     afd2d_tm_decompose,
     dn_energy,
     grid_points,
@@ -29,8 +32,8 @@ from afdkit import (
 )
 from afdkit import afd2d
 from afdkit.afd1d import _tm_grid_size, blaschke_eval
-from afdkit.afd2d import _product_tm_objective
-from afdkit.hardy import grid_radii
+from afdkit.afd2d import _blaschke_toeplitz, _kernel_table, _product_tm_objective
+from afdkit.hardy import grid_radii, kernel_rows, power_rows
 from conftest import kernel_ip, random_hardy_2d
 
 GRID = GridSpec(radial_count=10, angular_count=20, refine_levels=1, max_radius=0.6)
@@ -268,12 +271,132 @@ class TestProductTmObjective:
         monkeypatch.setattr(afd2d, "grid_argmax_pairs", capture)
         pga_step(g, grid)
         pts = grid_points(grid)
-        powers = pts[:, None] ** np.arange(33)[None, :]
-        w = np.sqrt(1.0 - np.abs(pts) ** 2)
-        uncached = (w[:, None] * w[None, :]) * np.abs(powers @ g.data @ powers.T)
+        Ku = np.sqrt(1.0 - np.abs(pts) ** 2)[:, None] * pts[:, None] ** np.arange(33)
+        uncached = np.abs(Ku @ g.data @ Ku.T)
         cached = captured[0](pts, pts)
         assert cached.tobytes() == uncached.tobytes()
         assert captured[0](pts, pts).tobytes() == cached.tobytes()
+
+
+def weighted_pga_table(C, a_pts, b_pts):
+    """The pga2d table as weights times bare power rows, (wa (x) wb) |P_a C P_b^T|.
+
+    Returns the table and its rounding scale sqrt(wa wb) sum |C_kl| |a|^k |b|^l.
+    """
+    order = C.shape[0] - 1
+    a, b = (np.asarray(p, dtype=complex).ravel() for p in (a_pts, b_pts))
+    Pa, Pb = power_rows(a, order), power_rows(b, order)
+    weights = np.sqrt(1.0 - np.abs(a) ** 2)[:, None] * np.sqrt(1.0 - np.abs(b) ** 2)[None, :]
+    return weights * np.abs(Pa @ C @ Pb.T), weights * (np.abs(Pa) @ np.abs(C) @ np.abs(Pb).T)
+
+
+def weighted_tm_table(f, history, a_pts, b_pts):
+    """The afd2d-tm table as (wa (x) wb) |P_a H P_b^T|^2 plus the weighted gains.
+
+    Returns the table and its rounding scale: the square of the pga2d scale
+    with H for C, plus the gains with every product taken in moduli.
+    """
+    C, order = f.data, f.order
+    A = _blaschke_toeplitz([p[0] for p in history], order)
+    B = _blaschke_toeplitz([p[1] for p in history], order)
+    rows_a = tm_matrix([p[0] for p in history], order)
+    rows_b = tm_matrix([p[1] for p in history], order)
+    H = A @ C @ B.T
+    Ga = A @ (C @ np.conj(rows_b).T)
+    Gb = B @ (np.conj(rows_a) @ C).T
+    a, b = (np.asarray(p, dtype=complex).ravel() for p in (a_pts, b_pts))
+    Pa, Pb = power_rows(a, order), power_rows(b, order)
+    wa, wb = 1.0 - np.abs(a) ** 2, 1.0 - np.abs(b) ** 2
+    main = (wa[:, None] * wb[None, :]) * np.abs(Pa @ H @ Pb.T) ** 2
+    gain_a = wa * np.sum(np.abs(Pa @ Ga) ** 2, axis=1)
+    gain_b = wb * np.sum(np.abs(Pb @ Gb) ** 2, axis=1)
+    scale = (wa[:, None] * wb[None, :]) * (np.abs(Pa) @ np.abs(H) @ np.abs(Pb).T) ** 2
+    scale += (wa * np.sum((np.abs(Pa) @ np.abs(Ga)) ** 2, axis=1))[:, None]
+    scale += (wb * np.sum((np.abs(Pb) @ np.abs(Gb)) ** 2, axis=1))[None, :]
+    return main + gain_a[:, None] + gain_b[None, :], scale
+
+
+class TestKernelRowTables:
+    """The 2-d selector tables through kernel rows against the weighted power-row expressions."""
+
+    GRID = GridSpec(radial_count=6, angular_count=10, refine_levels=0, max_radius=0.9)
+
+    @staticmethod
+    def point_sets(kind, rng, grid):
+        """Full grid, 1-25 off-grid refinement points per axis, or one point on one axis."""
+
+        def off_grid(n):
+            return grid.max_radius * rng.uniform(0.0, 1.0, n) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+
+        pts = grid_points(grid)
+        if kind == "grid":
+            return pts, pts
+        if kind == "refine":
+            return off_grid(rng.integers(1, 26)), off_grid(rng.integers(1, 26))
+        return (off_grid(1), pts) if kind == "flat_b" else (pts, off_grid(1))
+
+    @staticmethod
+    def check(got, ref, scale):
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+        top2 = np.sort(ref.ravel())[-2:]
+        if top2.size < 2 or top2[1] - top2[0] > 1e-9 * top2[1]:
+            assert np.argmax(got) == np.argmax(ref)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        order=st.sampled_from([16, 32, 64]),
+        kind=st.sampled_from(["grid", "refine", "flat_a", "flat_b"]),
+    )
+    def test_pga_table_within_tolerance(self, seed, order, kind):
+        rng = np.random.default_rng(seed)
+        C = random_hardy_2d(seed, order).data
+        a_pts, b_pts = self.point_sets(kind, rng, self.GRID)
+        self.check(_kernel_table(C, a_pts, b_pts, self.GRID), *weighted_pga_table(C, a_pts, b_pts))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        order=st.sampled_from([16, 32, 64]),
+        n_hist=st.integers(0, 3),
+        kind=st.sampled_from(["grid", "refine", "flat_a", "flat_b"]),
+    )
+    def test_product_tm_table_within_tolerance(self, seed, order, n_hist, kind):
+        rng = np.random.default_rng(seed)
+        f = random_hardy_2d(seed, order)
+        angles = 2.0 * np.pi * rng.uniform(0.0, 1.0, (n_hist, 2))
+        params = 0.9 * rng.uniform(0.0, 1.0, (n_hist, 2)) * np.exp(1j * angles)
+        history = [(complex(a), complex(b)) for a, b in params]
+        a_pts, b_pts = self.point_sets(kind, rng, self.GRID)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = _product_tm_objective(f, history, self.GRID)(a_pts, b_pts)
+            self.check(got, *weighted_tm_table(f, history, a_pts, b_pts))
+
+    @pytest.mark.parametrize("order", [64, 130, 256])
+    def test_poga_factor_rows_are_bitwise_unchanged(self, order):
+        grid = GridSpec(radial_count=24, angular_count=48, max_radius=0.85)
+        params = grid_points(grid)
+        k = np.arange(order + 1)
+        old = np.sqrt(1.0 - np.abs(params) ** 2)[:, None] * np.conj(params)[:, None] ** k[None, :]
+        assert ProductSzegoDictionary2D(order, grid)._factors.tobytes() == old.tobytes()
+
+    def test_full_grid_table_peak_memory(self):
+        """One afd2d-tm table holds only the complex product and the float table at once."""
+        grid = GridSpec(radial_count=24, angular_count=48, max_radius=0.85)
+        pts = grid_points(grid)
+        history = [(0.3 - 0.2j, 0.1j), (-0.4, 0.5 + 0.1j)]
+        objective = _product_tm_objective(random_hardy_2d(5, 64), history, grid)
+        kernel_rows(pts, 64, grid)  # fills the grid's power-row cache outside the measurement
+        tracemalloc.start()
+        try:
+            table = objective(pts, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (pts.size, pts.size)
+        assert peak <= pts.size**2 * (16 + 8) + 2**20
 
 
 class TestAfd2dDecompose:
@@ -305,6 +428,26 @@ class TestAfd2dDecompose:
         record = afd2d_tm_decompose(f, 5, GRID)
         direct = (f - reconstruct_product_tm(record, ORDER)).energy()
         assert abs(direct - record.steps[-1].residual_energy) < 1e-8
+
+    def test_tm_rows_built_once_per_step(self, monkeypatch):
+        calls = []
+
+        def counting(params, *args):
+            calls.append(len(params))
+            return tm_matrix(params, *args)
+
+        monkeypatch.setattr(afd2d, "tm_matrix", counting)
+        record = afd2d_tm_decompose(random_hardy_2d(12, ORDER), 5, GRID)
+        assert len(record.steps) == 5
+        assert calls == [n for n in range(1, 6) for _ in range(2)]
+
+    def test_lossy_basis_still_warns(self):
+        grid = GridSpec(radial_count=6, angular_count=8, refine_levels=0, max_radius=0.95)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            f = tensor_signal([(1.0, (0.95, 0.95))], order=8)
+        with pytest.warns(TruncationWarning):
+            afd2d_tm_decompose(f, 2, grid)
 
     def test_block_energy_is_partial_sum_increment(self):
         f = random_hardy_2d(9, ORDER)

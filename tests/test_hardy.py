@@ -27,7 +27,7 @@ from afdkit import (
     tensor_atom_coeffs,
     TensorAtomSpec,
 )
-from afdkit.hardy import _local_candidates, _ring_powers, eval_series, power_rows
+from afdkit.hardy import _local_candidates, _ring_powers, eval_series, kernel_rows, power_rows
 from conftest import kernel_ip, random_hardy_1d, random_real_full_1d, random_real_full_2d
 
 KERNEL_IP_05_03 = 0.9719242142269592  # sqrt(.75) sqrt(.91) / (1 - .15)
@@ -591,6 +591,15 @@ class TestEvalSeries:
             assert not cached.flags.writeable
             with pytest.raises(ValueError):
                 cached[0] = 0
+
+    def test_kernel_rows_give_szego_inner_products(self):
+        spec = GridSpec(radial_count=3, angular_count=5, max_radius=0.8)
+        g = random_hardy_1d(4, 60)
+        pts = grid_points(spec)
+        rows = kernel_rows(pts, 60, spec)
+        assert rows.tobytes() == kernel_rows(pts.copy(), 60).tobytes()
+        want = [inner_product_1d(g, szego_coeffs(a, 60)) for a in pts]
+        np.testing.assert_allclose(rows @ g.data, want, rtol=1e-12)
 
     def test_result_does_not_alias_the_cache(self):
         spec = GridSpec(radial_count=3, angular_count=4, max_radius=0.8)
