@@ -124,14 +124,16 @@ def tm_basis(params, order, oversample=OVERSAMPLE):
     return [FourierCoeffs1D(row.copy(), hardy=True) for row in rows]
 
 
-def backward_shift(f, a, oversample=OVERSAMPLE):
+def backward_shift(f, a, oversample=OVERSAMPLE, *, _atom=None, _coeff=None):
     """Generalized backward shift of a Hardy signal via the point a.
 
     Returns (f - <f, e_a> e_a) * (1 - conj(a) z) / (z - a), computed by
     pointwise boundary division and projection back onto frequencies
     0..order.  The discarded energy is theoretically zero (the numerator
     vanishes at a); it is asserted below 1e-8 of the input energy, and a
-    violation signals insufficient truncation for this |a|.
+    violation signals insufficient truncation for this |a|.  ``_atom`` and
+    ``_coeff`` pass ``szego_coeffs(a, order)`` and ``<f, e_a>`` that
+    ``afd_decompose_1d`` already built for the step.
     """
     if not f.hardy:
         raise DomainError("backward_shift expects Hardy coefficients")
@@ -139,8 +141,8 @@ def backward_shift(f, a, oversample=OVERSAMPLE):
     if abs(a) >= 1.0:
         raise DomainError("parameter |a| must be < 1")
     order = f.order
-    atom = szego_coeffs(a, order)
-    coeff = inner_product_1d(f, atom)
+    atom = szego_coeffs(a, order) if _atom is None else _atom
+    coeff = inner_product_1d(f, atom) if _coeff is None else _coeff
     residual = f - coeff * atom
 
     size = _tm_grid_size(order, oversample)
@@ -221,8 +223,9 @@ def afd_decompose_1d(f, n_terms, grid, threshold=1e-12):
         if remainder.energy() <= threshold * initial:
             break
         a, _ = msp_1d(remainder, grid)
-        coeff = inner_product_1d(remainder, szego_coeffs(a, f.order))
-        remainder = backward_shift(remainder, a)
+        atom = szego_coeffs(a, f.order)
+        coeff = inner_product_1d(remainder, atom)
+        remainder = backward_shift(remainder, a, _atom=atom, _coeff=coeff)
         record.steps.append(AFDStep(a=a, coeff=coeff, residual_energy=remainder.energy()))
     return record
 

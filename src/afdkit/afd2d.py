@@ -253,19 +253,18 @@ def afd2d_tm_decompose(f, n_terms, grid, threshold=1e-12, oversample=OVERSAMPLE)
 
 
 def reconstruct_product_tm(record, order, oversample=OVERSAMPLE):
-    """Partial sum S_n rebuilt from a product-system record."""
+    """Partial sum S_n rebuilt from a product-system record.
+
+    The blocks fill the n x n table T[k, l] = <f, B_k (x) B_l>, so the sum
+    of T[k, l] B_k (x) B_l is ``rows_a^T T rows_b``.
+    """
     n = len(record.steps)
-    out = np.zeros((order + 1, order + 1), dtype=complex)
-    if n == 0:
-        return FourierCoeffs2D(out, hardy=True)
+    table = np.empty((n, n), dtype=complex)
+    for i, step in enumerate(record.steps):
+        table[:i, i] = step.block[:i]
+        table[i, : i + 1] = step.block[i:]
     rows_a, rows_b = _history_rows(record.pairs(), order, oversample)
-    for step_idx, step in enumerate(record.steps, start=1):
-        entries = step.block
-        for j in range(step_idx - 1):
-            out += entries[j] * np.outer(rows_a[j], rows_b[step_idx - 1])
-        for l in range(step_idx):
-            out += entries[step_idx - 1 + l] * np.outer(rows_a[step_idx - 1], rows_b[l])
-    return FourierCoeffs2D(out, hardy=True)
+    return FourierCoeffs2D(rows_a.T @ table @ rows_b, hardy=True)
 
 
 def pga_step(g, grid):

@@ -10,6 +10,7 @@ so that save, load, save round-trips are byte identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -852,7 +853,14 @@ def _add_common(parser, default_max_radius=0.995):
     parser.add_argument("--threshold", type=float, default=1e-12)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The command-line parser, built once per process.
+
+    ``parse_args`` returns a fresh ``Namespace`` on every call, so one
+    parser serves every ``cli_main`` call without carrying values between
+    them.
+    """
     parser = argparse.ArgumentParser(
         prog="afdkit",
         description="Adaptive kernel decompositions of boundary signals on the disc and 2-torus.",
@@ -894,9 +902,8 @@ def cli_main(argv=None):
     0 on success, 1 on invariant violations (broken ledger, negative rate
     slack, truncation blow-up), 2 on usage or ingestion errors.
     """
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -379,16 +379,25 @@ def real_field_2d(fpp, fpm, fplus, gplus, c00, size):
 
     Evaluates  2 Re{f^{++}}(t, s) + 2 Re{[f(., -.)]^{++}}(t, -s)
     - 2 Re{F^+}(t) - 2 Re{G^+}(s) + c00,  where ``fpm`` holds the Hardy
-    part of the reflected signal f(., -.).
+    part of the reflected signal f(., -.).  All four parts share one
+    spectrum, each at its own frequencies: f^{++} at (k, l), the reflected
+    part at (k, -l mod size), F^+ at (k, 0) and G^+ at (0, l); one inverse
+    FFT then gives their sum.
     """
-    apm_neg_s = fpm.boundary_samples(size)[:, (-np.arange(size)) % size]
-    return (
-        2.0 * fpp.boundary_samples(size).real
-        + 2.0 * apm_neg_s.real
-        - 2.0 * fplus.boundary_samples(size).real[:, None]
-        - 2.0 * gplus.boundary_samples(size).real[None, :]
-        + c00
-    )
+    for part in (fpp, fpm, fplus, gplus):
+        if size < part.order + 1:
+            raise DimensionMismatchError("grid size %d too small for order %d" % (size, part.order))
+    spectrum = np.zeros((size, size), dtype=complex)
+    n, m = fpp.order + 1, fpm.order + 1
+    spectrum[:n, :n] += fpp.data
+    spectrum[:m, -np.arange(m) % size] += fpm.data
+    spectrum[: fplus.order + 1, 0] -= fplus.data
+    spectrum[0, : gplus.order + 1] -= gplus.data
+    samples = np.fft.ifft2(spectrum)
+    # one factor per axis, as in ``boundary_samples``
+    samples *= size
+    samples *= size
+    return 2.0 * samples.real + c00
 
 
 @dataclass(frozen=True)

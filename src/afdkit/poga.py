@@ -205,7 +205,11 @@ class SzegoDictionary1D:
         self.order = int(order)
         self.grid = grid
         self.params = grid_points(grid)
-        self._index = {complex(p): i for i, p in enumerate(self.params)}
+
+    @cached_property
+    def _index(self):
+        """Grid index of each parameter, built on the first ``base_index`` call."""
+        return {complex(p): i for i, p in enumerate(self.params)}
 
     @cached_property
     def _weights(self):
@@ -268,7 +272,8 @@ class ProductSzegoDictionary2D:
         self.order = int(order)
         self.grid = grid
         self.params = grid_points(grid)
-        self._index = {complex(p): i for i, p in enumerate(self.params)}
+
+    _index = SzegoDictionary1D._index
 
     @cached_property
     def _factors(self):

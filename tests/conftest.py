@@ -47,6 +47,21 @@ def random_real_full_2d(seed, order):
     return FourierCoeffs2D(data, hardy=False)
 
 
+def reference_real_field_2d(fpp, fpm, fplus, gplus, c00, size):
+    """Five-transform form of ``real_field_2d``: one inverse FFT per part.
+
+    The reflected part is sampled at (t, s) and its columns gathered at -s.
+    """
+    apm_neg_s = fpm.boundary_samples(size)[:, (-np.arange(size)) % size]
+    return (
+        2.0 * fpp.boundary_samples(size).real
+        + 2.0 * apm_neg_s.real
+        - 2.0 * fplus.boundary_samples(size).real[:, None]
+        - 2.0 * gplus.boundary_samples(size).real[None, :]
+        + c00
+    )
+
+
 def dominant_atoms_on_grid(seed, grid, order, n_atoms, ratio=16.0, low_frac=0.85):
     """Kernel combination with geometrically dominant amplitudes.
 

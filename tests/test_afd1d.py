@@ -22,6 +22,7 @@ from afdkit import (
     tm_basis,
     tm_matrix,
 )
+from afdkit import afd1d
 from conftest import dominant_atoms_on_grid, exhaustive_argmax, random_hardy_1d
 
 GRID = GridSpec(radial_count=24, angular_count=48, refine_levels=1, max_radius=0.9)
@@ -175,6 +176,23 @@ class TestDecompose:
         basis = tm_basis(record.params(), 256)
         for step, b in zip(record.steps, basis):
             assert abs(step.coeff - inner_product_1d(f, b)) < 1e-8
+
+    def test_szego_atom_built_once_per_step(self, monkeypatch):
+        calls = []
+
+        def counting(a, order):
+            calls.append(a)
+            return szego_coeffs(a, order)
+
+        f = random_hardy_1d(4, 256)
+        monkeypatch.setattr(afd1d, "szego_coeffs", counting)
+        record = afd_decompose_1d(f, 6, GRID)
+        assert len(record.steps) == 6
+        assert calls == record.params()
+
+        # the shift that builds its own atom gives the same bits
+        monkeypatch.setattr(afd1d, "backward_shift", lambda g, a, **_: backward_shift(g, a))
+        assert afd_decompose_1d(f, 6, GRID) == record
 
     @pytest.mark.parametrize("seed", range(2))
     def test_remainder_relation(self, seed):

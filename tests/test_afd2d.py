@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afdkit import (
+    Afd2dRecord,
+    Afd2dStep,
     DegenerateInputError,
     FourierCoeffs1D,
     FourierCoeffs2D,
@@ -459,6 +461,46 @@ class TestAfd2dDecompose:
             inc = (sn - prev).energy()
             assert abs(inc - record.steps[n - 1].block_energy) < 1e-10
             prev = sn
+
+
+def reference_reconstruct_product_tm(record, order):
+    """Double-loop partial sum: one outer product of factor rows per block entry."""
+    out = np.zeros((order + 1, order + 1), dtype=complex)
+    if not record.steps:
+        return out
+    pairs = record.pairs()
+    rows_a = tm_matrix([p[0] for p in pairs], order)
+    rows_b = tm_matrix([p[1] for p in pairs], order)
+    for step_idx, step in enumerate(record.steps, start=1):
+        entries = step.block
+        for j in range(step_idx - 1):
+            out += entries[j] * np.outer(rows_a[j], rows_b[step_idx - 1])
+        for l in range(step_idx):
+            out += entries[step_idx - 1 + l] * np.outer(rows_a[step_idx - 1], rows_b[l])
+    return out
+
+
+class TestReconstructProductTmOracle:
+    """The table product rows_a^T T rows_b against one outer product per entry."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        order=st.integers(16, 48),
+        n_steps=st.integers(0, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_double_loop(self, order, n_steps, seed):
+        rng = np.random.default_rng(seed)
+        record = Afd2dRecord(initial_energy=1.0)
+        for n in range(1, n_steps + 1):
+            a, b = 0.4 * np.sqrt(rng.uniform(size=2)) * np.exp(2j * np.pi * rng.uniform(size=2))
+            block = rng.standard_normal(2 * n - 1) + 1j * rng.standard_normal(2 * n - 1)
+            record.steps.append(Afd2dStep(complex(a), complex(b), block, 0.0, 0.0))
+        got = reconstruct_product_tm(record, order).data
+        want = reference_reconstruct_product_tm(record, order)
+        scale = sum(np.sum(np.abs(step.block)) for step in record.steps)
+        assert got.shape == (order + 1, order + 1)
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale
 
 
 class TestPga:

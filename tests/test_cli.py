@@ -18,10 +18,14 @@ from afdkit import (
     load_image_2d,
     load_record,
     load_signal_1d,
+    next_pow2,
     PGARecord,
     PGAStep,
     PogaRecord,
     PogaStep,
+    reconstruct_1d,
+    reconstruct_pga,
+    reconstruct_product_tm,
     save_record,
     synth_signal_1d,
     TensorAtomSpec,
@@ -31,12 +35,15 @@ from afdkit.cli import (
     ALGORITHMS,
     RecordFile,
     RecordSection,
+    _parse_pgm,
+    build_parser,
     cli_main,
     decode_section,
     encode_section,
     real_samples_1d,
     write_pgm,
 )
+from conftest import reference_real_field_2d
 
 
 def write_csv(path, values, header=None):
@@ -499,3 +506,70 @@ class TestCliEndToEnd:
             == 0
         )
         assert cli_main(["verify", "--input", rec]) == 0
+
+
+IMAGE_ARGS = [
+    "--order", "16", "--grid-radial", "6", "--grid-angular", "12", "--max-radius", "0.45",
+]
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        img = str(tmp_path / "img.pgm")
+        full = str(tmp_path / "full.rec")
+        plain = str(tmp_path / "plain.rec")
+        assert cli_main(["synth", "--algorithm", "pga2d", "--order", "16", "--output", img]) == 0
+        assert cli_main(["decompose", "--terms", "many"]) == 2
+        assert cli_main(
+            ["decompose", "--algorithm", "pga2d", "--input", img, "--output", full, *IMAGE_ARGS,
+             "--terms", "3", "--refine", "1", "--rho", "0.5", "--threshold", "1e-6", "--full-recon"]
+        ) == 0
+        assert cli_main(
+            ["decompose", "--algorithm", "pga2d", "--input", img, "--output", plain, *IMAGE_ARGS]
+        ) == 0
+        assert cli_main(["--help"]) == 0
+        assert "usage: afdkit" in capsys.readouterr().out
+
+        first, second = load_record(full), load_record(plain)
+        assert {sec.name for sec in first.sections} == {"main", "fpm", "F", "G"}
+        meta = second.meta_dict()
+        assert [sec.name for sec in second.sections] == ["main"]
+        assert "c00" not in meta
+        assert (meta["terms"], meta["refine_levels"], meta["rho"]) == ("5", "2", "1")
+        assert float(meta["threshold"]) == 1e-12
+
+
+class TestImageReconstruction:
+    """``reconstruct`` writes the quantized field of the library partial sums."""
+
+    LIBRARY = {"afd2d-tm": reconstruct_product_tm, "pga2d": reconstruct_pga}
+
+    @pytest.mark.parametrize("algorithm", ["afd2d-tm", "pga2d"])
+    def test_pgm_matches_library_partial_sums(self, tmp_path, algorithm):
+        img = str(tmp_path / "img.pgm")
+        rec = str(tmp_path / "rec.txt")
+        out = str(tmp_path / "out.pgm")
+        assert cli_main(["synth", "--algorithm", algorithm, "--order", "16", "--output", img,
+                         "--seed", "2"]) == 0
+        assert cli_main(["decompose", "--algorithm", algorithm, "--input", img, "--output", rec,
+                         *IMAGE_ARGS, "--terms", "4", "--refine", "1", "--full-recon"]) == 0
+        assert cli_main(["reconstruct", "--input", rec, "--output", out]) == 0
+
+        record = load_record(rec)
+        meta = record.meta_dict()
+        order = int(meta["order"])
+        parts = {}
+        for sec in record.sections:
+            rebuild = reconstruct_1d if sec.algorithm == "afd1d" else self.LIBRARY[algorithm]
+            parts[sec.name] = rebuild(decode_section(sec, meta), order)
+        size = max(int(meta["samples"]), next_pow2(2 * order + 2))
+        c00 = float(meta["c00"].split(" ")[0])
+        field = reference_real_field_2d(
+            parts["main"], parts["fpm"], parts["F"], parts["G"], c00, size
+        )
+        want = np.clip(np.round(field * 255.0), 0, 255)
+        with open(out, "rb") as handle:
+            got, maxval = _parse_pgm(handle.read(), out)
+        assert maxval == 255 and got.shape == (size, size)
+        assert np.max(np.abs(got.astype(float) - want)) <= 1

@@ -21,14 +21,28 @@ from afdkit import (
     msp_1d,
     inner_product_1d,
     inner_product_2d,
+    next_pow2,
     quadrant_split,
     real_reconstruct_2d,
     szego_coeffs,
     tensor_atom_coeffs,
     TensorAtomSpec,
 )
-from afdkit.hardy import _local_candidates, _ring_powers, eval_series, kernel_rows, power_rows
-from conftest import kernel_ip, random_hardy_1d, random_real_full_1d, random_real_full_2d
+from afdkit.hardy import (
+    _local_candidates,
+    _ring_powers,
+    eval_series,
+    kernel_rows,
+    power_rows,
+    real_field_2d,
+)
+from conftest import (
+    kernel_ip,
+    random_hardy_1d,
+    random_real_full_1d,
+    random_real_full_2d,
+    reference_real_field_2d,
+)
 
 KERNEL_IP_05_03 = 0.9719242142269592  # sqrt(.75) sqrt(.91) / (1 - .15)
 
@@ -374,6 +388,52 @@ class TestRealReconstruct2D:
         f = random_real_full_2d(seed, 16)
         recon = real_reconstruct_2d(quadrant_split(f), 64)
         assert np.max(np.abs(recon.samples - f.boundary_samples(64).real)) < 1e-9
+
+
+def random_field_parts(seed, orders):
+    """Random Hardy parts (f++, f+-, F+, G+) of the given orders and a real mean."""
+    rng = np.random.default_rng(seed)
+
+    def part(cls, order):
+        shape = (order + 1,) * cls.ndim
+        return cls(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), hardy=True)
+
+    classes = (FourierCoeffs2D, FourierCoeffs2D, FourierCoeffs1D, FourierCoeffs1D)
+    return [part(cls, n) for cls, n in zip(classes, orders)] + [float(rng.standard_normal())]
+
+
+@st.composite
+def order_and_side(draw):
+    """An order and a grid side from the smallest admissible to twice the usual power of two."""
+    order = draw(st.integers(0, 70))
+    return order, draw(st.integers(order + 1, 2 * next_pow2(2 * order + 2)))
+
+
+class TestRealField2DOracle:
+    """One shared spectrum and inverse FFT against one transform per part."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=order_and_side(), seed=st.integers(0, 2**16))
+    @example(case=(24, 37), seed=3)  # a side that is not a power of two
+    def test_matches_per_part_transforms(self, case, seed):
+        order, side = case
+        parts = random_field_parts(seed, (order,) * 4)
+        got = real_field_2d(*parts, side)
+        want = reference_real_field_2d(*parts, side)
+        scale = 2.0 * sum(np.sum(np.abs(p.data)) for p in parts[:4]) + abs(parts[4])
+        assert got.shape == (side, side)
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("small", range(4))
+    def test_side_below_any_part_rejected(self, small):
+        orders = [5] * 4
+        orders[small] = 9
+        parts = random_field_parts(small, orders)
+        reference_real_field_2d(*parts, 10)
+        with pytest.raises(DimensionMismatchError):
+            real_field_2d(*parts, 9)
+        with pytest.raises(DimensionMismatchError):
+            reference_real_field_2d(*parts, 9)
 
 
 class TestGridSpec:

@@ -294,6 +294,37 @@ class TestPogaDecompose:
         )
 
 
+class TestLazyIndex:
+    """``reconstruct_poga`` never reads the grid index; ``base_index`` builds it on demand."""
+
+    GRID = GridSpec(radial_count=4, angular_count=8, refine_levels=0, max_radius=0.4)
+
+    @pytest.mark.parametrize(
+        "cls, signal",
+        [(SzegoDictionary1D, lambda: random_hardy_1d(5, 16)),
+         (ProductSzegoDictionary2D, lambda: random_hardy_2d(5, 12))],
+        ids=["1d", "2d"],
+    )
+    def test_replay_skips_index_and_lookup_matches_dict(self, cls, signal):
+        f = signal()
+        order = f.order
+        record = poga_decompose(f.data.ravel(), 3, cls(order, self.GRID))
+        dictionary = cls(order, self.GRID)
+        reconstruct_poga(record, dictionary)
+        assert "_index" not in vars(dictionary)
+
+        eager = {complex(p): i for i, p in enumerate(dictionary.params)}
+        n = dictionary.params.size
+        for i in range(len(dictionary)):
+            spec = dictionary.base_spec(i)
+            if cls is SzegoDictionary1D:
+                want = eager[complex(spec.a)]
+            else:
+                want = eager[complex(spec.left.a)] * n + eager[complex(spec.right.a)]
+            assert dictionary.base_index(spec) == want
+        assert "_index" in vars(dictionary)
+
+
 class TestRateReport:
     def test_orthogonal_selection_bound_reduces(self):
         """When every candidate stays orthogonal to the frame (r = 1
