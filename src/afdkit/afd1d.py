@@ -84,11 +84,11 @@ def blaschke_eval(params, size):
     return out
 
 
-def _tm_grid_size(order, oversample=OVERSAMPLE):
-    return next_pow2(oversample * (order + 1))
+def _tm_grid_size(order):
+    return next_pow2(OVERSAMPLE * (order + 1))
 
 
-def tm_matrix(params, order, oversample=OVERSAMPLE):
+def tm_matrix(params, order):
     """Rows of truncated coefficients of B_1..B_n for the given parameters.
 
     Each basis function is sampled on an oversampled boundary grid (the
@@ -96,9 +96,7 @@ def tm_matrix(params, order, oversample=OVERSAMPLE):
     keeping frequencies 0..order.
     """
     params = _validate_params(params)
-    if not params:
-        return np.zeros((0, order + 1), dtype=complex)
-    size = _tm_grid_size(order, oversample)
+    size = _tm_grid_size(order)
     z = np.exp(2j * np.pi * np.arange(size) / size)
     rows = np.empty((len(params), order + 1), dtype=complex)
     prefix = np.ones(size, dtype=complex)
@@ -107,7 +105,7 @@ def tm_matrix(params, order, oversample=OVERSAMPLE):
         spec = np.fft.fft(factor * prefix) / size
         rows[k] = spec[: order + 1]
         prefix *= (z - a) / (1.0 - np.conj(a) * z)
-    deficit = float(np.max(np.abs(1.0 - np.sum(np.abs(rows) ** 2, axis=1))))
+    deficit = float(np.max(np.abs(1.0 - np.sum(np.abs(rows) ** 2, axis=1)), initial=0.0))
     if deficit > 1e-8:
         warnings.warn(
             "rational basis loses %.3e of unit norm at order %d; raise the "
@@ -118,13 +116,13 @@ def tm_matrix(params, order, oversample=OVERSAMPLE):
     return rows
 
 
-def tm_basis(params, order, oversample=OVERSAMPLE):
+def tm_basis(params, order):
     """The rational orthonormal system as a list of Hardy coefficient vectors."""
-    rows = tm_matrix(params, order, oversample)
+    rows = tm_matrix(params, order)
     return [FourierCoeffs1D(row.copy(), hardy=True) for row in rows]
 
 
-def backward_shift(f, a, oversample=OVERSAMPLE, *, _atom=None, _coeff=None):
+def backward_shift(f, a, *, _atom=None, _coeff=None):
     """Generalized backward shift of a Hardy signal via the point a.
 
     Returns (f - <f, e_a> e_a) * (1 - conj(a) z) / (z - a), computed by
@@ -145,7 +143,7 @@ def backward_shift(f, a, oversample=OVERSAMPLE, *, _atom=None, _coeff=None):
     coeff = inner_product_1d(f, atom) if _coeff is None else _coeff
     residual = f - coeff * atom
 
-    size = _tm_grid_size(order, oversample)
+    size = _tm_grid_size(order)
     z = np.exp(2j * np.pi * np.arange(size) / size)
     samples = residual.boundary_samples(size)
     samples *= (1.0 - np.conj(a) * z) / (z - a)
@@ -230,9 +228,9 @@ def afd_decompose_1d(f, n_terms, grid, threshold=1e-12):
     return record
 
 
-def reconstruct_1d(record, order, oversample=OVERSAMPLE):
+def reconstruct_1d(record, order):
     """Partial sum sum_k coeff_k B_k rebuilt from a decomposition record."""
-    rows = tm_matrix(record.params(), order, oversample) if record.steps else np.zeros((0, order + 1))
+    rows = tm_matrix(record.params(), order)
     data = np.zeros(order + 1, dtype=complex)
     for step, row in zip(record.steps, rows):
         data += step.coeff * row

@@ -17,12 +17,11 @@ from .errors import DomainError
 from .hardy import (
     FourierCoeffs2D,
     grid_argmax_pairs,
-    grid_points,
     inner_product_2d,
     kernel_rows,
     require_nonzero,
 )
-from .afd1d import OVERSAMPLE, _tm_grid_size, blaschke_eval, tm_matrix
+from .afd1d import _tm_grid_size, blaschke_eval, tm_matrix
 from .szego import TensorAtomSpec, tensor_atom_coeffs
 
 __all__ = [
@@ -60,9 +59,9 @@ def product_coeff(f, bk, bl):
     return complex(np.conj(bk.data) @ C @ np.conj(bl.data))
 
 
-def _history_rows(history, order, oversample=OVERSAMPLE):
+def _history_rows(history, order):
     """``tm_matrix`` rows of the a-parameters and of the b-parameters of ``history``."""
-    return tuple(tm_matrix([p[axis] for p in history], order, oversample) for axis in (0, 1))
+    return tuple(tm_matrix([p[axis] for p in history], order) for axis in (0, 1))
 
 
 def _cross_table(C, rows_a, rows_b):
@@ -80,25 +79,25 @@ def _block_entries(table, n):
     return np.concatenate([col, row])
 
 
-def dn_energy(f, history, candidate, oversample=OVERSAMPLE):
+def dn_energy(f, history, candidate):
     """Energy of the step-n block for one candidate pair.
 
     Builds both factor systems extended by the candidate and sums the
     squared moduli of the 2n - 1 new cross coefficients.
     """
     pairs = list(history) + [candidate]
-    table = _cross_table(_hardy_block(f), *_history_rows(pairs, f.order, oversample))
+    table = _cross_table(_hardy_block(f), *_history_rows(pairs, f.order))
     return float(np.sum(np.abs(_block_entries(table, len(pairs))) ** 2))
 
 
-def _blaschke_toeplitz(params, order, oversample=OVERSAMPLE):
+def _blaschke_toeplitz(params, order):
     """Coefficient map of g -> P+[g conj(phi)] on frequencies 0..order.
 
     ``phi`` is the Blaschke product with zeros ``params``; the map is the
     upper-triangular Toeplitz matrix T[k, m] = conj(phi_{m-k}) (m >= k) of
     its Taylor coefficients, taken from one oversampled FFT.
     """
-    size = _tm_grid_size(order, oversample)
+    size = _tm_grid_size(order)
     phi = np.fft.fft(blaschke_eval(params, size))[: order + 1] / size
     lag = np.arange(order + 1)[None, :] - np.arange(order + 1)[:, None]
     return np.where(lag >= 0, np.conj(phi)[np.maximum(lag, 0)], 0.0)
@@ -114,7 +113,7 @@ def _kernel_table(block, a_pts, b_pts, grid):
     return np.abs(kernel_rows(a_pts, order, grid) @ block @ kernel_rows(b_pts, order, grid).T)
 
 
-def _product_tm_objective(f, history, grid, oversample=OVERSAMPLE, rows=None):
+def _product_tm_objective(f, history, grid, rows=None):
     """Step-n block energy of every candidate pair, as ``objective(a_pts, b_pts)``.
 
     The coupled entry is sqrt(1 - |a|^2) sqrt(1 - |b|^2) h(a, b), h with
@@ -125,9 +124,9 @@ def _product_tm_objective(f, history, grid, oversample=OVERSAMPLE, rows=None):
     """
     C = _hardy_block(f)
     order = f.order
-    A = _blaschke_toeplitz([p[0] for p in history], order, oversample)
-    B = _blaschke_toeplitz([p[1] for p in history], order, oversample)
-    hist_rows_a, hist_rows_b = _history_rows(history, order, oversample) if rows is None else rows
+    A = _blaschke_toeplitz([p[0] for p in history], order)
+    B = _blaschke_toeplitz([p[1] for p in history], order)
+    hist_rows_a, hist_rows_b = _history_rows(history, order) if rows is None else rows
     H = A @ C @ B.T
     Ga = A @ (C @ np.conj(hist_rows_b).T)  # column l: <f, . (x) B_l> times conj(phi)
     Gb = B @ (np.conj(hist_rows_a) @ C).T  # column k: <f, B_k (x) .> times conj(psi)
@@ -144,21 +143,14 @@ def _product_tm_objective(f, history, grid, oversample=OVERSAMPLE, rows=None):
 
 @dataclass
 class MspPairSelection:
-    """Result of a joint parameter search, with flatness diagnostics.
-
-    ``flat_a`` (``flat_b``) reports that the objective did not vary along
-    the first (second) parameter at the selected point, the sign of a
-    remainder that depends on one variable only.
-    """
+    """Result of a joint parameter search: the pair and its block energy."""
 
     a: complex
     b: complex
     value: float
-    flat_a: bool = False
-    flat_b: bool = False
 
 
-def msp_product_tm(f, history, grid, oversample=OVERSAMPLE, *, _rows=None):
+def msp_product_tm(f, history, grid, *, _rows=None):
     """Joint maximal selection of the next parameter pair.
 
     Maximizes the step-n block energy over the product of two copies of the
@@ -178,18 +170,9 @@ def msp_product_tm(f, history, grid, oversample=OVERSAMPLE, *, _rows=None):
     built at the previous step.
     """
     require_nonzero(f.energy())
-    objective = _product_tm_objective(f, history, grid, oversample, _rows)
+    objective = _product_tm_objective(f, history, grid, _rows)
     a, b, value = grid_argmax_pairs(objective, grid)
-
-    pts = grid_points(grid)
-    col = objective(pts, np.array([b])).ravel()
-    row = objective(np.array([a]), pts).ravel()
-
-    def _flat(vals):
-        top = float(np.max(vals))
-        return bool(top - float(np.min(vals)) <= 1e-12 * max(top, 1e-300))
-
-    return MspPairSelection(a=a, b=b, value=value, flat_a=_flat(col), flat_b=_flat(row))
+    return MspPairSelection(a=a, b=b, value=value)
 
 
 @dataclass
@@ -215,7 +198,7 @@ class Afd2dRecord:
         return [s.residual_energy for s in self.steps]
 
 
-def afd2d_tm_decompose(f, n_terms, grid, threshold=1e-12, oversample=OVERSAMPLE):
+def afd2d_tm_decompose(f, n_terms, grid, threshold=1e-12):
     """Product rational-system decomposition with joint maximal selection.
 
     Records, per step, the selected pair, the 2n - 1 new cross coefficients
@@ -234,9 +217,9 @@ def afd2d_tm_decompose(f, n_terms, grid, threshold=1e-12, oversample=OVERSAMPLE)
     for n in range(1, n_terms + 1):
         if residual <= threshold * initial:
             break
-        sel = msp_product_tm(f, history, grid, oversample, _rows=rows)
+        sel = msp_product_tm(f, history, grid, _rows=rows)
         history.append((sel.a, sel.b))
-        rows = _history_rows(history, f.order, oversample)
+        rows = _history_rows(history, f.order)
         block = _block_entries(_cross_table(C, *rows), n)
         block_energy = float(np.sum(np.abs(block) ** 2))
         residual -= block_energy
@@ -252,7 +235,7 @@ def afd2d_tm_decompose(f, n_terms, grid, threshold=1e-12, oversample=OVERSAMPLE)
     return record
 
 
-def reconstruct_product_tm(record, order, oversample=OVERSAMPLE):
+def reconstruct_product_tm(record, order):
     """Partial sum S_n rebuilt from a product-system record.
 
     The blocks fill the n x n table T[k, l] = <f, B_k (x) B_l>, so the sum
@@ -263,7 +246,7 @@ def reconstruct_product_tm(record, order, oversample=OVERSAMPLE):
     for i, step in enumerate(record.steps):
         table[:i, i] = step.block[:i]
         table[i, : i + 1] = step.block[i:]
-    rows_a, rows_b = _history_rows(record.pairs(), order, oversample)
+    rows_a, rows_b = _history_rows(record.pairs(), order)
     return FourierCoeffs2D(rows_a.T @ table @ rows_b, hardy=True)
 
 

@@ -139,14 +139,12 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def load_signal_1d(path, order, analytic=True):
-    """Load a real 1-d signal from CSV and transform it to coefficients.
+def load_signal_1d(path, order):
+    """Load a real 1-d signal from CSV and return its analytic (Hardy) part.
 
     One real sample per line on a uniform grid over [0, 2 pi); lines that
     are blank or start with ``#`` are skipped.  Needs at least
-    ``2 * order + 2`` samples.  Returns the analytic (Hardy) part unless
-    ``analytic=False``, in which case the full coefficient array is
-    returned.
+    ``2 * order + 2`` samples.
     """
     samples = []
     with open(path, "r", encoding="utf-8") as handle:
@@ -168,7 +166,7 @@ def load_signal_1d(path, order, analytic=True):
             % (path, minimum, order, len(samples))
         )
     full = FourierCoeffs1D.from_samples(np.asarray(samples), order, hardy=False)
-    return analytic_part(full) if analytic else full
+    return analytic_part(full)
 
 
 def _parse_pgm(buf, path):
@@ -300,11 +298,10 @@ def load_record(path):
         at = lines[i][0] if i < len(lines) else len(buf)
         raise RecordFormatError("%s: %s at byte %d" % (path, msg, at))
 
-    if not lines or lines[0][1] != FORMAT_HEADER:
-        got = lines[0][1] if lines else ""
+    if lines[0][1] != FORMAT_HEADER:
         raise RecordFormatError(
             "%s: unsupported record version %r (expected %r) at byte 0"
-            % (path, got, FORMAT_HEADER)
+            % (path, lines[0][1], FORMAT_HEADER)
         )
     record = RecordFile()
     i = 1
@@ -338,6 +335,8 @@ def load_record(path):
                 fail(i + 1, "non-numeric section header")
             if not math.isfinite(energy):
                 fail(i + 1, "non-finite energy")
+            if count < 0:
+                fail(i + 2, "negative step count")
             sec = RecordSection(name=name, algorithm=algorithm, initial_energy=energy)
             i += 3
             for k in range(count):
@@ -373,6 +372,8 @@ def _meta_field(meta, key, kind=str, default=None):
         raise RecordFormatError("record meta %s has a malformed value %r" % (key, value))
     if isinstance(out, float) and not math.isfinite(out):
         raise RecordFormatError("record meta %s is not finite: %r" % (key, value))
+    if isinstance(out, int) and out < 0:
+        raise RecordFormatError("record meta %s is negative: %r" % (key, value))
     return out
 
 
@@ -383,40 +384,49 @@ def _whole(x):
     return int(x)
 
 
+def _block_count(fields, n):
+    """Block size 2n - 1 of afd2d-tm step n; a stored count that differs is a format error."""
+    if len(fields) > 6 and fields[6] != 2 * n - 1:
+        raise RecordFormatError("afd2d-tm step %d has block count %g, not %d" % (n, fields[6], 2 * n - 1))
+    return 2 * n - 1
+
+
 @dataclass(frozen=True)
 class StepLayout:
     """Fields of one algorithm's ``step`` lines and the library types they carry.
 
-    ``arity`` is the field count, or a function of the fields for steps whose
-    length is stored in the step itself.  ``encode`` maps a library step to
-    its fields; ``decode`` maps fields of the right arity back.
+    ``arity`` is the field count, or a function of the fields and the
+    1-based step number for steps whose length grows with the step.
+    ``encode`` maps a library step to its fields; ``decode`` maps fields of
+    the right arity back.
     """
 
     record: type
-    arity: int | Callable[[list[float]], int]
+    arity: int | Callable[[list[float], int], int]
     encode: Callable[[object], list[float]]
     decode: Callable[[list[float]], object]
 
 
 # Step field positions appear nowhere else.  Multiplicities and the afd2d-tm
-# count are whole numbers stored as floats.
+# count are whole numbers stored as floats.  Every disc parameter passes
+# through ``AtomSpec``, which rejects |a| >= 1.
 STEP_LAYOUTS = {
     # a, coeff, residual
     "afd1d": StepLayout(
         AFDRecord,
         5,
         lambda s: [s.a.real, s.a.imag, s.coeff.real, s.coeff.imag, s.residual_energy],
-        lambda f: AFDStep(a=complex(f[0], f[1]), coeff=complex(f[2], f[3]), residual_energy=f[4]),
+        lambda f: AFDStep(a=AtomSpec(complex(f[0], f[1])).a, coeff=complex(f[2], f[3]), residual_energy=f[4]),
     ),
     # a, b, block energy, residual, count, then count block entries (2n - 1 at step n)
     "afd2d-tm": StepLayout(
         Afd2dRecord,
-        lambda f: 7 + 2 * _whole(f[6]) if len(f) >= 7 else 7,
+        lambda f, n: 7 + 2 * _block_count(f, n),
         lambda s: [s.a.real, s.a.imag, s.b.real, s.b.imag, s.block_energy, s.residual_energy,
                    len(s.block)] + [x for c in s.block for x in (c.real, c.imag)],
         lambda f: Afd2dStep(
-            a=complex(f[0], f[1]),
-            b=complex(f[2], f[3]),
+            a=AtomSpec(complex(f[0], f[1])).a,
+            b=AtomSpec(complex(f[2], f[3])).a,
             block=np.array(f[7:], dtype=float).view(complex),
             block_energy=f[4],
             residual_energy=f[5],
@@ -488,11 +498,11 @@ def decode_section(sec, meta):
     layout = _layout(sec.algorithm)
     extra = {"rho": _meta_field(meta, "rho", float, "1")} if layout.record is PogaRecord else {}
     rec = layout.record(initial_energy=sec.initial_energy, **extra)
-    for fields in sec.steps:
-        arity = layout.arity(fields) if callable(layout.arity) else layout.arity
+    for n, fields in enumerate(sec.steps, start=1):
+        arity = layout.arity(fields, n) if callable(layout.arity) else layout.arity
         if len(fields) != arity:
             raise RecordFormatError(
-                "bad %s step arity %d (expected %d)" % (sec.algorithm, len(fields), arity)
+                "bad %s step arity %d (expected %d) at step %d" % (sec.algorithm, len(fields), arity, n)
             )
         rec.steps.append(layout.decode(fields))
     return rec
@@ -512,12 +522,13 @@ class CheckResult:
     detail: str
 
 
-def verify_record(record, tol=1e-8):
+def verify_record(record):
     """Re-derive every stored residual energy from the atoms alone.
 
     Checks, per section: the energy ledger (initial energy minus the
     cumulative extracted energy reproduces each stored residual), residual
-    monotonicity, and stored block energies for product-system records.
+    monotonicity, and stored block energies for product-system records; the
+    ledger and the block energies hold to 1e-8 times max(1, initial energy).
     When the metadata carries a synthesis bound M, the rate bound of the
     pre-orthogonal runs is re-checked as well.
     """
@@ -536,13 +547,13 @@ def verify_record(record, tol=1e-8):
             if step.residual_energy > prev + 1e-12 * scale:
                 monotone = False
             prev = step.residual_energy
-            if isinstance(step, Afd2dStep) and abs(energy - step.block_energy) > tol * scale:
+            if isinstance(step, Afd2dStep) and abs(energy - step.block_energy) > 1e-8 * scale:
                 blocks_ok = False
         checks.append(
             CheckResult(
                 name="%s.ledger" % sec.name,
-                ok=worst <= tol * scale,
-                detail="max residual deviation %.3e (tol %.1e)" % (worst, tol * scale),
+                ok=worst <= 1e-8 * scale,
+                detail="max residual deviation %.3e (tol %.1e)" % (worst, 1e-8 * scale),
             )
         )
         checks.append(

@@ -38,7 +38,6 @@ __all__ = [
     "power_rows",
     "kernel_rows",
     "eval_series",
-    "eval_pairs",
     "grid_argmax",
     "grid_argmax_pairs",
 ]
@@ -225,12 +224,6 @@ class FourierCoeffs2D(FourierCoeffs):
     __slots__ = ()
     ndim = 2
 
-    def eval_interior(self, a_points, b_points):
-        """The matrix ``f(a_i, b_j)`` of the holomorphic extension (Hardy instances only)."""
-        if not self.hardy:
-            raise DomainError("interior evaluation requires Hardy coefficients")
-        return eval_pairs(self.data, a_points, b_points)
-
 
 @dataclass
 class BoundaryGrid:
@@ -302,19 +295,19 @@ def hilbert_transform(f):
     return FourierCoeffs1D(f.data * mult, hardy=f.hardy)
 
 
-def _require_real(f, tol, caller):
-    """Reject coefficients that are not full-range or fail c_{-k} = conj(c_k) beyond ``tol`` (relative).
+def _require_real(f, caller):
+    """Reject coefficients that are not full-range or fail c_{-k} = conj(c_k) beyond 1e-9 (relative).
 
     ``np.flip`` reverses every axis, so one check serves both dimensions.
     """
     if f.hardy:
         raise DomainError("%s expects full-range coefficients" % caller)
     scale = max(1.0, float(np.max(np.abs(f.data))))
-    if np.max(np.abs(f.data - np.conj(np.flip(f.data)))) > tol * scale:
+    if np.max(np.abs(f.data - np.conj(np.flip(f.data)))) > 1e-9 * scale:
         raise DomainError("coefficients are not Hermitian symmetric (signal not real)")
 
 
-def analytic_part(f, tol=1e-9):
+def analytic_part(f):
     """Project a real-valued signal onto its analytic (Hardy) part.
 
     Keeps the coefficients with k >= 0, which realizes (f + iHf)/2 + c_0/2.
@@ -324,21 +317,21 @@ def analytic_part(f, tol=1e-9):
     ------
     DomainError
         If the input is not in the full layout or the coefficients fail the
-        Hermitian symmetry c_{-k} = conj(c_k) beyond ``tol`` (relative).
+        Hermitian symmetry c_{-k} = conj(c_k) beyond 1e-9 (relative).
     """
-    _require_real(f, tol, "analytic_part")
+    _require_real(f, "analytic_part")
     n = f.order
     return FourierCoeffs1D(f.data[n:].copy(), hardy=True)
 
 
-def quadrant_split(f, tol=1e-9):
+def quadrant_split(f):
     """Split a real signal on the 2-torus into quadrant projections.
 
     Returns the four quadrant restrictions (axes included in every adjacent
     quadrant) together with the marginal means F (average over s), G
     (average over t) and the scalar mean c00.
     """
-    _require_real(f, tol, "quadrant_split")
+    _require_real(f, "quadrant_split")
     n = f.order
     d = f.data
 
@@ -358,10 +351,8 @@ def quadrant_split(f, tol=1e-9):
     return QuadrantParts(fpp, fpm, fmp, fmm, F, G, complex(d[n, n]))
 
 
-def real_reconstruct_2d(parts, size=None):
-    """Rebuild the real signal from its quadrant parts on a boundary grid."""
-    if size is None:
-        size = next_pow2(2 * parts.fpp.order + 2)
+def real_reconstruct_2d(parts, size):
+    """Rebuild the real signal from its quadrant parts on a ``size`` x ``size`` boundary grid."""
     return BoundaryGrid(
         real_field_2d(
             parts.hardy_pp(),
@@ -524,31 +515,6 @@ def kernel_rows(points, order, spec=None):
     return np.sqrt(1.0 - np.abs(pts) ** 2)[:, None] * power_rows(pts, order, spec)
 
 
-def eval_pairs(block, a_points, b_points):
-    """Holomorphic extension h(a_i, b_j) of a Hardy coefficient block.
-
-    Returns the matrix over all point combinations, ``P_a @ block @ P_b^T``
-    with the power rows of each axis.
-    """
-    order = block.shape[0] - 1
-    return power_rows(a_points, order) @ block @ power_rows(b_points, order).T
-
-
-def _eval_objective(objective, pts):
-    """Values of a vectorized objective, or of a scalar one point by point.
-
-    A scalar-only objective signals itself by raising TypeError on an array
-    (or by returning one value); any other error propagates.
-    """
-    try:
-        vals = np.asarray(objective(pts), dtype=float)
-        if vals.shape == pts.shape:
-            return vals
-    except TypeError:
-        pass
-    return np.asarray([float(objective(p)) for p in pts], dtype=float)
-
-
 def _refine_offsets():
     return np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 
@@ -576,13 +542,12 @@ def _local_candidates(center, step_r, step_t, max_radius):
     return np.array([r * np.exp(1j * t) for r, t in cands]), own
 
 
-def _refine(evaluate, best, best_val, spec):
-    """Local refinement shared by the point and pair argmax.
+def _refine(objective, best, best_val, spec):
+    """Local refinement around ``best``, a tuple of points (one per axis).
 
-    ``best`` is a tuple of points (one per axis) and ``evaluate`` maps one
-    candidate array per axis to the value array over their product.  Each
-    level halves the cell and moves only on strict improvement; the running
-    best itself is left out of the comparison, since its value is known.
+    Each level halves the cell and moves only on strict improvement; the
+    running best itself is left out of the comparison, since its value is
+    known.
     """
     step_r = spec.max_radius / spec.radial_count
     step_t = 2.0 * np.pi / spec.angular_count
@@ -590,7 +555,7 @@ def _refine(evaluate, best, best_val, spec):
         step_r /= 2.0
         step_t /= 2.0
         local = [_local_candidates(c, step_r, step_t, spec.max_radius) for c in best]
-        vals = evaluate(*(cands for cands, _ in local))
+        vals = np.array(objective(*(cands for cands, _ in local)), dtype=float)
         vals[tuple(own for _, own in local)] = -np.inf
         j = np.unravel_index(int(np.argmax(vals)), vals.shape)
         if vals[j] > best_val:
@@ -599,50 +564,49 @@ def _refine(evaluate, best, best_val, spec):
     return best, best_val
 
 
+def _argmax(objective, spec, axes):
+    """Refined argmax of ``objective`` over ``axes`` copies of the grid: the point(s), then the value.
+
+    The objective must return one value per point of the product of the
+    axes.  Ties go to the first entry of the value array, which orders the
+    product lexicographically, each axis by (radius, angle).
+    """
+    pts = grid_points(spec)
+    vals = np.asarray(objective(*(pts,) * axes), dtype=float)
+    if vals.shape != (pts.size,) * axes:
+        raise ConfigError("objective must return one value per grid point or pair")
+    idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    best, best_val = _refine(objective, tuple(complex(pts[i]) for i in idx), float(vals[idx]), spec)
+    return (*best, best_val)
+
+
 def grid_argmax(objective, spec):
     """Deterministic argmax of a nonnegative objective over the polar grid.
 
-    The objective may be vectorized (called with an array of complex grid
-    points) or scalar.  Evaluation may be batched freely; the reduction is
-    deterministic: ties go to the first candidate in (radius, angle) order,
-    and refinement moves only on strict improvement.
+    ``objective(pts)`` gets an array of complex points and must return one
+    value per point, else ``ConfigError`` is raised.  Ties go to the first
+    candidate in (radius, angle) order, and refinement moves only on strict
+    improvement.
 
     Returns
     -------
     (point, value)
     """
-    pts = grid_points(spec)
-    vals = _eval_objective(objective, pts)
-    idx = int(np.argmax(vals))
-    (best,), best_val = _refine(
-        lambda cands: np.array(_eval_objective(objective, cands)), (complex(pts[idx]),), float(vals[idx]), spec
-    )
-    return best, best_val
+    return _argmax(objective, spec, 1)
 
 
 def grid_argmax_pairs(objective, spec):
     """Deterministic argmax of a pair objective over the product grid.
 
     ``objective(a_pts, b_pts)`` must return the matrix of values for all
-    combinations.  Tie-breaking is lexicographic in the pair, each component
-    ordered by (radius, angle).
+    combinations, else ``ConfigError`` is raised.  Tie-breaking is
+    lexicographic in the pair, each component ordered by (radius, angle).
 
     Returns
     -------
     (a, b, value)
     """
-    pts = grid_points(spec)
-    table = np.asarray(objective(pts, pts), dtype=float)
-    if table.shape != (pts.size, pts.size):
-        raise ConfigError("pair objective must return a len(a) x len(b) matrix")
-    ia, ib = divmod(int(np.argmax(table)), pts.size)
-    (a, b), best_val = _refine(
-        lambda ca, cb: np.array(objective(ca, cb), dtype=float),
-        (complex(pts[ia]), complex(pts[ib])),
-        float(table[ia, ib]),
-        spec,
-    )
-    return a, b, best_val
+    return _argmax(objective, spec, 2)
 
 
 def require_nonzero(energy, what="input signal"):

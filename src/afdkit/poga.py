@@ -172,7 +172,7 @@ class SelectionOutcome:
     gain: float
 
 
-def candidate_gain(g, atom, frame, eps_span=EPS_SPAN, spec=None):
+def candidate_gain(g, atom, frame, spec=None):
     """Score one candidate atom against the current frame.
 
     gain = |<g, atom>| / r with r = ||Q(atom)||; the identity
@@ -182,13 +182,13 @@ def candidate_gain(g, atom, frame, eps_span=EPS_SPAN, spec=None):
     Raises
     ------
     SpanDegeneracyError
-        When r < eps_span; the caller escalates the candidate to the next
+        When r < EPS_SPAN; the caller escalates the candidate to the next
         multiplicity order.
     """
     g = _as_vector(g)
     atom = _as_vector(atom)
     _, r = frame.project_residual(atom)
-    if r < eps_span:
+    if r < EPS_SPAN:
         raise SpanDegeneracyError("candidate atom lies in the frame span", r=r)
     inner = abs(complex(np.vdot(atom, g)))
     return SelectionOutcome(atom=spec, r=r, gain=inner / r)
@@ -605,7 +605,7 @@ class RateReport:
         )
 
 
-def rate_report(record, M, rho=None, tol=1e-9):
+def rate_report(record, M):
     """Check the decay of a run against the rate bound for bounded synthesis.
 
     For f representable with coefficient 1-norm at most M, the remainder
@@ -614,11 +614,10 @@ def rate_report(record, M, rho=None, tol=1e-9):
     forces the squared remainders d_n to satisfy
     d_{n+1} <= d_n (1 - d_n / A_m), A_m = (R_m M / rho)^2, whose closed
     consequence is d_m <= A_m / m; both are verified on the recorded
-    sequence.  Slack below -tol marks a violation (selector bug or a grid
-    too coarse for the synthesis).
+    sequence, with rho = ``record.rho``, each up to an excess of 1e-9.  A
+    negative slack or a failed inequality marks a violation (selector bug or
+    a grid too coarse for the synthesis).
     """
-    if rho is None:
-        rho = record.rho
     d = [record.initial_energy] + record.residual_energies()
     r_max = record.r_max_values()
     rows = []
@@ -626,13 +625,13 @@ def rate_report(record, M, rho=None, tol=1e-9):
     conclusion_ok = True
     for m in range(1, len(d) + 1):
         R_m = r_max[m - 1] if m <= len(r_max) else r_max[-1]
-        bound = R_m * M / (rho * np.sqrt(m))
+        bound = R_m * M / (record.rho * np.sqrt(m))
         g_norm = float(np.sqrt(d[m - 1]))
         rows.append(RateRow(m=m, remainder_norm=g_norm, bound=bound, slack=bound - g_norm))
-        A_m = (R_m * M / rho) ** 2
-        if d[m - 1] > A_m / m + tol:
+        A_m = (R_m * M / record.rho) ** 2
+        if d[m - 1] > A_m / m + 1e-9:
             conclusion_ok = False
         for n in range(m - 1):
-            if d[n + 1] > d[n] * (1.0 - d[n] / A_m) + tol:
+            if d[n + 1] > d[n] * (1.0 - d[n] / A_m) + 1e-9:
                 recurrence_ok = False
     return RateReport(rows=rows, recurrence_ok=recurrence_ok, conclusion_ok=conclusion_ok)

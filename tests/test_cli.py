@@ -231,6 +231,13 @@ class TestRecordRoundTrip:
         with pytest.raises(RecordFormatError, match="at byte 16"):
             load_record(path)
 
+    def test_negative_step_count_reports_offset(self, tmp_path):
+        path = tmp_path / "negative.txt"
+        path.write_text("afdkit-record 1\nmeta algorithm afd1d\nsection main afd1d\nenergy 1\nsteps -3\nend\n")
+        with pytest.raises(RecordFormatError, match="negative step count at byte 65"):
+            load_record(path)
+        assert cli_main(["verify", "--input", str(path)]) == 2
+
     def test_verify_passes_consistent_record(self, tmp_path):
         rec = self._sample_record()
         checks = verify_record(rec)
@@ -404,6 +411,45 @@ class TestCliEndToEnd:
         save_record(rec, path)
         assert cli_main(["verify", "--input", str(path)]) == 2
         assert "multiplicity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "steps, message",
+        [([[0.3, 0.0, 0.0, 0.2, 0.25, 1.75, 1, 0.5, 0.0], [-0.2, 0.1, 0.1, 0.0, 0.09, 1.66, 1, 0.3, 0.0]],
+          "afd2d-tm step 2 has block count 1, not 3"),
+         ([[0.3, 0.0, 0.0, 0.2, 0.25, 1.75, 3, 0.3, 0.0, 0.3, 0.0, 0.25, 0.0]],
+          "afd2d-tm step 1 has block count 3, not 1")],
+        ids=["short", "long"],
+    )
+    def test_afd2d_tm_block_count_is_2n_minus_1(self, tmp_path, capsys, steps, message):
+        # each ledger is consistent, so only the block counts are wrong
+        rec = RecordFile(meta=[("algorithm", "afd2d-tm"), ("order", "16"), ("samples", "64")])
+        rec.sections.append(RecordSection("main", "afd2d-tm", 2.0, steps))
+        path = str(tmp_path / "rec.txt")
+        save_record(rec, path)
+        assert cli_main(["verify", "--input", path]) == 2
+        assert cli_main(["reconstruct", "--input", path, "--output", str(tmp_path / "out.pgm")]) == 2
+        assert capsys.readouterr().err.count(message) == 2
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_parameter_on_the_circle_rejected(self, tmp_path, capsys, algorithm):
+        section = encode_section("main", algorithm, library_record(algorithm))
+        section.steps[0][:2] = [1.0, 0.0]
+        rec = RecordFile([("algorithm", algorithm), ("order", "16"), ("samples", "64"), ("rho", "0.9")],
+                         [section])
+        path = str(tmp_path / "rec.txt")
+        save_record(rec, path)
+        assert cli_main(["verify", "--input", path]) == 2
+        assert cli_main(["reconstruct", "--input", path, "--output", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.count("|a| < 1, got |a| = 1") == 2
+
+    @pytest.mark.parametrize("algorithm", ["afd1d", "pga2d"])
+    def test_reconstruct_rejects_negative_order(self, tmp_path, capsys, algorithm):
+        section = encode_section("main", algorithm, library_record(algorithm))
+        rec = RecordFile([("algorithm", algorithm), ("order", "-3"), ("samples", "64")], [section])
+        path = str(tmp_path / "rec.txt")
+        save_record(rec, path)
+        assert cli_main(["reconstruct", "--input", path, "--output", str(tmp_path / "out")]) == 2
+        assert "record meta order is negative: '-3'" in capsys.readouterr().err
 
     def test_non_utf8_record_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "binary.txt"

@@ -499,10 +499,12 @@ class TestGridArgmax:
         want = exhaustive_argmax(objective, spec)
         assert got[0] == want[0] and got[1] == pytest.approx(want[1], rel=1e-12)
 
-    def test_scalar_objective_supported(self):
+    def test_scalar_objective_rejected(self):
         spec = GridSpec(radial_count=3, angular_count=4, refine_levels=0, max_radius=0.5)
-        pt, val = grid_argmax(lambda p: float(abs(p)), spec)
-        assert val == pytest.approx(0.5)
+        with pytest.raises(ConfigError):
+            grid_argmax(lambda p: float(np.max(np.abs(p))), spec)
+        with pytest.raises(ConfigError):
+            grid_argmax_pairs(lambda pa, pb: np.abs(pa), spec)
 
     def test_failing_objective_propagates(self):
         spec = GridSpec(radial_count=3, angular_count=4, refine_levels=1, max_radius=0.5)
