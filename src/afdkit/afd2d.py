@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DomainError
 from .hardy import (
     FourierCoeffs2D,
+    _PairTable,
     grid_argmax_pairs,
     inner_product_2d,
     kernel_rows,
@@ -106,11 +107,11 @@ def _blaschke_toeplitz(params, order):
 def _kernel_table(block, a_pts, b_pts, grid):
     """``|K_a block K_b^T|`` over all point pairs, K the ``kernel_rows`` of each axis.
 
-    The kernel rows are temporaries of the product, so they are freed before
-    the float table is allocated next to the complex one.
+    The table is a ``hardy._PairTable``: ``grid_argmax_pairs`` reduces it in
+    row blocks, and ``np.asarray`` gives the dense table.
     """
     order = block.shape[0] - 1
-    return np.abs(kernel_rows(a_pts, order, grid) @ block @ kernel_rows(b_pts, order, grid).T)
+    return _PairTable(kernel_rows(a_pts, order, grid), block, kernel_rows(b_pts, order, grid))
 
 
 def _product_tm_objective(f, history, grid, rows=None):
@@ -132,11 +133,9 @@ def _product_tm_objective(f, history, grid, rows=None):
     Gb = B @ (np.conj(hist_rows_a) @ C).T  # column k: <f, B_k (x) .> times conj(psi)
 
     def objective(a_pts, b_pts):
-        table = _kernel_table(H, a_pts, b_pts, grid)
-        np.square(table, out=table)
-        table += np.sum(np.abs(kernel_rows(a_pts, order, grid) @ Ga) ** 2, axis=1)[:, None]
-        table += np.sum(np.abs(kernel_rows(b_pts, order, grid) @ Gb) ** 2, axis=1)[None, :]
-        return table
+        rows_a, rows_b = kernel_rows(a_pts, order, grid), kernel_rows(b_pts, order, grid)
+        gains = (np.sum(np.abs(rows_a @ Ga) ** 2, axis=1), np.sum(np.abs(rows_b @ Gb) ** 2, axis=1))
+        return _PairTable(rows_a, H, rows_b, gains)
 
     return objective
 
@@ -155,8 +154,10 @@ def msp_product_tm(f, history, grid, *, _rows=None):
 
     Maximizes the step-n block energy over the product of two copies of the
     polar grid.  The block objective splits into a coupled term plus two
-    single-axis terms, so candidate axes are evaluated independently and
-    combined, which keeps the search quadratic only in the grid size.
+    single-axis terms, so the objective hands ``grid_argmax_pairs`` the
+    factors of the pair table, and the reduction scores only the rows and
+    columns whose Cauchy-Schwarz bounds can reach the maximum
+    (``hardy._pair_argmax``).
 
     The energy comes from the reproducing property: with phi and psi the
     Blaschke products of the a- and b-history,
@@ -255,8 +256,9 @@ def pga_step(g, grid):
 
     Maximizes |<g, e_a (x) e_b>| via the reproducing identity
     sqrt(1 - |a|^2) sqrt(1 - |b|^2) |g(a, b)| = |K_a C K_b^T|, with K the
-    ``hardy.kernel_rows`` of each axis, then returns the selected tensor
-    atom and its coefficient.
+    ``hardy.kernel_rows`` of each axis, reduced in row blocks without the
+    table of all pairs, then returns the selected tensor atom and its
+    coefficient.
     """
     require_nonzero(g.energy())
     C = _hardy_block(g)

@@ -182,8 +182,9 @@ def candidate_gain(g, atom, frame, spec=None):
     Raises
     ------
     SpanDegeneracyError
-        When r < EPS_SPAN; the caller escalates the candidate to the next
-        multiplicity order.
+        When r < EPS_SPAN.  The selection loop does not call this function:
+        ``_select`` and ``_reduce`` compare ``r`` with ``EPS_SPAN`` and
+        escalate degenerate candidates themselves.
     """
     g = _as_vector(g)
     atom = _as_vector(atom)

@@ -35,7 +35,7 @@ from afdkit import (
 from afdkit import afd2d
 from afdkit.afd1d import _tm_grid_size, blaschke_eval
 from afdkit.afd2d import _blaschke_toeplitz, _kernel_table, _product_tm_objective
-from afdkit.hardy import grid_radii, kernel_rows, power_rows
+from afdkit.hardy import PAIR_BLOCK, PAIR_SEEDS, _PairTable, _pair_argmax, grid_radii, power_rows
 from conftest import kernel_ip, random_hardy_2d
 
 GRID = GridSpec(radial_count=10, angular_count=20, refine_levels=1, max_radius=0.6)
@@ -242,7 +242,7 @@ class TestProductTmObjective:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             ref = reference_objective(f, history, order)(grid_pts, grid_pts)
-            got = _product_tm_objective(f, history, self.GRID)(grid_pts, grid_pts)
+            got = np.asarray(_product_tm_objective(f, history, self.GRID)(grid_pts, grid_pts))
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0)
         top2 = np.sort(ref.ravel())[-2:]
         if top2[1] - top2[0] > 1e-9 * top2[1]:
@@ -273,9 +273,9 @@ class TestProductTmObjective:
         pts = grid_points(grid)
         Ku = np.sqrt(1.0 - np.abs(pts) ** 2)[:, None] * pts[:, None] ** np.arange(33)
         uncached = np.abs(Ku @ g.data @ Ku.T)
-        cached = captured[0](pts, pts)
+        cached = np.asarray(captured[0](pts, pts))
         assert cached.tobytes() == uncached.tobytes()
-        assert captured[0](pts, pts).tobytes() == cached.tobytes()
+        assert np.asarray(captured[0](pts, pts)).tobytes() == cached.tobytes()
 
 
 def weighted_pga_table(C, a_pts, b_pts):
@@ -371,7 +371,7 @@ class TestKernelRowTables:
         a_pts, b_pts = self.point_sets(kind, rng, self.GRID)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = _product_tm_objective(f, history, self.GRID)(a_pts, b_pts)
+            got = np.asarray(_product_tm_objective(f, history, self.GRID)(a_pts, b_pts))
             self.check(got, *weighted_tm_table(f, history, a_pts, b_pts))
 
     @pytest.mark.parametrize("order", [64, 130, 256])
@@ -383,20 +383,123 @@ class TestKernelRowTables:
         assert ProductSzegoDictionary2D(order, grid)._factors.tobytes() == old.tobytes()
 
     def test_full_grid_table_peak_memory(self):
-        """One afd2d-tm table holds only the complex product and the float table at once."""
+        """A whole afd2d-tm and a whole pga2d selection never hold a table of all pairs.
+
+        Each holds at most one reduction workspace (24 bytes per pair of a
+        block of rows) and two P x (N + 1) complex matrices: the kernel rows
+        of the first axis times the middle factor, and one temporary.  The
+        grid's kernel rows are cached outside the measurement.
+        """
         grid = GridSpec(radial_count=24, angular_count=48, max_radius=0.85)
-        pts = grid_points(grid)
+        size, order = grid_points(grid).size, 64
+        f = random_hardy_2d(5, order)
         history = [(0.3 - 0.2j, 0.1j), (-0.4, 0.5 + 0.1j)]
-        objective = _product_tm_objective(random_hardy_2d(5, 64), history, grid)
-        kernel_rows(pts, 64, grid)  # fills the grid's power-row cache outside the measurement
-        tracemalloc.start()
-        try:
-            table = objective(pts, pts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert table.shape == (pts.size, pts.size)
-        assert peak <= pts.size**2 * (16 + 8) + 2**20
+        bound = 24 * PAIR_BLOCK * size + 2 * 16 * size * (order + 1) + 2**20
+        for select in (lambda: msp_product_tm(f, history, grid), lambda: pga_step(f, grid)):
+            select()  # fills the grid's kernel-row cache outside the measurement
+            tracemalloc.start()
+            try:
+                select()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound < size**2 * (16 + 8)
+
+
+def reduction_grids():
+    """Grids whose point count P is below, equal to and not a multiple of ``PAIR_BLOCK``."""
+    return [
+        GridSpec(radial_count=4, angular_count=6, refine_levels=0, max_radius=0.9),
+        GridSpec(radial_count=1, angular_count=PAIR_BLOCK - 1, refine_levels=0, max_radius=0.9),
+        GridSpec(radial_count=3, angular_count=PAIR_BLOCK // 2, refine_levels=0, max_radius=0.9),
+    ]
+
+
+def random_history(rng, n_hist):
+    angles = 2.0 * np.pi * rng.uniform(0.0, 1.0, (n_hist, 2))
+    params = 0.9 * rng.uniform(0.0, 1.0, (n_hist, 2)) * np.exp(1j * angles)
+    return [(complex(a), complex(b)) for a, b in params]
+
+
+class TestPairReduction:
+    """The blocked first argmax of ``hardy._PairTable`` against the dense table."""
+
+    def test_grids_straddle_the_block_size(self):
+        sizes = [grid_points(grid).size for grid in reduction_grids()]
+        assert sizes[0] < PAIR_BLOCK == sizes[1] and sizes[2] > PAIR_BLOCK and sizes[2] % PAIR_BLOCK
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        order=st.integers(16, 64),
+        n_hist=st.integers(0, 3),
+        grid_index=st.integers(0, 2),
+    )
+    def test_bounds_hold_and_argmax_matches_dense(self, seed, order, n_hist, grid_index):
+        rng = np.random.default_rng(seed)
+        grid = reduction_grids()[grid_index]
+        pts = grid_points(grid)
+        f = random_hardy_2d(seed, order)
+        history = random_history(rng, n_hist)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            table = _product_tm_objective(f, history, grid)(pts, pts)
+            ref, scale = weighted_tm_table(f, history, pts, pts)
+        dense = np.asarray(table)
+        row_bound, col_bound = table.bounds()
+        assert np.all(dense <= row_bound[:, None]) and np.all(dense <= col_bound[None, :])
+        self.check_reduction(table, ref, scale)
+        C = f.data
+        self.check_reduction(_kernel_table(C, pts, pts, grid), *weighted_pga_table(C, pts, pts))
+
+    @staticmethod
+    def check_reduction(table, ref, scale):
+        (i, j), value = _pair_argmax(table)
+        top2 = np.sort(ref.ravel())[-2:]
+        if top2[1] - top2[0] > 1e-9 * top2[1]:
+            assert (i, j) == np.unravel_index(int(np.argmax(ref)), ref.shape)
+        assert abs(value - ref[i, j]) <= 1e-13 * scale[i, j]
+
+    @pytest.mark.parametrize("order", [16, 64])
+    def test_tight_bound_keeps_the_maximum(self, order):
+        # a tensor atom at radii where |K_a|^2 = 1 - |a|^(2N+2) rounds to 1:
+        # its own pair meets the row and column bounds up to rounding
+        grid = reduction_grids()[2]
+        pts = grid_points(grid)
+        radii = np.abs(pts)
+        inner = np.flatnonzero((radii > 0) & (radii ** (2 * order + 2) < 1e-17))
+        for k in range(0, inner.size, 7):
+            ia, ib = int(inner[k]), int(inner[-1 - k])
+            f = tensor_signal([(1.0, (pts[ia], pts[ib]))], order)
+            table = _product_tm_objective(f, [], grid)(pts, pts)
+            dense = np.asarray(table)
+            row_bound, col_bound = table.bounds()
+            assert np.all(dense <= row_bound[:, None]) and np.all(dense <= col_bound[None, :])
+            assert _pair_argmax(table)[0] == (ia, ib)
+
+    def test_tie_goes_to_the_first_pair_before_the_seed_rows(self):
+        # rows 1..31 have the largest bounds and row P - 1 the next: they are
+        # the seed rows, and row P - 1 holds a maximum of exactly 1.  Row 0
+        # ties with it and is lexicographically first; every row survives
+        # the seed value, so the rows span three blocks.
+        size = 2 * PAIR_BLOCK + 3
+        rows_a = np.tile([0.0, 1.0 + 0j], (size, 1))
+        rows_a[1:PAIR_SEEDS] = [0.0, 2.0]
+        rows_a[0] = [1.0, 0.0]
+        rows_a[-1] = [1.0, 1.0]
+        rows_b = np.array([[1.0, 0.0], [0.0, 0.25]], dtype=complex)
+        table = _PairTable(rows_a, np.eye(2, dtype=complex), rows_b, (np.zeros(size), np.zeros(2)))
+        seeds = np.argsort(table.bounds()[0])[-PAIR_SEEDS:]
+        assert size - 1 in seeds and 0 not in seeds
+        assert _pair_argmax(table) == ((0, 0), 1.0)
+        assert np.unravel_index(int(np.argmax(np.asarray(table))), table.shape) == (0, 0)
+
+    def test_tie_across_blocks_without_bounds(self):
+        size = PAIR_BLOCK + 10
+        rows_a = np.full((size, 1), 0.5 + 0j)
+        rows_a[[3, PAIR_BLOCK + 5]] = 1.0
+        table = _PairTable(rows_a, np.eye(1, dtype=complex), np.array([[1.0], [0.5]], dtype=complex))
+        assert _pair_argmax(table) == ((3, 0), 1.0)
 
 
 class TestAfd2dDecompose:

@@ -649,7 +649,8 @@ class TestEvalSeries:
         assert _ring_powers(spec, 25) is table and _ring_powers(spec, 26) is not table
         assert table.shape == (4, 30)
         assert power_rows(pts.copy(), 25, spec) is power_rows(pts, 25, spec)
-        for cached in (pts, table, power_rows(pts, 25, spec)):
+        assert kernel_rows(pts.copy(), 25, spec) is kernel_rows(pts, 25, spec)
+        for cached in (pts, table, power_rows(pts, 25, spec), kernel_rows(pts, 25, spec)):
             assert not cached.flags.writeable
             with pytest.raises(ValueError):
                 cached[0] = 0
