@@ -19,7 +19,6 @@ from .errors import (
     TruncationWarning,
 )
 from .hardy import (
-    BoundaryGrid,
     FourierCoeffs1D,
     FourierCoeffs2D,
     GridSpec,
@@ -28,12 +27,10 @@ from .hardy import (
     grid_argmax,
     grid_argmax_pairs,
     grid_points,
-    hilbert_transform,
     inner_product_1d,
     inner_product_2d,
     next_pow2,
     quadrant_split,
-    real_reconstruct_2d,
 )
 from .szego import (
     AtomSpec,
@@ -50,11 +47,8 @@ from .afd1d import (
     afd_decompose_1d,
     backward_shift,
     blaschke_eval,
-    hyperbolic_diagnostic,
     msp_1d,
-    multiplicities,
     reconstruct_1d,
-    tm_basis,
     tm_matrix,
 )
 from .afd2d import (
@@ -63,11 +57,9 @@ from .afd2d import (
     PGARecord,
     PGAStep,
     afd2d_tm_decompose,
-    dn_energy,
     msp_product_tm,
     pga_decompose,
     pga_step,
-    product_coeff,
     reconstruct_pga,
     reconstruct_product_tm,
 )
@@ -80,11 +72,7 @@ from .poga import (
     RateReport,
     SelectionOutcome,
     SzegoDictionary1D,
-    candidate_gain,
-    oga_select,
     poga_decompose,
-    poga_select,
-    project_residual,
     rate_report,
     reconstruct_poga,
 )

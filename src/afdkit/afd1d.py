@@ -31,17 +31,14 @@ from .hardy import (
 from .szego import szego_coeffs
 
 __all__ = [
-    "multiplicities",
     "blaschke_eval",
     "tm_matrix",
-    "tm_basis",
     "backward_shift",
     "msp_1d",
     "AFDStep",
     "AFDRecord",
     "afd_decompose_1d",
     "reconstruct_1d",
-    "hyperbolic_diagnostic",
 ]
 
 OVERSAMPLE = 4
@@ -53,21 +50,6 @@ def _validate_params(params):
         if abs(a) >= 1.0:
             raise DomainError("parameter |a| must be < 1, got %g" % abs(a))
     return params
-
-
-def multiplicities(params):
-    """Multiplicity of each entry among its predecessors (itself included).
-
-    The k-th value counts how many of a_1..a_k equal a_k, which is the
-    ladder order the k-th partial fraction uses.
-    """
-    seen = {}
-    out = []
-    for a in params:
-        key = complex(a)
-        seen[key] = seen.get(key, 0) + 1
-        out.append(seen[key])
-    return out
 
 
 def blaschke_eval(params, size):
@@ -114,12 +96,6 @@ def tm_matrix(params, order):
             stacklevel=2,
         )
     return rows
-
-
-def tm_basis(params, order):
-    """The rational orthonormal system as a list of Hardy coefficient vectors."""
-    rows = tm_matrix(params, order)
-    return [FourierCoeffs1D(row.copy(), hardy=True) for row in rows]
 
 
 def backward_shift(f, a, *, _atom=None, _coeff=None):
@@ -196,9 +172,6 @@ class AFDRecord:
     def params(self):
         return [s.a for s in self.steps]
 
-    def coeffs(self):
-        return [s.coeff for s in self.steps]
-
     def residual_energies(self):
         return [s.residual_energy for s in self.steps]
 
@@ -235,8 +208,3 @@ def reconstruct_1d(record, order):
     for step, row in zip(record.steps, rows):
         data += step.coeff * row
     return FourierCoeffs1D(data, hardy=True)
-
-
-def hyperbolic_diagnostic(params):
-    """sum (1 - |a_k|); divergence of this sum marks a complete system."""
-    return float(sum(1.0 - abs(complex(a)) for a in params))

@@ -26,8 +26,6 @@ from .afd1d import _tm_grid_size, blaschke_eval, tm_matrix
 from .szego import TensorAtomSpec, tensor_atom_coeffs
 
 __all__ = [
-    "product_coeff",
-    "dn_energy",
     "MspPairSelection",
     "msp_product_tm",
     "Afd2dStep",
@@ -48,18 +46,6 @@ def _hardy_block(f):
     return f.data
 
 
-def product_coeff(f, bk, bl):
-    """Cross coefficient <f, bk (x) bl> of a Hardy 2-d signal.
-
-    ``bk`` and ``bl`` are 1-d Hardy coefficient vectors of the same order
-    as ``f``.
-    """
-    C = _hardy_block(f)
-    if bk.order != f.order or bl.order != f.order:
-        raise DomainError("factor orders must match the signal order")
-    return complex(np.conj(bk.data) @ C @ np.conj(bl.data))
-
-
 def _history_rows(history, order):
     """``tm_matrix`` rows of the a-parameters and of the b-parameters of ``history``."""
     return tuple(tm_matrix([p[axis] for p in history], order) for axis in (0, 1))
@@ -78,17 +64,6 @@ def _block_entries(table, n):
     col = table[: n - 1, n - 1]
     row = table[n - 1, :n]
     return np.concatenate([col, row])
-
-
-def dn_energy(f, history, candidate):
-    """Energy of the step-n block for one candidate pair.
-
-    Builds both factor systems extended by the candidate and sums the
-    squared moduli of the 2n - 1 new cross coefficients.
-    """
-    pairs = list(history) + [candidate]
-    table = _cross_table(_hardy_block(f), *_history_rows(pairs, f.order))
-    return float(np.sum(np.abs(_block_entries(table, len(pairs))) ** 2))
 
 
 def _blaschke_toeplitz(params, order):

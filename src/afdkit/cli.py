@@ -27,6 +27,7 @@ from .errors import (
     IngestError,
     InvariantViolation,
     RecordFormatError,
+    SpanDegeneracyError,
     TruncationError,
 )
 from .hardy import (
@@ -194,6 +195,8 @@ def _parse_pgm(buf, path):
         width, height, maxval = (int(t) for t in tokens)
     except ValueError:
         raise IngestError("%s: non-numeric PGM header fields" % path)
+    if width < 1 or height < 1:
+        raise IngestError("%s: PGM size %dx%d is not positive" % (path, width, height))
     if not 0 < maxval <= 255:
         raise IngestError("%s: only 8-bit PGM supported (maxval %d)" % (path, maxval))
     data = buf[pos : pos + width * height]
@@ -497,6 +500,8 @@ def decode_section(sec, meta):
     """Library record of a file section; POGA records take ``rho`` from ``meta``."""
     layout = _layout(sec.algorithm)
     extra = {"rho": _meta_field(meta, "rho", float, "1")} if layout.record is PogaRecord else {}
+    if extra and not 0.0 < extra["rho"] <= 1.0:
+        raise RecordFormatError("record meta rho must lie in (0, 1], got %r" % extra["rho"])
     rec = layout.record(initial_energy=sec.initial_energy, **extra)
     for n, fields in enumerate(sec.steps, start=1):
         arity = layout.arity(fields, n) if callable(layout.arity) else layout.arity
@@ -574,7 +579,10 @@ def verify_record(record):
                 )
             )
         if isinstance(rec, PogaRecord) and "M" in meta:
-            report = rate_report(rec, _meta_field(meta, "M", float))
+            M = _meta_field(meta, "M", float)
+            if M <= 0.0:
+                raise RecordFormatError("record meta M must be > 0, got %r" % M)
+            report = rate_report(rec, M)
             min_slack = min((row.slack for row in report.rows), default=0.0)
             checks.append(
                 CheckResult(
@@ -809,9 +817,12 @@ def _reconstruct_section(record, name, algorithm, meta):
         refine_levels=_meta_field(meta, "refine_levels", int),
         max_radius=_meta_field(meta, "max_radius", float),
     )
-    if algorithm == "poga1d":
-        return FourierCoeffs1D(reconstruct_poga(rec, SzegoDictionary1D(order, grid)), hardy=True)
-    vec = reconstruct_poga(rec, ProductSzegoDictionary2D(order, grid))
+    try:
+        if algorithm == "poga1d":
+            return FourierCoeffs1D(reconstruct_poga(rec, SzegoDictionary1D(order, grid)), hardy=True)
+        vec = reconstruct_poga(rec, ProductSzegoDictionary2D(order, grid))
+    except SpanDegeneracyError as exc:
+        raise RecordFormatError("section %s: %s" % (name, exc)) from None
     return FourierCoeffs2D(vec.reshape(order + 1, order + 1), hardy=True)
 
 

@@ -36,11 +36,11 @@ class InvariantViolation(RuntimeError):
 class SpanDegeneracyError(RuntimeError):
     """Candidate atom is (numerically) inside the span of the current frame.
 
-    ``OrthoFrame.extend`` and ``candidate_gain`` raise it, with the residual
-    norm ``r``.  The selection loop never sees it: ``poga._select`` and
-    ``poga._reduce`` compare the scan's and the escalated candidates' ``r``
-    with ``EPS_SPAN`` themselves and escalate the degenerate candidates to
-    the next multiplicity order.
+    ``OrthoFrame.extend`` raises it, with the residual norm ``r``.  The
+    selection loop never sees it: ``poga._select`` and ``poga._reduce``
+    compare the scan's and the escalated candidates' ``r`` with ``EPS_SPAN``
+    themselves and escalate the degenerate candidates to the next
+    multiplicity order.
     """
 
     def __init__(self, message, r=0.0):

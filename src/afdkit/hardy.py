@@ -23,16 +23,13 @@ __all__ = [
     "FourierCoeffs",
     "FourierCoeffs1D",
     "FourierCoeffs2D",
-    "BoundaryGrid",
     "QuadrantParts",
     "GridSpec",
     "next_pow2",
     "inner_product_1d",
     "inner_product_2d",
-    "hilbert_transform",
     "analytic_part",
     "quadrant_split",
-    "real_reconstruct_2d",
     "real_field_2d",
     "grid_points",
     "power_rows",
@@ -49,10 +46,6 @@ def next_pow2(n):
     while p < n:
         p *= 2
     return p
-
-
-def _boundary_nodes(size):
-    return 2.0 * np.pi * np.arange(size) / size
 
 
 def _spectrum_index(order, hardy, size, ndim):
@@ -211,32 +204,12 @@ class FourierCoeffs1D(FourierCoeffs):
     __slots__ = ()
     ndim = 1
 
-    def eval_interior(self, points):
-        """Holomorphic extension at points inside the disc (Hardy instances only)."""
-        if not self.hardy:
-            raise DomainError("interior evaluation requires Hardy coefficients")
-        return eval_series(self.data, points)
-
 
 class FourierCoeffs2D(FourierCoeffs):
     """Truncated Fourier coefficients on the 2-torus."""
 
     __slots__ = ()
     ndim = 2
-
-
-@dataclass
-class BoundaryGrid:
-    """Uniform boundary samples, the derived view of a coefficient array."""
-
-    samples: np.ndarray
-
-    @property
-    def size(self):
-        return self.samples.shape[0]
-
-    def nodes(self):
-        return _boundary_nodes(self.size)
 
 
 @dataclass
@@ -285,14 +258,6 @@ def inner_product_1d(f, g):
 
 
 inner_product_2d = inner_product_1d
-
-
-def hilbert_transform(f):
-    """Fourier multiplier -i sgn(k) applied coefficientwise; sgn(0) = 0."""
-    n = f.order
-    k = np.arange(0, n + 1) if f.hardy else np.arange(-n, n + 1)
-    mult = -1j * np.sign(k)
-    return FourierCoeffs1D(f.data * mult, hardy=f.hardy)
 
 
 def _require_real(f, caller):
@@ -349,20 +314,6 @@ def quadrant_split(f):
     F = FourierCoeffs1D(d[:, n].copy(), hardy=False)
     G = FourierCoeffs1D(d[n, :].copy(), hardy=False)
     return QuadrantParts(fpp, fpm, fmp, fmm, F, G, complex(d[n, n]))
-
-
-def real_reconstruct_2d(parts, size):
-    """Rebuild the real signal from its quadrant parts on a ``size`` x ``size`` boundary grid."""
-    return BoundaryGrid(
-        real_field_2d(
-            parts.hardy_pp(),
-            parts.hardy_pm(),
-            analytic_part(parts.F),
-            analytic_part(parts.G),
-            parts.c00.real,
-            size,
-        )
-    )
 
 
 def real_field_2d(fpp, fpm, fplus, gplus, c00, size):
@@ -447,24 +398,13 @@ def _on_grid(points, spec):
     return points is grid or np.array_equal(points, grid)
 
 
-@functools.lru_cache(maxsize=4)
-def _grid_powers(spec, order):
-    powers = grid_points(spec)[:, None] ** np.arange(order + 1)[None, :]
-    powers.flags.writeable = False
-    return powers
-
-
-def power_rows(points, order, spec=None):
+def power_rows(points, order):
     """Rows ``points[i] ** k`` for k = 0..order.
 
     A Hardy coefficient vector evaluates at interior points as the product
-    with these rows.  When ``points`` is the coarse grid of ``spec`` the
-    rows come from a cache kept per (spec, order), so every selection step
-    on that grid shares one power matrix.
+    with these rows.
     """
     pts = np.asarray(points, dtype=complex).ravel()
-    if _on_grid(pts, spec):
-        return _grid_powers(spec, order)
     return pts[:, None] ** np.arange(order + 1)[None, :]
 
 

@@ -36,12 +36,8 @@ __all__ = [
     "EPS_SPAN",
     "OrthoFrame",
     "SelectionOutcome",
-    "project_residual",
-    "candidate_gain",
     "SzegoDictionary1D",
     "ProductSzegoDictionary2D",
-    "poga_select",
-    "oga_select",
     "PogaStep",
     "PogaRecord",
     "poga_decompose",
@@ -158,11 +154,6 @@ class ScanState:
         return rows
 
 
-def project_residual(frame, x):
-    """Module-level alias for OrthoFrame.project_residual."""
-    return frame.project_residual(x)
-
-
 @dataclass(frozen=True)
 class SelectionOutcome:
     """A scored candidate: its spec, residual norm r, and gain |<g, B^a>|."""
@@ -170,29 +161,6 @@ class SelectionOutcome:
     atom: object
     r: float
     gain: float
-
-
-def candidate_gain(g, atom, frame, spec=None):
-    """Score one candidate atom against the current frame.
-
-    gain = |<g, atom>| / r with r = ||Q(atom)||; the identity
-    gain * r = |<g, atom>| holds by construction and gain always dominates
-    the raw inner product since r <= ||atom|| = 1.
-
-    Raises
-    ------
-    SpanDegeneracyError
-        When r < EPS_SPAN.  The selection loop does not call this function:
-        ``_select`` and ``_reduce`` compare ``r`` with ``EPS_SPAN`` and
-        escalate degenerate candidates themselves.
-    """
-    g = _as_vector(g)
-    atom = _as_vector(atom)
-    _, r = frame.project_residual(atom)
-    if r < EPS_SPAN:
-        raise SpanDegeneracyError("candidate atom lies in the frame span", r=r)
-    inner = abs(complex(np.vdot(atom, g)))
-    return SelectionOutcome(atom=spec, r=r, gain=inner / r)
 
 
 class SzegoDictionary1D:
@@ -387,7 +355,7 @@ def _escalated_candidates(dictionary, spec, frame):
 
 
 def _select(g, frame, dictionary, rho, state=None):
-    """Shared core of poga_select and poga_decompose.
+    """Pre-orthogonal (weak) maximal selection, the step of poga_decompose.
 
     Base atoms rank by (r, grid index) and escalated candidates after all of
     them in the order they are generated; the winner is the first qualifying
@@ -458,30 +426,6 @@ def _reduce(g, frame, dictionary, inner, r, degenerate, rho):
         if cand[1] >= floor and (best is None or cand[0] < best[0]):
             best, index = cand, None
     return best, sup_gain, index
-
-
-def poga_select(g, frame, dictionary, rho=1.0):
-    """Pre-orthogonal (weak) maximal selection over the dictionary grid.
-
-    With rho = 1 this returns the grid maximizer of the pre-orthogonal
-    gain; with rho < 1 any candidate within rho of the supremal gain
-    qualifies and the one with the smallest residual norm r is preferred
-    (ties fall back to grid order).  Candidates inside the frame span are
-    replaced by their escalated multiplicity versions.
-    """
-    if not 0.0 < rho <= 1.0:
-        raise DomainError("rho must lie in (0, 1]")
-    outcome, _, _ = _select(g, frame, dictionary, rho)
-    return outcome
-
-
-def oga_select(g, dictionary):
-    """Plain greedy baseline: maximize the raw inner product |<g, atom>|."""
-    g = _as_vector(g)
-    require_nonzero(float(np.linalg.norm(g)) ** 2, "greedy remainder")
-    empty = OrthoFrame(dictionary.dim)
-    inner, _ = dictionary.scan(g, empty)
-    return dictionary.base_spec(int(np.argmax(inner)))
 
 
 @dataclass
@@ -574,11 +518,14 @@ def poga_decompose(
 
 
 def reconstruct_poga(record, dictionary):
-    """Replay the frame from the recorded atoms and sum coeff_k B_k."""
+    """Replay the frame from the recorded atoms and sum coeff_k B_k; an atom in the span raises."""
     frame = OrthoFrame(dictionary.dim)
     out = np.zeros(dictionary.dim, dtype=complex)
-    for step in record.steps:
-        vec, _ = frame.extend(dictionary.atom_vector(step.atom), spec=step.atom)
+    for n, step in enumerate(record.steps, start=1):
+        try:
+            vec, _ = frame.extend(dictionary.atom_vector(step.atom), spec=step.atom)
+        except SpanDegeneracyError as exc:
+            raise SpanDegeneracyError("step %d: %s" % (n, exc), r=exc.r) from None
         out += step.coeff * vec
     return out
 

@@ -3,8 +3,20 @@
 import numpy as np
 import pytest
 
-from afdkit import FourierCoeffs1D, FourierCoeffs2D, grid_points, szego_coeffs
-from afdkit.hardy import grid_radii
+from afdkit import (
+    DomainError,
+    FourierCoeffs1D,
+    FourierCoeffs2D,
+    OrthoFrame,
+    SelectionOutcome,
+    SpanDegeneracyError,
+    analytic_part,
+    grid_points,
+    szego_coeffs,
+)
+from afdkit.afd2d import _block_entries, _cross_table, _hardy_block, _history_rows
+from afdkit.hardy import grid_radii, real_field_2d, require_nonzero
+from afdkit.poga import EPS_SPAN, _as_vector
 
 
 def kernel_ip(a, b):
@@ -60,6 +72,77 @@ def reference_real_field_2d(fpp, fpm, fplus, gplus, c00, size):
         - 2.0 * gplus.boundary_samples(size).real[None, :]
         + c00
     )
+
+
+def real_reconstruct_2d(parts, size):
+    """Real signal rebuilt from its quadrant parts on a ``size`` x ``size`` boundary grid."""
+    return real_field_2d(
+        parts.hardy_pp(),
+        parts.hardy_pm(),
+        analytic_part(parts.F),
+        analytic_part(parts.G),
+        parts.c00.real,
+        size,
+    )
+
+
+def multiplicities(params):
+    """Multiplicity of each entry among its predecessors (itself included).
+
+    The k-th value counts how many of a_1..a_k equal a_k, which is the
+    ladder order the k-th partial fraction uses.
+    """
+    seen = {}
+    out = []
+    for a in params:
+        key = complex(a)
+        seen[key] = seen.get(key, 0) + 1
+        out.append(seen[key])
+    return out
+
+
+def product_coeff(f, bk, bl):
+    """Cross coefficient <f, bk (x) bl> of a Hardy 2-d signal, bk and bl 1-d Hardy vectors of its order."""
+    C = _hardy_block(f)
+    if bk.order != f.order or bl.order != f.order:
+        raise DomainError("factor orders must match the signal order")
+    return complex(np.conj(bk.data) @ C @ np.conj(bl.data))
+
+
+def dn_energy(f, history, candidate):
+    """Energy of the step-n product-TM block for one candidate pair.
+
+    Builds both factor systems extended by the candidate and sums the
+    squared moduli of the 2n - 1 new cross coefficients.
+    """
+    pairs = list(history) + [candidate]
+    table = _cross_table(_hardy_block(f), *_history_rows(pairs, f.order))
+    return float(np.sum(np.abs(_block_entries(table, len(pairs))) ** 2))
+
+
+def candidate_gain(g, atom, frame):
+    """Pre-orthogonal score of one candidate atom against the frame.
+
+    gain = |<g, atom>| / r with r = ||Q(atom)||; the identity
+    gain * r = |<g, atom>| holds by construction and gain always dominates
+    the raw inner product since r <= ||atom|| = 1.  Raises
+    ``SpanDegeneracyError`` when r < EPS_SPAN.
+    """
+    g = _as_vector(g)
+    atom = _as_vector(atom)
+    _, r = frame.project_residual(atom)
+    if r < EPS_SPAN:
+        raise SpanDegeneracyError("candidate atom lies in the frame span", r=r)
+    inner = abs(complex(np.vdot(atom, g)))
+    return SelectionOutcome(atom=None, r=r, gain=inner / r)
+
+
+def oga_select(g, dictionary):
+    """Plain orthogonal greedy baseline: the base atom with the largest raw |<g, atom>|."""
+    g = _as_vector(g)
+    require_nonzero(float(np.linalg.norm(g)) ** 2, "greedy remainder")
+    inner, _ = dictionary.scan(g, OrthoFrame(dictionary.dim))
+    return dictionary.base_spec(int(np.argmax(inner)))
 
 
 def dominant_atoms_on_grid(seed, grid, order, n_atoms, ratio=16.0, low_frac=0.85):

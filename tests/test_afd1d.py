@@ -13,17 +13,14 @@ from afdkit import (
     backward_shift,
     blaschke_eval,
     grid_points,
-    hyperbolic_diagnostic,
     inner_product_1d,
     msp_1d,
-    multiplicities,
     reconstruct_1d,
     szego_coeffs,
-    tm_basis,
     tm_matrix,
 )
 from afdkit import afd1d
-from conftest import dominant_atoms_on_grid, exhaustive_argmax, random_hardy_1d
+from conftest import dominant_atoms_on_grid, exhaustive_argmax, multiplicities, random_hardy_1d
 
 GRID = GridSpec(radial_count=24, angular_count=48, refine_levels=1, max_radius=0.9)
 
@@ -59,8 +56,8 @@ class TestTMBasis:
         assert np.max(np.abs(rows - np.eye(4, 33))) < 1e-14
 
     def test_first_function_is_kernel(self):
-        basis = tm_basis([0.5], 64)
-        assert np.max(np.abs(basis[0].data - szego_coeffs(0.5, 64).data)) < 1e-14
+        rows = tm_matrix([0.5], 64)
+        assert np.max(np.abs(rows[0] - szego_coeffs(0.5, 64).data)) < 1e-14
 
     def test_gram_identity(self):
         params = [0.5, 0.3, 0.5 + 0.2j, 0.0, 0.8j]
@@ -173,7 +170,7 @@ class TestDecompose:
     def test_coefficients_match_orthonormal_system(self, seed):
         f = random_hardy_1d(seed, 256)
         record = afd_decompose_1d(f, 6, GRID)
-        basis = tm_basis(record.params(), 256)
+        basis = [FourierCoeffs1D(row, hardy=True) for row in tm_matrix(record.params(), 256)]
         for step, b in zip(record.steps, basis):
             assert abs(step.coeff - inner_product_1d(f, b)) < 1e-8
 
@@ -200,7 +197,7 @@ class TestDecompose:
         f = random_hardy_1d(seed, 256)
         record = afd_decompose_1d(f, 5, GRID)
         params = record.params()
-        basis = tm_basis(params, 256)
+        basis = [FourierCoeffs1D(row, hardy=True) for row in tm_matrix(params, 256)]
         size = 2048
         fk = f.copy()
         for k in range(1, len(params) + 1):
@@ -261,14 +258,3 @@ class TestReconstruct:
         assert (f - recon).energy() == pytest.approx(
             record.steps[-1].residual_energy, abs=1e-8
         )
-
-
-class TestHyperbolicDiagnostic:
-    def test_zeros(self):
-        assert hyperbolic_diagnostic([0] * 5) == pytest.approx(5.0)
-
-    def test_near_boundary(self):
-        assert hyperbolic_diagnostic([0.9, 0.99, 0.999]) == pytest.approx(0.111)
-
-    def test_empty(self):
-        assert hyperbolic_diagnostic([]) == 0.0

@@ -19,13 +19,11 @@ from afdkit import (
     TensorAtomSpec,
     TruncationWarning,
     afd2d_tm_decompose,
-    dn_energy,
     grid_points,
     inner_product_2d,
     msp_product_tm,
     pga_decompose,
     pga_step,
-    product_coeff,
     reconstruct_pga,
     reconstruct_product_tm,
     szego_coeffs,
@@ -36,7 +34,7 @@ from afdkit import afd2d
 from afdkit.afd1d import _tm_grid_size, blaschke_eval
 from afdkit.afd2d import _blaschke_toeplitz, _kernel_table, _product_tm_objective
 from afdkit.hardy import PAIR_BLOCK, PAIR_SEEDS, _PairTable, _pair_argmax, grid_radii, power_rows
-from conftest import kernel_ip, random_hardy_2d
+from conftest import dn_energy, kernel_ip, product_coeff, random_hardy_2d
 
 GRID = GridSpec(radial_count=10, angular_count=20, refine_levels=1, max_radius=0.6)
 ORDER = 32

@@ -130,6 +130,13 @@ class TestLoadImage2D:
         with pytest.raises(IngestError, match="truncated"):
             load_image_2d(path, 8)
 
+    @pytest.mark.parametrize("size", [b"-40 -40", b"-40 40"])
+    def test_negative_size_rejected(self, tmp_path, size):
+        path = tmp_path / "negative.pgm"
+        path.write_bytes(b"P5\n" + size + b"\n255\n" + b"\x00" * 1600)
+        with pytest.raises(IngestError, match="not positive"):
+            load_image_2d(path, 8)
+
 
 def library_record(algorithm):
     """A two-step library record with full-precision fields and signed zeros."""
@@ -399,6 +406,33 @@ class TestCliEndToEnd:
         out = tmp_path / "out.pgm"
         assert cli_main(["reconstruct", "--input", str(path), "--output", str(out)]) == 2
         assert "meta c00 is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    # two poga1d steps with a consistent ledger: 1 - 0.36 = 0.64, 0.64 - 0.36 = 0.28
+    POGA_STEPS = [[0.5, 0.0, 1.0, 0.6, 0.0, 0.8, 0.8, 0.64], [-0.5, 0.0, 1.0, 0.6, 0.0, 0.6, 0.8, 0.28]]
+
+    @pytest.mark.parametrize("key, value", [("M", "0"), ("rho", "0"), ("M", "-2"), ("rho", "-1"), ("rho", "2")])
+    def test_verify_rejects_meta_out_of_domain(self, tmp_path, capsys, key, value):
+        meta = dict(algorithm="poga1d", rho="1", M="2")
+        meta[key] = value
+        rec = RecordFile(meta=list(meta.items()))
+        rec.sections.append(RecordSection("main", "poga1d", 1.0, self.POGA_STEPS))
+        path = tmp_path / "rec.txt"
+        save_record(rec, path)
+        assert cli_main(["verify", "--input", str(path)]) == 2
+        assert "meta %s must" % key in capsys.readouterr().err
+
+    def test_reconstruct_rejects_dependent_poga_atoms(self, tmp_path, capsys):
+        meta = [("algorithm", "poga1d"), ("order", "16"), ("samples", "64"), ("grid_radial", "4"),
+                ("grid_angular", "8"), ("refine_levels", "0"), ("max_radius", "0.8"), ("rho", "1")]
+        steps = [self.POGA_STEPS[0], [0.5, 0.0, 1.0, 0.6, 0.0, 0.6, 0.8, 0.28]]
+        rec = RecordFile(meta=meta)
+        rec.sections.append(RecordSection("main", "poga1d", 1.0, steps))
+        path = tmp_path / "rec.txt"
+        save_record(rec, path)
+        out = tmp_path / "out.csv"
+        assert cli_main(["reconstruct", "--input", str(path), "--output", str(out)]) == 2
+        assert "section main: step 2:" in capsys.readouterr().err
         assert not out.exists()
 
     def test_verify_rejects_zero_multiplicity(self, tmp_path, capsys):

@@ -6,7 +6,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from afdkit import (
-    BoundaryGrid,
     ConfigError,
     DimensionMismatchError,
     DomainError,
@@ -17,13 +16,11 @@ from afdkit import (
     grid_argmax,
     grid_argmax_pairs,
     grid_points,
-    hilbert_transform,
     msp_1d,
     inner_product_1d,
     inner_product_2d,
     next_pow2,
     quadrant_split,
-    real_reconstruct_2d,
     szego_coeffs,
     tensor_atom_coeffs,
     TensorAtomSpec,
@@ -33,7 +30,6 @@ from afdkit.hardy import (
     _ring_powers,
     eval_series,
     kernel_rows,
-    power_rows,
     real_field_2d,
 )
 from conftest import (
@@ -41,6 +37,7 @@ from conftest import (
     random_hardy_1d,
     random_real_full_1d,
     random_real_full_2d,
+    real_reconstruct_2d,
     reference_real_field_2d,
 )
 
@@ -72,11 +69,6 @@ class TestRoundTrips:
         f = random_real_full_1d(4, 30)
         grid_energy = float(np.mean(np.abs(f.boundary_samples(128)) ** 2))
         assert abs(grid_energy - f.energy()) < 1e-10 * f.energy()
-
-    def test_boundary_grid_nodes(self):
-        g = BoundaryGrid(np.zeros(8))
-        assert g.size == 8
-        assert np.allclose(g.nodes(), 2 * np.pi * np.arange(8) / 8)
 
 
 def _reference_boundary_samples(f, size):
@@ -269,7 +261,19 @@ class TestInnerProducts:
         assert inner_product_2d(f, g) == pytest.approx(KERNEL_IP_05_03**2, abs=1e-10)
 
 
+def hilbert_transform(f):
+    """Hilbert transform of a real signal through its analytic part.
+
+    ``analytic_part`` realizes (f + iHf)/2 + c_0/2, so Hf = -i (2 f^+ - f - c_0).
+    """
+    i_hf = 2.0 * analytic_part(f).to_full().data - f.data
+    i_hf[f.order] -= f.data[f.order]
+    return FourierCoeffs1D(-1j * i_hf, hardy=False)
+
+
 class TestHilbert:
+    """The analytic part against the Fourier multiplier -i sgn(k) of the Hilbert transform."""
+
     def test_cos_to_sin(self):
         cos = FourierCoeffs1D.from_terms(4, {1: 0.5, -1: 0.5})
         h = hilbert_transform(cos)
@@ -376,18 +380,18 @@ class TestRealReconstruct2D:
     def test_cos_t_plus_s(self):
         f = FourierCoeffs2D.from_terms(4, {(1, 1): 0.5, (-1, -1): 0.5})
         recon = real_reconstruct_2d(quadrant_split(f), 32)
-        assert np.max(np.abs(recon.samples - f.boundary_samples(32).real)) < 1e-10
+        assert np.max(np.abs(recon - f.boundary_samples(32).real)) < 1e-10
 
     def test_constant(self):
         f = FourierCoeffs2D.from_terms(4, {(0, 0): 1.0})
         recon = real_reconstruct_2d(quadrant_split(f), 16)
-        assert np.allclose(recon.samples, 1.0)
+        assert np.allclose(recon, 1.0)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_bandlimited(self, seed):
         f = random_real_full_2d(seed, 16)
         recon = real_reconstruct_2d(quadrant_split(f), 64)
-        assert np.max(np.abs(recon.samples - f.boundary_samples(64).real)) < 1e-9
+        assert np.max(np.abs(recon - f.boundary_samples(64).real)) < 1e-9
 
 
 def random_field_parts(seed, orders):
@@ -648,9 +652,8 @@ class TestEvalSeries:
         assert grid_points(GridSpec(radial_count=4, angular_count=10, max_radius=0.9)) is pts
         assert _ring_powers(spec, 25) is table and _ring_powers(spec, 26) is not table
         assert table.shape == (4, 30)
-        assert power_rows(pts.copy(), 25, spec) is power_rows(pts, 25, spec)
         assert kernel_rows(pts.copy(), 25, spec) is kernel_rows(pts, 25, spec)
-        for cached in (pts, table, power_rows(pts, 25, spec), kernel_rows(pts, 25, spec)):
+        for cached in (pts, table, kernel_rows(pts, 25, spec)):
             assert not cached.flags.writeable
             with pytest.raises(ValueError):
                 cached[0] = 0

@@ -18,21 +18,23 @@ from afdkit import (
     SzegoDictionary1D,
     TensorAtomSpec,
     afd_decompose_1d,
-    candidate_gain,
     grid_points,
-    multiplicities,
     normalized_atom_coeffs,
-    oga_select,
     poga_decompose,
-    poga_select,
-    project_residual,
     rate_report,
     reconstruct_poga,
     szego_coeffs,
     tensor_atom_coeffs,
 )
 from afdkit.poga import EPS_SPAN, MAX_ESCALATION, ScanState, _escalated_candidates, _select
-from conftest import kernel_ip, random_hardy_1d, random_hardy_2d
+from conftest import (
+    candidate_gain,
+    kernel_ip,
+    multiplicities,
+    oga_select,
+    random_hardy_1d,
+    random_hardy_2d,
+)
 
 ORDER = 256
 GRID = GridSpec(radial_count=24, angular_count=48, refine_levels=0, max_radius=0.9)
@@ -54,24 +56,24 @@ class TestProjectResidual:
     def test_empty_frame_is_identity(self):
         frame = OrthoFrame(ORDER + 1)
         x = szego_coeffs(0.3, ORDER).data
-        res, r = project_residual(frame, x)
+        res, r = frame.project_residual(x)
         assert np.allclose(res, x) and r == pytest.approx(np.linalg.norm(x))
 
     def test_basis_vector_has_zero_residual(self):
         frame = kernel_frame([0.5])
-        _, r = project_residual(frame, frame.matrix[0])
+        _, r = frame.project_residual(frame.matrix[0])
         assert r < 1e-12
 
     def test_kernel_pair_pythagoras(self):
         frame = kernel_frame([0.5])
-        _, r = project_residual(frame, szego_coeffs(0.3, ORDER).data)
+        _, r = frame.project_residual(szego_coeffs(0.3, ORDER).data)
         expected_sq = 1.0 - abs(kernel_ip(0.3, 0.5)) ** 2
         assert r**2 == pytest.approx(expected_sq, abs=1e-10)
         assert r**2 == pytest.approx(0.05536332179930796, abs=1e-10)
 
     def test_residual_orthogonal_to_frame(self):
         frame = kernel_frame([0.5, 0.2 - 0.4j, 0.7j])
-        res, _ = project_residual(frame, szego_coeffs(0.1 + 0.1j, ORDER).data)
+        res, _ = frame.project_residual(szego_coeffs(0.1 + 0.1j, ORDER).data)
         assert np.max(np.abs(np.conj(frame.matrix) @ res)) < 1e-10
 
 
@@ -92,17 +94,17 @@ class TestCandidateGain:
 
     def test_against_two_step_gram_schmidt_oracle(self):
         frame = kernel_frame([0.5])
-        g = project_residual(frame, szego_coeffs(0.7, ORDER).data)[0]
+        g = frame.project_residual(szego_coeffs(0.7, ORDER).data)[0]
         atom = szego_coeffs(0.3, ORDER).data
         out = candidate_gain(g, atom, frame)
         # oracle: orthonormalize the atom explicitly, then take the inner product
-        res, r = project_residual(frame, atom)
+        res, r = frame.project_residual(atom)
         oracle = abs(np.vdot(res / r, g))
         assert out.gain == pytest.approx(oracle, rel=1e-10)
 
     def test_gain_identities(self):
         frame = kernel_frame([0.5, -0.3j])
-        g = project_residual(frame, random_hardy_1d(2, ORDER).data)[0]
+        g = frame.project_residual(random_hardy_1d(2, ORDER).data)[0]
         for a in (0.2, 0.6j, -0.4 + 0.3j):
             out = candidate_gain(g, szego_coeffs(a, ORDER).data, frame)
             raw = abs(np.vdot(szego_coeffs(a, ORDER).data, g))
@@ -133,12 +135,12 @@ class TestOrthoFrame:
 class TestDictionaryScan:
     def test_1d_scan_matches_candidate_gain(self, dict1d):
         frame = kernel_frame([0.4, -0.5j])
-        g = project_residual(frame, random_hardy_1d(3, ORDER).data)[0]
+        g = frame.project_residual(random_hardy_1d(3, ORDER).data)[0]
         inner, r = dict1d.scan(g, frame)
         rng = np.random.default_rng(0)
         for i in rng.choice(len(dict1d), size=25, replace=False):
             atom = szego_coeffs(complex(dict1d.params[i]), ORDER).data
-            res, r_direct = project_residual(frame, atom)
+            res, r_direct = frame.project_residual(atom)
             assert r[i] == pytest.approx(r_direct, abs=1e-9)
             assert inner[i] == pytest.approx(abs(np.vdot(atom, g)), abs=1e-12)
 
@@ -149,12 +151,12 @@ class TestDictionaryScan:
         frame = OrthoFrame(d2.dim)
         frame.extend(d2.atom_vector(d2.base_spec(7)), spec=d2.base_spec(7))
         g = random_hardy_2d(4, order).data.ravel()
-        g, _ = project_residual(frame, g)
+        g, _ = frame.project_residual(g)
         inner, r = d2.scan(g, frame)
         rng = np.random.default_rng(1)
         for i in rng.choice(len(d2), size=20, replace=False):
             vec = d2.atom_vector(d2.base_spec(int(i)))
-            _, r_direct = project_residual(frame, vec)
+            _, r_direct = frame.project_residual(vec)
             assert r[i] == pytest.approx(r_direct, abs=1e-9)
             assert inner[i] == pytest.approx(abs(np.vdot(vec, g)), abs=1e-12)
 
@@ -163,7 +165,7 @@ class TestPogaSelect:
     def test_atom_recovery(self, dict1d):
         a0 = complex(grid_points(GRID)[700])
         frame = OrthoFrame(ORDER + 1)
-        out = poga_select(szego_coeffs(a0, ORDER).data, frame, dict1d)
+        out = _select(szego_coeffs(a0, ORDER).data, frame, dict1d, 1.0)[0]
         assert out.atom == AtomSpec(a0, 1)
         assert out.gain == pytest.approx(1.0, abs=1e-9)
 
@@ -179,22 +181,22 @@ class TestPogaSelect:
     def test_weak_selection_inequality(self, dict1d):
         g = random_hardy_1d(5, ORDER).data
         frame = kernel_frame([0.3])
-        g, _ = project_residual(frame, g)
+        g, _ = frame.project_residual(g)
         _, sup_gain, _ = _select(g, frame, dict1d, 1.0)
-        out = poga_select(g, frame, dict1d, rho=0.5)
+        out = _select(g, frame, dict1d, 0.5)[0]
         assert out.gain >= 0.5 * sup_gain
 
     def test_weak_selection_prefers_small_r(self, dict1d):
         g = random_hardy_1d(6, ORDER).data
         frame = kernel_frame([0.3])
-        g, _ = project_residual(frame, g)
-        out_full = poga_select(g, frame, dict1d, rho=1.0)
-        out_weak = poga_select(g, frame, dict1d, rho=0.3)
+        g, _ = frame.project_residual(g)
+        out_full = _select(g, frame, dict1d, 1.0)[0]
+        out_weak = _select(g, frame, dict1d, 0.3)[0]
         assert out_weak.r <= out_full.r + 1e-12
 
     def test_zero_remainder_rejected(self, dict1d):
         with pytest.raises(DegenerateInputError):
-            poga_select(np.zeros(ORDER + 1, dtype=complex), OrthoFrame(ORDER + 1), dict1d)
+            _select(np.zeros(ORDER + 1, dtype=complex), OrthoFrame(ORDER + 1), dict1d, 1.0)
 
     def test_2d_escalation_raises_one_factor(self):
         order = 32
@@ -229,7 +231,7 @@ class TestOgaBaseline:
     def test_per_step_dominance(self, seed, dict1d):
         f = random_hardy_1d(seed + 50, ORDER)
         frame = kernel_frame([0.4, -0.3 + 0.2j])
-        g, _ = project_residual(frame, f.data)
+        g, _ = frame.project_residual(f.data)
         _, sup_gain, _ = _select(g, frame, dict1d, 1.0)
         pick = oga_select(g, dict1d)
         orthogonalized = candidate_gain(g, szego_coeffs(pick.a, ORDER).data, frame)
