@@ -34,6 +34,7 @@ from .hardy import (
     FourierCoeffs1D,
     FourierCoeffs2D,
     GridSpec,
+    QuadrantParts,
     analytic_part,
     grid_points,
     next_pow2,
@@ -207,11 +208,9 @@ def _parse_pgm(buf, path):
 
 
 def load_image_2d(path, order):
-    """Load a square 8-bit PGM image and split it into quadrant parts.
+    """Load a square 8-bit PGM image and return its ``QuadrantParts``.
 
     Pixel values are mapped to [0, 1]; rows index the first torus variable.
-    Returns ``(full_coeffs, parts)`` where ``parts.hardy_pp()`` feeds the
-    Hardy-space algorithms.
     """
     with open(path, "rb") as handle:
         buf = handle.read()
@@ -227,8 +226,7 @@ def load_image_2d(path, order):
             % (path, minimum, order, pixels.shape[0])
         )
     samples = pixels.astype(float) / maxval
-    full = FourierCoeffs2D.from_samples(samples, order, hardy=False)
-    return full, quadrant_split(full)
+    return quadrant_split(FourierCoeffs2D.from_samples(samples, order, hardy=False))
 
 
 def write_pgm(path, field01):
@@ -482,6 +480,26 @@ STEP_LAYOUTS = {
 }
 ALGORITHMS = tuple(STEP_LAYOUTS)
 
+# The sections of a 2-d record: name, the algorithm that decomposes it (None
+# for the run's own) and the ``QuadrantParts`` field it holds.  A record
+# without --full-recon holds ``main`` only; a --full-recon record holds every
+# section and meta c00.
+_SECTIONS_2D = (("main", None, "pp"), ("fpm", None, "pm"), ("F", "afd1d", "F"), ("G", "afd1d", "G"))
+
+
+def _full_recon(record):
+    """Whether a record holds every part of a --full-recon record beyond ``main``.
+
+    A record that holds some of them but not all is a format error.
+    """
+    names = {sec.name for sec in record.sections}
+    held = {"section " + name: name in names for name, _, _ in _SECTIONS_2D[1:]}
+    held["meta c00"] = "c00" in record.meta_dict()
+    missing = [part for part, ok in held.items() if not ok]
+    if 0 < len(missing) < len(held):
+        raise RecordFormatError("record holds a partial --full-recon set: no %s" % ", ".join(missing))
+    return not missing
+
 
 def _layout(algorithm):
     try:
@@ -539,6 +557,7 @@ def verify_record(record):
     """
     checks = []
     meta = record.meta_dict()
+    _full_recon(record)  # raises on a partial --full-recon set
     for sec in record.sections:
         rec = decode_section(sec, meta)
         scale = max(1.0, sec.initial_energy)
@@ -701,15 +720,15 @@ def _cmd_synth(args):
     return 0
 
 
-def _decompose_2d_part(algorithm, part, cfg, grid, synthesis=None):
-    if algorithm == "afd2d-tm":
-        return afd2d_tm_decompose(part, cfg.n_terms, grid, threshold=cfg.threshold)
-    if algorithm == "pga2d":
-        return pga_decompose(part, cfg.n_terms, grid, threshold=cfg.threshold)
-    dictionary = ProductSzegoDictionary2D(cfg.order, grid)
-    return poga_decompose(
-        part, cfg.n_terms, dictionary, rho=cfg.rho, synthesis=synthesis, threshold=cfg.threshold
-    )
+def _decompose(algorithm, f, cfg, grid, synthesis=None):
+    """Library record of one algorithm's run on the Hardy coefficients ``f``."""
+    if algorithm in ("poga1d", "poga2d"):
+        dictionary = (SzegoDictionary1D if algorithm == "poga1d" else ProductSzegoDictionary2D)(cfg.order, grid)
+        return poga_decompose(
+            f, cfg.n_terms, dictionary, rho=cfg.rho, synthesis=synthesis, threshold=cfg.threshold
+        )
+    run = {"afd1d": afd_decompose_1d, "afd2d-tm": afd2d_tm_decompose, "pga2d": pga_decompose}[algorithm]
+    return run(f, cfg.n_terms, grid, threshold=cfg.threshold)
 
 
 def _load_synthesis(path, algorithm):
@@ -753,33 +772,21 @@ def _cmd_decompose(args):
 
     record.meta.append(("samples", str(next_pow2(2 * (cfg.order + 1)))))
     if cfg.algorithm in ALGS_1D:
-        f = load_signal_1d(args.input, cfg.order)
-        if cfg.algorithm == "afd1d":
-            main = afd_decompose_1d(f, cfg.n_terms, grid, threshold=cfg.threshold)
-        else:
-            dictionary = SzegoDictionary1D(cfg.order, grid)
-            main = poga_decompose(
-                f, cfg.n_terms, dictionary, rho=cfg.rho, synthesis=synthesis,
-                threshold=cfg.threshold,
-            )
-        record.sections.append(encode_section("main", cfg.algorithm, main))
+        inputs = [("main", cfg.algorithm, load_signal_1d(args.input, cfg.order))]
     else:
-        full, parts = load_image_2d(args.input, cfg.order)
-        main = _decompose_2d_part(cfg.algorithm, parts.hardy_pp(), cfg, grid, synthesis)
-        record.sections.append(encode_section("main", cfg.algorithm, main))
+        parts = load_image_2d(args.input, cfg.order)
+        inputs = [(name, alg or cfg.algorithm, getattr(parts, attr))
+                  for name, alg, attr in _SECTIONS_2D[: None if args.full_recon else 1]]
         if args.full_recon:
             record.meta.append(("c00", "%s %s" % (_fmt(parts.c00.real), _fmt(parts.c00.imag))))
-            pm = _decompose_2d_part(cfg.algorithm, parts.hardy_pm(), cfg, grid, None)
-            record.sections.append(encode_section("fpm", cfg.algorithm, pm))
-            for nm, marginal in (("F", parts.F), ("G", parts.G)):
-                rec1 = afd_decompose_1d(
-                    analytic_part(marginal), cfg.n_terms, grid, threshold=cfg.threshold
-                )
-                record.sections.append(encode_section(nm, "afd1d", rec1))
+    recs = {}
+    for name, alg, f in inputs:
+        recs[name] = _decompose(alg, f, cfg, grid, synthesis if name == "main" else None)
+        record.sections.append(encode_section(name, alg, recs[name]))
 
     save_record(record, args.output)
     print("step,extracted_energy,residual_energy")
-    for i, step in enumerate(main.steps, start=1):
+    for i, step in enumerate(recs["main"].steps, start=1):
         print("%d,%.6e,%.6e" % (i, _extracted_energy(step), step.residual_energy))
     return 0
 
@@ -805,12 +812,9 @@ def _reconstruct_section(record, name, algorithm, meta):
         )
     rec = decode_section(sec, meta)
     order = _meta_field(meta, "order", int)
-    if algorithm == "afd1d":
-        return reconstruct_1d(rec, order)
-    if algorithm == "afd2d-tm":
-        return reconstruct_product_tm(rec, order)
-    if algorithm == "pga2d":
-        return reconstruct_pga(rec, order)
+    rebuild = {"afd1d": reconstruct_1d, "afd2d-tm": reconstruct_product_tm, "pga2d": reconstruct_pga}
+    if algorithm in rebuild:
+        return rebuild[algorithm](rec, order)
     grid = GridSpec(
         radial_count=_meta_field(meta, "grid_radial", int),
         angular_count=_meta_field(meta, "grid_angular", int),
@@ -831,9 +835,8 @@ def _cmd_reconstruct(args):
     meta = record.meta_dict()
     algorithm = _meta_field(meta, "algorithm")
     size = _meta_field(meta, "samples", int)
-    main = _reconstruct_section(record, "main", algorithm, meta)
     if algorithm in ALGS_1D:
-        samples = real_samples_1d(main, size)
+        samples = real_samples_1d(_reconstruct_section(record, "main", algorithm, meta), size)
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write("# reconstruction\n")
             for v in samples:
@@ -841,18 +844,13 @@ def _cmd_reconstruct(args):
         print("wrote %d samples to %s" % (size, args.output))
         return 0
     size = max(size, next_pow2(2 * _meta_field(meta, "order", int) + 2))
-    names = {sec.name for sec in record.sections}
-    if {"fpm", "F", "G"} <= names and "c00" in meta:
-        fieldvals = real_field_2d(
-            main,
-            _reconstruct_section(record, "fpm", algorithm, meta),
-            _reconstruct_section(record, "F", "afd1d", meta),
-            _reconstruct_section(record, "G", "afd1d", meta),
-            _meta_field(meta, "c00", lambda v: float(v.split(" ")[0])),
-            size,
-        )
+    layout = _SECTIONS_2D if _full_recon(record) else _SECTIONS_2D[:1]
+    parts = {attr: _reconstruct_section(record, name, alg or algorithm, meta) for name, alg, attr in layout}
+    if len(parts) == 1:
+        fieldvals = 2.0 * parts["pp"].boundary_samples(size).real
     else:
-        fieldvals = 2.0 * main.boundary_samples(size).real
+        c00 = _meta_field(meta, "c00", lambda v: float(v.split(" ")[0]))
+        fieldvals = real_field_2d(QuadrantParts(**parts, c00=c00), size)
     write_pgm(args.output, fieldvals)
     print("wrote %dx%d image to %s" % (size, size, args.output))
     return 0

@@ -214,32 +214,20 @@ class FourierCoeffs2D(FourierCoeffs):
 
 @dataclass
 class QuadrantParts:
-    """Quadrant frequency projections of a real signal on the 2-torus.
+    """Hardy parts of a real signal on the 2-torus, the inputs of the 2-d algorithms.
 
-    Axis coefficients (k = 0 or l = 0) belong to every adjacent quadrant;
-    the overlap is corrected exactly by the marginal means ``F``, ``G`` and
-    the mean ``c00`` through the identity  f + F + G + c00 = fpp + fpm +
-    fmp + fmm  (in coefficients).
+    ``pp`` holds c_{k,l} and ``pm`` the reflected block c_{k,-l} for
+    k, l >= 0; ``F`` and ``G`` hold the Hardy parts of the marginals, c_{k,0}
+    and c_{0,l}; ``c00`` is the mean.  For a real signal c_{-k,-l} =
+    conj(c_{k,l}), so ``pp`` and ``pm`` determine it; ``real_field_2d``
+    rebuilds it on a grid.
     """
 
-    fpp: FourierCoeffs2D
-    fpm: FourierCoeffs2D
-    fmp: FourierCoeffs2D
-    fmm: FourierCoeffs2D
+    pp: FourierCoeffs2D
+    pm: FourierCoeffs2D
     F: FourierCoeffs1D
     G: FourierCoeffs1D
     c00: complex
-
-    def hardy_pp(self):
-        """The (k, l) >= 0 part as a Hardy coefficient block."""
-        n = self.fpp.order
-        return FourierCoeffs2D(self.fpp.data[n:, n:].copy(), hardy=True)
-
-    def hardy_pm(self):
-        """The reflected part [f(., -.)]^{++}, a Hardy coefficient block."""
-        n = self.fpm.order
-        block = self.fpm.data[n:, : n + 1][:, ::-1]
-        return FourierCoeffs2D(block.copy(), hardy=True)
 
 
 def inner_product_1d(f, g):
@@ -290,56 +278,45 @@ def analytic_part(f):
 
 
 def quadrant_split(f):
-    """Split a real signal on the 2-torus into quadrant projections.
+    """Hardy parts of a real signal on the 2-torus, copied from its full-range coefficients.
 
-    Returns the four quadrant restrictions (axes included in every adjacent
-    quadrant) together with the marginal means F (average over s), G
-    (average over t) and the scalar mean c00.
+    Raises ``DomainError`` as ``analytic_part`` does.
     """
     _require_real(f, "quadrant_split")
-    n = f.order
-    d = f.data
-
-    def _mask(rows, cols):
-        out = np.zeros_like(d)
-        out[np.ix_(rows, cols)] = d[np.ix_(rows, cols)]
-        return FourierCoeffs2D(out, hardy=False)
-
-    pos = np.arange(n, 2 * n + 1)
-    neg = np.arange(0, n + 1)
-    fpp = _mask(pos, pos)
-    fpm = _mask(pos, neg)
-    fmp = _mask(neg, pos)
-    fmm = _mask(neg, neg)
-    F = FourierCoeffs1D(d[:, n].copy(), hardy=False)
-    G = FourierCoeffs1D(d[n, :].copy(), hardy=False)
-    return QuadrantParts(fpp, fpm, fmp, fmm, F, G, complex(d[n, n]))
+    n, d = f.order, f.data
+    return QuadrantParts(
+        pp=FourierCoeffs2D(d[n:, n:].copy(), hardy=True),
+        pm=FourierCoeffs2D(d[n:, n::-1].copy(), hardy=True),
+        F=FourierCoeffs1D(d[n:, n].copy(), hardy=True),
+        G=FourierCoeffs1D(d[n, n:].copy(), hardy=True),
+        c00=complex(d[n, n]),
+    )
 
 
-def real_field_2d(fpp, fpm, fplus, gplus, c00, size):
-    """Real field of Hardy parts on a ``size`` x ``size`` boundary grid.
+def real_field_2d(parts, size):
+    """Real field of ``QuadrantParts`` on a ``size`` x ``size`` boundary grid.
 
     Evaluates  2 Re{f^{++}}(t, s) + 2 Re{[f(., -.)]^{++}}(t, -s)
-    - 2 Re{F^+}(t) - 2 Re{G^+}(s) + c00,  where ``fpm`` holds the Hardy
-    part of the reflected signal f(., -.).  All four parts share one
-    spectrum, each at its own frequencies: f^{++} at (k, l), the reflected
-    part at (k, -l mod size), F^+ at (k, 0) and G^+ at (0, l); one inverse
-    FFT then gives their sum.
+    - 2 Re{F^+}(t) - 2 Re{G^+}(s) + Re c00, so it inverts
+    ``quadrant_split`` on grids of side at least 2N+1.  The parts may have
+    different orders.  All four share one spectrum, each at its own
+    frequencies: ``pp`` at (k, l), ``pm`` at (k, -l mod size), ``F`` at
+    (k, 0) and ``G`` at (0, l); one inverse FFT then gives their sum.
     """
-    for part in (fpp, fpm, fplus, gplus):
+    for part in (parts.pp, parts.pm, parts.F, parts.G):
         if size < part.order + 1:
             raise DimensionMismatchError("grid size %d too small for order %d" % (size, part.order))
     spectrum = np.zeros((size, size), dtype=complex)
-    n, m = fpp.order + 1, fpm.order + 1
-    spectrum[:n, :n] += fpp.data
-    spectrum[:m, -np.arange(m) % size] += fpm.data
-    spectrum[: fplus.order + 1, 0] -= fplus.data
-    spectrum[0, : gplus.order + 1] -= gplus.data
+    n, m = parts.pp.order + 1, parts.pm.order + 1
+    spectrum[:n, :n] += parts.pp.data
+    spectrum[:m, -np.arange(m) % size] += parts.pm.data
+    spectrum[: parts.F.order + 1, 0] -= parts.F.data
+    spectrum[0, : parts.G.order + 1] -= parts.G.data
     samples = np.fft.ifft2(spectrum)
     # one factor per axis, as in ``boundary_samples``
     samples *= size
     samples *= size
-    return 2.0 * samples.real + c00
+    return 2.0 * samples.real + parts.c00.real
 
 
 @dataclass(frozen=True)

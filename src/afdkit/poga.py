@@ -442,7 +442,6 @@ class PogaRecord:
     initial_energy: float
     rho: float
     steps: list[PogaStep] = field(default_factory=list)
-    frame: OrthoFrame | None = field(default=None, repr=False)
 
     def residual_energies(self):
         return [s.residual_energy for s in self.steps]
@@ -474,7 +473,8 @@ def poga_decompose(
     entering the convergence-rate bound; otherwise the grid supremum is
     recorded.
 
-    Returns the record; the final frame is attached as ``record.frame``.
+    Returns the record.  Its atoms replay the frame through
+    ``OrthoFrame.extend``, as ``reconstruct_poga`` does.
     """
     if not 0.0 < rho <= 1.0:
         raise DomainError("rho must lie in (0, 1]")
@@ -513,7 +513,6 @@ def poga_decompose(
                 residual_energy=float(np.linalg.norm(g)) ** 2,
             )
         )
-    record.frame = frame
     return record
 
 

@@ -23,6 +23,7 @@ from afdkit import (
     PGAStep,
     PogaRecord,
     PogaStep,
+    QuadrantParts,
     reconstruct_1d,
     reconstruct_pga,
     reconstruct_product_tm,
@@ -88,11 +89,12 @@ class TestLoadImage2D:
     def test_constant_image(self, tmp_path):
         path = tmp_path / "const.pgm"
         write_pgm(path, np.full((64, 64), 128 / 255))
-        full, parts = load_image_2d(path, 8)
+        parts = load_image_2d(path, 8)
         assert parts.c00 == pytest.approx(128 / 255, abs=1e-12)
-        assert parts.hardy_pp().get(0, 0) == pytest.approx(128 / 255, abs=1e-12)
-        off_mean = full.energy() - abs(full.get(0, 0)) ** 2
-        assert off_mean < 1e-20
+        assert parts.pp.get(0, 0) == pytest.approx(128 / 255, abs=1e-12)
+        # the other two quadrants are the conjugates of these blocks
+        for block in (parts.pp, parts.pm):
+            assert block.energy() - abs(parts.c00) ** 2 < 1e-20
 
     def test_rendered_wave_round_trip(self, tmp_path):
         # render (1 + cos(t + s)) / 2 to 8 bits; the ingested [0, 1] field
@@ -102,8 +104,8 @@ class TestLoadImage2D:
         t = 2 * np.pi * np.arange(size) / size
         fieldvals = (1.0 + np.cos(np.add.outer(t, t))) / 2.0
         write_pgm(path, fieldvals)
-        _, parts = load_image_2d(path, 8)
-        assert parts.hardy_pp().get(1, 1) == pytest.approx(0.25, abs=1e-2)
+        parts = load_image_2d(path, 8)
+        assert parts.pp.get(1, 1) == pytest.approx(0.25, abs=1e-2)
         assert parts.c00 == pytest.approx(0.5, abs=1e-2)
 
     def test_small_image_names_minimum(self, tmp_path):
@@ -569,8 +571,7 @@ class TestCliEndToEnd:
         loaded = load_record(rec)
         assert {s.name for s in loaded.sections} == {"main", "fpm", "F", "G"}
         assert cli_main(["reconstruct", "--input", rec, "--output", out]) == 0
-        full, _ = load_image_2d(out, 8)
-        assert full.data.shape[0] == 17
+        assert load_image_2d(out, 8).pp.order == 8
 
     def test_afd2d_records_verify(self, tmp_path):
         img = str(tmp_path / "img.pgm")
@@ -646,10 +647,48 @@ class TestImageReconstruction:
         size = max(int(meta["samples"]), next_pow2(2 * order + 2))
         c00 = float(meta["c00"].split(" ")[0])
         field = reference_real_field_2d(
-            parts["main"], parts["fpm"], parts["F"], parts["G"], c00, size
+            QuadrantParts(parts["main"], parts["fpm"], parts["F"], parts["G"], c00), size
         )
         want = np.clip(np.round(field * 255.0), 0, 255)
         with open(out, "rb") as handle:
             got, maxval = _parse_pgm(handle.read(), out)
         assert maxval == 255 and got.shape == (size, size)
         assert np.max(np.abs(got.astype(float) - want)) <= 1
+
+    def test_main_only_record_gives_twice_the_real_part(self, tmp_path):
+        """Without --full-recon the image is the quantized 2 Re of the main partial sum."""
+        img, rec, out = (str(tmp_path / name) for name in ("img.pgm", "rec.txt", "out.pgm"))
+        assert cli_main(["synth", "--algorithm", "pga2d", "--order", "16", "--output", img]) == 0
+        assert cli_main(["decompose", "--algorithm", "pga2d", "--input", img, "--output", rec,
+                         *IMAGE_ARGS, "--terms", "3", "--refine", "1"]) == 0
+        assert cli_main(["reconstruct", "--input", rec, "--output", out]) == 0
+
+        record = load_record(rec)
+        meta = record.meta_dict()
+        assert [sec.name for sec in record.sections] == ["main"]
+        main = reconstruct_pga(decode_section(record.section("main"), meta), int(meta["order"]))
+        size = max(int(meta["samples"]), next_pow2(2 * main.order + 2))
+        want = np.clip(np.round(2.0 * main.boundary_samples(size).real * 255.0), 0, 255)
+        with open(out, "rb") as handle:
+            got, _ = _parse_pgm(handle.read(), out)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("drop", ["meta c00", "section G", "section fpm", "section F"])
+    def test_partial_full_recon_record_is_exit_2(self, tmp_path, capsys, drop):
+        img, rec, out = (str(tmp_path / name) for name in ("img.pgm", "rec.txt", "out.pgm"))
+        assert cli_main(["synth", "--algorithm", "pga2d", "--order", "16", "--output", img]) == 0
+        assert cli_main(["decompose", "--algorithm", "pga2d", "--input", img, "--output", rec,
+                         *IMAGE_ARGS, "--terms", "2", "--refine", "1", "--full-recon"]) == 0
+        record = load_record(rec)
+        kind, name = drop.split(" ")
+        if kind == "meta":
+            record.meta = [(key, value) for key, value in record.meta if key != name]
+        else:
+            record.sections = [sec for sec in record.sections if sec.name != name]
+        save_record(record, rec)
+        capsys.readouterr()
+        assert cli_main(["verify", "--input", rec]) == 2
+        assert cli_main(["reconstruct", "--input", rec, "--output", out]) == 2
+        err = capsys.readouterr().err
+        assert err.count("partial --full-recon set: no %s\n" % drop) == 2
+        assert not (tmp_path / "out.pgm").exists()

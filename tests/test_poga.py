@@ -252,7 +252,11 @@ class TestPogaDecompose:
         d = [record.initial_energy] + record.residual_energies()
         for i, step in enumerate(record.steps):
             assert abs(d[i] - d[i + 1] - abs(step.coeff) ** 2) < 1e-10
-        assert record.frame.gram_defect() < 1e-9
+        # the decomposition's frame, replayed from the recorded atoms
+        frame = OrthoFrame(dict1d.dim)
+        for step in record.steps:
+            frame.extend(dict1d.atom_vector(step.atom), spec=step.atom)
+        assert frame.gram_defect() < 1e-9
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_classic_decomposition(self, seed, dict1d):
