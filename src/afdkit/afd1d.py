@@ -75,18 +75,19 @@ def tm_matrix(params, order):
 
     Each basis function is sampled on an oversampled boundary grid (the
     Szego factor times the running Blaschke prefix) and transformed back,
-    keeping frequencies 0..order.
+    keeping frequencies 0..order; one batched FFT transforms all of them,
+    with the bits of one FFT per row.
     """
     params = _validate_params(params)
     size = _tm_grid_size(order)
     z = np.exp(2j * np.pi * np.arange(size) / size)
-    rows = np.empty((len(params), order + 1), dtype=complex)
+    samples = np.empty((len(params), size), dtype=complex)
     prefix = np.ones(size, dtype=complex)
     for k, a in enumerate(params):
-        factor = np.sqrt(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * z)
-        spec = np.fft.fft(factor * prefix) / size
-        rows[k] = spec[: order + 1]
-        prefix *= (z - a) / (1.0 - np.conj(a) * z)
+        denom = 1.0 - np.conj(a) * z
+        np.multiply(np.sqrt(1.0 - abs(a) ** 2) / denom, prefix, out=samples[k])
+        prefix *= (z - a) / denom
+    rows = np.fft.fft(samples, axis=1, out=samples)[:, : order + 1] / size
     deficit = float(np.max(np.abs(1.0 - np.sum(np.abs(rows) ** 2, axis=1)), initial=0.0))
     if deficit > 1e-8:
         warnings.warn(

@@ -553,7 +553,9 @@ def verify_record(record):
     monotonicity, and stored block energies for product-system records; the
     ledger and the block energies hold to 1e-8 times max(1, initial energy).
     When the metadata carries a synthesis bound M, the rate bound of the
-    pre-orthogonal runs is re-checked as well.
+    pre-orthogonal runs is re-checked as well.  A pre-orthogonal section
+    replays its frame as ``reconstruct`` does, and an atom in the span of
+    the earlier ones raises ``RecordFormatError``.
     """
     checks = []
     meta = record.meta_dict()
@@ -610,6 +612,8 @@ def verify_record(record):
                     detail="min slack %.3e, recurrence %s" % (min_slack, report.recurrence_ok),
                 )
             )
+        if isinstance(rec, PogaRecord):
+            _replay_poga(rec, sec.name, sec.algorithm, meta)  # raises on linearly dependent atoms
     return checks
 
 
@@ -815,19 +819,26 @@ def _reconstruct_section(record, name, algorithm, meta):
     rebuild = {"afd1d": reconstruct_1d, "afd2d-tm": reconstruct_product_tm, "pga2d": reconstruct_pga}
     if algorithm in rebuild:
         return rebuild[algorithm](rec, order)
+    vec = _replay_poga(rec, name, algorithm, meta)
+    if algorithm == "poga1d":
+        return FourierCoeffs1D(vec, hardy=True)
+    return FourierCoeffs2D(vec.reshape(order + 1, order + 1), hardy=True)
+
+
+def _replay_poga(rec, name, algorithm, meta):
+    """Coefficients of a POGA section's partial sum; a dependent atom is a format error."""
+    order = _meta_field(meta, "order", int)
     grid = GridSpec(
         radial_count=_meta_field(meta, "grid_radial", int),
         angular_count=_meta_field(meta, "grid_angular", int),
         refine_levels=_meta_field(meta, "refine_levels", int),
         max_radius=_meta_field(meta, "max_radius", float),
     )
+    dictionary = (SzegoDictionary1D if algorithm == "poga1d" else ProductSzegoDictionary2D)(order, grid)
     try:
-        if algorithm == "poga1d":
-            return FourierCoeffs1D(reconstruct_poga(rec, SzegoDictionary1D(order, grid)), hardy=True)
-        vec = reconstruct_poga(rec, ProductSzegoDictionary2D(order, grid))
+        return reconstruct_poga(rec, dictionary)
     except SpanDegeneracyError as exc:
         raise RecordFormatError("section %s: %s" % (name, exc)) from None
-    return FourierCoeffs2D(vec.reshape(order + 1, order + 1), hardy=True)
 
 
 def _cmd_reconstruct(args):

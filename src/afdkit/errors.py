@@ -37,10 +37,10 @@ class SpanDegeneracyError(RuntimeError):
     """Candidate atom is (numerically) inside the span of the current frame.
 
     ``OrthoFrame.extend`` raises it, with the residual norm ``r``.  The
-    selection loop never sees it: ``poga._select`` and ``poga._reduce``
-    compare the scan's and the escalated candidates' ``r`` with ``EPS_SPAN``
-    themselves and escalate the degenerate candidates to the next
-    multiplicity order.
+    selection loop never sees it: the dictionary scans mark the grid atoms
+    with ``r < EPS_SPAN``, ``poga._reduce`` compares the escalated
+    candidates' ``r`` with ``EPS_SPAN`` itself, and the degenerate
+    candidates escalate to the next multiplicity order.
     """
 
     def __init__(self, message, r=0.0):

@@ -494,14 +494,26 @@ def _refine(objective, best, best_val, spec):
     return best, best_val
 
 
-# Rows of a pair table scored at once, and rows scored in full to seed the
-# bounds.  A reduction keeps one workspace of 24 bytes per pair of a block,
-# 3.5 MB at the bench grid's P = 1,153 points against 31.9 MB for the dense
-# table and its product.  The seed rows score about 3% of the pairs and, at
-# the bench size, leave about 15% of them in play.
+# Most rows of a pair table scored at once, and rows scored in full to seed
+# the bounds.  A reduction keeps one workspace of 24 bytes per pair of a
+# block, 3.5 MB at the bench grid's P = 1,153 points against 31.9 MB for the
+# dense table and its product.  The seed rows score about 3% of the pairs
+# and, at the bench size, leave about 15% of them in play.
 PAIR_BLOCK = 128
 PAIR_SEEDS = 32
 PAIR_MARGIN = 1e-9
+
+
+def _row_blocks(n):
+    """Slices that split ``n`` rows evenly into blocks of at most ``PAIR_BLOCK`` rows.
+
+    Fixed blocks would leave a one-row tail at n = 1,153 (the bench grid),
+    and BLAS multiplies one row by its matrix-vector path, whose rounding
+    differs from the full product's; blocks of more rows keep its bits.
+    Even blocks hold at least 64 rows once there are two.
+    """
+    count = -(-n // PAIR_BLOCK)
+    return [slice(n * k // count, n * (k + 1) // count) for k in range(count)]
 
 
 class _PairTable:
@@ -560,9 +572,9 @@ class _PairTable:
 def _pair_argmax(table):
     """Index pair and value of the first maximum of a ``_PairTable`` in (row, column) order.
 
-    Rows are scored ``PAIR_BLOCK`` at a time in one workspace, and the
-    running best moves only on a strictly larger value.  So no table of all
-    pairs is allocated, and ties go to the first pair, as ``np.argmax`` of
+    Rows are scored in the blocks of ``_row_blocks`` in one workspace, and
+    the running best moves only on a strictly larger value.  So no table of
+    all pairs is allocated, and ties go to the first pair, as ``np.argmax`` of
     the dense table gives them.  A table with gains first scores in full
     the ``PAIR_SEEDS`` rows with the largest bounds.  A row or column whose
     bound is below that seed value holds only values strictly below the
@@ -576,11 +588,11 @@ def _pair_argmax(table):
     col_ids = np.arange(table.shape[1])[cols]
     work = np.empty(3 * min(PAIR_BLOCK, rows.size) * col_ids.size)
     best = None
-    for start in range(0, rows.size, PAIR_BLOCK):
-        block = table.block(rows[start : start + PAIR_BLOCK], cols, work)
+    for blk in _row_blocks(rows.size):
+        block = table.block(rows[blk], cols, work)
         i, j = np.unravel_index(int(np.argmax(block)), block.shape)
         if best is None or block[i, j] > best[1]:
-            best = (int(rows[start + i]), int(col_ids[j])), float(block[i, j])
+            best = (int(rows[blk][i]), int(col_ids[j])), float(block[i, j])
     return best
 
 

@@ -29,7 +29,7 @@ from .errors import (
     DomainError,
     SpanDegeneracyError,
 )
-from .hardy import FourierCoeffs, eval_series, grid_points, kernel_rows, require_nonzero
+from .hardy import FourierCoeffs, _row_blocks, eval_series, grid_points, kernel_rows, require_nonzero
 from .szego import AtomSpec, TensorAtomSpec, normalized_atom_coeffs, tensor_atom_coeffs
 
 __all__ = [
@@ -128,30 +128,38 @@ class ScanState:
 
     ``r_sq`` is the unclipped squared residual norm of every base atom
     after the first ``rows`` frame rows were subtracted, valid while the
-    frame has been re-orthogonalized ``epoch`` times.  A 2-d scan also keeps
-    its inner-product ``table`` for the remainder ``g``.
+    frame has been re-orthogonalized ``epoch`` times.  Inner products with
+    the remainder are not kept: a scan computes them afresh.
     """
 
     r_sq: np.ndarray | None = None
     rows: int = 0
     epoch: int = 0
-    table: np.ndarray | None = None
-    g: np.ndarray | None = None
 
     def new_rows(self, frame, norms_sq):
         """Frame rows not yet subtracted from ``r_sq``, which restarts at ``norms_sq()``.
 
-        A fresh state or a re-orthogonalized frame starts the sum over and
-        drops the table.
+        A fresh state or a re-orthogonalized frame starts the sum over.
         """
         if self.r_sq is None or self.epoch != frame.reorthogonalizations:
             self.r_sq = norms_sq()
             self.rows = 0
             self.epoch = frame.reorthogonalizations
-            self.table = self.g = None
         rows = range(self.rows, len(frame))
         self.rows = len(frame)
         return rows
+
+
+def _scored(inner, r_sq):
+    """What a scan returns for inner products |<g, atom_i>| and squared residual norms r_i^2.
+
+    That is (gain, degenerate, sup_r, r_sq): the gain |<g, atom_i>| / r_i,
+    the mask r_i < EPS_SPAN, the largest r_i, and ``r_sq`` itself, with
+    r = sqrt(clip(r^2)); ``r_sq`` gives r at any index with the same bits.
+    """
+    r = np.sqrt(np.clip(r_sq, 0.0, None))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return inner / r, r < EPS_SPAN, float(np.max(r)), r_sq
 
 
 @dataclass(frozen=True)
@@ -211,8 +219,8 @@ class SzegoDictionary1D:
     def escalations(self, spec):
         return [AtomSpec(spec.a, spec.m + 1)]
 
-    def scan(self, g, frame, state=None):
-        """(|<g, atom_i>|, r_i) for every base atom against the frame.
+    def _inner_r_sq(self, g, frame, state=None):
+        """(|<g, atom_i>|, r_i^2) for every base atom against the frame.
 
         The base atom at a is w conj(a)^k with w = sqrt(1-|a|^2), so
         <g, atom> = w g(a) and its projection on a frame row B is
@@ -227,7 +235,11 @@ class SzegoDictionary1D:
             state = ScanState()
         for j in state.new_rows(frame, self._norms_sq):
             state.r_sq -= (w * np.abs(eval_series(frame.matrix[j], self.params, self.grid))) ** 2
-        return inner, np.sqrt(np.clip(state.r_sq, 0.0, None))
+        return inner, state.r_sq
+
+    def scan(self, g, frame, state=None):
+        """``_scored`` values of every base atom against the frame (``_inner_r_sq``)."""
+        return _scored(*self._inner_r_sq(g, frame, state))
 
 
 class ProductSzegoDictionary2D:
@@ -288,42 +300,36 @@ class ProductSzegoDictionary2D:
         ]
 
     def scan(self, g, frame, state=None):
-        """(|<g, atom_i>|, r_i) for every pair of grid points against the frame.
+        """``_scored`` values of every pair of grid points against the frame, row-major.
 
         With A the factor rows, the table W = A conj(G) A^T holds the inner
         products and frame row B_j removes |M_j|^2, M_j = A conj(B_j) A^T,
-        from r^2.  A ``ScanState`` keeps r^2 and W between calls: only the
-        rows added since are subtracted, in the order a full recomputation
-        would use, so r has the same bits; and when g is exactly the last
-        remainder with those rows projected out, g_prev - c_j B_j with
-        c_j = <B_j, g_prev>, W follows as W - conj(c_j) M_j.  Otherwise, and
-        after a re-orthogonalization, W is computed in full.
+        from r^2.  The rows of pairs go in the blocks of ``_row_blocks``:
+        a block subtracts |M_j|^2 of the frame rows added since the last
+        call from the r^2 a ``ScanState`` keeps, in the order a full
+        recomputation would use, and scores its rows of W, formed afresh.
+        BLAS gives a block of two or more rows the bits of the whole
+        product, so every value has the bits of an unblocked scan, and only
+        r^2, the gain and the mask are held for all pairs.
         """
         side = self.order + 1
-        g = _as_vector(g)
         A = self._factors
         if state is None:
             state = ScanState()
         rows = state.new_rows(frame, lambda: np.outer(self._factor_norms_sq, self._factor_norms_sq))
-        coeffs, carried = [], state.table is not None
-        if carried:
-            expected = state.g
-            for j in rows:
-                coeffs.append(complex(np.vdot(frame.matrix[j], expected)))
-                expected = expected - coeffs[-1] * frame.matrix[j]
-            carried = np.array_equal(expected, g)
-        for k, j in enumerate(rows):
-            M = A @ np.conj(frame.matrix[j].reshape(side, side)) @ A.T
-            square = np.abs(M)
-            state.r_sq -= np.square(square, out=square)
-            if carried:
-                M *= np.conj(coeffs[k])
-                state.table -= M
-            del M, square
-        if not carried:
-            state.table = A @ np.conj(g.reshape(side, side)) @ A.T
-        state.g = g.copy()
-        return np.abs(state.table).ravel(), np.sqrt(np.clip(state.r_sq, 0.0, None).ravel())
+        frame_left = [A @ np.conj(frame.matrix[j].reshape(side, side)) for j in rows]
+        left = A @ np.conj(_as_vector(g).reshape(side, side))
+        gain = np.empty(state.r_sq.shape)
+        degenerate = np.empty(state.r_sq.shape, dtype=bool)
+        sup_r = 0.0
+        for blk in _row_blocks(A.shape[0]):
+            r_sq = state.r_sq[blk]
+            for row_left in frame_left:
+                square = np.abs(row_left[blk] @ A.T)
+                r_sq -= np.square(square, out=square)
+            gain[blk], degenerate[blk], sup, _ = _scored(np.abs(left[blk] @ A.T), r_sq)
+            sup_r = max(sup_r, sup)
+        return gain.ravel(), degenerate.ravel(), sup_r, state.r_sq.ravel()
 
 
 def _escalated_candidates(dictionary, spec, frame):
@@ -367,33 +373,31 @@ def _select(g, frame, dictionary, rho, state=None):
     """
     g = _as_vector(g)
     require_nonzero(float(np.linalg.norm(g)) ** 2, "greedy remainder")
-    inner, r = dictionary.scan(g, frame, state)
+    gains, degenerate, sup_r, r_sq = dictionary.scan(g, frame, state)
     selected = set(s for s in frame.specs if s is not None)
 
     # already-selected base atoms are in-span by construction, whatever the
     # cancellation-limited scan residual says
-    degenerate = r < EPS_SPAN
     for s in selected:
         idx = dictionary.base_index(s)
         if idx is not None:
             degenerate[idx] = True
     while True:
-        (r_sel, gain, spec), sup_gain, index = _reduce(g, frame, dictionary, inner, r, degenerate, rho)
+        (r_sel, gain, spec), sup_gain, index = _reduce(g, frame, dictionary, gains, r_sq, degenerate, rho)
         if index is None or frame.project_residual(dictionary.atom_vector(spec))[1] >= EPS_SPAN:
             break
         degenerate[index] = True
-    sup_r = float(np.max(r)) if r.size else 0.0
     return SelectionOutcome(atom=spec, r=r_sel, gain=gain), sup_gain, sup_r
 
 
-def _reduce(g, frame, dictionary, inner, r, degenerate, rho):
+def _reduce(g, frame, dictionary, gains, r_sq, degenerate, rho):
     """Winner among the usable base atoms and the escalations of the degenerate ones.
 
-    Returns ((r, gain, spec), sup_gain, grid index of a base winner or None).
+    ``gains`` of the degenerate base atoms are set to -inf in place, and r
+    comes from ``r_sq`` only at the qualifying ones.  Returns ((r, gain,
+    spec), sup_gain, grid index of a base winner or None).
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gain = inner / r
-    gain[degenerate] = -np.inf  # never qualifies
+    gains[degenerate] = -np.inf  # never qualifies
 
     escalated = []  # (r, gain, spec) in generation order
     for i in np.flatnonzero(degenerate):
@@ -415,13 +419,15 @@ def _reduce(g, frame, dictionary, inner, r, degenerate, rho):
     if not usable and not escalated:
         raise DegenerateInputError("no usable candidate atom on the grid")
 
-    sup_gain = max([c[1] for c in escalated] + ([float(np.max(gain))] if usable else []))
+    sup_gain = max([c[1] for c in escalated] + ([float(np.max(gains))] if usable else []))
     floor = rho * sup_gain
     best, index = None, None  # (r, gain, spec) of the first qualifying candidate by r
-    qualifying = np.flatnonzero(gain >= floor)
+    qualifying = np.flatnonzero(gains >= floor)
     if qualifying.size:
-        index = int(qualifying[np.argmin(r[qualifying])])
-        best = (float(r[index]), float(gain[index]), dictionary.base_spec(index))
+        r = np.sqrt(np.clip(r_sq[qualifying], 0.0, None))
+        k = int(np.argmin(r))
+        index = int(qualifying[k])
+        best = (float(r[k]), float(gains[index]), dictionary.base_spec(index))
     for cand in escalated:
         if cand[1] >= floor and (best is None or cand[0] < best[0]):
             best, index = cand, None

@@ -132,7 +132,7 @@ def oga_select(g, dictionary):
     """Plain orthogonal greedy baseline: the base atom with the largest raw |<g, atom>|."""
     g = _as_vector(g)
     require_nonzero(float(np.linalg.norm(g)) ** 2, "greedy remainder")
-    inner, _ = dictionary.scan(g, OrthoFrame(dictionary.dim))
+    inner, _ = dictionary._inner_r_sq(g, OrthoFrame(dictionary.dim))
     return dictionary.base_spec(int(np.argmax(inner)))
 
 

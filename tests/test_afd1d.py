@@ -1,5 +1,7 @@
 """Rational orthonormal systems, backward shift, 1-d greedy decomposition."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,22 @@ class TestTMBasis:
         rows = tm_matrix([0.6, 0.6, 0.6], 256)
         gram = np.conj(rows) @ rows.T
         assert np.max(np.abs(gram - np.eye(3))) < 1e-10
+
+    @pytest.mark.parametrize("order", [0, 16, 64, 256])
+    def test_batched_fft_equals_one_fft_per_row(self, order):
+        """The rows have the bits of one 1-d FFT per basis function."""
+        rng = np.random.default_rng(order)
+        params = np.append(0.0, 0.95 * rng.uniform(0, 1, 9) * np.exp(2j * np.pi * rng.uniform(0, 1, 9)))
+        size = afd1d._tm_grid_size(order)
+        z = np.exp(2j * np.pi * np.arange(size) / size)
+        prefix, ref = np.ones(size, dtype=complex), []
+        for a in params:
+            factor = np.sqrt(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * z)
+            ref.append((np.fft.fft(factor * prefix) / size)[: order + 1])
+            prefix *= (z - a) / (1.0 - np.conj(a) * z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert tm_matrix(params, order).tobytes() == np.array(ref).tobytes()
 
 
 class TestBackwardShift:

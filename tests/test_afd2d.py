@@ -33,7 +33,15 @@ from afdkit import (
 from afdkit import afd2d
 from afdkit.afd1d import _tm_grid_size, blaschke_eval
 from afdkit.afd2d import _blaschke_toeplitz, _kernel_table, _product_tm_objective
-from afdkit.hardy import PAIR_BLOCK, PAIR_SEEDS, _PairTable, _pair_argmax, grid_radii, power_rows
+from afdkit.hardy import (
+    PAIR_BLOCK,
+    PAIR_SEEDS,
+    _PairTable,
+    _pair_argmax,
+    _row_blocks,
+    grid_radii,
+    power_rows,
+)
 from conftest import dn_energy, kernel_ip, product_coeff, random_hardy_2d
 
 GRID = GridSpec(radial_count=10, angular_count=20, refine_levels=1, max_radius=0.6)
@@ -425,6 +433,28 @@ class TestPairReduction:
     def test_grids_straddle_the_block_size(self):
         sizes = [grid_points(grid).size for grid in reduction_grids()]
         assert sizes[0] < PAIR_BLOCK == sizes[1] and sizes[2] > PAIR_BLOCK and sizes[2] % PAIR_BLOCK
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_blocks_equal_the_dense_table(self, seed):
+        # P = 1,153 = 9 * PAIR_BLOCK + 1 on the bench grid: fixed blocks would
+        # leave the last row to BLAS's matrix-vector path, which rounds
+        # differently from the full product
+        grid = GridSpec(radial_count=24, angular_count=48, max_radius=0.85)
+        pts = grid_points(grid)
+        blocks = _row_blocks(pts.size)
+        sizes = [blk.stop - blk.start for blk in blocks]
+        assert pts.size % PAIR_BLOCK == 1 and min(sizes) > 1 and max(sizes) <= PAIR_BLOCK
+        assert blocks[0].start == 0 and blocks[-1].stop == pts.size
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        f = random_hardy_2d(seed, 64)
+        history = random_history(np.random.default_rng(seed), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tables = [_kernel_table(f.data, pts, pts, grid)]
+            tables.append(_product_tm_objective(f, history, grid)(pts, pts))
+        for table in tables:
+            dense = np.asarray(table)
+            assert all(table.block(blk).tobytes() == dense[blk].tobytes() for blk in blocks)
 
     @settings(max_examples=30, deadline=None)
     @given(

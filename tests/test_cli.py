@@ -424,7 +424,8 @@ class TestCliEndToEnd:
         assert cli_main(["verify", "--input", str(path)]) == 2
         assert "meta %s must" % key in capsys.readouterr().err
 
-    def test_reconstruct_rejects_dependent_poga_atoms(self, tmp_path, capsys):
+    def dependent_poga_record(self, tmp_path):
+        """A poga1d record with a consistent ledger whose two steps hold the same atom."""
         meta = [("algorithm", "poga1d"), ("order", "16"), ("samples", "64"), ("grid_radial", "4"),
                 ("grid_angular", "8"), ("refine_levels", "0"), ("max_radius", "0.8"), ("rho", "1")]
         steps = [self.POGA_STEPS[0], [0.5, 0.0, 1.0, 0.6, 0.0, 0.6, 0.8, 0.28]]
@@ -432,10 +433,19 @@ class TestCliEndToEnd:
         rec.sections.append(RecordSection("main", "poga1d", 1.0, steps))
         path = tmp_path / "rec.txt"
         save_record(rec, path)
+        return path
+
+    def test_reconstruct_rejects_dependent_poga_atoms(self, tmp_path, capsys):
+        path = self.dependent_poga_record(tmp_path)
         out = tmp_path / "out.csv"
         assert cli_main(["reconstruct", "--input", str(path), "--output", str(out)]) == 2
         assert "section main: step 2:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_verify_rejects_dependent_poga_atoms(self, tmp_path, capsys):
+        path = self.dependent_poga_record(tmp_path)
+        assert cli_main(["verify", "--input", str(path)]) == 2
+        assert "section main: step 2: atom lies in the span of the frame" in capsys.readouterr().err
 
     def test_verify_rejects_zero_multiplicity(self, tmp_path, capsys):
         # a consistent ledger, so only the multiplicity is wrong

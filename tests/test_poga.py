@@ -1,5 +1,6 @@
 """Pre-orthogonal greedy selection, escalation, rates, and the 1-d equivalence."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,7 +27,8 @@ from afdkit import (
     szego_coeffs,
     tensor_atom_coeffs,
 )
-from afdkit.poga import EPS_SPAN, MAX_ESCALATION, ScanState, _escalated_candidates, _select
+from afdkit.hardy import PAIR_BLOCK
+from afdkit.poga import EPS_SPAN, MAX_ESCALATION, ScanState, _escalated_candidates, _scored, _select
 from conftest import (
     candidate_gain,
     kernel_ip,
@@ -43,6 +45,11 @@ GRID = GridSpec(radial_count=24, angular_count=48, refine_levels=0, max_radius=0
 @pytest.fixture(scope="module")
 def dict1d():
     return SzegoDictionary1D(ORDER, GRID)
+
+
+def scan_r(r_sq):
+    """Residual norms r of a scan's squared norms, as the selector takes them."""
+    return np.sqrt(np.clip(r_sq, 0.0, None))
 
 
 def kernel_frame(params, order=ORDER):
@@ -136,13 +143,14 @@ class TestDictionaryScan:
     def test_1d_scan_matches_candidate_gain(self, dict1d):
         frame = kernel_frame([0.4, -0.5j])
         g = frame.project_residual(random_hardy_1d(3, ORDER).data)[0]
-        inner, r = dict1d.scan(g, frame)
+        gain, _, _, r_sq = dict1d.scan(g, frame)
+        r = scan_r(r_sq)
         rng = np.random.default_rng(0)
         for i in rng.choice(len(dict1d), size=25, replace=False):
             atom = szego_coeffs(complex(dict1d.params[i]), ORDER).data
             res, r_direct = frame.project_residual(atom)
             assert r[i] == pytest.approx(r_direct, abs=1e-9)
-            assert inner[i] == pytest.approx(abs(np.vdot(atom, g)), abs=1e-12)
+            assert gain[i] * r[i] == pytest.approx(abs(np.vdot(atom, g)), abs=1e-12)
 
     def test_2d_scan_matches_direct(self):
         order = 24
@@ -152,13 +160,14 @@ class TestDictionaryScan:
         frame.extend(d2.atom_vector(d2.base_spec(7)), spec=d2.base_spec(7))
         g = random_hardy_2d(4, order).data.ravel()
         g, _ = frame.project_residual(g)
-        inner, r = d2.scan(g, frame)
+        gain, _, _, r_sq = d2.scan(g, frame)
+        r = scan_r(r_sq)
         rng = np.random.default_rng(1)
         for i in rng.choice(len(d2), size=20, replace=False):
             vec = d2.atom_vector(d2.base_spec(int(i)))
             _, r_direct = frame.project_residual(vec)
             assert r[i] == pytest.approx(r_direct, abs=1e-9)
-            assert inner[i] == pytest.approx(abs(np.vdot(vec, g)), abs=1e-12)
+            assert gain[i] * r[i] == pytest.approx(abs(np.vdot(vec, g)), abs=1e-12)
 
 
 class TestPogaSelect:
@@ -404,7 +413,8 @@ def reference_select(g, frame, dictionary, rho, demoted=frozenset()):
     ``demoted`` (treated as degenerate) and the selection runs again.
     """
     g = np.asarray(g, dtype=complex).ravel()
-    inner, r = dictionary.scan(g, frame)
+    gains, _, _, r_sq = dictionary.scan(g, frame)
+    r = scan_r(r_sq)
     selected = set(s for s in frame.specs if s is not None)
     structural = set(demoted)
     for s in selected:
@@ -414,13 +424,13 @@ def reference_select(g, frame, dictionary, rho, demoted=frozenset()):
 
     candidates = []  # (gain, r, order_index, spec)
     degenerate = []
-    for i in range(inner.size):
+    for i in range(r.size):
         if r[i] < EPS_SPAN or i in structural:
             degenerate.append(i)
             continue
-        candidates.append((float(inner[i] / r[i]), float(r[i]), i, None))
+        candidates.append((float(gains[i]), float(r[i]), i, None))
 
-    order_index = inner.size
+    order_index = r.size
     for i in degenerate:
         for esc in _escalated_candidates(dictionary, dictionary.base_spec(i), frame):
             vec = dictionary.atom_vector(esc)
@@ -506,7 +516,7 @@ class TestSelectorOracle:
 
 
 class _FixedScan:
-    """Specs are grid indices and the scan returns given arrays.
+    """Specs are grid indices and the scan scores given inner products and r.
 
     A last grid entry with r = 0 escalates to one atom whose residual
     against the frame ``[1, 0]`` is ``r_esc``.
@@ -515,11 +525,12 @@ class _FixedScan:
     dim = 2
 
     def __init__(self, inner, r, r_esc):
-        self.inner, self.r = np.array(inner + (0.0,)), np.array(r + (0.0,))
+        self.inner, self.r_sq = np.array(inner + (0.0,)), np.square(r + (0.0,))
+        assert scan_r(self.r_sq).tobytes() == np.array(r + (0.0,)).tobytes()  # the selector sees r
         self.esc_vector = np.array([np.sqrt(1.0 - r_esc**2), r_esc], dtype=complex)
 
     def scan(self, g, frame, state=None):
-        return self.inner, self.r
+        return _scored(self.inner, self.r_sq)
 
     def base_spec(self, i):
         return int(i)
@@ -557,11 +568,10 @@ class TestSelectorTies:
         )
 
 
-# A carried 2-d inner-product table keeps the rounding of every update since
-# its last full product: it agrees with that product to this relative
-# tolerance, and to this fraction of the remainder's norm at the start of
-# the run for the entries that vanish (atoms in the frame span).
-INNER_RTOL = 1e-12
+def scan_bytes(result):
+    """Bytes of every part of a scan result: gain, degenerate mask, sup r and r^2."""
+    gain, degenerate, sup_r, r_sq = result
+    return gain.tobytes(), degenerate.tobytes(), np.float64(sup_r).tobytes(), r_sq.tobytes()
 
 
 class TestIncrementalScan2D:
@@ -571,14 +581,11 @@ class TestIncrementalScan2D:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             g, frame = _seeded_run(dictionary, 11)
-            g_norm = np.linalg.norm(g)
             for step in range(8):
                 if step == 4:
                     frame.reorthogonalize()
-                inner, r = dictionary.scan(g, frame, state)
-                inner_full, r_full = dictionary.scan(g, frame)
-                np.testing.assert_allclose(inner, inner_full, rtol=INNER_RTOL, atol=INNER_RTOL * g_norm)
-                assert r.tobytes() == r_full.tobytes()
+                result = scan_bytes(dictionary.scan(g, frame, state))
+                assert result == scan_bytes(dictionary.scan(g, frame))
                 assert state.rows == len(frame)
                 outcome, _, _ = _select(g, frame, dictionary, 1.0, state)
                 vec, _ = frame.extend(dictionary.atom_vector(outcome.atom), spec=outcome.atom)
@@ -594,10 +601,10 @@ def _step(g, frame, dictionary, state):
 
 
 class TestCarriedTable2D:
-    """When a stateful 2-d scan computes its inner-product table in full.
+    """A stateful 2-d scan after a re-orthogonalization and on another remainder.
 
-    The carried table is held against the full product in
-    TestIncrementalScan2D.
+    The scan carries only r^2; the inner products are formed afresh at
+    every call, so a stateful scan has the bits of a stateless one.
     """
 
     def test_reorthogonalized_frame_restarts_the_table(self):
@@ -609,9 +616,8 @@ class TestCarriedTable2D:
                 SMALL_2D.scan(g, frame, state)
                 g = _step(g, frame, SMALL_2D, state)
             frame.reorthogonalize()
-            inner, r = SMALL_2D.scan(g, frame, state)
-        inner_full, r_full = SMALL_2D.scan(g, frame)
-        assert inner.tobytes() == inner_full.tobytes() and r.tobytes() == r_full.tobytes()
+            result = scan_bytes(SMALL_2D.scan(g, frame, state))
+        assert result == scan_bytes(SMALL_2D.scan(g, frame))
         assert state.epoch == 1 and state.rows == len(frame)
 
     def test_other_remainder_falls_back_to_the_full_product(self):
@@ -624,8 +630,66 @@ class TestCarriedTable2D:
                 g = _step(g, frame, SMALL_2D, state)
             # the projected update with a rounding-level change, then a new signal
             for other in (g * (1.0 + 2.0**-52), frame.project_residual(_seeded_run(SMALL_2D, 8)[0])[0]):
-                inner, _ = SMALL_2D.scan(other, frame, state)
-                assert inner.tobytes() == SMALL_2D.scan(other, frame)[0].tobytes()
+                gain = SMALL_2D.scan(other, frame, state)[0]
+                assert gain.tobytes() == SMALL_2D.scan(other, frame)[0].tobytes()
+
+
+def reference_scan_2d(dictionary, g, frame):
+    """The unblocked 2-d scan: whole P x P products for the inner products and each frame row."""
+    side, A = dictionary.order + 1, dictionary._factors
+    r_sq = np.outer(dictionary._factor_norms_sq, dictionary._factor_norms_sq)
+    for row in frame.matrix:
+        r_sq -= np.abs(A @ np.conj(row.reshape(side, side)) @ A.T) ** 2
+    r = scan_r(r_sq)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = np.abs(A @ np.conj(g.reshape(side, side)) @ A.T) / r
+    return gain.ravel(), (r < EPS_SPAN).ravel(), float(r.max()), r_sq.ravel()
+
+
+def test_blocked_scan_equals_the_unblocked_scan():
+    # P = 1,153 rows of pairs in 10 blocks of 115 or 116 rows, with the
+    # rows of r^2 carried over three steps
+    grid = GridSpec(radial_count=24, angular_count=48, max_radius=0.85)
+    dictionary = ProductSzegoDictionary2D(32, grid)
+    size = dictionary.params.size
+    state, frame = ScanState(), OrthoFrame(dictionary.dim)
+    g = random_hardy_2d(5, 32).data.ravel()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for spec in map(dictionary.base_spec, (3, 600 * size + 77, 1152 * size + 1152)):
+            blocked = scan_bytes(dictionary.scan(g, frame, state))
+            assert blocked == scan_bytes(reference_scan_2d(dictionary, g, frame))
+            vec, _ = frame.extend(dictionary.atom_vector(spec), spec=spec)
+            g = g - np.vdot(vec, g) * vec
+
+
+def test_bench_size_step_peak_memory():
+    """A poga2d step at bench size holds only r^2, the gain and the mask for all pairs.
+
+    That is 17 bytes per pair, plus one block workspace of at most 80 bytes
+    per pair of a ``PAIR_BLOCK``-row block (the products, absolute values,
+    r, gain and mask of the block) and one P x (N + 1) complex factor
+    product for the remainder and for each frame row.  A scan of the whole
+    table holds W, |W|, r^2, r and the gain: 48 bytes per pair.  The factor
+    rows are cached outside the measurement; the state is fresh, so r^2 is
+    counted.
+    """
+    grid = GridSpec(radial_count=24, angular_count=48, max_radius=0.85)
+    dictionary = ProductSzegoDictionary2D(64, grid)
+    size = dictionary.params.size
+    frame = OrthoFrame(dictionary.dim)
+    for i in (100, 777 * size + 5):
+        frame.extend(dictionary.atom_vector(dictionary.base_spec(i)), spec=dictionary.base_spec(i))
+    g = frame.project_residual(random_hardy_2d(3, 64).data)[0]
+    _select(g, frame, dictionary, 1.0)  # fills the factor-row cache outside the measurement
+    bound = 17 * size**2 + 80 * PAIR_BLOCK * size + 16 * size * 65 * (len(frame) + 1) + 2**20
+    tracemalloc.start()
+    try:
+        _select(g, frame, dictionary, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound < 32 * size**2
 
 
 class _ConfirmScan(_FixedScan):
@@ -697,7 +761,7 @@ class TestScan1DOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for _ in range(data.draw(st.integers(0, 6), label="frame rows")):
-                dictionary.scan(g, frame, state)
+                dictionary._inner_r_sq(g, frame, state)
                 if spec is not None and rng.random() < 0.4:
                     spec = AtomSpec(spec.a, spec.m + 1)  # escalated atom
                 else:
@@ -710,8 +774,10 @@ class TestScan1DOracle:
                     spec = None
         g = frame.project_residual(g)[0]
 
-        inner, r = dictionary.scan(g, frame)
-        assert dictionary.scan(g, frame, state)[1].tobytes() == r.tobytes()  # rows added one by one
+        inner, r_sq = dictionary._inner_r_sq(g, frame)
+        r = scan_r(r_sq)
+        r_state = scan_r(dictionary._inner_r_sq(g, frame, state)[1])
+        assert r_state.tobytes() == r.tobytes()  # rows added one by one
         inner_ref, r_ref = reference_scan_1d(dictionary, g, frame)
         scale = (np.abs(dictionary.params)[:, None] ** np.arange(order + 1)) @ np.abs(g)
         assert np.all(np.abs(inner - inner_ref) <= SCAN_INNER_TOL * scale)
