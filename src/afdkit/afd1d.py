@@ -24,6 +24,7 @@ from .hardy import (
     FourierCoeffs1D,
     eval_series,
     grid_argmax,
+    greedy,
     inner_product_1d,
     next_pow2,
     require_nonzero,
@@ -178,28 +179,24 @@ class AFDRecord:
 
 
 def afd_decompose_1d(f, n_terms, grid, threshold=1e-12):
-    """Greedy kernel decomposition of a Hardy signal.
+    """Greedy kernel decomposition of a Hardy signal through ``hardy.greedy``.
 
-    Iterates maximal selection and backward shift for ``n_terms`` steps or
-    until the residual energy drops below ``threshold`` times the initial
-    energy, whichever comes first.  The record satisfies
+    Each step is a maximal selection and a backward shift, for ``n_terms``
+    steps or until the residual energy drops below ``threshold`` times the
+    initial energy, whichever comes first.  The record satisfies
     ||f||^2 = sum |coeff_k|^2 + final residual energy.
     """
-    if n_terms < 1:
-        raise DomainError("n_terms must be at least 1")
-    require_nonzero(f.energy())
-    initial = f.energy()
-    remainder = f.copy()
-    record = AFDRecord(initial_energy=initial)
-    for _ in range(n_terms):
-        if remainder.energy() <= threshold * initial:
-            break
+    remainder = f
+
+    def step():
+        nonlocal remainder
         a, _ = msp_1d(remainder, grid)
         atom = szego_coeffs(a, f.order)
         coeff = inner_product_1d(remainder, atom)
         remainder = backward_shift(remainder, a, _atom=atom, _coeff=coeff)
-        record.steps.append(AFDStep(a=a, coeff=coeff, residual_energy=remainder.energy()))
-    return record
+        return AFDStep(a=a, coeff=coeff, residual_energy=remainder.energy())
+
+    return greedy(AFDRecord(initial_energy=f.energy()), n_terms, threshold, step)
 
 
 def reconstruct_1d(record, order):

@@ -17,6 +17,7 @@ from .errors import DomainError
 from .hardy import (
     FourierCoeffs2D,
     _PairTable,
+    greedy,
     grid_argmax_pairs,
     inner_product_2d,
     kernel_rows,
@@ -177,38 +178,25 @@ class Afd2dRecord:
 def afd2d_tm_decompose(f, n_terms, grid, threshold=1e-12):
     """Product rational-system decomposition with joint maximal selection.
 
-    Records, per step, the selected pair, the 2n - 1 new cross coefficients
-    and the residual energy ||f||^2 - sum of block energies.  Residuals are
-    non-increasing by construction.
+    Each step of ``hardy.greedy`` records the selected pair, the 2n - 1 new
+    cross coefficients and the residual energy ||f||^2 - sum of block
+    energies.  Residuals are non-increasing by construction.
     """
-    if n_terms < 1:
-        raise DomainError("n_terms must be at least 1")
-    require_nonzero(f.energy())
-    C = _hardy_block(f)
-    initial = f.energy()
-    record = Afd2dRecord(initial_energy=initial)
     history = []
     rows = (np.zeros((0, f.order + 1), dtype=complex),) * 2
-    residual = initial
-    for n in range(1, n_terms + 1):
-        if residual <= threshold * initial:
-            break
+    residual = f.energy()
+
+    def step():
+        nonlocal rows, residual
         sel = msp_product_tm(f, history, grid, _rows=rows)
         history.append((sel.a, sel.b))
         rows = _history_rows(history, f.order)
-        block = _block_entries(_cross_table(C, *rows), n)
+        block = _block_entries(_cross_table(_hardy_block(f), *rows), len(history))
         block_energy = float(np.sum(np.abs(block) ** 2))
         residual -= block_energy
-        record.steps.append(
-            Afd2dStep(
-                a=sel.a,
-                b=sel.b,
-                block=block,
-                block_energy=block_energy,
-                residual_energy=residual,
-            )
-        )
-    return record
+        return Afd2dStep(a=sel.a, b=sel.b, block=block, block_energy=block_energy, residual_energy=residual)
+
+    return greedy(Afd2dRecord(initial_energy=f.energy()), n_terms, threshold, step)
 
 
 def reconstruct_product_tm(record, order):
@@ -262,24 +250,19 @@ class PGARecord:
 def pga_decompose(f, n_terms, grid, threshold=1e-12):
     """Pure greedy decomposition over tensor kernels.
 
-    Iterates g <- g - <g, e_a (x) e_b> e_a (x) e_b; each step removes
-    exactly the selected coefficient's energy, so residual energies are
-    non-increasing and satisfy the per-step ledger identity.
+    Each step of ``hardy.greedy`` sets g <- g - <g, e_a (x) e_b> e_a (x) e_b
+    and removes exactly the selected coefficient's energy, so residual
+    energies are non-increasing and satisfy the per-step ledger identity.
     """
-    if n_terms < 1:
-        raise DomainError("n_terms must be at least 1")
-    require_nonzero(f.energy())
-    remainder = f.copy()
-    record = PGARecord(initial_energy=f.energy())
-    for _ in range(n_terms):
-        if remainder.energy() <= threshold * record.initial_energy:
-            break
+    remainder = f
+
+    def step():
+        nonlocal remainder
         spec, coeff = pga_step(remainder, grid)
         remainder = remainder - coeff * tensor_atom_coeffs(spec, f.order)
-        record.steps.append(
-            PGAStep(atom=spec, coeff=coeff, residual_energy=remainder.energy())
-        )
-    return record
+        return PGAStep(atom=spec, coeff=coeff, residual_energy=remainder.energy())
+
+    return greedy(PGARecord(initial_energy=f.energy()), n_terms, threshold, step)
 
 
 def reconstruct_pga(record, order):

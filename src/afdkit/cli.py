@@ -10,11 +10,12 @@ so that save, load, save round-trips are byte identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import sys
-from collections.abc import Callable
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -378,106 +379,72 @@ def _meta_field(meta, key, kind=str, default=None):
     return out
 
 
-def _whole(x):
-    """A count or multiplicity field, stored as a float, as an int."""
-    if not (x >= 0 and float(x).is_integer()):
-        raise RecordFormatError("step field %r is not a non-negative whole number" % x)
-    return int(x)
+def _atom(f, i):
+    """The ``AtomSpec`` at offset i; its multiplicity, stored as a float, must be a whole number."""
+    m = f[i + 2]
+    if not (m >= 0 and float(m).is_integer()):
+        raise RecordFormatError("step field %r is not a non-negative whole number" % m)
+    return AtomSpec(complex(f[i], f[i + 1]), int(m))
 
 
-def _block_count(fields, n):
-    """Block size 2n - 1 of afd2d-tm step n; a stored count that differs is a format error."""
-    if len(fields) > 6 and fields[6] != 2 * n - 1:
-        raise RecordFormatError("afd2d-tm step %d has block count %g, not %d" % (n, fields[6], 2 * n - 1))
-    return 2 * n - 1
+def _floats(c, *whole):
+    """The fields of a complex ``c``, real then imaginary, then the multiplicities ``whole``."""
+    return [c.real, c.imag, *whole]
 
 
-@dataclass(frozen=True)
-class StepLayout:
-    """Fields of one algorithm's ``step`` lines and the library types they carry.
-
-    ``arity`` is the field count, or a function of the fields and the
-    1-based step number for steps whose length grows with the step.
-    ``encode`` maps a library step to its fields; ``decode`` maps fields of
-    the right arity back.
-    """
-
-    record: type
-    arity: int | Callable[[list[float], int], int]
-    encode: Callable[[object], list[float]]
-    decode: Callable[[list[float]], object]
-
-
-# Step field positions appear nowhere else.  Multiplicities and the afd2d-tm
-# count are whole numbers stored as floats.  Every disc parameter passes
-# through ``AtomSpec``, which rejects |a| >= 1.
-STEP_LAYOUTS = {
-    # a, coeff, residual
-    "afd1d": StepLayout(
-        AFDRecord,
-        5,
-        lambda s: [s.a.real, s.a.imag, s.coeff.real, s.coeff.imag, s.residual_energy],
-        lambda f: AFDStep(a=AtomSpec(complex(f[0], f[1])).a, coeff=complex(f[2], f[3]), residual_energy=f[4]),
-    ),
-    # a, b, block energy, residual, count, then count block entries (2n - 1 at step n)
-    "afd2d-tm": StepLayout(
-        Afd2dRecord,
-        lambda f, n: 7 + 2 * _block_count(f, n),
-        lambda s: [s.a.real, s.a.imag, s.b.real, s.b.imag, s.block_energy, s.residual_energy,
-                   len(s.block)] + [x for c in s.block for x in (c.real, c.imag)],
-        lambda f: Afd2dStep(
-            a=AtomSpec(complex(f[0], f[1])).a,
-            b=AtomSpec(complex(f[2], f[3])).a,
-            block=np.array(f[7:], dtype=float).view(complex),
-            block_energy=f[4],
-            residual_energy=f[5],
-        ),
-    ),
-    # a, b, coeff, residual
-    "pga2d": StepLayout(
-        PGARecord,
-        7,
-        lambda s: [s.atom.left.a.real, s.atom.left.a.imag, s.atom.right.a.real,
-                   s.atom.right.a.imag, s.coeff.real, s.coeff.imag, s.residual_energy],
-        lambda f: PGAStep(
-            atom=TensorAtomSpec.of(complex(f[0], f[1]), complex(f[2], f[3])),
-            coeff=complex(f[4], f[5]),
-            residual_energy=f[6],
-        ),
-    ),
-    # a, m, coeff, r, r_sup, residual
-    "poga1d": StepLayout(
-        PogaRecord,
-        8,
-        lambda s: [s.atom.a.real, s.atom.a.imag, float(s.atom.m), s.coeff.real, s.coeff.imag,
-                   s.r, s.r_sup, s.residual_energy],
-        lambda f: PogaStep(
-            atom=AtomSpec(complex(f[0], f[1]), _whole(f[2])),
-            coeff=complex(f[3], f[4]),
-            r=f[5],
-            r_sup=f[6],
-            residual_energy=f[7],
-        ),
-    ),
-    # a, m_a, b, m_b, coeff, r, r_sup, residual
-    "poga2d": StepLayout(
-        PogaRecord,
-        11,
-        lambda s: [s.atom.left.a.real, s.atom.left.a.imag, float(s.atom.left.m),
-                   s.atom.right.a.real, s.atom.right.a.imag, float(s.atom.right.m),
-                   s.coeff.real, s.coeff.imag, s.r, s.r_sup, s.residual_energy],
-        lambda f: PogaStep(
-            atom=TensorAtomSpec(
-                AtomSpec(complex(f[0], f[1]), _whole(f[2])),
-                AtomSpec(complex(f[3], f[4]), _whole(f[5])),
-            ),
-            coeff=complex(f[6], f[7]),
-            r=f[8],
-            r_sup=f[9],
-            residual_energy=f[10],
-        ),
-    ),
+# Field kinds of a ``step`` line: (float count, encode, decode).  ``encode``
+# maps a step attribute to its floats; ``decode(fields, i)`` reads it back
+# from offset i.  Multiplicities and the block count are whole numbers
+# stored as floats.  Every disc parameter passes through ``AtomSpec``, which
+# rejects |a| >= 1.  A ``block`` is the trailing count n followed by n
+# complex entries.
+_KINDS = {
+    "real": (1, lambda x: [x], lambda f, i: f[i]),
+    "complex": (2, _floats, lambda f, i: complex(f[i], f[i + 1])),
+    "point": (2, _floats, lambda f, i: AtomSpec(complex(f[i], f[i + 1])).a),
+    "atom": (3, lambda s: _floats(s.a, s.m), _atom),
+    "pair": (4, lambda s: _floats(s.left.a) + _floats(s.right.a),
+             lambda f, i: TensorAtomSpec.of(complex(f[i], f[i + 1]), complex(f[i + 2], f[i + 3]))),
+    "tensor": (6, lambda s: _floats(s.left.a, s.left.m) + _floats(s.right.a, s.right.m),
+               lambda f, i: TensorAtomSpec(_atom(f, i), _atom(f, i + 3))),
+    "block": (1, lambda b: [len(b)] + [x for c in b for x in _floats(c)],
+              lambda f, i: np.array(f[i + 1:], dtype=float).view(complex)),
 }
+
+# Each algorithm's record type, step type and step fields in line order.
+# Step field positions appear nowhere else: arity, encode and decode all
+# follow from this table.  The afd2d-tm block of step n holds 2n - 1 entries.
+STEP_LAYOUTS = {
+    "afd1d": (AFDRecord, AFDStep, (("a", "point"), ("coeff", "complex"), ("residual_energy", "real"))),
+    "afd2d-tm": (Afd2dRecord, Afd2dStep, (("a", "point"), ("b", "point"), ("block_energy", "real"),
+                                          ("residual_energy", "real"), ("block", "block"))),
+    "pga2d": (PGARecord, PGAStep, (("atom", "pair"), ("coeff", "complex"), ("residual_energy", "real"))),
+    "poga1d": (PogaRecord, PogaStep, (("atom", "atom"), ("coeff", "complex"), ("r", "real"),
+                                      ("r_sup", "real"), ("residual_energy", "real"))),
+    "poga2d": (PogaRecord, PogaStep, (("atom", "tensor"), ("coeff", "complex"), ("r", "real"),
+                                      ("r_sup", "real"), ("residual_energy", "real"))),
+}
+
+# A ``STEP_LAYOUTS`` entry as ``decode_section`` reads it, worked out once:
+# ``decoders`` holds (decode, offset) in the order of the step type's
+# fields, so a step decodes in one positional call.  ``width`` counts the
+# floats without block entries; ``block`` is the offset of the block count,
+# or None.
+_Layout = namedtuple("_Layout", "record step decoders width block")
+
+
+def _compile(record, step, fields):
+    decoders, width, block = {}, 0, None
+    for name, kind in fields:
+        count, _, decode = _KINDS[kind]
+        decoders[name] = (decode, width)
+        block = width if kind == "block" else block
+        width += count
+    order = tuple(decoders[f.name] for f in dataclasses.fields(step))
+    return _Layout(record, step, order, width, block)
+
+
+_LAYOUTS = {alg: _compile(*layout) for alg, layout in STEP_LAYOUTS.items()}
 ALGORITHMS = tuple(STEP_LAYOUTS)
 
 # The sections of a 2-d record: name, the algorithm that decomposes it (None
@@ -501,33 +468,37 @@ def _full_recon(record):
     return not missing
 
 
-def _layout(algorithm):
-    try:
-        return STEP_LAYOUTS[algorithm]
-    except KeyError:
-        raise RecordFormatError("unknown algorithm %r in record" % algorithm)
-
-
 def encode_section(name, algorithm, rec):
     """File section holding the steps of a library record."""
-    encode = _layout(algorithm).encode
-    return RecordSection(name, algorithm, rec.initial_energy, [encode(s) for s in rec.steps])
+    encoders = [(attr, _KINDS[kind][1]) for attr, kind in STEP_LAYOUTS[algorithm][2]]
+    steps = [[x for attr, encode in encoders for x in encode(getattr(s, attr))] for s in rec.steps]
+    return RecordSection(name, algorithm, rec.initial_energy, steps)
 
 
 def decode_section(sec, meta):
     """Library record of a file section; POGA records take ``rho`` from ``meta``."""
-    layout = _layout(sec.algorithm)
+    try:
+        layout = _LAYOUTS[sec.algorithm]
+    except KeyError:
+        raise RecordFormatError("unknown algorithm %r in record" % sec.algorithm)
     extra = {"rho": _meta_field(meta, "rho", float, "1")} if layout.record is PogaRecord else {}
     if extra and not 0.0 < extra["rho"] <= 1.0:
         raise RecordFormatError("record meta rho must lie in (0, 1], got %r" % extra["rho"])
     rec = layout.record(initial_energy=sec.initial_energy, **extra)
-    for n, fields in enumerate(sec.steps, start=1):
-        arity = layout.arity(fields, n) if callable(layout.arity) else layout.arity
-        if len(fields) != arity:
+    step, decoders, at = layout.step, layout.decoders, layout.block
+    for n, values in enumerate(sec.steps, start=1):
+        arity = layout.width
+        if at is not None:
+            if len(values) > at and values[at] != 2 * n - 1:
+                raise RecordFormatError(
+                    "%s step %d has block count %g, not %d" % (sec.algorithm, n, values[at], 2 * n - 1)
+                )
+            arity += 2 * (2 * n - 1)
+        if len(values) != arity:
             raise RecordFormatError(
-                "bad %s step arity %d (expected %d) at step %d" % (sec.algorithm, len(fields), arity, n)
+                "bad %s step arity %d (expected %d) at step %d" % (sec.algorithm, len(values), arity, n)
             )
-        rec.steps.append(layout.decode(fields))
+        rec.steps.append(step(*[decode(values, i) for decode, i in decoders]))
     return rec
 
 

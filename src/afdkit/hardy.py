@@ -37,6 +37,7 @@ __all__ = [
     "eval_series",
     "grid_argmax",
     "grid_argmax_pairs",
+    "greedy",
 ]
 
 
@@ -654,3 +655,22 @@ def require_nonzero(energy, what="input signal"):
     """Shared guard for selection routines."""
     if not energy > 0.0:
         raise DegenerateInputError("%s has zero energy" % what)
+
+
+def greedy(record, n_terms, threshold, step):
+    """The iteration of every decomposition: append ``step()`` to ``record.steps``.
+
+    At most ``n_terms`` steps; the run stops once the residual energy (the
+    last step's, at first ``record.initial_energy``, which the caller sets
+    and must be positive) is at most ``threshold`` times the initial one.
+    """
+    if n_terms < 1:
+        raise DomainError("n_terms must be at least 1")
+    require_nonzero(record.initial_energy)
+    residual = record.initial_energy
+    for _ in range(n_terms):
+        if residual <= threshold * record.initial_energy:
+            break
+        record.steps.append(step())
+        residual = record.steps[-1].residual_energy
+    return record

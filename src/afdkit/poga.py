@@ -29,7 +29,7 @@ from .errors import (
     DomainError,
     SpanDegeneracyError,
 )
-from .hardy import FourierCoeffs, _row_blocks, eval_series, grid_points, kernel_rows, require_nonzero
+from .hardy import FourierCoeffs, _row_blocks, eval_series, greedy, grid_points, kernel_rows, require_nonzero
 from .szego import AtomSpec, TensorAtomSpec, normalized_atom_coeffs, tensor_atom_coeffs
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
 
 EPS_SPAN = 1e-8
 MAX_ESCALATION = 24
+RATE_EXCESS = 1e-9  # rounding allowance of every inequality ``rate_report`` checks
 
 
 def _as_vector(x):
@@ -471,8 +472,8 @@ def poga_decompose(
 ):
     """Pre-orthogonal greedy decomposition.
 
-    Maintains the orthonormal frame and the orthogonal remainder
-    g_{n+1} = g_n - <g_n, B_n> B_n, so the ledger
+    Each step of ``hardy.greedy`` extends the orthonormal frame and the
+    orthogonal remainder g_{n+1} = g_n - <g_n, B_n> B_n, so the ledger
     ||f||^2 = sum |coeff_k|^2 + ||g||^2 is exact.  When ``synthesis`` (a
     list of atom specs known to represent f) is given, the per-step
     supremal residual norm is taken over those atoms, which is the constant
@@ -484,42 +485,28 @@ def poga_decompose(
     """
     if not 0.0 < rho <= 1.0:
         raise DomainError("rho must lie in (0, 1]")
-    if n_terms < 1:
-        raise DomainError("n_terms must be at least 1")
     if synthesis is not None and not len(synthesis):
         raise DomainError("synthesis needs at least one atom")
-    g = _as_vector(f).copy()
-    initial = float(np.linalg.norm(g)) ** 2
-    require_nonzero(initial)
+    g = _as_vector(f)
     frame = OrthoFrame(g.size)
-    synth_vectors = None
-    if synthesis is not None:
-        synth_vectors = [dictionary.atom_vector(s) for s in synthesis]
-    record = PogaRecord(initial_energy=initial, rho=rho)
+    synth_vectors = None if synthesis is None else [dictionary.atom_vector(s) for s in synthesis]
     state = ScanState()
-    for _ in range(n_terms):
-        energy = float(np.linalg.norm(g)) ** 2
-        if energy <= threshold * initial:
-            break
+
+    def step():
+        nonlocal g
         outcome, _, sup_r_grid = _select(g, frame, dictionary, rho, state)
         if synth_vectors is not None:
             r_sup = max(frame.project_residual(v)[1] for v in synth_vectors)
         else:
             r_sup = sup_r_grid
-        vec = dictionary.atom_vector(outcome.atom)
-        basis_vec, _ = frame.extend(vec, spec=outcome.atom)
+        basis_vec, _ = frame.extend(dictionary.atom_vector(outcome.atom), spec=outcome.atom)
         coeff = complex(np.vdot(basis_vec, g))
         g = g - coeff * basis_vec
-        record.steps.append(
-            PogaStep(
-                atom=outcome.atom,
-                coeff=coeff,
-                r=outcome.r,
-                r_sup=float(r_sup),
-                residual_energy=float(np.linalg.norm(g)) ** 2,
-            )
-        )
-    return record
+        return PogaStep(atom=outcome.atom, coeff=coeff, r=outcome.r, r_sup=float(r_sup),
+                        residual_energy=float(np.linalg.norm(g)) ** 2)
+
+    record = PogaRecord(initial_energy=float(np.linalg.norm(g)) ** 2, rho=rho)
+    return greedy(record, n_terms, threshold, step)
 
 
 def reconstruct_poga(record, dictionary):
@@ -554,7 +541,7 @@ class RateReport:
         return (
             self.recurrence_ok
             and self.conclusion_ok
-            and all(row.slack >= 0.0 for row in self.rows)
+            and all(row.slack >= -RATE_EXCESS for row in self.rows)
         )
 
 
@@ -567,9 +554,11 @@ def rate_report(record, M):
     forces the squared remainders d_n to satisfy
     d_{n+1} <= d_n (1 - d_n / A_m), A_m = (R_m M / rho)^2, whose closed
     consequence is d_m <= A_m / m; both are verified on the recorded
-    sequence, with rho = ``record.rho``, each up to an excess of 1e-9.  A
-    negative slack or a failed inequality marks a violation (selector bug or
-    a grid too coarse for the synthesis).
+    sequence, with rho = ``record.rho``.  The bound, the recurrence and the
+    conclusion each hold up to an excess of ``RATE_EXCESS``, since for a
+    one-atom synthesis the bound at m = 1 equals ||f|| in exact arithmetic.
+    A failed inequality marks a violation (selector bug or a grid too coarse
+    for the synthesis).
     """
     d = [record.initial_energy] + record.residual_energies()
     r_max = record.r_max_values()
@@ -582,9 +571,9 @@ def rate_report(record, M):
         g_norm = float(np.sqrt(d[m - 1]))
         rows.append(RateRow(m=m, remainder_norm=g_norm, bound=bound, slack=bound - g_norm))
         A_m = (R_m * M / record.rho) ** 2
-        if d[m - 1] > A_m / m + 1e-9:
+        if d[m - 1] > A_m / m + RATE_EXCESS:
             conclusion_ok = False
         for n in range(m - 1):
-            if d[n + 1] > d[n] * (1.0 - d[n] / A_m) + 1e-9:
+            if d[n + 1] > d[n] * (1.0 - d[n] / A_m) + RATE_EXCESS:
                 recurrence_ok = False
     return RateReport(rows=rows, recurrence_ok=recurrence_ok, conclusion_ok=conclusion_ok)

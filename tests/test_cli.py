@@ -355,6 +355,20 @@ class TestCliEndToEnd:
         assert cli_main(["reconstruct", "--input", rec, "--output", out]) == 2
         assert "bad afd1d step arity 4 (expected 5)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change", ["short", "long"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_bad_arity_rejected(self, tmp_path, capsys, algorithm, change):
+        section = encode_section("main", algorithm, library_record(algorithm))
+        fields = section.steps[0]
+        section.steps[0] = fields[:-1] if change == "short" else fields + [0.0]
+        rec = RecordFile([("algorithm", algorithm), ("order", "16"), ("samples", "64"), ("rho", "0.9")],
+                         [section])
+        path = str(tmp_path / "rec.txt")
+        save_record(rec, path)
+        assert cli_main(["verify", "--input", path]) == 2
+        assert cli_main(["reconstruct", "--input", path, "--output", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.count("bad %s step arity" % algorithm) == 2
+
     @pytest.mark.parametrize("missing", ["algorithm", "order", "samples"])
     def test_reconstruct_rejects_missing_meta(self, tmp_path, capsys, missing):
         meta = [(k, v) for k, v in [("algorithm", "afd1d"), ("order", "64"), ("samples", "256")]
@@ -531,6 +545,16 @@ class TestCliEndToEnd:
         )
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_one_atom_synthesis_passes_the_rate_check(self, tmp_path):
+        # the rate bound at m = 1 equals ||f|| exactly for one atom; rounding
+        # leaves a slack of -6.7e-16, inside the allowance of the rate check
+        sig, meta, rec = (str(tmp_path / name) for name in ("q.csv", "qm.json", "q.rec"))
+        grid = ["--order", "32", "--grid-radial", "8", "--grid-angular", "13", "--max-radius", "0.68"]
+        assert cli_main(["synth", "--output", sig, "--seed", "6", "--atoms", "1", "--emit-meta", meta] + grid) == 0
+        assert cli_main(["decompose", "--algorithm", "poga1d", "--input", sig, "--output", rec,
+                         "--terms", "3", "--synthesis", meta] + grid) == 0
+        assert cli_main(["verify", "--input", rec]) == 0
 
     def test_poga_with_synthesis_and_reconstruct(self, tmp_path):
         sig = str(tmp_path / "sig.csv")

@@ -6,7 +6,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from afdkit import (
+    AFDRecord,
+    AFDStep,
     ConfigError,
+    DegenerateInputError,
     DimensionMismatchError,
     DomainError,
     FourierCoeffs1D,
@@ -25,11 +28,17 @@ from afdkit import (
     szego_coeffs,
     tensor_atom_coeffs,
     TensorAtomSpec,
+    SzegoDictionary1D,
+    afd2d_tm_decompose,
+    afd_decompose_1d,
+    pga_decompose,
+    poga_decompose,
 )
 from afdkit.hardy import (
     _local_candidates,
     _ring_powers,
     eval_series,
+    greedy,
     kernel_rows,
     real_field_2d,
 )
@@ -699,3 +708,48 @@ class TestEvalSeries:
         first = eval_series(c, pts, spec)
         first[:] = 0
         assert np.all(eval_series(c, pts, spec)[1:] != 0)
+
+
+GREEDY_GRID = GridSpec(radial_count=4, angular_count=8, refine_levels=0, max_radius=0.6)
+GREEDY_ORDER = 8
+
+# Each decomposition as (its run on GREEDY_GRID, the dimension of its input).
+DECOMPOSITIONS = {
+    "afd1d": (lambda f, n, t: afd_decompose_1d(f, n, GREEDY_GRID, threshold=t), 1),
+    "afd2d-tm": (lambda f, n, t: afd2d_tm_decompose(f, n, GREEDY_GRID, threshold=t), 2),
+    "pga2d": (lambda f, n, t: pga_decompose(f, n, GREEDY_GRID, threshold=t), 2),
+    "poga1d": (lambda f, n, t: poga_decompose(f, n, SzegoDictionary1D(GREEDY_ORDER, GREEDY_GRID), threshold=t), 1),
+}
+
+
+class TestGreedy:
+    """The contract ``hardy.greedy`` gives every decomposition."""
+
+    @staticmethod
+    def signal(ndim, zero=False):
+        if ndim == 1:
+            f = szego_coeffs(0.2 - 0.1j, GREEDY_ORDER)
+        else:
+            f = tensor_atom_coeffs(TensorAtomSpec.of(0.2, -0.1j), GREEDY_ORDER)
+        return f * 0.0 if zero else f
+
+    @pytest.mark.parametrize("algorithm", DECOMPOSITIONS)
+    def test_contract(self, algorithm):
+        run, ndim = DECOMPOSITIONS[algorithm]
+        f = self.signal(ndim)
+        with pytest.raises(DomainError, match="n_terms must be at least 1"):
+            run(f, 0, 1e-12)
+        with pytest.raises(DegenerateInputError, match="zero energy"):
+            run(self.signal(ndim, zero=True), 3, 1e-12)
+        record = run(f, 3, 1.0)
+        assert record.steps == []
+        assert record.initial_energy == pytest.approx(f.energy(), rel=1e-14)
+
+    def test_stops_on_the_last_residual(self):
+        residuals = iter([0.5, 1e-3, 1e-6])
+        record = greedy(AFDRecord(initial_energy=1.0), 5, 1e-2, lambda: AFDStep(0j, 0j, next(residuals)))
+        assert [s.residual_energy for s in record.steps] == [0.5, 1e-3]
+
+    def test_takes_at_most_n_terms(self):
+        record = greedy(AFDRecord(initial_energy=1.0), 2, 0.0, lambda: AFDStep(0j, 0j, 0.5))
+        assert len(record.steps) == 2
