@@ -14,15 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .hardy import (
-    FourierCoeffs2D,
-    _PairTable,
-    greedy,
-    grid_argmax_pairs,
-    inner_product_2d,
-    kernel_rows,
-    require_nonzero,
-)
+from .hardy import FourierCoeffs2D, _kernel_table, greedy, grid_argmax_pairs, inner_product_2d, require_nonzero
 from .afd1d import _tm_grid_size, blaschke_eval, tm_matrix
 from .szego import TensorAtomSpec, tensor_atom_coeffs
 
@@ -80,16 +72,6 @@ def _blaschke_toeplitz(params, order):
     return np.where(lag >= 0, np.conj(phi)[np.maximum(lag, 0)], 0.0)
 
 
-def _kernel_table(block, a_pts, b_pts, grid):
-    """``|K_a block K_b^T|`` over all point pairs, K the ``kernel_rows`` of each axis.
-
-    The table is a ``hardy._PairTable``: ``grid_argmax_pairs`` reduces it in
-    row blocks, and ``np.asarray`` gives the dense table.
-    """
-    order = block.shape[0] - 1
-    return _PairTable(kernel_rows(a_pts, order, grid), block, kernel_rows(b_pts, order, grid))
-
-
 def _product_tm_objective(f, history, grid, rows=None):
     """Step-n block energy of every candidate pair, as ``objective(a_pts, b_pts)``.
 
@@ -107,13 +89,7 @@ def _product_tm_objective(f, history, grid, rows=None):
     H = A @ C @ B.T
     Ga = A @ (C @ np.conj(hist_rows_b).T)  # column l: <f, . (x) B_l> times conj(phi)
     Gb = B @ (np.conj(hist_rows_a) @ C).T  # column k: <f, B_k (x) .> times conj(psi)
-
-    def objective(a_pts, b_pts):
-        rows_a, rows_b = kernel_rows(a_pts, order, grid), kernel_rows(b_pts, order, grid)
-        gains = (np.sum(np.abs(rows_a @ Ga) ** 2, axis=1), np.sum(np.abs(rows_b @ Gb) ** 2, axis=1))
-        return _PairTable(rows_a, H, rows_b, gains)
-
-    return objective
+    return lambda a_pts, b_pts: _kernel_table(H, a_pts, b_pts, grid, (Ga, Gb))
 
 
 @dataclass
@@ -141,8 +117,8 @@ def msp_product_tm(f, history, grid, *, _rows=None):
         <f, e_a phi (x) e_b psi> = sqrt(1 - |a|^2) sqrt(1 - |b|^2) h(a, b),
         h = P++[f conj(phi (x) psi)],
 
-    so every term is a power series evaluated on the grid, through the
-    ``hardy.kernel_rows`` of each axis.  ``_rows`` passes the
+    so every term is a power series evaluated on the grid, in the pair
+    table of ``hardy._kernel_table``.  ``_rows`` passes the
     ``tm_matrix`` rows of the history that ``afd2d_tm_decompose`` already
     built at the previous step.
     """
@@ -218,8 +194,8 @@ def pga_step(g, grid):
     """One pure greedy selection over the tensor kernel dictionary.
 
     Maximizes |<g, e_a (x) e_b>| via the reproducing identity
-    sqrt(1 - |a|^2) sqrt(1 - |b|^2) |g(a, b)| = |K_a C K_b^T|, with K the
-    ``hardy.kernel_rows`` of each axis, reduced in row blocks without the
+    sqrt(1 - |a|^2) sqrt(1 - |b|^2) |g(a, b)| = |K_a C K_b^T|, the pair
+    table of ``hardy._kernel_table``, reduced in row blocks without the
     table of all pairs, then returns the selected tensor atom and its
     coefficient.
     """

@@ -230,6 +230,14 @@ def load_image_2d(path, order):
     return quadrant_split(FourierCoeffs2D.from_samples(samples, order, hardy=False))
 
 
+def write_csv(path, header, values):
+    """Write real samples as CSV: the comment line ``header``, then one ``%.17g`` value per line."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(header + "\n")
+        for v in values:
+            handle.write("%.17g\n" % v)
+
+
 def write_pgm(path, field01):
     """Write a [0, 1]-valued real field as an 8-bit binary PGM."""
     pixels = np.clip(np.round(np.asarray(field01) * 255.0), 0, 255).astype(np.uint8)
@@ -454,18 +462,36 @@ ALGORITHMS = tuple(STEP_LAYOUTS)
 _SECTIONS_2D = (("main", None, "pp"), ("fpm", None, "pm"), ("F", "afd1d", "F"), ("G", "afd1d", "G"))
 
 
-def _full_recon(record):
-    """Whether a record holds every part of a --full-recon record beyond ``main``.
+def _layout_sections(record):
+    """The meta and sections that ``verify`` and ``reconstruct`` read from a record.
 
-    A record that holds some of them but not all is a format error.
+    The record must hold meta ``algorithm``, ``order`` and ``samples`` and
+    exactly the sections of its layout, each run by its algorithm: ``main``
+    by the record's own, and for a 2-d --full-recon record every section of
+    ``_SECTIONS_2D`` and meta c00.  Anything else is a format error; a 2-d
+    record with some but not all of the --full-recon parts names what it
+    misses.  Returns (algorithm, order, samples, [(section,
+    ``QuadrantParts`` field), ...]).
     """
-    names = {sec.name for sec in record.sections}
-    held = {"section " + name: name in names for name, _, _ in _SECTIONS_2D[1:]}
-    held["meta c00"] = "c00" in record.meta_dict()
-    missing = [part for part, ok in held.items() if not ok]
-    if 0 < len(missing) < len(held):
-        raise RecordFormatError("record holds a partial --full-recon set: no %s" % ", ".join(missing))
-    return not missing
+    meta = record.meta_dict()
+    algorithm = _meta_field(meta, "algorithm")
+    order, samples = _meta_field(meta, "order", int), _meta_field(meta, "samples", int)
+    layout = _SECTIONS_2D[:1]
+    if algorithm not in ALGS_1D:
+        names = {sec.name for sec in record.sections}
+        present = {"section " + name: name in names for name, _, _ in _SECTIONS_2D[1:]}
+        present["meta c00"] = "c00" in meta
+        missing = [part for part, ok in present.items() if not ok]
+        if 0 < len(missing) < len(present):
+            raise RecordFormatError("record holds a partial --full-recon set: no %s" % ", ".join(missing))
+        layout = _SECTIONS_2D[: 1 if missing else None]
+    held = sorted("%s (%s)" % (sec.name, sec.algorithm) for sec in record.sections)
+    expected = sorted("%s (%s)" % (name, alg or algorithm) for name, alg, _ in layout)
+    if held != expected:
+        raise RecordFormatError(
+            "record holds sections %s, expected %s" % (", ".join(held) or "none", ", ".join(expected))
+        )
+    return algorithm, order, samples, [(record.section(name), attr) for name, _, attr in layout]
 
 
 def encode_section(name, algorithm, rec):
@@ -476,7 +502,11 @@ def encode_section(name, algorithm, rec):
 
 
 def decode_section(sec, meta):
-    """Library record of a file section; POGA records take ``rho`` from ``meta``."""
+    """Library record of a file section; POGA records take ``rho`` from ``meta``.
+
+    Given meta ``order``, POGA multiplicities are at most order + 1, as at
+    a = 0: those rungs of a ladder span the truncated space already.
+    """
     try:
         layout = _LAYOUTS[sec.algorithm]
     except KeyError:
@@ -484,6 +514,7 @@ def decode_section(sec, meta):
     extra = {"rho": _meta_field(meta, "rho", float, "1")} if layout.record is PogaRecord else {}
     if extra and not 0.0 < extra["rho"] <= 1.0:
         raise RecordFormatError("record meta rho must lie in (0, 1], got %r" % extra["rho"])
+    top = _meta_field(meta, "order", int) + 1 if extra and "order" in meta else math.inf
     rec = layout.record(initial_energy=sec.initial_energy, **extra)
     step, decoders, at = layout.step, layout.decoders, layout.block
     for n, values in enumerate(sec.steps, start=1):
@@ -499,6 +530,13 @@ def decode_section(sec, meta):
                 "bad %s step arity %d (expected %d) at step %d" % (sec.algorithm, len(values), arity, n)
             )
         rec.steps.append(step(*[decode(values, i) for decode, i in decoders]))
+        if extra:
+            atom = rec.steps[-1].atom
+            m = max(atom.left.m, atom.right.m) if isinstance(atom, TensorAtomSpec) else atom.m
+            if m > top:
+                raise RecordFormatError(
+                    "%s step %d has multiplicity %d, above order + 1 = %d" % (sec.algorithm, n, m, top)
+                )
     return rec
 
 
@@ -509,11 +547,7 @@ def _extracted_energy(step):
     return step.coeff.real * step.coeff.real + step.coeff.imag * step.coeff.imag
 
 
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str
+CheckResult = namedtuple("CheckResult", "name ok detail")
 
 
 def verify_record(record):
@@ -530,10 +564,10 @@ def verify_record(record):
     """
     checks = []
     meta = record.meta_dict()
-    _full_recon(record)  # raises on a partial --full-recon set
     for sec in record.sections:
         rec = decode_section(sec, meta)
         scale = max(1.0, sec.initial_energy)
+        tol = 1e-8 * scale
         running = prev = sec.initial_energy
         worst = 0.0
         monotone = blocks_ok = True
@@ -544,45 +578,23 @@ def verify_record(record):
             if step.residual_energy > prev + 1e-12 * scale:
                 monotone = False
             prev = step.residual_energy
-            if isinstance(step, Afd2dStep) and abs(energy - step.block_energy) > 1e-8 * scale:
+            if isinstance(step, Afd2dStep) and abs(energy - step.block_energy) > tol:
                 blocks_ok = False
-        checks.append(
-            CheckResult(
-                name="%s.ledger" % sec.name,
-                ok=worst <= 1e-8 * scale,
-                detail="max residual deviation %.3e (tol %.1e)" % (worst, 1e-8 * scale),
-            )
-        )
-        checks.append(
-            CheckResult(
-                name="%s.monotone" % sec.name,
-                ok=monotone,
-                detail="residual energies non-increasing" if monotone else "residual increased",
-            )
-        )
+        checks.append(CheckResult("%s.ledger" % sec.name, worst <= tol,
+                                  "max residual deviation %.3e (tol %.1e)" % (worst, tol)))
+        checks.append(CheckResult("%s.monotone" % sec.name, monotone,
+                                  "residual energies non-increasing" if monotone else "residual increased"))
         if isinstance(rec, Afd2dRecord):
-            checks.append(
-                CheckResult(
-                    name="%s.blocks" % sec.name,
-                    ok=blocks_ok,
-                    detail="block energies match coefficients"
-                    if blocks_ok
-                    else "block energy mismatch",
-                )
-            )
+            detail = "block energies match coefficients" if blocks_ok else "block energy mismatch"
+            checks.append(CheckResult("%s.blocks" % sec.name, blocks_ok, detail))
         if isinstance(rec, PogaRecord) and "M" in meta:
             M = _meta_field(meta, "M", float)
             if M <= 0.0:
                 raise RecordFormatError("record meta M must be > 0, got %r" % M)
             report = rate_report(rec, M)
             min_slack = min((row.slack for row in report.rows), default=0.0)
-            checks.append(
-                CheckResult(
-                    name="%s.rate" % sec.name,
-                    ok=report.ok,
-                    detail="min slack %.3e, recurrence %s" % (min_slack, report.recurrence_ok),
-                )
-            )
+            detail = "min slack %.3e, recurrence %s" % (min_slack, report.recurrence_ok)
+            checks.append(CheckResult("%s.rate" % sec.name, report.ok, detail))
         if isinstance(rec, PogaRecord):
             _replay_poga(rec, sec.name, sec.algorithm, meta)  # raises on linearly dependent atoms
     return checks
@@ -672,11 +684,7 @@ def _cmd_synth(args):
     if cfg.algorithm in ALGS_1D:
         f, params, coeffs = synth_signal_1d(cfg.order, args.atoms, args.coeff_sum, grid, cfg.seed)
         size = next_pow2(2 * (cfg.order + 1))
-        samples = real_samples_1d(f, size)
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write("# synthetic kernel combination, seed=%d\n" % cfg.seed)
-            for v in samples:
-                handle.write("%.17g\n" % v)
+        write_csv(args.output, "# synthetic kernel combination, seed=%d" % cfg.seed, real_samples_1d(f, size))
         if args.emit_meta:
             meta = {
                 "order": cfg.order,
@@ -769,29 +777,22 @@ def _cmd_decompose(args):
 def _cmd_verify(args):
     record = load_record(args.input)
     checks = verify_record(record)
-    all_ok = True
+    _layout_sections(record)  # a record that ``reconstruct`` cannot read fails as a format error
     for chk in checks:
         print("check,%s,%s,%s" % (chk.name, "pass" if chk.ok else "fail", chk.detail))
-        all_ok = all_ok and chk.ok
-    if not all_ok:
+    if not all(chk.ok for chk in checks):
         raise InvariantViolation("record failed verification")
     return 0
 
 
-def _reconstruct_section(record, name, algorithm, meta):
-    """Hardy coefficients of the partial sum stored in section ``name``."""
-    sec = record.section(name)
-    if sec.algorithm != algorithm:
-        raise RecordFormatError(
-            "section %s holds %s steps, expected %s" % (name, sec.algorithm, algorithm)
-        )
+def _reconstruct_section(sec, order, meta):
+    """Hardy coefficients of the partial sum stored in ``sec``."""
     rec = decode_section(sec, meta)
-    order = _meta_field(meta, "order", int)
     rebuild = {"afd1d": reconstruct_1d, "afd2d-tm": reconstruct_product_tm, "pga2d": reconstruct_pga}
-    if algorithm in rebuild:
-        return rebuild[algorithm](rec, order)
-    vec = _replay_poga(rec, name, algorithm, meta)
-    if algorithm == "poga1d":
+    if sec.algorithm in rebuild:
+        return rebuild[sec.algorithm](rec, order)
+    vec = _replay_poga(rec, sec.name, sec.algorithm, meta)
+    if sec.algorithm == "poga1d":
         return FourierCoeffs1D(vec, hardy=True)
     return FourierCoeffs2D(vec.reshape(order + 1, order + 1), hardy=True)
 
@@ -815,19 +816,13 @@ def _replay_poga(rec, name, algorithm, meta):
 def _cmd_reconstruct(args):
     record = load_record(args.input)
     meta = record.meta_dict()
-    algorithm = _meta_field(meta, "algorithm")
-    size = _meta_field(meta, "samples", int)
-    if algorithm in ALGS_1D:
-        samples = real_samples_1d(_reconstruct_section(record, "main", algorithm, meta), size)
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write("# reconstruction\n")
-            for v in samples:
-                handle.write("%.17g\n" % v)
+    algorithm, order, size, sections = _layout_sections(record)
+    parts = {attr: _reconstruct_section(sec, order, meta) for sec, attr in sections}
+    if algorithm in ALGS_1D:  # the one section, main, fills the first field of the 2-d layout
+        write_csv(args.output, "# reconstruction", real_samples_1d(parts["pp"], size))
         print("wrote %d samples to %s" % (size, args.output))
         return 0
-    size = max(size, next_pow2(2 * _meta_field(meta, "order", int) + 2))
-    layout = _SECTIONS_2D if _full_recon(record) else _SECTIONS_2D[:1]
-    parts = {attr: _reconstruct_section(record, name, alg or algorithm, meta) for name, alg, attr in layout}
+    size = max(size, next_pow2(2 * order + 2))
     if len(parts) == 1:
         fieldvals = 2.0 * parts["pp"].boundary_samples(size).real
     else:

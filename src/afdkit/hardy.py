@@ -552,6 +552,10 @@ class _PairTable:
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.block(), dtype=dtype)
 
+    def norms_sq(self):
+        """Squared norms of the rows of ``Ka`` and of ``Kb``, whose products are those of the pair atoms."""
+        return np.sum(np.abs(self.rows_a) ** 2, axis=1), np.sum(np.abs(self.rows_b) ** 2, axis=1)
+
     def bounds(self):
         """Upper bounds of the values in each row and in each column of a table with gains.
 
@@ -563,11 +567,25 @@ class _PairTable:
         either side.
         """
         gain_a, gain_b = self.gains
-        norm_a = np.sum(np.abs(self.rows_a) ** 2, axis=1).max()
-        norm_b = np.sum(np.abs(self.rows_b) ** 2, axis=1).max()
+        norm_a, norm_b = (norms.max() for norms in self.norms_sq())
         rows = np.sum(np.abs(self.left) ** 2, axis=1) * norm_b + gain_a + gain_b.max()
         cols = np.sum(np.abs(self.rows_b @ self.middle.T) ** 2, axis=1) * norm_a + gain_b + gain_a.max()
         return rows * (1.0 + PAIR_MARGIN), cols * (1.0 + PAIR_MARGIN)
+
+
+def _kernel_table(block, a_pts, b_pts, grid, single=None):
+    """``|K_a block K_b^T|`` over all point pairs, K the ``kernel_rows`` of each axis.
+
+    Entry (a, b) is |<g, e_a (x) e_b>|, g the power series of ``block``.
+    The single-axis matrices (Ga, Gb) of afd2d-tm add the gains
+    ``|K_a Ga|^2`` and ``|K_b Gb|^2`` to the squared entries.
+    """
+    order = block.shape[0] - 1
+    rows_a, rows_b = kernel_rows(a_pts, order, grid), kernel_rows(b_pts, order, grid)
+    gains = None
+    if single is not None:
+        gains = tuple(np.sum(np.abs(rows @ G) ** 2, axis=1) for rows, G in zip((rows_a, rows_b), single))
+    return _PairTable(rows_a, block, rows_b, gains)
 
 
 def _pair_argmax(table):

@@ -29,7 +29,7 @@ from .errors import (
     DomainError,
     SpanDegeneracyError,
 )
-from .hardy import FourierCoeffs, _row_blocks, eval_series, greedy, grid_points, kernel_rows, require_nonzero
+from .hardy import FourierCoeffs, _kernel_table, _row_blocks, eval_series, greedy, grid_points, require_nonzero
 from .szego import AtomSpec, TensorAtomSpec, normalized_atom_coeffs, tensor_atom_coeffs
 
 __all__ = [
@@ -257,18 +257,6 @@ class ProductSzegoDictionary2D:
 
     _index = SzegoDictionary1D._index
 
-    @cached_property
-    def _factors(self):
-        """Rows sqrt(1-|a|^2) conj(a)^k, k = 0..order, of the one-factor kernels; built on the first scan.
-
-        Kernel rows at conj(a): conjugating the grid's rows would flip the signs of zero imaginary parts.
-        """
-        return kernel_rows(np.conj(self.params), self.order)
-
-    @cached_property
-    def _factor_norms_sq(self):
-        return np.sum(np.abs(self._factors) ** 2, axis=1)
-
     @property
     def dim(self):
         return (self.order + 1) ** 2
@@ -303,32 +291,37 @@ class ProductSzegoDictionary2D:
     def scan(self, g, frame, state=None):
         """``_scored`` values of every pair of grid points against the frame, row-major.
 
-        With A the factor rows, the table W = A conj(G) A^T holds the inner
-        products and frame row B_j removes |M_j|^2, M_j = A conj(B_j) A^T,
-        from r^2.  The rows of pairs go in the blocks of ``_row_blocks``:
-        a block subtracts |M_j|^2 of the frame rows added since the last
+        With K the grid's kernel rows, the pair table |K G K^T| of
+        ``hardy._kernel_table`` holds the inner products, and frame row B_j
+        removes the square of its own table |K B_j K^T| from r^2, which
+        starts at the products of the squared row norms of K.  The rows of
+        pairs go in the blocks of ``_row_blocks``, through one workspace: a
+        block subtracts the squares of the frame rows added since the last
         call from the r^2 a ``ScanState`` keeps, in the order a full
-        recomputation would use, and scores its rows of W, formed afresh.
-        BLAS gives a block of two or more rows the bits of the whole
+        recomputation would use, and scores its rows of the remainder's
+        table.  BLAS gives a block of two or more rows the bits of the whole
         product, so every value has the bits of an unblocked scan, and only
         r^2, the gain and the mask are held for all pairs.
         """
-        side = self.order + 1
-        A = self._factors
+        side, pts = self.order + 1, self.params
+        table = _kernel_table(_as_vector(g).reshape(side, side), pts, pts, self.grid)
         if state is None:
             state = ScanState()
-        rows = state.new_rows(frame, lambda: np.outer(self._factor_norms_sq, self._factor_norms_sq))
-        frame_left = [A @ np.conj(frame.matrix[j].reshape(side, side)) for j in rows]
-        left = A @ np.conj(_as_vector(g).reshape(side, side))
+        frame_tables = [
+            _kernel_table(frame.matrix[j].reshape(side, side), pts, pts, self.grid)
+            for j in state.new_rows(frame, lambda: np.outer(*table.norms_sq()))
+        ]
+        blocks = _row_blocks(pts.size)
+        work = np.empty(3 * max(blk.stop - blk.start for blk in blocks) * pts.size)
         gain = np.empty(state.r_sq.shape)
         degenerate = np.empty(state.r_sq.shape, dtype=bool)
         sup_r = 0.0
-        for blk in _row_blocks(A.shape[0]):
+        for blk in blocks:
             r_sq = state.r_sq[blk]
-            for row_left in frame_left:
-                square = np.abs(row_left[blk] @ A.T)
+            for frame_table in frame_tables:
+                square = frame_table.block(blk, work=work)
                 r_sq -= np.square(square, out=square)
-            gain[blk], degenerate[blk], sup, _ = _scored(np.abs(left[blk] @ A.T), r_sq)
+            gain[blk], degenerate[blk], sup, _ = _scored(table.block(blk, work=work), r_sq)
             sup_r = max(sup_r, sup)
         return gain.ravel(), degenerate.ravel(), sup_r, state.r_sq.ravel()
 

@@ -15,7 +15,6 @@ from afdkit import (
     FourierCoeffs1D,
     FourierCoeffs2D,
     GridSpec,
-    ProductSzegoDictionary2D,
     TensorAtomSpec,
     TruncationWarning,
     afd2d_tm_decompose,
@@ -32,11 +31,12 @@ from afdkit import (
 )
 from afdkit import afd2d
 from afdkit.afd1d import _tm_grid_size, blaschke_eval
-from afdkit.afd2d import _blaschke_toeplitz, _kernel_table, _product_tm_objective
+from afdkit.afd2d import _blaschke_toeplitz, _product_tm_objective
 from afdkit.hardy import (
     PAIR_BLOCK,
     PAIR_SEEDS,
     _PairTable,
+    _kernel_table,
     _pair_argmax,
     _row_blocks,
     grid_radii,
@@ -379,14 +379,6 @@ class TestKernelRowTables:
             warnings.simplefilter("ignore")
             got = np.asarray(_product_tm_objective(f, history, self.GRID)(a_pts, b_pts))
             self.check(got, *weighted_tm_table(f, history, a_pts, b_pts))
-
-    @pytest.mark.parametrize("order", [64, 130, 256])
-    def test_poga_factor_rows_are_bitwise_unchanged(self, order):
-        grid = GridSpec(radial_count=24, angular_count=48, max_radius=0.85)
-        params = grid_points(grid)
-        k = np.arange(order + 1)
-        old = np.sqrt(1.0 - np.abs(params) ** 2)[:, None] * np.conj(params)[:, None] ** k[None, :]
-        assert ProductSzegoDictionary2D(order, grid)._factors.tobytes() == old.tobytes()
 
     def test_full_grid_table_peak_memory(self):
         """A whole afd2d-tm and a whole pga2d selection never hold a table of all pairs.

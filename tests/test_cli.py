@@ -185,6 +185,15 @@ class TestRecordRoundTrip:
         save_record(RecordFile(loaded.meta, [encode_section("main", algorithm, back)]), again)
         assert again.read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize("algorithm, m", [("poga1d", 2), ("poga2d", 3)])
+    def test_multiplicity_is_at_most_order_plus_one(self, algorithm, m):
+        # m is the highest multiplicity of the library record, held by step 2
+        section = encode_section("main", algorithm, library_record(algorithm))
+        assert len(decode_section(section, {"rho": "0.9", "order": str(m - 1)}).steps) == 2
+        message = "step 2 has multiplicity %d, above order \\+ 1 = %d" % (m, m - 1)
+        with pytest.raises(RecordFormatError, match=message):
+            decode_section(section, {"rho": "0.9", "order": str(m - 2)})
+
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_encoded_save_load_save_is_byte_identical(self, tmp_path, algorithm):
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -510,6 +519,54 @@ class TestCliEndToEnd:
         save_record(rec, path)
         assert cli_main(["reconstruct", "--input", path, "--output", str(tmp_path / "out")]) == 2
         assert "record meta order is negative: '-3'" in capsys.readouterr().err
+
+    # what each edit of an afd1d record breaks, and the error both commands report
+    LAYOUT_EDITS = {
+        "empty": (lambda text: "afdkit-record 1\nend\n", "record has no meta algorithm"),
+        "algorithm": (lambda text: text.replace("meta algorithm afd1d\n", "meta algorithm poga1d\n"),
+                      "record holds sections main (afd1d), expected main (poga1d)"),
+        "order": (lambda text: text.replace("meta order 32\n", ""), "record has no meta order"),
+        "section": (lambda text: text.replace("section main afd1d\n", "section other afd1d\n"),
+                    "record holds sections other (afd1d), expected main (afd1d)"),
+    }
+
+    @pytest.mark.parametrize("edit", sorted(LAYOUT_EDITS))
+    def test_verify_rejects_what_reconstruct_rejects(self, tmp_path, capsys, edit):
+        sig, rec = str(tmp_path / "s.csv"), tmp_path / "s.rec"
+        assert cli_main(["synth", "--output", sig, "--seed", "2", "--order", "32", "--atoms", "3"]) == 0
+        assert cli_main(["decompose", "--algorithm", "afd1d", "--input", sig, "--output", str(rec),
+                         "--order", "32", "--terms", "3", "--max-radius", "0.6", "--refine", "0",
+                         "--grid-radial", "8", "--grid-angular", "16"]) == 0
+        change, message = self.LAYOUT_EDITS[edit]
+        text = rec.read_text()
+        rec.write_text(change(text))
+        assert rec.read_text() != text
+        capsys.readouterr()
+        assert cli_main(["verify", "--input", str(rec)]) == 2
+        assert cli_main(["reconstruct", "--input", str(rec), "--output", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err.count("error: %s\n" % message) == 2
+
+    @pytest.mark.parametrize("m", [34, 2000])
+    def test_multiplicity_above_order_plus_one_rejected(self, tmp_path, capsys, m):
+        # order 32: no run selects a rung above 33, and at 2000 the closed-form
+        # normalization of the atom overflows a float
+        sig, rec = str(tmp_path / "q.csv"), tmp_path / "q.rec"
+        grid = ["--order", "32", "--max-radius", "0.6", "--grid-radial", "8", "--grid-angular", "16"]
+        assert cli_main(["synth", "--output", sig, "--seed", "2", "--atoms", "3"] + grid) == 0
+        assert cli_main(["decompose", "--algorithm", "poga1d", "--input", sig, "--output", str(rec),
+                         "--terms", "3", "--refine", "0"] + grid) == 0
+        lines = rec.read_text().split("\n")
+        first = next(i for i, line in enumerate(lines) if line.startswith("step "))
+        fields = lines[first].split(" ")
+        assert fields[3] == "1"
+        fields[3] = str(m)
+        lines[first] = " ".join(fields)
+        rec.write_text("\n".join(lines))
+        capsys.readouterr()
+        assert cli_main(["verify", "--input", str(rec)]) == 2
+        assert cli_main(["reconstruct", "--input", str(rec), "--output", str(tmp_path / "out.csv")]) == 2
+        message = "poga1d step 1 has multiplicity %d, above order + 1 = 33" % m
+        assert capsys.readouterr().err.count(message) == 2
 
     def test_non_utf8_record_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "binary.txt"

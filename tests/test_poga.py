@@ -635,9 +635,17 @@ class TestCarriedTable2D:
 
 
 def reference_scan_2d(dictionary, g, frame):
-    """The unblocked 2-d scan: whole P x P products for the inner products and each frame row."""
-    side, A = dictionary.order + 1, dictionary._factors
-    r_sq = np.outer(dictionary._factor_norms_sq, dictionary._factor_norms_sq)
+    """The unblocked 2-d scan: whole P x P products for the inner products and each frame row.
+
+    Its factor rows A are sqrt(1-|a|^2) conj(a)^k, the conjugates of the
+    grid's kernel rows K: the values |A conj(G) A^T| are the conjugate
+    arithmetic of |K G K^T|, and r^2 starts at the squared row norms of A.
+    """
+    params, k = dictionary.params, np.arange(dictionary.order + 1)
+    side = k.size
+    A = np.sqrt(1.0 - np.abs(params) ** 2)[:, None] * np.conj(params)[:, None] ** k[None, :]
+    norms_sq = np.sum(np.abs(A) ** 2, axis=1)
+    r_sq = np.outer(norms_sq, norms_sq)
     for row in frame.matrix:
         r_sq -= np.abs(A @ np.conj(row.reshape(side, side)) @ A.T) ** 2
     r = scan_r(r_sq)
@@ -668,11 +676,11 @@ def test_bench_size_step_peak_memory():
 
     That is 17 bytes per pair, plus one block workspace of at most 80 bytes
     per pair of a ``PAIR_BLOCK``-row block (the products, absolute values,
-    r, gain and mask of the block) and one P x (N + 1) complex factor
-    product for the remainder and for each frame row.  A scan of the whole
-    table holds W, |W|, r^2, r and the gain: 48 bytes per pair.  The factor
-    rows are cached outside the measurement; the state is fresh, so r^2 is
-    counted.
+    r, gain and mask of the block) and one P x (N + 1) complex product of
+    the kernel rows for the remainder and for each frame row.  A scan of
+    the whole table holds W, |W|, r^2, r and the gain: 48 bytes per pair.
+    The grid's kernel rows are cached outside the measurement; the state is
+    fresh, so r^2 is counted.
     """
     grid = GridSpec(radial_count=24, angular_count=48, max_radius=0.85)
     dictionary = ProductSzegoDictionary2D(64, grid)
@@ -681,7 +689,7 @@ def test_bench_size_step_peak_memory():
     for i in (100, 777 * size + 5):
         frame.extend(dictionary.atom_vector(dictionary.base_spec(i)), spec=dictionary.base_spec(i))
     g = frame.project_residual(random_hardy_2d(3, 64).data)[0]
-    _select(g, frame, dictionary, 1.0)  # fills the factor-row cache outside the measurement
+    _select(g, frame, dictionary, 1.0)  # fills the grid's kernel-row cache outside the measurement
     bound = 17 * size**2 + 80 * PAIR_BLOCK * size + 16 * size * 65 * (len(frame) + 1) + 2**20
     tracemalloc.start()
     try:
