@@ -37,10 +37,12 @@ class SpanDegeneracyError(RuntimeError):
     """Candidate atom is (numerically) inside the span of the current frame.
 
     ``OrthoFrame.extend`` raises it, with the residual norm ``r``.  The
-    selection loop never sees it: the dictionary scans mark the grid atoms
-    with ``r < EPS_SPAN``, ``poga._reduce`` compares the escalated
-    candidates' ``r`` with ``EPS_SPAN`` itself, and the degenerate
-    candidates escalate to the next multiplicity order.
+    selection loop never sees it: the reduction of each scan block marks
+    the grid atoms with ``r < EPS_SPAN`` and the selected ones degenerate,
+    ``poga._reduce`` compares the escalated candidates' ``r`` with
+    ``EPS_SPAN`` itself, and ``poga._select`` marks a grid winner whose
+    direct residual is below it and scans again.  The degenerate candidates
+    escalate to the next multiplicity order.
     """
 
     def __init__(self, message, r=0.0):

@@ -130,12 +130,15 @@ class ScanState:
     ``r_sq`` is the unclipped squared residual norm of every base atom
     after the first ``rows`` frame rows were subtracted, valid while the
     frame has been re-orthogonalized ``epoch`` times.  Inner products with
-    the remainder are not kept: a scan computes them afresh.
+    the remainder are not kept: a scan computes them afresh.  ``atoms``
+    holds the vectors of the escalated and selected atoms built so far, by
+    spec, since a vector depends on its spec alone.
     """
 
     r_sq: np.ndarray | None = None
     rows: int = 0
     epoch: int = 0
+    atoms: dict = field(default_factory=dict)
 
     def new_rows(self, frame, norms_sq):
         """Frame rows not yet subtracted from ``r_sq``, which restarts at ``norms_sq()``.
@@ -150,17 +153,71 @@ class ScanState:
         self.rows = len(frame)
         return rows
 
+    def atom(self, dictionary, spec):
+        """``dictionary.atom_vector(spec)``, built once per state."""
+        if spec not in self.atoms:
+            self.atoms[spec] = dictionary.atom_vector(spec)
+        return self.atoms[spec]
 
-def _scored(inner, r_sq):
-    """What a scan returns for inner products |<g, atom_i>| and squared residual norms r_i^2.
 
-    That is (gain, degenerate, sup_r, r_sq): the gain |<g, atom_i>| / r_i,
-    the mask r_i < EPS_SPAN, the largest r_i, and ``r_sq`` itself, with
-    r = sqrt(clip(r^2)); ``r_sq`` gives r at any index with the same bits.
+class _Reduction:
+    """What a weak selection with factor ``rho`` needs of a scan, reduced block by block.
+
+    ``add`` takes the inner products |<g, atom_i>| and squared residual
+    norms r_i^2 of the base atoms from index ``start`` on.  In block-sized
+    buffers it forms r = sqrt(clip(r^2)), the gain |<g, atom_i>| / r and the
+    degenerate mask r < EPS_SPAN, into which the ``excluded`` base indices
+    are forced, and sets the degenerate gains to -inf.  It keeps the
+    largest r (``sup_r``), the top gain of the usable atoms (``top``, -inf
+    while there is none) and the degenerate indices in ascending order.
+    ``kept`` holds the index, gain and r of the entries whose gain is at
+    least rho times the running top and above that of every entry before
+    them in (r, index) order, in that order, so with rising gains: an entry
+    with no more gain than an earlier one is never the first to reach a
+    floor.  The final floor rho * sup_gain is at least every running floor,
+    so the first kept entry at or above it is the first qualifying base atom
+    by (r, index), with the bits a whole-table reduction gives it.
     """
-    r = np.sqrt(np.clip(r_sq, 0.0, None))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return inner / r, r < EPS_SPAN, float(np.max(r)), r_sq
+
+    def __init__(self, rho, excluded=()):
+        self.rho = rho
+        self.excluded = np.array(sorted(excluded), dtype=np.intp)
+        self.sup_r = 0.0
+        self.top = -np.inf
+        self.degenerate = []
+        self.kept = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))
+
+    def add(self, start, inner, r_sq):
+        """Reduce one block of flat ``inner`` (overwritten by the gains) and ``r_sq`` values."""
+        r = np.clip(r_sq, 0.0, None)
+        np.sqrt(r, out=r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = np.divide(inner, r, out=inner)
+        degenerate = r < EPS_SPAN
+        lo, hi = np.searchsorted(self.excluded, (start, start + r.size))
+        degenerate[self.excluded[lo:hi] - start] = True
+        gain[degenerate] = -np.inf  # never qualifies
+        self.sup_r = max(self.sup_r, float(np.max(r)))
+        self.degenerate.append(start + np.flatnonzero(degenerate))
+        top = int(np.argmax(gain))
+        self.top = max(self.top, float(gain[top]))
+        if self.top > -np.inf:
+            floor = self.rho * self.top
+            new = np.flatnonzero(gain >= floor)
+            # cheap passes first: the block's top entry has at least the gain
+            # of the block entries after it by (r, index), and the last kept
+            # entry at or before an r the most gain of the kept ones there
+            new = new[(r[new] < r[top]) | ((r[new] == r[top]) & (new <= top))]
+            _, gains, rs = self.kept
+            new = new[np.concatenate(([-np.inf], gains))[np.searchsorted(rs, r[new], side="right")] < gain[new]]
+            old = gains >= floor
+            index, gains, rs = (
+                np.concatenate((kept[old], fresh)) for kept, fresh in zip(self.kept, (start + new, gain[new], r[new]))
+            )
+            order = np.lexsort((index, rs))
+            ahead = np.maximum.accumulate(np.concatenate(([-np.inf], gains[order[:-1]])))
+            order = order[gains[order] > ahead]
+            self.kept = index[order], gains[order], rs[order]
 
 
 @dataclass(frozen=True)
@@ -238,9 +295,14 @@ class SzegoDictionary1D:
             state.r_sq -= (w * np.abs(eval_series(frame.matrix[j], self.params, self.grid))) ** 2
         return inner, state.r_sq
 
-    def scan(self, g, frame, state=None):
-        """``_scored`` values of every base atom against the frame (``_inner_r_sq``)."""
-        return _scored(*self._inner_r_sq(g, frame, state))
+    def scan(self, g, frame, reduction, state=None):
+        """Feed every base atom's ``_inner_r_sq`` values to ``reduction`` as one block.
+
+        Returns (r^2, reduction), r^2 one entry per base atom.
+        """
+        inner, r_sq = self._inner_r_sq(g, frame, state)
+        reduction.add(0, inner, r_sq)
+        return r_sq, reduction
 
 
 class ProductSzegoDictionary2D:
@@ -288,8 +350,8 @@ class ProductSzegoDictionary2D:
             TensorAtomSpec(spec.left, AtomSpec(spec.right.a, spec.right.m + 1)),
         ]
 
-    def scan(self, g, frame, state=None):
-        """``_scored`` values of every pair of grid points against the frame, row-major.
+    def scan(self, g, frame, reduction, state=None):
+        """Feed every pair of grid points, row-major, to ``reduction`` in row blocks.
 
         With K the grid's kernel rows, the pair table |K G K^T| of
         ``hardy._kernel_table`` holds the inner products, and frame row B_j
@@ -298,10 +360,11 @@ class ProductSzegoDictionary2D:
         pairs go in the blocks of ``_row_blocks``, through one workspace: a
         block subtracts the squares of the frame rows added since the last
         call from the r^2 a ``ScanState`` keeps, in the order a full
-        recomputation would use, and scores its rows of the remainder's
-        table.  BLAS gives a block of two or more rows the bits of the whole
-        product, so every value has the bits of an unblocked scan, and only
-        r^2, the gain and the mask are held for all pairs.
+        recomputation would use, and hands its rows of the remainder's table
+        to the reduction.  BLAS gives a block of two or more rows the bits
+        of the whole product, so every value has the bits of an unblocked
+        scan, and r^2 is the only array held for all pairs.
+        Returns (r^2, reduction), r^2 one entry per pair.
         """
         side, pts = self.order + 1, self.params
         table = _kernel_table(_as_vector(g).reshape(side, side), pts, pts, self.grid)
@@ -313,17 +376,13 @@ class ProductSzegoDictionary2D:
         ]
         blocks = _row_blocks(pts.size)
         work = np.empty(3 * max(blk.stop - blk.start for blk in blocks) * pts.size)
-        gain = np.empty(state.r_sq.shape)
-        degenerate = np.empty(state.r_sq.shape, dtype=bool)
-        sup_r = 0.0
         for blk in blocks:
             r_sq = state.r_sq[blk]
             for frame_table in frame_tables:
                 square = frame_table.block(blk, work=work)
                 r_sq -= np.square(square, out=square)
-            gain[blk], degenerate[blk], sup, _ = _scored(table.block(blk, work=work), r_sq)
-            sup_r = max(sup_r, sup)
-        return gain.ravel(), degenerate.ravel(), sup_r, state.r_sq.ravel()
+            reduction.add(blk.start * pts.size, table.block(blk, work=work).ravel(), r_sq.ravel())
+        return state.r_sq.ravel(), reduction
 
 
 def _escalated_candidates(dictionary, spec, frame):
@@ -357,71 +416,64 @@ def _escalated_candidates(dictionary, spec, frame):
 def _select(g, frame, dictionary, rho, state=None):
     """Pre-orthogonal (weak) maximal selection, the step of poga_decompose.
 
-    Base atoms rank by (r, grid index) and escalated candidates after all of
-    them in the order they are generated; the winner is the first qualifying
-    candidate in that order.  A winning base atom is confirmed against the
-    frame directly: if its residual is below EPS_SPAN after all (the scan
-    value is cancellation-limited), it is treated as degenerate and the
-    reduction runs again.  ``state`` goes to the dictionary scan.
-    Returns (outcome, sup_gain, sup_r_grid).
+    The dictionary scan feeds a ``_Reduction`` block by block.  The
+    already-selected base atoms are forced degenerate: they are in the span
+    by construction, whatever the cancellation-limited scan residual says.
+    ``_reduce`` picks the winner.  A winning base atom is confirmed against
+    the frame directly: if its residual is below EPS_SPAN after all, it is
+    forced degenerate too and the scan runs again; the state then has no
+    new frame rows, so only the remainder's table is recomputed.  ``state``
+    (a fresh one when not given) goes to the scan and holds the atom
+    vectors.  Returns (outcome, sup_gain, sup_r_grid).
     """
     g = _as_vector(g)
     require_nonzero(float(np.linalg.norm(g)) ** 2, "greedy remainder")
-    gains, degenerate, sup_r, r_sq = dictionary.scan(g, frame, state)
-    selected = set(s for s in frame.specs if s is not None)
-
-    # already-selected base atoms are in-span by construction, whatever the
-    # cancellation-limited scan residual says
-    for s in selected:
-        idx = dictionary.base_index(s)
-        if idx is not None:
-            degenerate[idx] = True
+    state = ScanState() if state is None else state
+    excluded = {dictionary.base_index(s) for s in frame.specs if s is not None} - {None}
     while True:
-        (r_sel, gain, spec), sup_gain, index = _reduce(g, frame, dictionary, gains, r_sq, degenerate, rho)
-        if index is None or frame.project_residual(dictionary.atom_vector(spec))[1] >= EPS_SPAN:
-            break
-        degenerate[index] = True
-    return SelectionOutcome(atom=spec, r=r_sel, gain=gain), sup_gain, sup_r
+        _, reduction = dictionary.scan(g, frame, _Reduction(rho, excluded), state)
+        (r_sel, gain, spec), sup_gain, index = _reduce(g, frame, dictionary, reduction, state)
+        if index is None or frame.project_residual(state.atom(dictionary, spec))[1] >= EPS_SPAN:
+            return SelectionOutcome(atom=spec, r=r_sel, gain=gain), sup_gain, reduction.sup_r
+        excluded.add(index)
 
 
-def _reduce(g, frame, dictionary, gains, r_sq, degenerate, rho):
+def _reduce(g, frame, dictionary, reduction, state):
     """Winner among the usable base atoms and the escalations of the degenerate ones.
 
-    ``gains`` of the degenerate base atoms are set to -inf in place, and r
-    comes from ``r_sq`` only at the qualifying ones.  Returns ((r, gain,
-    spec), sup_gain, grid index of a base winner or None).
+    Base atoms rank by (r, grid index), as the scan's ``reduction`` keeps
+    them, and escalated candidates after all of them in the order they are
+    generated, from the degenerate base atoms in ascending order; the
+    winner is the first qualifying candidate in that order.
+    Escalated atom vectors come from ``state``; their residuals are
+    computed against the current frame.  Returns ((r, gain, spec),
+    sup_gain, grid index of a base winner or None).
     """
-    gains[degenerate] = -np.inf  # never qualifies
-
     escalated = []  # (r, gain, spec) in generation order
-    for i in np.flatnonzero(degenerate):
-        spec = dictionary.base_spec(i)
-        for esc in _escalated_candidates(dictionary, spec, frame):
-            vec = dictionary.atom_vector(esc)
-            _, r_esc = frame.project_residual(vec)
-            attempts = 0
-            while r_esc < EPS_SPAN and attempts < MAX_ESCALATION:
-                esc = _escalated_candidates(dictionary, esc, frame)[0]
-                vec = dictionary.atom_vector(esc)
+    for i in np.concatenate(reduction.degenerate):
+        for esc in _escalated_candidates(dictionary, dictionary.base_spec(i), frame):
+            for attempt in range(MAX_ESCALATION + 1):
+                if attempt:
+                    esc = _escalated_candidates(dictionary, esc, frame)[0]
+                vec = state.atom(dictionary, esc)
                 _, r_esc = frame.project_residual(vec)
-                attempts += 1
-            if r_esc < EPS_SPAN:
-                continue
-            escalated.append((float(r_esc), abs(complex(np.vdot(vec, g))) / r_esc, esc))
+                if r_esc >= EPS_SPAN:
+                    escalated.append((float(r_esc), abs(complex(np.vdot(vec, g))) / r_esc, esc))
+                    break
 
-    usable = not degenerate.all()
+    usable = reduction.top > -np.inf
     if not usable and not escalated:
         raise DegenerateInputError("no usable candidate atom on the grid")
 
-    sup_gain = max([c[1] for c in escalated] + ([float(np.max(gains))] if usable else []))
-    floor = rho * sup_gain
+    sup_gain = max([c[1] for c in escalated] + ([reduction.top] if usable else []))
+    floor = reduction.rho * sup_gain
     best, index = None, None  # (r, gain, spec) of the first qualifying candidate by r
+    indices, gains, r = reduction.kept
     qualifying = np.flatnonzero(gains >= floor)
     if qualifying.size:
-        r = np.sqrt(np.clip(r_sq[qualifying], 0.0, None))
-        k = int(np.argmin(r))
-        index = int(qualifying[k])
-        best = (float(r[k]), float(gains[index]), dictionary.base_spec(index))
+        k = int(qualifying[0])
+        index = int(indices[k])
+        best = (float(r[k]), float(gains[k]), dictionary.base_spec(index))
     for cand in escalated:
         if cand[1] >= floor and (best is None or cand[0] < best[0]):
             best, index = cand, None
@@ -492,7 +544,7 @@ def poga_decompose(
             r_sup = max(frame.project_residual(v)[1] for v in synth_vectors)
         else:
             r_sup = sup_r_grid
-        basis_vec, _ = frame.extend(dictionary.atom_vector(outcome.atom), spec=outcome.atom)
+        basis_vec, _ = frame.extend(state.atom(dictionary, outcome.atom), spec=outcome.atom)
         coeff = complex(np.vdot(basis_vec, g))
         g = g - coeff * basis_vec
         return PogaStep(atom=outcome.atom, coeff=coeff, r=outcome.r, r_sup=float(r_sup),

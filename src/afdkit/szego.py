@@ -129,12 +129,22 @@ def normalization(spec):
     """Constant making the higher-order kernel unit norm.
 
     Equals sqrt(1 - |a|^2) for m = 1 and tends to 0 as |a| -> 1 for every
-    fixed m.  Returned as a positive float.
+    fixed m.  Returned as a positive float.  Raises ``DomainError`` once the
+    closed form leaves the float range: from m = 68 at |a| = 0.995, from
+    m = 516 at |a| = 0.5.
     """
     if spec.a == 0:
         return 1.0
     r = abs(spec.a) ** 2
-    return 1.0 / math.sqrt(_ladder_norm_sq(r, spec.m))
+    try:
+        norm_sq = _ladder_norm_sq(r, spec.m)
+    except (ZeroDivisionError, OverflowError):
+        norm_sq = math.inf
+    if not norm_sq < math.inf:
+        raise DomainError(
+            "higher-order kernel at a=%.6g%+.6gj with m=%d has no float norm" % (spec.a.real, spec.a.imag, spec.m)
+        )
+    return 1.0 / math.sqrt(norm_sq)
 
 
 def normalized_atom_coeffs(spec, order):

@@ -15,7 +15,7 @@ from afdkit import (
 )
 from afdkit.afd2d import _block_entries, _cross_table, _hardy_block, _history_rows
 from afdkit.hardy import grid_radii, real_field_2d, require_nonzero
-from afdkit.poga import EPS_SPAN, _as_vector
+from afdkit.poga import EPS_SPAN, _as_vector, _Reduction
 
 
 def kernel_ip(a, b):
@@ -126,6 +126,38 @@ def candidate_gain(g, atom, frame):
         raise SpanDegeneracyError("candidate atom lies in the frame span", r=r)
     inner = abs(complex(np.vdot(atom, g)))
     return SelectionOutcome(atom=None, r=r, gain=inner / r)
+
+
+class _RecordedReduction(_Reduction):
+    """A ``_Reduction`` that also keeps a copy of every block it is given."""
+
+    def __init__(self):
+        super().__init__(1.0)
+        self.blocks = []
+
+    def add(self, start, inner, r_sq):
+        self.blocks.append((start, inner.copy()))
+        super().add(start, inner, r_sq)
+
+
+def dense_scan(dictionary, g, frame, state=None):
+    """A scan's values for all base atoms: (gain, degenerate, sup_r, r_sq).
+
+    The inner products are the blocks the scan hands its reduction, in
+    order; r = sqrt(clip(r^2)), the gain is inner / r and the mask
+    r < EPS_SPAN, as the reduction forms them, and ``sup_r`` is the
+    reduction's own.
+    """
+    reduction = _RecordedReduction()
+    r_sq = dictionary.scan(g, frame, reduction, state)[0]
+    starts = [start for start, _ in reduction.blocks]
+    inner = np.concatenate([block for _, block in reduction.blocks])
+    assert starts == list(np.cumsum([0] + [b.size for _, b in reduction.blocks[:-1]]))
+    assert inner.size == r_sq.size
+    r = np.sqrt(np.clip(r_sq, 0.0, None))
+    assert np.array_equal(np.concatenate(reduction.degenerate), np.flatnonzero(r < EPS_SPAN))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return inner / r, r < EPS_SPAN, reduction.sup_r, r_sq
 
 
 def oga_select(g, dictionary):

@@ -568,6 +568,26 @@ class TestCliEndToEnd:
         message = "poga1d step 1 has multiplicity %d, above order + 1 = 33" % m
         assert capsys.readouterr().err.count(message) == 2
 
+    def test_multiplicity_without_a_float_norm_rejected(self, tmp_path, capsys):
+        # order 256 lets multiplicity 257 through the order + 1 bound, but at
+        # |a| = 0.95 the closed-form norm of that rung leaves the float range
+        sig, rec = str(tmp_path / "q.csv"), tmp_path / "q.rec"
+        grid = ["--order", "256", "--max-radius", "0.95", "--grid-radial", "8", "--grid-angular", "16"]
+        assert cli_main(["synth", "--output", sig, "--seed", "4", "--atoms", "3"] + grid) == 0
+        assert cli_main(["decompose", "--algorithm", "poga1d", "--input", sig, "--output", str(rec),
+                         "--terms", "2", "--refine", "0"] + grid) == 0
+        lines = rec.read_text().split("\n")
+        first = next(i for i, line in enumerate(lines) if line.startswith("step "))
+        fields = lines[first].split(" ")
+        assert fields[3] == "1" and abs(complex(float(fields[1]), float(fields[2]))) == pytest.approx(0.95)
+        fields[3] = "257"
+        lines[first] = " ".join(fields)
+        rec.write_text("\n".join(lines))
+        capsys.readouterr()
+        assert cli_main(["verify", "--input", str(rec)]) == 2
+        assert cli_main(["reconstruct", "--input", str(rec), "--output", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err.count("with m=257 has no float norm") == 2
+
     def test_non_utf8_record_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "binary.txt"
         path.write_bytes(b"afdkit-record 1\n\xff\nend\n")

@@ -28,9 +28,10 @@ from afdkit import (
     tensor_atom_coeffs,
 )
 from afdkit.hardy import PAIR_BLOCK
-from afdkit.poga import EPS_SPAN, MAX_ESCALATION, ScanState, _escalated_candidates, _scored, _select
+from afdkit.poga import EPS_SPAN, MAX_ESCALATION, ScanState, _escalated_candidates, _Reduction, _select
 from conftest import (
     candidate_gain,
+    dense_scan,
     kernel_ip,
     multiplicities,
     oga_select,
@@ -143,7 +144,7 @@ class TestDictionaryScan:
     def test_1d_scan_matches_candidate_gain(self, dict1d):
         frame = kernel_frame([0.4, -0.5j])
         g = frame.project_residual(random_hardy_1d(3, ORDER).data)[0]
-        gain, _, _, r_sq = dict1d.scan(g, frame)
+        gain, _, _, r_sq = dense_scan(dict1d, g, frame)
         r = scan_r(r_sq)
         rng = np.random.default_rng(0)
         for i in rng.choice(len(dict1d), size=25, replace=False):
@@ -160,7 +161,7 @@ class TestDictionaryScan:
         frame.extend(d2.atom_vector(d2.base_spec(7)), spec=d2.base_spec(7))
         g = random_hardy_2d(4, order).data.ravel()
         g, _ = frame.project_residual(g)
-        gain, _, _, r_sq = d2.scan(g, frame)
+        gain, _, _, r_sq = dense_scan(d2, g, frame)
         r = scan_r(r_sq)
         rng = np.random.default_rng(1)
         for i in rng.choice(len(d2), size=20, replace=False):
@@ -413,7 +414,7 @@ def reference_select(g, frame, dictionary, rho, demoted=frozenset()):
     ``demoted`` (treated as degenerate) and the selection runs again.
     """
     g = np.asarray(g, dtype=complex).ravel()
-    gains, _, _, r_sq = dictionary.scan(g, frame)
+    gains, _, _, r_sq = dense_scan(dictionary, g, frame)
     r = scan_r(r_sq)
     selected = set(s for s in frame.specs if s is not None)
     structural = set(demoted)
@@ -529,8 +530,9 @@ class _FixedScan:
         assert scan_r(self.r_sq).tobytes() == np.array(r + (0.0,)).tobytes()  # the selector sees r
         self.esc_vector = np.array([np.sqrt(1.0 - r_esc**2), r_esc], dtype=complex)
 
-    def scan(self, g, frame, state=None):
-        return _scored(self.inner, self.r_sq)
+    def scan(self, g, frame, reduction, state=None):
+        reduction.add(0, self.inner.copy(), self.r_sq)
+        return self.r_sq, reduction
 
     def base_spec(self, i):
         return int(i)
@@ -568,6 +570,66 @@ class TestSelectorTies:
         )
 
 
+class TestReductionInBlocks:
+    """The running reduction answers as the whole table would, at any floor the selection may set."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entries=st.lists(st.tuples(TIE_VALUES, st.sampled_from([0.0, 0.25, 0.5, 1.0])), min_size=1, max_size=40),
+        cuts=st.lists(st.integers(1, 39), max_size=6),
+        excluded=st.sets(st.integers(0, 39), max_size=5),
+        rho=st.sampled_from([1.0, 0.8, 0.5, 0.2]),
+        escalated=st.sampled_from([0.0, 0.5, 2.0, 8.0]),
+    )
+    def test_matches_the_whole_table(self, entries, cuts, excluded, rho, escalated):
+        inner, r = (np.array(values) for values in zip(*entries))
+        excluded = {i for i in excluded if i < r.size}
+        reduction = _Reduction(rho, excluded)
+        bounds = sorted({0, r.size, *(c for c in cuts if c < r.size)})
+        for lo, hi in zip(bounds, bounds[1:]):
+            reduction.add(lo, inner[lo:hi].copy(), np.square(r[lo:hi]))
+        with np.errstate(divide="ignore"):
+            gain = inner / r
+        degenerate = r < EPS_SPAN
+        degenerate[sorted(excluded)] = True
+        gain[degenerate] = -np.inf
+        usable = not degenerate.all()
+        assert np.concatenate(reduction.degenerate).tolist() == np.flatnonzero(degenerate).tolist()
+        assert reduction.sup_r == r.max() and reduction.top == (gain.max() if usable else -np.inf)
+
+        # the selection's floor: rho times the larger of the top and an escalated gain
+        floor = rho * max([escalated] + ([gain.max()] if usable else []))
+        qualifying = np.flatnonzero(gain >= floor)
+        index, gains, rs = reduction.kept
+        hits = np.flatnonzero(gains >= floor)
+        assert bool(hits.size) == bool(qualifying.size)
+        if qualifying.size:
+            first = qualifying[np.lexsort((qualifying, r[qualifying]))[0]]
+            assert (index[hits[0]], gains[hits[0]], rs[hits[0]]) == (first, gain[first], r[first])
+
+
+MID_2D = ProductSzegoDictionary2D(
+    8, GridSpec(radial_count=3, angular_count=43, refine_levels=0, max_radius=0.5)
+)
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.5, 0.2])
+def test_selection_over_two_row_blocks_matches_the_oracle(rho):
+    # P = 130 grid points, so the rows of pairs go in two blocks of 65
+    state = ScanState()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g, frame = _seeded_run(MID_2D, 3)
+        for _ in range(4):
+            outcome, sup_gain, sup_r = _select(g, frame, MID_2D, rho, state)
+            spec, r, gain, ref_sup_gain, ref_sup_r = reference_select(g, frame, MID_2D, rho)
+            assert outcome.atom == spec
+            assert bits(outcome.r) == bits(r) and bits(outcome.gain) == bits(gain)
+            assert bits(sup_gain) == bits(ref_sup_gain) and bits(sup_r) == bits(ref_sup_r)
+            vec, _ = frame.extend(MID_2D.atom_vector(spec), spec=spec)
+            g = g - np.vdot(vec, g) * vec
+
+
 def scan_bytes(result):
     """Bytes of every part of a scan result: gain, degenerate mask, sup r and r^2."""
     gain, degenerate, sup_r, r_sq = result
@@ -584,8 +646,8 @@ class TestIncrementalScan2D:
             for step in range(8):
                 if step == 4:
                     frame.reorthogonalize()
-                result = scan_bytes(dictionary.scan(g, frame, state))
-                assert result == scan_bytes(dictionary.scan(g, frame))
+                result = scan_bytes(dense_scan(dictionary, g, frame, state))
+                assert result == scan_bytes(dense_scan(dictionary, g, frame))
                 assert state.rows == len(frame)
                 outcome, _, _ = _select(g, frame, dictionary, 1.0, state)
                 vec, _ = frame.extend(dictionary.atom_vector(outcome.atom), spec=outcome.atom)
@@ -613,11 +675,11 @@ class TestCarriedTable2D:
             warnings.simplefilter("ignore")
             g, frame = _seeded_run(SMALL_2D, 6)
             for _ in range(3):
-                SMALL_2D.scan(g, frame, state)
+                dense_scan(SMALL_2D, g, frame, state)
                 g = _step(g, frame, SMALL_2D, state)
             frame.reorthogonalize()
-            result = scan_bytes(SMALL_2D.scan(g, frame, state))
-        assert result == scan_bytes(SMALL_2D.scan(g, frame))
+            result = scan_bytes(dense_scan(SMALL_2D, g, frame, state))
+        assert result == scan_bytes(dense_scan(SMALL_2D, g, frame))
         assert state.epoch == 1 and state.rows == len(frame)
 
     def test_other_remainder_falls_back_to_the_full_product(self):
@@ -626,12 +688,12 @@ class TestCarriedTable2D:
             warnings.simplefilter("ignore")
             g, frame = _seeded_run(SMALL_2D, 7)
             for _ in range(3):
-                SMALL_2D.scan(g, frame, state)
+                dense_scan(SMALL_2D, g, frame, state)
                 g = _step(g, frame, SMALL_2D, state)
             # the projected update with a rounding-level change, then a new signal
             for other in (g * (1.0 + 2.0**-52), frame.project_residual(_seeded_run(SMALL_2D, 8)[0])[0]):
-                gain = SMALL_2D.scan(other, frame, state)[0]
-                assert gain.tobytes() == SMALL_2D.scan(other, frame)[0].tobytes()
+                gain = dense_scan(SMALL_2D, other, frame, state)[0]
+                assert gain.tobytes() == dense_scan(SMALL_2D, other, frame)[0].tobytes()
 
 
 def reference_scan_2d(dictionary, g, frame):
@@ -665,22 +727,23 @@ def test_blocked_scan_equals_the_unblocked_scan():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for spec in map(dictionary.base_spec, (3, 600 * size + 77, 1152 * size + 1152)):
-            blocked = scan_bytes(dictionary.scan(g, frame, state))
+            blocked = scan_bytes(dense_scan(dictionary, g, frame, state))
             assert blocked == scan_bytes(reference_scan_2d(dictionary, g, frame))
             vec, _ = frame.extend(dictionary.atom_vector(spec), spec=spec)
             g = g - np.vdot(vec, g) * vec
 
 
 def test_bench_size_step_peak_memory():
-    """A poga2d step at bench size holds only r^2, the gain and the mask for all pairs.
+    """A poga2d step at bench size holds only r^2 for all pairs.
 
-    That is 17 bytes per pair, plus one block workspace of at most 80 bytes
+    That is 8 bytes per pair, plus one block workspace of at most 80 bytes
     per pair of a ``PAIR_BLOCK``-row block (the products, absolute values,
-    r, gain and mask of the block) and one P x (N + 1) complex product of
-    the kernel rows for the remainder and for each frame row.  A scan of
-    the whole table holds W, |W|, r^2, r and the gain: 48 bytes per pair.
-    The grid's kernel rows are cached outside the measurement; the state is
-    fresh, so r^2 is counted.
+    r, gain, masks and kept entries of the block) and one P x (N + 1)
+    complex product of the kernel rows for the remainder and for each frame
+    row.  A scan that also held the gain and the mask for all pairs would
+    need 17 bytes per pair, and one of the whole table W, |W|, r^2, r and
+    the gain 48.  The grid's kernel rows are cached outside the
+    measurement; the state is fresh, so r^2 is counted.
     """
     grid = GridSpec(radial_count=24, angular_count=48, max_radius=0.85)
     dictionary = ProductSzegoDictionary2D(64, grid)
@@ -690,7 +753,7 @@ def test_bench_size_step_peak_memory():
         frame.extend(dictionary.atom_vector(dictionary.base_spec(i)), spec=dictionary.base_spec(i))
     g = frame.project_residual(random_hardy_2d(3, 64).data)[0]
     _select(g, frame, dictionary, 1.0)  # fills the grid's kernel-row cache outside the measurement
-    bound = 17 * size**2 + 80 * PAIR_BLOCK * size + 16 * size * 65 * (len(frame) + 1) + 2**20
+    bound = 8 * size**2 + 80 * PAIR_BLOCK * size + 16 * size * 65 * (len(frame) + 1) + 2**20
     tracemalloc.start()
     try:
         _select(g, frame, dictionary, 1.0)

@@ -109,6 +109,17 @@ class TestNormalization:
     def test_vanishes_toward_boundary(self):
         assert normalization(AtomSpec(0.99999, 3)) < 1e-6
 
+    @pytest.mark.parametrize("a, m", [(0.9, 257), (0.995, 82), (0.995, 68), (0.5, 518), (0.5, 516)])
+    def test_norm_outside_the_float_range_is_a_domain_error(self, a, m):
+        # the closed form divides by an underflowed power, squares a binomial
+        # beyond the float range or sums to inf
+        with pytest.raises(DomainError, match=r"a=%g\+0j with m=%d has no float norm" % (a, m)):
+            normalization(AtomSpec(a, m))
+
+    @pytest.mark.parametrize("a, m", [(0.995, 67), (0.5, 515)])
+    def test_last_rung_with_a_float_norm(self, a, m):
+        assert 0.0 < normalization(AtomSpec(a, m)) < 1e-150
+
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_normalizes_truncated_vector(self, m):
         spec = AtomSpec(0.4 + 0.3j, m)
