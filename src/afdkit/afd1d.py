@@ -14,6 +14,7 @@ stays in the Hardy space and the energy ledger is exact.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -22,8 +23,10 @@ import numpy as np
 from .errors import DomainError, TruncationError, TruncationWarning
 from .hardy import (
     FourierCoeffs1D,
+    _on_grid,
     eval_series,
     grid_argmax,
+    grid_points,
     greedy,
     inner_product_1d,
     next_pow2,
@@ -53,6 +56,14 @@ def _validate_params(params):
     return params
 
 
+@functools.lru_cache(maxsize=8)
+def _nodes(size):
+    """Boundary nodes exp(2 pi i j / size), j = 0..size-1, cached per size and read-only."""
+    z = np.exp(2j * np.pi * np.arange(size) / size)
+    z.flags.writeable = False
+    return z
+
+
 def blaschke_eval(params, size):
     """Boundary samples of the Blaschke product with the given zeros.
 
@@ -60,7 +71,7 @@ def blaschke_eval(params, size):
     z = exp(2 pi i j / size); unimodular at every sample.
     """
     params = _validate_params(params)
-    z = np.exp(2j * np.pi * np.arange(size) / size)
+    z = _nodes(size)
     out = np.ones(size, dtype=complex)
     for a in params:
         out *= (z - a) / (1.0 - np.conj(a) * z)
@@ -81,7 +92,7 @@ def tm_matrix(params, order):
     """
     params = _validate_params(params)
     size = _tm_grid_size(order)
-    z = np.exp(2j * np.pi * np.arange(size) / size)
+    z = _nodes(size)
     samples = np.empty((len(params), size), dtype=complex)
     prefix = np.ones(size, dtype=complex)
     for k, a in enumerate(params):
@@ -104,10 +115,12 @@ def backward_shift(f, a, *, _atom=None, _coeff=None):
     """Generalized backward shift of a Hardy signal via the point a.
 
     Returns (f - <f, e_a> e_a) * (1 - conj(a) z) / (z - a), computed by
-    pointwise boundary division and projection back onto frequencies
-    0..order.  The discarded energy is theoretically zero (the numerator
-    vanishes at a); it is asserted below 1e-8 of the input energy, and a
-    violation signals insufficient truncation for this |a|.  ``_atom`` and
+    pointwise boundary division on the cached nodes and projection back
+    onto frequencies 0..order; the remainder is sampled by one zero-padded
+    inverse FFT, the transform ``boundary_samples`` takes.  The discarded
+    energy is theoretically zero (the numerator vanishes at a); it is
+    asserted below 1e-8 of the input energy, and a violation signals
+    insufficient truncation for this |a|.  ``_atom`` and
     ``_coeff`` pass ``szego_coeffs(a, order)`` and ``<f, e_a>`` that
     ``afd_decompose_1d`` already built for the step.
     """
@@ -122,8 +135,11 @@ def backward_shift(f, a, *, _atom=None, _coeff=None):
     residual = f - coeff * atom
 
     size = _tm_grid_size(order)
-    z = np.exp(2j * np.pi * np.arange(size) / size)
-    samples = residual.boundary_samples(size)
+    z = _nodes(size)
+    spectrum = np.zeros(size, dtype=complex)
+    spectrum[: order + 1] = residual.data
+    samples = np.fft.ifft(spectrum)
+    samples *= size
     samples *= (1.0 - np.conj(a) * z) / (z - a)
     spec = np.fft.fft(samples) / size
     kept = spec[: order + 1]
@@ -141,7 +157,8 @@ def msp_1d(f, grid):
     """Maximal selection of the next kernel parameter.
 
     Maximizes (1 - |a|^2) |f(a)|^2 over the grid, the energy a single
-    normalized kernel at a would extract.  Returns (a, objective value).
+    normalized kernel at a would extract; on the coarse grid the weights
+    come from a table cached per grid.  Returns (a, objective value).
     """
     require_nonzero(f.energy())
     if not f.hardy:
@@ -150,9 +167,18 @@ def msp_1d(f, grid):
 
     def objective(pts):
         vals = eval_series(data, pts, grid)
-        return (1.0 - np.abs(pts) ** 2) * np.abs(vals) ** 2
+        weights = _grid_weights(grid) if _on_grid(pts, grid) else 1.0 - np.abs(pts) ** 2
+        return weights * np.abs(vals) ** 2
 
     return grid_argmax(objective, grid)
+
+
+@functools.lru_cache(maxsize=4)
+def _grid_weights(spec):
+    """Weights 1 - |a|^2 at the coarse grid points of ``spec``, read-only."""
+    weights = 1.0 - np.abs(grid_points(spec)) ** 2
+    weights.flags.writeable = False
+    return weights
 
 
 @dataclass

@@ -149,27 +149,36 @@ def load_signal_1d(path, order):
     are blank or start with ``#`` are skipped.  Needs at least
     ``2 * order + 2`` samples.
     """
-    samples = []
     with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                value = float(line.split(",")[0])
-            except ValueError:
-                raise IngestError("%s: row %d is not numeric: %r" % (path, lineno, line))
-            if not math.isfinite(value):
-                raise IngestError("%s: row %d is not finite: %r" % (path, lineno, line))
-            samples.append(value)
+        lines = handle.read().split("\n")
+    rows = [line.split(",")[0] for line in map(str.strip, lines) if line and not line.startswith("#")]
+    try:
+        samples = np.array(list(map(float, rows)))
+    except ValueError:
+        samples = None
+    if samples is None or not np.isfinite(samples).all():
+        _raise_bad_row(path, lines)
     minimum = 2 * order + 2
     if len(samples) < minimum:
         raise IngestError(
             "%s: need at least %d samples for order %d, got %d"
             % (path, minimum, order, len(samples))
         )
-    full = FourierCoeffs1D.from_samples(np.asarray(samples), order, hardy=False)
+    full = FourierCoeffs1D.from_samples(samples, order, hardy=False)
     return analytic_part(full)
+
+
+def _raise_bad_row(path, lines):
+    """Raise ``IngestError`` for the first sample row that is not a finite number."""
+    for lineno, line in enumerate(map(str.strip, lines), start=1):
+        if not line or line.startswith("#"):
+            continue
+        try:
+            value = float(line.split(",")[0])
+        except ValueError:
+            raise IngestError("%s: row %d is not numeric: %r" % (path, lineno, line))
+        if not math.isfinite(value):
+            raise IngestError("%s: row %d is not finite: %r" % (path, lineno, line))
 
 
 def _parse_pgm(buf, path):

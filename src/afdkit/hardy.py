@@ -446,31 +446,37 @@ def _grid_kernel_rows(spec, order):
     return rows
 
 
-def _refine_offsets():
-    return np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+# Offsets of the refinement stencil, in units of the halved grid steps.
+_OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 
 
 def _local_candidates(center, step_r, step_t, max_radius):
-    """Polar 5 x 5 neighbourhood of ``center``, deduplicated and sorted.
+    """Polar 5 x 5 neighbourhood of ``center``, deduplicated and sorted by (r, t).
 
     Returns the candidate points and the index of the center's own entry.
     A center on the rim has ``abs(center)`` within rounding of
     ``max_radius``; it is snapped there, so the clamped outward offsets
     coincide with it instead of adding a near-copy of the same point.
+    Radii are clamped to [0, max_radius] and angles taken mod 2 pi, each
+    axis deduplicated and sorted on its own; the stencil is their product,
+    except that the radius 0 gives the single point 0.  An angle a rounding
+    below 0 is taken as 0, so the center keeps its own entry.
     """
     r0 = abs(center)
     if max_radius - r0 <= 1e-12:
         r0 = max_radius
     t0 = float(np.angle(center)) % (2.0 * np.pi)
-    cands = set()
-    for dr in _refine_offsets() * step_r:
-        r = min(max(r0 + dr, 0.0), max_radius)
-        for dt in _refine_offsets() * step_t:
-            t = (t0 + dt) % (2.0 * np.pi)
-            cands.add((r, t if r > 0 else 0.0))
-    cands = sorted(cands)
-    own = cands.index((r0, t0 if r0 > 0 else 0.0))
-    return np.array([r * np.exp(1j * t) for r, t in cands]), own
+    if t0 == 2.0 * np.pi:
+        t0 = 0.0
+    radii = sorted({min(max(r0 + dr, 0.0), max_radius) for dr in (_OFFSETS * step_r).tolist()})
+    angles = sorted({(t0 + dt) % (2.0 * np.pi) for dt in (_OFFSETS * step_t).tolist()})
+    zero = int(radii[0] == 0.0)
+    points = (np.array(radii[zero:])[:, None] * np.exp(1j * np.array(angles))).ravel()
+    if zero:
+        points = np.concatenate(([0j], points))
+    if r0 == 0.0:
+        return points, 0
+    return points, zero + (radii.index(r0) - zero) * len(angles) + angles.index(t0)
 
 
 def _refine(objective, best, best_val, spec):

@@ -385,14 +385,14 @@ class ProductSzegoDictionary2D:
         return state.r_sq.ravel(), reduction
 
 
-def _escalated_candidates(dictionary, spec, frame):
+def _escalated_candidates(dictionary, spec, selected):
     """Walk the multiplicity ladder until specs leave the frame span.
 
-    Returns the frontier of not-yet-selected escalations of ``spec``; for
-    tensor dictionaries both single-factor raises are explored, keeping the
-    search breadth-first and deduplicated.
+    Returns the frontier of escalations of ``spec`` not in ``selected``,
+    the set of the frame's specs; for tensor dictionaries both
+    single-factor raises are explored, keeping the search breadth-first
+    and deduplicated.
     """
-    selected = set(s for s in frame.specs if s is not None)
     out, seen, frontier = [], {spec}, [spec]
     depth = 0
     while frontier and depth < MAX_ESCALATION:
@@ -450,11 +450,12 @@ def _reduce(g, frame, dictionary, reduction, state):
     sup_gain, grid index of a base winner or None).
     """
     escalated = []  # (r, gain, spec) in generation order
+    selected = set(s for s in frame.specs if s is not None)
     for i in np.concatenate(reduction.degenerate):
-        for esc in _escalated_candidates(dictionary, dictionary.base_spec(i), frame):
+        for esc in _escalated_candidates(dictionary, dictionary.base_spec(i), selected):
             for attempt in range(MAX_ESCALATION + 1):
                 if attempt:
-                    esc = _escalated_candidates(dictionary, esc, frame)[0]
+                    esc = _escalated_candidates(dictionary, esc, selected)[0]
                 vec = state.atom(dictionary, esc)
                 _, r_esc = frame.project_residual(vec)
                 if r_esc >= EPS_SPAN:

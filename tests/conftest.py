@@ -5,6 +5,7 @@ import pytest
 
 from afdkit import (
     DomainError,
+    TruncationError,
     FourierCoeffs1D,
     FourierCoeffs2D,
     OrthoFrame,
@@ -13,6 +14,7 @@ from afdkit import (
     grid_points,
     szego_coeffs,
 )
+from afdkit.afd1d import _tm_grid_size
 from afdkit.afd2d import _block_entries, _cross_table, _hardy_block, _history_rows
 from afdkit.hardy import grid_radii, real_field_2d, require_nonzero
 from afdkit.poga import EPS_SPAN, _as_vector, _Reduction
@@ -71,6 +73,40 @@ def reference_real_field_2d(parts, size):
         - 2.0 * parts.G.boundary_samples(size).real[None, :]
         + parts.c00.real
     )
+
+
+def reference_backward_shift(f, a):
+    """``afd1d.backward_shift`` with its nodes rebuilt and its samples from ``boundary_samples``."""
+    atom = szego_coeffs(a, f.order)
+    residual = f - complex(np.vdot(atom.data, f.data)) * atom
+    size = _tm_grid_size(f.order)
+    z = np.exp(2j * np.pi * np.arange(size) / size)
+    samples = residual.boundary_samples(size)
+    samples *= (1.0 - np.conj(a) * z) / (z - a)
+    spec = np.fft.fft(samples) / size
+    kept = spec[: f.order + 1]
+    discarded = float(np.sum(np.abs(spec) ** 2) - np.sum(np.abs(kept) ** 2))
+    if discarded > 1e-8 * f.energy():
+        raise TruncationError("discards %.3e" % (discarded / f.energy()))
+    return FourierCoeffs1D(kept.copy(), hardy=True)
+
+
+def reference_local_candidates(center, step_r, step_t, max_radius):
+    """Set-based form of ``hardy._local_candidates``: one (r, t) tuple per stencil point."""
+    r0 = abs(center)
+    if max_radius - r0 <= 1e-12:
+        r0 = max_radius
+    t0 = float(np.angle(center)) % (2.0 * np.pi)
+    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    cands = set()
+    for dr in offsets * step_r:
+        r = min(max(r0 + dr, 0.0), max_radius)
+        for dt in offsets * step_t:
+            t = (t0 + dt) % (2.0 * np.pi)
+            cands.add((r, t if r > 0 else 0.0))
+    cands = sorted(cands)
+    own = cands.index((r0, t0 if r0 > 0 else 0.0))
+    return np.array([r * np.exp(1j * t) for r, t in cands]), own
 
 
 # the name the acceptance tests rebuild real images by

@@ -2,8 +2,12 @@
 
 import warnings
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afdkit import (
     DegenerateInputError,
@@ -22,7 +26,13 @@ from afdkit import (
     tm_matrix,
 )
 from afdkit import afd1d
-from conftest import dominant_atoms_on_grid, exhaustive_argmax, multiplicities, random_hardy_1d
+from conftest import (
+    dominant_atoms_on_grid,
+    exhaustive_argmax,
+    multiplicities,
+    random_hardy_1d,
+    reference_backward_shift,
+)
 
 GRID = GridSpec(radial_count=24, angular_count=48, refine_levels=1, max_radius=0.9)
 
@@ -117,6 +127,51 @@ class TestBackwardShift:
             f = szego_coeffs(0.9, 16)
             with pytest.raises(TruncationError):
                 backward_shift(f, 0.97)
+
+
+def _random_params(seed, count, radius):
+    rng = np.random.default_rng(seed)
+    return list(rng.uniform(0.0, radius, count) * np.exp(2j * np.pi * rng.uniform(size=count)))
+
+
+class TestNodeTable:
+    """The cached boundary nodes give the bits of nodes rebuilt on every call."""
+
+    def test_read_only_and_shared(self):
+        z = afd1d._nodes(2048)
+        assert z is afd1d._nodes(2048) and not z.flags.writeable
+        with pytest.raises(ValueError):
+            z[0] = 0.0
+        assert z.tobytes() == np.exp(2j * np.pi * np.arange(2048) / 2048).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(order=st.integers(0, 300), seed=st.integers(0, 2**16), radius=st.floats(0.0, 0.97))
+    def test_backward_shift(self, order, seed, radius):
+        f = random_hardy_1d(seed, order)
+        a = complex(_random_params(seed + 1, 1, radius)[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                want = reference_backward_shift(f, a)
+            except TruncationError:
+                with pytest.raises(TruncationError):
+                    backward_shift(f, a)
+                return
+            got = backward_shift(f, a)
+        assert got.data.tobytes() == want.data.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(order=st.integers(0, 300), seed=st.integers(0, 2**16), count=st.integers(0, 6),
+           radius=st.floats(0.0, 0.99))
+    def test_tm_matrix_and_blaschke_eval(self, order, seed, count, radius):
+        params = _random_params(seed, count, radius)
+        size = afd1d._tm_grid_size(order)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = tm_matrix(params, order), blaschke_eval(params, size)
+            with mock.patch.object(afd1d, "_nodes", afd1d._nodes.__wrapped__):
+                want = tm_matrix(params, order), blaschke_eval(params, size)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
 
 
 class TestMsp:

@@ -47,6 +47,7 @@ from conftest import (
     random_hardy_1d,
     random_real_full_1d,
     random_real_full_2d,
+    reference_local_candidates,
     reference_real_field_2d,
 )
 
@@ -595,6 +596,62 @@ class TestGridArgmax:
             lambda pa, pb: objective(pa)[:, None] * objective(pb)[None, :], spec
         )
         assert a == b == pt and val == 1.0
+
+
+TWO_PI = 2.0 * np.pi
+
+
+@st.composite
+def stencil_cases(draw):
+    """(center, step_r, step_t, max_radius) of a refinement level 1 to 3 of a random grid."""
+    max_radius = draw(st.floats(0.05, 0.999))
+    level = draw(st.integers(1, 3))
+    step_r = max_radius / draw(st.integers(1, 64)) / 2.0**level
+    step_t = TWO_PI / draw(st.integers(1, 128)) / 2.0**level
+    kind = draw(st.sampled_from(["rim", "center", "near-center", "near-2pi", "any"]))
+    if kind == "rim":
+        radius = max_radius - draw(st.floats(-2e-12, 2e-12))
+    elif kind == "near-center":
+        radius = draw(st.floats(0.0, 3.0 * step_r))
+    else:
+        radius = draw(st.floats(0.0, max_radius))
+    if kind == "near-2pi":
+        angle = -draw(st.one_of(st.floats(0.0, 1e-15), st.floats(0.0, 2.0 * step_t)))
+    else:
+        angle = draw(st.floats(-np.pi, np.pi))
+    center = 0j if kind == "center" else complex(radius * np.exp(1j * angle))
+    return center, step_r, step_t, max_radius
+
+
+class TestLocalCandidatesOracle:
+    """The stencil against the set of (r, t) tuples it was built from, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=stencil_cases())
+    @example(case=(0j, 0.01, 0.03, 0.9))
+    @example(case=(complex(0.9 * np.exp(0.7j)), 0.9 / 48 / 2, TWO_PI / 96 / 2, 0.9))
+    @example(case=(complex((0.9 - 5e-13) * np.exp(2.0j)), 0.9 / 48 / 8, TWO_PI / 96 / 8, 0.9))
+    @example(case=(complex(0.5 * np.exp(-1e-3j)), 0.01, 1e-3 / 2, 0.95))
+    def test_matches_the_set_form(self, case):
+        cands, own = _local_candidates(*case)
+        try:
+            want, want_own = reference_local_candidates(*case)
+        except ValueError:
+            # the set form loses the center of an angle that rounds to 2 pi
+            # mod 2 pi; the center then keeps its own entry at angle 0 (and
+            # on the rim, its snapped radius)
+            assert float(np.angle(case[0])) % TWO_PI == TWO_PI
+            assert abs(cands[own] - case[0]) < 1.1e-12
+            return
+        assert cands.tobytes() == want.tobytes()
+        assert own == want_own and isinstance(own, int)
+
+    def test_angle_rounding_to_2pi_keeps_its_center(self):
+        center = complex(0.5 * np.exp(-1e-16j))
+        cands, own = _local_candidates(center, 0.01, 0.03, 0.9)
+        assert cands[own] == 0.5 and cands.size == 25
+        with pytest.raises(ValueError):
+            reference_local_candidates(center, 0.01, 0.03, 0.9)
 
 
 # eval_series against Horner summation: an absolute error of at most

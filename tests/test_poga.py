@@ -433,12 +433,12 @@ def reference_select(g, frame, dictionary, rho, demoted=frozenset()):
 
     order_index = r.size
     for i in degenerate:
-        for esc in _escalated_candidates(dictionary, dictionary.base_spec(i), frame):
+        for esc in _escalated_candidates(dictionary, dictionary.base_spec(i), selected):
             vec = dictionary.atom_vector(esc)
             _, r_esc = frame.project_residual(vec)
             attempts = 0
             while r_esc < EPS_SPAN and attempts < MAX_ESCALATION:
-                esc = _escalated_candidates(dictionary, esc, frame)[0]
+                esc = _escalated_candidates(dictionary, esc, selected)[0]
                 vec = dictionary.atom_vector(esc)
                 _, r_esc = frame.project_residual(vec)
                 attempts += 1
