@@ -471,7 +471,15 @@ def _local_candidates(center, step_r, step_t, max_radius):
     radii = sorted({min(max(r0 + dr, 0.0), max_radius) for dr in (_OFFSETS * step_r).tolist()})
     angles = sorted({(t0 + dt) % (2.0 * np.pi) for dt in (_OFFSETS * step_t).tolist()})
     zero = int(radii[0] == 0.0)
-    points = (np.array(radii[zero:])[:, None] * np.exp(1j * np.array(angles))).ravel()
+    # r * exp(i t) by the parts of the scalar product (r + 0i)(c + is), whose
+    # signed zeros the vectorised complex product does not keep when r c
+    # underflows
+    r = np.array(radii[zero:])[:, None]
+    unit = np.exp(1j * np.array(angles))
+    points = np.empty((r.shape[0], unit.size), dtype=complex)
+    points.real = r * unit.real - 0.0 * unit.imag
+    points.imag = r * unit.imag + 0.0 * unit.real
+    points = points.ravel()
     if zero:
         points = np.concatenate(([0j], points))
     if r0 == 0.0:

@@ -632,6 +632,8 @@ class TestLocalCandidatesOracle:
     @example(case=(complex(0.9 * np.exp(0.7j)), 0.9 / 48 / 2, TWO_PI / 96 / 2, 0.9))
     @example(case=(complex((0.9 - 5e-13) * np.exp(2.0j)), 0.9 / 48 / 8, TWO_PI / 96 / 8, 0.9))
     @example(case=(complex(0.5 * np.exp(-1e-3j)), 0.01, 1e-3 / 2, 0.95))
+    @example(case=(5e-324 + 0j, 0.25, np.pi / 2, 0.5))
+    @example(case=(0.5000000000012875 - 1.4068967677034975e-39j, 0.25, np.pi, 0.5))
     def test_matches_the_set_form(self, case):
         cands, own = _local_candidates(*case)
         try:
@@ -639,9 +641,12 @@ class TestLocalCandidatesOracle:
         except ValueError:
             # the set form loses the center of an angle that rounds to 2 pi
             # mod 2 pi; the center then keeps its own entry at angle 0 (and
-            # on the rim, its snapped radius)
-            assert float(np.angle(case[0])) % TWO_PI == TWO_PI
-            assert abs(cands[own] - case[0]) < 1.1e-12
+            # on the rim, its snapped radius, which may lie any distance
+            # inside an |center| past max_radius)
+            center, max_radius = case[0], case[3]
+            assert float(np.angle(center)) % TWO_PI == TWO_PI
+            radius = max_radius if max_radius - abs(center) <= 1e-12 else abs(center)
+            assert cands[own] == radius
             return
         assert cands.tobytes() == want.tobytes()
         assert own == want_own and isinstance(own, int)
