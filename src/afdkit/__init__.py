@@ -77,7 +77,6 @@ from .poga import (
     reconstruct_poga,
 )
 from .cli import (
-    RunConfig,
     cli_main,
     load_image_2d,
     load_record,

@@ -15,12 +15,11 @@ stays in the Hardy space and the energy ledger is exact.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, TruncationError, TruncationWarning
+from .errors import DomainError, TruncationError
 from .hardy import (
     FourierCoeffs1D,
     _on_grid,
@@ -32,7 +31,7 @@ from .hardy import (
     next_pow2,
     require_nonzero,
 )
-from .szego import szego_coeffs
+from .szego import _warn_deficit, szego_coeffs
 
 __all__ = [
     "blaschke_eval",
@@ -101,13 +100,7 @@ def tm_matrix(params, order):
         prefix *= (z - a) / denom
     rows = np.fft.fft(samples, axis=1, out=samples)[:, : order + 1] / size
     deficit = float(np.max(np.abs(1.0 - np.sum(np.abs(rows) ** 2, axis=1)), initial=0.0))
-    if deficit > 1e-8:
-        warnings.warn(
-            "rational basis loses %.3e of unit norm at order %d; raise the "
-            "order or keep |a| smaller" % (deficit, order),
-            TruncationWarning,
-            stacklevel=2,
-        )
+    _warn_deficit(deficit, "rational basis at order %d" % order)
     return rows
 
 

@@ -65,7 +65,6 @@ from .poga import (
 )
 
 __all__ = [
-    "RunConfig",
     "load_signal_1d",
     "load_image_2d",
     "RecordSection",
@@ -87,54 +86,6 @@ ALGS_1D = ("afd1d", "poga1d")
 
 def _fmt(x):
     return "%.17g" % float(x)
-
-
-@dataclass
-class RunConfig:
-    """Echoable configuration of one decomposition run."""
-
-    algorithm: str
-    n_terms: int = 5
-    order: int = 256
-    grid_radial: int = 48
-    grid_angular: int = 96
-    refine_levels: int = 2
-    max_radius: float = 0.995
-    rho: float = 1.0
-    threshold: float = 1e-12
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError("unknown algorithm %r" % self.algorithm)
-        if not 0.0 < self.rho <= 1.0:
-            raise ConfigError("rho must lie in (0, 1]")
-        if self.order < 8:
-            raise ConfigError("truncation order must be at least 8")
-
-    def grid(self):
-        return GridSpec(
-            radial_count=self.grid_radial,
-            angular_count=self.grid_angular,
-            refine_levels=self.refine_levels,
-            max_radius=self.max_radius,
-        )
-
-    def meta_items(self):
-        from . import __version__
-
-        return [
-            ("generator", "afdkit %s" % __version__),
-            ("algorithm", self.algorithm),
-            ("order", str(self.order)),
-            ("terms", str(self.n_terms)),
-            ("grid_radial", str(self.grid_radial)),
-            ("grid_angular", str(self.grid_angular)),
-            ("refine_levels", str(self.refine_levels)),
-            ("max_radius", _fmt(self.max_radius)),
-            ("rho", _fmt(self.rho)),
-            ("threshold", _fmt(self.threshold)),
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +300,12 @@ def load_record(path):
                 fail(i + 2, "expected steps line")
             try:
                 energy = float(e_parts[1])
+            except ValueError:
+                fail(i + 1, "non-numeric energy")
+            try:
                 count = int(s_parts[1])
             except ValueError:
-                fail(i + 1, "non-numeric section header")
+                fail(i + 2, "non-numeric step count")
             if not math.isfinite(energy):
                 fail(i + 1, "non-finite energy")
             if count < 0:
@@ -665,38 +619,50 @@ def synth_field_2d(order, seed, size):
 # ---------------------------------------------------------------------------
 
 
-def _config_from_args(args):
-    # 1-d runs default to a dense grid and order 256; the joint 2-d search
-    # is quadratic in the grid, so those runs default coarser (24 x 48,
-    # order 64 per axis) unless overridden
-    two_d = args.algorithm not in ALGS_1D
-    order = args.order if args.order is not None else (64 if two_d else 256)
-    radial = args.grid_radial if args.grid_radial is not None else (24 if two_d else 48)
-    angular = args.grid_angular if args.grid_angular is not None else (48 if two_d else 96)
-    return RunConfig(
-        algorithm=args.algorithm,
-        n_terms=args.terms,
-        order=order,
-        grid_radial=radial,
-        grid_angular=angular,
-        refine_levels=args.refine,
-        max_radius=args.max_radius,
-        rho=args.rho,
-        threshold=args.threshold,
-        seed=getattr(args, "seed", 0),
-    )
+# The per-dimension defaults (1-d, 2-d) of the settings that size a run.
+# The joint 2-d search is quadratic in the grid, so 2-d runs default coarser.
+_SIZE_DEFAULTS = {"order": (256, 64), "grid_radial": (48, 24), "grid_angular": (96, 48)}
+
+
+def _run_grid(args):
+    """Fill the unset size settings of ``args`` for its dimension, check them and return the search grid.
+
+    ``synth`` draws its atoms from the coarse grid points, so it takes no
+    ``--refine`` and its grid has no refinement levels.
+    """
+    for name, defaults in _SIZE_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, defaults[args.algorithm not in ALGS_1D])
+    if "rho" in args and not 0.0 < args.rho <= 1.0:
+        raise ConfigError("rho must lie in (0, 1]")
+    if args.order < 8:
+        raise ConfigError("truncation order must be at least 8")
+    return GridSpec(radial_count=args.grid_radial, angular_count=args.grid_angular,
+                    refine_levels=getattr(args, "refine", 0), max_radius=args.max_radius)
+
+
+def _run_meta(args):
+    """The meta lines of a decomposition run's settings, in record order."""
+    from . import __version__
+
+    settings = (("algorithm", args.algorithm), ("order", args.order), ("terms", args.terms),
+                ("grid_radial", args.grid_radial), ("grid_angular", args.grid_angular),
+                ("refine_levels", args.refine), ("max_radius", args.max_radius), ("rho", args.rho),
+                ("threshold", args.threshold))
+    return [("generator", "afdkit %s" % __version__)] + [
+        (key, _fmt(value) if isinstance(value, float) else str(value)) for key, value in settings
+    ]
 
 
 def _cmd_synth(args):
-    cfg = _config_from_args(args)
-    grid = cfg.grid()
-    if cfg.algorithm in ALGS_1D:
-        f, params, coeffs = synth_signal_1d(cfg.order, args.atoms, args.coeff_sum, grid, cfg.seed)
-        size = next_pow2(2 * (cfg.order + 1))
-        write_csv(args.output, "# synthetic kernel combination, seed=%d" % cfg.seed, real_samples_1d(f, size))
+    grid = _run_grid(args)
+    if args.algorithm in ALGS_1D:
+        f, params, coeffs = synth_signal_1d(args.order, args.atoms, args.coeff_sum, grid, args.seed)
+        size = next_pow2(2 * (args.order + 1))
+        write_csv(args.output, "# synthetic kernel combination, seed=%d" % args.seed, real_samples_1d(f, size))
         if args.emit_meta:
             meta = {
-                "order": cfg.order,
+                "order": args.order,
                 "M": args.coeff_sum,
                 "atoms": [[a.real, a.imag] for a in params],
                 "coeffs": [[c.real, c.imag] for c in coeffs],
@@ -705,22 +671,22 @@ def _cmd_synth(args):
                 json.dump(meta, handle, indent=1)
         print("wrote %d samples to %s" % (size, args.output))
     else:
-        size = max(next_pow2(2 * cfg.order + 2), 64)
-        fieldvals = synth_field_2d(cfg.order, cfg.seed, size)
+        size = max(next_pow2(2 * args.order + 2), 64)
+        fieldvals = synth_field_2d(args.order, args.seed, size)
         write_pgm(args.output, fieldvals)
         print("wrote %dx%d image to %s" % (size, size, args.output))
     return 0
 
 
-def _decompose(algorithm, f, cfg, grid, synthesis=None):
+def _decompose(algorithm, f, args, grid, synthesis=None):
     """Library record of one algorithm's run on the Hardy coefficients ``f``."""
     if algorithm in ("poga1d", "poga2d"):
-        dictionary = (SzegoDictionary1D if algorithm == "poga1d" else ProductSzegoDictionary2D)(cfg.order, grid)
+        dictionary = (SzegoDictionary1D if algorithm == "poga1d" else ProductSzegoDictionary2D)(args.order, grid)
         return poga_decompose(
-            f, cfg.n_terms, dictionary, rho=cfg.rho, synthesis=synthesis, threshold=cfg.threshold
+            f, args.terms, dictionary, rho=args.rho, synthesis=synthesis, threshold=args.threshold
         )
     run = {"afd1d": afd_decompose_1d, "afd2d-tm": afd2d_tm_decompose, "pga2d": pga_decompose}[algorithm]
-    return run(f, cfg.n_terms, grid, threshold=cfg.threshold)
+    return run(f, args.terms, grid, threshold=args.threshold)
 
 
 def _load_synthesis(path, algorithm):
@@ -754,26 +720,25 @@ def _load_synthesis(path, algorithm):
 
 
 def _cmd_decompose(args):
-    cfg = _config_from_args(args)
-    grid = cfg.grid()
-    record = RecordFile(meta=cfg.meta_items())
+    grid = _run_grid(args)
+    record = RecordFile(meta=_run_meta(args))
     synthesis = None
     if args.synthesis:
-        synthesis, M = _load_synthesis(args.synthesis, cfg.algorithm)
+        synthesis, M = _load_synthesis(args.synthesis, args.algorithm)
         record.meta.append(("M", _fmt(M)))
 
-    record.meta.append(("samples", str(next_pow2(2 * (cfg.order + 1)))))
-    if cfg.algorithm in ALGS_1D:
-        inputs = [("main", cfg.algorithm, load_signal_1d(args.input, cfg.order))]
+    record.meta.append(("samples", str(next_pow2(2 * (args.order + 1)))))
+    if args.algorithm in ALGS_1D:
+        inputs = [("main", args.algorithm, load_signal_1d(args.input, args.order))]
     else:
-        parts = load_image_2d(args.input, cfg.order)
-        inputs = [(name, alg or cfg.algorithm, getattr(parts, attr))
+        parts = load_image_2d(args.input, args.order)
+        inputs = [(name, alg or args.algorithm, getattr(parts, attr))
                   for name, alg, attr in _SECTIONS_2D[: None if args.full_recon else 1]]
         if args.full_recon:
             record.meta.append(("c00", "%s %s" % (_fmt(parts.c00.real), _fmt(parts.c00.imag))))
     recs = {}
     for name, alg, f in inputs:
-        recs[name] = _decompose(alg, f, cfg, grid, synthesis if name == "main" else None)
+        recs[name] = _decompose(alg, f, args, grid, synthesis if name == "main" else None)
         record.sections.append(encode_section(name, alg, recs[name]))
 
     save_record(record, args.output)
@@ -847,16 +812,13 @@ def _cmd_reconstruct(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser, default_max_radius=0.995):
+def _add_run_size(parser, max_radius):
+    """The options that pick the algorithm and size its search; an unset size takes ``_SIZE_DEFAULTS``."""
     parser.add_argument("--algorithm", choices=ALGORITHMS, default="afd1d")
-    parser.add_argument("--terms", type=int, default=5)
-    parser.add_argument("--order", type=int, default=None)
-    parser.add_argument("--grid-radial", dest="grid_radial", type=int, default=None)
-    parser.add_argument("--grid-angular", dest="grid_angular", type=int, default=None)
-    parser.add_argument("--refine", type=int, default=2)
-    parser.add_argument("--max-radius", dest="max_radius", type=float, default=default_max_radius)
-    parser.add_argument("--rho", type=float, default=1.0)
-    parser.add_argument("--threshold", type=float, default=1e-12)
+    parser.add_argument("--order", type=int)
+    parser.add_argument("--grid-radial", type=int)
+    parser.add_argument("--grid-angular", type=int)
+    parser.add_argument("--max-radius", type=float, default=max_radius)
 
 
 @functools.lru_cache(maxsize=None)
@@ -874,7 +836,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a reproducible synthetic test signal")
-    _add_common(p_synth, default_max_radius=0.9)
+    _add_run_size(p_synth, max_radius=0.9)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--atoms", type=int, default=10)
     p_synth.add_argument("--coeff-sum", dest="coeff_sum", type=float, default=2.0)
@@ -883,7 +845,11 @@ def build_parser():
     p_synth.set_defaults(func=_cmd_synth)
 
     p_dec = sub.add_parser("decompose", help="decompose a signal and store the record")
-    _add_common(p_dec)
+    _add_run_size(p_dec, max_radius=0.995)
+    p_dec.add_argument("--terms", type=int, default=5)
+    p_dec.add_argument("--refine", type=int, default=2)
+    p_dec.add_argument("--rho", type=float, default=1.0)
+    p_dec.add_argument("--threshold", type=float, default=1e-12)
     p_dec.add_argument("--input", required=True)
     p_dec.add_argument("--output", required=True)
     p_dec.add_argument("--synthesis", default=None, help="synthesis metadata JSON (poga runs)")

@@ -38,6 +38,7 @@ from afdkit.cli import (
     RecordFile,
     RecordSection,
     _parse_pgm,
+    _run_grid,
     build_parser,
     cli_main,
     decode_section,
@@ -287,6 +288,17 @@ class TestRecordRoundTrip:
             load_record(path)
         assert cli_main(["verify", "--input", str(path)]) == 2
 
+    @pytest.mark.parametrize("energy, steps, message", [
+        ("x", "1", "non-numeric energy at byte 56"),
+        ("1.0", "x", "non-numeric step count at byte 67"),
+    ], ids=["energy", "steps"])
+    def test_non_numeric_section_header_reports_its_line(self, tmp_path, energy, steps, message):
+        path = tmp_path / "header.txt"
+        path.write_text("afdkit-record 1\nmeta algorithm afd1d\nsection main afd1d\nenergy %s\nsteps %s\nend\n"
+                        % (energy, steps))
+        with pytest.raises(RecordFormatError, match=message):
+            load_record(path)
+
     def test_verify_passes_consistent_record(self, tmp_path):
         rec = self._sample_record()
         checks = verify_record(rec)
@@ -299,29 +311,36 @@ class TestRecordRoundTrip:
         assert any(not c.ok for c in checks)
 
 
-class TestRunConfig:
-    def test_validation(self):
-        from afdkit import ConfigError, RunConfig
-
-        with pytest.raises(ConfigError):
-            RunConfig(algorithm="nope")
-        with pytest.raises(ConfigError):
-            RunConfig(algorithm="afd1d", rho=0.0)
-        with pytest.raises(ConfigError):
-            RunConfig(algorithm="afd1d", order=4)
-        with pytest.raises(ConfigError):
-            RunConfig(algorithm="afd1d", max_radius=1.0).grid()
+class TestRunSettings:
+    @pytest.mark.parametrize("argv, message", [
+        (["--algorithm", "nope"], "argument --algorithm: invalid choice: 'nope'"),
+        (["--rho", "0"], "error: rho must lie in (0, 1]"),
+        (["--order", "4"], "error: truncation order must be at least 8"),
+        (["--max-radius", "1.0"], "error: max_radius must lie strictly inside (0, 1)"),
+    ], ids=["algorithm", "rho", "order", "max-radius"])
+    def test_rejected_settings_exit_2(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.rec"
+        assert cli_main(["decompose", "--input", str(tmp_path / "in.csv"), "--output", str(out)] + argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_two_d_defaults_are_coarser(self):
-        from afdkit.cli import build_parser, _config_from_args
-
         parser = build_parser()
-        cfg1 = _config_from_args(parser.parse_args(
-            ["decompose", "--algorithm", "afd1d", "--input", "x", "--output", "y"]))
-        cfg2 = _config_from_args(parser.parse_args(
-            ["decompose", "--algorithm", "pga2d", "--input", "x", "--output", "y"]))
-        assert (cfg1.order, cfg1.grid_radial, cfg1.grid_angular) == (256, 48, 96)
-        assert (cfg2.order, cfg2.grid_radial, cfg2.grid_angular) == (64, 24, 48)
+        sizes = {}
+        for algorithm in ("afd1d", "pga2d"):
+            args = parser.parse_args(["decompose", "--algorithm", algorithm, "--input", "x", "--output", "y"])
+            grid = _run_grid(args)
+            sizes[algorithm] = (args.order, grid.radial_count, grid.angular_count)
+        assert sizes == {"afd1d": (256, 48, 96), "pga2d": (64, 24, 48)}
+
+    @pytest.mark.parametrize("option, value", [
+        ("--terms", "5"), ("--refine", "2"), ("--rho", "1.0"), ("--threshold", "1e-12"),
+    ])
+    def test_synth_rejects_decompose_only_options(self, tmp_path, capsys, option, value):
+        out = tmp_path / "sig.csv"
+        assert cli_main(["synth", "--output", str(out), option, value]) == 2
+        assert "unrecognized arguments: %s %s" % (option, value) in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSynth:
