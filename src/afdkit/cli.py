@@ -10,7 +10,6 @@ so that save, load, save round-trips are byte identical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -396,26 +395,6 @@ STEP_LAYOUTS = {
                                       ("r_sup", "real"), ("residual_energy", "real"))),
 }
 
-# A ``STEP_LAYOUTS`` entry as ``decode_section`` reads it, worked out once:
-# ``decoders`` holds (decode, offset) in the order of the step type's
-# fields, so a step decodes in one positional call.  ``width`` counts the
-# floats without block entries; ``block`` is the offset of the block count,
-# or None.
-_Layout = namedtuple("_Layout", "record step decoders width block")
-
-
-def _compile(record, step, fields):
-    decoders, width, block = {}, 0, None
-    for name, kind in fields:
-        count, _, decode = _KINDS[kind]
-        decoders[name] = (decode, width)
-        block = width if kind == "block" else block
-        width += count
-    order = tuple(decoders[f.name] for f in dataclasses.fields(step))
-    return _Layout(record, step, order, width, block)
-
-
-_LAYOUTS = {alg: _compile(*layout) for alg, layout in STEP_LAYOUTS.items()}
 ALGORITHMS = tuple(STEP_LAYOUTS)
 
 # The sections of a 2-d record: name, the algorithm that decomposes it (None
@@ -426,7 +405,7 @@ _SECTIONS_2D = (("main", None, "pp"), ("fpm", None, "pm"), ("F", "afd1d", "F"), 
 
 
 def _layout_sections(record):
-    """The meta and sections that ``verify`` and ``reconstruct`` read from a record.
+    """The meta and decoded sections of a record, read once for ``verify`` and ``reconstruct``.
 
     The record must hold meta ``algorithm``, ``order`` and ``samples`` and
     exactly the sections of its layout, each run by its algorithm: ``main``
@@ -434,7 +413,7 @@ def _layout_sections(record):
     ``_SECTIONS_2D`` and meta c00.  Anything else is a format error; a 2-d
     record with some but not all of the --full-recon parts names what it
     misses.  Returns (algorithm, order, samples, [(section,
-    ``QuadrantParts`` field), ...]).
+    ``QuadrantParts`` field, library record), ...]) in record order.
     """
     meta = record.meta_dict()
     algorithm = _meta_field(meta, "algorithm")
@@ -454,7 +433,8 @@ def _layout_sections(record):
         raise RecordFormatError(
             "record holds sections %s, expected %s" % (", ".join(held) or "none", ", ".join(expected))
         )
-    return algorithm, order, samples, [(record.section(name), attr) for name, _, attr in layout]
+    attrs = {name: attr for name, _, attr in layout}
+    return algorithm, order, samples, [(s, attrs[s.name], decode_section(s, meta)) for s in record.sections]
 
 
 def encode_section(name, algorithm, rec):
@@ -471,17 +451,24 @@ def decode_section(sec, meta):
     a = 0: those rungs of a ladder span the truncated space already.
     """
     try:
-        layout = _LAYOUTS[sec.algorithm]
+        record, step, fields = STEP_LAYOUTS[sec.algorithm]
     except KeyError:
         raise RecordFormatError("unknown algorithm %r in record" % sec.algorithm)
-    extra = {"rho": _meta_field(meta, "rho", float, "1")} if layout.record is PogaRecord else {}
+    extra = {"rho": _meta_field(meta, "rho", float, "1")} if record is PogaRecord else {}
     if extra and not 0.0 < extra["rho"] <= 1.0:
         raise RecordFormatError("record meta rho must lie in (0, 1], got %r" % extra["rho"])
     top = _meta_field(meta, "order", int) + 1 if extra and "order" in meta else math.inf
-    rec = layout.record(initial_energy=sec.initial_energy, **extra)
-    step, decoders, at = layout.step, layout.decoders, layout.block
+    # (field, decode, offset) of each step field; ``width`` counts the floats
+    # without block entries, and ``at`` is the offset of the block count, or None
+    decoders, width, at = [], 0, None
+    for name, kind in fields:
+        count, _, decode = _KINDS[kind]
+        decoders.append((name, decode, width))
+        at = width if kind == "block" else at
+        width += count
+    rec = record(initial_energy=sec.initial_energy, **extra)
     for n, values in enumerate(sec.steps, start=1):
-        arity = layout.width
+        arity = width
         if at is not None:
             if len(values) > at and values[at] != 2 * n - 1:
                 raise RecordFormatError(
@@ -492,7 +479,7 @@ def decode_section(sec, meta):
             raise RecordFormatError(
                 "bad %s step arity %d (expected %d) at step %d" % (sec.algorithm, len(values), arity, n)
             )
-        rec.steps.append(step(*[decode(values, i) for decode, i in decoders]))
+        rec.steps.append(step(**{name: decode(values, i) for name, decode, i in decoders}))
         if extra:
             atom = rec.steps[-1].atom
             m = max(atom.left.m, atom.right.m) if isinstance(atom, TensorAtomSpec) else atom.m
@@ -523,12 +510,12 @@ def verify_record(record):
     When the metadata carries a synthesis bound M, the rate bound of the
     pre-orthogonal runs is re-checked as well.  A pre-orthogonal section
     replays its frame as ``reconstruct`` does, and an atom in the span of
-    the earlier ones raises ``RecordFormatError``.
+    the earlier ones raises ``RecordFormatError``, as does any record that
+    ``reconstruct`` cannot read.
     """
     checks = []
     meta = record.meta_dict()
-    for sec in record.sections:
-        rec = decode_section(sec, meta)
+    for sec, _, rec in _layout_sections(record)[3]:
         scale = max(1.0, sec.initial_energy)
         tol = 1e-8 * scale
         running = prev = sec.initial_energy
@@ -619,22 +606,34 @@ def synth_field_2d(order, seed, size):
 # ---------------------------------------------------------------------------
 
 
-# The per-dimension defaults (1-d, 2-d) of the settings that size a run.
-# The joint 2-d search is quadratic in the grid, so 2-d runs default coarser.
-_SIZE_DEFAULTS = {"order": (256, 64), "grid_radial": (48, 24), "grid_angular": (96, 48)}
+# The per-dimension defaults (1-d, 2-d) of the settings that depend on the
+# dimension.  The joint 2-d search is quadratic in the grid, so 2-d runs
+# default coarser.  ``_IGNORED`` marks a setting the dimension does not read:
+# only a 1-d synth draws kernel atoms, and only a 2-d record has the
+# --full-recon parts.
+_IGNORED = object()
+_DIMENSION_DEFAULTS = {"order": (256, 64), "grid_radial": (48, 24), "grid_angular": (96, 48),
+                       "atoms": (10, _IGNORED), "coeff_sum": (2.0, _IGNORED), "emit_meta": (None, _IGNORED),
+                       "full_recon": (_IGNORED, False)}
 
 
 def _run_grid(args):
-    """Fill the unset size settings of ``args`` for its dimension, check them and return the search grid.
+    """Fill the unset settings of ``args`` for its dimension, check them and return the search grid.
 
-    ``synth`` draws its atoms from the coarse grid points, so it takes no
-    ``--refine`` and its grid has no refinement levels.
+    A setting the dimension ignores is a usage error.  ``synth`` draws its
+    atoms from the coarse grid points, so it takes no ``--refine`` and its
+    grid has no refinement levels.
     """
-    for name, defaults in _SIZE_DEFAULTS.items():
+    for name in filter(args.__contains__, _DIMENSION_DEFAULTS):
+        default = _DIMENSION_DEFAULTS[name][args.algorithm not in ALGS_1D]
         if getattr(args, name) is None:
-            setattr(args, name, defaults[args.algorithm not in ALGS_1D])
+            setattr(args, name, None if default is _IGNORED else default)
+        elif default is _IGNORED:
+            raise ConfigError("--%s does not apply to %s runs" % (name.replace("_", "-"), args.algorithm))
     if "rho" in args and not 0.0 < args.rho <= 1.0:
         raise ConfigError("rho must lie in (0, 1]")
+    if "threshold" in args and not 0.0 <= args.threshold < math.inf:
+        raise ConfigError("threshold must be finite and >= 0")
     if args.order < 8:
         raise ConfigError("truncation order must be at least 8")
     return GridSpec(radial_count=args.grid_radial, angular_count=args.grid_angular,
@@ -656,7 +655,13 @@ def _run_meta(args):
 
 def _cmd_synth(args):
     grid = _run_grid(args)
+    if args.seed < 0:
+        raise ConfigError("seed must be >= 0")
     if args.algorithm in ALGS_1D:
+        if args.atoms < 1:
+            raise ConfigError("atoms must be at least 1")
+        if not 0.0 < args.coeff_sum < math.inf:
+            raise ConfigError("coeff_sum must be finite and > 0")
         f, params, coeffs = synth_signal_1d(args.order, args.atoms, args.coeff_sum, grid, args.seed)
         size = next_pow2(2 * (args.order + 1))
         write_csv(args.output, "# synthetic kernel combination, seed=%d" % args.seed, real_samples_1d(f, size))
@@ -749,9 +754,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_verify(args):
-    record = load_record(args.input)
-    checks = verify_record(record)
-    _layout_sections(record)  # a record that ``reconstruct`` cannot read fails as a format error
+    checks = verify_record(load_record(args.input))
     for chk in checks:
         print("check,%s,%s,%s" % (chk.name, "pass" if chk.ok else "fail", chk.detail))
     if not all(chk.ok for chk in checks):
@@ -759,9 +762,8 @@ def _cmd_verify(args):
     return 0
 
 
-def _reconstruct_section(sec, order, meta):
-    """Hardy coefficients of the partial sum stored in ``sec``."""
-    rec = decode_section(sec, meta)
+def _reconstruct_section(sec, rec, order, meta):
+    """Hardy coefficients of the partial sum stored in ``sec``, decoded as ``rec``."""
     rebuild = {"afd1d": reconstruct_1d, "afd2d-tm": reconstruct_product_tm, "pga2d": reconstruct_pga}
     if sec.algorithm in rebuild:
         return rebuild[sec.algorithm](rec, order)
@@ -791,7 +793,7 @@ def _cmd_reconstruct(args):
     record = load_record(args.input)
     meta = record.meta_dict()
     algorithm, order, size, sections = _layout_sections(record)
-    parts = {attr: _reconstruct_section(sec, order, meta) for sec, attr in sections}
+    parts = {attr: _reconstruct_section(sec, rec, order, meta) for sec, attr, rec in sections}
     if algorithm in ALGS_1D:  # the one section, main, fills the first field of the 2-d layout
         write_csv(args.output, "# reconstruction", real_samples_1d(parts["pp"], size))
         print("wrote %d samples to %s" % (size, args.output))
@@ -813,7 +815,7 @@ def _cmd_reconstruct(args):
 
 
 def _add_run_size(parser, max_radius):
-    """The options that pick the algorithm and size its search; an unset size takes ``_SIZE_DEFAULTS``."""
+    """The options that pick the algorithm and size its search; ``_run_grid`` fills an unset size."""
     parser.add_argument("--algorithm", choices=ALGORITHMS, default="afd1d")
     parser.add_argument("--order", type=int)
     parser.add_argument("--grid-radial", type=int)
@@ -838,8 +840,8 @@ def build_parser():
     p_synth = sub.add_parser("synth", help="generate a reproducible synthetic test signal")
     _add_run_size(p_synth, max_radius=0.9)
     p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--atoms", type=int, default=10)
-    p_synth.add_argument("--coeff-sum", dest="coeff_sum", type=float, default=2.0)
+    p_synth.add_argument("--atoms", type=int)
+    p_synth.add_argument("--coeff-sum", dest="coeff_sum", type=float)
     p_synth.add_argument("--output", required=True)
     p_synth.add_argument("--emit-meta", dest="emit_meta", default=None)
     p_synth.set_defaults(func=_cmd_synth)
@@ -853,7 +855,7 @@ def build_parser():
     p_dec.add_argument("--input", required=True)
     p_dec.add_argument("--output", required=True)
     p_dec.add_argument("--synthesis", default=None, help="synthesis metadata JSON (poga runs)")
-    p_dec.add_argument("--full-recon", dest="full_recon", action="store_true")
+    p_dec.add_argument("--full-recon", dest="full_recon", action="store_true", default=None)
     p_dec.set_defaults(func=_cmd_decompose)
 
     p_ver = sub.add_parser("verify", help="re-check the ledger and rate bounds of a record")

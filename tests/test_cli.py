@@ -235,7 +235,7 @@ class TestRecordRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
     def _sample_record(self):
-        rec = RecordFile(meta=[("algorithm", "afd1d"), ("order", "64")])
+        rec = RecordFile(meta=[("algorithm", "afd1d"), ("order", "64"), ("samples", "256")])
         rec.sections.append(
             RecordSection(
                 name="main",
@@ -317,7 +317,12 @@ class TestRunSettings:
         (["--rho", "0"], "error: rho must lie in (0, 1]"),
         (["--order", "4"], "error: truncation order must be at least 8"),
         (["--max-radius", "1.0"], "error: max_radius must lie strictly inside (0, 1)"),
-    ], ids=["algorithm", "rho", "order", "max-radius"])
+        (["--threshold", "nan"], "error: threshold must be finite and >= 0"),
+        (["--threshold", "inf"], "error: threshold must be finite and >= 0"),
+        (["--threshold", "-1"], "error: threshold must be finite and >= 0"),
+        (["--full-recon"], "error: --full-recon does not apply to afd1d runs"),
+    ], ids=["algorithm", "rho", "order", "max-radius", "threshold-nan", "threshold-inf", "threshold-negative",
+            "full-recon-1d"])
     def test_rejected_settings_exit_2(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out.rec"
         assert cli_main(["decompose", "--input", str(tmp_path / "in.csv"), "--output", str(out)] + argv) == 2
@@ -341,6 +346,26 @@ class TestRunSettings:
         assert cli_main(["synth", "--output", str(out), option, value]) == 2
         assert "unrecognized arguments: %s %s" % (option, value) in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--atoms", "0"], "atoms must be at least 1"),
+        (["--atoms", "-1"], "atoms must be at least 1"),
+        (["--seed", "-1"], "seed must be >= 0"),
+        (["--algorithm", "pga2d", "--seed", "-1"], "seed must be >= 0"),
+        (["--coeff-sum", "nan"], "coeff_sum must be finite and > 0"),
+        (["--coeff-sum", "inf"], "coeff_sum must be finite and > 0"),
+        (["--coeff-sum", "-2"], "coeff_sum must be finite and > 0"),
+        (["--coeff-sum", "0"], "coeff_sum must be finite and > 0"),
+        (["--algorithm", "pga2d", "--emit-meta", "meta.json"], "--emit-meta does not apply to pga2d runs"),
+        (["--algorithm", "afd2d-tm", "--atoms", "3"], "--atoms does not apply to afd2d-tm runs"),
+        (["--algorithm", "poga2d", "--coeff-sum", "2"], "--coeff-sum does not apply to poga2d runs"),
+    ], ids=["atoms-0", "atoms-negative", "seed-negative", "seed-negative-2d", "coeff-sum-nan", "coeff-sum-inf",
+            "coeff-sum-negative", "coeff-sum-0", "emit-meta-2d", "atoms-2d", "coeff-sum-2d"])
+    def test_synth_rejects_settings_no_run_can_use(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["synth", "--output", "out", "--order", "16"] + argv) == 2
+        assert "error: %s\n" % message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSynth:
@@ -500,7 +525,7 @@ class TestCliEndToEnd:
 
     @pytest.mark.parametrize("key, value", [("M", "0"), ("rho", "0"), ("M", "-2"), ("rho", "-1"), ("rho", "2")])
     def test_verify_rejects_meta_out_of_domain(self, tmp_path, capsys, key, value):
-        meta = dict(algorithm="poga1d", rho="1", M="2")
+        meta = dict(algorithm="poga1d", order="16", samples="64", rho="1", M="2")
         meta[key] = value
         rec = RecordFile(meta=list(meta.items()))
         rec.sections.append(RecordSection("main", "poga1d", 1.0, self.POGA_STEPS))
@@ -534,7 +559,7 @@ class TestCliEndToEnd:
 
     def test_verify_rejects_zero_multiplicity(self, tmp_path, capsys):
         # a consistent ledger, so only the multiplicity is wrong
-        rec = RecordFile(meta=[("algorithm", "poga1d"), ("rho", "1")])
+        rec = RecordFile(meta=[("algorithm", "poga1d"), ("order", "16"), ("samples", "64"), ("rho", "1")])
         rec.sections.append(
             RecordSection("main", "poga1d", 1.0, [[0.5, 0.0, 0.0, 0.6, 0.0, 0.8, 0.8, 0.64]])
         )
@@ -590,10 +615,11 @@ class TestCliEndToEnd:
         "order": (lambda text: text.replace("meta order 32\n", ""), "record has no meta order"),
         "section": (lambda text: text.replace("section main afd1d\n", "section other afd1d\n"),
                     "record holds sections other (afd1d), expected main (afd1d)"),
+        "samples": (lambda text: text.replace("meta samples 128\n", ""), "record has no meta samples"),
     }
 
-    @pytest.mark.parametrize("edit", sorted(LAYOUT_EDITS))
-    def test_verify_rejects_what_reconstruct_rejects(self, tmp_path, capsys, edit):
+    def edited_record(self, tmp_path, edit):
+        """An afd1d record with one of ``LAYOUT_EDITS`` applied, and the error it should raise."""
         sig, rec = str(tmp_path / "s.csv"), tmp_path / "s.rec"
         assert cli_main(["synth", "--output", sig, "--seed", "2", "--order", "32", "--atoms", "3"]) == 0
         assert cli_main(["decompose", "--algorithm", "afd1d", "--input", sig, "--output", str(rec),
@@ -603,10 +629,23 @@ class TestCliEndToEnd:
         text = rec.read_text()
         rec.write_text(change(text))
         assert rec.read_text() != text
+        return rec, message
+
+    @pytest.mark.parametrize("edit", sorted(LAYOUT_EDITS))
+    def test_verify_rejects_what_reconstruct_rejects(self, tmp_path, capsys, edit):
+        rec, message = self.edited_record(tmp_path, edit)
         capsys.readouterr()
         assert cli_main(["verify", "--input", str(rec)]) == 2
         assert cli_main(["reconstruct", "--input", str(rec), "--output", str(tmp_path / "out.csv")]) == 2
         assert capsys.readouterr().err.count("error: %s\n" % message) == 2
+
+    @pytest.mark.parametrize("edit", sorted(LAYOUT_EDITS))
+    def test_verify_record_rejects_what_verify_rejects(self, tmp_path, edit):
+        rec, message = self.edited_record(tmp_path, edit)
+        with pytest.raises(RecordFormatError) as err:
+            verify_record(load_record(rec))
+        assert str(err.value) == message
+        assert cli_main(["verify", "--input", str(rec)]) == 2
 
     @pytest.mark.parametrize("m", [34, 2000])
     def test_multiplicity_above_order_plus_one_rejected(self, tmp_path, capsys, m):
