@@ -695,7 +695,7 @@ def _decompose(algorithm, f, args, grid, synthesis=None):
 
 
 def _load_synthesis(path, algorithm):
-    """Synthesis atoms (poga runs only, else None) and the bound M of a --synthesis file."""
+    """Synthesis atoms and the bound M of the --synthesis file of a poga run."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             meta = json.load(handle)
@@ -716,16 +716,16 @@ def _load_synthesis(path, algorithm):
     if algorithm == "poga1d":
         params = field("atoms", lambda atoms: [complex(re, im) for re, im in atoms])
         return [AtomSpec(a) for a in params], M
-    if algorithm == "poga2d":
-        pairs = field("atoms", lambda atoms: [
-            (complex(a[0], a[1]), complex(b[0], b[1])) for a, b in atoms
-        ])
-        return [TensorAtomSpec.of(a, b) for a, b in pairs], M
-    return None, M
+    pairs = field("atoms", lambda atoms: [
+        (complex(a[0], a[1]), complex(b[0], b[1])) for a, b in atoms
+    ])
+    return [TensorAtomSpec.of(a, b) for a, b in pairs], M
 
 
 def _cmd_decompose(args):
     grid = _run_grid(args)
+    if args.synthesis and args.algorithm not in ("poga1d", "poga2d"):
+        raise ConfigError("--synthesis does not apply to %s runs" % args.algorithm)
     record = RecordFile(meta=_run_meta(args))
     synthesis = None
     if args.synthesis:
@@ -854,7 +854,7 @@ def build_parser():
     p_dec.add_argument("--threshold", type=float, default=1e-12)
     p_dec.add_argument("--input", required=True)
     p_dec.add_argument("--output", required=True)
-    p_dec.add_argument("--synthesis", default=None, help="synthesis metadata JSON (poga runs)")
+    p_dec.add_argument("--synthesis", default=None, help="synthesis metadata JSON (poga runs only)")
     p_dec.add_argument("--full-recon", dest="full_recon", action="store_true", default=None)
     p_dec.set_defaults(func=_cmd_decompose)
 

@@ -446,6 +446,14 @@ def _grid_kernel_rows(spec, order):
     return rows
 
 
+@functools.lru_cache(maxsize=4)
+def _grid_kernel_norms_sq(spec, order):
+    """Squared norms of the rows of ``_grid_kernel_rows``, cached with them and read-only."""
+    norms = np.sum(np.abs(_grid_kernel_rows(spec, order)) ** 2, axis=1)
+    norms.flags.writeable = False
+    return norms
+
+
 # Offsets of the refinement stencil, in units of the halved grid steps.
 _OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 
@@ -509,14 +517,16 @@ def _refine(objective, best, best_val, spec):
     return best, best_val
 
 
-# Most rows of a pair table scored at once, and rows scored in full to seed
-# the bounds.  A reduction keeps one workspace of 24 bytes per pair of a
-# block, 3.5 MB at the bench grid's P = 1,153 points against 31.9 MB for the
-# dense table and its product.  The seed rows score about 3% of the pairs
-# and, at the bench size, leave about 15% of them in play.
+# Most rows of a pair table scored at once, rows scored in full to seed the
+# bounds, and the rank of the factors that screen a table without gains.  A
+# reduction keeps one workspace of 24 bytes per pair of a block, 3.5 MB at
+# the bench grid's P = 1,153 points against 31.9 MB for the dense table and
+# its product.  The seed rows score about 3% of the pairs; on the bench
+# images the screen then leaves a median of 1.3% of the rows to score.
 PAIR_BLOCK = 128
 PAIR_SEEDS = 32
 PAIR_MARGIN = 1e-9
+PAIR_RANK = 32
 
 
 def _row_blocks(n):
@@ -531,6 +541,16 @@ def _row_blocks(n):
     return [slice(n * k // count, n * (k + 1) // count) for k in range(count)]
 
 
+def _tail_bound(s, q):
+    """A bound tau on ``||M - U_q S_q V_q^H||_2`` for the computed SVD of M, singular values ``s``.
+
+    The first singular value left out, inflated by ``PAIR_MARGIN``, plus
+    2^-40 (N + 1) s_1 for the backward error of LAPACK's SVD and the
+    float64 rounding of the products that form the table and its screen.
+    """
+    return (s[q] * (1.0 + PAIR_MARGIN) if q < s.size else 0.0) + 2.0**-40 * s.size * s[0]
+
+
 class _PairTable:
     """Values of a pair objective over two point sets, held as factors.
 
@@ -538,10 +558,16 @@ class _PairTable:
     gains[0][i] + gains[1][j]`` when ``gains`` are given.  ``np.asarray``
     gives the dense table through the operations of a direct evaluation, so
     bit for bit; ``_pair_argmax`` reduces the table without allocating it.
+    ``block`` keeps those bits for two or more rows over all the columns.
+    A subset of the columns can round differently: random column subsets
+    of the bench grid's tables did in 43-47 of 60 trials.  ``norms_sq``
+    holds the squared row norms of ``Ka`` and of ``Kb``, whose products are
+    those of the pair atoms; they are computed unless given.
     """
 
-    def __init__(self, rows_a, middle, rows_b, gains=None):
+    def __init__(self, rows_a, middle, rows_b, gains=None, norms_sq=None):
         self.rows_a, self.middle, self.rows_b, self.gains = rows_a, middle, rows_b, gains
+        self.norms_sq = norms_sq or tuple(np.sum(np.abs(rows) ** 2, axis=1) for rows in (rows_a, rows_b))
         self.left = rows_a @ middle
         self.shape = (rows_a.shape[0], rows_b.shape[0])
 
@@ -566,10 +592,6 @@ class _PairTable:
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.block(), dtype=dtype)
 
-    def norms_sq(self):
-        """Squared norms of the rows of ``Ka`` and of ``Kb``, whose products are those of the pair atoms."""
-        return np.sum(np.abs(self.rows_a) ** 2, axis=1), np.sum(np.abs(self.rows_b) ** 2, axis=1)
-
     def bounds(self):
         """Upper bounds of the values in each row and in each column of a table with gains.
 
@@ -581,10 +603,45 @@ class _PairTable:
         either side.
         """
         gain_a, gain_b = self.gains
-        norm_a, norm_b = (norms.max() for norms in self.norms_sq())
+        norm_a, norm_b = (norms.max() for norms in self.norms_sq)
         rows = np.sum(np.abs(self.left) ** 2, axis=1) * norm_b + gain_a + gain_b.max()
         cols = np.sum(np.abs(self.rows_b @ self.middle.T) ** 2, axis=1) * norm_a + gain_b + gain_a.max()
         return rows * (1.0 + PAIR_MARGIN), cols * (1.0 + PAIR_MARGIN)
+
+    def screen(self, work):
+        """Upper bounds of the values in each row of a table without gains.
+
+        With the SVD M = U S V^H and q = min(``PAIR_RANK``, N + 1), entry
+        (i, j) is within tau |Ka[i]| |Kb[j]| of s_1 |X[i] Y[j]^T| for
+        X = Ka U_q S_q / s_1 and Y = Kb conj(V_q), tau from ``_tail_bound``.
+        |X Y^T| is formed in complex64, block by block of rows in ``work``
+        (a workspace of ``block``) with X formed per block, and each row
+        keeps its maximum.  A row bound adds to s_1 times it the float32
+        rounding (q + 16) 2^-24 s_1 (|Ka[i]| max|Kb| + 2^-100) of the casts,
+        products and ``abs`` (2^-100 for underflow) and the tail
+        tau |Ka[i]| max|Kb|.  None, to score every row, when the largest
+        entry of M is zero, not finite or outside 2^-500..2^500.
+        """
+        top = np.abs(self.middle).max()
+        if not 2.0**-500 < top < 2.0**500:
+            return None
+        u, s, vh = np.linalg.svd(self.middle)
+        q = min(PAIR_RANK, s.size)
+        scaled = u[:, :q] * (s[:q] / s[0])
+        n, m = self.shape
+        yt = np.empty((q, m), dtype=np.complex64)
+        for blk in _row_blocks(m):
+            yt[:, blk] = vh[:q] @ self.rows_b[blk].T
+        peak = np.empty(n, dtype=np.float32)
+        for blk in _row_blocks(n):
+            x = (self.rows_a[blk] @ scaled).astype(np.complex64)
+            size = x.shape[0] * m
+            product = np.matmul(x, yt, out=work[:size].view(np.complex64).reshape(-1, m))
+            values = np.abs(product, out=work[size:].view(np.float32)[:size].reshape(product.shape))
+            np.max(values, axis=1, out=peak[blk])
+        norm_a, norm_b = (np.sqrt(norms) for norms in self.norms_sq)
+        reach = norm_a * norm_b.max()
+        return s[0] * (peak + (q + 16) * 2.0**-24 * (reach + 2.0**-100)) + _tail_bound(s, q) * reach
 
 
 def _kernel_table(block, a_pts, b_pts, grid, single=None):
@@ -592,14 +649,17 @@ def _kernel_table(block, a_pts, b_pts, grid, single=None):
 
     Entry (a, b) is |<g, e_a (x) e_b>|, g the power series of ``block``.
     The single-axis matrices (Ga, Gb) of afd2d-tm add the gains
-    ``|K_a Ga|^2`` and ``|K_b Gb|^2`` to the squared entries.
+    ``|K_a Ga|^2`` and ``|K_b Gb|^2`` to the squared entries.  On the grid
+    the rows and their squared norms are the cached ones.
     """
     order = block.shape[0] - 1
     rows_a, rows_b = kernel_rows(a_pts, order, grid), kernel_rows(b_pts, order, grid)
-    gains = None
+    gains = norms = None
     if single is not None:
         gains = tuple(np.sum(np.abs(rows @ G) ** 2, axis=1) for rows, G in zip((rows_a, rows_b), single))
-    return _PairTable(rows_a, block, rows_b, gains)
+    if _on_grid(a_pts, grid) and _on_grid(b_pts, grid):
+        norms = (_grid_kernel_norms_sq(grid, order),) * 2
+    return _PairTable(rows_a, block, rows_b, gains, norms)
 
 
 def _pair_argmax(table):
@@ -608,18 +668,33 @@ def _pair_argmax(table):
     Rows are scored in the blocks of ``_row_blocks`` in one workspace, and
     the running best moves only on a strictly larger value.  So no table of
     all pairs is allocated, and ties go to the first pair, as ``np.argmax`` of
-    the dense table gives them.  A table with gains first scores in full
-    the ``PAIR_SEEDS`` rows with the largest bounds.  A row or column whose
-    bound is below that seed value holds only values strictly below the
-    maximum, so it is left out and cannot change the tie-break.
+    the dense table gives them.  Every row first gets an upper bound, from
+    ``bounds`` for a table with gains (which also bounds each column) and
+    from ``screen`` otherwise, and the ``PAIR_SEEDS`` rows with the largest
+    bounds are scored in full.  A row or column whose bound is below their
+    maximum holds only values strictly below the table's, so it is left out
+    and cannot change the tie-break.  A lone row left gets a neighbour, as
+    BLAS would score it alone by its matrix-vector path.  Whole rows keep
+    the dense bits, so a table without gains gives the dense ``np.argmax``
+    and its value bit for bit; afd2d-tm's rectangles of rows by columns
+    matched them at all 120 bench steps, but need not.
     """
-    rows, cols = np.arange(table.shape[0]), slice(None)
-    if table.gains is not None:
-        row_bound, col_bound = table.bounds()
-        seed = table.block(np.argsort(row_bound)[-PAIR_SEEDS:]).max()
-        rows, cols = np.flatnonzero(row_bound >= seed), np.flatnonzero(col_bound >= seed)
-    col_ids = np.arange(table.shape[1])[cols]
-    work = np.empty(3 * min(PAIR_BLOCK, rows.size) * col_ids.size)
+    n, m = table.shape
+    row_bound, col_bound = table.bounds() if table.gains is not None else (None, None)
+    # allocated once the temporaries of ``bounds`` are freed; the screen needs it
+    work = np.empty(3 * min(PAIR_BLOCK, n) * m)
+    if table.gains is None:
+        row_bound = table.screen(work)
+    rows, cols = np.arange(n), slice(None)
+    if row_bound is not None:
+        seed = table.block(np.argsort(row_bound)[-PAIR_SEEDS:], work=work).max()
+        rows = np.flatnonzero(row_bound >= seed)
+        if col_bound is not None:
+            cols = np.flatnonzero(col_bound >= seed)
+        if rows.size == 1:
+            start = max(0, min(int(rows[0]), n - 2))
+            rows = np.arange(start, min(start + 2, n))
+    col_ids = np.arange(m)[cols]
     best = None
     for blk in _row_blocks(rows.size):
         block = table.block(rows[blk], cols, work)

@@ -372,7 +372,7 @@ class ProductSzegoDictionary2D:
             state = ScanState()
         frame_tables = [
             _kernel_table(frame.matrix[j].reshape(side, side), pts, pts, self.grid)
-            for j in state.new_rows(frame, lambda: np.outer(*table.norms_sq()))
+            for j in state.new_rows(frame, lambda: np.outer(*table.norms_sq))
         ]
         blocks = _row_blocks(pts.size)
         work = np.empty(3 * max(blk.stop - blk.start for blk in blocks) * pts.size)

@@ -34,11 +34,13 @@ from afdkit.afd1d import _tm_grid_size, blaschke_eval
 from afdkit.afd2d import _blaschke_toeplitz, _product_tm_objective
 from afdkit.hardy import (
     PAIR_BLOCK,
+    PAIR_RANK,
     PAIR_SEEDS,
     _PairTable,
     _kernel_table,
     _pair_argmax,
     _row_blocks,
+    _tail_bound,
     grid_radii,
     power_rows,
 )
@@ -520,6 +522,98 @@ class TestPairReduction:
         rows_a[[3, PAIR_BLOCK + 5]] = 1.0
         table = _PairTable(rows_a, np.eye(1, dtype=complex), np.array([[1.0], [0.5]], dtype=complex))
         assert _pair_argmax(table) == ((3, 0), 1.0)
+
+
+BENCH_GRID = GridSpec(radial_count=24, angular_count=48, max_radius=0.85)
+
+
+class TestPairScreen:
+    """The low-rank screen of a table without gains (pga2d) against the dense table."""
+
+    @staticmethod
+    def middle(kind, seed, order):
+        """A random Hardy block, or the block of a sum of 1-3 tensor atoms."""
+        if kind == "random":
+            return random_hardy_2d(seed, order).data
+        rng = np.random.default_rng(seed)
+        params = 0.9 * rng.uniform(0.0, 1.0, (kind, 2)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (kind, 2)))
+        coeffs = rng.standard_normal(kind) + 1j * rng.standard_normal(kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return tensor_signal(list(zip(coeffs, params)), order).data
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        order=st.integers(0, 64),
+        kind=st.sampled_from(["random", 1, 2, 3]),
+        scale=st.sampled_from([1e-200, 1e-30, 1.0, 1e30, 1e200]),
+        grid_index=st.integers(0, 3),
+    )
+    def test_screen_bounds_every_row_and_keeps_the_dense_argmax(self, seed, order, kind, scale, grid_index):
+        grid = (reduction_grids() + [BENCH_GRID])[grid_index]
+        pts = grid_points(grid)
+        C = scale * self.middle(kind, seed, order)
+        table = _kernel_table(C, pts, pts, grid)
+        dense = np.asarray(table)
+        idx = np.unravel_index(int(np.argmax(dense)), dense.shape)
+        (i, j), value = _pair_argmax(table)
+        assert (i, j) == idx and np.float64(value).tobytes() == dense[idx].tobytes()
+        bound = table.screen(np.empty(3 * min(PAIR_BLOCK, pts.size) * pts.size))
+        if bound is None:
+            assert not 2.0**-500 < np.abs(C).max() < 2.0**500
+            return
+        assert np.all(dense.max(axis=1) <= bound)
+        u, s, vh = np.linalg.svd(C)
+        q = min(PAIR_RANK, s.size)
+        assert np.linalg.norm(C - (u[:, :q] * s[:q]) @ vh[:q], 2) <= _tail_bound(s, q)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_row_subsets_keep_the_dense_bits(self, seed):
+        # whole rows keep the dense bits for any two or more of them; a
+        # subset of the columns need not
+        pts = grid_points(BENCH_GRID)
+        rng = np.random.default_rng(seed)
+        f = random_hardy_2d(seed, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tables = [_kernel_table(f.data, pts, pts, BENCH_GRID),
+                      _product_tm_objective(f, random_history(rng, 2), BENCH_GRID)(pts, pts)]
+        for table in tables:
+            dense = np.asarray(table)
+            for count in (2, 3, 17, 65, pts.size - 1):
+                rows = np.sort(rng.choice(pts.size, count, replace=False))
+                assert table.block(rows).tobytes() == dense[rows].tobytes()
+
+    def test_screen_leaves_few_rows(self):
+        # blocks with the spectrum of the bench images, 1 / ((1 + k)(1 + l))
+        pts = grid_points(BENCH_GRID)
+        decay = 1.0 + np.arange(65)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            C = (rng.standard_normal((65, 65)) + 1j * rng.standard_normal((65, 65))) / np.outer(decay, decay)
+            table = _kernel_table(C, pts, pts, BENCH_GRID)
+            bound = table.screen(np.empty(3 * PAIR_BLOCK * pts.size))
+            seed_value = table.block(np.argsort(bound)[-PAIR_SEEDS:]).max()
+            assert np.mean(bound >= seed_value) < 0.05
+
+    @pytest.mark.parametrize("lone", [0, 20, 39])
+    def test_a_lone_row_is_scored_with_a_neighbour(self, lone):
+        # one row holds the maximum and alone reaches the seed value; BLAS
+        # would score it alone by its matrix-vector path
+        shapes = []
+
+        class Recorded(_PairTable):
+            def block(self, rows=slice(None), cols=slice(None), work=None):
+                values = super().block(rows, cols, work)
+                shapes.append(values.shape)
+                return values
+
+        rows_a = np.full((40, 1), 0.1 + 0j)
+        rows_a[lone] = 1.0
+        table = Recorded(rows_a, np.eye(1, dtype=complex), np.array([[1.0], [0.5]], dtype=complex))
+        assert _pair_argmax(table) == ((lone, 0), 1.0)
+        assert min(rows for rows, _ in shapes) == 2
 
 
 class TestAfd2dDecompose:

@@ -321,8 +321,11 @@ class TestRunSettings:
         (["--threshold", "inf"], "error: threshold must be finite and >= 0"),
         (["--threshold", "-1"], "error: threshold must be finite and >= 0"),
         (["--full-recon"], "error: --full-recon does not apply to afd1d runs"),
+        (["--synthesis", "m.json"], "error: --synthesis does not apply to afd1d runs"),
+        (["--algorithm", "afd2d-tm", "--synthesis", "m.json"], "error: --synthesis does not apply to afd2d-tm runs"),
+        (["--algorithm", "pga2d", "--synthesis", "m.json"], "error: --synthesis does not apply to pga2d runs"),
     ], ids=["algorithm", "rho", "order", "max-radius", "threshold-nan", "threshold-inf", "threshold-negative",
-            "full-recon-1d"])
+            "full-recon-1d", "synthesis-afd1d", "synthesis-afd2d-tm", "synthesis-pga2d"])
     def test_rejected_settings_exit_2(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out.rec"
         assert cli_main(["decompose", "--input", str(tmp_path / "in.csv"), "--output", str(out)] + argv) == 2

@@ -35,6 +35,8 @@ from afdkit import (
     poga_decompose,
 )
 from afdkit.hardy import (
+    _grid_kernel_norms_sq,
+    _kernel_table,
     _local_candidates,
     _ring_powers,
     eval_series,
@@ -753,6 +755,22 @@ class TestEvalSeries:
             assert not cached.flags.writeable
             with pytest.raises(ValueError):
                 cached[0] = 0
+
+    def test_kernel_norms_are_cached_read_only(self):
+        spec = GridSpec(radial_count=4, angular_count=10, max_radius=0.9)
+        pts = grid_points(spec)
+        norms = _grid_kernel_norms_sq(spec, 25)
+        assert _grid_kernel_norms_sq(spec, 25) is norms
+        assert norms.tobytes() == np.sum(np.abs(kernel_rows(pts.copy(), 25)) ** 2, axis=1).tobytes()
+        assert not norms.flags.writeable
+        with pytest.raises(ValueError):
+            norms[0] = 0
+        middle = np.eye(26, dtype=complex)
+        assert all(cached is norms for cached in _kernel_table(middle, pts.copy(), pts, spec).norms_sq)
+        off_grid = pts[3:9] * 0.5
+        norms_a, norms_b = _kernel_table(middle, off_grid, pts, spec).norms_sq
+        assert norms_a.tobytes() == np.sum(np.abs(kernel_rows(off_grid, 25)) ** 2, axis=1).tobytes()
+        assert norms_b.tobytes() == norms.tobytes()
 
     def test_kernel_rows_give_szego_inner_products(self):
         spec = GridSpec(radial_count=3, angular_count=5, max_radius=0.8)
