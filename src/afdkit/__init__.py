@@ -46,7 +46,6 @@ from .afd1d import (
     AFDStep,
     afd_decompose_1d,
     backward_shift,
-    blaschke_eval,
     msp_1d,
     reconstruct_1d,
     tm_matrix,

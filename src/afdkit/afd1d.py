@@ -34,7 +34,6 @@ from .hardy import (
 from .szego import _warn_deficit, szego_coeffs
 
 __all__ = [
-    "blaschke_eval",
     "tm_matrix",
     "backward_shift",
     "msp_1d",
@@ -61,20 +60,6 @@ def _nodes(size):
     z = np.exp(2j * np.pi * np.arange(size) / size)
     z.flags.writeable = False
     return z
-
-
-def blaschke_eval(params, size):
-    """Boundary samples of the Blaschke product with the given zeros.
-
-    Pointwise product of the Moebius factors (z - a) / (1 - conj(a) z) at
-    z = exp(2 pi i j / size); unimodular at every sample.
-    """
-    params = _validate_params(params)
-    z = _nodes(size)
-    out = np.ones(size, dtype=complex)
-    for a in params:
-        out *= (z - a) / (1.0 - np.conj(a) * z)
-    return out
 
 
 def _tm_grid_size(order):

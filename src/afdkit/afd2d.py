@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .hardy import FourierCoeffs2D, _kernel_table, greedy, grid_argmax_pairs, inner_product_2d, require_nonzero
-from .afd1d import _tm_grid_size, blaschke_eval, tm_matrix
+from .afd1d import tm_matrix
 from .szego import TensorAtomSpec, tensor_atom_coeffs
 
 __all__ = [
@@ -59,16 +59,14 @@ def _block_entries(table, n):
     return np.concatenate([col, row])
 
 
-def _blaschke_toeplitz(params, order):
+def _blaschke_toeplitz(phi):
     """Coefficient map of g -> P+[g conj(phi)] on frequencies 0..order.
 
-    ``phi`` is the Blaschke product with zeros ``params``; the map is the
-    upper-triangular Toeplitz matrix T[k, m] = conj(phi_{m-k}) (m >= k) of
-    its Taylor coefficients, taken from one oversampled FFT.
+    ``phi`` holds the Taylor coefficients 0..order of a Blaschke product;
+    the map is the upper-triangular Toeplitz matrix T[k, m] = conj(phi_{m-k})
+    (m >= k).
     """
-    size = _tm_grid_size(order)
-    phi = np.fft.fft(blaschke_eval(params, size))[: order + 1] / size
-    lag = np.arange(order + 1)[None, :] - np.arange(order + 1)[:, None]
+    lag = np.arange(phi.size)[None, :] - np.arange(phi.size)[:, None]
     return np.where(lag >= 0, np.conj(phi)[np.maximum(lag, 0)], 0.0)
 
 
@@ -79,16 +77,16 @@ def _product_tm_objective(f, history, grid, rows=None):
     coefficient block H = A C B^T (A, B from ``_blaschke_toeplitz``); the
     single-axis entries against the fixed rows of the other axis are the
     1-d analogue, with Ga = A R_b and Gb = B L_a^T.  ``rows`` are the
-    ``_history_rows`` of ``history`` when the caller already holds them.
+    ``_history_rows`` of ``history`` followed by the pair (0, 0), when the
+    caller already holds them: the row of the parameter 0 is its prefix, so
+    the last row of each axis is the Blaschke product phi or psi.
     """
     C = _hardy_block(f)
-    order = f.order
-    A = _blaschke_toeplitz([p[0] for p in history], order)
-    B = _blaschke_toeplitz([p[1] for p in history], order)
-    hist_rows_a, hist_rows_b = _history_rows(history, order) if rows is None else rows
+    rows_a, rows_b = _history_rows([*history, (0j, 0j)], f.order) if rows is None else rows
+    A, B = _blaschke_toeplitz(rows_a[-1]), _blaschke_toeplitz(rows_b[-1])
     H = A @ C @ B.T
-    Ga = A @ (C @ np.conj(hist_rows_b).T)  # column l: <f, . (x) B_l> times conj(phi)
-    Gb = B @ (np.conj(hist_rows_a) @ C).T  # column k: <f, B_k (x) .> times conj(psi)
+    Ga = A @ (C @ np.conj(rows_b[:-1]).T)  # column l: <f, . (x) B_l> times conj(phi)
+    Gb = B @ (np.conj(rows_a[:-1]) @ C).T  # column k: <f, B_k (x) .> times conj(psi)
     return lambda a_pts, b_pts: _kernel_table(H, a_pts, b_pts, grid, (Ga, Gb))
 
 
@@ -119,8 +117,8 @@ def msp_product_tm(f, history, grid, *, _rows=None):
 
     so every term is a power series evaluated on the grid, in the pair
     table of ``hardy._kernel_table``.  ``_rows`` passes the
-    ``tm_matrix`` rows of the history that ``afd2d_tm_decompose`` already
-    built at the previous step.
+    ``tm_matrix`` rows of the history and of phi and psi that
+    ``afd2d_tm_decompose`` already built at the previous step.
     """
     require_nonzero(f.energy())
     objective = _product_tm_objective(f, history, grid, _rows)
@@ -159,15 +157,15 @@ def afd2d_tm_decompose(f, n_terms, grid, threshold=1e-12):
     energies.  Residuals are non-increasing by construction.
     """
     history = []
-    rows = (np.zeros((0, f.order + 1), dtype=complex),) * 2
+    rows = None
     residual = f.energy()
 
     def step():
         nonlocal rows, residual
         sel = msp_product_tm(f, history, grid, _rows=rows)
         history.append((sel.a, sel.b))
-        rows = _history_rows(history, f.order)
-        block = _block_entries(_cross_table(_hardy_block(f), *rows), len(history))
+        rows = _history_rows([*history, (0j, 0j)], f.order)
+        block = _block_entries(_cross_table(_hardy_block(f), rows[0][:-1], rows[1][:-1]), len(history))
         block_energy = float(np.sum(np.abs(block) ** 2))
         residual -= block_energy
         return Afd2dStep(a=sel.a, b=sel.b, block=block, block_energy=block_energy, residual_energy=residual)

@@ -164,6 +164,8 @@ def _parse_pgm(buf, path):
     if len(data) < width * height:
         raise IngestError("%s: truncated pixel data" % path)
     pixels = np.frombuffer(data, dtype=np.uint8).reshape(height, width)
+    if pixels.max() > maxval:
+        raise IngestError("%s: pixel value %d above maxval %d" % (path, pixels.max(), maxval))
     return pixels, maxval
 
 
@@ -615,17 +617,25 @@ _IGNORED = object()
 _DIMENSION_DEFAULTS = {"order": (256, 64), "grid_radial": (48, 24), "grid_angular": (96, 48),
                        "atoms": (10, _IGNORED), "coeff_sum": (2.0, _IGNORED), "emit_meta": (None, _IGNORED),
                        "full_recon": (_IGNORED, False)}
+# The radius of each command's grid: synth keeps the atoms it draws off the rim.
+_MAX_RADIUS = {"synth": 0.9, "decompose": 0.995}
 
 
 def _run_grid(args):
-    """Fill the unset settings of ``args`` for its dimension, check them and return the search grid.
+    """Fill the unset settings of ``args`` for its run, check them and return the search grid.
 
-    A setting the dimension ignores is a usage error.  ``synth`` draws its
+    A setting the run ignores is a usage error.  ``synth`` draws its
     atoms from the coarse grid points, so it takes no ``--refine`` and its
-    grid has no refinement levels.
+    grid has no refinement levels; a 2-d ``synth`` has no grid (None).
     """
-    for name in filter(args.__contains__, _DIMENSION_DEFAULTS):
-        default = _DIMENSION_DEFAULTS[name][args.algorithm not in ALGS_1D]
+    two_d = args.algorithm not in ALGS_1D
+    for name in filter(args.__contains__, [*_DIMENSION_DEFAULTS, "max_radius"]):
+        if two_d and args.command == "synth" and name in ("grid_radial", "grid_angular", "max_radius"):
+            default = _IGNORED  # a 2-d synth draws a random field, not atoms from a grid
+        elif name == "max_radius":
+            default = _MAX_RADIUS[args.command]
+        else:
+            default = _DIMENSION_DEFAULTS[name][two_d]
         if getattr(args, name) is None:
             setattr(args, name, None if default is _IGNORED else default)
         elif default is _IGNORED:
@@ -636,6 +646,8 @@ def _run_grid(args):
         raise ConfigError("threshold must be finite and >= 0")
     if args.order < 8:
         raise ConfigError("truncation order must be at least 8")
+    if args.max_radius is None:
+        return None
     return GridSpec(radial_count=args.grid_radial, angular_count=args.grid_angular,
                     refine_levels=getattr(args, "refine", 0), max_radius=args.max_radius)
 
@@ -814,13 +826,13 @@ def _cmd_reconstruct(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_run_size(parser, max_radius):
+def _add_run_size(parser):
     """The options that pick the algorithm and size its search; ``_run_grid`` fills an unset size."""
     parser.add_argument("--algorithm", choices=ALGORITHMS, default="afd1d")
     parser.add_argument("--order", type=int)
     parser.add_argument("--grid-radial", type=int)
     parser.add_argument("--grid-angular", type=int)
-    parser.add_argument("--max-radius", type=float, default=max_radius)
+    parser.add_argument("--max-radius", type=float)
 
 
 @functools.lru_cache(maxsize=None)
@@ -838,7 +850,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a reproducible synthetic test signal")
-    _add_run_size(p_synth, max_radius=0.9)
+    _add_run_size(p_synth)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--atoms", type=int)
     p_synth.add_argument("--coeff-sum", dest="coeff_sum", type=float)
@@ -847,7 +859,7 @@ def build_parser():
     p_synth.set_defaults(func=_cmd_synth)
 
     p_dec = sub.add_parser("decompose", help="decompose a signal and store the record")
-    _add_run_size(p_dec, max_radius=0.995)
+    _add_run_size(p_dec)
     p_dec.add_argument("--terms", type=int, default=5)
     p_dec.add_argument("--refine", type=int, default=2)
     p_dec.add_argument("--rho", type=float, default=1.0)

@@ -75,6 +75,25 @@ def reference_real_field_2d(parts, size):
     )
 
 
+def reference_blaschke(params, size):
+    """Boundary samples of the Blaschke product with zeros ``params``.
+
+    Pointwise product of the Moebius factors (z - a) / (1 - conj(a) z) at
+    z = exp(2 pi i j / size); unimodular at every sample.
+    """
+    z = np.exp(2j * np.pi * np.arange(size) / size)
+    out = np.ones(size, dtype=complex)
+    for a in map(complex, params):
+        out *= (z - a) / (1.0 - np.conj(a) * z)
+    return out
+
+
+def reference_blaschke_coeffs(params, order):
+    """Taylor coefficients 0..order of that product, from one FFT of ``reference_blaschke``."""
+    size = _tm_grid_size(order)
+    return np.fft.fft(reference_blaschke(params, size))[: order + 1] / size
+
+
 def reference_backward_shift(f, a):
     """``afd1d.backward_shift`` with its nodes rebuilt and its samples from ``boundary_samples``."""
     atom = szego_coeffs(a, f.order)

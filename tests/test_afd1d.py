@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from afdkit import (
@@ -17,7 +17,6 @@ from afdkit import (
     TruncationError,
     afd_decompose_1d,
     backward_shift,
-    blaschke_eval,
     grid_points,
     inner_product_1d,
     msp_1d,
@@ -32,6 +31,8 @@ from conftest import (
     multiplicities,
     random_hardy_1d,
     reference_backward_shift,
+    reference_blaschke,
+    reference_blaschke_coeffs,
 )
 
 GRID = GridSpec(radial_count=24, angular_count=48, refine_levels=1, max_radius=0.9)
@@ -45,21 +46,44 @@ class TestMultiplicities:
         assert multiplicities([]) == []
 
 
+def _phi_row(params, order):
+    """The last row of ``tm_matrix(params + [0], order)``: the Blaschke product with zeros ``params``."""
+    return tm_matrix(list(params) + [0j], order)[-1]
+
+
 class TestBlaschke:
+    """The row of the parameter 0 after a history is the history's Blaschke product."""
+
     def test_empty_product_is_one(self):
-        assert np.allclose(blaschke_eval([], 16), 1.0)
+        assert np.allclose(_phi_row([], 16), np.eye(1, 17))
 
     def test_single_zero_at_origin_is_z(self):
-        z = np.exp(2j * np.pi * np.arange(16) / 16)
-        assert np.allclose(blaschke_eval([0.0], 16), z)
+        assert np.allclose(_phi_row([0.0], 16), np.eye(1, 17, 1))
 
     def test_unimodular(self):
-        vals = blaschke_eval([0.5, 0.5], 128)
+        vals = FourierCoeffs1D(_phi_row([0.5, 0.5], 128), hardy=True).boundary_samples(256)
         assert np.max(np.abs(np.abs(vals) - 1.0)) < 1e-13
 
     def test_invalid_parameter(self):
         with pytest.raises(DomainError):
-            blaschke_eval([1.5], 16)
+            _phi_row([1.5], 16)
+
+    @settings(max_examples=60, deadline=None)
+    @given(order=st.integers(0, 300), seed=st.integers(0, 2**16), count=st.integers(0, 8),
+           radius=st.floats(0.0, 0.95), zero=st.integers(-1, 7))
+    @example(order=24, seed=0, count=0, radius=0.5, zero=-1)
+    @example(order=65, seed=1, count=3, radius=0.95, zero=1)
+    @example(order=256, seed=2, count=8, radius=0.9, zero=0)
+    def test_row_is_the_sampled_product(self, order, seed, count, radius, zero):
+        """The rows of the history plus 0 are the history's rows, then its sampled Blaschke product, bit for bit."""
+        params = _random_params(seed, count, radius)
+        if 0 <= zero < count:
+            params[zero] = 0j
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows = tm_matrix(params + [0j], order)
+            assert rows[:-1].tobytes() == tm_matrix(params, order).tobytes()
+        assert rows[-1].tobytes() == reference_blaschke_coeffs(params, order).tobytes()
 
 
 class TestTMBasis:
@@ -163,15 +187,14 @@ class TestNodeTable:
     @settings(max_examples=40, deadline=None)
     @given(order=st.integers(0, 300), seed=st.integers(0, 2**16), count=st.integers(0, 6),
            radius=st.floats(0.0, 0.99))
-    def test_tm_matrix_and_blaschke_eval(self, order, seed, count, radius):
-        params = _random_params(seed, count, radius)
-        size = afd1d._tm_grid_size(order)
+    def test_tm_matrix_with_blaschke_row(self, order, seed, count, radius):
+        params = _random_params(seed, count, radius) + [0j]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = tm_matrix(params, order), blaschke_eval(params, size)
+            got = tm_matrix(params, order)
             with mock.patch.object(afd1d, "_nodes", afd1d._nodes.__wrapped__):
-                want = tm_matrix(params, order), blaschke_eval(params, size)
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+                want = tm_matrix(params, order)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestMsp:
@@ -279,7 +302,7 @@ class TestDecompose:
             for j in range(k):
                 g = g - inner_product_1d(f, basis[j]) * basis[j]
             lhs = g.boundary_samples(size)
-            rhs = fk.boundary_samples(size) * blaschke_eval(params[:k], size)
+            rhs = fk.boundary_samples(size) * reference_blaschke(params[:k], size)
             err = np.sqrt(np.mean(np.abs(lhs - rhs) ** 2))
             assert err < 1e-7
 

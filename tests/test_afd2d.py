@@ -30,7 +30,7 @@ from afdkit import (
     tm_matrix,
 )
 from afdkit import afd2d
-from afdkit.afd1d import _tm_grid_size, blaschke_eval
+from afdkit.afd1d import _tm_grid_size
 from afdkit.afd2d import _blaschke_toeplitz, _product_tm_objective
 from afdkit.hardy import (
     PAIR_BLOCK,
@@ -44,7 +44,14 @@ from afdkit.hardy import (
     grid_radii,
     power_rows,
 )
-from conftest import dn_energy, kernel_ip, product_coeff, random_hardy_2d
+from conftest import (
+    dn_energy,
+    kernel_ip,
+    product_coeff,
+    random_hardy_2d,
+    reference_blaschke,
+    reference_blaschke_coeffs,
+)
 
 GRID = GridSpec(radial_count=10, angular_count=20, refine_levels=1, max_radius=0.6)
 ORDER = 32
@@ -210,7 +217,7 @@ def reference_objective(f, history, order):
     z = np.exp(2j * np.pi * np.arange(size) / size)
     a_hist = [p[0] for p in history]
     b_hist = [p[1] for p in history]
-    prefix_a, prefix_b = blaschke_eval(a_hist, size), blaschke_eval(b_hist, size)
+    prefix_a, prefix_b = reference_blaschke(a_hist, size), reference_blaschke(b_hist, size)
     left_fixed = np.conj(tm_matrix(a_hist, order)) @ C
     right_fixed = C @ np.conj(tm_matrix(b_hist, order)).T
 
@@ -305,8 +312,8 @@ def weighted_tm_table(f, history, a_pts, b_pts):
     with H for C, plus the gains with every product taken in moduli.
     """
     C, order = f.data, f.order
-    A = _blaschke_toeplitz([p[0] for p in history], order)
-    B = _blaschke_toeplitz([p[1] for p in history], order)
+    A = _blaschke_toeplitz(reference_blaschke_coeffs([p[0] for p in history], order))
+    B = _blaschke_toeplitz(reference_blaschke_coeffs([p[1] for p in history], order))
     rows_a = tm_matrix([p[0] for p in history], order)
     rows_b = tm_matrix([p[1] for p in history], order)
     H = A @ C @ B.T
@@ -656,7 +663,8 @@ class TestAfd2dDecompose:
         monkeypatch.setattr(afd2d, "tm_matrix", counting)
         record = afd2d_tm_decompose(random_hardy_2d(12, ORDER), 5, GRID)
         assert len(record.steps) == 5
-        assert calls == [n for n in range(1, 6) for _ in range(2)]
+        # one call per axis per step, each with the Blaschke row, from step 1's phi = 1 on
+        assert calls == [n for n in range(1, 7) for _ in range(2)]
 
     def test_lossy_basis_still_warns(self):
         grid = GridSpec(radial_count=6, angular_count=8, refine_levels=0, max_radius=0.95)

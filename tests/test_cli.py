@@ -171,6 +171,17 @@ class TestLoadImage2D:
         with pytest.raises(IngestError, match="not positive"):
             load_image_2d(path, 8)
 
+    def test_pixel_above_maxval_rejected(self, tmp_path, capsys):
+        path, out = tmp_path / "over.pgm", tmp_path / "over.rec"
+        pixels = np.zeros(130 * 130, dtype=np.uint8)
+        pixels[777] = 200
+        path.write_bytes(b"P5\n130 130\n100\n" + pixels.tobytes())
+        argv = ["decompose", "--algorithm", "pga2d", "--input", str(path), "--output", str(out), "--order", "24",
+                "--terms", "2", "--grid-radial", "6", "--grid-angular", "12", "--refine", "0", "--max-radius", "0.6"]
+        assert cli_main(argv) == 2
+        assert "pixel value 200 above maxval 100" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def library_record(algorithm):
     """A two-step library record with full-precision fields and signed zeros."""
@@ -362,8 +373,12 @@ class TestRunSettings:
         (["--algorithm", "pga2d", "--emit-meta", "meta.json"], "--emit-meta does not apply to pga2d runs"),
         (["--algorithm", "afd2d-tm", "--atoms", "3"], "--atoms does not apply to afd2d-tm runs"),
         (["--algorithm", "poga2d", "--coeff-sum", "2"], "--coeff-sum does not apply to poga2d runs"),
+        (["--algorithm", "pga2d", "--grid-radial", "3"], "--grid-radial does not apply to pga2d runs"),
+        (["--algorithm", "afd2d-tm", "--grid-angular", "5"], "--grid-angular does not apply to afd2d-tm runs"),
+        (["--algorithm", "pga2d", "--max-radius", "0.9"], "--max-radius does not apply to pga2d runs"),
     ], ids=["atoms-0", "atoms-negative", "seed-negative", "seed-negative-2d", "coeff-sum-nan", "coeff-sum-inf",
-            "coeff-sum-negative", "coeff-sum-0", "emit-meta-2d", "atoms-2d", "coeff-sum-2d"])
+            "coeff-sum-negative", "coeff-sum-0", "emit-meta-2d", "atoms-2d", "coeff-sum-2d", "grid-radial-2d",
+            "grid-angular-2d", "max-radius-2d"])
     def test_synth_rejects_settings_no_run_can_use(self, tmp_path, capsys, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
         assert cli_main(["synth", "--output", "out", "--order", "16"] + argv) == 2
