@@ -518,15 +518,15 @@ def _refine(objective, best, best_val, spec):
 
 
 # Most rows of a pair table scored at once, rows scored in full to seed the
-# bounds, and the rank of the factors that screen a table without gains.  A
+# bounds, and the rank of the basis that screens a table without gains.  A
 # reduction keeps one workspace of 24 bytes per pair of a block, 3.5 MB at
 # the bench grid's P = 1,153 points against 31.9 MB for the dense table and
 # its product.  The seed rows score about 3% of the pairs; on the bench
-# images the screen then leaves a median of 1.3% of the rows to score.
+# images (seeds 0-19) they hold every row the screen leaves, a median of 2.
 PAIR_BLOCK = 128
 PAIR_SEEDS = 32
 PAIR_MARGIN = 1e-9
-PAIR_RANK = 32
+PAIR_RANK = 16
 
 
 def _row_blocks(n):
@@ -539,16 +539,6 @@ def _row_blocks(n):
     """
     count = -(-n // PAIR_BLOCK)
     return [slice(n * k // count, n * (k + 1) // count) for k in range(count)]
-
-
-def _tail_bound(s, q):
-    """A bound tau on ``||M - U_q S_q V_q^H||_2`` for the computed SVD of M, singular values ``s``.
-
-    The first singular value left out, inflated by ``PAIR_MARGIN``, plus
-    2^-40 (N + 1) s_1 for the backward error of LAPACK's SVD and the
-    float64 rounding of the products that form the table and its screen.
-    """
-    return (s[q] * (1.0 + PAIR_MARGIN) if q < s.size else 0.0) + 2.0**-40 * s.size * s[0]
 
 
 class _PairTable:
@@ -609,39 +599,51 @@ class _PairTable:
         return rows * (1.0 + PAIR_MARGIN), cols * (1.0 + PAIR_MARGIN)
 
     def screen(self, work):
-        """Upper bounds of the values in each row of a table without gains.
+        """Upper bounds of the values in each row of a table without gains, their tails and W.
 
-        With the SVD M = U S V^H and q = min(``PAIR_RANK``, N + 1), entry
-        (i, j) is within tau |Ka[i]| |Kb[j]| of s_1 |X[i] Y[j]^T| for
-        X = Ka U_q S_q / s_1 and Y = Kb conj(V_q), tau from ``_tail_bound``.
-        |X Y^T| is formed in complex64, block by block of rows in ``work``
-        (a workspace of ``block``) with X formed per block, and each row
-        keeps its maximum.  A row bound adds to s_1 times it the float32
-        rounding (q + 16) 2^-24 s_1 (|Ka[i]| max|Kb| + 2^-100) of the casts,
-        products and ``abs`` (2^-100 for underflow) and the tail
-        tau |Ka[i]| max|Kb|.  None, to score every row, when the largest
-        entry of M is zero, not finite or outside 2^-500..2^500.
+        For x = ``left[i]``, y = ``Kb[j]^T`` and any W with orthonormal
+        columns, entry (i, j) is the head (x W)(W^H y) plus a tail of at most
+        |x W_perp| |W_perp^H y|, whose squares are |x|^2 - |x W|^2 and
+        |y|^2 - |W^H y|^2; W sets only how tight the bound is.  W is the QR
+        basis of M^H M Z, Z the conjugated q = min(``PAIR_RANK``, N + 1) rows
+        of M of largest norm, with M and x scaled by the power of two above
+        max|M|.  The head is formed in complex64 per block of rows in ``work``
+        (a workspace of ``block``), each row keeping its maximum, plus the
+        float32 rounding (q + 16) 2^-24 (|x| max|y| + 2^-100) of the casts,
+        products and ``abs`` (2^-100 for underflow).  eps = (N + 1) 2^-40
+        times |x|^2 and |y|^2 raises both differences, for their cancellation
+        and W's departure from orthonormality, whose cross term adds
+        eps |x| max|y|.  All None, to score every row, when max|M| is zero,
+        not finite or outside 2^-500..2^500.
         """
         top = np.abs(self.middle).max()
         if not 2.0**-500 < top < 2.0**500:
-            return None
-        u, s, vh = np.linalg.svd(self.middle)
-        q = min(PAIR_RANK, s.size)
-        scaled = u[:, :q] * (s[:q] / s[0])
+            return None, None, None
+        unit = 2.0 ** np.frexp(top)[1]
+        middle = self.middle / unit
+        q, eps = min(PAIR_RANK, middle.shape[0]), 2.0**-40 * middle.shape[0]
+        z = middle[np.argsort(np.sum(np.abs(middle) ** 2, axis=1))[-q:]].conj().T
+        basis = np.linalg.qr(middle.conj().T @ (middle @ z))[0]
+        y = self.rows_b @ basis.conj()
+        sq_b = self.norms_sq[1]
+        tail_b = np.sqrt(np.maximum(sq_b - np.sum(np.abs(y) ** 2, axis=1), 0.0) + eps * sq_b).max()
+        yt = y.T.astype(np.complex64)
         n, m = self.shape
-        yt = np.empty((q, m), dtype=np.complex64)
-        for blk in _row_blocks(m):
-            yt[:, blk] = vh[:q] @ self.rows_b[blk].T
-        peak = np.empty(n, dtype=np.float32)
+        head = (self.left @ basis).view(np.float64) / unit
+        head32 = head.astype(np.float32).view(np.complex64)
+        peak, sq_a = np.empty(n, dtype=np.float32), np.empty(n)
         for blk in _row_blocks(n):
-            x = (self.rows_a[blk] @ scaled).astype(np.complex64)
+            x = self.left[blk].view(np.float64) / unit
+            sq_a[blk] = np.einsum("ij,ij->i", x, x)
             size = x.shape[0] * m
-            product = np.matmul(x, yt, out=work[:size].view(np.complex64).reshape(-1, m))
+            product = np.matmul(head32[blk], yt, out=work[:size].view(np.complex64).reshape(-1, m))
             values = np.abs(product, out=work[size:].view(np.float32)[:size].reshape(product.shape))
             np.max(values, axis=1, out=peak[blk])
-        norm_a, norm_b = (np.sqrt(norms) for norms in self.norms_sq)
-        reach = norm_a * norm_b.max()
-        return s[0] * (peak + (q + 16) * 2.0**-24 * (reach + 2.0**-100)) + _tail_bound(s, q) * reach
+        diff_a = sq_a - np.einsum("ij,ij->i", head, head)
+        tail = np.sqrt(np.maximum(diff_a, 0.0) + eps * sq_a) * tail_b
+        reach = np.sqrt(sq_a * sq_b.max())
+        allowance = (q + 16) * 2.0**-24 * (reach + 2.0**-100) + eps * reach
+        return unit * (peak + allowance + tail), unit * tail, basis
 
 
 def _kernel_table(block, a_pts, b_pts, grid, single=None):
@@ -666,41 +668,47 @@ def _pair_argmax(table):
     """Index pair and value of the first maximum of a ``_PairTable`` in (row, column) order.
 
     Rows are scored in the blocks of ``_row_blocks`` in one workspace, and
-    the running best moves only on a strictly larger value.  So no table of
-    all pairs is allocated, and ties go to the first pair, as ``np.argmax`` of
-    the dense table gives them.  Every row first gets an upper bound, from
-    ``bounds`` for a table with gains (which also bounds each column) and
-    from ``screen`` otherwise, and the ``PAIR_SEEDS`` rows with the largest
-    bounds are scored in full.  A row or column whose bound is below their
-    maximum holds only values strictly below the table's, so it is left out
-    and cannot change the tie-break.  A lone row left gets a neighbour, as
-    BLAS would score it alone by its matrix-vector path.  Whole rows keep
-    the dense bits, so a table without gains gives the dense ``np.argmax``
-    and its value bit for bit; afd2d-tm's rectangles of rows by columns
-    matched them at all 120 bench steps, but need not.
+    the running best moves on a larger value, or on an equal one at an
+    earlier pair.  So no table of all pairs is allocated, and ties go to the
+    first pair, as ``np.argmax`` of the dense table gives them.  Every row
+    first gets an upper bound, from ``bounds`` for a table with gains (which
+    also bounds each column) and from ``screen`` otherwise, and the
+    ``PAIR_SEEDS`` rows with the largest bounds (every row, when at most one
+    other is left) are scored in full.  Another row or column whose bound is
+    below their maximum holds only values strictly below the table's, so it
+    is left out and cannot change the tie-break; no row is scored twice.  A
+    lone row left gets a neighbour that is not a seed, as BLAS would score
+    it alone by its matrix-vector path.  Whole rows keep the dense bits, so
+    a table without gains gives the dense ``np.argmax`` and its value bit
+    for bit; afd2d-tm's rectangles of rows by columns matched them at all
+    120 bench steps, but need not.
     """
     n, m = table.shape
     row_bound, col_bound = table.bounds() if table.gains is not None else (None, None)
     # allocated once the temporaries of ``bounds`` are freed; the screen needs it
     work = np.empty(3 * min(PAIR_BLOCK, n) * m)
     if table.gains is None:
-        row_bound = table.screen(work)
-    rows, cols = np.arange(n), slice(None)
+        row_bound = table.screen(work)[0]
+    rows, cols, best = np.arange(n), slice(None), None
     if row_bound is not None:
-        seed = table.block(np.argsort(row_bound)[-PAIR_SEEDS:], work=work).max()
-        rows = np.flatnonzero(row_bound >= seed)
+        seeds = np.sort(np.argsort(row_bound)[-PAIR_SEEDS:]) if n > PAIR_SEEDS + 1 else rows
+        values = table.block(seeds, work=work)
+        i, j = np.unravel_index(int(np.argmax(values)), values.shape)
+        best = (int(seeds[i]), int(j)), float(values[i, j])
+        rest = np.delete(rows, seeds)
+        rows = rest[row_bound[rest] >= best[1]]
         if col_bound is not None:
-            cols = np.flatnonzero(col_bound >= seed)
+            cols = np.flatnonzero(col_bound >= best[1])
         if rows.size == 1:
-            start = max(0, min(int(rows[0]), n - 2))
-            rows = np.arange(start, min(start + 2, n))
+            start = min(int(np.searchsorted(rest, rows[0])), rest.size - 2)
+            rows = rest[start : start + 2]
     col_ids = np.arange(m)[cols]
-    best = None
     for blk in _row_blocks(rows.size):
-        block = table.block(rows[blk], cols, work)
-        i, j = np.unravel_index(int(np.argmax(block)), block.shape)
-        if best is None or block[i, j] > best[1]:
-            best = (int(rows[blk][i]), int(col_ids[j])), float(block[i, j])
+        values = table.block(rows[blk], cols, work)
+        i, j = np.unravel_index(int(np.argmax(values)), values.shape)
+        pair, value = (int(rows[blk][i]), int(col_ids[j])), float(values[i, j])
+        if best is None or value > best[1] or value == best[1] and pair < best[0]:
+            best = pair, value
     return best
 
 

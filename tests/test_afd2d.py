@@ -40,7 +40,6 @@ from afdkit.hardy import (
     _kernel_table,
     _pair_argmax,
     _row_blocks,
-    _tail_bound,
     grid_radii,
     power_rows,
 )
@@ -530,6 +529,42 @@ class TestPairReduction:
         table = _PairTable(rows_a, np.eye(1, dtype=complex), np.array([[1.0], [0.5]], dtype=complex))
         assert _pair_argmax(table) == ((3, 0), 1.0)
 
+    @pytest.mark.parametrize("seed", range(2))
+    def test_no_row_is_scored_twice(self, seed, monkeypatch):
+        # the seed rows are scored once, in full, and only the other rows
+        # that survive their maximum are scored after them
+        scored = []
+        block = _PairTable.block
+
+        def recorded(table, rows=slice(None), cols=slice(None), work=None):
+            scored.extend(np.arange(table.shape[0])[rows].tolist())
+            return block(table, rows, cols, work)
+
+        rng = np.random.default_rng(seed)
+        tables = []
+        for grid in reduction_grids()[1:] + [BENCH_GRID]:
+            pts = grid_points(grid)
+            f = random_hardy_2d(seed, 48)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                tables.append(_kernel_table(f.data, pts, pts, grid))
+                tables.append(_product_tm_objective(f, random_history(rng, 2), grid)(pts, pts))
+        # every row ties: the seeds and all the other rows are scored
+        tables.append(_PairTable(np.ones((2 * PAIR_BLOCK + 3, 1), dtype=complex), np.eye(1, dtype=complex),
+                                 np.array([[1.0], [0.5]], dtype=complex)))
+        monkeypatch.setattr(_PairTable, "block", recorded)
+        survivors = []
+        for table in tables:
+            scored.clear()
+            pick = _pair_argmax(table)
+            assert len(scored) == len(set(scored)) >= min(PAIR_SEEDS, table.shape[0])
+            survivors.append(len(scored) - PAIR_SEEDS)
+            dense = block(table)
+            if table.gains is None:
+                assert pick[0] == np.unravel_index(int(np.argmax(dense)), dense.shape)
+            assert abs(pick[1] - dense.max()) <= 1e-12 * dense.max()
+        assert survivors[-1] == tables[-1].shape[0] - PAIR_SEEDS and max(survivors[1::2]) > 0
+
 
 BENCH_GRID = GridSpec(radial_count=24, angular_count=48, max_radius=0.85)
 
@@ -539,10 +574,20 @@ class TestPairScreen:
 
     @staticmethod
     def middle(kind, seed, order):
-        """A random Hardy block, or the block of a sum of 1-3 tensor atoms."""
+        """A random Hardy block, the block of a sum of 1-3 tensor atoms, or a degenerate one.
+
+        The degenerate blocks have one nonzero row, every row one of three
+        random rows, or rank one, u v^H.
+        """
+        rng = np.random.default_rng(seed)
         if kind == "random":
             return random_hardy_2d(seed, order).data
-        rng = np.random.default_rng(seed)
+        if kind in ("row", "repeated", "outer"):
+            rows = rng.standard_normal((3, order + 1)) + 1j * rng.standard_normal((3, order + 1))
+            if kind == "repeated":
+                return rows[rng.integers(0, 3, order + 1)]
+            u = rows[0] if kind == "outer" else np.eye(order + 1)[rng.integers(order + 1)]
+            return np.outer(u, rows[1].conj())
         params = 0.9 * rng.uniform(0.0, 1.0, (kind, 2)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (kind, 2)))
         coeffs = rng.standard_normal(kind) + 1j * rng.standard_normal(kind)
         with warnings.catch_warnings():
@@ -558,22 +603,56 @@ class TestPairScreen:
         grid_index=st.integers(0, 3),
     )
     def test_screen_bounds_every_row_and_keeps_the_dense_argmax(self, seed, order, kind, scale, grid_index):
-        grid = (reduction_grids() + [BENCH_GRID])[grid_index]
+        self.check_screen(scale * self.middle(kind, seed, order), (reduction_grids() + [BENCH_GRID])[grid_index])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        order=st.one_of(st.integers(0, 15), st.integers(16, 64)),
+        kind=st.sampled_from(["row", "repeated", "outer"]),
+        scale=st.sampled_from([1e-200, 1.0, 1e200]),
+        grid_index=st.integers(0, 3),
+    )
+    def test_screen_on_degenerate_middles(self, seed, order, kind, scale, grid_index):
+        self.check_screen(scale * self.middle(kind, seed, order), (reduction_grids() + [BENCH_GRID])[grid_index])
+
+    @pytest.mark.parametrize("order", [0, 1, 7, 14, 15])
+    @pytest.mark.parametrize("kind", ["random", 1, "row", "outer"])
+    def test_tails_vanish_below_the_rank(self, order, kind):
+        # q = N + 1: W spans everything, and each tail is the allowance eps |x| max|y|
+        grid = reduction_grids()[2]
         pts = grid_points(grid)
-        C = scale * self.middle(kind, seed, order)
+        table = _kernel_table(self.middle(kind, order, order), pts, pts, grid)
+        _, tails, basis = table.screen(np.empty(3 * PAIR_BLOCK * pts.size))
+        assert basis.shape == (order + 1, order + 1) == (order + 1, min(PAIR_RANK, order + 1))
+        reach = np.sqrt(np.sum(np.abs(table.left) ** 2, axis=1) * table.norms_sq[1].max())
+        assert np.all(tails <= 1.01 * 2.0**-40 * (order + 1) * reach)
+        self.check_screen(table.middle, grid)
+
+    @staticmethod
+    def check_screen(C, grid):
+        """The screen against the dense table: its argmax, its row bounds and its tails.
+
+        The tails must dominate |x W_perp| max |W_perp^H y| with W_perp from
+        a full QR that completes the screen's W, x and y scaled as the
+        screen scales them.
+        """
+        pts = grid_points(grid)
         table = _kernel_table(C, pts, pts, grid)
         dense = np.asarray(table)
         idx = np.unravel_index(int(np.argmax(dense)), dense.shape)
         (i, j), value = _pair_argmax(table)
         assert (i, j) == idx and np.float64(value).tobytes() == dense[idx].tobytes()
-        bound = table.screen(np.empty(3 * min(PAIR_BLOCK, pts.size) * pts.size))
+        bound, tails, basis = table.screen(np.empty(3 * min(PAIR_BLOCK, pts.size) * pts.size))
         if bound is None:
             assert not 2.0**-500 < np.abs(C).max() < 2.0**500
             return
         assert np.all(dense.max(axis=1) <= bound)
-        u, s, vh = np.linalg.svd(C)
-        q = min(PAIR_RANK, s.size)
-        assert np.linalg.norm(C - (u[:, :q] * s[:q]) @ vh[:q], 2) <= _tail_bound(s, q)
+        unit = 2.0 ** np.frexp(np.abs(C).max())[1]
+        perp = np.linalg.qr(basis, mode="complete")[0][:, basis.shape[1] :]
+        tail_a = np.linalg.norm(table.left / unit @ perp, axis=1)
+        tail_b = np.linalg.norm(table.rows_b @ perp.conj(), axis=1)
+        assert np.all(tails >= unit * tail_a * tail_b.max())
 
     @pytest.mark.parametrize("seed", range(2))
     def test_row_subsets_keep_the_dense_bits(self, seed):
@@ -600,14 +679,15 @@ class TestPairScreen:
             rng = np.random.default_rng(seed)
             C = (rng.standard_normal((65, 65)) + 1j * rng.standard_normal((65, 65))) / np.outer(decay, decay)
             table = _kernel_table(C, pts, pts, BENCH_GRID)
-            bound = table.screen(np.empty(3 * PAIR_BLOCK * pts.size))
+            bound = table.screen(np.empty(3 * PAIR_BLOCK * pts.size))[0]
             seed_value = table.block(np.argsort(bound)[-PAIR_SEEDS:]).max()
-            assert np.mean(bound >= seed_value) < 0.05
+            assert np.mean(bound >= seed_value) < 0.01
 
     @pytest.mark.parametrize("lone", [0, 20, 39])
     def test_a_lone_row_is_scored_with_a_neighbour(self, lone):
-        # one row holds the maximum and alone reaches the seed value; BLAS
-        # would score it alone by its matrix-vector path
+        # the 32 seed rows hold 0.9 under bounds that their float32 allowance
+        # lifts above 1; one other row holds the maximum and alone reaches
+        # the seed value.  BLAS would score it alone by its matrix-vector path
         shapes = []
 
         class Recorded(_PairTable):
@@ -616,11 +696,13 @@ class TestPairScreen:
                 shapes.append(values.shape)
                 return values
 
-        rows_a = np.full((40, 1), 0.1 + 0j)
-        rows_a[lone] = 1.0
-        table = Recorded(rows_a, np.eye(1, dtype=complex), np.array([[1.0], [0.5]], dtype=complex))
+        rows_a = np.tile([0.1, 0.0 + 0j], (40, 1))
+        rows_a[np.delete(np.arange(40), lone)[:PAIR_SEEDS]] = [0.9, 1e8]
+        rows_a[lone] = [1.0, 0.0]
+        table = Recorded(rows_a, np.eye(2, dtype=complex), np.array([[1.0, 0.0], [0.5, 0.0]], dtype=complex))
         assert _pair_argmax(table) == ((lone, 0), 1.0)
         assert min(rows for rows, _ in shapes) == 2
+        assert sum(rows for rows, _ in shapes) == PAIR_SEEDS + 2
 
 
 class TestAfd2dDecompose:
