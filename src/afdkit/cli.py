@@ -608,44 +608,56 @@ def synth_field_2d(order, seed, size):
 # ---------------------------------------------------------------------------
 
 
-# The per-dimension defaults (1-d, 2-d) of the settings that depend on the
-# dimension.  The joint 2-d search is quadratic in the grid, so 2-d runs
-# default coarser.  ``_IGNORED`` marks a setting the dimension does not read:
-# only a 1-d synth draws kernel atoms, and only a 2-d record has the
-# --full-recon parts.
-_IGNORED = object()
-_DIMENSION_DEFAULTS = {"order": (256, 64), "grid_radial": (48, 24), "grid_angular": (96, 48),
-                       "atoms": (10, _IGNORED), "coeff_sum": (2.0, _IGNORED), "emit_meta": (None, _IGNORED),
-                       "full_recon": (_IGNORED, False)}
-# The radius of each command's grid: synth keeps the atoms it draws off the rim.
-_MAX_RADIUS = {"synth": 0.9, "decompose": 0.995}
+# Every option of every command, stated once: its argparse keywords; for each
+# command that takes it, the algorithms that read it and its 1-d and 2-d
+# defaults; then the test a given value must pass and its message (``GridSpec``
+# checks the grid settings).  2-d runs default to a coarser grid, as their joint
+# search is quadratic in it; synth keeps its atoms off the rim, and a 2-d synth
+# draws a random field from no grid.
+_ANY, _POGA = (ALGORITHMS, None, None), ("poga1d", "poga2d")
+_SETTINGS = {
+    "algorithm": ({"choices": ALGORITHMS, "default": "afd1d"}, {"synth": _ANY, "decompose": _ANY}),
+    "order": ({"type": int}, {"synth": (ALGORITHMS, 256, 64), "decompose": (ALGORITHMS, 256, 64)},
+              lambda v: v >= 8, "truncation order must be at least 8"),
+    "grid_radial": ({"type": int}, {"synth": (ALGS_1D, 48, None), "decompose": (ALGORITHMS, 48, 24)}),
+    "grid_angular": ({"type": int}, {"synth": (ALGS_1D, 96, None), "decompose": (ALGORITHMS, 96, 48)}),
+    "max_radius": ({"type": float}, {"synth": (ALGS_1D, 0.9, None), "decompose": (ALGORITHMS, 0.995, 0.995)}),
+    "seed": ({"type": int}, {"synth": (ALGORITHMS, 0, 0)}, lambda v: v >= 0, "seed must be >= 0"),
+    "atoms": ({"type": int}, {"synth": (ALGS_1D, 10, None)}, lambda v: v >= 1, "atoms must be at least 1"),
+    "coeff_sum": ({"type": float}, {"synth": (ALGS_1D, 2.0, None)}, lambda v: 0.0 < v < math.inf,
+                  "coeff_sum must be finite and > 0"),
+    "emit_meta": ({}, {"synth": (ALGS_1D, None, None)}),
+    "terms": ({"type": int}, {"decompose": (ALGORITHMS, 5, 5)}, lambda v: v >= 1, "terms must be at least 1"),
+    # P-OGA scans only the coarse grid, yet the benchmark's P-OGA runs pass --refine.
+    "refine": ({"type": int}, {"decompose": (ALGORITHMS, 2, 2)}),
+    "rho": ({"type": float}, {"decompose": (_POGA, 1.0, 1.0)}, lambda v: 0.0 < v <= 1.0, "rho must lie in (0, 1]"),
+    "threshold": ({"type": float}, {"decompose": (ALGORITHMS, 1e-12, 1e-12)}, lambda v: 0.0 <= v < math.inf,
+                  "threshold must be finite and >= 0"),
+    "synthesis": ({"help": "synthesis metadata JSON (poga runs only)"}, {"decompose": (_POGA, None, None)}),
+    "full_recon": ({"action": "store_true", "default": None},
+                   {"decompose": (tuple(set(ALGORITHMS) - set(ALGS_1D)), None, False)}),
+    "input": ({"required": True}, {"decompose": _ANY, "verify": _ANY, "reconstruct": _ANY}),
+    "output": ({"required": True}, {"synth": _ANY, "decompose": _ANY, "reconstruct": _ANY}),
+}
 
 
 def _run_grid(args):
-    """Fill the unset settings of ``args`` for its run, check them and return the search grid.
+    """Fill the unset settings of ``args`` from ``_SETTINGS``, check them and return the search grid.
 
-    A setting the run ignores is a usage error.  ``synth`` draws its
-    atoms from the coarse grid points, so it takes no ``--refine`` and its
-    grid has no refinement levels; a 2-d ``synth`` has no grid (None).
+    A given value that fails its test, or that the run does not read, is a
+    usage error.  ``synth`` draws its atoms from the coarse grid points, so
+    its grid has no refinement levels; a 2-d ``synth`` has no grid (None).
     """
-    two_d = args.algorithm not in ALGS_1D
-    for name in filter(args.__contains__, [*_DIMENSION_DEFAULTS, "max_radius"]):
-        if two_d and args.command == "synth" and name in ("grid_radial", "grid_angular", "max_radius"):
-            default = _IGNORED  # a 2-d synth draws a random field, not atoms from a grid
-        elif name == "max_radius":
-            default = _MAX_RADIUS[args.command]
-        else:
-            default = _DIMENSION_DEFAULTS[name][two_d]
+    for name, (_, uses, *check) in _SETTINGS.items():
+        if args.command not in uses:
+            continue
+        readers, *defaults = uses[args.command]
         if getattr(args, name) is None:
-            setattr(args, name, None if default is _IGNORED else default)
-        elif default is _IGNORED:
+            setattr(args, name, defaults[args.algorithm not in ALGS_1D])
+        elif check and not check[0](getattr(args, name)):
+            raise ConfigError(check[1])
+        elif args.algorithm not in readers:
             raise ConfigError("--%s does not apply to %s runs" % (name.replace("_", "-"), args.algorithm))
-    if "rho" in args and not 0.0 < args.rho <= 1.0:
-        raise ConfigError("rho must lie in (0, 1]")
-    if "threshold" in args and not 0.0 <= args.threshold < math.inf:
-        raise ConfigError("threshold must be finite and >= 0")
-    if args.order < 8:
-        raise ConfigError("truncation order must be at least 8")
     if args.max_radius is None:
         return None
     return GridSpec(radial_count=args.grid_radial, angular_count=args.grid_angular,
@@ -667,13 +679,7 @@ def _run_meta(args):
 
 def _cmd_synth(args):
     grid = _run_grid(args)
-    if args.seed < 0:
-        raise ConfigError("seed must be >= 0")
     if args.algorithm in ALGS_1D:
-        if args.atoms < 1:
-            raise ConfigError("atoms must be at least 1")
-        if not 0.0 < args.coeff_sum < math.inf:
-            raise ConfigError("coeff_sum must be finite and > 0")
         f, params, coeffs = synth_signal_1d(args.order, args.atoms, args.coeff_sum, grid, args.seed)
         size = next_pow2(2 * (args.order + 1))
         write_csv(args.output, "# synthetic kernel combination, seed=%d" % args.seed, real_samples_1d(f, size))
@@ -736,8 +742,6 @@ def _load_synthesis(path, algorithm):
 
 def _cmd_decompose(args):
     grid = _run_grid(args)
-    if args.synthesis and args.algorithm not in ("poga1d", "poga2d"):
-        raise ConfigError("--synthesis does not apply to %s runs" % args.algorithm)
     record = RecordFile(meta=_run_meta(args))
     synthesis = None
     if args.synthesis:
@@ -826,18 +830,9 @@ def _cmd_reconstruct(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_run_size(parser):
-    """The options that pick the algorithm and size its search; ``_run_grid`` fills an unset size."""
-    parser.add_argument("--algorithm", choices=ALGORITHMS, default="afd1d")
-    parser.add_argument("--order", type=int)
-    parser.add_argument("--grid-radial", type=int)
-    parser.add_argument("--grid-angular", type=int)
-    parser.add_argument("--max-radius", type=float)
-
-
 @functools.lru_cache(maxsize=None)
 def build_parser():
-    """The command-line parser, built once per process.
+    """The command-line parser, built once per process from ``_SETTINGS``.
 
     ``parse_args`` returns a fresh ``Namespace`` on every call, so one
     parser serves every ``cli_main`` call without carrying values between
@@ -848,37 +843,17 @@ def build_parser():
         description="Adaptive kernel decompositions of boundary signals on the disc and 2-torus.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_synth = sub.add_parser("synth", help="generate a reproducible synthetic test signal")
-    _add_run_size(p_synth)
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--atoms", type=int)
-    p_synth.add_argument("--coeff-sum", dest="coeff_sum", type=float)
-    p_synth.add_argument("--output", required=True)
-    p_synth.add_argument("--emit-meta", dest="emit_meta", default=None)
-    p_synth.set_defaults(func=_cmd_synth)
-
-    p_dec = sub.add_parser("decompose", help="decompose a signal and store the record")
-    _add_run_size(p_dec)
-    p_dec.add_argument("--terms", type=int, default=5)
-    p_dec.add_argument("--refine", type=int, default=2)
-    p_dec.add_argument("--rho", type=float, default=1.0)
-    p_dec.add_argument("--threshold", type=float, default=1e-12)
-    p_dec.add_argument("--input", required=True)
-    p_dec.add_argument("--output", required=True)
-    p_dec.add_argument("--synthesis", default=None, help="synthesis metadata JSON (poga runs only)")
-    p_dec.add_argument("--full-recon", dest="full_recon", action="store_true", default=None)
-    p_dec.set_defaults(func=_cmd_decompose)
-
-    p_ver = sub.add_parser("verify", help="re-check the ledger and rate bounds of a record")
-    p_ver.add_argument("--input", required=True)
-    p_ver.set_defaults(func=_cmd_verify)
-
-    p_rec = sub.add_parser("reconstruct", help="rebuild a signal from a record")
-    p_rec.add_argument("--input", required=True)
-    p_rec.add_argument("--output", required=True)
-    p_rec.set_defaults(func=_cmd_reconstruct)
-
+    for command, func, text in (
+        ("synth", _cmd_synth, "generate a reproducible synthetic test signal"),
+        ("decompose", _cmd_decompose, "decompose a signal and store the record"),
+        ("verify", _cmd_verify, "re-check the ledger and rate bounds of a record"),
+        ("reconstruct", _cmd_reconstruct, "rebuild a signal from a record"),
+    ):
+        command_parser = sub.add_parser(command, help=text)
+        for name, (keywords, uses, *_) in _SETTINGS.items():
+            if command in uses:
+                command_parser.add_argument("--" + name.replace("_", "-"), **keywords)
+        command_parser.set_defaults(func=func)
     return parser
 
 

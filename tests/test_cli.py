@@ -335,8 +335,14 @@ class TestRunSettings:
         (["--synthesis", "m.json"], "error: --synthesis does not apply to afd1d runs"),
         (["--algorithm", "afd2d-tm", "--synthesis", "m.json"], "error: --synthesis does not apply to afd2d-tm runs"),
         (["--algorithm", "pga2d", "--synthesis", "m.json"], "error: --synthesis does not apply to pga2d runs"),
+        (["--rho", "0.5"], "error: --rho does not apply to afd1d runs"),
+        (["--algorithm", "afd2d-tm", "--rho", "0.5"], "error: --rho does not apply to afd2d-tm runs"),
+        (["--algorithm", "pga2d", "--rho", "0.5"], "error: --rho does not apply to pga2d runs"),
+        (["--terms", "0"], "error: terms must be at least 1"),
+        (["--algorithm", "poga2d", "--terms", "-1"], "error: terms must be at least 1"),
     ], ids=["algorithm", "rho", "order", "max-radius", "threshold-nan", "threshold-inf", "threshold-negative",
-            "full-recon-1d", "synthesis-afd1d", "synthesis-afd2d-tm", "synthesis-pga2d"])
+            "full-recon-1d", "synthesis-afd1d", "synthesis-afd2d-tm", "synthesis-pga2d", "rho-afd1d",
+            "rho-afd2d-tm", "rho-pga2d", "terms-0", "terms-negative-2d"])
     def test_rejected_settings_exit_2(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out.rec"
         assert cli_main(["decompose", "--input", str(tmp_path / "in.csv"), "--output", str(out)] + argv) == 2
@@ -834,7 +840,7 @@ class TestParserReuse:
         assert cli_main(["decompose", "--terms", "many"]) == 2
         assert cli_main(
             ["decompose", "--algorithm", "pga2d", "--input", img, "--output", full, *IMAGE_ARGS,
-             "--terms", "3", "--refine", "1", "--rho", "0.5", "--threshold", "1e-6", "--full-recon"]
+             "--terms", "3", "--refine", "1", "--threshold", "1e-6", "--full-recon"]
         ) == 0
         assert cli_main(
             ["decompose", "--algorithm", "pga2d", "--input", img, "--output", plain, *IMAGE_ARGS]
