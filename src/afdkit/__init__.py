@@ -23,6 +23,8 @@ from .hardy import (
     FourierCoeffs2D,
     GridSpec,
     QuadrantParts,
+    Record,
+    Step,
     analytic_part,
     grid_argmax,
     grid_argmax_pairs,
@@ -42,8 +44,6 @@ from .szego import (
     tensor_atom_coeffs,
 )
 from .afd1d import (
-    AFDRecord,
-    AFDStep,
     afd_decompose_1d,
     backward_shift,
     msp_1d,
@@ -51,10 +51,6 @@ from .afd1d import (
     tm_matrix,
 )
 from .afd2d import (
-    Afd2dRecord,
-    Afd2dStep,
-    PGARecord,
-    PGAStep,
     afd2d_tm_decompose,
     msp_product_tm,
     pga_decompose,
@@ -65,8 +61,6 @@ from .afd2d import (
 from .poga import (
     EPS_SPAN,
     OrthoFrame,
-    PogaRecord,
-    PogaStep,
     ProductSzegoDictionary2D,
     RateReport,
     SelectionOutcome,
@@ -86,3 +80,8 @@ from .cli import (
 )
 
 __version__ = "0.1.0"
+
+# Per-algorithm names that perfbench/checks.py still builds records by;
+# ROADMAP item 3's benchmark change can drop them.
+AFDStep = Afd2dStep = PGAStep = PogaStep = Step
+AFDRecord = Afd2dRecord = PGARecord = PogaRecord = Record

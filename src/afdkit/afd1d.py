@@ -15,13 +15,14 @@ stays in the Hardy space and the energy ledger is exact.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, TruncationError
 from .hardy import (
     FourierCoeffs1D,
+    Record,
+    Step,
     _on_grid,
     eval_series,
     grid_argmax,
@@ -37,8 +38,6 @@ __all__ = [
     "tm_matrix",
     "backward_shift",
     "msp_1d",
-    "AFDStep",
-    "AFDRecord",
     "afd_decompose_1d",
     "reconstruct_1d",
 ]
@@ -159,29 +158,6 @@ def _grid_weights(spec):
     return weights
 
 
-@dataclass
-class AFDStep:
-    """One greedy step: parameter, extracted coefficient, remaining energy."""
-
-    a: complex
-    coeff: complex
-    residual_energy: float
-
-
-@dataclass
-class AFDRecord:
-    """Ordered steps of a 1-d decomposition plus the energy ledger."""
-
-    initial_energy: float
-    steps: list[AFDStep] = field(default_factory=list)
-
-    def params(self):
-        return [s.a for s in self.steps]
-
-    def residual_energies(self):
-        return [s.residual_energy for s in self.steps]
-
-
 def afd_decompose_1d(f, n_terms, grid, threshold=1e-12):
     """Greedy kernel decomposition of a Hardy signal through ``hardy.greedy``.
 
@@ -198,9 +174,9 @@ def afd_decompose_1d(f, n_terms, grid, threshold=1e-12):
         atom = szego_coeffs(a, f.order)
         coeff = inner_product_1d(remainder, atom)
         remainder = backward_shift(remainder, a, _atom=atom, _coeff=coeff)
-        return AFDStep(a=a, coeff=coeff, residual_energy=remainder.energy())
+        return Step(a=a, coeff=coeff, residual_energy=remainder.energy())
 
-    return greedy(AFDRecord(initial_energy=f.energy()), n_terms, threshold, step)
+    return greedy(Record(initial_energy=f.energy()), n_terms, threshold, step)
 
 
 def reconstruct_1d(record, order):

@@ -9,25 +9,23 @@ normalized tensor kernel e_a (x) e_b per step from the running remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .hardy import FourierCoeffs2D, _kernel_table, greedy, grid_argmax_pairs, inner_product_2d, require_nonzero
+from .hardy import (
+    FourierCoeffs2D, Record, Step, _kernel_table, greedy, grid_argmax_pairs, inner_product_2d, require_nonzero,
+)
 from .afd1d import tm_matrix
 from .szego import TensorAtomSpec, tensor_atom_coeffs
 
 __all__ = [
     "MspPairSelection",
     "msp_product_tm",
-    "Afd2dStep",
-    "Afd2dRecord",
     "afd2d_tm_decompose",
     "reconstruct_product_tm",
     "pga_step",
-    "PGAStep",
-    "PGARecord",
     "pga_decompose",
     "reconstruct_pga",
 ]
@@ -126,29 +124,6 @@ def msp_product_tm(f, history, grid, *, _rows=None):
     return MspPairSelection(a=a, b=b, value=value)
 
 
-@dataclass
-class Afd2dStep:
-    """One product-system step: the pair, its coefficient block, energies."""
-
-    a: complex
-    b: complex
-    block: np.ndarray
-    block_energy: float
-    residual_energy: float
-
-
-@dataclass
-class Afd2dRecord:
-    initial_energy: float
-    steps: list[Afd2dStep] = field(default_factory=list)
-
-    def pairs(self):
-        return [(s.a, s.b) for s in self.steps]
-
-    def residual_energies(self):
-        return [s.residual_energy for s in self.steps]
-
-
 def afd2d_tm_decompose(f, n_terms, grid, threshold=1e-12):
     """Product rational-system decomposition with joint maximal selection.
 
@@ -168,9 +143,9 @@ def afd2d_tm_decompose(f, n_terms, grid, threshold=1e-12):
         block = _block_entries(_cross_table(_hardy_block(f), rows[0][:-1], rows[1][:-1]), len(history))
         block_energy = float(np.sum(np.abs(block) ** 2))
         residual -= block_energy
-        return Afd2dStep(a=sel.a, b=sel.b, block=block, block_energy=block_energy, residual_energy=residual)
+        return Step(a=sel.a, b=sel.b, block=block, block_energy=block_energy, residual_energy=residual)
 
-    return greedy(Afd2dRecord(initial_energy=f.energy()), n_terms, threshold, step)
+    return greedy(Record(initial_energy=f.energy()), n_terms, threshold, step)
 
 
 def reconstruct_product_tm(record, order):
@@ -184,7 +159,7 @@ def reconstruct_product_tm(record, order):
     for i, step in enumerate(record.steps):
         table[:i, i] = step.block[:i]
         table[i, : i + 1] = step.block[i:]
-    rows_a, rows_b = _history_rows(record.pairs(), order)
+    rows_a, rows_b = _history_rows([(s.a, s.b) for s in record.steps], order)
     return FourierCoeffs2D(rows_a.T @ table @ rows_b, hardy=True)
 
 
@@ -205,22 +180,6 @@ def pga_step(g, grid):
     return spec, coeff
 
 
-@dataclass
-class PGAStep:
-    atom: TensorAtomSpec
-    coeff: complex
-    residual_energy: float
-
-
-@dataclass
-class PGARecord:
-    initial_energy: float
-    steps: list[PGAStep] = field(default_factory=list)
-
-    def residual_energies(self):
-        return [s.residual_energy for s in self.steps]
-
-
 def pga_decompose(f, n_terms, grid, threshold=1e-12):
     """Pure greedy decomposition over tensor kernels.
 
@@ -234,9 +193,9 @@ def pga_decompose(f, n_terms, grid, threshold=1e-12):
         nonlocal remainder
         spec, coeff = pga_step(remainder, grid)
         remainder = remainder - coeff * tensor_atom_coeffs(spec, f.order)
-        return PGAStep(atom=spec, coeff=coeff, residual_energy=remainder.energy())
+        return Step(atom=spec, coeff=coeff, residual_energy=remainder.energy())
 
-    return greedy(PGARecord(initial_energy=f.energy()), n_terms, threshold, step)
+    return greedy(Record(initial_energy=f.energy()), n_terms, threshold, step)
 
 
 def reconstruct_pga(record, order):

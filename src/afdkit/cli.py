@@ -35,6 +35,8 @@ from .hardy import (
     FourierCoeffs2D,
     GridSpec,
     QuadrantParts,
+    Record,
+    Step,
     analytic_part,
     grid_points,
     next_pow2,
@@ -42,20 +44,9 @@ from .hardy import (
     real_field_2d,
 )
 from .szego import AtomSpec, TensorAtomSpec, szego_coeffs
-from .afd1d import AFDRecord, AFDStep, afd_decompose_1d, reconstruct_1d
-from .afd2d import (
-    Afd2dRecord,
-    Afd2dStep,
-    PGARecord,
-    PGAStep,
-    afd2d_tm_decompose,
-    pga_decompose,
-    reconstruct_pga,
-    reconstruct_product_tm,
-)
+from .afd1d import afd_decompose_1d, reconstruct_1d
+from .afd2d import afd2d_tm_decompose, pga_decompose, reconstruct_pga, reconstruct_product_tm
 from .poga import (
-    PogaRecord,
-    PogaStep,
     ProductSzegoDictionary2D,
     SzegoDictionary1D,
     poga_decompose,
@@ -383,18 +374,18 @@ _KINDS = {
               lambda f, i: np.array(f[i + 1:], dtype=float).view(complex)),
 }
 
-# Each algorithm's record type, step type and step fields in line order.
-# Step field positions appear nowhere else: arity, encode and decode all
-# follow from this table.  The afd2d-tm block of step n holds 2n - 1 entries.
+# Each algorithm's ``Step`` fields in line order.  Step field positions
+# appear nowhere else: arity, encode and decode all follow from this table.
+# The afd2d-tm block of step n holds 2n - 1 entries.
 STEP_LAYOUTS = {
-    "afd1d": (AFDRecord, AFDStep, (("a", "point"), ("coeff", "complex"), ("residual_energy", "real"))),
-    "afd2d-tm": (Afd2dRecord, Afd2dStep, (("a", "point"), ("b", "point"), ("block_energy", "real"),
-                                          ("residual_energy", "real"), ("block", "block"))),
-    "pga2d": (PGARecord, PGAStep, (("atom", "pair"), ("coeff", "complex"), ("residual_energy", "real"))),
-    "poga1d": (PogaRecord, PogaStep, (("atom", "atom"), ("coeff", "complex"), ("r", "real"),
-                                      ("r_sup", "real"), ("residual_energy", "real"))),
-    "poga2d": (PogaRecord, PogaStep, (("atom", "tensor"), ("coeff", "complex"), ("r", "real"),
-                                      ("r_sup", "real"), ("residual_energy", "real"))),
+    "afd1d": (("a", "point"), ("coeff", "complex"), ("residual_energy", "real")),
+    "afd2d-tm": (("a", "point"), ("b", "point"), ("block_energy", "real"), ("residual_energy", "real"),
+                 ("block", "block")),
+    "pga2d": (("atom", "pair"), ("coeff", "complex"), ("residual_energy", "real")),
+    "poga1d": (("atom", "atom"), ("coeff", "complex"), ("r", "real"), ("r_sup", "real"),
+               ("residual_energy", "real")),
+    "poga2d": (("atom", "tensor"), ("coeff", "complex"), ("r", "real"), ("r_sup", "real"),
+               ("residual_energy", "real")),
 }
 
 ALGORITHMS = tuple(STEP_LAYOUTS)
@@ -441,7 +432,7 @@ def _layout_sections(record):
 
 def encode_section(name, algorithm, rec):
     """File section holding the steps of a library record."""
-    encoders = [(attr, _KINDS[kind][1]) for attr, kind in STEP_LAYOUTS[algorithm][2]]
+    encoders = [(attr, _KINDS[kind][1]) for attr, kind in STEP_LAYOUTS[algorithm]]
     steps = [[x for attr, encode in encoders for x in encode(getattr(s, attr))] for s in rec.steps]
     return RecordSection(name, algorithm, rec.initial_energy, steps)
 
@@ -453,13 +444,14 @@ def decode_section(sec, meta):
     a = 0: those rungs of a ladder span the truncated space already.
     """
     try:
-        record, step, fields = STEP_LAYOUTS[sec.algorithm]
+        fields = STEP_LAYOUTS[sec.algorithm]
     except KeyError:
         raise RecordFormatError("unknown algorithm %r in record" % sec.algorithm)
-    extra = {"rho": _meta_field(meta, "rho", float, "1")} if record is PogaRecord else {}
-    if extra and not 0.0 < extra["rho"] <= 1.0:
-        raise RecordFormatError("record meta rho must lie in (0, 1], got %r" % extra["rho"])
-    top = _meta_field(meta, "order", int) + 1 if extra and "order" in meta else math.inf
+    poga = sec.algorithm in _POGA
+    rho = _meta_field(meta, "rho", float, "1") if poga else None
+    if poga and not 0.0 < rho <= 1.0:
+        raise RecordFormatError("record meta rho must lie in (0, 1], got %r" % rho)
+    top = _meta_field(meta, "order", int) + 1 if poga and "order" in meta else math.inf
     # (field, decode, offset) of each step field; ``width`` counts the floats
     # without block entries, and ``at`` is the offset of the block count, or None
     decoders, width, at = [], 0, None
@@ -468,7 +460,7 @@ def decode_section(sec, meta):
         decoders.append((name, decode, width))
         at = width if kind == "block" else at
         width += count
-    rec = record(initial_energy=sec.initial_energy, **extra)
+    rec = Record(initial_energy=sec.initial_energy, rho=rho)
     for n, values in enumerate(sec.steps, start=1):
         arity = width
         if at is not None:
@@ -481,8 +473,8 @@ def decode_section(sec, meta):
             raise RecordFormatError(
                 "bad %s step arity %d (expected %d) at step %d" % (sec.algorithm, len(values), arity, n)
             )
-        rec.steps.append(step(**{name: decode(values, i) for name, decode, i in decoders}))
-        if extra:
+        rec.steps.append(Step(**{name: decode(values, i) for name, decode, i in decoders}))
+        if poga:
             atom = rec.steps[-1].atom
             m = max(atom.left.m, atom.right.m) if isinstance(atom, TensorAtomSpec) else atom.m
             if m > top:
@@ -494,7 +486,7 @@ def decode_section(sec, meta):
 
 def _extracted_energy(step):
     """Energy one step removes: |coeff|^2, or the block energy of a product-TM step."""
-    if isinstance(step, Afd2dStep):
+    if step.block is not None:
         return float(np.sum(step.block.real ** 2 + step.block.imag ** 2))
     return step.coeff.real * step.coeff.real + step.coeff.imag * step.coeff.imag
 
@@ -530,16 +522,16 @@ def verify_record(record):
             if step.residual_energy > prev + 1e-12 * scale:
                 monotone = False
             prev = step.residual_energy
-            if isinstance(step, Afd2dStep) and abs(energy - step.block_energy) > tol:
+            if step.block is not None and abs(energy - step.block_energy) > tol:
                 blocks_ok = False
         checks.append(CheckResult("%s.ledger" % sec.name, worst <= tol,
                                   "max residual deviation %.3e (tol %.1e)" % (worst, tol)))
         checks.append(CheckResult("%s.monotone" % sec.name, monotone,
                                   "residual energies non-increasing" if monotone else "residual increased"))
-        if isinstance(rec, Afd2dRecord):
+        if sec.algorithm == "afd2d-tm":
             detail = "block energies match coefficients" if blocks_ok else "block energy mismatch"
             checks.append(CheckResult("%s.blocks" % sec.name, blocks_ok, detail))
-        if isinstance(rec, PogaRecord) and "M" in meta:
+        if rec.rho is not None and "M" in meta:
             M = _meta_field(meta, "M", float)
             if M <= 0.0:
                 raise RecordFormatError("record meta M must be > 0, got %r" % M)
@@ -547,7 +539,7 @@ def verify_record(record):
             min_slack = min((row.slack for row in report.rows), default=0.0)
             detail = "min slack %.3e, recurrence %s" % (min_slack, report.recurrence_ok)
             checks.append(CheckResult("%s.rate" % sec.name, report.ok, detail))
-        if isinstance(rec, PogaRecord):
+        if rec.rho is not None:
             _replay_poga(rec, sec.name, sec.algorithm, meta)  # raises on linearly dependent atoms
     return checks
 

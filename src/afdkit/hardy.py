@@ -13,7 +13,7 @@ grid-argmax engine shared by every maximal-selection routine in the package.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +37,8 @@ __all__ = [
     "eval_series",
     "grid_argmax",
     "grid_argmax_pairs",
+    "Step",
+    "Record",
     "greedy",
 ]
 
@@ -770,6 +772,36 @@ def require_nonzero(energy, what="input signal"):
     """Shared guard for selection routines."""
     if not energy > 0.0:
         raise DegenerateInputError("%s has zero energy" % what)
+
+
+@dataclass(kw_only=True)
+class Step:
+    """One step of any decomposition: ``cli.STEP_LAYOUTS`` names the fields each algorithm sets."""
+
+    residual_energy: float
+    a: complex | None = None
+    b: complex | None = None
+    atom: object = None
+    coeff: complex | None = None
+    block: np.ndarray | None = None
+    block_energy: float | None = None
+    r: float | None = None
+    r_sup: float | None = None
+
+
+@dataclass
+class Record:
+    """Ordered steps of a decomposition plus the energy ledger; P-OGA runs set their ``rho``."""
+
+    initial_energy: float
+    steps: list[Step] = field(default_factory=list)
+    rho: float | None = None
+
+    def residual_energies(self):
+        return [s.residual_energy for s in self.steps]
+
+    def params(self):
+        return [s.a for s in self.steps]
 
 
 def greedy(record, n_terms, threshold, step):

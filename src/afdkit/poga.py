@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -29,7 +30,9 @@ from .errors import (
     DomainError,
     SpanDegeneracyError,
 )
-from .hardy import FourierCoeffs, _kernel_table, _row_blocks, eval_series, greedy, grid_points, require_nonzero
+from .hardy import (
+    FourierCoeffs, Record, Step, _kernel_table, _row_blocks, eval_series, greedy, grid_points, require_nonzero,
+)
 from .szego import AtomSpec, TensorAtomSpec, normalized_atom_coeffs, tensor_atom_coeffs
 
 __all__ = [
@@ -38,8 +41,6 @@ __all__ = [
     "SelectionOutcome",
     "SzegoDictionary1D",
     "ProductSzegoDictionary2D",
-    "PogaStep",
-    "PogaRecord",
     "poga_decompose",
     "reconstruct_poga",
     "RateRow",
@@ -48,7 +49,6 @@ __all__ = [
 ]
 
 EPS_SPAN = 1e-8
-MAX_ESCALATION = 24
 RATE_EXCESS = 1e-9  # rounding allowance of every inequality ``rate_report`` checks
 
 
@@ -275,7 +275,8 @@ class SzegoDictionary1D:
         return normalized_atom_coeffs(spec, self.order).data.copy()
 
     def escalations(self, spec):
-        return [AtomSpec(spec.a, spec.m + 1)]
+        """The next rung at ``spec.a``, none above order + 1: rungs 1..order + 1 span the truncated space."""
+        return [AtomSpec(spec.a, spec.m + 1)] if spec.m <= self.order else []
 
     def _inner_r_sq(self, g, frame, state=None):
         """(|<g, atom_i>|, r_i^2) for every base atom against the frame.
@@ -345,9 +346,10 @@ class ProductSzegoDictionary2D:
         return tensor_atom_coeffs(spec, self.order).data.ravel()
 
     def escalations(self, spec):
-        return [
-            TensorAtomSpec(AtomSpec(spec.left.a, spec.left.m + 1), spec.right),
-            TensorAtomSpec(spec.left, AtomSpec(spec.right.a, spec.right.m + 1)),
+        """One factor's next rung at a time, none above order + 1 (see ``SzegoDictionary1D``)."""
+        up = SzegoDictionary1D.escalations
+        return [TensorAtomSpec(s, spec.right) for s in up(self, spec.left)] + [
+            TensorAtomSpec(spec.left, s) for s in up(self, spec.right)
         ]
 
     def scan(self, g, frame, reduction, state=None):
@@ -389,14 +391,12 @@ def _escalated_candidates(dictionary, spec, selected):
     """Walk the multiplicity ladder until specs leave the frame span.
 
     Returns the frontier of escalations of ``spec`` not in ``selected``,
-    the set of the frame's specs; for tensor dictionaries both
-    single-factor raises are explored, keeping the search breadth-first
-    and deduplicated.
+    the set of the frame's specs, empty when the ladder ends inside it; for
+    tensor dictionaries both single-factor raises are explored, keeping the
+    search breadth-first and deduplicated.
     """
     out, seen, frontier = [], {spec}, [spec]
-    depth = 0
-    while frontier and depth < MAX_ESCALATION:
-        depth += 1
+    while frontier:
         nxt = []
         for s in frontier:
             for cand in dictionary.escalations(s):
@@ -408,8 +408,6 @@ def _escalated_candidates(dictionary, spec, selected):
                 else:
                     out.append(cand)
         frontier = nxt
-    if not out:
-        raise DegenerateInputError("multiplicity escalation exceeded its depth limit")
     return out
 
 
@@ -446,21 +444,27 @@ def _reduce(g, frame, dictionary, reduction, state):
     generated, from the degenerate base atoms in ascending order; the
     winner is the first qualifying candidate in that order.
     Escalated atom vectors come from ``state``; their residuals are
-    computed against the current frame.  Returns ((r, gain, spec),
-    sup_gain, grid index of a base winner or None).
+    computed against the current frame.  An escalation in the span climbs
+    its ladder for at most ``len(frame)`` rungs, never past its end: the
+    rungs of one ladder are independent, so more of them than the frame has
+    rows cannot all lie in its span, and a ladder that tests so anyway is at
+    the rounding floor of the test and counts as in the span.
+    Returns ((r, gain, spec), sup_gain, grid index of a base winner or None).
     """
     escalated = []  # (r, gain, spec) in generation order
     selected = set(s for s in frame.specs if s is not None)
     for i in np.concatenate(reduction.degenerate):
         for esc in _escalated_candidates(dictionary, dictionary.base_spec(i), selected):
-            for attempt in range(MAX_ESCALATION + 1):
-                if attempt:
-                    esc = _escalated_candidates(dictionary, esc, selected)[0]
+            for _ in range(len(frame)):
                 vec = state.atom(dictionary, esc)
                 _, r_esc = frame.project_residual(vec)
                 if r_esc >= EPS_SPAN:
                     escalated.append((float(r_esc), abs(complex(np.vdot(vec, g))) / r_esc, esc))
                     break
+                higher = _escalated_candidates(dictionary, esc, selected)
+                if not higher:
+                    break
+                esc = higher[0]
 
     usable = reduction.top > -np.inf
     if not usable and not escalated:
@@ -479,33 +483,6 @@ def _reduce(g, frame, dictionary, reduction, state):
         if cand[1] >= floor and (best is None or cand[0] < best[0]):
             best, index = cand, None
     return best, sup_gain, index
-
-
-@dataclass
-class PogaStep:
-    atom: object
-    coeff: complex
-    r: float
-    r_sup: float
-    residual_energy: float
-
-
-@dataclass
-class PogaRecord:
-    initial_energy: float
-    rho: float
-    steps: list[PogaStep] = field(default_factory=list)
-
-    def residual_energies(self):
-        return [s.residual_energy for s in self.steps]
-
-    def r_max_values(self):
-        """Running max of the per-step supremal residual norms."""
-        out, running = [], 0.0
-        for s in self.steps:
-            running = max(running, s.r_sup)
-            out.append(running)
-        return out
 
 
 def poga_decompose(
@@ -548,10 +525,10 @@ def poga_decompose(
         basis_vec, _ = frame.extend(state.atom(dictionary, outcome.atom), spec=outcome.atom)
         coeff = complex(np.vdot(basis_vec, g))
         g = g - coeff * basis_vec
-        return PogaStep(atom=outcome.atom, coeff=coeff, r=outcome.r, r_sup=float(r_sup),
-                        residual_energy=float(np.linalg.norm(g)) ** 2)
+        return Step(atom=outcome.atom, coeff=coeff, r=outcome.r, r_sup=float(r_sup),
+                    residual_energy=float(np.linalg.norm(g)) ** 2)
 
-    record = PogaRecord(initial_energy=float(np.linalg.norm(g)) ** 2, rho=rho)
+    record = Record(initial_energy=float(np.linalg.norm(g)) ** 2, rho=rho)
     return greedy(record, n_terms, threshold, step)
 
 
@@ -607,7 +584,7 @@ def rate_report(record, M):
     for the synthesis).
     """
     d = [record.initial_energy] + record.residual_energies()
-    r_max = record.r_max_values()
+    r_max = list(accumulate((s.r_sup for s in record.steps), max, initial=0.0))[1:]
     rows = []
     recurrence_ok = True
     conclusion_ok = True

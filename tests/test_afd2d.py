@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afdkit import (
-    Afd2dRecord,
-    Afd2dStep,
     DegenerateInputError,
     FourierCoeffs1D,
     FourierCoeffs2D,
     GridSpec,
+    Record,
+    Step,
     TensorAtomSpec,
     TruncationWarning,
     afd2d_tm_decompose,
@@ -773,7 +773,7 @@ def reference_reconstruct_product_tm(record, order):
     out = np.zeros((order + 1, order + 1), dtype=complex)
     if not record.steps:
         return out
-    pairs = record.pairs()
+    pairs = [(s.a, s.b) for s in record.steps]
     rows_a = tm_matrix([p[0] for p in pairs], order)
     rows_b = tm_matrix([p[1] for p in pairs], order)
     for step_idx, step in enumerate(record.steps, start=1):
@@ -796,11 +796,11 @@ class TestReconstructProductTmOracle:
     )
     def test_matches_double_loop(self, order, n_steps, seed):
         rng = np.random.default_rng(seed)
-        record = Afd2dRecord(initial_energy=1.0)
+        record = Record(initial_energy=1.0)
         for n in range(1, n_steps + 1):
             a, b = 0.4 * np.sqrt(rng.uniform(size=2)) * np.exp(2j * np.pi * rng.uniform(size=2))
             block = rng.standard_normal(2 * n - 1) + 1j * rng.standard_normal(2 * n - 1)
-            record.steps.append(Afd2dStep(complex(a), complex(b), block, 0.0, 0.0))
+            record.steps.append(Step(a=complex(a), b=complex(b), block=block, block_energy=0.0, residual_energy=0.0))
         got = reconstruct_product_tm(record, order).data
         want = reference_reconstruct_product_tm(record, order)
         scale = sum(np.sum(np.abs(step.block)) for step in record.steps)

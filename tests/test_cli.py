@@ -7,10 +7,6 @@ import numpy as np
 import pytest
 
 from afdkit import (
-    AFDRecord,
-    AFDStep,
-    Afd2dRecord,
-    Afd2dStep,
     AtomSpec,
     FourierCoeffs1D,
     GridSpec,
@@ -20,15 +16,13 @@ from afdkit import (
     load_record,
     load_signal_1d,
     next_pow2,
-    PGARecord,
-    PGAStep,
-    PogaRecord,
-    PogaStep,
     QuadrantParts,
+    Record,
     reconstruct_1d,
     reconstruct_pga,
     reconstruct_product_tm,
     save_record,
+    Step,
     synth_signal_1d,
     TensorAtomSpec,
     verify_record,
@@ -187,22 +181,30 @@ def library_record(algorithm):
     """A two-step library record with full-precision fields and signed zeros."""
     third, seventh = 1.0 / 3.0, -1.0 / 7.0
     if algorithm == "afd1d":
-        return AFDRecord(1.25, [AFDStep(0.5 + third * 1j, third - 0.25j, 1.0),
-                                AFDStep(complex(-0.0, seventh), 0.05 + 0j, 0.9)])
+        return Record(initial_energy=1.25, steps=[
+            Step(a=0.5 + third * 1j, coeff=third - 0.25j, residual_energy=1.0),
+            Step(a=complex(-0.0, seventh), coeff=0.05 + 0j, residual_energy=0.9),
+        ])
     if algorithm == "afd2d-tm":
-        return Afd2dRecord(2.0, [
-            Afd2dStep(third, seventh * 1j, np.array([0.5 - third * 1j]), 0.36, 1.64),
-            Afd2dStep(-0.2 + 0.1j, 0.0, np.array([third, complex(-0.0, 0.1), seventh - 1j]), 1.03, 0.61),
+        return Record(initial_energy=2.0, steps=[
+            Step(a=third, b=seventh * 1j, block=np.array([0.5 - third * 1j]), block_energy=0.36,
+                 residual_energy=1.64),
+            Step(a=-0.2 + 0.1j, b=0.0, block=np.array([third, complex(-0.0, 0.1), seventh - 1j]),
+                 block_energy=1.03, residual_energy=0.61),
         ])
     if algorithm == "pga2d":
-        return PGARecord(1.5, [PGAStep(TensorAtomSpec.of(third, seventh * 1j), 0.7 - 0.1j, 1.0),
-                               PGAStep(TensorAtomSpec.of(-0.5j, 0.25), third + 0j, 0.88)])
+        return Record(initial_energy=1.5, steps=[
+            Step(atom=TensorAtomSpec.of(third, seventh * 1j), coeff=0.7 - 0.1j, residual_energy=1.0),
+            Step(atom=TensorAtomSpec.of(-0.5j, 0.25), coeff=third + 0j, residual_energy=0.88),
+        ])
     if algorithm == "poga1d":
         atoms = [AtomSpec(third * 1j), AtomSpec(third * 1j, 2)]
     else:
         atoms = [TensorAtomSpec.of(third, -0.2j), TensorAtomSpec.of(third, -0.2j, 3, 2)]
-    return PogaRecord(1.0, 0.9, [PogaStep(atoms[0], 0.6 + third * 1j, 0.8, 0.9, 0.53),
-                                 PogaStep(atoms[1], seventh + 0j, 0.4, 0.5, 0.51)])
+    return Record(initial_energy=1.0, rho=0.9, steps=[
+        Step(atom=atoms[0], coeff=0.6 + third * 1j, r=0.8, r_sup=0.9, residual_energy=0.53),
+        Step(atom=atoms[1], coeff=seventh + 0j, r=0.4, r_sup=0.5, residual_energy=0.51),
+    ])
 
 
 def same_step(x, y):
@@ -824,6 +826,28 @@ class TestCliEndToEnd:
         )
         assert cli_main(["verify", "--input", rec]) == 0
 
+    LADDER_GRID = ["--grid-radial", "6", "--grid-angular", "12", "--max-radius", "0.8"]
+    EXHAUST = ["--refine", "0", "--threshold", "0"] + LADDER_GRID
+
+    @pytest.mark.parametrize("synth, decompose", [
+        # weak runs to exhaustion: past order + 1 a ladder gave a multiplicity
+        # verify rejects (1-d) or a monomial above the order (2-d, exit 2)
+        (["--seed", "3", "--order", "16", "--atoms", "4"] + LADDER_GRID,
+         ["--algorithm", "poga1d", "--order", "16", "--terms", "17", "--rho", "0.7"] + EXHAUST),
+        (["--algorithm", "pga2d", "--seed", "2", "--order", "8"],
+         ["--algorithm", "poga2d", "--order", "8", "--terms", "81", "--rho", "0.7"] + EXHAUST),
+        # a walk of more rungs than the frame has rows reaches m = 77 at
+        # |a| = 0.99, whose norm is no float (exit 2)
+        (["--seed", "1", "--max-radius", "0.9"], ["--algorithm", "poga1d", "--terms", "20", "--rho", "0.5"]),
+    ])
+    @pytest.mark.filterwarnings("ignore::afdkit.TruncationWarning")
+    def test_ladder_walks_end_inside_the_dictionary(self, tmp_path, capsys, synth, decompose):
+        sig = str(tmp_path / ("s.pgm" if "pga2d" in synth else "s.csv"))
+        rec = str(tmp_path / "s.rec")
+        assert cli_main(["synth", "--output", sig] + synth) == 0
+        code = cli_main(["decompose", "--input", sig, "--output", rec] + decompose)
+        assert code == 0, capsys.readouterr().err
+        assert cli_main(["verify", "--input", rec]) == 0, capsys.readouterr().err
 
 IMAGE_ARGS = [
     "--order", "16", "--grid-radial", "6", "--grid-angular", "12", "--max-radius", "0.45",

@@ -6,8 +6,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from afdkit import (
-    AFDRecord,
-    AFDStep,
     ConfigError,
     DegenerateInputError,
     DimensionMismatchError,
@@ -16,6 +14,8 @@ from afdkit import (
     FourierCoeffs2D,
     GridSpec,
     QuadrantParts,
+    Record,
+    Step,
     analytic_part,
     grid_argmax,
     grid_argmax_pairs,
@@ -827,9 +827,10 @@ class TestGreedy:
 
     def test_stops_on_the_last_residual(self):
         residuals = iter([0.5, 1e-3, 1e-6])
-        record = greedy(AFDRecord(initial_energy=1.0), 5, 1e-2, lambda: AFDStep(0j, 0j, next(residuals)))
+        step = lambda: Step(a=0j, coeff=0j, residual_energy=next(residuals))
+        record = greedy(Record(initial_energy=1.0), 5, 1e-2, step)
         assert [s.residual_energy for s in record.steps] == [0.5, 1e-3]
 
     def test_takes_at_most_n_terms(self):
-        record = greedy(AFDRecord(initial_energy=1.0), 2, 0.0, lambda: AFDStep(0j, 0j, 0.5))
+        record = greedy(Record(initial_energy=1.0), 2, 0.0, lambda: Step(a=0j, coeff=0j, residual_energy=0.5))
         assert len(record.steps) == 2

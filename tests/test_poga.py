@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from afdkit import (
     tensor_atom_coeffs,
 )
 from afdkit.hardy import PAIR_BLOCK
-from afdkit.poga import EPS_SPAN, MAX_ESCALATION, ScanState, _escalated_candidates, _Reduction, _select
+from afdkit.poga import EPS_SPAN, ScanState, _escalated_candidates, _Reduction, _select
 from conftest import (
     candidate_gain,
     dense_scan,
@@ -345,17 +346,17 @@ class TestRateReport:
     def test_orthogonal_selection_bound_reduces(self):
         """When every candidate stays orthogonal to the frame (r = 1
         throughout), the bound is plain M / sqrt(m)."""
-        from afdkit.poga import PogaRecord, PogaStep
+        from afdkit import Record, Step
 
         coeffs = np.array([1.0, 0.5, 0.3, 0.2])
         M = float(np.sum(coeffs))
         energy = float(np.sum(coeffs**2))
-        record = PogaRecord(initial_energy=energy, rho=1.0)
+        record = Record(initial_energy=energy, rho=1.0)
         remaining = energy
         for m, c in enumerate(sorted(coeffs)[::-1], start=1):
             remaining -= c * c
             record.steps.append(
-                PogaStep(
+                Step(
                     atom=AtomSpec(0.0, m),
                     coeff=complex(c),
                     r=1.0,
@@ -378,7 +379,7 @@ class TestRateReport:
         for c, s in zip(coeffs, specs):
             f += c * normalized_atom_coeffs(s, ORDER).data
         record = poga_decompose(f, 4, dict1d, synthesis=specs)
-        assert all(abs(v - 1.0) < 1e-9 for v in record.r_max_values())
+        assert all(abs(v - 1.0) < 1e-9 for v in accumulate((s.r_sup for s in record.steps), max))
         report = rate_report(record, float(np.sum(coeffs)))
         assert report.ok
 
@@ -437,8 +438,11 @@ def reference_select(g, frame, dictionary, rho, demoted=frozenset()):
             vec = dictionary.atom_vector(esc)
             _, r_esc = frame.project_residual(vec)
             attempts = 0
-            while r_esc < EPS_SPAN and attempts < MAX_ESCALATION:
-                esc = _escalated_candidates(dictionary, esc, selected)[0]
+            while r_esc < EPS_SPAN and attempts < len(frame) - 1:
+                ladder = _escalated_candidates(dictionary, esc, selected)
+                if not ladder:  # the ladder ends at order + 1
+                    break
+                esc = ladder[0]
                 vec = dictionary.atom_vector(esc)
                 _, r_esc = frame.project_residual(vec)
                 attempts += 1
@@ -568,6 +572,39 @@ class TestSelectorTies:
         assert (outcome.atom, outcome.r, outcome.gain, sup_gain, sup_r) == reference_select(
             g, frame, dictionary, rho
         )
+
+
+class _LadderScan(_FixedScan):
+    """A usable grid atom of gain 0.5 and one in the span, whose ladder stays there through rung ``top``."""
+
+    dim = 8
+
+    def __init__(self, top):
+        super().__init__((0.5,), (1.0,), 1.0)
+        self.top = top
+
+    def base_spec(self, i):
+        return (int(i), 1)
+
+    def escalations(self, spec):
+        return [(spec[0], spec[1] + 1)]
+
+    def atom_vector(self, spec):
+        rows = np.eye(self.dim, dtype=complex)
+        if spec[0] == 0:  # the usable grid atom
+            return rows[-2]
+        return rows[0] if spec[1] <= self.top else rows[-1]
+
+
+@pytest.mark.parametrize("rows", [1, 3, 5])
+def test_ladder_walk_tries_as_many_rungs_as_the_frame_has_rows(rows):
+    # rungs 2 .. rows + 1 are tried; a ladder still in the span there counts as in it
+    frame = OrthoFrame(_LadderScan.dim)
+    for k in range(rows):
+        frame.extend(np.eye(_LadderScan.dim, dtype=complex)[k], spec=("frame", k))
+    g = np.eye(_LadderScan.dim, dtype=complex)[-1]
+    assert _select(g, frame, _LadderScan(rows), 1.0)[0].atom == (1, rows + 1)
+    assert _select(g, frame, _LadderScan(rows + 1), 1.0)[0].atom == (0, 1)
 
 
 class TestReductionInBlocks:
