@@ -219,12 +219,6 @@ class RecordFile:
     def meta_dict(self):
         return dict(self.meta)
 
-    def section(self, name):
-        for sec in self.sections:
-            if sec.name == name:
-                return sec
-        raise RecordFormatError("record has no section %r" % name)
-
 
 def save_record(record, path):
     """Serialize a RecordFile; the format round-trips byte identically."""

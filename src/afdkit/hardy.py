@@ -32,7 +32,6 @@ __all__ = [
     "quadrant_split",
     "real_field_2d",
     "grid_points",
-    "power_rows",
     "kernel_rows",
     "eval_series",
     "grid_argmax",
@@ -102,49 +101,9 @@ class FourierCoeffs:
         side = order + 1 if hardy else 2 * order + 1
         return cls(np.zeros((side,) * cls.ndim, dtype=complex), hardy=hardy)
 
-    @classmethod
-    def from_terms(cls, order, terms, hardy=False):
-        """Build coefficients from a ``{frequency: value}`` mapping; a 2-d frequency is a pair."""
-        out = cls.zeros(order, hardy=hardy)
-        for k, val in terms.items():
-            pos = out._position(np.atleast_1d(k))
-            if pos is None:
-                raise DomainError("frequency %s outside the stored range of order %d" % (k, order))
-            out.data[pos] = val
-        return out
-
-    def _position(self, k):
-        """Array index of the frequency ``k`` (one per axis), None outside the stored range."""
-        if len(k) != self.ndim:
-            raise DimensionMismatchError("expected %d frequency indices" % self.ndim)
-        low = 0 if self.hardy else -self.order
-        if not all(low <= x <= self.order for x in k):
-            return None
-        return tuple(int(x) - low for x in k)
-
-    def get(self, *k):
-        """Coefficient c_k, one frequency per axis, zero outside the stored range."""
-        pos = self._position(k)
-        return 0j if pos is None else complex(self.data[pos])
-
     def energy(self):
         """Squared norm sum(|c_k|^2)."""
         return float(np.sum(np.abs(self.data) ** 2))
-
-    def norm(self):
-        return float(np.sqrt(self.energy()))
-
-    def copy(self):
-        return type(self)(self.data.copy(), hardy=self.hardy)
-
-    def to_full(self):
-        """Re-embed into the full -N..N layout."""
-        if not self.hardy:
-            return self.copy()
-        n = self.order
-        data = np.zeros((2 * n + 1,) * self.ndim, dtype=complex)
-        data[(slice(n, None),) * self.ndim] = self.data
-        return type(self)(data, hardy=False)
 
     def boundary_samples(self, size):
         """Samples at t_j = 2 pi j / size on every axis via the inverse FFT."""
@@ -236,15 +195,11 @@ class QuadrantParts:
 def inner_product_1d(f, g):
     """Hermitian inner product sum_k c_k(f) conj(c_k(g)), on the circle or the 2-torus.
 
-    By Parseval this equals the boundary mean of f conj(g).  Operands in
-    different layouts are compared in the full layout.
+    By Parseval this equals the boundary mean of f conj(g).  Both operands
+    must share one order and one layout; every decomposition takes inner
+    products of Hardy vectors.
     """
-    if f.order != g.order:
-        raise DimensionMismatchError(
-            "mismatched truncation orders %d and %d" % (f.order, g.order)
-        )
-    if f.hardy != g.hardy:
-        f, g = f.to_full(), g.to_full()
+    f._check_compatible(g)
     return complex(np.vdot(g.data, f.data))
 
 
@@ -378,16 +333,6 @@ def _on_grid(points, spec):
     return points is grid or np.array_equal(points, grid)
 
 
-def power_rows(points, order):
-    """Rows ``points[i] ** k`` for k = 0..order.
-
-    A Hardy coefficient vector evaluates at interior points as the product
-    with these rows.
-    """
-    pts = np.asarray(points, dtype=complex).ravel()
-    return pts[:, None] ** np.arange(order + 1)[None, :]
-
-
 @functools.lru_cache(maxsize=4)
 def _ring_powers(spec, order):
     """Ring radii to the powers 0, 1, ..., through whole periods of angular_count covering order."""
@@ -438,7 +383,7 @@ def kernel_rows(points, order, spec=None):
     pts = np.asarray(points, dtype=complex).ravel()
     if _on_grid(pts, spec):
         return _grid_kernel_rows(spec, order)
-    return np.sqrt(1.0 - np.abs(pts) ** 2)[:, None] * power_rows(pts, order)
+    return np.sqrt(1.0 - np.abs(pts) ** 2)[:, None] * pts[:, None] ** np.arange(order + 1)[None, :]
 
 
 @functools.lru_cache(maxsize=4)

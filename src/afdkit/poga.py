@@ -278,25 +278,23 @@ class SzegoDictionary1D:
         """The next rung at ``spec.a``, none above order + 1: rungs 1..order + 1 span the truncated space."""
         return [AtomSpec(spec.a, spec.m + 1)] if spec.m <= self.order else []
 
-    def _inner_r_sq(self, g, frame, state=None):
+    def _inner_r_sq(self, g, frame, state):
         """(|<g, atom_i>|, r_i^2) for every base atom against the frame.
 
         The base atom at a is w conj(a)^k with w = sqrt(1-|a|^2), so
         <g, atom> = w g(a) and its projection on a frame row B is
         w conj(B(a)): every value is one power series on the grid
-        (``eval_series``).  With a ``ScanState`` only the frame rows added
-        since the last call are evaluated and subtracted from r^2, in the
-        order a full recomputation would use, so both give the same bits.
+        (``eval_series``).  Only the frame rows added since the last call
+        with ``state`` are evaluated and subtracted from r^2, in the order a
+        full recomputation would use, so both give the same bits.
         """
         w = self._weights
         inner = w * np.abs(eval_series(_as_vector(g), self.params, self.grid))
-        if state is None:
-            state = ScanState()
         for j in state.new_rows(frame, self._norms_sq):
             state.r_sq -= (w * np.abs(eval_series(frame.matrix[j], self.params, self.grid))) ** 2
         return inner, state.r_sq
 
-    def scan(self, g, frame, reduction, state=None):
+    def scan(self, g, frame, reduction, state):
         """Feed every base atom's ``_inner_r_sq`` values to ``reduction`` as one block.
 
         Returns (r^2, reduction), r^2 one entry per base atom.
@@ -352,7 +350,7 @@ class ProductSzegoDictionary2D:
             TensorAtomSpec(spec.left, s) for s in up(self, spec.right)
         ]
 
-    def scan(self, g, frame, reduction, state=None):
+    def scan(self, g, frame, reduction, state):
         """Feed every pair of grid points, row-major, to ``reduction`` in row blocks.
 
         With K the grid's kernel rows, the pair table |K G K^T| of
@@ -370,8 +368,6 @@ class ProductSzegoDictionary2D:
         """
         side, pts = self.order + 1, self.params
         table = _kernel_table(_as_vector(g).reshape(side, side), pts, pts, self.grid)
-        if state is None:
-            state = ScanState()
         frame_tables = [
             _kernel_table(frame.matrix[j].reshape(side, side), pts, pts, self.grid)
             for j in state.new_rows(frame, lambda: np.outer(*table.norms_sq))
@@ -581,8 +577,10 @@ def rate_report(record, M):
     conclusion each hold up to an excess of ``RATE_EXCESS``, since for a
     one-atom synthesis the bound at m = 1 equals ||f|| in exact arithmetic.
     A failed inequality marks a violation (selector bug or a grid too coarse
-    for the synthesis).
+    for the synthesis).  A run without steps bounds nothing: no rows, ok.
     """
+    if not record.steps:
+        return RateReport(rows=[], recurrence_ok=True, conclusion_ok=True)
     d = [record.initial_energy] + record.residual_energies()
     r_max = list(accumulate((s.r_sup for s in record.steps), max, initial=0.0))[1:]
     rows = []

@@ -17,7 +17,7 @@ from afdkit import (
 from afdkit.afd1d import _tm_grid_size
 from afdkit.afd2d import _block_entries, _cross_table, _hardy_block, _history_rows
 from afdkit.hardy import grid_radii, real_field_2d, require_nonzero
-from afdkit.poga import EPS_SPAN, _as_vector, _Reduction
+from afdkit.poga import EPS_SPAN, ScanState, _as_vector, _Reduction
 
 
 def kernel_ip(a, b):
@@ -26,13 +26,41 @@ def kernel_ip(a, b):
     return np.sqrt(1 - abs(a) ** 2) * np.sqrt(1 - abs(b) ** 2) / (1 - np.conj(b) * a)
 
 
+def _index(f, k):
+    """Array index of the frequency ``k`` (one per axis) in the layout of ``f``; it must be stored."""
+    low = 0 if f.hardy else -f.order
+    k = tuple(int(x) for x in np.atleast_1d(k))
+    if len(k) != f.ndim or not all(low <= x <= f.order for x in k):
+        raise IndexError("frequency %s outside the stored range of %r" % (k, f))
+    return tuple(x - low for x in k)
+
+
+def from_terms(cls, order, terms, hardy=False):
+    """``cls`` coefficients from a ``{frequency: value}`` mapping; a 2-d frequency is a pair."""
+    f = cls.zeros(order, hardy=hardy)
+    for k, val in terms.items():
+        f.data[_index(f, k)] = val
+    return f
+
+
+def coeff(f, *k):
+    """Coefficient c_k of ``f``, one frequency per axis."""
+    return complex(f.data[_index(f, k)])
+
+
+def section(record, name):
+    """The section of a ``RecordFile`` with the given name."""
+    (sec,) = [sec for sec in record.sections if sec.name == name]
+    return sec
+
+
 def random_hardy_1d(seed, order, decay=1.5):
     """Unit-energy random Hardy signal with polynomially decaying spectrum."""
     rng = np.random.default_rng(seed)
     data = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
     data /= (1.0 + np.arange(order + 1)) ** decay
     f = FourierCoeffs1D(data, hardy=True)
-    return (1.0 / f.norm()) * f
+    return (1.0 / float(np.sqrt(f.energy()))) * f
 
 
 def random_hardy_2d(seed, order, decay=1.5):
@@ -41,7 +69,7 @@ def random_hardy_2d(seed, order, decay=1.5):
     data = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
     data /= (1.0 + np.add.outer(np.arange(side), np.arange(side))) ** decay
     f = FourierCoeffs2D(data, hardy=True)
-    return (1.0 / f.norm()) * f
+    return (1.0 / float(np.sqrt(f.energy()))) * f
 
 
 def random_real_full_1d(seed, order):
@@ -201,10 +229,11 @@ def dense_scan(dictionary, g, frame, state=None):
     The inner products are the blocks the scan hands its reduction, in
     order; r = sqrt(clip(r^2)), the gain is inner / r and the mask
     r < EPS_SPAN, as the reduction forms them, and ``sup_r`` is the
-    reduction's own.
+    reduction's own.  The scan gets a fresh ``ScanState`` unless ``state``
+    is given.
     """
     reduction = _RecordedReduction()
-    r_sq = dictionary.scan(g, frame, reduction, state)[0]
+    r_sq = dictionary.scan(g, frame, reduction, ScanState() if state is None else state)[0]
     starts = [start for start, _ in reduction.blocks]
     inner = np.concatenate([block for _, block in reduction.blocks])
     assert starts == list(np.cumsum([0] + [b.size for _, b in reduction.blocks[:-1]]))
@@ -219,7 +248,7 @@ def oga_select(g, dictionary):
     """Plain orthogonal greedy baseline: the base atom with the largest raw |<g, atom>|."""
     g = _as_vector(g)
     require_nonzero(float(np.linalg.norm(g)) ** 2, "greedy remainder")
-    inner, _ = dictionary._inner_r_sq(g, OrthoFrame(dictionary.dim))
+    inner, _ = dictionary._inner_r_sq(g, OrthoFrame(dictionary.dim), ScanState())
     return dictionary.base_spec(int(np.argmax(inner)))
 
 

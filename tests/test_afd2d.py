@@ -41,10 +41,10 @@ from afdkit.hardy import (
     _pair_argmax,
     _row_blocks,
     grid_radii,
-    power_rows,
 )
 from conftest import (
     dn_energy,
+    from_terms,
     kernel_ip,
     product_coeff,
     random_hardy_2d,
@@ -109,8 +109,8 @@ class TestProductCoeff:
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_orthogonal_monomials(self):
-        f = FourierCoeffs2D.from_terms(8, {(1, 1): 1.0}, hardy=True)
-        one = FourierCoeffs1D.from_terms(8, {0: 1.0}, hardy=True)
+        f = from_terms(FourierCoeffs2D, 8, {(1, 1): 1.0}, hardy=True)
+        one = from_terms(FourierCoeffs1D, 8, {0: 1.0}, hardy=True)
         assert product_coeff(f, one, one) == 0
 
     def test_tensor_factorization(self):
@@ -169,7 +169,7 @@ class TestMspProductTm:
 
     def test_monomial_balanced_radii(self):
         grid = GridSpec(radial_count=12, angular_count=12, refine_levels=1, max_radius=0.8)
-        f = FourierCoeffs2D.from_terms(ORDER, {(1, 1): 1.0}, hardy=True)
+        f = from_terms(FourierCoeffs2D, ORDER, {(1, 1): 1.0}, hardy=True)
         sel = msp_product_tm(f, [], grid)
         assert abs(abs(sel.a) ** 2 - 0.5) < 0.06
         assert abs(abs(sel.b) ** 2 - 0.5) < 0.06
@@ -299,7 +299,7 @@ def weighted_pga_table(C, a_pts, b_pts):
     """
     order = C.shape[0] - 1
     a, b = (np.asarray(p, dtype=complex).ravel() for p in (a_pts, b_pts))
-    Pa, Pb = power_rows(a, order), power_rows(b, order)
+    Pa, Pb = (p[:, None] ** np.arange(order + 1)[None, :] for p in (a, b))
     weights = np.sqrt(1.0 - np.abs(a) ** 2)[:, None] * np.sqrt(1.0 - np.abs(b) ** 2)[None, :]
     return weights * np.abs(Pa @ C @ Pb.T), weights * (np.abs(Pa) @ np.abs(C) @ np.abs(Pb).T)
 
@@ -319,7 +319,7 @@ def weighted_tm_table(f, history, a_pts, b_pts):
     Ga = A @ (C @ np.conj(rows_b).T)
     Gb = B @ (np.conj(rows_a) @ C).T
     a, b = (np.asarray(p, dtype=complex).ravel() for p in (a_pts, b_pts))
-    Pa, Pb = power_rows(a, order), power_rows(b, order)
+    Pa, Pb = (p[:, None] ** np.arange(order + 1)[None, :] for p in (a, b))
     wa, wb = 1.0 - np.abs(a) ** 2, 1.0 - np.abs(b) ** 2
     main = (wa[:, None] * wb[None, :]) * np.abs(Pa @ H @ Pb.T) ** 2
     gain_a = wa * np.sum(np.abs(Pa @ Ga) ** 2, axis=1)
@@ -817,7 +817,7 @@ class TestPga:
         assert coeff == pytest.approx(1.0, abs=1e-9)
 
     def test_constant_selects_center(self):
-        f = FourierCoeffs2D.from_terms(ORDER, {(0, 0): 1.0}, hardy=True)
+        f = from_terms(FourierCoeffs2D, ORDER, {(0, 0): 1.0}, hardy=True)
         spec, coeff = pga_step(f, GRID)
         assert spec.left.a == 0 and spec.right.a == 0
         assert coeff == pytest.approx(1.0)

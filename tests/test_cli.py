@@ -40,7 +40,7 @@ from afdkit.cli import (
     real_samples_1d,
     write_pgm,
 )
-from conftest import reference_real_field_2d
+from conftest import coeff, reference_real_field_2d, section
 
 
 def write_csv(path, values, header=None):
@@ -57,14 +57,14 @@ class TestLoadSignal1D:
         t = 2 * np.pi * np.arange(64) / 64
         write_csv(path, np.cos(t), header="# cosine")
         f = load_signal_1d(path, 16)
-        assert f.get(0) == pytest.approx(0.0, abs=1e-14)
-        assert f.get(1) == pytest.approx(0.5, abs=1e-14)
+        assert coeff(f, 0) == pytest.approx(0.0, abs=1e-14)
+        assert coeff(f, 1) == pytest.approx(0.5, abs=1e-14)
 
     def test_constant(self, tmp_path):
         path = tmp_path / "const.csv"
         write_csv(path, np.full(40, 2.5))
         f = load_signal_1d(path, 8)
-        assert f.get(0) == pytest.approx(2.5)
+        assert coeff(f, 0) == pytest.approx(2.5)
         assert f.energy() == pytest.approx(2.5**2)
 
     def test_too_short_names_minimum(self, tmp_path):
@@ -117,7 +117,7 @@ class TestLoadImage2D:
         write_pgm(path, np.full((64, 64), 128 / 255))
         parts = load_image_2d(path, 8)
         assert parts.c00 == pytest.approx(128 / 255, abs=1e-12)
-        assert parts.pp.get(0, 0) == pytest.approx(128 / 255, abs=1e-12)
+        assert coeff(parts.pp, 0, 0) == pytest.approx(128 / 255, abs=1e-12)
         # the other two quadrants are the conjugates of these blocks
         for block in (parts.pp, parts.pm):
             assert block.energy() - abs(parts.c00) ** 2 < 1e-20
@@ -131,7 +131,7 @@ class TestLoadImage2D:
         fieldvals = (1.0 + np.cos(np.add.outer(t, t))) / 2.0
         write_pgm(path, fieldvals)
         parts = load_image_2d(path, 8)
-        assert parts.pp.get(1, 1) == pytest.approx(0.25, abs=1e-2)
+        assert coeff(parts.pp, 1, 1) == pytest.approx(0.25, abs=1e-2)
         assert parts.c00 == pytest.approx(0.5, abs=1e-2)
 
     def test_small_image_names_minimum(self, tmp_path):
@@ -220,7 +220,7 @@ class TestRecordRoundTrip:
         path = tmp_path / "rec.txt"
         save_record(RecordFile([("rho", "0.9")], [encode_section("main", algorithm, rec)]), path)
         loaded = load_record(path)
-        back = decode_section(loaded.section("main"), loaded.meta_dict())
+        back = decode_section(section(loaded, "main"), loaded.meta_dict())
         assert type(back) is type(rec) and back.initial_energy == rec.initial_energy
         assert len(back.steps) == len(rec.steps)
         assert all(same_step(x, y) for x, y in zip(back.steps, rec.steps))
@@ -271,7 +271,7 @@ class TestRecordRoundTrip:
         path = tmp_path / "empty.txt"
         save_record(rec, path)
         loaded = load_record(path)
-        assert loaded.section("main").steps == []
+        assert section(loaded, "main").steps == []
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "versioned.txt"
@@ -760,6 +760,21 @@ class TestCliEndToEnd:
                          "--terms", "3", "--synthesis", meta] + grid) == 0
         assert cli_main(["verify", "--input", rec]) == 0
 
+    def test_zero_step_poga_record_with_synthesis_verifies(self, tmp_path, capsys):
+        # --threshold 1 stops before the first step, so the record has steps 0
+        # and a meta M, and its rate check has no rows to bound
+        sig, meta, rec = (str(tmp_path / name) for name in ("s.csv", "m.json", "r.rec"))
+        grid = ["--order", "32", "--max-radius", "0.6"]
+        assert cli_main(["synth", "--output", sig, "--seed", "2", "--atoms", "3", "--emit-meta", meta] + grid) == 0
+        assert cli_main(["decompose", "--algorithm", "poga1d", "--input", sig, "--output", rec,
+                         "--terms", "3", "--synthesis", meta, "--threshold", "1"] + grid) == 0
+        loaded = load_record(rec)
+        assert section(loaded, "main").steps == [] and "M" in loaded.meta_dict()
+        capsys.readouterr()
+        assert cli_main(["verify", "--input", rec]) == 0
+        assert "main.rate" in capsys.readouterr().out
+        assert cli_main(["reconstruct", "--input", rec, "--output", str(tmp_path / "out.csv")]) == 0
+
     def test_poga_with_synthesis_and_reconstruct(self, tmp_path):
         sig = str(tmp_path / "sig.csv")
         meta = str(tmp_path / "meta.json")
@@ -787,7 +802,7 @@ class TestCliEndToEnd:
         assert cli_main(["reconstruct", "--input", rec, "--output", out]) == 0
         recon = load_signal_1d(out, 128)
         orig = load_signal_1d(sig, 128)
-        resid = loaded.section("main").steps[-1][-1]
+        resid = section(loaded, "main").steps[-1][-1]
         assert (orig - recon).energy() == pytest.approx(resid, abs=1e-8)
 
     def test_image_pipeline_full_reconstruction(self, tmp_path):
@@ -926,7 +941,7 @@ class TestImageReconstruction:
         record = load_record(rec)
         meta = record.meta_dict()
         assert [sec.name for sec in record.sections] == ["main"]
-        main = reconstruct_pga(decode_section(record.section("main"), meta), int(meta["order"]))
+        main = reconstruct_pga(decode_section(section(record, "main"), meta), int(meta["order"]))
         size = max(int(meta["samples"]), next_pow2(2 * main.order + 2))
         want = np.clip(np.round(2.0 * main.boundary_samples(size).real * 255.0), 0, 255)
         with open(out, "rb") as handle:

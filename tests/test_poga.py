@@ -397,6 +397,12 @@ class TestRateReport:
             assert all(row.slack >= 0 for row in report.rows)
             assert report.recurrence_ok and report.conclusion_ok
 
+    def test_no_steps_give_no_rows(self):
+        from afdkit import Record
+
+        report = rate_report(Record(initial_energy=1.0, rho=1.0), 1.0)
+        assert report.rows == [] and report.ok
+
     def test_violation_detected(self, dict1d):
         from afdkit.cli import synth_signal_1d
 
@@ -882,7 +888,7 @@ class TestScan1DOracle:
                     spec = None
         g = frame.project_residual(g)[0]
 
-        inner, r_sq = dictionary._inner_r_sq(g, frame)
+        inner, r_sq = dictionary._inner_r_sq(g, frame, ScanState())
         r = scan_r(r_sq)
         r_state = scan_r(dictionary._inner_r_sq(g, frame, state)[1])
         assert r_state.tobytes() == r.tobytes()  # rows added one by one
