@@ -545,27 +545,29 @@ class _PairTable:
         cols = np.sum(np.abs(self.rows_b @ self.middle.T) ** 2, axis=1) * norm_a + gain_b + gain_a.max()
         return rows * (1.0 + PAIR_MARGIN), cols * (1.0 + PAIR_MARGIN)
 
-    def screen(self, work):
-        """Upper bounds of the values in each row of a table without gains, their tails and W.
+    def heads(self):
+        """The low-rank screen of a table without gains: (unit, W, tails, slack, head_block), or None.
 
         For x = ``left[i]``, y = ``Kb[j]^T`` and any W with orthonormal
         columns, entry (i, j) is the head (x W)(W^H y) plus a tail of at most
         |x W_perp| |W_perp^H y|, whose squares are |x|^2 - |x W|^2 and
         |y|^2 - |W^H y|^2; W sets only how tight the bound is.  W is the QR
         basis of M^H M Z, Z the conjugated q = min(``PAIR_RANK``, N + 1) rows
-        of M of largest norm, with M and x scaled by the power of two above
-        max|M|.  The head is formed in complex64 per block of rows in ``work``
-        (a workspace of ``block``), each row keeping its maximum, plus the
-        float32 rounding (q + 16) 2^-24 (|x| max|y| + 2^-100) of the casts,
-        products and ``abs`` (2^-100 for underflow).  eps = (N + 1) 2^-40
-        times |x|^2 and |y|^2 raises both differences, for their cancellation
-        and W's departure from orthonormality, whose cross term adds
-        eps |x| max|y|.  All None, to score every row, when max|M| is zero,
-        not finite or outside 2^-500..2^500.
+        of M of largest norm, with M and x scaled by ``unit``, the power of
+        two above max|M|.  ``head_block(rows, work)`` forms the heads of the
+        rows given over all columns in complex64, in the front of the float
+        ``work`` (a workspace of ``block``); entry (i, j) over ``unit`` is at
+        most |head| + ``slack[i]``, the tail plus the float32 rounding
+        (q + 16) 2^-24 (|x| max|y| + 2^-100) of the casts, products and
+        ``abs`` (2^-100 for underflow).  eps = (N + 1) 2^-40 times |x|^2 and
+        |y|^2 raises both differences, for their cancellation and W's
+        departure from orthonormality, whose cross term adds eps |x| max|y|.
+        None, to score every row, when max|M| is zero, not finite or outside
+        2^-500..2^500.
         """
         top = np.abs(self.middle).max()
         if not 2.0**-500 < top < 2.0**500:
-            return None, None, None
+            return None
         unit = 2.0 ** np.frexp(top)[1]
         middle = self.middle / unit
         q, eps = min(PAIR_RANK, middle.shape[0]), 2.0**-40 * middle.shape[0]
@@ -578,19 +580,33 @@ class _PairTable:
         n, m = self.shape
         head = (self.left @ basis).view(np.float64) / unit
         head32 = head.astype(np.float32).view(np.complex64)
-        peak, sq_a = np.empty(n, dtype=np.float32), np.empty(n)
+        sq_a = np.empty(n)
         for blk in _row_blocks(n):
             x = self.left[blk].view(np.float64) / unit
             sq_a[blk] = np.einsum("ij,ij->i", x, x)
-            size = x.shape[0] * m
-            product = np.matmul(head32[blk], yt, out=work[:size].view(np.complex64).reshape(-1, m))
-            values = np.abs(product, out=work[size:].view(np.float32)[:size].reshape(product.shape))
-            np.max(values, axis=1, out=peak[blk])
         diff_a = sq_a - np.einsum("ij,ij->i", head, head)
         tail = np.sqrt(np.maximum(diff_a, 0.0) + eps * sq_a) * tail_b
         reach = np.sqrt(sq_a * sq_b.max())
         allowance = (q + 16) * 2.0**-24 * (reach + 2.0**-100) + eps * reach
-        return unit * (peak + allowance + tail), unit * tail, basis
+
+        def head_block(rows, work):
+            size = head32[rows].shape[0] * m
+            return np.matmul(head32[rows], yt, out=work[:size].view(np.complex64).reshape(-1, m))
+
+        return unit, basis, tail, tail + allowance, head_block
+
+    def screen(self, work):
+        """Upper bounds of the values in each row of a table without gains (see ``heads``), their tails and W."""
+        screen = self.heads()
+        if screen is None:
+            return None, None, None
+        unit, basis, tail, slack, head_block = screen
+        peak = np.empty(self.shape[0], dtype=np.float32)
+        for blk in _row_blocks(self.shape[0]):
+            product = head_block(blk, work)
+            values = np.abs(product, out=work[product.size :].view(np.float32)[: product.size].reshape(product.shape))
+            np.max(values, axis=1, out=peak[blk])
+        return unit * (peak + slack), unit * tail, basis
 
 
 def _kernel_table(block, a_pts, b_pts, grid, single=None):

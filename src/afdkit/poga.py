@@ -31,7 +31,8 @@ from .errors import (
     SpanDegeneracyError,
 )
 from .hardy import (
-    FourierCoeffs, Record, Step, _kernel_table, _row_blocks, eval_series, greedy, grid_points, require_nonzero,
+    PAIR_SEEDS, FourierCoeffs, Record, Step, _kernel_table, _row_blocks, eval_series, greedy, grid_points,
+    require_nonzero,
 )
 from .szego import AtomSpec, TensorAtomSpec, normalized_atom_coeffs, tensor_atom_coeffs
 
@@ -49,6 +50,7 @@ __all__ = [
 ]
 
 EPS_SPAN = 1e-8
+R2_SPAN = 1e-16  # the least double whose square root is at least EPS_SPAN: r^2 < R2_SPAN iff r < EPS_SPAN
 RATE_EXCESS = 1e-9  # rounding allowance of every inequality ``rate_report`` checks
 
 
@@ -163,20 +165,22 @@ class ScanState:
 class _Reduction:
     """What a weak selection with factor ``rho`` needs of a scan, reduced block by block.
 
-    ``add`` takes the inner products |<g, atom_i>| and squared residual
-    norms r_i^2 of the base atoms from index ``start`` on.  In block-sized
-    buffers it forms r = sqrt(clip(r^2)), the gain |<g, atom_i>| / r and the
-    degenerate mask r < EPS_SPAN, into which the ``excluded`` base indices
-    are forced, and sets the degenerate gains to -inf.  It keeps the
-    largest r (``sup_r``), the top gain of the usable atoms (``top``, -inf
-    while there is none) and the degenerate indices in ascending order.
-    ``kept`` holds the index, gain and r of the entries whose gain is at
-    least rho times the running top and above that of every entry before
-    them in (r, index) order, in that order, so with rising gains: an entry
-    with no more gain than an earlier one is never the first to reach a
-    floor.  The final floor rho * sup_gain is at least every running floor,
-    so the first kept entry at or above it is the first qualifying base atom
-    by (r, index), with the bits a whole-table reduction gives it.
+    ``span`` takes the squared residual norms r_i^2 of the base atoms from
+    index ``start`` on, for every block in ascending order.  It keeps the
+    largest r (``sup_r``) and the degenerate indices, those with
+    r^2 < R2_SPAN, so r < EPS_SPAN, and the ``excluded`` base indices.
+    ``add`` takes the inner products |<g, atom_i>| and r^2 of spanned
+    blocks in ascending order, which may leave out entries below the final
+    floor.  In block-sized buffers it forms r = sqrt(max(r^2, 0)) and the
+    gain |<g, atom_i>| / r, -inf where degenerate.  It keeps the top gain
+    of the usable atoms (``top``, -inf while there is none) and in ``kept``
+    the index, gain and r of the entries whose gain is at least rho times
+    the running top and above that of every entry before them in (r, index)
+    order, in that order, so with rising gains: an entry with no more gain
+    than an earlier one is never the first to reach a floor.  The final
+    floor rho * sup_gain is at least every running floor, so the first kept
+    entry at or above it is the first qualifying base atom by (r, index),
+    with the bits a whole-table reduction gives it.
     """
 
     def __init__(self, rho, excluded=()):
@@ -186,19 +190,29 @@ class _Reduction:
         self.top = -np.inf
         self.degenerate = []
         self.kept = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))
+        self.end = 0  # index after the last entry kept
+
+    def span(self, start, r_sq):
+        """Take in the degenerate entries and the largest r of one block; returns its degenerate mask."""
+        degenerate = r_sq < R2_SPAN
+        lo, hi = np.searchsorted(self.excluded, (start, start + r_sq.size))
+        degenerate.flat[self.excluded[lo:hi] - start] = True
+        self.sup_r = max(self.sup_r, float(np.sqrt(max(0.0, np.max(r_sq)))))
+        self.degenerate.append(start + np.flatnonzero(degenerate))
+        return degenerate
 
     def add(self, start, inner, r_sq):
         """Reduce one block of flat ``inner`` (overwritten by the gains) and ``r_sq`` values."""
-        r = np.clip(r_sq, 0.0, None)
+        if start < self.end:
+            raise ValueError("blocks must come in ascending index order")
+        self.end = start + r_sq.size
+        r = np.maximum(r_sq, 0.0)
         np.sqrt(r, out=r)
         with np.errstate(divide="ignore", invalid="ignore"):
             gain = np.divide(inner, r, out=inner)
-        degenerate = r < EPS_SPAN
-        lo, hi = np.searchsorted(self.excluded, (start, start + r.size))
-        degenerate[self.excluded[lo:hi] - start] = True
-        gain[degenerate] = -np.inf  # never qualifies
-        self.sup_r = max(self.sup_r, float(np.max(r)))
-        self.degenerate.append(start + np.flatnonzero(degenerate))
+        degenerate = np.concatenate(self.degenerate)
+        lo, hi = np.searchsorted(degenerate, (start, self.end))
+        gain[degenerate[lo:hi] - start] = -np.inf  # never qualifies
         top = int(np.argmax(gain))
         self.top = max(self.top, float(gain[top]))
         if self.top > -np.inf:
@@ -300,6 +314,7 @@ class SzegoDictionary1D:
         Returns (r^2, reduction), r^2 one entry per base atom.
         """
         inner, r_sq = self._inner_r_sq(g, frame, state)
+        reduction.span(0, r_sq)
         reduction.add(0, inner, r_sq)
         return r_sq, reduction
 
@@ -351,36 +366,81 @@ class ProductSzegoDictionary2D:
         ]
 
     def scan(self, g, frame, reduction, state):
-        """Feed every pair of grid points, row-major, to ``reduction`` in row blocks.
+        """Feed the pairs of grid points that can qualify, row-major, to ``reduction`` in row blocks.
 
-        With K the grid's kernel rows, the pair table |K G K^T| of
-        ``hardy._kernel_table`` holds the inner products, and frame row B_j
-        removes the square of its own table |K B_j K^T| from r^2, which
-        starts at the products of the squared row norms of K.  The rows of
-        pairs go in the blocks of ``_row_blocks``, through one workspace: a
-        block subtracts the squares of the frame rows added since the last
-        call from the r^2 a ``ScanState`` keeps, in the order a full
-        recomputation would use, and hands its rows of the remainder's table
-        to the reduction.  BLAS gives a block of two or more rows the bits
-        of the whole product, so every value has the bits of an unblocked
-        scan, and r^2 is the only array held for all pairs.
+        After ``_bounds``, the ``PAIR_SEEDS`` rows of largest bound are
+        scored for a top gain.  Each block hands ``reduction.add`` its rows
+        from the first to the last that can reach rho times it, two at
+        least, whose values BLAS gives the bits of the whole product.
         Returns (r^2, reduction), r^2 one entry per pair.
         """
-        side, pts = self.order + 1, self.params
+        n = self.params.size
+        table, bound, work = self._bounds(g, frame, reduction, state)
+        live = np.ones(n, dtype=bool)
+        if bound is not None:
+            seeds = np.sort(np.argsort(bound)[-PAIR_SEEDS:])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gains = table.block(seeds, work=work) / np.sqrt(np.maximum(state.r_sq[seeds], 0.0))
+            rows, cols = np.divmod(np.concatenate(reduction.degenerate), n)
+            hit = np.isin(rows, seeds)
+            gains[np.searchsorted(seeds, rows[hit]), cols[hit]] = -np.inf
+            floor = reduction.rho * gains.max()
+            live = bound >= floor
+            live[seeds] = gains.max(axis=1) >= floor
+        for blk in _row_blocks(n):
+            rows = blk.start + np.flatnonzero(live[blk])
+            if rows.size:
+                lo = min(rows[0], blk.stop - 2)
+                hi = max(rows[-1] + 1, lo + 2)
+                reduction.add(lo * n, table.block(slice(lo, hi), work=work).ravel(), state.r_sq[lo:hi].ravel())
+        return state.r_sq.ravel(), reduction
+
+    def _bounds(self, g, frame, reduction, state):
+        """The first pass of ``scan``: (the remainder's table, row bounds or None, the workspace).
+
+        With K the grid's kernel rows, the table |K G K^T| of
+        ``hardy._kernel_table`` holds the inner products, and frame row B_j
+        removes the square of |K B_j K^T| from r^2, which starts at the
+        products of the squared row norms of K.  In the blocks of
+        ``_row_blocks``, the frame rows added since the last call leave the
+        r^2 a ``ScanState`` keeps, in the order a full recomputation would
+        use, and r^2 goes to ``reduction.span``; r^2 is the only array held
+        for all pairs.  The screen (``_PairTable.heads``) bounds entry (a, b)
+        by unit (|h_ab| + s_a), so a usable pair of row a has a gain of at
+        most unit (sqrt(max_b |h_ab|^2 / r_ab^2) + s_a / sqrt(min_b r_ab^2)),
+        formed in float32 with 2^-60 added to s_a for |h| whose square
+        underflows and inflated by 2^-18 for the rounding.  No bounds
+        without a screen or with ``PAIR_SEEDS`` + 1 rows or fewer.
+        """
+        side, pts, n = self.order + 1, self.params, self.params.size
         table = _kernel_table(_as_vector(g).reshape(side, side), pts, pts, self.grid)
         frame_tables = [
             _kernel_table(frame.matrix[j].reshape(side, side), pts, pts, self.grid)
             for j in state.new_rows(frame, lambda: np.outer(*table.norms_sq))
         ]
-        blocks = _row_blocks(pts.size)
-        work = np.empty(3 * max(blk.stop - blk.start for blk in blocks) * pts.size)
+        blocks = _row_blocks(n)
+        work = np.empty(3 * max(blk.stop - blk.start for blk in blocks) * n)
+        screen = table.heads() if n > PAIR_SEEDS + 1 else None
+        peak, least = np.empty((2, n), dtype=np.float32)  # max |h|^2 / r^2 and min r^2 of each row
         for blk in blocks:
             r_sq = state.r_sq[blk]
             for frame_table in frame_tables:
                 square = frame_table.block(blk, work=work)
                 r_sq -= np.square(square, out=square)
-            reduction.add(blk.start * pts.size, table.block(blk, work=work).ravel(), r_sq.ravel())
-        return state.r_sq.ravel(), reduction
+            degenerate = reduction.span(blk.start * n, r_sq)
+            if screen is not None:
+                head = screen[-1](blk, work)
+                r_sq32, values = work[head.size :].view(np.float32)[: 2 * head.size].reshape(2, *head.shape)
+                np.copyto(r_sq32, r_sq, casting="same_kind")
+                np.copyto(r_sq32, np.inf, where=degenerate)
+                np.square(np.abs(head, out=values), out=values)
+                np.max(np.divide(values, r_sq32, out=values), axis=1, out=peak[blk])
+                np.min(r_sq32, axis=1, out=least[blk])
+        if screen is None:
+            return table, None, work
+        unit, _, _, slack, _ = screen
+        bound = unit * (np.sqrt(peak) + (slack + 2.0**-60) / np.sqrt(least.astype(float)))
+        return table, bound * (1.0 + 2.0**-18), work
 
 
 def _escalated_candidates(dictionary, spec, selected):

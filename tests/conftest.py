@@ -227,10 +227,11 @@ def dense_scan(dictionary, g, frame, state=None):
     """A scan's values for all base atoms: (gain, degenerate, sup_r, r_sq).
 
     The inner products are the blocks the scan hands its reduction, in
-    order; r = sqrt(clip(r^2)), the gain is inner / r and the mask
-    r < EPS_SPAN, as the reduction forms them, and ``sup_r`` is the
-    reduction's own.  The scan gets a fresh ``ScanState`` unless ``state``
-    is given.
+    order, so the scan must hand it every base atom, as the 1-d scan does;
+    the 2-d scan leaves out rows that cannot qualify.  r = sqrt(clip(r^2)),
+    the gain is inner / r and the mask r < EPS_SPAN, as the reduction forms
+    them, and ``sup_r`` is the reduction's own.  The scan gets a fresh
+    ``ScanState`` unless ``state`` is given.
     """
     reduction = _RecordedReduction()
     r_sq = dictionary.scan(g, frame, reduction, ScanState() if state is None else state)[0]
@@ -242,6 +243,16 @@ def dense_scan(dictionary, g, frame, state=None):
     assert np.array_equal(np.concatenate(reduction.degenerate), np.flatnonzero(r < EPS_SPAN))
     with np.errstate(divide="ignore", invalid="ignore"):
         return inner / r, r < EPS_SPAN, reduction.sup_r, r_sq
+
+
+def scan_parts(dictionary, g, frame, state=None):
+    """What a scan reports of every base atom, whichever it scores: (r^2, degenerate indices, sup_r).
+
+    The scan gets a fresh ``ScanState`` unless ``state`` is given.
+    """
+    reduction = _Reduction(1.0)
+    r_sq = dictionary.scan(g, frame, reduction, ScanState() if state is None else state)[0]
+    return r_sq, np.concatenate(reduction.degenerate), reduction.sup_r
 
 
 def oga_select(g, dictionary):

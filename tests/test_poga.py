@@ -28,8 +28,8 @@ from afdkit import (
     szego_coeffs,
     tensor_atom_coeffs,
 )
-from afdkit.hardy import PAIR_BLOCK
-from afdkit.poga import EPS_SPAN, ScanState, _escalated_candidates, _Reduction, _select
+from afdkit.hardy import PAIR_BLOCK, PAIR_SEEDS
+from afdkit.poga import EPS_SPAN, R2_SPAN, ScanState, _escalated_candidates, _Reduction, _select
 from conftest import (
     candidate_gain,
     dense_scan,
@@ -38,6 +38,7 @@ from conftest import (
     oga_select,
     random_hardy_1d,
     random_hardy_2d,
+    scan_parts,
 )
 
 ORDER = 256
@@ -162,7 +163,9 @@ class TestDictionaryScan:
         frame.extend(d2.atom_vector(d2.base_spec(7)), spec=d2.base_spec(7))
         g = random_hardy_2d(4, order).data.ravel()
         g, _ = frame.project_residual(g)
-        gain, _, _, r_sq = dense_scan(d2, g, frame)
+        gain, _, _, r_sq = reference_scan_2d(d2, g, frame)
+        assert parts_bytes(scan_parts(d2, g, frame)) == parts_bytes(reference_parts(d2, g, frame))
+        select_as_reference(g, frame, d2)
         r = scan_r(r_sq)
         rng = np.random.default_rng(1)
         for i in rng.choice(len(d2), size=20, replace=False):
@@ -414,14 +417,15 @@ class TestRateReport:
 
 
 def reference_select(g, frame, dictionary, rho, demoted=frozenset()):
-    """The selector as one tuple per candidate, sorted by (r, order index).
+    """The selector as one tuple per qualifying candidate, sorted by (r, order index).
 
     Kept as the oracle for the array version in ``afdkit.poga._select``.
     A winning grid atom whose direct residual is below EPS_SPAN joins
     ``demoted`` (treated as degenerate) and the selection runs again.
     """
     g = np.asarray(g, dtype=complex).ravel()
-    gains, _, _, r_sq = dense_scan(dictionary, g, frame)
+    scan = reference_scan_2d if isinstance(dictionary, ProductSzegoDictionary2D) else dense_scan
+    gains, _, _, r_sq = scan(dictionary, g, frame)
     r = scan_r(r_sq)
     selected = set(s for s in frame.specs if s is not None)
     structural = set(demoted)
@@ -430,14 +434,11 @@ def reference_select(g, frame, dictionary, rho, demoted=frozenset()):
         if idx is not None:
             structural.add(idx)
 
-    candidates = []  # (gain, r, order_index, spec)
-    degenerate = []
-    for i in range(r.size):
-        if r[i] < EPS_SPAN or i in structural:
-            degenerate.append(i)
-            continue
-        candidates.append((float(gains[i]), float(r[i]), i, None))
+    usable = r >= EPS_SPAN
+    usable[sorted(structural)] = False
+    degenerate = np.flatnonzero(~usable).tolist()
 
+    candidates = []  # (gain, r, order_index, spec) of the escalated atoms, which follow the base atoms
     order_index = r.size
     for i in degenerate:
         for esc in _escalated_candidates(dictionary, dictionary.base_spec(i), selected):
@@ -458,8 +459,10 @@ def reference_select(g, frame, dictionary, rho, demoted=frozenset()):
             candidates.append((gain, float(r_esc), order_index, esc))
             order_index += 1
 
-    sup_gain = max(c[0] for c in candidates)
+    # tuples only for the base atoms that qualify: a 2-d grid at bench size has 1.3 million
+    sup_gain = max([c[0] for c in candidates] + ([float(gains[usable].max())] if usable.any() else []))
     qualifying = [c for c in candidates if c[0] >= rho * sup_gain]
+    qualifying += [(float(gains[i]), float(r[i]), int(i), None) for i in np.flatnonzero(usable & (gains >= rho * sup_gain))]
     qualifying.sort(key=lambda c: (c[1], c[2]))
     gain, r_sel, idx, spec = qualifying[0]
     if spec is None:
@@ -514,11 +517,7 @@ class TestSelectorOracle:
             warnings.simplefilter("ignore")
             g, frame = _seeded_run(dictionary, seed)
             for _ in range(6):
-                outcome, sup_gain, sup_r = _select(g, frame, dictionary, rho)
-                spec, r, gain, ref_sup_gain, ref_sup_r = reference_select(g, frame, dictionary, rho)
-                assert outcome.atom == spec
-                assert bits(outcome.r) == bits(r) and bits(outcome.gain) == bits(gain)
-                assert bits(sup_gain) == bits(ref_sup_gain) and bits(sup_r) == bits(ref_sup_r)
+                spec = select_as_reference(g, frame, dictionary, rho).atom
                 try:
                     vec, _ = frame.extend(dictionary.atom_vector(spec), spec=spec)
                 except SpanDegeneracyError:
@@ -541,6 +540,7 @@ class _FixedScan:
         self.esc_vector = np.array([np.sqrt(1.0 - r_esc**2), r_esc], dtype=complex)
 
     def scan(self, g, frame, reduction, state=None):
+        reduction.span(0, self.r_sq)
         reduction.add(0, self.inner.copy(), self.r_sq)
         return self.r_sq, reduction
 
@@ -623,20 +623,27 @@ class TestReductionInBlocks:
         excluded=st.sets(st.integers(0, 39), max_size=5),
         rho=st.sampled_from([1.0, 0.8, 0.5, 0.2]),
         escalated=st.sampled_from([0.0, 0.5, 2.0, 8.0]),
+        skipped=st.sets(st.integers(0, 6), max_size=4),
     )
-    def test_matches_the_whole_table(self, entries, cuts, excluded, rho, escalated):
+    def test_matches_the_whole_table(self, entries, cuts, excluded, rho, escalated, skipped):
         inner, r = (np.array(values) for values in zip(*entries))
         excluded = {i for i in excluded if i < r.size}
-        reduction = _Reduction(rho, excluded)
-        bounds = sorted({0, r.size, *(c for c in cuts if c < r.size)})
-        for lo, hi in zip(bounds, bounds[1:]):
-            reduction.add(lo, inner[lo:hi].copy(), np.square(r[lo:hi]))
         with np.errstate(divide="ignore"):
             gain = inner / r
         degenerate = r < EPS_SPAN
         degenerate[sorted(excluded)] = True
         gain[degenerate] = -np.inf
         usable = not degenerate.all()
+
+        # every block is spanned; as the 2-d scan does, ``add`` may leave out
+        # the blocks whose gains are all below rho times the top
+        reduction = _Reduction(rho, excluded)
+        bounds = sorted({0, r.size, *(c for c in cuts if c < r.size)})
+        for lo, hi in zip(bounds, bounds[1:]):
+            reduction.span(lo, np.square(r[lo:hi]))
+        for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            if k not in skipped or not np.all(gain[lo:hi] < rho * gain.max()):
+                reduction.add(lo, inner[lo:hi].copy(), np.square(r[lo:hi]))
         assert np.concatenate(reduction.degenerate).tolist() == np.flatnonzero(degenerate).tolist()
         assert reduction.sup_r == r.max() and reduction.top == (gain.max() if usable else -np.inf)
 
@@ -649,6 +656,37 @@ class TestReductionInBlocks:
         if qualifying.size:
             first = qualifying[np.lexsort((qualifying, r[qualifying]))[0]]
             assert (index[hits[0]], gains[hits[0]], rs[hits[0]]) == (first, gain[first], r[first])
+
+    def test_a_block_before_the_end_of_the_last_is_rejected(self):
+        # the kept entries order equal r by index only when blocks come in ascending order
+        reduction = _Reduction(0.5)
+        r_sq = np.full(6, 0.25)
+        reduction.span(0, r_sq)
+        reduction.add(2, np.ones(2), r_sq[2:4])
+        for start in (0, 3):
+            with pytest.raises(ValueError):
+                reduction.add(start, np.ones(2), r_sq[start : start + 2])
+        reduction.add(4, np.ones(2), r_sq[4:])
+        assert reduction.kept[0].tolist() == [2]
+
+
+@pytest.mark.parametrize("nudge", [-2, -1, 0, 1, 2])
+@pytest.mark.parametrize("around", [EPS_SPAN**2, R2_SPAN])
+def test_r2_span_marks_what_eps_span_marks(around, nudge):
+    # the degenerate test on r^2 and sup r = sqrt(max(0, max r^2)) give the
+    # bits of the test on r = sqrt(clip(r^2, 0)) and of max r, and
+    # np.maximum the bits of np.clip
+    values = np.array([0.0, -0.0, -1e-300, -R2_SPAN, -1.0, around])
+    for _ in range(abs(nudge)):
+        values[-1] = np.nextafter(values[-1], np.sign(nudge) * np.inf)
+    r = np.sqrt(np.clip(values, 0.0, None))
+    assert np.sqrt(np.maximum(values, 0.0)).tobytes() == r.tobytes()
+    assert ((values < R2_SPAN) == (r < EPS_SPAN)).all()
+    for value in values:
+        reduction = _Reduction(1.0)
+        reduction.span(0, np.array([value]))
+        assert bits(reduction.sup_r) == bits(max(0.0, float(np.sqrt(np.clip(value, 0.0, None)))))
+    assert np.sqrt(np.nextafter(R2_SPAN, 0.0)) < EPS_SPAN <= np.sqrt(R2_SPAN)
 
 
 MID_2D = ProductSzegoDictionary2D(
@@ -664,19 +702,35 @@ def test_selection_over_two_row_blocks_matches_the_oracle(rho):
         warnings.simplefilter("ignore")
         g, frame = _seeded_run(MID_2D, 3)
         for _ in range(4):
-            outcome, sup_gain, sup_r = _select(g, frame, MID_2D, rho, state)
-            spec, r, gain, ref_sup_gain, ref_sup_r = reference_select(g, frame, MID_2D, rho)
-            assert outcome.atom == spec
-            assert bits(outcome.r) == bits(r) and bits(outcome.gain) == bits(gain)
-            assert bits(sup_gain) == bits(ref_sup_gain) and bits(sup_r) == bits(ref_sup_r)
+            spec = select_as_reference(g, frame, MID_2D, rho, state).atom
             vec, _ = frame.extend(MID_2D.atom_vector(spec), spec=spec)
             g = g - np.vdot(vec, g) * vec
 
 
-def scan_bytes(result):
-    """Bytes of every part of a scan result: gain, degenerate mask, sup r and r^2."""
-    gain, degenerate, sup_r, r_sq = result
-    return gain.tobytes(), degenerate.tobytes(), np.float64(sup_r).tobytes(), r_sq.tobytes()
+def parts_bytes(parts):
+    """Bytes of what a 2-d scan reports of every pair: r^2, the degenerate indices and sup r.
+
+    The scan forms the inner products afresh from the remainder, so two
+    scans with the bits of r^2 have those of the gains as well.
+    """
+    r_sq, degenerate, sup_r = parts
+    return r_sq.tobytes(), np.asarray(degenerate, dtype=np.intp).tobytes(), np.float64(sup_r).tobytes()
+
+
+def reference_parts(dictionary, g, frame):
+    """``scan_parts`` from ``reference_scan_2d``."""
+    _, degenerate, sup_r, r_sq = reference_scan_2d(dictionary, g, frame)
+    return r_sq, np.flatnonzero(degenerate), sup_r
+
+
+def select_as_reference(g, frame, dictionary, rho=1.0, state=None):
+    """``_select`` with ``state``, checked bit for bit against ``reference_select``; returns its outcome."""
+    outcome, sup_gain, sup_r = _select(g, frame, dictionary, rho, state)
+    spec, r, gain, ref_sup_gain, ref_sup_r = reference_select(g, frame, dictionary, rho)
+    assert outcome.atom == spec
+    assert bits(outcome.r) == bits(r) and bits(outcome.gain) == bits(gain)
+    assert bits(sup_gain) == bits(ref_sup_gain) and bits(sup_r) == bits(ref_sup_r)
+    return outcome
 
 
 class TestIncrementalScan2D:
@@ -689,10 +743,11 @@ class TestIncrementalScan2D:
             for step in range(8):
                 if step == 4:
                     frame.reorthogonalize()
-                result = scan_bytes(dense_scan(dictionary, g, frame, state))
-                assert result == scan_bytes(dense_scan(dictionary, g, frame))
+                result = parts_bytes(scan_parts(dictionary, g, frame, state))
+                assert result == parts_bytes(scan_parts(dictionary, g, frame))
+                assert result == parts_bytes(reference_parts(dictionary, g, frame))
                 assert state.rows == len(frame)
-                outcome, _, _ = _select(g, frame, dictionary, 1.0, state)
+                outcome = select_as_reference(g, frame, dictionary, state=state)
                 vec, _ = frame.extend(dictionary.atom_vector(outcome.atom), spec=outcome.atom)
                 g = g - np.vdot(vec, g) * vec
         assert frame.reorthogonalizations >= 1
@@ -718,11 +773,13 @@ class TestCarriedTable2D:
             warnings.simplefilter("ignore")
             g, frame = _seeded_run(SMALL_2D, 6)
             for _ in range(3):
-                dense_scan(SMALL_2D, g, frame, state)
+                scan_parts(SMALL_2D, g, frame, state)
                 g = _step(g, frame, SMALL_2D, state)
             frame.reorthogonalize()
-            result = scan_bytes(dense_scan(SMALL_2D, g, frame, state))
-        assert result == scan_bytes(dense_scan(SMALL_2D, g, frame))
+            result = parts_bytes(scan_parts(SMALL_2D, g, frame, state))
+            select_as_reference(g, frame, SMALL_2D, state=state)
+        assert result == parts_bytes(scan_parts(SMALL_2D, g, frame))
+        assert result == parts_bytes(reference_parts(SMALL_2D, g, frame))
         assert state.epoch == 1 and state.rows == len(frame)
 
     def test_other_remainder_falls_back_to_the_full_product(self):
@@ -731,12 +788,14 @@ class TestCarriedTable2D:
             warnings.simplefilter("ignore")
             g, frame = _seeded_run(SMALL_2D, 7)
             for _ in range(3):
-                dense_scan(SMALL_2D, g, frame, state)
+                scan_parts(SMALL_2D, g, frame, state)
                 g = _step(g, frame, SMALL_2D, state)
             # the projected update with a rounding-level change, then a new signal
             for other in (g * (1.0 + 2.0**-52), frame.project_residual(_seeded_run(SMALL_2D, 8)[0])[0]):
-                gain = dense_scan(SMALL_2D, other, frame, state)[0]
-                assert gain.tobytes() == dense_scan(SMALL_2D, other, frame)[0].tobytes()
+                result = parts_bytes(scan_parts(SMALL_2D, other, frame, state))
+                assert result == parts_bytes(scan_parts(SMALL_2D, other, frame))
+                assert result == parts_bytes(reference_parts(SMALL_2D, other, frame))
+                select_as_reference(other, frame, SMALL_2D, state=state)
 
 
 def reference_scan_2d(dictionary, g, frame):
@@ -770,10 +829,76 @@ def test_blocked_scan_equals_the_unblocked_scan():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for spec in map(dictionary.base_spec, (3, 600 * size + 77, 1152 * size + 1152)):
-            blocked = scan_bytes(dense_scan(dictionary, g, frame, state))
-            assert blocked == scan_bytes(reference_scan_2d(dictionary, g, frame))
+            blocked = parts_bytes(scan_parts(dictionary, g, frame, state))
+            assert blocked == parts_bytes(reference_parts(dictionary, g, frame))
+            select_as_reference(g, frame, dictionary, state=state)
             vec, _ = frame.extend(dictionary.atom_vector(spec), spec=spec)
             g = g - np.vdot(vec, g) * vec
+
+
+class TestRowBounds:
+    """The row bounds of the 2-d scan's first pass against the gains of the unblocked scan."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        order=st.one_of(st.integers(0, 6), st.integers(16, 40)),  # below and above the screen's rank
+        kind=st.sampled_from(["random", 1, 2, 3, "zero"]),
+        scale=st.sampled_from([1e-200, 1e-30, 1.0, 1e30]),
+        rows=st.integers(0, 4),
+        full_row=st.booleans(),
+        angular=st.integers(11, 20),
+        max_radius=st.sampled_from([0.3, 0.6, 0.9]),
+    )
+    def test_bounds_every_row(self, seed, order, kind, scale, rows, full_row, angular, max_radius):
+        # P = 3 angular + 1 > PAIR_SEEDS + 1 points, so the scan screens its rows
+        dictionary = ProductSzegoDictionary2D(
+            order, GridSpec(radial_count=3, angular_count=angular, refine_levels=0, max_radius=max_radius)
+        )
+        size = dictionary.params.size
+        assert size > PAIR_SEEDS + 1
+        rng = np.random.default_rng(seed)
+        excluded = set()
+        if full_row and order < 4:
+            # the N + 1 atoms e_a (x) e_b span e_a (x) H_N, so all of row a lies in the frame's span;
+            # its r^2 is at the rounding floor, and the row is excluded so that all of it is degenerate
+            a = int(rng.integers(size))
+            specs = [dictionary.base_spec(a * size + b) for b in rng.choice(size, order + 1, replace=False)]
+            excluded = set(range(a * size, (a + 1) * size))
+        else:
+            specs = []
+            for _ in range(rows):  # each atom an escalation of the last, or a new base atom
+                up = dictionary.escalations(specs[-1]) if specs and rng.random() < 0.5 else []
+                specs.append(up[int(rng.integers(len(up)))] if up else dictionary.base_spec(int(rng.integers(size**2))))
+        frame = OrthoFrame(dictionary.dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for spec in specs:
+                try:
+                    frame.extend(dictionary.atom_vector(spec), spec=spec)
+                except SpanDegeneracyError:
+                    pass
+            g = np.zeros(dictionary.dim, dtype=complex)
+            if kind == "random":
+                g = random_hardy_2d(seed, order).data.ravel()
+            elif kind != "zero":
+                for _ in range(kind):
+                    a, b = 0.95 * rng.uniform(0.0, 1.0, 2) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 2))
+                    c = rng.standard_normal() + 1j * rng.standard_normal()
+                    g += c * tensor_atom_coeffs(TensorAtomSpec.of(complex(a), complex(b)), order).data.ravel()
+        g = scale * g
+        excluded |= {dictionary.base_index(s) for s in frame.specs} - {None}
+        reduction = _Reduction(1.0, excluded)
+        _, bound, _ = dictionary._bounds(g, frame, reduction, ScanState())
+        gain, degenerate, _, _ = reference_scan_2d(dictionary, g, frame)
+        degenerate[sorted(excluded)] = True
+        assert np.concatenate(reduction.degenerate).tolist() == np.flatnonzero(degenerate).tolist()
+        if bound is None:  # no screen, for a zero or extreme remainder: every row is scored
+            assert not 2.0**-500 < np.abs(g).max() < 2.0**500
+            return
+        gain = np.where(degenerate, -np.inf, gain).reshape(size, size)
+        assert np.all(np.isfinite(bound)) and np.all(bound >= gain.max(axis=1))
+        assert np.all(bound[degenerate.reshape(size, size).all(axis=1)] == 0.0)
 
 
 def test_bench_size_step_peak_memory():
