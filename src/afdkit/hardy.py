@@ -12,6 +12,7 @@ grid-argmax engine shared by every maximal-selection routine in the package.
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass, field
 
@@ -394,6 +395,15 @@ def _grid_kernel_rows(spec, order):
 
 
 @functools.lru_cache(maxsize=4)
+def _grid_rings(spec, order):
+    """Ring of each grid point, ascending from the center's 0, and the largest stored |K[b, k]| of each; read-only."""
+    labels = np.repeat(np.arange(spec.radial_count + 1), [1] + [spec.angular_count] * spec.radial_count)
+    peaks = np.maximum.reduceat(np.abs(_grid_kernel_rows(spec, order)), np.flatnonzero(np.diff(labels, prepend=-1)))
+    labels.flags.writeable = peaks.flags.writeable = False
+    return labels, peaks
+
+
+@functools.lru_cache(maxsize=4)
 def _grid_kernel_norms_sq(spec, order):
     """Squared norms of the rows of ``_grid_kernel_rows``, cached with them and read-only."""
     norms = np.sum(np.abs(_grid_kernel_rows(spec, order)) ** 2, axis=1)
@@ -465,14 +475,14 @@ def _refine(objective, best, best_val, spec):
 
 
 # Most rows of a pair table scored at once, rows scored in full to seed the
-# bounds, and the rank of the basis that screens a table without gains.  A
-# reduction keeps one workspace of 24 bytes per pair of a block, 3.5 MB at
-# the bench grid's P = 1,153 points against 31.9 MB for the dense table and
-# its product.  The seed rows score about 3% of the pairs; on the bench
-# images (seeds 0-19) they hold every row the screen leaves, a median of 2.
+# bounds, the relative and absolute inflation of every bound, and the rank
+# of the basis that screens a table without gains.  A reduction keeps one
+# workspace of 24 bytes per pair of a block, 3.5 MB at the bench grid's
+# P = 1,153 points against 31.9 MB for the dense table and its product.  The
+# seed rows hold every row the pga2d screen leaves on the bench images.
 PAIR_BLOCK = 128
 PAIR_SEEDS = 32
-PAIR_MARGIN = 1e-9
+PAIR_MARGIN, PAIR_FLOOR = 1e-9, 2.0**-1000
 PAIR_RANK = 16
 
 
@@ -498,12 +508,13 @@ class _PairTable:
     ``block`` keeps those bits for two or more rows over all the columns.
     A subset of the columns can round differently: random column subsets
     of the bench grid's tables did in 43-47 of 60 trials.  ``norms_sq``
-    holds the squared row norms of ``Ka`` and of ``Kb``, whose products are
-    those of the pair atoms; they are computed unless given.
+    holds the squared row norms of ``Ka`` and of ``Kb`` (the products are
+    those of the pair atoms), computed unless given, and ``rings`` the
+    ``_grid_rings`` of each axis on the grid, else None.
     """
 
-    def __init__(self, rows_a, middle, rows_b, gains=None, norms_sq=None):
-        self.rows_a, self.middle, self.rows_b, self.gains = rows_a, middle, rows_b, gains
+    def __init__(self, rows_a, middle, rows_b, gains=None, norms_sq=None, rings=(None, None)):
+        self.rows_a, self.middle, self.rows_b, self.gains, self.rings = rows_a, middle, rows_b, gains, rings
         self.norms_sq = norms_sq or tuple(np.sum(np.abs(rows) ** 2, axis=1) for rows in (rows_a, rows_b))
         self.left = rows_a @ middle
         self.shape = (rows_a.shape[0], rows_b.shape[0])
@@ -530,20 +541,29 @@ class _PairTable:
         return np.asarray(self.block(), dtype=dtype)
 
     def bounds(self):
-        """Upper bounds of the values in each row and in each column of a table with gains.
+        """Upper bounds of the values in each row, and in each column of a table with gains (else None).
 
-        By Cauchy-Schwarz ``|Ka[i] M Kb[j]^T|^2`` is at most
-        ``|Ka[i] M|^2 |Kb[j]|^2`` and at most ``|Ka[i]|^2 |M Kb[j]^T|^2``.
-        A row bound takes the largest ``|Kb[j]|^2`` and the largest column
-        gain, a column bound the other way round.  Both are inflated by the
-        relative ``PAIR_MARGIN``, far above the ~1e-15 relative rounding of
-        either side.
+        A kernel row on a ring of radius r has |K[b, k]| = sqrt(1 - r^2) r^k.
+        With ``peaks`` the largest stored |K[b, k]| of each ring (off the
+        grid, all rows are one ring), |Ka[i] M Kb[j]^T| is at most T_i(ring
+        of j) = sum_k |(Ka[i] M)_k| peaks[ring, k], up to rounding relative
+        to T_i.  A row bound is max T_i over the rings, or with gains the max
+        of T_i^2 plus the ring's largest column gain, plus the row's gain; a
+        column bound takes M Kb[j]^T and the row rings.  ``PAIR_MARGIN`` and
+        ``PAIR_FLOOR`` (for underflow) inflate each.
         """
-        gain_a, gain_b = self.gains
-        norm_a, norm_b = (norms.max() for norms in self.norms_sq)
-        rows = np.sum(np.abs(self.left) ** 2, axis=1) * norm_b + gain_a + gain_b.max()
-        cols = np.sum(np.abs(self.rows_b @ self.middle.T) ** 2, axis=1) * norm_a + gain_b + gain_a.max()
-        return rows * (1.0 + PAIR_MARGIN), cols * (1.0 + PAIR_MARGIN)
+        rings = [ring or (np.zeros(len(rows), dtype=np.intp), np.abs(rows).max(axis=0, keepdims=True))
+                 for ring, rows in zip(self.rings, (self.rows_a, self.rows_b))]
+        if self.gains is None:
+            return (np.abs(self.left) @ rings[1][1].T).max(axis=1) * (1.0 + PAIR_MARGIN) + PAIR_FLOOR, None
+        out = []
+        for x, (labels, peaks), gain, other in ((self.left, rings[1], *self.gains),
+                                                (self.rows_b @ self.middle.T, rings[0], *self.gains[::-1])):
+            major = np.abs(x) @ peaks.T  # squared and summed in place: fewer heap temporaries
+            np.square(major, out=major)
+            major += np.maximum.reduceat(other, np.flatnonzero(np.diff(labels, prepend=-1)))
+            out.append((major.max(axis=1) + gain) * (1.0 + PAIR_MARGIN) + PAIR_FLOOR)
+        return tuple(out)
 
     def heads(self):
         """The low-rank screen of a table without gains: (unit, W, tails, slack, head_block), or None.
@@ -615,16 +635,14 @@ def _kernel_table(block, a_pts, b_pts, grid, single=None):
     Entry (a, b) is |<g, e_a (x) e_b>|, g the power series of ``block``.
     The single-axis matrices (Ga, Gb) of afd2d-tm add the gains
     ``|K_a Ga|^2`` and ``|K_b Gb|^2`` to the squared entries.  On the grid
-    the rows and their squared norms are the cached ones.
+    the rows, their squared norms and their rings are the cached ones.
     """
     order = block.shape[0] - 1
     rows_a, rows_b = kernel_rows(a_pts, order, grid), kernel_rows(b_pts, order, grid)
-    gains = norms = None
-    if single is not None:
-        gains = tuple(np.sum(np.abs(rows @ G) ** 2, axis=1) for rows, G in zip((rows_a, rows_b), single))
-    if _on_grid(a_pts, grid) and _on_grid(b_pts, grid):
-        norms = (_grid_kernel_norms_sq(grid, order),) * 2
-    return _PairTable(rows_a, block, rows_b, gains, norms)
+    gains = single and tuple(np.sum(np.abs(rows @ G) ** 2, axis=1) for rows, G in zip((rows_a, rows_b), single))
+    rings = tuple(_grid_rings(grid, order) if _on_grid(pts, grid) else None for pts in (a_pts, b_pts))
+    norms = None if None in rings else (_grid_kernel_norms_sq(grid, order),) * 2
+    return _PairTable(rows_a, block, rows_b, gains, norms, rings)
 
 
 def _pair_argmax(table):
@@ -634,43 +652,48 @@ def _pair_argmax(table):
     the running best moves on a larger value, or on an equal one at an
     earlier pair.  So no table of all pairs is allocated, and ties go to the
     first pair, as ``np.argmax`` of the dense table gives them.  Every row
-    first gets an upper bound, from ``bounds`` for a table with gains (which
-    also bounds each column) and from ``screen`` otherwise, and the
-    ``PAIR_SEEDS`` rows with the largest bounds (every row, when at most one
-    other is left) are scored in full.  Another row or column whose bound is
-    below their maximum holds only values strictly below the table's, so it
-    is left out and cannot change the tie-break; no row is scored twice.  A
-    lone row left gets a neighbour that is not a seed, as BLAS would score
-    it alone by its matrix-vector path.  Whole rows keep the dense bits, so
-    a table without gains gives the dense ``np.argmax`` and its value bit
-    for bit; afd2d-tm's rectangles of rows by columns matched them at all
-    120 bench steps, but need not.
+    first gets the ring-majorant bound of ``bounds``, which with gains also
+    bounds each column.  Without gains, the top row's largest value by its
+    own product, less PAIR_MARGIN times its bound (far above matrix-vector
+    rounding), is at most the maximum; if at most ``PAIR_SEEDS`` rows reach
+    it, they (two at least) are the seeds, else ``screen`` tightens the
+    bounds and the ``PAIR_SEEDS`` largest are.  The seeds (all rows when at
+    most one other is left) are scored in full, then only the other rows
+    and columns whose bounds reach their maximum: no row twice, and the
+    tie-break holds.  A lone row left gets a non-seed neighbour, as BLAS
+    scores one row by its matrix-vector path.  Whole rows keep the dense
+    bits: a table without gains gives the dense ``np.argmax`` and value.
     """
     n, m = table.shape
-    row_bound, col_bound = table.bounds() if table.gains is not None else (None, None)
+    row_bound, col_bound = table.bounds()
     # allocated once the temporaries of ``bounds`` are freed; the screen needs it
     work = np.empty(3 * min(PAIR_BLOCK, n) * m)
+    count = PAIR_SEEDS
     if table.gains is None:
-        row_bound = table.screen(work)[0]
-    rows, cols, best = np.arange(n), slice(None), None
-    if row_bound is not None:
-        seeds = np.sort(np.argsort(row_bound)[-PAIR_SEEDS:]) if n > PAIR_SEEDS + 1 else rows
-        values = table.block(seeds, work=work)
-        i, j = np.unravel_index(int(np.argmax(values)), values.shape)
-        best = (int(seeds[i]), int(j)), float(values[i, j])
-        rest = np.delete(rows, seeds)
-        rows = rest[row_bound[rest] >= best[1]]
-        if col_bound is not None:
-            cols = np.flatnonzero(col_bound >= best[1])
-        if rows.size == 1:
-            start = min(int(np.searchsorted(rest, rows[0])), rest.size - 2)
-            rows = rest[start : start + 2]
-    col_ids = np.arange(m)[cols]
+        lower = np.abs(table.left[np.argmax(row_bound)] @ table.rows_b.T).max() - PAIR_MARGIN * row_bound.max()
+        count = max(2, int(np.count_nonzero(row_bound >= lower)))
+        if count > PAIR_SEEDS:
+            count, screened = PAIR_SEEDS, table.screen(work)[0]
+            row_bound = row_bound if screened is None else np.minimum(row_bound, screened)
+    rows, cols = np.arange(n), np.arange(m)
+    seeds = np.sort(np.argsort(row_bound)[-count:]) if n > count + 1 else rows
+    values = table.block(seeds, work=work)
+    i, j = np.unravel_index(int(np.argmax(values)), values.shape)
+    best = (int(seeds[i]), int(j)), float(values[i, j])
+    rest = np.delete(rows, seeds)
+    rows = rest[row_bound[rest] >= best[1]]
+    if col_bound is not None:
+        cols = np.flatnonzero(col_bound >= best[1])
+        table = copy.copy(table)  # the columns gathered once, not in each block on fresh pages
+        table.rows_b, table.gains = table.rows_b[cols], (table.gains[0], table.gains[1][cols])
+    if rows.size == 1:
+        start = min(int(np.searchsorted(rest, rows[0])), rest.size - 2)
+        rows = rest[start : start + 2]
     for blk in _row_blocks(rows.size):
-        values = table.block(rows[blk], cols, work)
+        values = table.block(rows[blk], work=work)
         i, j = np.unravel_index(int(np.argmax(values)), values.shape)
-        pair, value = (int(rows[blk][i]), int(col_ids[j])), float(values[i, j])
-        if best is None or value > best[1] or value == best[1] and pair < best[0]:
+        pair, value = (int(rows[blk][i]), int(cols[j])), float(values[i, j])
+        if value > best[1] or value == best[1] and pair < best[0]:
             best = pair, value
     return best
 

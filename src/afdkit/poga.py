@@ -223,7 +223,12 @@ class _Reduction:
             # entry at or before an r the most gain of the kept ones there
             new = new[(r[new] < r[top]) | ((r[new] == r[top]) & (new <= top))]
             _, gains, rs = self.kept
-            new = new[np.concatenate(([-np.inf], gains))[np.searchsorted(rs, r[new], side="right")] < gain[new]]
+            # 8 kept entries first, each rejecting the entries at or above its r with no more gain
+            keep, r_new, gain_new = np.ones(new.size, dtype=bool), r[new], gain[new]
+            for i in np.linspace(0, rs.size - 1, 8).astype(np.intp) if rs.size else ():
+                keep &= (r_new < rs[i]) | (gain_new > gains[i])
+            new, r_new, gain_new = new[keep], r_new[keep], gain_new[keep]
+            new = new[np.concatenate(([-np.inf], gains))[np.searchsorted(rs, r_new, side="right")] < gain_new]
             old = gains >= floor
             index, gains, rs = (
                 np.concatenate((kept[old], fresh)) for kept, fresh in zip(self.kept, (start + new, gain[new], r[new]))

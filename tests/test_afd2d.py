@@ -37,6 +37,7 @@ from afdkit.hardy import (
     PAIR_RANK,
     PAIR_SEEDS,
     _PairTable,
+    _grid_rings,
     _kernel_table,
     _pair_argmax,
     _row_blocks,
@@ -509,16 +510,21 @@ class TestPairReduction:
         # rows 1..31 have the largest bounds and row P - 1 the next: they are
         # the seed rows, and row P - 1 holds a maximum of exactly 1.  Row 0
         # ties with it and is lexicographically first; every row survives
-        # the seed value, so the rows span three blocks.
+        # the seed value, so the rows span three blocks.  Off the grid the
+        # columns form one ring, so a row's bound is (|x_0| + |x_1|)^2 plus
+        # the largest column gain, 0.75: 2.44 and 3.0 for the seed rows,
+        # 1.75 for row 0 and 1.3125 for the others, and no value is above 1.
         size = 2 * PAIR_BLOCK + 3
-        rows_a = np.tile([0.0, 1.0 + 0j], (size, 1))
-        rows_a[1:PAIR_SEEDS] = [0.0, 2.0]
+        rows_a = np.tile([0.5, 0.25 + 0j], (size, 1))
+        rows_a[1:PAIR_SEEDS] = [0.9, 0.4]
         rows_a[0] = [1.0, 0.0]
-        rows_a[-1] = [1.0, 1.0]
-        rows_b = np.array([[1.0, 0.0], [0.0, 0.25]], dtype=complex)
-        table = _PairTable(rows_a, np.eye(2, dtype=complex), rows_b, (np.zeros(size), np.zeros(2)))
-        seeds = np.argsort(table.bounds()[0])[-PAIR_SEEDS:]
+        rows_a[-1] = [1.0, 0.5]
+        rows_b = np.eye(2, dtype=complex)
+        table = _PairTable(rows_a, np.eye(2, dtype=complex), rows_b, (np.zeros(size), np.array([0.0, 0.75])))
+        row_bound, col_bound = table.bounds()
+        seeds = np.argsort(row_bound)[-PAIR_SEEDS:]
         assert size - 1 in seeds and 0 not in seeds
+        assert np.all(row_bound >= 1.0) and np.all(col_bound >= 1.0)
         assert _pair_argmax(table) == ((0, 0), 1.0)
         assert np.unravel_index(int(np.argmax(np.asarray(table))), table.shape) == (0, 0)
 
@@ -531,13 +537,15 @@ class TestPairReduction:
 
     @pytest.mark.parametrize("seed", range(2))
     def test_no_row_is_scored_twice(self, seed, monkeypatch):
-        # the seed rows are scored once, in full, and only the other rows
-        # that survive their maximum are scored after them
-        scored = []
+        # the seed rows are scored once, in full, by the first block call,
+        # and only the other rows that survive their maximum are scored
+        # after them; a table with gains seeds PAIR_SEEDS rows, one without
+        # at least two
+        calls = []
         block = _PairTable.block
 
         def recorded(table, rows=slice(None), cols=slice(None), work=None):
-            scored.extend(np.arange(table.shape[0])[rows].tolist())
+            calls.append(np.arange(table.shape[0])[rows].tolist())
             return block(table, rows, cols, work)
 
         rng = np.random.default_rng(seed)
@@ -555,10 +563,12 @@ class TestPairReduction:
         monkeypatch.setattr(_PairTable, "block", recorded)
         survivors = []
         for table in tables:
-            scored.clear()
+            calls.clear()
             pick = _pair_argmax(table)
-            assert len(scored) == len(set(scored)) >= min(PAIR_SEEDS, table.shape[0])
-            survivors.append(len(scored) - PAIR_SEEDS)
+            scored = sum(calls, [])
+            assert len(scored) == len(set(scored))
+            assert len(calls[0]) >= min(2 if table.gains is None else PAIR_SEEDS, table.shape[0])
+            survivors.append(len(scored) - len(calls[0]))
             dense = block(table)
             if table.gains is None:
                 assert pick[0] == np.unravel_index(int(np.argmax(dense)), dense.shape)
@@ -685,9 +695,12 @@ class TestPairScreen:
 
     @pytest.mark.parametrize("lone", [0, 20, 39])
     def test_a_lone_row_is_scored_with_a_neighbour(self, lone):
-        # the 32 seed rows hold 0.9 under bounds that their float32 allowance
-        # lifts above 1; one other row holds the maximum and alone reaches
-        # the seed value.  BLAS would score it alone by its matrix-vector path
+        # the 32 seed rows hold 0.9 under majorants |x_0| + |x_1| of 1.1,
+        # which the screen keeps: their third entry, which no column sees,
+        # lifts its float32 allowance far above.  With the maximum's row
+        # they are more than PAIR_SEEDS rows, so the screen runs; that row
+        # holds 1 and alone reaches the seed value.  BLAS would score it
+        # alone by its matrix-vector path
         shapes = []
 
         class Recorded(_PairTable):
@@ -696,13 +709,84 @@ class TestPairScreen:
                 shapes.append(values.shape)
                 return values
 
-        rows_a = np.tile([0.1, 0.0 + 0j], (40, 1))
-        rows_a[np.delete(np.arange(40), lone)[:PAIR_SEEDS]] = [0.9, 1e8]
-        rows_a[lone] = [1.0, 0.0]
-        table = Recorded(rows_a, np.eye(2, dtype=complex), np.array([[1.0, 0.0], [0.5, 0.0]], dtype=complex))
+        rows_a = np.tile([0.1, 0.0, 0.0 + 0j], (40, 1))
+        rows_a[np.delete(np.arange(40), lone)[:PAIR_SEEDS]] = [1.0, -0.1, 1e8]
+        rows_a[lone] = [1.0, 0.0, 0.0]
+        rows_b = np.array([[1.0, 1.0, 0.0], [0.5, 0.5, 0.0]], dtype=complex)
+        table = Recorded(rows_a, np.eye(3, dtype=complex), rows_b)
         assert _pair_argmax(table) == ((lone, 0), 1.0)
         assert min(rows for rows, _ in shapes) == 2
         assert sum(rows for rows, _ in shapes) == PAIR_SEEDS + 2
+
+
+class TestRingMajorant:
+    """The ring-majorant row and column bounds of ``_PairTable.bounds`` against the dense table."""
+
+    GRIDS = reduction_grids() + [BENCH_GRID]
+
+    @staticmethod
+    def points(grid, rng, off_grid):
+        """The grid's points, or 1-300 points of its disc off the grid."""
+        if not off_grid:
+            return grid_points(grid)
+        n = int(rng.integers(1, 301))
+        return grid.max_radius * rng.uniform(0.0, 1.0, n) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        order=st.integers(0, 64),
+        kind=st.sampled_from(["random", 1, 2, 3, "row", "repeated", "outer"]),
+        scale=st.sampled_from([1e-200, 1e-30, 1.0, 1e30, 1e200]),
+        grid_index=st.integers(0, 3),
+        off_grid=st.booleans(),
+    )
+    def test_bounds_hold_and_argmax_is_dense_without_gains(self, seed, order, kind, scale, grid_index, off_grid):
+        rng = np.random.default_rng(seed)
+        grid = self.GRIDS[grid_index]
+        a_pts, b_pts = self.points(grid, rng, off_grid), self.points(grid, rng, off_grid)
+        table = _kernel_table(scale * TestPairScreen.middle(kind, seed, order), a_pts, b_pts, grid)
+        dense = np.asarray(table)
+        row_bound, col_bound = table.bounds()
+        assert col_bound is None and np.all(dense.max(axis=1) <= row_bound)
+        idx = np.unravel_index(int(np.argmax(dense)), dense.shape)
+        (i, j), value = _pair_argmax(table)
+        assert (i, j) == idx and np.float64(value).tobytes() == dense[idx].tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        order=st.integers(0, 64),
+        n_hist=st.integers(0, 3),
+        scale=st.sampled_from([1e-200, 1e-30, 1.0, 1e30, 1e200]),
+        grid_index=st.integers(0, 3),
+        off_grid=st.booleans(),
+    )
+    def test_bounds_hold_with_gains(self, seed, order, n_hist, scale, grid_index, off_grid):
+        rng = np.random.default_rng(seed)
+        grid = self.GRIDS[grid_index]
+        a_pts, b_pts = self.points(grid, rng, off_grid), self.points(grid, rng, off_grid)
+        f = scale * random_hardy_2d(seed, order)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            table = _product_tm_objective(f, random_history(rng, n_hist), grid)(a_pts, b_pts)
+        with np.errstate(over="ignore"):
+            dense = np.asarray(table)
+            row_bound, col_bound = table.bounds()
+        assert np.all(dense.max(axis=1) <= row_bound) and np.all(dense.max(axis=0) <= col_bound)
+
+    @pytest.mark.parametrize("grid_index", range(4))
+    @pytest.mark.parametrize("order", [0, 16, 64])
+    def test_ring_labels_put_each_point_on_its_radius(self, grid_index, order):
+        grid = self.GRIDS[grid_index]
+        pts = grid_points(grid)
+        labels, peaks = _grid_rings(grid, order)
+        assert _grid_rings(grid, order)[0] is labels and not labels.flags.writeable and not peaks.flags.writeable
+        radii = np.concatenate([[0.0], grid_radii(grid)])
+        assert np.all(np.diff(radii) > 0) and np.all(np.diff(labels) >= 0)
+        assert labels.shape == pts.shape and np.all(np.abs(np.abs(pts) - radii[labels]) <= 1e-15)
+        exact = np.sqrt(1.0 - radii**2)[:, None] * radii[:, None] ** np.arange(order + 1)
+        assert peaks.shape == exact.shape and np.allclose(peaks, exact, rtol=1e-13, atol=0.0)
 
 
 class TestAfd2dDecompose:
