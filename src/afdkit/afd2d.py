@@ -103,9 +103,9 @@ def msp_product_tm(f, history, grid, *, _rows=None):
     Maximizes the step-n block energy over the product of two copies of the
     polar grid.  The block objective splits into a coupled term plus two
     single-axis terms, so the objective hands ``grid_argmax_pairs`` the
-    factors of the pair table, and the reduction scores only the rows and
-    columns whose ring-majorant bounds can reach the maximum, about 8% of
-    the pairs a bench step (``hardy._pair_argmax``).
+    factors of the pair table, and the reduction scores only the rows, and
+    each block's lanes of columns, whose ring-majorant bounds reach the
+    maximum: about 6% of the pairs a bench step (``hardy._pair_argmax``).
 
     The energy comes from the reproducing property: with phi and psi the
     Blaschke products of the a- and b-history,

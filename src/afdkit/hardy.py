@@ -12,7 +12,6 @@ grid-argmax engine shared by every maximal-selection routine in the package.
 
 from __future__ import annotations
 
-import copy
 import functools
 from dataclasses import dataclass, field
 
@@ -475,15 +474,14 @@ def _refine(objective, best, best_val, spec):
 
 
 # Most rows of a pair table scored at once, rows scored in full to seed the
-# bounds, the relative and absolute inflation of every bound, and the rank
-# of the basis that screens a table without gains.  A reduction keeps one
+# bounds, the relative and absolute inflation of every bound, the rank of
+# the basis that screens a table without gains, and the lanes of columns a
+# block of a table with gains scores whole.  A reduction keeps one
 # workspace of 24 bytes per pair of a block, 3.5 MB at the bench grid's
 # P = 1,153 points against 31.9 MB for the dense table and its product.  The
 # seed rows hold every row the pga2d screen leaves on the bench images.
-PAIR_BLOCK = 128
-PAIR_SEEDS = 32
+PAIR_BLOCK, PAIR_SEEDS, PAIR_RANK, PAIR_LANES = 128, 32, 16, 4
 PAIR_MARGIN, PAIR_FLOOR = 1e-9, 2.0**-1000
-PAIR_RANK = 16
 
 
 def _row_blocks(n):
@@ -505,15 +503,17 @@ class _PairTable:
     gains[0][i] + gains[1][j]`` when ``gains`` are given.  ``np.asarray``
     gives the dense table through the operations of a direct evaluation, so
     bit for bit; ``_pair_argmax`` reduces the table without allocating it.
-    ``block`` keeps those bits for two or more rows over all the columns.
-    A subset of the columns can round differently: random column subsets
-    of the bench grid's tables did in 43-47 of 60 trials.  ``norms_sq``
+    ``block`` keeps those bits for two or more rows over all the columns,
+    or over whole lanes of ``PAIR_LANES`` columns from column 0: OpenBLAS's
+    zgemm kernels take 4 columns at a time, and a short last lane rounds
+    otherwise (random column subsets of the bench grid's tables did in
+    43-47 of 60 trials).  ``norms_sq``
     holds the squared row norms of ``Ka`` and of ``Kb`` (the products are
     those of the pair atoms), computed unless given, and ``rings`` the
-    ``_grid_rings`` of each axis on the grid, else None.
+    ``_grid_rings`` of the columns on the grid, else None.
     """
 
-    def __init__(self, rows_a, middle, rows_b, gains=None, norms_sq=None, rings=(None, None)):
+    def __init__(self, rows_a, middle, rows_b, gains=None, norms_sq=None, rings=None):
         self.rows_a, self.middle, self.rows_b, self.gains, self.rings = rows_a, middle, rows_b, gains, rings
         self.norms_sq = norms_sq or tuple(np.sum(np.abs(rows) ** 2, axis=1) for rows in (rows_a, rows_b))
         self.left = rows_a @ middle
@@ -541,29 +541,26 @@ class _PairTable:
         return np.asarray(self.block(), dtype=dtype)
 
     def bounds(self):
-        """Upper bounds of the values in each row, and in each column of a table with gains (else None).
+        """Upper bounds of the values in each row, and with gains (terms, the ring of each column).
 
         A kernel row on a ring of radius r has |K[b, k]| = sqrt(1 - r^2) r^k.
-        With ``peaks`` the largest stored |K[b, k]| of each ring (off the
-        grid, all rows are one ring), |Ka[i] M Kb[j]^T| is at most T_i(ring
-        of j) = sum_k |(Ka[i] M)_k| peaks[ring, k], up to rounding relative
-        to T_i.  A row bound is max T_i over the rings, or with gains the max
-        of T_i^2 plus the ring's largest column gain, plus the row's gain; a
-        column bound takes M Kb[j]^T and the row rings.  ``PAIR_MARGIN`` and
-        ``PAIR_FLOOR`` (for underflow) inflate each.
+        With ``peaks`` the largest stored |K[b, k]| of each column ring (off
+        the grid, all columns are one ring), |Ka[i] M Kb[j]^T| is at most
+        T_i(ring of j) = sum_k |(Ka[i] M)_k| peaks[ring, k], up to rounding
+        relative to T_i.  A row bound is max T_i over the rings.  With gains,
+        entry (i, j) is at most terms[i, ring of j] = T_i^2 + gains[0][i],
+        plus gains[1][j], and a row bound is the max over the rings of that
+        term plus the ring's largest column gain.  ``PAIR_MARGIN`` and
+        ``PAIR_FLOOR`` (for underflow) inflate every bound.
         """
-        rings = [ring or (np.zeros(len(rows), dtype=np.intp), np.abs(rows).max(axis=0, keepdims=True))
-                 for ring, rows in zip(self.rings, (self.rows_a, self.rows_b))]
+        labels, peaks = self.rings or (np.zeros(self.shape[1], dtype=np.intp), np.abs(self.rows_b).max(axis=0)[None])
+        terms = np.abs(self.left) @ peaks.T  # squared and summed in place: fewer heap temporaries
         if self.gains is None:
-            return (np.abs(self.left) @ rings[1][1].T).max(axis=1) * (1.0 + PAIR_MARGIN) + PAIR_FLOOR, None
-        out = []
-        for x, (labels, peaks), gain, other in ((self.left, rings[1], *self.gains),
-                                                (self.rows_b @ self.middle.T, rings[0], *self.gains[::-1])):
-            major = np.abs(x) @ peaks.T  # squared and summed in place: fewer heap temporaries
-            np.square(major, out=major)
-            major += np.maximum.reduceat(other, np.flatnonzero(np.diff(labels, prepend=-1)))
-            out.append((major.max(axis=1) + gain) * (1.0 + PAIR_MARGIN) + PAIR_FLOOR)
-        return tuple(out)
+            return terms.max(axis=1) * (1.0 + PAIR_MARGIN) + PAIR_FLOOR, None
+        np.square(terms, out=terms)
+        top = (terms + np.maximum.reduceat(self.gains[1], np.flatnonzero(np.diff(labels, prepend=-1)))).max(axis=1)
+        terms += self.gains[0][:, None]
+        return (top + self.gains[0]) * (1.0 + PAIR_MARGIN) + PAIR_FLOOR, (terms, labels)
 
     def heads(self):
         """The low-rank screen of a table without gains: (unit, W, tails, slack, head_block), or None.
@@ -635,14 +632,14 @@ def _kernel_table(block, a_pts, b_pts, grid, single=None):
     Entry (a, b) is |<g, e_a (x) e_b>|, g the power series of ``block``.
     The single-axis matrices (Ga, Gb) of afd2d-tm add the gains
     ``|K_a Ga|^2`` and ``|K_b Gb|^2`` to the squared entries.  On the grid
-    the rows, their squared norms and their rings are the cached ones.
+    the rows, their squared norms and the column rings are the cached ones.
     """
     order = block.shape[0] - 1
     rows_a, rows_b = kernel_rows(a_pts, order, grid), kernel_rows(b_pts, order, grid)
     gains = single and tuple(np.sum(np.abs(rows @ G) ** 2, axis=1) for rows, G in zip((rows_a, rows_b), single))
-    rings = tuple(_grid_rings(grid, order) if _on_grid(pts, grid) else None for pts in (a_pts, b_pts))
-    norms = None if None in rings else (_grid_kernel_norms_sq(grid, order),) * 2
-    return _PairTable(rows_a, block, rows_b, gains, norms, rings)
+    on_grid = [_on_grid(pts, grid) for pts in (a_pts, b_pts)]
+    norms = (_grid_kernel_norms_sq(grid, order),) * 2 if all(on_grid) else None
+    return _PairTable(rows_a, block, rows_b, gains, norms, _grid_rings(grid, order) if on_grid[1] else None)
 
 
 def _pair_argmax(table):
@@ -652,47 +649,49 @@ def _pair_argmax(table):
     the running best moves on a larger value, or on an equal one at an
     earlier pair.  So no table of all pairs is allocated, and ties go to the
     first pair, as ``np.argmax`` of the dense table gives them.  Every row
-    first gets the ring-majorant bound of ``bounds``, which with gains also
-    bounds each column.  Without gains, the top row's largest value by its
-    own product, less PAIR_MARGIN times its bound (far above matrix-vector
-    rounding), is at most the maximum; if at most ``PAIR_SEEDS`` rows reach
-    it, they (two at least) are the seeds, else ``screen`` tightens the
-    bounds and the ``PAIR_SEEDS`` largest are.  The seeds (all rows when at
-    most one other is left) are scored in full, then only the other rows
-    and columns whose bounds reach their maximum: no row twice, and the
-    tie-break holds.  A lone row left gets a non-seed neighbour, as BLAS
-    scores one row by its matrix-vector path.  Whole rows keep the dense
-    bits: a table without gains gives the dense ``np.argmax`` and value.
+    first gets the ring-majorant bound of ``bounds``.  Without gains, the
+    top row's largest value by its own product, less PAIR_MARGIN times its
+    bound (far above matrix-vector rounding), is at most the maximum; if at
+    most ``PAIR_SEEDS`` rows reach it, they (two at least) are the seeds,
+    else ``screen`` tightens the bounds and the ``PAIR_SEEDS`` largest are.
+    The seeds (all rows when at most one other is left) are scored in full,
+    then only the other rows whose bounds reach their maximum; with gains a
+    block scores the whole lanes that hold a column whose largest term in
+    the block, plus its gain, reaches the running best.  No row is scored
+    twice, and the tie-break holds.  A lone row left gets a non-seed
+    neighbour, as BLAS scores one row by its matrix-vector path.  Whole rows
+    and whole lanes keep the dense bits: the dense ``np.argmax`` and value.
     """
     n, m = table.shape
-    row_bound, col_bound = table.bounds()
+    row_bound, terms = table.bounds()
     # allocated once the temporaries of ``bounds`` are freed; the screen needs it
     work = np.empty(3 * min(PAIR_BLOCK, n) * m)
     count = PAIR_SEEDS
-    if table.gains is None:
+    if terms is None:
         lower = np.abs(table.left[np.argmax(row_bound)] @ table.rows_b.T).max() - PAIR_MARGIN * row_bound.max()
         count = max(2, int(np.count_nonzero(row_bound >= lower)))
         if count > PAIR_SEEDS:
             count, screened = PAIR_SEEDS, table.screen(work)[0]
             row_bound = row_bound if screened is None else np.minimum(row_bound, screened)
-    rows, cols = np.arange(n), np.arange(m)
+    rows, cols = np.arange(n), slice(None)
     seeds = np.sort(np.argsort(row_bound)[-count:]) if n > count + 1 else rows
     values = table.block(seeds, work=work)
     i, j = np.unravel_index(int(np.argmax(values)), values.shape)
     best = (int(seeds[i]), int(j)), float(values[i, j])
     rest = np.delete(rows, seeds)
     rows = rest[row_bound[rest] >= best[1]]
-    if col_bound is not None:
-        cols = np.flatnonzero(col_bound >= best[1])
-        table = copy.copy(table)  # the columns gathered once, not in each block on fresh pages
-        table.rows_b, table.gains = table.rows_b[cols], (table.gains[0], table.gains[1][cols])
     if rows.size == 1:
         start = min(int(np.searchsorted(rest, rows[0])), rest.size - 2)
         rows = rest[start : start + 2]
     for blk in _row_blocks(rows.size):
-        values = table.block(rows[blk], work=work)
+        if terms is not None:
+            keep = (terms[0][rows[blk]].max(axis=0)[terms[1]] + table.gains[1]) * (1.0 + PAIR_MARGIN) + PAIR_FLOOR
+            cols = np.flatnonzero(np.repeat(np.logical_or.reduceat(keep >= best[1], range(0, m, PAIR_LANES)), PAIR_LANES)[:m])
+            if not cols.size:
+                continue
+        values = table.block(rows[blk], cols, work=work)
         i, j = np.unravel_index(int(np.argmax(values)), values.shape)
-        pair, value = (int(rows[blk][i]), int(cols[j])), float(values[i, j])
+        pair, value = (int(rows[blk][i]), int(np.arange(m)[cols][j])), float(values[i, j])
         if value > best[1] or value == best[1] and pair < best[0]:
             best = pair, value
     return best

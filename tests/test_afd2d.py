@@ -1,5 +1,7 @@
 """Product-system decomposition and pure greedy selection on the 2-torus."""
 
+import importlib.util
+import pathlib
 import tracemalloc
 import warnings
 
@@ -29,11 +31,15 @@ from afdkit import (
     tensor_atom_coeffs,
     tm_matrix,
 )
-from afdkit import afd2d
+from afdkit import afd2d, hardy
 from afdkit.afd1d import _tm_grid_size
 from afdkit.afd2d import _blaschke_toeplitz, _product_tm_objective
+from afdkit.cli import load_image_2d
 from afdkit.hardy import (
     PAIR_BLOCK,
+    PAIR_FLOOR,
+    PAIR_LANES,
+    PAIR_MARGIN,
     PAIR_RANK,
     PAIR_SEEDS,
     _PairTable,
@@ -55,6 +61,7 @@ from conftest import (
 
 GRID = GridSpec(radial_count=10, angular_count=20, refine_levels=1, max_radius=0.6)
 ORDER = 32
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def tensor_signal(pairs_and_coeffs, order=ORDER):
@@ -428,6 +435,37 @@ def random_history(rng, n_hist):
     return [(complex(a), complex(b)) for a, b in params]
 
 
+def check_gain_bounds(table, dense, grid=None):
+    """The bounds of a table with gains against its ``dense`` values; returns the row bounds.
+
+    Every row maximum is at most its row bound, and every entry (i, j) at
+    most (terms[i, ring of j] + gains[1][j]) (1 + PAIR_MARGIN) + PAIR_FLOOR,
+    the rings those of ``grid`` (the columns' grid), or one ring off it.
+    """
+    rings = _grid_rings(grid, table.middle.shape[0] - 1)[0] if grid else np.zeros(table.shape[1], dtype=np.intp)
+    row_bound, (terms, labels) = table.bounds()
+    assert np.array_equal(labels, rings) and terms.shape == (table.shape[0], rings[-1] + 1)
+    assert np.all(dense.max(axis=1) <= row_bound)
+    assert np.all(dense <= (terms[:, rings] + table.gains[1]) * (1.0 + PAIR_MARGIN) + PAIR_FLOOR)
+    return row_bound
+
+
+def whole_column_pairs(table, seeds, seed_value):
+    """Pairs scored when one bound per column of a bench-grid table with gains prunes the columns.
+
+    Column j's bound is the ring majorant of M Kb[j]^T on the rings of the
+    rows, squared, plus the ring's largest row gain and the column's gain,
+    inflated as the row bounds are.  The seeds are scored in full, then the
+    other rows and the columns whose bounds reach the seed value.
+    """
+    labels, peaks = _grid_rings(BENCH_GRID, table.middle.shape[0] - 1)
+    major = (np.abs(table.rows_b @ table.middle.T) @ peaks.T) ** 2
+    major += np.maximum.reduceat(table.gains[0], np.flatnonzero(np.diff(labels, prepend=-1)))
+    col_bound = (major.max(axis=1) + table.gains[1]) * (1.0 + PAIR_MARGIN) + PAIR_FLOOR
+    rows = np.count_nonzero(np.delete(table.bounds()[0], seeds) >= seed_value)
+    return seeds.size * table.shape[1] + (rows + (rows == 1)) * np.count_nonzero(col_bound >= seed_value)
+
+
 class TestPairReduction:
     """The blocked first argmax of ``hardy._PairTable`` against the dense table."""
 
@@ -474,9 +512,7 @@ class TestPairReduction:
             warnings.simplefilter("ignore")
             table = _product_tm_objective(f, history, grid)(pts, pts)
             ref, scale = weighted_tm_table(f, history, pts, pts)
-        dense = np.asarray(table)
-        row_bound, col_bound = table.bounds()
-        assert np.all(dense <= row_bound[:, None]) and np.all(dense <= col_bound[None, :])
+        check_gain_bounds(table, np.asarray(table), grid)
         self.check_reduction(table, ref, scale)
         C = f.data
         self.check_reduction(_kernel_table(C, pts, pts, grid), *weighted_pga_table(C, pts, pts))
@@ -492,7 +528,7 @@ class TestPairReduction:
     @pytest.mark.parametrize("order", [16, 64])
     def test_tight_bound_keeps_the_maximum(self, order):
         # a tensor atom at radii where |K_a|^2 = 1 - |a|^(2N+2) rounds to 1:
-        # its own pair meets the row and column bounds up to rounding
+        # its own pair meets its row bound and its entrywise bound up to rounding
         grid = reduction_grids()[2]
         pts = grid_points(grid)
         radii = np.abs(pts)
@@ -501,9 +537,7 @@ class TestPairReduction:
             ia, ib = int(inner[k]), int(inner[-1 - k])
             f = tensor_signal([(1.0, (pts[ia], pts[ib]))], order)
             table = _product_tm_objective(f, [], grid)(pts, pts)
-            dense = np.asarray(table)
-            row_bound, col_bound = table.bounds()
-            assert np.all(dense <= row_bound[:, None]) and np.all(dense <= col_bound[None, :])
+            check_gain_bounds(table, np.asarray(table), grid)
             assert _pair_argmax(table)[0] == (ia, ib)
 
     def test_tie_goes_to_the_first_pair_before_the_seed_rows(self):
@@ -521,12 +555,41 @@ class TestPairReduction:
         rows_a[-1] = [1.0, 0.5]
         rows_b = np.eye(2, dtype=complex)
         table = _PairTable(rows_a, np.eye(2, dtype=complex), rows_b, (np.zeros(size), np.array([0.0, 0.75])))
-        row_bound, col_bound = table.bounds()
+        row_bound = check_gain_bounds(table, np.asarray(table))
         seeds = np.argsort(row_bound)[-PAIR_SEEDS:]
         assert size - 1 in seeds and 0 not in seeds
-        assert np.all(row_bound >= 1.0) and np.all(col_bound >= 1.0)
+        assert np.all(row_bound >= 1.0)
         assert _pair_argmax(table) == ((0, 0), 1.0)
         assert np.unravel_index(int(np.argmax(np.asarray(table))), table.shape) == (0, 0)
+
+    def test_tie_across_blocks_with_other_column_lanes(self):
+        # two lanes of 4 columns with gains 0 and 0.75, and a value of at
+        # most 1.  The seed rows 227..258 hold 1 at row 258; row 5 holds it
+        # in column 5 and row 150 in column 1.  The first row block (rows
+        # 0..112, terms at most 0.25) reaches 1 only on the second lane,
+        # the second (row 150's term is 1) on both: the tie still goes to
+        # (5, 5), the first pair
+        calls = []
+
+        class Recorded(_PairTable):
+            def block(self, rows=slice(None), cols=slice(None), work=None):
+                calls.append(np.arange(self.shape[1])[cols].tolist())
+                return super().block(rows, cols, work)
+
+        size, width = 2 * PAIR_BLOCK + 3, 2 * PAIR_LANES
+        rows_a = np.zeros((size, width), dtype=complex)
+        rows_a[:, [0, PAIR_LANES]] = 0.25
+        rows_a[size - PAIR_SEEDS : -1, [0, PAIR_LANES]] = [0.9, 0.4]
+        rows_a[-1, [0, PAIR_LANES]] = [1.0, 0.5]
+        rows_a[5] = np.eye(width)[PAIR_LANES + 1] * 0.5
+        rows_a[150] = np.eye(width)[1]
+        gains = (np.zeros(size), np.repeat([0.0, 0.75], PAIR_LANES))
+        table = Recorded(rows_a, np.eye(width, dtype=complex), np.eye(width, dtype=complex), gains)
+        dense = _PairTable.block(table)
+        check_gain_bounds(table, dense)
+        assert _pair_argmax(table) == ((5, PAIR_LANES + 1), 1.0)
+        assert calls == [list(range(width)), list(range(PAIR_LANES, width)), list(range(width))]
+        assert np.unravel_index(int(np.argmax(dense)), dense.shape) == (5, PAIR_LANES + 1)
 
     def test_tie_across_blocks_without_bounds(self):
         size = PAIR_BLOCK + 10
@@ -574,6 +637,50 @@ class TestPairReduction:
                 assert pick[0] == np.unravel_index(int(np.argmax(dense)), dense.shape)
             assert abs(pick[1] - dense.max()) <= 1e-12 * dense.max()
         assert survivors[-1] == tables[-1].shape[0] - PAIR_SEEDS and max(survivors[1::2]) > 0
+
+    def test_bench_image_picks_are_dense_on_fewer_pairs(self, tmp_path, monkeypatch):
+        # pp of the first bench image at seed 0, 5 afd2d-tm steps on the bench
+        # grid: each pick and its value bits are the dense table's when no
+        # near tie is at the top, no pair is scored twice, and the lanes of
+        # the blocks score no more pairs over the 5 steps (724k) than
+        # whole-column bounds would (1.32M; at steps 4 and 5 they score more)
+        spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        inputs.write_pgm(tmp_path / "image.pgm", inputs.image_2d(0, 0, 64))
+        f = load_image_2d(str(tmp_path / "image.pgm"), 64).pp
+        block, reduce, steps = _PairTable.block, hardy._pair_argmax, []
+
+        def recorded(table, rows=slice(None), cols=slice(None), work=None):
+            values = block(table, rows, cols, work)
+            if steps and steps[-1][2] is None:  # inside the reduction, not in the refinement after it
+                steps[-1][1].append((np.arange(table.shape[0])[rows], np.arange(table.shape[1])[cols], values.max()))
+            return values
+
+        def pair_argmax(table):
+            steps.append([table, [], None])
+            steps[-1][2] = reduce(table)
+            return steps[-1][2]
+
+        monkeypatch.setattr(_PairTable, "block", recorded)
+        monkeypatch.setattr(hardy, "_pair_argmax", pair_argmax)
+        afd2d_tm_decompose(f, 5, BENCH_GRID)
+        assert len(steps) == 5
+        scored = whole = 0
+        for table, calls, (pick, value) in steps:
+            dense = block(table)
+            top2 = np.sort(dense.ravel())[-2:]
+            if top2[1] - top2[0] > 1e-9 * top2[1]:
+                idx = np.unravel_index(int(np.argmax(dense)), dense.shape)
+                assert pick == idx and np.float64(value).tobytes() == dense[idx].tobytes()
+            for _, cols, _ in calls:  # whole lanes of columns, the last one cut at the table's edge
+                lanes = (np.unique(cols // PAIR_LANES)[:, None] * PAIR_LANES + np.arange(PAIR_LANES)).ravel()
+                assert np.array_equal(cols, lanes[lanes < table.shape[1]])
+            pairs = np.concatenate([(rows[:, None] * table.shape[1] + cols).ravel() for rows, cols, _ in calls])
+            assert np.unique(pairs).size == pairs.size
+            scored += pairs.size
+            whole += whole_column_pairs(table, calls[0][0], calls[0][2])
+        assert scored <= whole
 
 
 BENCH_GRID = GridSpec(radial_count=24, angular_count=48, max_radius=0.85)
@@ -666,8 +773,8 @@ class TestPairScreen:
 
     @pytest.mark.parametrize("seed", range(2))
     def test_row_subsets_keep_the_dense_bits(self, seed):
-        # whole rows keep the dense bits for any two or more of them; a
-        # subset of the columns need not
+        # whole rows keep the dense bits for any two or more of them, and so
+        # do whole lanes of PAIR_LANES columns; other column subsets need not
         pts = grid_points(BENCH_GRID)
         rng = np.random.default_rng(seed)
         f = random_hardy_2d(seed, 64)
@@ -680,6 +787,11 @@ class TestPairScreen:
             for count in (2, 3, 17, 65, pts.size - 1):
                 rows = np.sort(rng.choice(pts.size, count, replace=False))
                 assert table.block(rows).tobytes() == dense[rows].tobytes()
+                n_lanes = -(-pts.size // PAIR_LANES)
+                lanes = np.sort(rng.choice(n_lanes, min(count, n_lanes), replace=False))
+                cols = (lanes[:, None] * PAIR_LANES + np.arange(PAIR_LANES)).ravel()
+                cols = cols[cols < pts.size]
+                assert table.block(rows, cols).tobytes() == dense[np.ix_(rows, cols)].tobytes()
 
     def test_screen_leaves_few_rows(self):
         # blocks with the spectrum of the bench images, 1 / ((1 + k)(1 + l))
@@ -720,7 +832,7 @@ class TestPairScreen:
 
 
 class TestRingMajorant:
-    """The ring-majorant row and column bounds of ``_PairTable.bounds`` against the dense table."""
+    """The ring-majorant row and entrywise bounds of ``_PairTable.bounds`` against the dense table."""
 
     GRIDS = reduction_grids() + [BENCH_GRID]
 
@@ -747,8 +859,8 @@ class TestRingMajorant:
         a_pts, b_pts = self.points(grid, rng, off_grid), self.points(grid, rng, off_grid)
         table = _kernel_table(scale * TestPairScreen.middle(kind, seed, order), a_pts, b_pts, grid)
         dense = np.asarray(table)
-        row_bound, col_bound = table.bounds()
-        assert col_bound is None and np.all(dense.max(axis=1) <= row_bound)
+        row_bound, terms = table.bounds()
+        assert terms is None and np.all(dense.max(axis=1) <= row_bound)
         idx = np.unravel_index(int(np.argmax(dense)), dense.shape)
         (i, j), value = _pair_argmax(table)
         assert (i, j) == idx and np.float64(value).tobytes() == dense[idx].tobytes()
@@ -771,9 +883,7 @@ class TestRingMajorant:
             warnings.simplefilter("ignore")
             table = _product_tm_objective(f, random_history(rng, n_hist), grid)(a_pts, b_pts)
         with np.errstate(over="ignore"):
-            dense = np.asarray(table)
-            row_bound, col_bound = table.bounds()
-        assert np.all(dense.max(axis=1) <= row_bound) and np.all(dense.max(axis=0) <= col_bound)
+            check_gain_bounds(table, np.asarray(table), None if off_grid else grid)
 
     @pytest.mark.parametrize("grid_index", range(4))
     @pytest.mark.parametrize("order", [0, 16, 64])
