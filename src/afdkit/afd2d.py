@@ -105,7 +105,7 @@ def msp_product_tm(f, history, grid, *, _rows=None):
     single-axis terms, so the objective hands ``grid_argmax_pairs`` the
     factors of the pair table, and the reduction scores only the rows, and
     each block's lanes of columns, whose ring-majorant bounds reach the
-    maximum: about 6% of the pairs a bench step (``hardy._pair_argmax``).
+    maximum: about 4% of the pairs a bench step (``hardy._pair_argmax``).
 
     The energy comes from the reproducing property: with phi and psi the
     Blaschke products of the a- and b-history,
@@ -163,18 +163,18 @@ def reconstruct_product_tm(record, order):
     return FourierCoeffs2D(rows_a.T @ table @ rows_b, hardy=True)
 
 
-def pga_step(g, grid):
+def pga_step(g, grid, *, _probe=None):
     """One pure greedy selection over the tensor kernel dictionary.
 
     Maximizes |<g, e_a (x) e_b>| via the reproducing identity
     sqrt(1 - |a|^2) sqrt(1 - |b|^2) |g(a, b)| = |K_a C K_b^T|, the pair
     table of ``hardy._kernel_table``, reduced in row blocks without the
     table of all pairs, then returns the selected tensor atom and its
-    coefficient.
+    coefficient.  ``_probe`` is the section's list of ``hardy._pair_argmax``.
     """
     require_nonzero(g.energy())
     C = _hardy_block(g)
-    a, b, _ = grid_argmax_pairs(lambda a_pts, b_pts: _kernel_table(C, a_pts, b_pts, grid), grid)
+    a, b, _ = grid_argmax_pairs(lambda a_pts, b_pts: _kernel_table(C, a_pts, b_pts, grid, probe=_probe), grid)
     spec = TensorAtomSpec.of(a, b)
     coeff = inner_product_2d(g, tensor_atom_coeffs(spec, g.order))
     return spec, coeff
@@ -187,11 +187,11 @@ def pga_decompose(f, n_terms, grid, threshold=1e-12):
     and removes exactly the selected coefficient's energy, so residual
     energies are non-increasing and satisfy the per-step ledger identity.
     """
-    remainder = f
+    remainder, probe = f, [True]
 
     def step():
         nonlocal remainder
-        spec, coeff = pga_step(remainder, grid)
+        spec, coeff = pga_step(remainder, grid, _probe=probe)
         remainder = remainder - coeff * tensor_atom_coeffs(spec, f.order)
         return Step(atom=spec, coeff=coeff, residual_energy=remainder.energy())
 

@@ -50,10 +50,9 @@ def next_pow2(n):
     return p
 
 
-def _spectrum_index(order, hardy, size, ndim):
-    """Open-mesh index of the stored frequencies in a ``size``-point FFT spectrum per axis."""
-    k = np.arange(0 if hardy else -order, order + 1) % size
-    return np.ix_(*[k] * ndim)
+def _spectrum_index(order, hardy, size):
+    """Index of the stored frequencies in a ``size``-point FFT spectrum along one axis."""
+    return np.arange(0 if hardy else -order, order + 1) % size
 
 
 class FourierCoeffs:
@@ -111,7 +110,7 @@ class FourierCoeffs:
         if size < self.data.shape[0]:
             raise DimensionMismatchError("grid size %d too small for order %d" % (size, n))
         spectrum = np.zeros((size,) * self.ndim, dtype=complex)
-        spectrum[_spectrum_index(n, self.hardy, size, self.ndim)] = self.data
+        spectrum[np.ix_(*[_spectrum_index(n, self.hardy, size)] * self.ndim)] = self.data
         samples = np.fft.ifftn(spectrum)
         # one factor per axis: a single size**ndim rounds differently
         for _ in range(self.ndim):
@@ -123,7 +122,8 @@ class FourierCoeffs:
         """FFT of uniform boundary samples, truncated to the given order.
 
         Exact whenever the sampled signal is bandlimited to ``order`` and the
-        grid side is at least ``2*order + 1``; higher content aliases.
+        grid side is at least ``2*order + 1``; higher content aliases.  Axes
+        go last first, as in ``np.fft.fftn``, each pass over the lines kept.
         """
         samples = np.asarray(samples)
         if samples.ndim != cls.ndim or len(set(samples.shape)) != 1:
@@ -134,8 +134,10 @@ class FourierCoeffs:
                 "need a grid side of at least %d for order %d, got %d"
                 % (2 * order + 1, order, size)
             )
-        spectrum = np.fft.fftn(samples) / size**cls.ndim
-        return cls(spectrum[_spectrum_index(order, hardy, size, cls.ndim)], hardy=hardy)
+        spectrum, kept = samples, _spectrum_index(order, hardy, size)
+        for axis in reversed(range(cls.ndim)):
+            spectrum = np.fft.fft(spectrum, axis=axis).take(kept, axis=axis)
+        return cls(spectrum / size**cls.ndim, hardy=hardy)
 
     def __add__(self, other):
         self._check_compatible(other)
@@ -473,10 +475,10 @@ def _refine(objective, best, best_val, spec):
     return best, best_val
 
 
-# Most rows of a pair table scored at once, rows scored in full to seed the
-# bounds, the relative and absolute inflation of every bound, the rank of
-# the basis that screens a table without gains, and the lanes of columns a
-# block of a table with gains scores whole.  A reduction keeps one
+# Most rows of a pair table scored at once, rows scored in full to seed
+# screened bounds, the relative and absolute inflation of every bound, the
+# rank of the basis that screens a table without gains, and the lanes of
+# columns a block of a table with gains scores whole.  A reduction keeps one
 # workspace of 24 bytes per pair of a block, 3.5 MB at the bench grid's
 # P = 1,153 points against 31.9 MB for the dense table and its product.  The
 # seed rows hold every row the pga2d screen leaves on the bench images.
@@ -507,15 +509,15 @@ class _PairTable:
     or over whole lanes of ``PAIR_LANES`` columns from column 0: OpenBLAS's
     zgemm kernels take 4 columns at a time, and a short last lane rounds
     otherwise (random column subsets of the bench grid's tables did in
-    43-47 of 60 trials).  ``norms_sq``
-    holds the squared row norms of ``Ka`` and of ``Kb`` (the products are
-    those of the pair atoms), computed unless given, and ``rings`` the
-    ``_grid_rings`` of the columns on the grid, else None.
+    43-47 of 60 trials).  ``norms_sq`` holds the squared row norms of
+    ``Ka`` and of ``Kb`` (the products are those of the pair atoms) or
+    None, ``rings`` the ``_grid_rings`` of the columns on the grid, and
+    ``probe`` the one-item list of ``_pair_argmax``, [True] unless given.
     """
 
-    def __init__(self, rows_a, middle, rows_b, gains=None, norms_sq=None, rings=None):
-        self.rows_a, self.middle, self.rows_b, self.gains, self.rings = rows_a, middle, rows_b, gains, rings
-        self.norms_sq = norms_sq or tuple(np.sum(np.abs(rows) ** 2, axis=1) for rows in (rows_a, rows_b))
+    def __init__(self, rows_a, middle, rows_b, gains=None, norms_sq=None, rings=None, probe=None):
+        self.rows_a, self.middle, self.rows_b, self.gains = rows_a, middle, rows_b, gains
+        self.norms_sq, self.rings, self.probe = norms_sq, rings, probe or [True]
         self.left = rows_a @ middle
         self.shape = (rows_a.shape[0], rows_b.shape[0])
 
@@ -591,7 +593,7 @@ class _PairTable:
         z = middle[np.argsort(np.sum(np.abs(middle) ** 2, axis=1))[-q:]].conj().T
         basis = np.linalg.qr(middle.conj().T @ (middle @ z))[0]
         y = self.rows_b @ basis.conj()
-        sq_b = self.norms_sq[1]
+        sq_b = self.norms_sq[1] if self.norms_sq else np.sum(np.abs(self.rows_b) ** 2, axis=1)
         tail_b = np.sqrt(np.maximum(sq_b - np.sum(np.abs(y) ** 2, axis=1), 0.0) + eps * sq_b).max()
         yt = y.T.astype(np.complex64)
         n, m = self.shape
@@ -626,7 +628,7 @@ class _PairTable:
         return unit * (peak + slack), unit * tail, basis
 
 
-def _kernel_table(block, a_pts, b_pts, grid, single=None):
+def _kernel_table(block, a_pts, b_pts, grid, single=None, probe=None):
     """``|K_a block K_b^T|`` over all point pairs, K the ``kernel_rows`` of each axis.
 
     Entry (a, b) is |<g, e_a (x) e_b>|, g the power series of ``block``.
@@ -639,7 +641,7 @@ def _kernel_table(block, a_pts, b_pts, grid, single=None):
     gains = single and tuple(np.sum(np.abs(rows @ G) ** 2, axis=1) for rows, G in zip((rows_a, rows_b), single))
     on_grid = [_on_grid(pts, grid) for pts in (a_pts, b_pts)]
     norms = (_grid_kernel_norms_sq(grid, order),) * 2 if all(on_grid) else None
-    return _PairTable(rows_a, block, rows_b, gains, norms, _grid_rings(grid, order) if on_grid[1] else None)
+    return _PairTable(rows_a, block, rows_b, gains, norms, _grid_rings(grid, order) if on_grid[1] else None, probe)
 
 
 def _pair_argmax(table):
@@ -648,31 +650,34 @@ def _pair_argmax(table):
     Rows are scored in the blocks of ``_row_blocks`` in one workspace, and
     the running best moves on a larger value, or on an equal one at an
     earlier pair.  So no table of all pairs is allocated, and ties go to the
-    first pair, as ``np.argmax`` of the dense table gives them.  Every row
-    first gets the ring-majorant bound of ``bounds``.  Without gains, the
-    top row's largest value by its own product, less PAIR_MARGIN times its
-    bound (far above matrix-vector rounding), is at most the maximum; if at
-    most ``PAIR_SEEDS`` rows reach it, they (two at least) are the seeds,
-    else ``screen`` tightens the bounds and the ``PAIR_SEEDS`` largest are.
-    The seeds (all rows when at most one other is left) are scored in full,
-    then only the other rows whose bounds reach their maximum; with gains a
-    block scores the whole lanes that hold a column whose largest term in
-    the block, plus its gain, reaches the running best.  No row is scored
-    twice, and the tie-break holds.  A lone row left gets a non-seed
-    neighbour, as BLAS scores one row by its matrix-vector path.  Whole rows
-    and whole lanes keep the dense bits: the dense ``np.argmax`` and value.
+    first pair, as ``np.argmax`` of the dense table gives them.  Rows get
+    the ring-majorant bound of ``bounds``, without gains only while
+    ``table.probe[0]`` holds: then the top row's largest value by its own
+    product, less PAIR_MARGIN times its bound (far above matrix-vector
+    rounding), is at most the maximum, and if at most ``PAIR_SEEDS`` rows
+    reach it they (two at least) are the seeds.  Else ``probe[0]`` turns
+    False, ``screen`` tightens or sets the bounds and the ``PAIR_SEEDS``
+    largest are the seeds; with gains the two largest are.  The seeds (all
+    rows when at most one other is left) are scored in full, then only the
+    other rows whose bounds reach their maximum; with gains a block scores
+    the whole lanes that hold a column whose largest term in the block,
+    plus its gain, reaches the running best.  No row is scored twice, and
+    the tie-break holds.  A lone row left gets a non-seed neighbour, as BLAS
+    scores one row by its matrix-vector path.  Whole rows and whole lanes
+    keep the dense bits: the dense ``np.argmax`` and value.
     """
     n, m = table.shape
-    row_bound, terms = table.bounds()
+    row_bound, terms = table.bounds() if table.gains is not None or table.probe[0] else (np.full(n, np.inf), None)
     # allocated once the temporaries of ``bounds`` are freed; the screen needs it
     work = np.empty(3 * min(PAIR_BLOCK, n) * m)
-    count = PAIR_SEEDS
-    if terms is None:
+    count = 2
+    if terms is None and table.probe[0]:
         lower = np.abs(table.left[np.argmax(row_bound)] @ table.rows_b.T).max() - PAIR_MARGIN * row_bound.max()
         count = max(2, int(np.count_nonzero(row_bound >= lower)))
-        if count > PAIR_SEEDS:
-            count, screened = PAIR_SEEDS, table.screen(work)[0]
-            row_bound = row_bound if screened is None else np.minimum(row_bound, screened)
+        table.probe[0] = count <= PAIR_SEEDS
+    if terms is None and not table.probe[0]:
+        count, screened = PAIR_SEEDS, table.screen(work)[0]
+        row_bound = row_bound if screened is None else np.minimum(row_bound, screened)
     rows, cols = np.arange(n), slice(None)
     seeds = np.sort(np.argsort(row_bound)[-count:]) if n > count + 1 else rows
     values = table.block(seeds, work=work)

@@ -261,11 +261,6 @@ class SzegoDictionary1D:
         self.params = grid_points(grid)
 
     @cached_property
-    def _index(self):
-        """Grid index of each parameter, built on the first ``base_index`` call."""
-        return {complex(p): i for i, p in enumerate(self.params)}
-
-    @cached_property
     def _weights(self):
         """Normalizing factors sqrt(1-|a|^2) of the unit kernels, one per grid point."""
         return np.sqrt(1.0 - np.abs(self.params) ** 2)
@@ -285,10 +280,17 @@ class SzegoDictionary1D:
         return AtomSpec(complex(self.params[i]), 1)
 
     def base_index(self, spec):
-        """Grid index of a first-order spec, None for anything else."""
+        """Grid index of a first-order spec, None for anything else: the nearest point on the nearest ring, if equal."""
         if getattr(spec, "m", None) != 1:
             return None
-        return self._index.get(complex(spec.a))
+        return self._grid_index(complex(spec.a))
+
+    def _grid_index(self, a):
+        """``base_index`` of the parameter ``a``; the point of a ring at angle 0 is its radius."""
+        m = self.grid.angular_count
+        start = 1 + int(np.argmin(np.abs(self.params[1::m].real - abs(a)))) * m if a else 0
+        i = start + int(np.argmin(np.abs(self.params[start : start + m] - a)))
+        return i if self.params[i] == a else None
 
     def atom_vector(self, spec):
         return normalized_atom_coeffs(spec, self.order).data.copy()
@@ -336,7 +338,7 @@ class ProductSzegoDictionary2D:
         self.grid = grid
         self.params = grid_points(grid)
 
-    _index = SzegoDictionary1D._index
+    _grid_index = SzegoDictionary1D._grid_index
 
     @property
     def dim(self):
@@ -354,8 +356,7 @@ class ProductSzegoDictionary2D:
         """Flat pair index of a first-order tensor spec, None otherwise."""
         if spec.left.m != 1 or spec.right.m != 1:
             return None
-        ia = self._index.get(complex(spec.left.a))
-        ib = self._index.get(complex(spec.right.a))
+        ia, ib = self._grid_index(complex(spec.left.a)), self._grid_index(complex(spec.right.a))
         if ia is None or ib is None:
             return None
         return ia * self.params.size + ib
@@ -373,11 +374,11 @@ class ProductSzegoDictionary2D:
     def scan(self, g, frame, reduction, state):
         """Feed the pairs of grid points that can qualify, row-major, to ``reduction`` in row blocks.
 
-        After ``_bounds``, the ``PAIR_SEEDS`` rows of largest bound are
-        scored for a top gain.  Each block hands ``reduction.add`` its rows
-        from the first to the last that can reach rho times it, two at
-        least, whose values BLAS gives the bits of the whole product.
-        Returns (r^2, reduction), r^2 one entry per pair.
+        The ``PAIR_SEEDS`` rows of largest ``_bounds`` bound (ring majorant
+        or screen) are scored for a top gain.  Each block hands
+        ``reduction.add`` its rows from the first to the last that can reach
+        rho times it, two at least, whose values BLAS gives the bits of the
+        whole product.  Returns (r^2, reduction), r^2 one entry per pair.
         """
         n = self.params.size
         table, bound, work = self._bounds(g, frame, reduction, state)
@@ -406,16 +407,18 @@ class ProductSzegoDictionary2D:
         With K the grid's kernel rows, the table |K G K^T| of
         ``hardy._kernel_table`` holds the inner products, and frame row B_j
         removes the square of |K B_j K^T| from r^2, which starts at the
-        products of the squared row norms of K.  In the blocks of
+        products n_a n_b of the squared row norms n of K.  In the blocks of
         ``_row_blocks``, the frame rows added since the last call leave the
         r^2 a ``ScanState`` keeps, in the order a full recomputation would
         use, and r^2 goes to ``reduction.span``; r^2 is the only array held
-        for all pairs.  The screen (``_PairTable.heads``) bounds entry (a, b)
-        by unit (|h_ab| + s_a), so a usable pair of row a has a gain of at
-        most unit (sqrt(max_b |h_ab|^2 / r_ab^2) + s_a / sqrt(min_b r_ab^2)),
-        formed in float32 with 2^-60 added to s_a for |h| whose square
-        underflows and inflated by 2^-18 for the rounding.  No bounds
-        without a screen or with ``PAIR_SEEDS`` + 1 rows or fewer.
+        for all pairs.  With no frame rows the gains of row a are at most its
+        inflated ring majorant (``_PairTable.bounds``) over sqrt(n_a min n),
+        which rounds no lower.  Else the screen (``_PairTable.heads``) bounds
+        entry (a, b) by unit (|h_ab| + s_a), so a usable pair of row a has a
+        gain of at most unit (sqrt(max_b |h_ab|^2 / r_ab^2) + s_a /
+        sqrt(min_b r_ab^2)), formed in float32 with 2^-60 added to s_a for
+        |h| whose square underflows and inflated by 2^-18 for the rounding.
+        No bounds for ``PAIR_SEEDS`` + 1 rows or fewer, or without a screen.
         """
         side, pts, n = self.order + 1, self.params, self.params.size
         table = _kernel_table(_as_vector(g).reshape(side, side), pts, pts, self.grid)
@@ -425,7 +428,7 @@ class ProductSzegoDictionary2D:
         ]
         blocks = _row_blocks(n)
         work = np.empty(3 * max(blk.stop - blk.start for blk in blocks) * n)
-        screen = table.heads() if n > PAIR_SEEDS + 1 else None
+        screen = table.heads() if n > PAIR_SEEDS + 1 and len(frame) else None
         peak, least = np.empty((2, n), dtype=np.float32)  # max |h|^2 / r^2 and min r^2 of each row
         for blk in blocks:
             r_sq = state.r_sq[blk]
@@ -441,6 +444,8 @@ class ProductSzegoDictionary2D:
                 np.square(np.abs(head, out=values), out=values)
                 np.max(np.divide(values, r_sq32, out=values), axis=1, out=peak[blk])
                 np.min(r_sq32, axis=1, out=least[blk])
+        if n > PAIR_SEEDS + 1 and not len(frame):
+            return table, table.bounds()[0] / np.sqrt(table.norms_sq[0] * table.norms_sq[0].min()), work
         if screen is None:
             return table, None, work
         unit, _, _, slack, _ = screen

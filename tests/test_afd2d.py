@@ -564,11 +564,13 @@ class TestPairReduction:
 
     def test_tie_across_blocks_with_other_column_lanes(self):
         # two lanes of 4 columns with gains 0 and 0.75, and a value of at
-        # most 1.  The seed rows 227..258 hold 1 at row 258; row 5 holds it
-        # in column 5 and row 150 in column 1.  The first row block (rows
-        # 0..112, terms at most 0.25) reaches 1 only on the second lane,
-        # the second (row 150's term is 1) on both: the tie still goes to
-        # (5, 5), the first pair
+        # most 1.  The two seed rows, 258 and one of 227..257 (the largest
+        # bounds), hold 1 at row 258; row 5 holds it in column 5 and row
+        # 150 in column 1.  Every other row reaches the seed value, in
+        # three blocks: the first (rows 0..85, terms at most 0.25) reaches
+        # 1 only on the second lane, the second (row 150's term is 1) and
+        # the third (terms 1.69) on both.  The tie still goes to (5, 5), the
+        # first pair
         calls = []
 
         class Recorded(_PairTable):
@@ -588,7 +590,7 @@ class TestPairReduction:
         dense = _PairTable.block(table)
         check_gain_bounds(table, dense)
         assert _pair_argmax(table) == ((5, PAIR_LANES + 1), 1.0)
-        assert calls == [list(range(width)), list(range(PAIR_LANES, width)), list(range(width))]
+        assert calls == [list(range(width)), list(range(PAIR_LANES, width))] + [list(range(width))] * 2
         assert np.unravel_index(int(np.argmax(dense)), dense.shape) == (5, PAIR_LANES + 1)
 
     def test_tie_across_blocks_without_bounds(self):
@@ -602,8 +604,9 @@ class TestPairReduction:
     def test_no_row_is_scored_twice(self, seed, monkeypatch):
         # the seed rows are scored once, in full, by the first block call,
         # and only the other rows that survive their maximum are scored
-        # after them; a table with gains seeds PAIR_SEEDS rows, one without
-        # at least two
+        # after them, a table with gains in lanes of columns; a table with
+        # gains seeds two rows, one without at least two, and PAIR_SEEDS
+        # once screened, as it always is when it does not probe
         calls = []
         block = _PairTable.block
 
@@ -625,25 +628,33 @@ class TestPairReduction:
                                  np.array([[1.0], [0.5]], dtype=complex)))
         monkeypatch.setattr(_PairTable, "block", recorded)
         survivors = []
-        for table in tables:
+        for table, probe in [(t, True) for t in tables] + [(t, False) for t in tables if t.gains is None]:
             calls.clear()
+            table.probe = [probe]
             pick = _pair_argmax(table)
             scored = sum(calls, [])
             assert len(scored) == len(set(scored))
-            assert len(calls[0]) >= min(2 if table.gains is None else PAIR_SEEDS, table.shape[0])
+            if table.gains is not None:
+                assert len(calls[0]) == (2 if table.shape[0] > 3 else table.shape[0])
+            elif not probe:
+                assert len(calls[0]) == min(PAIR_SEEDS, table.shape[0]) and table.probe == [False]
+            else:
+                assert len(calls[0]) >= 2 and (len(calls[0]) == PAIR_SEEDS or table.probe == [True])
             survivors.append(len(scored) - len(calls[0]))
             dense = block(table)
             if table.gains is None:
                 assert pick[0] == np.unravel_index(int(np.argmax(dense)), dense.shape)
             assert abs(pick[1] - dense.max()) <= 1e-12 * dense.max()
-        assert survivors[-1] == tables[-1].shape[0] - PAIR_SEEDS and max(survivors[1::2]) > 0
+        assert survivors[len(tables) - 1] == tables[-1].shape[0] - PAIR_SEEDS == survivors[-1]
+        assert max(survivors[1 : len(tables) - 1 : 2]) > 0
 
     def test_bench_image_picks_are_dense_on_fewer_pairs(self, tmp_path, monkeypatch):
         # pp of the first bench image at seed 0, 5 afd2d-tm steps on the bench
         # grid: each pick and its value bits are the dense table's when no
         # near tie is at the top, no pair is scored twice, and the lanes of
-        # the blocks score no more pairs over the 5 steps (724k) than
-        # whole-column bounds would (1.32M; at steps 4 and 5 they score more)
+        # the blocks score no more pairs over the 5 steps (601k, 724k with 32
+        # seed rows) than whole-column bounds would after the same two seed
+        # rows (1.20M; at steps 1, 4 and 5 they score more)
         spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
         inputs = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(inputs)
@@ -681,6 +692,36 @@ class TestPairReduction:
             scored += pairs.size
             whole += whole_column_pairs(table, calls[0][0], calls[0][2])
         assert scored <= whole
+
+    def test_pga2d_probes_where_the_last_probe_spared_the_screen(self, tmp_path, monkeypatch):
+        # pp of the first bench image at seed 0, 5 pga2d steps on the bench
+        # grid: the first search's probe spares the screen, the second's
+        # does not, so the last three neither form the ring majorants nor
+        # probe; each pick and its value bits are the dense table's
+        spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        inputs.write_pgm(tmp_path / "image.pgm", inputs.image_2d(0, 0, 64))
+        f = load_image_2d(str(tmp_path / "image.pgm"), 64).pp
+        reduce, steps = hardy._pair_argmax, []
+
+        def pair_argmax(table):
+            steps.append([table, [], None])
+            steps[-1][2] = reduce(table)
+            return steps[-1][2]
+
+        def traced(name, method):
+            return lambda table, *args: steps[-1][1].append(name) or method(table, *args)
+
+        monkeypatch.setattr(_PairTable, "bounds", traced("bounds", _PairTable.bounds))
+        monkeypatch.setattr(_PairTable, "screen", traced("screen", _PairTable.screen))
+        monkeypatch.setattr(hardy, "_pair_argmax", pair_argmax)
+        pga_decompose(f, 5, BENCH_GRID)
+        assert [calls for _, calls, _ in steps] == [["bounds"], ["bounds", "screen"]] + [["screen"]] * 3
+        for table, _, (pick, value) in steps:
+            dense = np.asarray(table)
+            idx = np.unravel_index(int(np.argmax(dense)), dense.shape)
+            assert pick == idx and np.float64(value).tobytes() == dense[idx].tobytes()
 
 
 BENCH_GRID = GridSpec(radial_count=24, angular_count=48, max_radius=0.85)
@@ -810,9 +851,11 @@ class TestPairScreen:
         # the 32 seed rows hold 0.9 under majorants |x_0| + |x_1| of 1.1,
         # which the screen keeps: their third entry, which no column sees,
         # lifts its float32 allowance far above.  With the maximum's row
-        # they are more than PAIR_SEEDS rows, so the screen runs; that row
-        # holds 1 and alone reaches the seed value.  BLAS would score it
-        # alone by its matrix-vector path
+        # they are more than PAIR_SEEDS rows, so a probe turns False and the
+        # screen runs, as it does at once without a probe; their screened
+        # bounds are the largest either way.  The maximum's row holds 1 and
+        # alone reaches the seed value.  BLAS would score it alone by its
+        # matrix-vector path
         shapes = []
 
         class Recorded(_PairTable):
@@ -825,10 +868,13 @@ class TestPairScreen:
         rows_a[np.delete(np.arange(40), lone)[:PAIR_SEEDS]] = [1.0, -0.1, 1e8]
         rows_a[lone] = [1.0, 0.0, 0.0]
         rows_b = np.array([[1.0, 1.0, 0.0], [0.5, 0.5, 0.0]], dtype=complex)
-        table = Recorded(rows_a, np.eye(3, dtype=complex), rows_b)
-        assert _pair_argmax(table) == ((lone, 0), 1.0)
-        assert min(rows for rows, _ in shapes) == 2
-        assert sum(rows for rows, _ in shapes) == PAIR_SEEDS + 2
+        for probe in (True, False):
+            shapes.clear()
+            table = Recorded(rows_a, np.eye(3, dtype=complex), rows_b, probe=[probe])
+            assert _pair_argmax(table) == ((lone, 0), 1.0)
+            assert table.probe == [False]
+            assert min(rows for rows, _ in shapes) == 2
+            assert sum(rows for rows, _ in shapes) == PAIR_SEEDS + 2
 
 
 class TestRingMajorant:
@@ -854,6 +900,9 @@ class TestRingMajorant:
         off_grid=st.booleans(),
     )
     def test_bounds_hold_and_argmax_is_dense_without_gains(self, seed, order, kind, scale, grid_index, off_grid):
+        # probed (the majorant, then the screen if more than PAIR_SEEDS rows
+        # reach the probe's value) and unprobed (the screen alone, or no
+        # bound at all), the pick and its bits are the dense table's
         rng = np.random.default_rng(seed)
         grid = self.GRIDS[grid_index]
         a_pts, b_pts = self.points(grid, rng, off_grid), self.points(grid, rng, off_grid)
@@ -862,8 +911,11 @@ class TestRingMajorant:
         row_bound, terms = table.bounds()
         assert terms is None and np.all(dense.max(axis=1) <= row_bound)
         idx = np.unravel_index(int(np.argmax(dense)), dense.shape)
-        (i, j), value = _pair_argmax(table)
-        assert (i, j) == idx and np.float64(value).tobytes() == dense[idx].tobytes()
+        for probe in (True, False):
+            table.probe = [probe]
+            (i, j), value = _pair_argmax(table)
+            assert (i, j) == idx and np.float64(value).tobytes() == dense[idx].tobytes()
+            assert table.probe[0] in (True, False) and (probe or not table.probe[0])
 
     @settings(max_examples=40, deadline=None)
     @given(

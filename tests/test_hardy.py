@@ -35,6 +35,7 @@ from afdkit import (
     poga_decompose,
 )
 from afdkit.hardy import (
+    _PairTable,
     _grid_kernel_norms_sq,
     _kernel_table,
     _local_candidates,
@@ -113,7 +114,7 @@ def _reference_from_samples(samples, order, hardy):
         if hardy:
             return spectrum[: order + 1]
         return np.concatenate([spectrum[size - order :], spectrum[: order + 1]])
-    spectrum = np.fft.fft2(samples) / (size * size)
+    spectrum = np.fft.fftn(samples) / (size * size)
     if hardy:
         return spectrum[: order + 1, : order + 1]
     idx = np.r_[size - order : size, 0 : order + 1]
@@ -155,15 +156,21 @@ class TestFftViewsBitwise:
     @settings(max_examples=80, deadline=None)
     @given(
         cls=st.sampled_from(COEFF_TYPES),
-        order=st.integers(0, 24),
+        order=st.integers(0, 64),
         hardy=st.booleans(),
-        extra=st.integers(0, 40),
+        extra=st.integers(0, 140),
         seed=st.integers(0, 2**16),
+        pixels=st.booleans(),
     )
-    def test_from_samples(self, cls, order, hardy, extra, seed):
+    @example(cls=FourierCoeffs2D, order=64, hardy=False, extra=127, seed=5, pixels=True)  # a bench image
+    @example(cls=FourierCoeffs2D, order=64, hardy=False, extra=0, seed=6, pixels=True)  # an odd side, 129
+    def test_from_samples(self, cls, order, hardy, extra, seed, pixels):
+        # the 2-d transform takes its second pass over the kept columns only
+        # and still has the bits of ``np.fft.fftn``, odd sides included
         rng = np.random.default_rng(seed)
         size = 2 * order + 1 + extra
-        samples = rng.standard_normal((size,) * cls.ndim)
+        shape = (size,) * cls.ndim
+        samples = rng.integers(0, 256, shape) / 255.0 if pixels else rng.standard_normal(shape)  # pixels as ingested
         got = cls.from_samples(samples, order, hardy=hardy)
         assert got.hardy is hardy
         assert np.array_equal(got.data, _reference_from_samples(samples, order, hardy))
@@ -752,10 +759,15 @@ class TestEvalSeries:
             norms[0] = 0
         middle = np.eye(26, dtype=complex)
         assert all(cached is norms for cached in _kernel_table(middle, pts.copy(), pts, spec).norms_sq)
+        # off the grid (the refinement tables) no norms are summed; the
+        # screen sums the columns' own, with the bits of the given ones
         off_grid = pts[3:9] * 0.5
-        norms_a, norms_b = _kernel_table(middle, off_grid, pts, spec).norms_sq
-        assert norms_a.tobytes() == np.sum(np.abs(kernel_rows(off_grid, 25)) ** 2, axis=1).tobytes()
-        assert norms_b.tobytes() == norms.tobytes()
+        for a_pts, b_pts in ((off_grid, pts), (pts, off_grid)):
+            table = _kernel_table(middle, a_pts, b_pts, spec)
+            assert table.norms_sq is None
+            given = _PairTable(table.rows_a, middle, table.rows_b,
+                               norms_sq=tuple(np.sum(np.abs(kernel_rows(p, 25)) ** 2, axis=1) for p in (a_pts, b_pts)))
+            assert [np.asarray(x).tobytes() for x in table.heads()[:4]] == [np.asarray(x).tobytes() for x in given.heads()[:4]]
 
     def test_kernel_rows_give_szego_inner_products(self):
         spec = GridSpec(radial_count=3, angular_count=5, max_radius=0.8)

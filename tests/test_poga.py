@@ -314,35 +314,48 @@ class TestPogaDecompose:
         )
 
 
-class TestLazyIndex:
-    """``reconstruct_poga`` never reads the grid index; ``base_index`` builds it on demand."""
+class TestBaseIndex:
+    """``base_index`` finds a parameter from its ring and angle, as a dict of the grid points does."""
 
-    GRID = GridSpec(radial_count=4, angular_count=8, refine_levels=0, max_radius=0.4)
+    GRIDS = [
+        GridSpec(radial_count=4, angular_count=8, refine_levels=0, max_radius=0.4),
+        GridSpec(radial_count=24, angular_count=48, max_radius=0.85),
+        GridSpec(radial_count=48, angular_count=96, max_radius=0.95),
+        GridSpec(radial_count=1, angular_count=1, max_radius=0.5),
+    ]
 
-    @pytest.mark.parametrize(
-        "cls, signal",
-        [(SzegoDictionary1D, lambda: random_hardy_1d(5, 16)),
-         (ProductSzegoDictionary2D, lambda: random_hardy_2d(5, 12))],
-        ids=["1d", "2d"],
-    )
-    def test_replay_skips_index_and_lookup_matches_dict(self, cls, signal):
-        f = signal()
-        order = f.order
-        record = poga_decompose(f.data.ravel(), 3, cls(order, self.GRID))
-        dictionary = cls(order, self.GRID)
-        reconstruct_poga(record, dictionary)
-        assert "_index" not in vars(dictionary)
+    @staticmethod
+    def points(params, seed):
+        """Every grid point, then each nudged by an ulp, random points of the disc and signed zeros."""
+        rng = np.random.default_rng(seed)
+        nudged = [np.nextafter(params.real, 1.0) + 1j * params.imag, params.real + 1j * np.nextafter(params.imag, -1.0)]
+        disc = 0.99 * rng.uniform(0.0, 1.0, 50) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 50))
+        zeros = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(np.nan, 0.0)]
+        return [complex(a) for a in np.concatenate([params, *nudged, disc, zeros])]
 
-        eager = {complex(p): i for i, p in enumerate(dictionary.params)}
-        n = dictionary.params.size
-        for i in range(len(dictionary)):
-            spec = dictionary.base_spec(i)
-            if cls is SzegoDictionary1D:
-                want = eager[complex(spec.a)]
-            else:
-                want = eager[complex(spec.left.a)] * n + eager[complex(spec.right.a)]
-            assert dictionary.base_index(spec) == want
-        assert "_index" in vars(dictionary)
+    @pytest.mark.parametrize("grid_index", range(4))
+    def test_1d_lookup_matches_a_dict(self, grid_index):
+        dictionary = SzegoDictionary1D(8, self.GRIDS[grid_index])
+        reference = {complex(p): i for i, p in enumerate(dictionary.params)}
+        for a in self.points(dictionary.params, grid_index):
+            assert dictionary.base_index(AtomSpec(a)) == reference.get(a)
+            assert dictionary.base_index(AtomSpec(a, 2)) is None
+
+    @pytest.mark.parametrize("grid_index", range(4))
+    def test_2d_lookup_matches_a_dict(self, grid_index):
+        dictionary = ProductSzegoDictionary2D(4, self.GRIDS[grid_index])
+        reference = {complex(p): i for i, p in enumerate(dictionary.params)}
+        size = dictionary.params.size
+        points = self.points(dictionary.params, grid_index)
+        rng = np.random.default_rng(grid_index)
+        for a, b in zip(points, rng.permutation(points)):
+            ia, ib = reference.get(a), reference.get(complex(b))
+            want = None if ia is None or ib is None else ia * size + ib
+            assert dictionary.base_index(TensorAtomSpec.of(a, b)) == want
+            assert dictionary.base_index(TensorAtomSpec.of(a, b, 2, 1)) is None
+            assert dictionary.base_index(TensorAtomSpec.of(a, b, 1, 3)) is None
+        for i in rng.choice(size**2, 50):
+            assert dictionary.base_index(dictionary.base_spec(i)) == i
 
 
 class TestRateReport:
@@ -899,6 +912,106 @@ class TestRowBounds:
         gain = np.where(degenerate, -np.inf, gain).reshape(size, size)
         assert np.all(np.isfinite(bound)) and np.all(bound >= gain.max(axis=1))
         assert np.all(bound[degenerate.reshape(size, size).all(axis=1)] == 0.0)
+
+
+class _ScreenedDictionary(ProductSzegoDictionary2D):
+    """Scans an empty frame as a frame of one zero row, so through the screen with the bits of r^2."""
+
+    def _bounds(self, g, frame, reduction, state):
+        if len(frame):
+            return super()._bounds(g, frame, reduction, state)
+        zero = OrthoFrame(self.dim)
+        zero.matrix = np.zeros((1, self.dim), dtype=complex)
+        bounds = super()._bounds(g, zero, reduction, state)
+        state.rows = 0  # the zero row was never the frame's
+        return bounds
+
+
+class TestEmptyFrameBound:
+    """The ring-majorant row bounds of a 2-d scan whose frame is empty, against the dense gains."""
+
+    @staticmethod
+    def signal(dictionary, seed, kind, on_grid):
+        """A random block, or 1-3 tensor atoms at grid points or anywhere in the disc."""
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            return random_hardy_2d(seed, dictionary.order).data.ravel()
+        g = np.zeros(dictionary.dim, dtype=complex)
+        for _ in range(kind):
+            if on_grid:
+                a, b = dictionary.params[rng.integers(dictionary.params.size, size=2)]
+            else:
+                a, b = 0.95 * rng.uniform(0.0, 1.0, 2) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 2))
+            c = rng.standard_normal() + 1j * rng.standard_normal()
+            g += c * tensor_atom_coeffs(TensorAtomSpec.of(complex(a), complex(b)), dictionary.order).data.ravel()
+        return g
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        order=st.integers(0, 64),
+        kind=st.sampled_from(["random", 1, 2, 3]),
+        on_grid=st.booleans(),
+        scale=st.sampled_from([1e-200, 1e-30, 1.0, 1e30, 1e200]),
+        angular=st.integers(11, 20),
+        max_radius=st.sampled_from([0.3, 0.6, 0.9]),
+    )
+    def test_bounds_every_row(self, seed, order, kind, on_grid, scale, angular, max_radius):
+        # P = 3 angular + 1 > PAIR_SEEDS + 1 points, so the scan bounds its rows
+        dictionary = ProductSzegoDictionary2D(
+            order, GridSpec(radial_count=3, angular_count=angular, refine_levels=0, max_radius=max_radius)
+        )
+        size = dictionary.params.size
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            g = scale * self.signal(dictionary, seed, kind, on_grid)
+        frame = OrthoFrame(dictionary.dim)
+        _, bound, _ = dictionary._bounds(g, frame, _Reduction(1.0), ScanState())
+        gain, degenerate, _, _ = reference_scan_2d(dictionary, g, frame)
+        assert not degenerate.any()
+        assert bound.shape == (size,) and np.all(np.isfinite(bound))
+        assert np.all(bound >= gain.reshape(size, size).max(axis=1))
+
+    @pytest.mark.parametrize("order", [8, 64])
+    def test_atoms_on_the_grid_meet_their_bound(self, order):
+        # a lone tensor atom at grid points meets the majorant of its row up
+        # to rounding, on every ring, so its bound is its gain times
+        # sqrt(n_b / min n) up to rounding; at order 64 and radius 0.6
+        # every truncated kernel keeps its norm, n = 1, and the bound is the
+        # gain itself
+        dictionary = ProductSzegoDictionary2D(order, GridSpec(radial_count=3, angular_count=12, max_radius=0.6))
+        size = dictionary.params.size
+        frame = OrthoFrame(dictionary.dim)
+        for ia in range(size):
+            ib = (5 * ia + 3) % size
+            spec = TensorAtomSpec.of(complex(dictionary.params[ia]), complex(dictionary.params[ib]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                g = tensor_atom_coeffs(spec, order).data.ravel()
+            _, bound, _ = dictionary._bounds(g, frame, _Reduction(1.0), ScanState())
+            gain, _, _, r_sq = reference_scan_2d(dictionary, g, frame)
+            gain, r_sq = gain.reshape(size, size), r_sq.reshape(size, size)
+            assert np.all(bound >= gain.max(axis=1))
+            assert bound[ia] <= gain[ia, ib] * np.sqrt(r_sq[ia, ib] / r_sq[ia].min()) * (1.0 + 1e-6)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        order=st.integers(0, 24),
+        kind=st.sampled_from(["random", 1, 2, 3]),
+        on_grid=st.booleans(),
+        rho=st.sampled_from([1.0, 0.7, 0.5]),
+    )
+    def test_picks_match_a_screened_run(self, seed, order, kind, on_grid, rho):
+        grid = GridSpec(radial_count=3, angular_count=12, refine_levels=0, max_radius=0.9)
+        dictionary, screened = ProductSzegoDictionary2D(order, grid), _ScreenedDictionary(order, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            g = self.signal(dictionary, seed, kind, on_grid)
+            runs = [poga_decompose(g, 3, d, rho=rho) for d in (dictionary, screened)]
+        assert [(s.atom, bits(s.coeff.real), bits(s.coeff.imag), bits(s.r)) for s in runs[0].steps] == [
+            (s.atom, bits(s.coeff.real), bits(s.coeff.imag), bits(s.r)) for s in runs[1].steps
+        ]
 
 
 def test_bench_size_step_peak_memory():
