@@ -163,14 +163,15 @@ def reconstruct_product_tm(record, order):
     return FourierCoeffs2D(rows_a.T @ table @ rows_b, hardy=True)
 
 
-def pga_step(g, grid, *, _probe=None):
+def pga_step(g, grid, *, _probe=True):
     """One pure greedy selection over the tensor kernel dictionary.
 
     Maximizes |<g, e_a (x) e_b>| via the reproducing identity
     sqrt(1 - |a|^2) sqrt(1 - |b|^2) |g(a, b)| = |K_a C K_b^T|, the pair
     table of ``hardy._kernel_table``, reduced in row blocks without the
     table of all pairs, then returns the selected tensor atom and its
-    coefficient.  ``_probe`` is the section's list of ``hardy._pair_argmax``.
+    coefficient.  ``_probe``: ``hardy._pair_argmax`` probes the ring
+    majorants before it screens, as ``pga_decompose`` has its first search do.
     """
     require_nonzero(g.energy())
     C = _hardy_block(g)
@@ -187,11 +188,11 @@ def pga_decompose(f, n_terms, grid, threshold=1e-12):
     and removes exactly the selected coefficient's energy, so residual
     energies are non-increasing and satisfy the per-step ledger identity.
     """
-    remainder, probe = f, [True]
+    remainder = f
 
     def step():
         nonlocal remainder
-        spec, coeff = pga_step(remainder, grid, _probe=probe)
+        spec, coeff = pga_step(remainder, grid, _probe=remainder is f)
         remainder = remainder - coeff * tensor_atom_coeffs(spec, f.order)
         return Step(atom=spec, coeff=coeff, residual_energy=remainder.energy())
 

@@ -475,13 +475,13 @@ def _refine(objective, best, best_val, spec):
     return best, best_val
 
 
-# Most rows of a pair table scored at once, rows scored in full to seed
-# screened bounds, the relative and absolute inflation of every bound, the
-# rank of the basis that screens a table without gains, and the lanes of
-# columns a block of a table with gains scores whole.  A reduction keeps one
+# Most rows of a pair table scored at once, the most rows a pga2d probe may
+# leave unscreened (and the rows poga2d scores in full to seed its screened
+# bounds), the relative and absolute inflation of every bound, the rank of
+# the basis that screens a table without gains, and the lanes of columns a
+# block of a table with gains scores whole.  A reduction keeps one
 # workspace of 24 bytes per pair of a block, 3.5 MB at the bench grid's
-# P = 1,153 points against 31.9 MB for the dense table and its product.  The
-# seed rows hold every row the pga2d screen leaves on the bench images.
+# P = 1,153 points against 31.9 MB for the dense table and its product.
 PAIR_BLOCK, PAIR_SEEDS, PAIR_RANK, PAIR_LANES = 128, 32, 16, 4
 PAIR_MARGIN, PAIR_FLOOR = 1e-9, 2.0**-1000
 
@@ -490,9 +490,8 @@ def _row_blocks(n):
     """Slices that split ``n`` rows evenly into blocks of at most ``PAIR_BLOCK`` rows.
 
     Fixed blocks would leave a one-row tail at n = 1,153 (the bench grid),
-    and BLAS multiplies one row by its matrix-vector path, whose rounding
-    differs from the full product's; blocks of more rows keep its bits.
-    Even blocks hold at least 64 rows once there are two.
+    which ``_PairTable.block`` multiplies beside a neighbour; even blocks
+    hold at least 64 rows once there are two.
     """
     count = -(-n // PAIR_BLOCK)
     return [slice(n * k // count, n * (k + 1) // count) for k in range(count)]
@@ -505,28 +504,33 @@ class _PairTable:
     gains[0][i] + gains[1][j]`` when ``gains`` are given.  ``np.asarray``
     gives the dense table through the operations of a direct evaluation, so
     bit for bit; ``_pair_argmax`` reduces the table without allocating it.
-    ``block`` keeps those bits for two or more rows over all the columns,
-    or over whole lanes of ``PAIR_LANES`` columns from column 0: OpenBLAS's
-    zgemm kernels take 4 columns at a time, and a short last lane rounds
+    ``block`` keeps those bits for any rows over all the columns, or over
+    whole lanes of ``PAIR_LANES`` columns from column 0: OpenBLAS's zgemm
+    kernels take 4 columns at a time, and a short last lane rounds
     otherwise (random column subsets of the bench grid's tables did in
     43-47 of 60 trials).  ``norms_sq`` holds the squared row norms of
     ``Ka`` and of ``Kb`` (the products are those of the pair atoms) or
     None, ``rings`` the ``_grid_rings`` of the columns on the grid, and
-    ``probe`` the one-item list of ``_pair_argmax``, [True] unless given.
+    ``probe`` whether ``_pair_argmax`` probes the table before screening it.
     """
 
-    def __init__(self, rows_a, middle, rows_b, gains=None, norms_sq=None, rings=None, probe=None):
-        self.rows_a, self.middle, self.rows_b, self.gains = rows_a, middle, rows_b, gains
-        self.norms_sq, self.rings, self.probe = norms_sq, rings, probe or [True]
+    def __init__(self, rows_a, middle, rows_b, gains=None, norms_sq=None, rings=None, probe=True):
+        self.middle, self.rows_b, self.gains = middle, rows_b, gains
+        self.norms_sq, self.rings, self.probe = norms_sq, rings, probe
         self.left = rows_a @ middle
         self.shape = (rows_a.shape[0], rows_b.shape[0])
 
     def block(self, rows=slice(None), cols=slice(None), work=None):
         """The dense values of the rows by the columns given.
 
-        The complex product and the values go into ``work``, a float array
-        of at least 3 entries per value, allocated when not given.
+        The complex product and the values go into ``work``, 3 floats a
+        value (of two rows for one), allocated when not given.  A lone row is
+        multiplied beside a neighbour and its own values returned, as BLAS
+        multiplies one row by its matrix-vector path, which rounds otherwise.
         """
+        index = np.arange(self.shape[0])[rows]
+        pair = min(index[0], self.shape[0] - 2) if index.size == 1 < self.shape[0] else None  # the two rows' first
+        rows = rows if pair is None else slice(pair, pair + 2)
         left, right = self.left[rows], self.rows_b[cols].T
         shape = (left.shape[0], right.shape[1])
         size = shape[0] * shape[1]
@@ -537,7 +541,7 @@ class _PairTable:
             np.square(table, out=table)
             table += self.gains[0][rows, None]
             table += self.gains[1][None, cols]
-        return table
+        return table if pair is None else table[index[0] - pair, None]
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.block(), dtype=dtype)
@@ -628,7 +632,7 @@ class _PairTable:
         return unit * (peak + slack), unit * tail, basis
 
 
-def _kernel_table(block, a_pts, b_pts, grid, single=None, probe=None):
+def _kernel_table(block, a_pts, b_pts, grid, single=None, probe=True):
     """``|K_a block K_b^T|`` over all point pairs, K the ``kernel_rows`` of each axis.
 
     Entry (a, b) is |<g, e_a (x) e_b>|, g the power series of ``block``.
@@ -651,43 +655,36 @@ def _pair_argmax(table):
     the running best moves on a larger value, or on an equal one at an
     earlier pair.  So no table of all pairs is allocated, and ties go to the
     first pair, as ``np.argmax`` of the dense table gives them.  Rows get
-    the ring-majorant bound of ``bounds``, without gains only while
-    ``table.probe[0]`` holds: then the top row's largest value by its own
+    the ring-majorant bound of ``bounds``, without gains only when
+    ``table.probe`` holds: then the top row's largest value by its own
     product, less PAIR_MARGIN times its bound (far above matrix-vector
-    rounding), is at most the maximum, and if at most ``PAIR_SEEDS`` rows
-    reach it they (two at least) are the seeds.  Else ``probe[0]`` turns
-    False, ``screen`` tightens or sets the bounds and the ``PAIR_SEEDS``
-    largest are the seeds; with gains the two largest are.  The seeds (all
-    rows when at most one other is left) are scored in full, then only the
-    other rows whose bounds reach their maximum; with gains a block scores
-    the whole lanes that hold a column whose largest term in the block,
-    plus its gain, reaches the running best.  No row is scored twice, and
-    the tie-break holds.  A lone row left gets a non-seed neighbour, as BLAS
-    scores one row by its matrix-vector path.  Whole rows and whole lanes
-    keep the dense bits: the dense ``np.argmax`` and value.
+    rounding), is at most the maximum, and if more than ``PAIR_SEEDS`` rows
+    reach it, or without a probe, ``screen`` tightens or sets the bounds.
+    The two rows of largest bound are the seeds, scored in full, then only
+    the other rows whose bounds reach their maximum; with gains a block
+    scores the whole lanes that hold a column whose largest term in the
+    block, plus its gain, reaches the running best.  No row is scored twice
+    and the tie-break holds, and ``block`` keeps the dense bits: the dense
+    ``np.argmax`` and value.  Nothing is written to the table.
     """
     n, m = table.shape
-    row_bound, terms = table.bounds() if table.gains is not None or table.probe[0] else (np.full(n, np.inf), None)
+    row_bound, terms = table.bounds() if table.gains is not None or table.probe else (np.full(n, np.inf), None)
     # allocated once the temporaries of ``bounds`` are freed; the screen needs it
     work = np.empty(3 * min(PAIR_BLOCK, n) * m)
-    count = 2
-    if terms is None and table.probe[0]:
+    spared = terms is None and table.probe
+    if spared:
         lower = np.abs(table.left[np.argmax(row_bound)] @ table.rows_b.T).max() - PAIR_MARGIN * row_bound.max()
-        count = max(2, int(np.count_nonzero(row_bound >= lower)))
-        table.probe[0] = count <= PAIR_SEEDS
-    if terms is None and not table.probe[0]:
-        count, screened = PAIR_SEEDS, table.screen(work)[0]
+        spared = np.count_nonzero(row_bound >= lower) <= PAIR_SEEDS
+    if terms is None and not spared:
+        screened = table.screen(work)[0]
         row_bound = row_bound if screened is None else np.minimum(row_bound, screened)
-    rows, cols = np.arange(n), slice(None)
-    seeds = np.sort(np.argsort(row_bound)[-count:]) if n > count + 1 else rows
+    cols = slice(None)
+    seeds = np.sort(np.argsort(row_bound)[-2:])
     values = table.block(seeds, work=work)
     i, j = np.unravel_index(int(np.argmax(values)), values.shape)
     best = (int(seeds[i]), int(j)), float(values[i, j])
-    rest = np.delete(rows, seeds)
-    rows = rest[row_bound[rest] >= best[1]]
-    if rows.size == 1:
-        start = min(int(np.searchsorted(rest, rows[0])), rest.size - 2)
-        rows = rest[start : start + 2]
+    rows = np.delete(np.arange(n), seeds)
+    rows = rows[row_bound[rows] >= best[1]]
     for blk in _row_blocks(rows.size):
         if terms is not None:
             keep = (terms[0][rows[blk]].max(axis=0)[terms[1]] + table.gains[1]) * (1.0 + PAIR_MARGIN) + PAIR_FLOOR

@@ -377,8 +377,8 @@ class ProductSzegoDictionary2D:
         The ``PAIR_SEEDS`` rows of largest ``_bounds`` bound (ring majorant
         or screen) are scored for a top gain.  Each block hands
         ``reduction.add`` its rows from the first to the last that can reach
-        rho times it, two at least, whose values BLAS gives the bits of the
-        whole product.  Returns (r^2, reduction), r^2 one entry per pair.
+        rho times it, with the bits of the whole product (``_PairTable.block``).
+        Returns (r^2, reduction), r^2 one entry per pair.
         """
         n = self.params.size
         table, bound, work = self._bounds(g, frame, reduction, state)
@@ -396,9 +396,8 @@ class ProductSzegoDictionary2D:
         for blk in _row_blocks(n):
             rows = blk.start + np.flatnonzero(live[blk])
             if rows.size:
-                lo = min(rows[0], blk.stop - 2)
-                hi = max(rows[-1] + 1, lo + 2)
-                reduction.add(lo * n, table.block(slice(lo, hi), work=work).ravel(), state.r_sq[lo:hi].ravel())
+                span = slice(rows[0], rows[-1] + 1)
+                reduction.add(span.start * n, table.block(span, work=work).ravel(), state.r_sq[span].ravel())
         return state.r_sq.ravel(), reduction
 
     def _bounds(self, g, frame, reduction, state):
@@ -418,7 +417,7 @@ class ProductSzegoDictionary2D:
         gain of at most unit (sqrt(max_b |h_ab|^2 / r_ab^2) + s_a /
         sqrt(min_b r_ab^2)), formed in float32 with 2^-60 added to s_a for
         |h| whose square underflows and inflated by 2^-18 for the rounding.
-        No bounds for ``PAIR_SEEDS`` + 1 rows or fewer, or without a screen.
+        No bounds without a screen.
         """
         side, pts, n = self.order + 1, self.params, self.params.size
         table = _kernel_table(_as_vector(g).reshape(side, side), pts, pts, self.grid)
@@ -428,7 +427,7 @@ class ProductSzegoDictionary2D:
         ]
         blocks = _row_blocks(n)
         work = np.empty(3 * max(blk.stop - blk.start for blk in blocks) * n)
-        screen = table.heads() if n > PAIR_SEEDS + 1 and len(frame) else None
+        screen = table.heads() if len(frame) else None
         peak, least = np.empty((2, n), dtype=np.float32)  # max |h|^2 / r^2 and min r^2 of each row
         for blk in blocks:
             r_sq = state.r_sq[blk]
@@ -444,7 +443,7 @@ class ProductSzegoDictionary2D:
                 np.square(np.abs(head, out=values), out=values)
                 np.max(np.divide(values, r_sq32, out=values), axis=1, out=peak[blk])
                 np.min(r_sq32, axis=1, out=least[blk])
-        if n > PAIR_SEEDS + 1 and not len(frame):
+        if not len(frame):
             return table, table.bounds()[0] / np.sqrt(table.norms_sq[0] * table.norms_sq[0].min()), work
         if screen is None:
             return table, None, work
@@ -569,8 +568,9 @@ def poga_decompose(
     entering the convergence-rate bound; otherwise the grid supremum is
     recorded.
 
-    Returns the record.  Its atoms replay the frame through
-    ``OrthoFrame.extend``, as ``reconstruct_poga`` does.
+    It stops after ``dictionary.dim`` steps, which span the space.  Returns
+    the record; its atoms replay the frame through ``OrthoFrame.extend``, as
+    ``reconstruct_poga`` does.
     """
     if not 0.0 < rho <= 1.0:
         raise DomainError("rho must lie in (0, 1]")
@@ -595,7 +595,7 @@ def poga_decompose(
                     residual_energy=float(np.linalg.norm(g)) ** 2)
 
     record = Record(initial_energy=float(np.linalg.norm(g)) ** 2, rho=rho)
-    return greedy(record, n_terms, threshold, step)
+    return greedy(record, min(n_terms, dictionary.dim), threshold, step)
 
 
 def reconstruct_poga(record, dictionary):

@@ -463,7 +463,17 @@ def whole_column_pairs(table, seeds, seed_value):
     major += np.maximum.reduceat(table.gains[0], np.flatnonzero(np.diff(labels, prepend=-1)))
     col_bound = (major.max(axis=1) + table.gains[1]) * (1.0 + PAIR_MARGIN) + PAIR_FLOOR
     rows = np.count_nonzero(np.delete(table.bounds()[0], seeds) >= seed_value)
-    return seeds.size * table.shape[1] + (rows + (rows == 1)) * np.count_nonzero(col_bound >= seed_value)
+    return seeds.size * table.shape[1] + rows * np.count_nonzero(col_bound >= seed_value)
+
+
+def bench_image(tmp_path, template=0):
+    """The ``pp`` part of bench image ``template`` at seed 0, order 64."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    path = tmp_path / ("image%d.pgm" % template)
+    inputs.write_pgm(path, inputs.image_2d(template, 0, 64))
+    return load_image_2d(str(path), 64).pp
 
 
 class TestPairReduction:
@@ -602,11 +612,11 @@ class TestPairReduction:
 
     @pytest.mark.parametrize("seed", range(2))
     def test_no_row_is_scored_twice(self, seed, monkeypatch):
-        # the seed rows are scored once, in full, by the first block call,
-        # and only the other rows that survive their maximum are scored
-        # after them, a table with gains in lanes of columns; a table with
-        # gains seeds two rows, one without at least two, and PAIR_SEEDS
-        # once screened, as it always is when it does not probe
+        # the two seed rows are scored once, in full, by the first block
+        # call, and only the other rows that survive their maximum are
+        # scored after them, a table with gains in lanes of columns; every
+        # table, with gains or without, probed or not, seeds two rows (all
+        # of a table of fewer), and the search writes nothing to the table
         calls = []
         block = _PairTable.block
 
@@ -630,22 +640,19 @@ class TestPairReduction:
         survivors = []
         for table, probe in [(t, True) for t in tables] + [(t, False) for t in tables if t.gains is None]:
             calls.clear()
-            table.probe = [probe]
+            table.probe = probe
+            state = dict(vars(table))
             pick = _pair_argmax(table)
+            assert vars(table).keys() == state.keys() and all(vars(table)[k] is v for k, v in state.items())
             scored = sum(calls, [])
             assert len(scored) == len(set(scored))
-            if table.gains is not None:
-                assert len(calls[0]) == (2 if table.shape[0] > 3 else table.shape[0])
-            elif not probe:
-                assert len(calls[0]) == min(PAIR_SEEDS, table.shape[0]) and table.probe == [False]
-            else:
-                assert len(calls[0]) >= 2 and (len(calls[0]) == PAIR_SEEDS or table.probe == [True])
+            assert len(calls[0]) == min(2, table.shape[0])
             survivors.append(len(scored) - len(calls[0]))
             dense = block(table)
             if table.gains is None:
                 assert pick[0] == np.unravel_index(int(np.argmax(dense)), dense.shape)
             assert abs(pick[1] - dense.max()) <= 1e-12 * dense.max()
-        assert survivors[len(tables) - 1] == tables[-1].shape[0] - PAIR_SEEDS == survivors[-1]
+        assert survivors[len(tables) - 1] == tables[-1].shape[0] - 2 == survivors[-1]
         assert max(survivors[1 : len(tables) - 1 : 2]) > 0
 
     def test_bench_image_picks_are_dense_on_fewer_pairs(self, tmp_path, monkeypatch):
@@ -655,11 +662,7 @@ class TestPairReduction:
         # the blocks score no more pairs over the 5 steps (601k, 724k with 32
         # seed rows) than whole-column bounds would after the same two seed
         # rows (1.20M; at steps 1, 4 and 5 they score more)
-        spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
-        inputs = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(inputs)
-        inputs.write_pgm(tmp_path / "image.pgm", inputs.image_2d(0, 0, 64))
-        f = load_image_2d(str(tmp_path / "image.pgm"), 64).pp
+        f = bench_image(tmp_path)
         block, reduce, steps = _PairTable.block, hardy._pair_argmax, []
 
         def recorded(table, rows=slice(None), cols=slice(None), work=None):
@@ -693,16 +696,13 @@ class TestPairReduction:
             whole += whole_column_pairs(table, calls[0][0], calls[0][2])
         assert scored <= whole
 
-    def test_pga2d_probes_where_the_last_probe_spared_the_screen(self, tmp_path, monkeypatch):
+    def test_pga2d_probes_its_first_search_only(self, tmp_path, monkeypatch):
         # pp of the first bench image at seed 0, 5 pga2d steps on the bench
-        # grid: the first search's probe spares the screen, the second's
-        # does not, so the last three neither form the ring majorants nor
-        # probe; each pick and its value bits are the dense table's
-        spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
-        inputs = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(inputs)
-        inputs.write_pgm(tmp_path / "image.pgm", inputs.image_2d(0, 0, 64))
-        f = load_image_2d(str(tmp_path / "image.pgm"), 64).pp
+        # grid: the first search's probe spares the screen, and the last
+        # four neither form the ring majorants nor probe, as the remainder
+        # is no longer the input; each pick and its value bits are the
+        # dense table's
+        f = bench_image(tmp_path)
         reduce, steps = hardy._pair_argmax, []
 
         def pair_argmax(table):
@@ -717,7 +717,8 @@ class TestPairReduction:
         monkeypatch.setattr(_PairTable, "screen", traced("screen", _PairTable.screen))
         monkeypatch.setattr(hardy, "_pair_argmax", pair_argmax)
         pga_decompose(f, 5, BENCH_GRID)
-        assert [calls for _, calls, _ in steps] == [["bounds"], ["bounds", "screen"]] + [["screen"]] * 3
+        assert [calls for _, calls, _ in steps] == [["bounds"]] + [["screen"]] * 4
+        assert [table.probe for table, _, _ in steps] == [True] + [False] * 4
         for table, _, (pick, value) in steps:
             dense = np.asarray(table)
             idx = np.unravel_index(int(np.argmax(dense)), dense.shape)
@@ -834,6 +835,34 @@ class TestPairScreen:
                 cols = cols[cols < pts.size]
                 assert table.block(rows, cols).tobytes() == dense[np.ix_(rows, cols)].tobytes()
 
+    @pytest.mark.parametrize("template", range(4))
+    def test_one_row_blocks_keep_the_dense_bits(self, template, tmp_path):
+        # BLAS multiplies a lone row by its matrix-vector path, whose bits
+        # differ from the full product's: ``block`` multiplies it beside a
+        # neighbour, for a row given as a slice or an index, with gains or
+        # without, over all columns or whole lanes, at the first and the
+        # last row too (whose neighbour comes before it)
+        pts = grid_points(BENCH_GRID)
+        rng = np.random.default_rng(template)
+        f = bench_image(tmp_path, template)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tables = [_kernel_table(f.data, pts, pts, BENCH_GRID),
+                      _product_tm_objective(f, random_history(rng, template % 3), BENCH_GRID)(pts, pts)]
+        n_lanes = -(-pts.size // PAIR_LANES)
+        for table in tables:
+            dense = np.asarray(table)
+            work = np.empty(3 * 2 * pts.size)
+            for row in [0, pts.size - 1] + rng.choice(pts.size, 20, replace=False).tolist():
+                lanes = np.sort(rng.choice(n_lanes, 40, replace=False))
+                cols = (lanes[:, None] * PAIR_LANES + np.arange(PAIR_LANES)).ravel()
+                cols = cols[cols < pts.size]
+                for rows in (slice(row, row + 1), np.array([row])):
+                    assert table.block(rows, work=work).tobytes() == dense[[row]].tobytes()
+                    assert table.block(rows, cols, work=work).tobytes() == dense[[row]][:, cols].tobytes()
+        single = _kernel_table(f.data, pts[:1], pts, BENCH_GRID)  # no neighbour: the row is the table
+        assert single.block(np.array([0])).tobytes() == np.asarray(single).tobytes()
+
     def test_screen_leaves_few_rows(self):
         # blocks with the spectrum of the bench images, 1 / ((1 + k)(1 + l))
         pts = grid_points(BENCH_GRID)
@@ -848,33 +877,34 @@ class TestPairScreen:
 
     @pytest.mark.parametrize("lone", [0, 20, 39])
     def test_a_lone_row_is_scored_with_a_neighbour(self, lone):
-        # the 32 seed rows hold 0.9 under majorants |x_0| + |x_1| of 1.1,
+        # the two seed rows hold 0.9 under majorants |x_0| + |x_1| of 1.1,
         # which the screen keeps: their third entry, which no column sees,
-        # lifts its float32 allowance far above.  With the maximum's row
-        # they are more than PAIR_SEEDS rows, so a probe turns False and the
-        # screen runs, as it does at once without a probe; their screened
-        # bounds are the largest either way.  The maximum's row holds 1 and
-        # alone reaches the seed value.  BLAS would score it alone by its
-        # matrix-vector path
+        # lifts its float32 allowance far above.  Their bounds are the
+        # largest, probed (three rows reach the probe's value, so the screen
+        # is spared) or not (the screen alone).  The maximum's row holds 1
+        # and alone reaches the seed value, so it goes to ``block`` alone,
+        # which multiplies it beside a neighbour (before it at the last
+        # row) and returns its own values with the dense bits
         shapes = []
 
         class Recorded(_PairTable):
             def block(self, rows=slice(None), cols=slice(None), work=None):
                 values = super().block(rows, cols, work)
-                shapes.append(values.shape)
+                shapes.append((np.arange(self.shape[0])[rows].tolist(), values))
                 return values
 
         rows_a = np.tile([0.1, 0.0, 0.0 + 0j], (40, 1))
-        rows_a[np.delete(np.arange(40), lone)[:PAIR_SEEDS]] = [1.0, -0.1, 1e8]
+        seeds = sorted(np.delete(np.arange(40), lone)[[0, -1]])
+        rows_a[seeds] = [1.0, -0.1, 1e8]
         rows_a[lone] = [1.0, 0.0, 0.0]
         rows_b = np.array([[1.0, 1.0, 0.0], [0.5, 0.5, 0.0]], dtype=complex)
         for probe in (True, False):
             shapes.clear()
-            table = Recorded(rows_a, np.eye(3, dtype=complex), rows_b, probe=[probe])
+            table = Recorded(rows_a, np.eye(3, dtype=complex), rows_b, probe=probe)
+            dense = _PairTable.block(table)
             assert _pair_argmax(table) == ((lone, 0), 1.0)
-            assert table.probe == [False]
-            assert min(rows for rows, _ in shapes) == 2
-            assert sum(rows for rows, _ in shapes) == PAIR_SEEDS + 2
+            assert [rows for rows, _ in shapes] == [seeds, [lone]]
+            assert shapes[1][1].tobytes() == dense[[lone]].tobytes()
 
 
 class TestRingMajorant:
@@ -912,10 +942,10 @@ class TestRingMajorant:
         assert terms is None and np.all(dense.max(axis=1) <= row_bound)
         idx = np.unravel_index(int(np.argmax(dense)), dense.shape)
         for probe in (True, False):
-            table.probe = [probe]
+            table.probe = probe
             (i, j), value = _pair_argmax(table)
             assert (i, j) == idx and np.float64(value).tobytes() == dense[idx].tobytes()
-            assert table.probe[0] in (True, False) and (probe or not table.probe[0])
+            assert table.probe is probe
 
     @settings(max_examples=40, deadline=None)
     @given(

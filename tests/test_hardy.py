@@ -765,7 +765,7 @@ class TestEvalSeries:
         for a_pts, b_pts in ((off_grid, pts), (pts, off_grid)):
             table = _kernel_table(middle, a_pts, b_pts, spec)
             assert table.norms_sq is None
-            given = _PairTable(table.rows_a, middle, table.rows_b,
+            given = _PairTable(kernel_rows(a_pts, 25, spec), middle, table.rows_b,
                                norms_sq=tuple(np.sum(np.abs(kernel_rows(p, 25)) ** 2, axis=1) for p in (a_pts, b_pts)))
             assert [np.asarray(x).tobytes() for x in table.heads()[:4]] == [np.asarray(x).tobytes() for x in given.heads()[:4]]
 

@@ -28,6 +28,7 @@ from afdkit import (
     szego_coeffs,
     tensor_atom_coeffs,
 )
+from afdkit.cli import RecordFile, encode_section, load_record, save_record, verify_record
 from afdkit.hardy import PAIR_BLOCK, PAIR_SEEDS
 from afdkit.poga import EPS_SPAN, R2_SPAN, ScanState, _escalated_candidates, _Reduction, _select
 from conftest import (
@@ -305,6 +306,29 @@ class TestPogaDecompose:
         for i, step in enumerate(record.steps):
             assert abs(d[i] - d[i + 1] - abs(step.coeff) ** 2) < 1e-10
 
+    @pytest.mark.parametrize("dictionary", [
+        SzegoDictionary1D(8, GridSpec(radial_count=6, angular_count=12, refine_levels=0, max_radius=0.8)),
+        ProductSzegoDictionary2D(3, GridSpec(radial_count=3, angular_count=6, refine_levels=0, max_radius=0.8)),
+    ], ids=["1d", "2d"])
+    def test_runs_past_the_dimension_stop_at_it(self, dictionary, tmp_path):
+        # dim steps span the truncated space, so a run asked for more stops
+        # there instead of finding no usable atom; its record verifies and
+        # reconstructs the input
+        f = (random_hardy_1d(5, 8) if dictionary.dim == 9 else random_hardy_2d(5, 3)).data.ravel()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            record = poga_decompose(f, dictionary.dim + 3, dictionary, threshold=0)
+            assert len(record.steps) == dictionary.dim
+            assert record.steps[-1].residual_energy <= 1e-24 * record.initial_energy
+            np.testing.assert_allclose(reconstruct_poga(record, dictionary), f, rtol=0, atol=1e-12)
+            grid = dictionary.grid
+            meta = [("algorithm", "poga1d" if dictionary.dim == 9 else "poga2d"), ("order", str(dictionary.order)),
+                    ("samples", "32"), ("grid_radial", str(grid.radial_count)),
+                    ("grid_angular", str(grid.angular_count)), ("refine_levels", "0"),
+                    ("max_radius", str(grid.max_radius)), ("rho", "1")]
+            save_record(RecordFile(meta, [encode_section("main", meta[0][1], record)]), tmp_path / "dim.rec")
+            assert all(check.ok for check in verify_record(load_record(tmp_path / "dim.rec")))
+
     def test_reconstruction_matches_remainder(self, dict1d):
         f = random_hardy_1d(90, ORDER)
         record = poga_decompose(f.data, 6, dict1d)
@@ -412,6 +436,36 @@ class TestRateReport:
             assert report.ok
             assert all(row.slack >= 0 for row in report.rows)
             assert report.recurrence_ok and report.conclusion_ok
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        order=st.integers(6, 24),
+        radial=st.integers(1, 4),
+        angular=st.integers(3, 8),
+        max_radius=st.floats(0.3, 0.9),
+        rho=st.floats(0.3, 1.0),
+        n_atoms=st.integers(1, 5),
+        n_terms=st.integers(1, 8),
+    )
+    def test_2d_synthesis_runs_meet_bound(self, seed, order, radial, angular, max_radius, rho, n_atoms, n_terms):
+        # the rate theorem on the 2-torus: f a sum of tensor atoms at grid
+        # pairs with coefficient 1-norm M, so ||g_m|| <= R_m M / (rho sqrt(m));
+        # a remainder raised to twice its bound is a violation
+        rng = np.random.default_rng(seed)
+        grid = GridSpec(radial_count=radial, angular_count=angular, refine_levels=0, max_radius=max_radius)
+        dictionary = ProductSzegoDictionary2D(order, grid)
+        specs = [dictionary.base_spec(i) for i in rng.choice(len(dictionary), n_atoms, replace=False)]
+        coeffs = rng.standard_normal(n_atoms) + 1j * rng.standard_normal(n_atoms)
+        M = float(np.sum(np.abs(coeffs)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            f = sum(c * dictionary.atom_vector(spec) for c, spec in zip(coeffs, specs))
+            record = poga_decompose(f, n_terms, dictionary, rho=rho, synthesis=specs)
+        report = rate_report(record, M)
+        assert report.ok and report.recurrence_ok and report.conclusion_ok
+        record.steps[-1].residual_energy = (2.0 * report.rows[-1].bound) ** 2
+        assert not rate_report(record, M).ok
 
     def test_no_steps_give_no_rows(self):
         from afdkit import Record
