@@ -21,14 +21,12 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    DegenerateInputError,
-    DimensionMismatchError,
-    DomainError,
     IngestError,
     InvariantViolation,
     RecordFormatError,
     SpanDegeneracyError,
     TruncationError,
+    UsageError,
 )
 from .hardy import (
     FourierCoeffs1D,
@@ -244,28 +242,34 @@ def load_record(path):
         text = buf.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise RecordFormatError("%s: not UTF-8 text at byte %d" % (path, exc.start))
-    lines = []
-    offset = 0
-    for raw in text.split("\n"):
-        lines.append((offset, raw))
-        offset += len(raw.encode("utf-8")) + 1
+    lines = text.split("\n")
 
     def fail(i, msg):
-        at = lines[i][0] if i < len(lines) else len(buf)
+        at = min(len(buf), sum(len(line.encode("utf-8")) + 1 for line in lines[:i]))
         raise RecordFormatError("%s: %s at byte %d" % (path, msg, at))
 
-    if lines[0][1] != FORMAT_HEADER:
-        raise RecordFormatError(
-            "%s: unsupported record version %r (expected %r) at byte 0"
-            % (path, lines[0][1], FORMAT_HEADER)
-        )
+    def number(i, key, parse, what, valid, invalid):
+        """The one value of the ``key`` line i, parsed by ``parse``; it must pass ``valid``."""
+        parts = lines[i].split(" ")
+        if parts[0] != key or len(parts) != 2:
+            fail(i, "expected %s line" % key)
+        try:
+            value = parse(parts[1])
+        except ValueError:
+            fail(i, "non-numeric " + what)
+        if not valid(value):
+            fail(i, "%s %s" % (invalid, what))
+        return value
+
+    if lines[0] != FORMAT_HEADER:
+        fail(0, "unsupported record version %r (expected %r)" % (lines[0], FORMAT_HEADER))
     record = RecordFile()
     i = 1
     ended = False
     while i < len(lines):
-        line = lines[i][1]
+        line = lines[i]
         if line == "":
-            if ended and all(l == "" for _, l in lines[i:]):
+            if ended and all(rest == "" for rest in lines[i:]):
                 break
             fail(i, "unexpected blank line")
         if ended:
@@ -275,34 +279,17 @@ def load_record(path):
             record.meta.append((parts[1], " ".join(parts[2:])))
             i += 1
         elif parts[0] == "section" and len(parts) == 3:
-            name, algorithm = parts[1], parts[2]
             if i + 2 >= len(lines):
                 fail(len(lines), "truncated section header")
-            e_parts = lines[i + 1][1].split(" ")
-            s_parts = lines[i + 2][1].split(" ")
-            if e_parts[0] != "energy" or len(e_parts) != 2:
-                fail(i + 1, "expected energy line")
-            if s_parts[0] != "steps" or len(s_parts) != 2:
-                fail(i + 2, "expected steps line")
-            try:
-                energy = float(e_parts[1])
-            except ValueError:
-                fail(i + 1, "non-numeric energy")
-            try:
-                count = int(s_parts[1])
-            except ValueError:
-                fail(i + 2, "non-numeric step count")
-            if not math.isfinite(energy):
-                fail(i + 1, "non-finite energy")
-            if count < 0:
-                fail(i + 2, "negative step count")
-            sec = RecordSection(name=name, algorithm=algorithm, initial_energy=energy)
+            energy = number(i + 1, "energy", float, "energy", math.isfinite, "non-finite")
+            count = number(i + 2, "steps", int, "step count", lambda n: n >= 0, "negative")
+            sec = RecordSection(name=parts[1], algorithm=parts[2], initial_energy=energy)
             i += 3
             for k in range(count):
-                if i >= len(lines) or not lines[i][1].startswith("step "):
+                if i >= len(lines) or not lines[i].startswith("step "):
                     fail(i, "truncated record (missing step %d of %d)" % (k + 1, count))
                 try:
-                    fields = [float(x) for x in lines[i][1].split(" ")[1:]]
+                    fields = [float(x) for x in lines[i].split(" ")[1:]]
                 except ValueError:
                     fail(i, "non-numeric step fields")
                 if not all(map(math.isfinite, fields)):
@@ -316,7 +303,7 @@ def load_record(path):
         else:
             fail(i, "unrecognized line %r" % line)
     if not ended:
-        raise RecordFormatError("%s: truncated record at byte %d" % (path, len(buf)))
+        fail(len(lines), "truncated record")
     return record
 
 
@@ -443,8 +430,9 @@ def decode_section(sec, meta):
         raise RecordFormatError("unknown algorithm %r in record" % sec.algorithm)
     poga = sec.algorithm in _POGA
     rho = _meta_field(meta, "rho", float, "1") if poga else None
-    if poga and not 0.0 < rho <= 1.0:
-        raise RecordFormatError("record meta rho must lie in (0, 1], got %r" % rho)
+    *_, valid, rule = _SETTINGS["rho"]
+    if poga and not valid(rho):
+        raise RecordFormatError("record meta %s, got %r" % (rule, rho))
     top = _meta_field(meta, "order", int) + 1 if poga and "order" in meta else math.inf
     # (field, decode, offset) of each step field; ``width`` counts the floats
     # without block entries, and ``at`` is the offset of the block count, or None
@@ -846,8 +834,9 @@ def build_parser():
 def cli_main(argv=None):
     """Entry point returning the process exit status.
 
-    0 on success, 1 on invariant violations (broken ledger, negative rate
-    slack, truncation blow-up), 2 on usage or ingestion errors.
+    0 on success, 1 on an ``InvariantViolation`` (broken ledger, negative
+    rate slack) or ``TruncationError``, 2 on a ``UsageError`` (a setting,
+    input file or record the run cannot use) or ``OSError``.
     """
     try:
         args = build_parser().parse_args(argv)
@@ -858,15 +847,7 @@ def cli_main(argv=None):
     except (InvariantViolation, TruncationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except (
-        IngestError,
-        RecordFormatError,
-        ConfigError,
-        DomainError,
-        DimensionMismatchError,
-        DegenerateInputError,
-        OSError,
-    ) as exc:
+    except (UsageError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

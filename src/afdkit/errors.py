@@ -1,19 +1,23 @@
 """Exception and warning types shared across the package."""
 
 
-class DimensionMismatchError(ValueError):
+class UsageError(ValueError):
+    """Input the caller can correct: a setting, file or record the run cannot use (CLI exit 2)."""
+
+
+class DimensionMismatchError(UsageError):
     """Operands carry different truncation orders or vector lengths."""
 
 
-class DomainError(ValueError):
+class DomainError(UsageError):
     """A value lies outside its mathematical domain (|a| >= 1, broken symmetry, ...)."""
 
 
-class ConfigError(ValueError):
+class ConfigError(UsageError):
     """A configuration object is unusable (empty grid, bad radius, ...)."""
 
 
-class DegenerateInputError(ValueError):
+class DegenerateInputError(UsageError):
     """An operation that needs a nonzero signal received (numerically) zero."""
 
 
@@ -21,11 +25,11 @@ class TruncationError(ArithmeticError):
     """Truncation order too small for the requested operation to stay accurate."""
 
 
-class IngestError(ValueError):
+class IngestError(UsageError):
     """Input file could not be parsed or violates the input contract."""
 
 
-class RecordFormatError(ValueError):
+class RecordFormatError(UsageError):
     """A stored decomposition record is malformed or has the wrong version."""
 
 

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from afdkit import (
 from afdkit.afd1d import _tm_grid_size
 from afdkit.afd2d import _block_entries, _cross_table, _hardy_block, _history_rows
 from afdkit.hardy import grid_radii, real_field_2d, require_nonzero
-from afdkit.poga import EPS_SPAN, ScanState, _as_vector, _Reduction
+from afdkit.poga import EPS_SPAN, RATE_EXCESS, RateReport, RateRow, ScanState, _as_vector, _Reduction
 
 
 def kernel_ip(a, b):
@@ -136,6 +138,38 @@ def reference_backward_shift(f, a):
     if discarded > 1e-8 * f.energy():
         raise TruncationError("discards %.3e" % (discarded / f.energy()))
     return FourierCoeffs1D(kept.copy(), hardy=True)
+
+
+def reference_line_offsets(buf):
+    """Byte offset of each line of a UTF-8 record, from an eager table of every line."""
+    offsets, offset = [], 0
+    for raw in buf.decode("utf-8").split("\n"):
+        offsets.append(offset)
+        offset += len(raw.encode("utf-8")) + 1
+    return offsets
+
+
+def reference_rate_report(record, M):
+    """``poga.rate_report`` with the recurrence checked for every n < m - 1 at every m."""
+    if not record.steps:
+        return RateReport(rows=[], recurrence_ok=True, conclusion_ok=True)
+    d = [record.initial_energy] + record.residual_energies()
+    r_max = list(accumulate((s.r_sup for s in record.steps), max, initial=0.0))[1:]
+    rows = []
+    recurrence_ok = True
+    conclusion_ok = True
+    for m in range(1, len(d) + 1):
+        R_m = r_max[m - 1] if m <= len(r_max) else r_max[-1]
+        bound = R_m * M / (record.rho * np.sqrt(m))
+        g_norm = float(np.sqrt(d[m - 1]))
+        rows.append(RateRow(m=m, remainder_norm=g_norm, bound=bound, slack=bound - g_norm))
+        A_m = (R_m * M / record.rho) ** 2
+        if d[m - 1] > A_m / m + RATE_EXCESS:
+            conclusion_ok = False
+        for n in range(m - 1):
+            if d[n + 1] > d[n] * (1.0 - d[n] / A_m) + RATE_EXCESS:
+                recurrence_ok = False
+    return RateReport(rows=rows, recurrence_ok=recurrence_ok, conclusion_ok=conclusion_ok)
 
 
 def reference_local_candidates(center, step_r, step_t, max_radius):

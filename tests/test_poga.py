@@ -6,7 +6,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from afdkit import (
@@ -16,7 +16,9 @@ from afdkit import (
     GridSpec,
     OrthoFrame,
     ProductSzegoDictionary2D,
+    Record,
     SpanDegeneracyError,
+    Step,
     SzegoDictionary1D,
     TensorAtomSpec,
     afd_decompose_1d,
@@ -39,6 +41,7 @@ from conftest import (
     oga_select,
     random_hardy_1d,
     random_hardy_2d,
+    reference_rate_report,
     scan_parts,
 )
 
@@ -466,6 +469,24 @@ class TestRateReport:
         assert report.ok and report.recurrence_ok and report.conclusion_ok
         record.steps[-1].residual_energy = (2.0 * report.rows[-1].bound) ** 2
         assert not rate_report(record, M).ok
+
+    @settings(max_examples=200, deadline=None)
+    @example(energy=1.0, steps=[(0.5, 1.0), (0.5, 1.0)], M=2.0, rho=1.0)  # the recurrence holds
+    @example(energy=1.0, steps=[(0.99, 1.0)], M=1.0, rho=1.0)  # it fails at step 1
+    @given(
+        energy=st.floats(0.01, 10.0),
+        steps=st.lists(st.tuples(st.floats(0.0, 1.2), st.floats(0.05, 1.0)), max_size=12),
+        M=st.floats(0.1, 5.0),
+        rho=st.floats(0.3, 1.0),
+    )
+    def test_one_pass_matches_every_pair(self, energy, steps, M, rho):
+        # each step's remainder is a drawn fraction of the last one, an increase included
+        record = Record(initial_energy=energy, rho=rho)
+        d = energy
+        for m, (fraction, r_sup) in enumerate(steps, start=1):
+            d *= fraction
+            record.steps.append(Step(atom=AtomSpec(0.0, m), coeff=0j, r=r_sup, r_sup=r_sup, residual_energy=d))
+        assert rate_report(record, M) == reference_rate_report(record, M)
 
     def test_no_steps_give_no_rows(self):
         from afdkit import Record
