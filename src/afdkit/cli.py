@@ -182,18 +182,18 @@ def load_image_2d(path, order):
 
 def write_csv(path, header, values):
     """Write real samples as CSV: the comment line ``header``, then one ``%.17g`` value per line."""
+    values = np.asarray(values).tolist()
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(header + "\n")
-        for v in values:
-            handle.write("%.17g\n" % v)
+        handle.write(header + "\n" + "%.17g\n" * len(values) % tuple(values))
 
 
 def write_pgm(path, field01):
-    """Write a [0, 1]-valued real field as an 8-bit binary PGM."""
-    pixels = np.clip(np.round(np.asarray(field01) * 255.0), 0, 255).astype(np.uint8)
-    header = b"P5\n%d %d\n255\n" % (pixels.shape[1], pixels.shape[0])
+    """Write a [0, 1]-valued real field as an 8-bit binary PGM, row by row in any memory order."""
+    scaled = np.multiply(field01, 255.0)
+    np.clip(np.round(scaled, out=scaled), 0, 255, out=scaled)
+    header = b"P5\n%d %d\n255\n" % (scaled.shape[1], scaled.shape[0])
     with open(path, "wb") as handle:
-        handle.write(header + pixels.tobytes())
+        handle.write(header + scaled.astype(np.uint8).tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +268,10 @@ def load_record(path):
     ended = False
     while i < len(lines):
         line = lines[i]
-        if line == "":
-            if ended and all(rest == "" for rest in lines[i:]):
-                break
-            fail(i, "unexpected blank line")
+        if line == "":  # blank lines may only trail the record, which then ends here
+            if any(lines[i:]):
+                fail(i, "unexpected blank line")
+            break
         if ended:
             fail(i, "content after end marker")
         parts = line.split(" ")
@@ -303,7 +303,7 @@ def load_record(path):
         else:
             fail(i, "unrecognized line %r" % line)
     if not ended:
-        fail(len(lines), "truncated record")
+        fail(i, "truncated record")
     return record
 
 

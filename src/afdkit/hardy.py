@@ -55,6 +55,21 @@ def _spectrum_index(order, hardy, size):
     return np.arange(0 if hardy else -order, order + 1) % size
 
 
+def _inverse_fft(spectrum, *row_blocks):
+    """``np.fft.ifftn`` of a 1-d or square 2-d ``spectrum``, with its bits, in place and times the side per axis.
+
+    In 2-d the last-axis pass runs only over the row slices ``row_blocks``, which
+    hold every nonzero entry: the other rows are zero before that pass and after it.
+    """
+    if spectrum.ndim == 2:
+        for rows in row_blocks:
+            np.fft.ifft(spectrum[rows], axis=1, out=spectrum[rows])
+    np.fft.ifft(spectrum, axis=0, out=spectrum)
+    for _ in range(spectrum.ndim):  # one factor per axis: a single size**ndim rounds differently
+        spectrum *= spectrum.shape[0]
+    return spectrum
+
+
 class FourierCoeffs:
     """Truncated Fourier coefficients of a boundary signal, one axis per variable.
 
@@ -111,11 +126,8 @@ class FourierCoeffs:
             raise DimensionMismatchError("grid size %d too small for order %d" % (size, n))
         spectrum = np.zeros((size,) * self.ndim, dtype=complex)
         spectrum[np.ix_(*[_spectrum_index(n, self.hardy, size)] * self.ndim)] = self.data
-        samples = np.fft.ifftn(spectrum)
-        # one factor per axis: a single size**ndim rounds differently
-        for _ in range(self.ndim):
-            samples *= size
-        return samples
+        rows = [slice(n + 1)] if self.hardy else [slice(n + 1), slice(size - n, size)]  # as _spectrum_index
+        return _inverse_fft(spectrum, *rows)
 
     @classmethod
     def from_samples(cls, samples, order, hardy=False):
@@ -261,7 +273,8 @@ def real_field_2d(parts, size):
     ``quadrant_split`` on grids of side at least 2N+1.  The parts may have
     different orders.  All four share one spectrum, each at its own
     frequencies: ``pp`` at (k, l), ``pm`` at (k, -l mod size), ``F`` at
-    (k, 0) and ``G`` at (0, l); one inverse FFT then gives their sum.
+    (k, 0) and ``G`` at (0, l); one inverse FFT, whose row pass skips the
+    rows past every order, then gives their sum.
     """
     for part in (parts.pp, parts.pm, parts.F, parts.G):
         if size < part.order + 1:
@@ -272,10 +285,7 @@ def real_field_2d(parts, size):
     spectrum[:m, -np.arange(m) % size] += parts.pm.data
     spectrum[: parts.F.order + 1, 0] -= parts.F.data
     spectrum[0, : parts.G.order + 1] -= parts.G.data
-    samples = np.fft.ifft2(spectrum)
-    # one factor per axis, as in ``boundary_samples``
-    samples *= size
-    samples *= size
+    samples = _inverse_fft(spectrum, slice(max(n, m, parts.F.order + 1)))
     return 2.0 * samples.real + parts.c00.real
 
 

@@ -18,7 +18,7 @@ from afdkit import (
 )
 from afdkit.afd1d import _tm_grid_size
 from afdkit.afd2d import _block_entries, _cross_table, _hardy_block, _history_rows
-from afdkit.hardy import grid_radii, real_field_2d, require_nonzero
+from afdkit.hardy import _spectrum_index, grid_radii, real_field_2d, require_nonzero
 from afdkit.poga import EPS_SPAN, RATE_EXCESS, RateReport, RateRow, ScanState, _as_vector, _Reduction
 
 
@@ -103,6 +103,46 @@ def reference_real_field_2d(parts, size):
         - 2.0 * parts.G.boundary_samples(size).real[None, :]
         + parts.c00.real
     )
+
+
+def reference_ifft2_real_field_2d(parts, size):
+    """``real_field_2d`` with one ``np.fft.ifft2`` over the whole shared spectrum."""
+    spectrum = np.zeros((size, size), dtype=complex)
+    n, m = parts.pp.order + 1, parts.pm.order + 1
+    spectrum[:n, :n] += parts.pp.data
+    spectrum[:m, -np.arange(m) % size] += parts.pm.data
+    spectrum[: parts.F.order + 1, 0] -= parts.F.data
+    spectrum[0, : parts.G.order + 1] -= parts.G.data
+    samples = np.fft.ifft2(spectrum)
+    samples *= size
+    samples *= size
+    return 2.0 * samples.real + parts.c00.real
+
+
+def reference_boundary_samples(f, size):
+    """``FourierCoeffs.boundary_samples`` with one ``np.fft.ifftn`` over every row."""
+    spectrum = np.zeros((size,) * f.ndim, dtype=complex)
+    spectrum[np.ix_(*[_spectrum_index(f.order, f.hardy, size)] * f.ndim)] = f.data
+    samples = np.fft.ifftn(spectrum)
+    for _ in range(f.ndim):
+        samples *= size
+    return samples
+
+
+def reference_write_csv(path, header, values):
+    """``cli.write_csv`` with one ``%`` format and one write per value."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(header + "\n")
+        for v in values:
+            handle.write("%.17g\n" % v)
+
+
+def reference_write_pgm(path, field01):
+    """``cli.write_pgm`` through a fresh array per scaling, rounding and clipping step."""
+    pixels = np.clip(np.round(np.asarray(field01) * 255.0), 0, 255).astype(np.uint8)
+    header = b"P5\n%d %d\n255\n" % (pixels.shape[1], pixels.shape[0])
+    with open(path, "wb") as handle:
+        handle.write(header + pixels.tobytes())
 
 
 def reference_blaschke(params, size):

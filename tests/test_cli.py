@@ -2,9 +2,13 @@
 
 import dataclasses
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from afdkit import (
     AtomSpec,
@@ -38,9 +42,10 @@ from afdkit.cli import (
     decode_section,
     encode_section,
     real_samples_1d,
+    write_csv as cli_write_csv,
     write_pgm,
 )
-from conftest import coeff, reference_real_field_2d, section
+from conftest import coeff, reference_real_field_2d, reference_write_csv, reference_write_pgm, section
 
 
 def write_csv(path, values, header=None):
@@ -177,6 +182,50 @@ class TestLoadImage2D:
         assert not out.exists()
 
 
+def _written(writer, *args):
+    """The bytes ``writer`` puts in a fresh file."""
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "out")
+        writer(path, *args)
+        with open(path, "rb") as handle:
+            return handle.read()
+
+
+class TestOutputWriters:
+    """The bulk writers put the bytes of their per-value references."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.floats(), max_size=300), as_array=st.booleans())
+    @example(values=[-0.0, 5e-324, 1e300, 0.0, -1e-300, 1.0 / 3.0], as_array=True)
+    @example(values=[-0.0, 5e-324, 1e300], as_array=False)
+    @example(values=[], as_array=True)
+    @example(values=[], as_array=False)
+    def test_csv_bytes(self, values, as_array):
+        values = np.array(values, dtype=float) if as_array else values
+        want = _written(reference_write_csv, "# header", values)
+        assert _written(cli_write_csv, "# header", values) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 24), st.integers(1, 24)),
+        layout=st.sampled_from(["C", "transposed", "strided"]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(shape=(5, 7), layout="transposed", seed=0)
+    @example(shape=(9, 6), layout="strided", seed=1)
+    def test_pgm_bytes(self, shape, layout, seed):
+        # values reach past [0, 1], and some sit on a rounding tie of the 255 scale
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(-0.5, 1.5, size=(2 * shape[0], 3 * shape[1]))
+        base.flat[::7] = (rng.integers(-3, 258, size=base.flat[::7].size) + 0.5) / 255.0
+        field01 = {
+            "C": base[: shape[0], : shape[1]].copy(),
+            "transposed": base[: shape[1], : shape[0]].copy().T,
+            "strided": base[::2, ::-3],
+        }[layout]
+        assert _written(write_pgm, field01) == _written(reference_write_pgm, field01)
+
+
 def library_record(algorithm):
     """A two-step library record with full-precision fields and signed zeros."""
     third, seventh = 1.0 / 3.0, -1.0 / 7.0
@@ -287,6 +336,33 @@ class TestRecordRoundTrip:
         p2.write_bytes(data[: len(data) // 2])
         with pytest.raises(RecordFormatError, match="byte"):
             load_record(p2)
+
+    @pytest.mark.parametrize("steps, tail", [
+        ([], b""),
+        ([], b"\n\n"),
+        ([[0.5, 0.0, 0.3, -0.25, 1.0975]], b""),
+    ], ids=["after-steps-line", "blank-lines-after-steps-line", "after-step-line"])
+    def test_record_cut_at_a_line_boundary_is_truncated(self, tmp_path, steps, tail):
+        # the cut keeps the last line's newline but drops end: truncated at the cut, not a blank line
+        rec = self._sample_record()
+        rec.sections[0].steps = steps
+        path = tmp_path / "cut.txt"
+        save_record(rec, path)
+        data = path.read_bytes()
+        cut = data.rindex(b"end\n")
+        path.write_bytes(data[:cut] + tail)
+        with pytest.raises(RecordFormatError, match="truncated record at byte %d$" % cut):
+            load_record(path)
+        assert cli_main(["verify", "--input", str(path)]) == 2
+
+    def test_blank_lines_after_end_accepted(self, tmp_path):
+        path = tmp_path / "padded.txt"
+        save_record(self._sample_record(), path)
+        path.write_bytes(path.read_bytes() + b"\n\n")
+        assert load_record(path) == self._sample_record()
+        path.write_bytes(path.read_bytes() + b"meta late 1\n")
+        with pytest.raises(RecordFormatError, match="unexpected blank line"):
+            load_record(path)
 
     def test_unrecognized_line_reports_offset(self, tmp_path):
         path = tmp_path / "junk.txt"

@@ -339,4 +339,4 @@ def test_verified_records_fail_when_damaged(algorithm, data):
         with open(path, "wb") as handle:
             handle.write(clean[:cut])
         code, err = _call(work, "verify", "--input", path)
-        assert code == 2 and err.endswith(" at byte %d\n" % cut), err
+        assert code == 2 and err.endswith(": truncated record at byte %d\n" % cut), err

@@ -52,6 +52,8 @@ from conftest import (
     random_hardy_1d,
     random_real_full_1d,
     random_real_full_2d,
+    reference_boundary_samples,
+    reference_ifft2_real_field_2d,
     reference_local_candidates,
     reference_real_field_2d,
 )
@@ -467,6 +469,55 @@ class TestRealField2DOracle:
             real_field_2d(parts, 9)
         with pytest.raises(DimensionMismatchError):
             reference_real_field_2d(parts, 9)
+
+
+@st.composite
+def mixed_orders_and_side(draw):
+    """Four part orders drawn apart, and a side from the smallest admissible to twice the usual power of two."""
+    orders = draw(st.lists(st.integers(0, 70), min_size=4, max_size=4))
+    top = max(orders)
+    return orders, draw(st.integers(top + 1, 2 * next_pow2(2 * top + 2)))
+
+
+def same_bits(a, b):
+    """Equal shapes, dtypes and bytes, so signed zeros count too."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestInverseTransformBits:
+    """The row-pruned inverse FFT has the bits of ``np.fft.ifftn`` over every row."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=mixed_orders_and_side(), seed=st.integers(0, 2**16))
+    @example(case=([64, 64, 64, 64], 256), seed=0)  # the bench's reconstruct size
+    @example(case=([64, 64, 64, 64], 130), seed=1)  # where norm="forward" rounds differently
+    @example(case=([3, 5, 70, 2], 71), seed=2)  # F sets the rows, at the smallest side
+    @example(case=([3, 0, 1, 70], 97), seed=3)  # G spans its row alone
+    @example(case=([0, 0, 0, 0], 1), seed=4)
+    def test_real_field_2d_matches_ifft2(self, case, seed):
+        orders, side = case
+        parts = random_field_parts(seed, orders)
+        assert same_bits(real_field_2d(parts, side), reference_ifft2_real_field_2d(parts, side))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        order=st.integers(0, 100),
+        hardy=st.booleans(),
+        ndim=st.sampled_from([1, 2]),
+        extra=st.integers(0, 300),
+        seed=st.integers(0, 2**16),
+    )
+    @example(order=64, hardy=True, ndim=2, extra=127, seed=0)  # side 192, neither odd nor a power of two
+    @example(order=64, hardy=False, ndim=2, extra=127, seed=1)  # side 256
+    @example(order=10, hardy=False, ndim=2, extra=0, seed=2)  # side 21: every row kept
+    @example(order=0, hardy=True, ndim=2, extra=0, seed=3)
+    def test_boundary_samples_match_ifftn(self, order, hardy, ndim, extra, seed):
+        rng = np.random.default_rng(seed)
+        shape = ((order + 1) if hardy else (2 * order + 1),) * ndim
+        cls = FourierCoeffs2D if ndim == 2 else FourierCoeffs1D
+        f = cls(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), hardy=hardy)
+        side = shape[0] + extra
+        assert same_bits(f.boundary_samples(side), reference_boundary_samples(f, side))
 
 
 class TestGridSpec:
