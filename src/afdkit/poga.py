@@ -11,9 +11,11 @@ frame span (r_n = 0) escalate to the next multiplicity order at the same
 parameter, which realizes the derivative-closure of the dictionary without
 numerical differentiation.
 
-A weak variant accepts any candidate within a factor rho of the supremal
-gain; among qualifying candidates the one with the smallest r is taken,
-which keeps the rate constant small.
+A weak variant accepts any candidate whose gain is at least rho times the
+supremal gain, so a scan may stop scoring once its best gain is certified
+to be that large: the 2-d scan leaves out the rows of pairs whose bound,
+times rho, stays below it.  The pick is the largest gain scored, ties going
+to the least r.
 """
 
 from __future__ import annotations
@@ -170,27 +172,22 @@ class _Reduction:
     largest r (``sup_r``) and the degenerate indices, those with
     r^2 < R2_SPAN, so r < EPS_SPAN, and the ``excluded`` base indices.
     ``add`` takes the inner products |<g, atom_i>| and r^2 of spanned
-    blocks in ascending order, which may leave out entries below the final
-    floor.  In block-sized buffers it forms r = sqrt(max(r^2, 0)) and the
-    gain |<g, atom_i>| / r, -inf where degenerate.  It keeps the top gain
-    of the usable atoms (``top``, -inf while there is none) and in ``kept``
-    the index, gain and r of the entries whose gain is at least rho times
-    the running top and above that of every entry before them in (r, index)
-    order, in that order, so with rising gains: an entry with no more gain
-    than an earlier one is never the first to reach a floor.  The final
-    floor rho * sup_gain is at least every running floor, so the first kept
-    entry at or above it is the first qualifying base atom by (r, index),
-    with the bits a whole-table reduction gives it.
+    blocks in any order.  In block-sized buffers it forms
+    r = sqrt(max(r^2, 0)) and the gain |<g, atom_i>| / r, -inf where
+    degenerate, and keeps in ``best`` the (gain, r, index) of the largest
+    gain, ties going to the least (r, index), or None while no usable entry
+    came in: the entry and the bits a whole-table reduction gives.  ``rest``
+    bounds the gains of the entries the scan left out of ``add``, -inf when
+    it left out none.
     """
 
     def __init__(self, rho, excluded=()):
         self.rho = rho
         self.excluded = np.array(sorted(excluded), dtype=np.intp)
         self.sup_r = 0.0
-        self.top = -np.inf
         self.degenerate = []
-        self.kept = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))
-        self.end = 0  # index after the last entry kept
+        self.best = None
+        self.rest = -np.inf
 
     def span(self, start, r_sq):
         """Take in the degenerate entries and the largest r of one block; returns its degenerate mask."""
@@ -203,40 +200,20 @@ class _Reduction:
 
     def add(self, start, inner, r_sq):
         """Reduce one block of flat ``inner`` (overwritten by the gains) and ``r_sq`` values."""
-        if start < self.end:
-            raise ValueError("blocks must come in ascending index order")
-        self.end = start + r_sq.size
         r = np.maximum(r_sq, 0.0)
         np.sqrt(r, out=r)
         with np.errstate(divide="ignore", invalid="ignore"):
             gain = np.divide(inner, r, out=inner)
         degenerate = np.concatenate(self.degenerate)
-        lo, hi = np.searchsorted(degenerate, (start, self.end))
-        gain[degenerate[lo:hi] - start] = -np.inf  # never qualifies
-        top = int(np.argmax(gain))
-        self.top = max(self.top, float(gain[top]))
-        if self.top > -np.inf:
-            floor = self.rho * self.top
-            new = np.flatnonzero(gain >= floor)
-            # cheap passes first: the block's top entry has at least the gain
-            # of the block entries after it by (r, index), and the last kept
-            # entry at or before an r the most gain of the kept ones there
-            new = new[(r[new] < r[top]) | ((r[new] == r[top]) & (new <= top))]
-            _, gains, rs = self.kept
-            # 8 kept entries first, each rejecting the entries at or above its r with no more gain
-            keep, r_new, gain_new = np.ones(new.size, dtype=bool), r[new], gain[new]
-            for i in np.linspace(0, rs.size - 1, 8).astype(np.intp) if rs.size else ():
-                keep &= (r_new < rs[i]) | (gain_new > gains[i])
-            new, r_new, gain_new = new[keep], r_new[keep], gain_new[keep]
-            new = new[np.concatenate(([-np.inf], gains))[np.searchsorted(rs, r_new, side="right")] < gain_new]
-            old = gains >= floor
-            index, gains, rs = (
-                np.concatenate((kept[old], fresh)) for kept, fresh in zip(self.kept, (start + new, gain[new], r[new]))
-            )
-            order = np.lexsort((index, rs))
-            ahead = np.maximum.accumulate(np.concatenate(([-np.inf], gains[order[:-1]])))
-            order = order[gains[order] > ahead]
-            self.kept = index[order], gains[order], rs[order]
+        lo, hi = np.searchsorted(degenerate, (start, start + r.size))
+        gain[degenerate[lo:hi] - start] = -np.inf  # never picked
+        top = float(np.max(gain))
+        if top > -np.inf:
+            ties = np.flatnonzero(gain == top)
+            k = int(ties[np.argmin(r[ties])])
+            entry = (top, float(r[k]), int(start) + k)
+            if self.best is None or (-top, *entry[1:]) < (-self.best[0], *self.best[1:]):
+                self.best = entry
 
 
 @dataclass(frozen=True)
@@ -318,6 +295,7 @@ class SzegoDictionary1D:
     def scan(self, g, frame, reduction, state):
         """Feed every base atom's ``_inner_r_sq`` values to ``reduction`` as one block.
 
+        So a weak 1-d pick is the strong pick, which the weak rule allows.
         Returns (r^2, reduction), r^2 one entry per base atom.
         """
         inner, r_sq = self._inner_r_sq(g, frame, state)
@@ -372,32 +350,43 @@ class ProductSzegoDictionary2D:
         ]
 
     def scan(self, g, frame, reduction, state):
-        """Feed the pairs of grid points that can qualify, row-major, to ``reduction`` in row blocks.
+        """Feed ``reduction`` the rows of pairs that certify a weak pick, in row blocks.
 
-        The ``PAIR_SEEDS`` rows of largest ``_bounds`` bound (ring majorant
-        or screen) are scored for a top gain.  Each block hands
-        ``reduction.add`` its rows from the first to the last that can reach
-        rho times it, with the bits of the whole product (``_PairTable.block``).
-        Returns (r^2, reduction), r^2 one entry per pair.
+        Without row bounds from ``_bounds`` every row is fed.  Else the
+        ``PAIR_SEEDS`` rows of largest bound (ring majorant or screen) are
+        scored and those that hold their top gain fed; then the blocks, by
+        descending largest bound of their rows not scored, each feed the
+        rows from the first to the last whose bound times rho reaches the
+        best gain fed.  A row left out holds no gain above 1/rho times the
+        pick, so the pick is at least rho times the supremum;
+        ``reduction.rest`` is the largest bound of such a row.  Rows are fed
+        with the bits of the whole product (``_PairTable.block``).  Returns
+        (r^2, reduction), r^2 one entry per pair.
         """
         n = self.params.size
         table, bound, work = self._bounds(g, frame, reduction, state)
-        live = np.ones(n, dtype=bool)
-        if bound is not None:
+        left = np.ones(n, dtype=bool)  # the rows not scored
+        if bound is None:
+            bound = np.full(n, np.inf)
+        else:
             seeds = np.sort(np.argsort(bound)[-PAIR_SEEDS:])
+            inner = table.block(seeds, work=work)
             with np.errstate(divide="ignore", invalid="ignore"):
-                gains = table.block(seeds, work=work) / np.sqrt(np.maximum(state.r_sq[seeds], 0.0))
+                gains = inner / np.sqrt(np.maximum(state.r_sq[seeds], 0.0))
             rows, cols = np.divmod(np.concatenate(reduction.degenerate), n)
             hit = np.isin(rows, seeds)
             gains[np.searchsorted(seeds, rows[hit]), cols[hit]] = -np.inf
-            floor = reduction.rho * gains.max()
-            live = bound >= floor
-            live[seeds] = gains.max(axis=1) >= floor
-        for blk in _row_blocks(n):
-            rows = blk.start + np.flatnonzero(live[blk])
+            left[seeds], top = False, gains.max(axis=1)
+            for i in np.flatnonzero(top == top.max()):
+                reduction.add(seeds[i] * n, inner[i], state.r_sq[seeds[i]])
+        for blk in sorted(_row_blocks(n), key=lambda blk: -np.max(bound[blk], where=left[blk], initial=-np.inf)):
+            floor = -np.inf if reduction.best is None else reduction.best[0]
+            rows = blk.start + np.flatnonzero(left[blk] & (reduction.rho * bound[blk] >= floor))
             if rows.size:
                 span = slice(rows[0], rows[-1] + 1)
                 reduction.add(span.start * n, table.block(span, work=work).ravel(), state.r_sq[span].ravel())
+                left[span] = False
+        reduction.rest = float(np.max(bound, where=left, initial=-np.inf))
         return state.r_sq.ravel(), reduction
 
     def _bounds(self, g, frame, reduction, state):
@@ -487,7 +476,9 @@ def _select(g, frame, dictionary, rho, state=None):
     forced degenerate too and the scan runs again; the state then has no
     new frame rows, so only the remainder's table is recomputed.  ``state``
     (a fresh one when not given) goes to the scan and holds the atom
-    vectors.  Returns (outcome, sup_gain, sup_r_grid).
+    vectors.  Returns (outcome, sup_gain, sup_r_grid), sup_gain the
+    certified upper bound of every candidate's gain: at least rho times it
+    is the outcome's gain, and at rho = 1 it is that gain.
     """
     g = _as_vector(g)
     require_nonzero(float(np.linalg.norm(g)) ** 2, "greedy remainder")
@@ -502,19 +493,20 @@ def _select(g, frame, dictionary, rho, state=None):
 
 
 def _reduce(g, frame, dictionary, reduction, state):
-    """Winner among the usable base atoms and the escalations of the degenerate ones.
+    """The pick among the best usable base atom and the escalations of the degenerate ones.
 
-    Base atoms rank by (r, grid index), as the scan's ``reduction`` keeps
-    them, and escalated candidates after all of them in the order they are
-    generated, from the degenerate base atoms in ascending order; the
-    winner is the first qualifying candidate in that order.
-    Escalated atom vectors come from ``state``; their residuals are
-    computed against the current frame.  An escalation in the span climbs
-    its ladder for at most ``len(frame)`` rungs, never past its end: the
-    rungs of one ladder are independent, so more of them than the frame has
-    rows cannot all lie in its span, and a ladder that tests so anyway is at
-    the rounding floor of the test and counts as in the span.
-    Returns ((r, gain, spec), sup_gain, grid index of a base winner or None).
+    The pick has the largest gain, ties going to the least r, then to the
+    base atom (``reduction.best``), then to the first escalated candidate
+    in the order they are generated, from the degenerate base atoms in
+    ascending order.  Escalated atom vectors come from ``state``; their
+    residuals are computed against the current frame.  An escalation in the
+    span climbs its ladder for at most ``len(frame)`` rungs, never past its
+    end: the rungs of one ladder are independent, so more of them than the
+    frame has rows cannot all lie in its span, and a ladder that tests so
+    anyway is at the rounding floor of the test and counts as in the span.
+    Returns ((r, gain, spec), sup_gain, grid index of a base winner or
+    None), sup_gain = max(gain, ``reduction.rest``) the certified upper
+    bound of every candidate's gain.
     """
     escalated = []  # (r, gain, spec) in generation order
     selected = set(s for s in frame.specs if s is not None)
@@ -531,23 +523,16 @@ def _reduce(g, frame, dictionary, reduction, state):
                     break
                 esc = higher[0]
 
-    usable = reduction.top > -np.inf
-    if not usable and not escalated:
-        raise DegenerateInputError("no usable candidate atom on the grid")
-
-    sup_gain = max([c[1] for c in escalated] + ([reduction.top] if usable else []))
-    floor = reduction.rho * sup_gain
-    best, index = None, None  # (r, gain, spec) of the first qualifying candidate by r
-    indices, gains, r = reduction.kept
-    qualifying = np.flatnonzero(gains >= floor)
-    if qualifying.size:
-        k = int(qualifying[0])
-        index = int(indices[k])
-        best = (float(r[k]), float(gains[k]), dictionary.base_spec(index))
+    best, index = None, None  # (r, gain, spec) of the pick
+    if reduction.best is not None:
+        gain, r, index = reduction.best
+        best = (r, gain, dictionary.base_spec(index))
     for cand in escalated:
-        if cand[1] >= floor and (best is None or cand[0] < best[0]):
+        if best is None or (-cand[1], cand[0]) < (-best[1], best[0]):
             best, index = cand, None
-    return best, sup_gain, index
+    if best is None:
+        raise DegenerateInputError("no usable candidate atom on the grid")
+    return best, max(best[1], reduction.rest), index
 
 
 def poga_decompose(

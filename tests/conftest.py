@@ -19,7 +19,17 @@ from afdkit import (
 from afdkit.afd1d import _tm_grid_size
 from afdkit.afd2d import _block_entries, _cross_table, _hardy_block, _history_rows
 from afdkit.hardy import _spectrum_index, grid_radii, real_field_2d, require_nonzero
-from afdkit.poga import EPS_SPAN, RATE_EXCESS, RateReport, RateRow, ScanState, _as_vector, _Reduction
+from afdkit.poga import (
+    EPS_SPAN,
+    RATE_EXCESS,
+    ProductSzegoDictionary2D,
+    RateReport,
+    RateRow,
+    ScanState,
+    _as_vector,
+    _escalated_candidates,
+    _Reduction,
+)
 
 
 def kernel_ip(a, b):
@@ -327,6 +337,89 @@ def scan_parts(dictionary, g, frame, state=None):
     reduction = _Reduction(1.0)
     r_sq = dictionary.scan(g, frame, reduction, ScanState() if state is None else state)[0]
     return r_sq, np.concatenate(reduction.degenerate), reduction.sup_r
+
+
+def reference_scan_2d(dictionary, g, frame):
+    """The unblocked 2-d scan: whole P x P products for the inner products and each frame row.
+
+    Its factor rows A are sqrt(1-|a|^2) conj(a)^k, the conjugates of the
+    grid's kernel rows K: the values |A conj(G) A^T| are the conjugate
+    arithmetic of |K G K^T|, and r^2 starts at the squared row norms of A.
+    Returns (gain, degenerate, sup_r, r^2) of every pair, as ``dense_scan``.
+    """
+    params, k = dictionary.params, np.arange(dictionary.order + 1)
+    side = k.size
+    A = np.sqrt(1.0 - np.abs(params) ** 2)[:, None] * np.conj(params)[:, None] ** k[None, :]
+    norms_sq = np.sum(np.abs(A) ** 2, axis=1)
+    r_sq = np.outer(norms_sq, norms_sq)
+    for row in frame.matrix:
+        r_sq -= np.abs(A @ np.conj(row.reshape(side, side)) @ A.T) ** 2
+    r = np.sqrt(np.clip(r_sq, 0.0, None))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = np.abs(A @ np.conj(g.reshape(side, side)) @ A.T) / r
+    return gain.ravel(), (r < EPS_SPAN).ravel(), float(r.max()), r_sq.ravel()
+
+
+def reference_select(g, frame, dictionary, demoted=frozenset()):
+    """The strong selection over dense arrays and one tuple per escalated candidate.
+
+    The pick has the largest gain, ties going to the least (r, order
+    index); the base atoms come first in that order, by grid index, then
+    the escalated candidates as they are generated.  Kept as the oracle of
+    ``afdkit.poga._select``: exact in 1-d at every rho, whose scan scores
+    every atom, and in 2-d at rho = 1.  Its ``sup_gain`` is the dense
+    supremum of the gain over every candidate, which a weak pick must
+    reach within rho.  A winning grid atom whose direct residual is below
+    EPS_SPAN joins ``demoted`` (treated as degenerate) and the selection
+    runs again.  Returns (spec, r, gain, sup_gain, sup_r).
+    """
+    g = np.asarray(g, dtype=complex).ravel()
+    scan = reference_scan_2d if isinstance(dictionary, ProductSzegoDictionary2D) else dense_scan
+    gains, _, _, r_sq = scan(dictionary, g, frame)
+    r = np.sqrt(np.clip(r_sq, 0.0, None))
+    selected = set(s for s in frame.specs if s is not None)
+    structural = set(demoted)
+    for s in selected:
+        idx = dictionary.base_index(s)
+        if idx is not None:
+            structural.add(idx)
+
+    usable = r >= EPS_SPAN
+    usable[sorted(structural)] = False
+    degenerate = np.flatnonzero(~usable).tolist()
+
+    candidates = []  # (gain, r, order_index, spec): the best base atom, then the escalated atoms
+    if usable.any():
+        top = gains[usable].max()
+        ties = np.flatnonzero(usable & (gains == top))
+        i = int(ties[np.argmin(r[ties])])
+        candidates.append((float(top), float(r[i]), i, None))
+    order_index = r.size
+    for i in degenerate:
+        for esc in _escalated_candidates(dictionary, dictionary.base_spec(i), selected):
+            vec = dictionary.atom_vector(esc)
+            _, r_esc = frame.project_residual(vec)
+            attempts = 0
+            while r_esc < EPS_SPAN and attempts < len(frame) - 1:
+                ladder = _escalated_candidates(dictionary, esc, selected)
+                if not ladder:  # the ladder ends at order + 1
+                    break
+                esc = ladder[0]
+                vec = dictionary.atom_vector(esc)
+                _, r_esc = frame.project_residual(vec)
+                attempts += 1
+            if r_esc < EPS_SPAN:
+                continue
+            gain = abs(complex(np.vdot(vec, g))) / r_esc
+            candidates.append((gain, float(r_esc), order_index, esc))
+            order_index += 1
+
+    gain, r_sel, idx, spec = min(candidates, key=lambda c: (-c[0], c[1], c[2]))
+    if spec is None:
+        spec = dictionary.base_spec(idx)
+        if frame.project_residual(dictionary.atom_vector(spec))[1] < EPS_SPAN:
+            return reference_select(g, frame, dictionary, demoted | {idx})
+    return spec, r_sel, gain, gain, float(np.max(r))
 
 
 def oga_select(g, dictionary):

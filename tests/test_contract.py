@@ -250,10 +250,10 @@ def test_afd1d_runs_keep_the_contract(run):
     "off-grid synthesis: synth draws its atoms from its own grid, and the rate bound of meta M holds "
     "only for atoms of the decompose grid's dictionary, so main.rate fails when that grid misses them "
     "(ROADMAP item 11)"))
-@example(run=({"order": 19, "grid_radial": 8, "grid_angular": 10, "max_radius": 0.87, "seed": 7, "atoms": 4,
+@example(run=({"order": 22, "grid_radial": 4, "grid_angular": 13, "max_radius": 0.629, "seed": 980, "atoms": 1,
                "coeff_sum": 1.0},
-              dict(_DECOMPOSE, order=19, grid_radial=8, grid_angular=5, max_radius=0.381, terms=1, refine=2,
-                   rho=0.5, synthesis=True)))
+              dict(_DECOMPOSE, order=22, grid_radial=5, grid_angular=15, max_radius=0.814, terms=3, rho=1.0,
+                   synthesis=True)))
 @_QUIET
 @_CONTRACT
 @given(run=runs("poga1d"))
