@@ -101,8 +101,6 @@ def backward_shift(f, a, *, _atom=None, _coeff=None):
     ``_coeff`` pass ``szego_coeffs(a, order)`` and ``<f, e_a>`` that
     ``afd_decompose_1d`` already built for the step.
     """
-    if not f.hardy:
-        raise DomainError("backward_shift expects Hardy coefficients")
     a = complex(a)
     if abs(a) >= 1.0:
         raise DomainError("parameter |a| must be < 1")
@@ -127,7 +125,7 @@ def backward_shift(f, a, *, _atom=None, _coeff=None):
             "backward shift at |a|=%.4f discards %.3e of the energy; "
             "truncation order %d is too small" % (abs(a), discarded / total, order)
         )
-    return FourierCoeffs1D(kept.copy(), hardy=True)
+    return FourierCoeffs1D(kept.copy())
 
 
 def msp_1d(f, grid):
@@ -138,8 +136,6 @@ def msp_1d(f, grid):
     come from a table cached per grid.  Returns (a, objective value).
     """
     require_nonzero(f.energy())
-    if not f.hardy:
-        raise DomainError("msp_1d expects Hardy coefficients")
     data = f.data
 
     def objective(pts):
@@ -185,4 +181,4 @@ def reconstruct_1d(record, order):
     data = np.zeros(order + 1, dtype=complex)
     for step, row in zip(record.steps, rows):
         data += step.coeff * row
-    return FourierCoeffs1D(data, hardy=True)
+    return FourierCoeffs1D(data)

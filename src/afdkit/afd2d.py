@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
 from .hardy import (
     FourierCoeffs2D, Record, Step, _kernel_table, greedy, grid_argmax_pairs, inner_product_2d, require_nonzero,
 )
@@ -29,12 +28,6 @@ __all__ = [
     "pga_decompose",
     "reconstruct_pga",
 ]
-
-
-def _hardy_block(f):
-    if not f.hardy:
-        raise DomainError("expected Hardy coefficients on the 2-torus")
-    return f.data
 
 
 def _history_rows(history, order):
@@ -79,7 +72,7 @@ def _product_tm_objective(f, history, grid, rows=None):
     caller already holds them: the row of the parameter 0 is its prefix, so
     the last row of each axis is the Blaschke product phi or psi.
     """
-    C = _hardy_block(f)
+    C = f.data
     rows_a, rows_b = _history_rows([*history, (0j, 0j)], f.order) if rows is None else rows
     A, B = _blaschke_toeplitz(rows_a[-1]), _blaschke_toeplitz(rows_b[-1])
     H = A @ C @ B.T
@@ -140,7 +133,7 @@ def afd2d_tm_decompose(f, n_terms, grid, threshold=1e-12):
         sel = msp_product_tm(f, history, grid, _rows=rows)
         history.append((sel.a, sel.b))
         rows = _history_rows([*history, (0j, 0j)], f.order)
-        block = _block_entries(_cross_table(_hardy_block(f), rows[0][:-1], rows[1][:-1]), len(history))
+        block = _block_entries(_cross_table(f.data, rows[0][:-1], rows[1][:-1]), len(history))
         block_energy = float(np.sum(np.abs(block) ** 2))
         residual -= block_energy
         return Step(a=sel.a, b=sel.b, block=block, block_energy=block_energy, residual_energy=residual)
@@ -160,7 +153,7 @@ def reconstruct_product_tm(record, order):
         table[:i, i] = step.block[:i]
         table[i, : i + 1] = step.block[i:]
     rows_a, rows_b = _history_rows([(s.a, s.b) for s in record.steps], order)
-    return FourierCoeffs2D(rows_a.T @ table @ rows_b, hardy=True)
+    return FourierCoeffs2D(rows_a.T @ table @ rows_b)
 
 
 def pga_step(g, grid, *, _probe=True):
@@ -174,8 +167,7 @@ def pga_step(g, grid, *, _probe=True):
     majorants before it screens, as ``pga_decompose`` has its first search do.
     """
     require_nonzero(g.energy())
-    C = _hardy_block(g)
-    a, b, _ = grid_argmax_pairs(lambda a_pts, b_pts: _kernel_table(C, a_pts, b_pts, grid, probe=_probe), grid)
+    a, b, _ = grid_argmax_pairs(lambda a_pts, b_pts: _kernel_table(g.data, a_pts, b_pts, grid, probe=_probe), grid)
     spec = TensorAtomSpec.of(a, b)
     coeff = inner_product_2d(g, tensor_atom_coeffs(spec, g.order))
     return spec, coeff
@@ -201,7 +193,7 @@ def pga_decompose(f, n_terms, grid, threshold=1e-12):
 
 def reconstruct_pga(record, order):
     """Sum of the selected tensor kernels weighted by their coefficients."""
-    out = FourierCoeffs2D.zeros(order, hardy=True)
+    out = FourierCoeffs2D.zeros(order)
     for step in record.steps:
         out = out + step.coeff * tensor_atom_coeffs(step.atom, order)
     return out

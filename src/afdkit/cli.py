@@ -35,6 +35,7 @@ from .hardy import (
     QuadrantParts,
     Record,
     Step,
+    _inverse_fft,
     analytic_part,
     grid_points,
     next_pow2,
@@ -103,8 +104,7 @@ def load_signal_1d(path, order):
             "%s: need at least %d samples for order %d, got %d"
             % (path, minimum, order, len(samples))
         )
-    full = FourierCoeffs1D.from_samples(samples, order, hardy=False)
-    return analytic_part(full)
+    return analytic_part(samples, order)
 
 
 def _raise_bad_row(path, lines):
@@ -177,7 +177,7 @@ def load_image_2d(path, order):
             % (path, minimum, order, pixels.shape[0])
         )
     samples = pixels.astype(float) / maxval
-    return quadrant_split(FourierCoeffs2D.from_samples(samples, order, hardy=False))
+    return quadrant_split(samples, order)
 
 
 def write_csv(path, header, values):
@@ -552,7 +552,7 @@ def synth_signal_1d(order, n_atoms, coeff_sum, grid, seed):
     c0 = sum(c * np.sqrt(1.0 - abs(a) ** 2) for c, a in zip(coeffs, params))
     if abs(c0) > 0:
         coeffs = coeffs * (np.conj(c0) / abs(c0))
-    f = FourierCoeffs1D.zeros(order, hardy=True)
+    f = FourierCoeffs1D.zeros(order)
     for c, a in zip(coeffs, params):
         f = f + complex(c) * szego_coeffs(a, order)
     return f, params, [complex(c) for c in coeffs]
@@ -570,9 +570,10 @@ def synth_field_2d(order, seed, size):
     spec = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
     decay = 1.0 / (1.0 + np.abs(np.arange(-order, order + 1)))
     spec *= np.outer(decay, decay)
-    full = FourierCoeffs2D(spec, hardy=False)
-    sym = FourierCoeffs2D((full.data + np.conj(full.data[::-1, ::-1])) / 2.0, hardy=False)
-    fieldvals = sym.boundary_samples(size).real
+    spectrum = np.zeros((size, size), dtype=complex)
+    index = np.arange(-order, order + 1) % size  # c_{k,l} at (k mod size, l mod size)
+    spectrum[np.ix_(index, index)] = (spec + np.conj(spec[::-1, ::-1])) / 2.0
+    fieldvals = _inverse_fft(spectrum, slice(order + 1), slice(size - order, size)).real
     lo, hi = fieldvals.min(), fieldvals.max()
     return (fieldvals - lo) / (hi - lo) if hi > lo else np.full_like(fieldvals, 0.5)
 
@@ -759,8 +760,8 @@ def _reconstruct_section(sec, rec, order, meta):
         return rebuild[sec.algorithm](rec, order)
     vec = _replay_poga(rec, sec.name, sec.algorithm, meta)
     if sec.algorithm == "poga1d":
-        return FourierCoeffs1D(vec, hardy=True)
-    return FourierCoeffs2D(vec.reshape(order + 1, order + 1), hardy=True)
+        return FourierCoeffs1D(vec)
+    return FourierCoeffs2D(vec.reshape(order + 1, order + 1))
 
 
 def _replay_poga(rec, name, algorithm, meta):

@@ -1,10 +1,11 @@
-"""Boundary signals as truncated Fourier coefficients.
+"""Hardy signals as truncated Fourier coefficients.
 
-Signals on the unit circle (or the 2-torus) are represented canonically by
-truncated Fourier coefficient arrays; uniform boundary sample grids are
-derived views computed with the FFT.  Under this representation the Hardy
-space condition is simply that negative-frequency coefficients vanish, and
-all inner products reduce to coefficient dot products by Parseval.
+Signals in the Hardy space of the disc (or of the 2-torus) are represented
+by their coefficients c_k, k = 0..N on every axis; uniform boundary sample
+grids are derived views computed with the inverse FFT, and all inner
+products reduce to coefficient dot products by Parseval.  A real signal
+enters only as its Hardy parts: ``analytic_part`` and ``quadrant_split``
+take its boundary samples to them with one FFT.
 
 The module also houses the polar search grid and the deterministic
 grid-argmax engine shared by every maximal-selection routine in the package.
@@ -50,11 +51,6 @@ def next_pow2(n):
     return p
 
 
-def _spectrum_index(order, hardy, size):
-    """Index of the stored frequencies in a ``size``-point FFT spectrum along one axis."""
-    return np.arange(0 if hardy else -order, order + 1) % size
-
-
 def _inverse_fft(spectrum, *row_blocks):
     """``np.fft.ifftn`` of a 1-d or square 2-d ``spectrum``, with its bits, in place and times the side per axis.
 
@@ -71,49 +67,39 @@ def _inverse_fft(spectrum, *row_blocks):
 
 
 class FourierCoeffs:
-    """Truncated Fourier coefficients of a boundary signal, one axis per variable.
+    """Truncated Hardy coefficients of a boundary signal, one axis per variable.
 
     ``FourierCoeffs1D`` lives on the circle, ``FourierCoeffs2D`` on the
     2-torus, where the first axis pairs with the variable t and the second
-    with s.  Along every axis Hardy instances store ``c_k`` at index ``k``
-    for ``k = 0..N``, and full instances store it at ``k + N`` for
-    ``k = -N..N``.  Instances are treated as immutable; operations return
-    new objects.
+    with s.  Along every axis ``c_k`` is stored at index ``k`` for
+    ``k = 0..N``; a real signal enters as its Hardy parts, through
+    ``analytic_part`` or ``quadrant_split``.  Instances are treated as
+    immutable; operations return new objects.
 
     Parameters
     ----------
     data : array_like of complex
-        Coefficient array with ``ndim`` equal sides, in the layout above.
-    hardy : bool
-        Whether the instance represents a Hardy-space signal (no negative
-        frequencies stored).
+        Coefficient array with ``ndim`` equal sides of length N + 1.
     """
 
-    __slots__ = ("data", "hardy")
+    __slots__ = ("data",)
 
-    def __init__(self, data, hardy=False):
+    def __init__(self, data):
         data = np.asarray(data, dtype=complex)
         if data.ndim != self.ndim or data.size == 0 or len(set(data.shape)) != 1:
             raise DimensionMismatchError(
                 "expected a nonempty %d-d coefficient array with equal sides" % self.ndim
             )
-        if not hardy and data.shape[0] % 2 == 0:
-            raise DimensionMismatchError(
-                "full-range coefficients must have odd side 2N+1, got %d" % data.shape[0]
-            )
         self.data = data
-        self.hardy = bool(hardy)
 
     @property
     def order(self):
         """Truncation order N."""
-        side = self.data.shape[0]
-        return side - 1 if self.hardy else (side - 1) // 2
+        return self.data.shape[0] - 1
 
     @classmethod
-    def zeros(cls, order, hardy=False):
-        side = order + 1 if hardy else 2 * order + 1
-        return cls(np.zeros((side,) * cls.ndim, dtype=complex), hardy=hardy)
+    def zeros(cls, order):
+        return cls(np.zeros((order + 1,) * cls.ndim, dtype=complex))
 
     def energy(self):
         """Squared norm sum(|c_k|^2)."""
@@ -122,56 +108,33 @@ class FourierCoeffs:
     def boundary_samples(self, size):
         """Samples at t_j = 2 pi j / size on every axis via the inverse FFT."""
         n = self.order
-        if size < self.data.shape[0]:
+        if size < n + 1:
             raise DimensionMismatchError("grid size %d too small for order %d" % (size, n))
         spectrum = np.zeros((size,) * self.ndim, dtype=complex)
-        spectrum[np.ix_(*[_spectrum_index(n, self.hardy, size)] * self.ndim)] = self.data
-        rows = [slice(n + 1)] if self.hardy else [slice(n + 1), slice(size - n, size)]  # as _spectrum_index
-        return _inverse_fft(spectrum, *rows)
-
-    @classmethod
-    def from_samples(cls, samples, order, hardy=False):
-        """FFT of uniform boundary samples, truncated to the given order.
-
-        Exact whenever the sampled signal is bandlimited to ``order`` and the
-        grid side is at least ``2*order + 1``; higher content aliases.  Axes
-        go last first, as in ``np.fft.fftn``, each pass over the lines kept.
-        """
-        samples = np.asarray(samples)
-        if samples.ndim != cls.ndim or len(set(samples.shape)) != 1:
-            raise DimensionMismatchError("expected a %d-d sample grid with equal sides" % cls.ndim)
-        size = samples.shape[0]
-        if size < 2 * order + 1:
-            raise DimensionMismatchError(
-                "need a grid side of at least %d for order %d, got %d"
-                % (2 * order + 1, order, size)
-            )
-        spectrum, kept = samples, _spectrum_index(order, hardy, size)
-        for axis in reversed(range(cls.ndim)):
-            spectrum = np.fft.fft(spectrum, axis=axis).take(kept, axis=axis)
-        return cls(spectrum / size**cls.ndim, hardy=hardy)
+        spectrum[(slice(n + 1),) * self.ndim] = self.data
+        return _inverse_fft(spectrum, slice(n + 1))
 
     def __add__(self, other):
         self._check_compatible(other)
-        return type(self)(self.data + other.data, hardy=self.hardy)
+        return type(self)(self.data + other.data)
 
     def __sub__(self, other):
         self._check_compatible(other)
-        return type(self)(self.data - other.data, hardy=self.hardy)
+        return type(self)(self.data - other.data)
 
     def __mul__(self, scalar):
-        return type(self)(self.data * complex(scalar), hardy=self.hardy)
+        return type(self)(self.data * complex(scalar))
 
     __rmul__ = __mul__
 
     def _check_compatible(self, other):
         if not isinstance(other, type(self)):
             raise TypeError("expected %s" % type(self).__name__)
-        if other.order != self.order or other.hardy != self.hardy:
-            raise DimensionMismatchError("mixed truncation orders or layouts")
+        if other.order != self.order:
+            raise DimensionMismatchError("mixed truncation orders")
 
     def __repr__(self):
-        return "%s(order=%d, hardy=%s)" % (type(self).__name__, self.order, self.hardy)
+        return "%s(order=%d)" % (type(self).__name__, self.order)
 
 
 class FourierCoeffs1D(FourierCoeffs):
@@ -210,8 +173,7 @@ def inner_product_1d(f, g):
     """Hermitian inner product sum_k c_k(f) conj(c_k(g)), on the circle or the 2-torus.
 
     By Parseval this equals the boundary mean of f conj(g).  Both operands
-    must share one order and one layout; every decomposition takes inner
-    products of Hardy vectors.
+    must share one order.
     """
     f._check_compatible(g)
     return complex(np.vdot(g.data, f.data))
@@ -220,48 +182,57 @@ def inner_product_1d(f, g):
 inner_product_2d = inner_product_1d
 
 
-def _require_real(f, caller):
-    """Reject coefficients that are not full-range or fail c_{-k} = conj(c_k) beyond 1e-9 (relative).
+def _real_grid(samples, order, ndim):
+    """``samples`` as a real ``ndim``-d grid with equal sides of at least 2N + 1, and that side."""
+    samples = np.asarray(samples)
+    if samples.ndim != ndim or len(set(samples.shape)) != 1:
+        raise DimensionMismatchError("expected a %d-d sample grid with equal sides" % ndim)
+    if np.iscomplexobj(samples):
+        raise DomainError("expected real samples, got %s" % samples.dtype)
+    size = samples.shape[0]
+    if size < 2 * order + 1:
+        raise DimensionMismatchError(
+            "need a grid side of at least %d for order %d, got %d" % (2 * order + 1, order, size)
+        )
+    return samples, size
 
-    ``np.flip`` reverses every axis, so one check serves both dimensions.
-    """
-    if f.hardy:
-        raise DomainError("%s expects full-range coefficients" % caller)
-    scale = max(1.0, float(np.max(np.abs(f.data))))
-    if np.max(np.abs(f.data - np.conj(np.flip(f.data)))) > 1e-9 * scale:
-        raise DomainError("coefficients are not Hermitian symmetric (signal not real)")
 
+def analytic_part(samples, order):
+    """Analytic (Hardy) part of a real signal from its uniform boundary samples.
 
-def analytic_part(f):
-    """Project a real-valued signal onto its analytic (Hardy) part.
-
-    Keeps the coefficients with k >= 0, which realizes (f + iHf)/2 + c_0/2.
-    The original signal is recovered on the grid as 2 Re f^+ - c_0.
+    Keeps the FFT coefficients c_k for k = 0..order, which realizes
+    (f + iHf)/2 + c_0/2; the signal is recovered on the grid as
+    2 Re f^+ - c_0.  Exact whenever the signal is bandlimited to ``order``
+    and there are at least ``2*order + 1`` samples; higher content aliases.
 
     Raises
     ------
+    DimensionMismatchError
+        If the samples are not 1-d or fewer than ``2*order + 1``.
     DomainError
-        If the input is not in the full layout or the coefficients fail the
-        Hermitian symmetry c_{-k} = conj(c_k) beyond 1e-9 (relative).
+        If the samples are complex.
     """
-    _require_real(f, "analytic_part")
-    n = f.order
-    return FourierCoeffs1D(f.data[n:].copy(), hardy=True)
+    x, size = _real_grid(samples, order, 1)
+    return FourierCoeffs1D(np.fft.fft(x)[: order + 1] / size)
 
 
-def quadrant_split(f):
-    """Hardy parts of a real signal on the 2-torus, copied from its full-range coefficients.
+def quadrant_split(samples, order):
+    """Hardy parts of a real signal on the 2-torus from a square grid of its samples.
 
-    Raises ``DomainError`` as ``analytic_part`` does.
+    The last axis is transformed first and only its columns l = -N..N are
+    kept; the first axis is then transformed over those columns, and rows
+    k = 0..N hold every part.  Raises as ``analytic_part`` does.
     """
-    _require_real(f, "quadrant_split")
-    n, d = f.order, f.data
-    return QuadrantParts(
-        pp=FourierCoeffs2D(d[n:, n:].copy(), hardy=True),
-        pm=FourierCoeffs2D(d[n:, n::-1].copy(), hardy=True),
-        F=FourierCoeffs1D(d[n:, n].copy(), hardy=True),
-        G=FourierCoeffs1D(d[n, n:].copy(), hardy=True),
-        c00=complex(d[n, n]),
+    x, size = _real_grid(samples, order, 2)
+    n = order
+    columns = np.arange(-n, n + 1) % size
+    d = np.fft.fft(np.fft.fft(x, axis=1).take(columns, axis=1), axis=0)[: n + 1] / size**2
+    return QuadrantParts(  # d[k, l + n] holds c_{k,l}
+        pp=FourierCoeffs2D(d[:, n:].copy()),
+        pm=FourierCoeffs2D(d[:, n::-1].copy()),
+        F=FourierCoeffs1D(d[:, n].copy()),
+        G=FourierCoeffs1D(d[0, n:].copy()),
+        c00=complex(d[0, n]),
     )
 
 

@@ -90,7 +90,7 @@ def szego_coeffs(a, order):
         raise DomainError("disc parameter must satisfy |a| < 1")
     data = math.sqrt(1.0 - abs(a) ** 2) * np.conj(a) ** np.arange(order + 1)
     _warn_deficit(abs(a) ** (2 * (order + 1)), "Szego kernel at |a|=%.4f" % abs(a))
-    return FourierCoeffs1D(data, hardy=True)
+    return FourierCoeffs1D(data)
 
 
 def higher_order_coeffs(spec, order):
@@ -104,13 +104,13 @@ def higher_order_coeffs(spec, order):
         if spec.m - 1 > order:
             raise DomainError("monomial degree %d exceeds order %d" % (spec.m - 1, order))
         data[spec.m - 1] = 1.0
-        return FourierCoeffs1D(data, hardy=True)
+        return FourierCoeffs1D(data)
     k = np.arange(order + 1)
     binom = np.ones(order + 1)
     for j in range(1, spec.m):
         binom *= (k + j) / j
     data[:] = binom * np.conj(spec.a) ** k
-    return FourierCoeffs1D(data, hardy=True)
+    return FourierCoeffs1D(data)
 
 
 @lru_cache(maxsize=4096)
@@ -160,4 +160,4 @@ def tensor_atom_coeffs(spec, order):
     """Outer product of the two normalized factor atoms, unit norm up to truncation."""
     left = normalized_atom_coeffs(spec.left, order)
     right = normalized_atom_coeffs(spec.right, order)
-    return FourierCoeffs2D(np.outer(left.data, right.data), hardy=True)
+    return FourierCoeffs2D(np.outer(left.data, right.data))

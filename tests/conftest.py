@@ -11,14 +11,15 @@ from afdkit import (
     FourierCoeffs1D,
     FourierCoeffs2D,
     OrthoFrame,
+    QuadrantParts,
     SelectionOutcome,
     SpanDegeneracyError,
     grid_points,
     szego_coeffs,
 )
 from afdkit.afd1d import _tm_grid_size
-from afdkit.afd2d import _block_entries, _cross_table, _hardy_block, _history_rows
-from afdkit.hardy import _spectrum_index, grid_radii, real_field_2d, require_nonzero
+from afdkit.afd2d import _block_entries, _cross_table, _history_rows
+from afdkit.hardy import grid_radii, real_field_2d, require_nonzero
 from afdkit.poga import (
     EPS_SPAN,
     RATE_EXCESS,
@@ -39,20 +40,27 @@ def kernel_ip(a, b):
 
 
 def _index(f, k):
-    """Array index of the frequency ``k`` (one per axis) in the layout of ``f``; it must be stored."""
-    low = 0 if f.hardy else -f.order
+    """Array index of the frequency ``k`` (one per axis) of ``f``; it must be stored."""
     k = tuple(int(x) for x in np.atleast_1d(k))
-    if len(k) != f.ndim or not all(low <= x <= f.order for x in k):
+    if len(k) != f.ndim or not all(0 <= x <= f.order for x in k):
         raise IndexError("frequency %s outside the stored range of %r" % (k, f))
-    return tuple(x - low for x in k)
+    return k
 
 
-def from_terms(cls, order, terms, hardy=False):
+def from_terms(cls, order, terms):
     """``cls`` coefficients from a ``{frequency: value}`` mapping; a 2-d frequency is a pair."""
-    f = cls.zeros(order, hardy=hardy)
+    f = cls.zeros(order)
     for k, val in terms.items():
         f.data[_index(f, k)] = val
     return f
+
+
+def full_range(ndim, order, terms):
+    """Full-range coefficients, c_k at index k + N on every axis, from a ``{frequency: value}`` mapping."""
+    data = np.zeros((2 * order + 1,) * ndim, dtype=complex)
+    for k, val in terms.items():
+        data[tuple(np.atleast_1d(k) + order)] = val
+    return data
 
 
 def coeff(f, *k):
@@ -71,7 +79,7 @@ def random_hardy_1d(seed, order, decay=1.5):
     rng = np.random.default_rng(seed)
     data = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
     data /= (1.0 + np.arange(order + 1)) ** decay
-    f = FourierCoeffs1D(data, hardy=True)
+    f = FourierCoeffs1D(data)
     return (1.0 / float(np.sqrt(f.energy()))) * f
 
 
@@ -80,24 +88,73 @@ def random_hardy_2d(seed, order, decay=1.5):
     side = order + 1
     data = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
     data /= (1.0 + np.add.outer(np.arange(side), np.arange(side))) ** decay
-    f = FourierCoeffs2D(data, hardy=True)
+    f = FourierCoeffs2D(data)
     return (1.0 / float(np.sqrt(f.energy()))) * f
 
 
 def random_real_full_1d(seed, order):
-    """Random real bandlimited signal as Hermitian full-range coefficients."""
+    """Random real bandlimited signal as Hermitian ``full_range`` coefficients."""
     rng = np.random.default_rng(seed)
     data = rng.standard_normal(2 * order + 1) + 1j * rng.standard_normal(2 * order + 1)
-    data = (data + np.conj(data[::-1])) / 2.0
-    return FourierCoeffs1D(data, hardy=False)
+    return (data + np.conj(data[::-1])) / 2.0
 
 
 def random_real_full_2d(seed, order):
     rng = np.random.default_rng(seed)
     side = 2 * order + 1
     data = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
-    data = (data + np.conj(data[::-1, ::-1])) / 2.0
-    return FourierCoeffs2D(data, hardy=False)
+    return (data + np.conj(data[::-1, ::-1])) / 2.0
+
+
+def _reference_ifftn(data, low, size):
+    """Samples at t_j = 2 pi j / size of coefficients stored from frequency ``low`` on every axis, by one ``np.fft.ifftn``."""
+    spectrum = np.zeros((size,) * data.ndim, dtype=complex)
+    spectrum[np.ix_(*[np.arange(low, low + data.shape[0]) % size] * data.ndim)] = data
+    samples = np.fft.ifftn(spectrum)
+    for _ in range(data.ndim):
+        samples *= size
+    return samples
+
+
+def real_samples(data, size):
+    """Boundary samples of the real signal with Hermitian ``full_range`` coefficients ``data``."""
+    return _reference_ifftn(data, -(data.shape[0] // 2), size).real
+
+
+def reference_full_range(samples, order):
+    """``full_range`` coefficients of samples: one ``np.fft.fftn`` over every line, frequencies -N..N kept."""
+    size = samples.shape[0]
+    kept = np.arange(-order, order + 1) % size
+    return np.fft.fftn(samples)[np.ix_(*[kept] * samples.ndim)] / size**samples.ndim
+
+
+def reference_analytic_part(samples, order):
+    """``analytic_part`` through the full-range layout: ``reference_full_range``, then k >= 0."""
+    return FourierCoeffs1D(reference_full_range(samples, order)[order:])
+
+
+def reference_quadrant_split(samples, order):
+    """``quadrant_split`` through the full-range layout: ``reference_full_range``, then its four blocks."""
+    n, d = order, reference_full_range(samples, order)
+    return QuadrantParts(
+        pp=FourierCoeffs2D(d[n:, n:]),
+        pm=FourierCoeffs2D(d[n:, n::-1]),
+        F=FourierCoeffs1D(d[n:, n]),
+        G=FourierCoeffs1D(d[n, n:]),
+        c00=complex(d[n, n]),
+    )
+
+
+def reference_synth_field_2d(order, seed, size):
+    """``cli.synth_field_2d`` with its symmetric full-range spectrum sampled by ``real_samples``."""
+    rng = np.random.default_rng(seed)
+    side = 2 * order + 1
+    spec = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    decay = 1.0 / (1.0 + np.abs(np.arange(-order, order + 1)))
+    spec *= np.outer(decay, decay)
+    field = real_samples((spec + np.conj(spec[::-1, ::-1])) / 2.0, size)
+    lo, hi = field.min(), field.max()
+    return (field - lo) / (hi - lo) if hi > lo else np.full_like(field, 0.5)
 
 
 def reference_real_field_2d(parts, size):
@@ -131,12 +188,7 @@ def reference_ifft2_real_field_2d(parts, size):
 
 def reference_boundary_samples(f, size):
     """``FourierCoeffs.boundary_samples`` with one ``np.fft.ifftn`` over every row."""
-    spectrum = np.zeros((size,) * f.ndim, dtype=complex)
-    spectrum[np.ix_(*[_spectrum_index(f.order, f.hardy, size)] * f.ndim)] = f.data
-    samples = np.fft.ifftn(spectrum)
-    for _ in range(f.ndim):
-        samples *= size
-    return samples
+    return _reference_ifftn(f.data, 0, size)
 
 
 def reference_write_csv(path, header, values):
@@ -187,7 +239,7 @@ def reference_backward_shift(f, a):
     discarded = float(np.sum(np.abs(spec) ** 2) - np.sum(np.abs(kept) ** 2))
     if discarded > 1e-8 * f.energy():
         raise TruncationError("discards %.3e" % (discarded / f.energy()))
-    return FourierCoeffs1D(kept.copy(), hardy=True)
+    return FourierCoeffs1D(kept.copy())
 
 
 def reference_line_offsets(buf):
@@ -261,10 +313,9 @@ def multiplicities(params):
 
 def product_coeff(f, bk, bl):
     """Cross coefficient <f, bk (x) bl> of a Hardy 2-d signal, bk and bl 1-d Hardy vectors of its order."""
-    C = _hardy_block(f)
     if bk.order != f.order or bl.order != f.order:
         raise DomainError("factor orders must match the signal order")
-    return complex(np.conj(bk.data) @ C @ np.conj(bl.data))
+    return complex(np.conj(bk.data) @ f.data @ np.conj(bl.data))
 
 
 def dn_energy(f, history, candidate):
@@ -274,7 +325,7 @@ def dn_energy(f, history, candidate):
     squared moduli of the 2n - 1 new cross coefficients.
     """
     pairs = list(history) + [candidate]
-    table = _cross_table(_hardy_block(f), *_history_rows(pairs, f.order))
+    table = _cross_table(f.data, *_history_rows(pairs, f.order))
     return float(np.sum(np.abs(_block_entries(table, len(pairs))) ** 2))
 
 
@@ -449,7 +500,7 @@ def dominant_atoms_on_grid(seed, grid, order, n_atoms, ratio=16.0, low_frac=0.85
         for ri, ai in zip(rad_ids, ang_ids)
     ]
     coeffs = (1.0 / ratio) ** np.arange(n_atoms) * np.exp(1j * rng.uniform(0, 2 * np.pi, n_atoms))
-    f = FourierCoeffs1D.zeros(order, hardy=True)
+    f = FourierCoeffs1D.zeros(order)
     for c, a in zip(coeffs, params):
         f = f + complex(c) * szego_coeffs(a, order)
     return f, params, [complex(c) for c in coeffs]

@@ -45,6 +45,7 @@ from conftest import (
     random_hardy_2d,
     random_real_full_2d,
     real_reconstruct_2d,
+    real_samples,
 )
 
 
@@ -134,9 +135,8 @@ def test_05_2d_real_reconstruction():
     worst = 0.0
     for seed in range(5):
         f = random_real_full_2d(seed, 31)
-        samples = f.boundary_samples(64).real
-        back = FourierCoeffs2D.from_samples(samples, 31, hardy=False)
-        recon = real_reconstruct_2d(quadrant_split(back), 64)
+        samples = real_samples(f, 64)
+        recon = real_reconstruct_2d(quadrant_split(samples, 31), 64)
         worst = max(worst, float(np.max(np.abs(recon - samples))))
     assert worst < 1e-9
     report("05 torus-real-reconstruction", "max round-trip error %.2e < 1e-9" % worst, t0)
@@ -160,7 +160,7 @@ def test_06_product_tm_decomposition():
             )
             for i in range(2)
         ]
-        f = FourierCoeffs2D.zeros(48, hardy=True)
+        f = FourierCoeffs2D.zeros(48)
         for c, (a, b) in zip((1.0, 1 / 16), pairs):
             f = f + c * tensor_atom_coeffs(TensorAtomSpec.of(a, b), 48)
         record = afd2d_tm_decompose(f, 2, grid)

@@ -63,7 +63,7 @@ class TestBlaschke:
         assert np.allclose(_phi_row([0.0], 16), np.eye(1, 17, 1))
 
     def test_unimodular(self):
-        vals = FourierCoeffs1D(_phi_row([0.5, 0.5], 128), hardy=True).boundary_samples(256)
+        vals = FourierCoeffs1D(_phi_row([0.5, 0.5], 128)).boundary_samples(256)
         assert np.max(np.abs(np.abs(vals) - 1.0)) < 1e-13
 
     def test_invalid_parameter(self):
@@ -127,7 +127,7 @@ class TestTMBasis:
 
 class TestBackwardShift:
     def test_classical_shift(self):
-        f = from_terms(FourierCoeffs1D, 16, {2: 1.0}, hardy=True)
+        f = from_terms(FourierCoeffs1D, 16, {2: 1.0})
         shifted = backward_shift(f, 0.0)
         assert abs(coeff(shifted, 1) - 1.0) < 1e-12
         assert abs(shifted.energy() - 1.0) < 1e-12
@@ -137,13 +137,9 @@ class TestBackwardShift:
         assert backward_shift(atom, 0.4 - 0.2j).energy() < 1e-20
 
     def test_energy_identity(self):
-        f = from_terms(FourierCoeffs1D, 256, {1: 1.0}, hardy=True)
+        f = from_terms(FourierCoeffs1D, 256, {1: 1.0})
         shifted = backward_shift(f, 0.5)
         assert shifted.energy() == pytest.approx(1 - 0.75 * 0.25, abs=1e-10)
-
-    def test_requires_hardy(self):
-        with pytest.raises(DomainError):
-            backward_shift(from_terms(FourierCoeffs1D, 4, {0: 1.0}), 0.1)
 
     def test_truncation_blowup_detected(self):
         import warnings
@@ -207,19 +203,19 @@ class TestMsp:
         assert value == pytest.approx(1.0, abs=1e-10)
 
     def test_monomial_prefers_balanced_radius(self):
-        f = from_terms(FourierCoeffs1D, 256, {1: 1.0}, hardy=True)
+        f = from_terms(FourierCoeffs1D, 256, {1: 1.0})
         a, value = msp_1d(f, GRID)
         assert abs(abs(a) ** 2 - 0.5) < 0.05
         assert 0.24 < value <= 0.25 + 1e-12
 
     def test_constant_selects_center(self):
-        f = from_terms(FourierCoeffs1D, 256, {0: 1.0}, hardy=True)
+        f = from_terms(FourierCoeffs1D, 256, {0: 1.0})
         a, value = msp_1d(f, GRID)
         assert a == 0 and value == pytest.approx(1.0)
 
     def test_zero_input_rejected(self):
         with pytest.raises(DegenerateInputError):
-            msp_1d(FourierCoeffs1D.zeros(8, hardy=True), GRID)
+            msp_1d(FourierCoeffs1D.zeros(8), GRID)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_oracle_equivalence(self, seed):
@@ -268,7 +264,7 @@ class TestDecompose:
     def test_coefficients_match_orthonormal_system(self, seed):
         f = random_hardy_1d(seed, 256)
         record = afd_decompose_1d(f, 6, GRID)
-        basis = [FourierCoeffs1D(row, hardy=True) for row in tm_matrix(record.params(), 256)]
+        basis = [FourierCoeffs1D(row) for row in tm_matrix(record.params(), 256)]
         for step, b in zip(record.steps, basis):
             assert abs(step.coeff - inner_product_1d(f, b)) < 1e-8
 
@@ -295,7 +291,7 @@ class TestDecompose:
         f = random_hardy_1d(seed, 256)
         record = afd_decompose_1d(f, 5, GRID)
         params = record.params()
-        basis = [FourierCoeffs1D(row, hardy=True) for row in tm_matrix(params, 256)]
+        basis = [FourierCoeffs1D(row) for row in tm_matrix(params, 256)]
         size = 2048
         fk = f
         for k in range(1, len(params) + 1):

@@ -65,7 +65,7 @@ PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def tensor_signal(pairs_and_coeffs, order=ORDER):
-    f = FourierCoeffs2D.zeros(order, hardy=True)
+    f = FourierCoeffs2D.zeros(order)
     for c, (a, b) in pairs_and_coeffs:
         f = f + complex(c) * tensor_atom_coeffs(TensorAtomSpec.of(a, b), order)
     return f
@@ -117,8 +117,8 @@ class TestProductCoeff:
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_orthogonal_monomials(self):
-        f = from_terms(FourierCoeffs2D, 8, {(1, 1): 1.0}, hardy=True)
-        one = from_terms(FourierCoeffs1D, 8, {0: 1.0}, hardy=True)
+        f = from_terms(FourierCoeffs2D, 8, {(1, 1): 1.0})
+        one = from_terms(FourierCoeffs1D, 8, {0: 1.0})
         assert product_coeff(f, one, one) == 0
 
     def test_tensor_factorization(self):
@@ -177,7 +177,7 @@ class TestMspProductTm:
 
     def test_monomial_balanced_radii(self):
         grid = GridSpec(radial_count=12, angular_count=12, refine_levels=1, max_radius=0.8)
-        f = from_terms(FourierCoeffs2D, ORDER, {(1, 1): 1.0}, hardy=True)
+        f = from_terms(FourierCoeffs2D, ORDER, {(1, 1): 1.0})
         sel = msp_product_tm(f, [], grid)
         assert abs(abs(sel.a) ** 2 - 0.5) < 0.06
         assert abs(abs(sel.b) ** 2 - 0.5) < 0.06
@@ -190,14 +190,14 @@ class TestMspProductTm:
         b1 = complex(radii[6] * np.exp(2j * np.pi * 5 / 20))
         b2 = complex(radii[5] * np.exp(2j * np.pi * 14 / 20))
         g = 0.9 * szego_coeffs(b1, ORDER).data + 0.05 * szego_coeffs(b2, ORDER).data
-        f = FourierCoeffs2D(np.outer(szego_coeffs(a0, ORDER).data, g), hardy=True)
+        f = FourierCoeffs2D(np.outer(szego_coeffs(a0, ORDER).data, g))
         sel1 = msp_product_tm(f, [], GRID)
         assert sel1.a == pytest.approx(a0, abs=1e-14)
         msp_product_tm(f, [(sel1.a, sel1.b)], GRID)
 
     def test_zero_remainder_rejected(self):
         with pytest.raises(DegenerateInputError):
-            msp_product_tm(FourierCoeffs2D.zeros(8, hardy=True), [], GRID)
+            msp_product_tm(FourierCoeffs2D.zeros(8), [], GRID)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_oracle_equivalence(self, seed):
@@ -1035,7 +1035,7 @@ class TestAfd2dDecompose:
     def test_block_energy_is_partial_sum_increment(self):
         f = random_hardy_2d(9, ORDER)
         record = afd2d_tm_decompose(f, 4, GRID)
-        prev = FourierCoeffs2D.zeros(ORDER, hardy=True)
+        prev = FourierCoeffs2D.zeros(ORDER)
         for n in range(1, 5):
             sub = type(record)(initial_energy=record.initial_energy, steps=record.steps[:n])
             sn = reconstruct_product_tm(sub, ORDER)
@@ -1093,7 +1093,7 @@ class TestPga:
         assert coeff == pytest.approx(1.0, abs=1e-9)
 
     def test_constant_selects_center(self):
-        f = from_terms(FourierCoeffs2D, ORDER, {(0, 0): 1.0}, hardy=True)
+        f = from_terms(FourierCoeffs2D, ORDER, {(0, 0): 1.0})
         spec, coeff = pga_step(f, GRID)
         assert spec.left.a == 0 and spec.right.a == 0
         assert coeff == pytest.approx(1.0)

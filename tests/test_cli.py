@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from afdkit import (
     AtomSpec,
-    FourierCoeffs1D,
     GridSpec,
     IngestError,
     RecordFormatError,
@@ -42,10 +41,19 @@ from afdkit.cli import (
     decode_section,
     encode_section,
     real_samples_1d,
+    synth_field_2d,
     write_csv as cli_write_csv,
     write_pgm,
 )
-from conftest import coeff, reference_real_field_2d, reference_write_csv, reference_write_pgm, section
+from conftest import (
+    coeff,
+    reference_analytic_part,
+    reference_real_field_2d,
+    reference_synth_field_2d,
+    reference_write_csv,
+    reference_write_pgm,
+    section,
+)
 
 
 def write_csv(path, values, header=None):
@@ -96,7 +104,7 @@ class TestLoadSignal1D:
         path.write_bytes("\r\n".join(lines).encode("utf-8"))
         want = [float(v) for v in values]
         f = load_signal_1d(path, 100)
-        ref = FourierCoeffs1D.from_samples(np.asarray(want), 100, hardy=False).data[100:]
+        ref = reference_analytic_part(np.asarray(want), 100).data
         assert f.data.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize(
@@ -492,6 +500,18 @@ class TestSynth:
         write_csv(path, samples)
         back = load_signal_1d(path, 64)
         assert np.max(np.abs(back.data - f.data)) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(order=st.integers(0, 40), seed=st.integers(0, 2**16), extra=st.integers(0, 100))
+    @example(order=24, seed=1, extra=15)  # the CLI round trip's image, 64 x 64
+    @example(order=16, seed=0, extra=31)  # the CLI tests' images
+    @example(order=64, seed=3, extra=127)  # 256 x 256
+    @example(order=0, seed=1, extra=0)
+    def test_field_2d_keeps_the_full_range_bits(self, order, seed, extra):
+        """The symmetric spectrum placed at -N..N per axis samples to the bits of one ``np.fft.ifftn``."""
+        size = 2 * order + 1 + extra
+        got, want = synth_field_2d(order, seed, size), reference_synth_field_2d(order, seed, size)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestCliEndToEnd:

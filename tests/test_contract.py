@@ -67,8 +67,8 @@ def test_tracer_misses_only_the_known_boundaries():
     with module.Tracer().installed() as tracer:
         assert afdkit.afd1d.tm_matrix is not tm_matrix
     assert afdkit.afd1d.tm_matrix is tm_matrix
-    # from_samples is inherited from hardy.FourierCoeffs, so the subclasses'
-    # own namespaces the tracer looks in no longer hold it
+    # the tracer still looks for FourierCoeffs1D/2D.from_samples, which is
+    # gone: ingest is analytic_part and quadrant_split, wrapped in cli
     assert tracer.missing == {"FourierCoeffs1D.from_samples", "FourierCoeffs2D.from_samples"}
 
 

@@ -48,13 +48,18 @@ from afdkit.hardy import (
 from conftest import (
     coeff,
     from_terms,
+    full_range,
     kernel_ip,
     random_hardy_1d,
     random_real_full_1d,
     random_real_full_2d,
+    real_samples,
+    reference_analytic_part,
     reference_boundary_samples,
+    reference_full_range,
     reference_ifft2_real_field_2d,
     reference_local_candidates,
+    reference_quadrant_split,
     reference_real_field_2d,
 )
 
@@ -65,27 +70,38 @@ class TestRoundTrips:
     def test_samples_1d_full(self):
         f = random_real_full_1d(1, 20)
         for size in (64, 128):
-            back = FourierCoeffs1D.from_samples(f.boundary_samples(size), 20, hardy=False)
-            assert np.max(np.abs(back.data - f.data)) < 1e-12
+            back = analytic_part(real_samples(f, size), 20)
+            assert np.max(np.abs(back.data - f[20:])) < 1e-12
 
     def test_samples_1d_hardy(self):
+        # a Hardy signal with a real mean is the analytic part of the real signal 2 Re f - c_0
         f = random_hardy_1d(2, 33)
-        back = FourierCoeffs1D.from_samples(f.boundary_samples(128), 33, hardy=True)
-        assert np.max(np.abs(back.data - f.data)) < 1e-12
+        want = f.data.copy()
+        want[0] = want[0].real
+        back = analytic_part(2.0 * f.boundary_samples(128).real - want[0].real, 33)
+        assert np.max(np.abs(back.data - want)) < 1e-12
 
     def test_samples_2d(self):
         f = random_real_full_2d(3, 15)
-        back = FourierCoeffs2D.from_samples(f.boundary_samples(64), 15, hardy=False)
-        assert np.max(np.abs(back.data - f.data)) < 1e-12
+        parts = quadrant_split(real_samples(f, 64), 15)
+        assert np.max(np.abs(parts.pp.data - f[15:, 15:])) < 1e-12
+        assert np.max(np.abs(parts.pm.data - f[15:, 15::-1])) < 1e-12
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            FourierCoeffs1D.from_samples(np.zeros(16), 20)
+            analytic_part(np.zeros(40), 20)
+        with pytest.raises(DimensionMismatchError):
+            quadrant_split(np.zeros((40, 40)), 20)
+        analytic_part(np.zeros(41), 20)
+        quadrant_split(np.zeros((41, 41)), 20)
 
     def test_parseval(self):
         f = random_real_full_1d(4, 30)
-        grid_energy = float(np.mean(np.abs(f.boundary_samples(128)) ** 2))
-        assert abs(grid_energy - f.energy()) < 1e-10 * f.energy()
+        samples = real_samples(f, 128)
+        ap = analytic_part(samples, 30)
+        # |c_{-k}| = |c_k|, so the signal's energy is 2 ||f^+||^2 - |c_0|^2
+        energy = 2.0 * ap.energy() - abs(coeff(ap, 0)) ** 2
+        assert abs(float(np.mean(samples**2)) - energy) < 1e-10 * energy
 
 
 def _reference_boundary_samples(f, size):
@@ -93,43 +109,20 @@ def _reference_boundary_samples(f, size):
     n = f.order
     if f.data.ndim == 1:
         spectrum = np.zeros(size, dtype=complex)
-        if f.hardy:
-            spectrum[: n + 1] = f.data
-        else:
-            spectrum[: n + 1] = f.data[n:]
-            spectrum[size - n :] = f.data[:n]
+        spectrum[: n + 1] = f.data
         return np.fft.ifft(spectrum) * size
     spectrum = np.zeros((size, size), dtype=complex)
-    if f.hardy:
-        spectrum[: n + 1, : n + 1] = f.data
-    else:
-        idx = np.r_[n : 2 * n + 1, 0:n]
-        rows = np.r_[0 : n + 1, size - n : size]
-        spectrum[np.ix_(rows, rows)] = f.data[idx][:, idx]
+    spectrum[: n + 1, : n + 1] = f.data
     return np.fft.ifft2(spectrum) * size * size
-
-
-def _reference_from_samples(samples, order, hardy):
-    size = samples.shape[0]
-    if samples.ndim == 1:
-        spectrum = np.fft.fft(samples) / size
-        if hardy:
-            return spectrum[: order + 1]
-        return np.concatenate([spectrum[size - order :], spectrum[: order + 1]])
-    spectrum = np.fft.fftn(samples) / (size * size)
-    if hardy:
-        return spectrum[: order + 1, : order + 1]
-    idx = np.r_[size - order : size, 0 : order + 1]
-    return spectrum[np.ix_(idx, idx)]
 
 
 COEFF_TYPES = [FourierCoeffs1D, FourierCoeffs2D]
 
 
-def _random_coeffs(cls, seed, order, hardy):
+def _random_coeffs(cls, seed, order):
     rng = np.random.default_rng(seed)
-    shape = (order + 1 if hardy else 2 * order + 1,) * cls.ndim
-    return cls(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), hardy=hardy)
+    shape = (order + 1,) * cls.ndim
+    return cls(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 class TestFftViewsBitwise:
@@ -143,39 +136,42 @@ class TestFftViewsBitwise:
     @given(
         cls=st.sampled_from(COEFF_TYPES),
         order=st.integers(0, 24),
-        hardy=st.booleans(),
         extra=st.integers(0, 40),
         seed=st.integers(0, 2**16),
     )
-    @example(cls=FourierCoeffs2D, order=16, hardy=True, extra=20, seed=37)  # a 37 x 37 image
-    @example(cls=FourierCoeffs2D, order=16, hardy=True, extra=53, seed=70)  # a 70 x 70 image
-    def test_boundary_samples(self, cls, order, hardy, extra, seed):
-        f = _random_coeffs(cls, seed, order, hardy)
+    @example(cls=FourierCoeffs2D, order=16, extra=20, seed=37)  # a 37 x 37 image
+    @example(cls=FourierCoeffs2D, order=16, extra=53, seed=70)  # a 70 x 70 image
+    def test_boundary_samples(self, cls, order, extra, seed):
+        f = _random_coeffs(cls, seed, order)
         size = f.data.shape[0] + extra
         got = f.boundary_samples(size)
         assert np.array_equal(got, _reference_boundary_samples(f, size))
 
     @settings(max_examples=80, deadline=None)
     @given(
-        cls=st.sampled_from(COEFF_TYPES),
-        order=st.integers(0, 64),
-        hardy=st.booleans(),
-        extra=st.integers(0, 140),
+        ndim=st.sampled_from([1, 2]),
+        order=st.integers(1, 70),
+        extra=st.integers(0, 39),
         seed=st.integers(0, 2**16),
         pixels=st.booleans(),
     )
-    @example(cls=FourierCoeffs2D, order=64, hardy=False, extra=127, seed=5, pixels=True)  # a bench image
-    @example(cls=FourierCoeffs2D, order=64, hardy=False, extra=0, seed=6, pixels=True)  # an odd side, 129
-    def test_from_samples(self, cls, order, hardy, extra, seed, pixels):
-        # the 2-d transform takes its second pass over the kept columns only
-        # and still has the bits of ``np.fft.fftn``, odd sides included
+    @example(ndim=1, order=256, extra=511, seed=4, pixels=False)  # a bench signal, 1,024 samples
+    @example(ndim=2, order=64, extra=127, seed=5, pixels=True)  # a bench image, 256 x 256
+    @example(ndim=2, order=64, extra=0, seed=6, pixels=True)  # an odd side, 129
+    def test_from_samples(self, ndim, order, extra, seed, pixels):
+        # the Hardy parts from samples have the bits of the full-range transform,
+        # one ``np.fft.fftn`` kept at -N..N, then split; the 2-d transform takes
+        # its second pass over the kept columns only, odd sides included
         rng = np.random.default_rng(seed)
-        size = 2 * order + 1 + extra
-        shape = (size,) * cls.ndim
+        shape = (2 * order + 1 + extra,) * ndim
         samples = rng.integers(0, 256, shape) / 255.0 if pixels else rng.standard_normal(shape)  # pixels as ingested
-        got = cls.from_samples(samples, order, hardy=hardy)
-        assert got.hardy is hardy
-        assert np.array_equal(got.data, _reference_from_samples(samples, order, hardy))
+        if ndim == 1:
+            assert same_bits(analytic_part(samples, order).data, reference_analytic_part(samples, order).data)
+            return
+        got, want = quadrant_split(samples, order), reference_quadrant_split(samples, order)
+        for name in ("pp", "pm", "F", "G"):
+            assert same_bits(getattr(got, name).data, getattr(want, name).data)
+        assert same_bits(np.array(got.c00), np.array(want.c00))
 
 
 @pytest.mark.parametrize("cls", COEFF_TYPES, ids=["1d", "2d"])
@@ -184,30 +180,17 @@ class TestSharedSurface:
         with pytest.raises(DimensionMismatchError):
             cls(np.zeros((3,) * (cls.ndim + 1)))
         with pytest.raises(DimensionMismatchError):
-            cls(np.zeros((0,) * cls.ndim), hardy=True)
-
-    def test_constructor_rejects_even_full_side(self, cls):
-        with pytest.raises(DimensionMismatchError):
-            cls(np.zeros((4,) * cls.ndim), hardy=False)
-        assert cls(np.zeros((4,) * cls.ndim), hardy=True).order == 3
+            cls(np.zeros((0,) * cls.ndim))
 
     def test_mixed_dimensions_do_not_add(self, cls):
         other = COEFF_TYPES[2 - cls.ndim]
         with pytest.raises(TypeError):
-            cls.zeros(3, hardy=True) + other.zeros(3, hardy=True)
+            cls.zeros(3) + other.zeros(3)
         with pytest.raises(TypeError):
-            cls.zeros(3, hardy=True) - np.zeros((4,) * cls.ndim)
-
-    def test_mixed_layout_inner_product(self, cls):
-        h = _random_coeffs(cls, 7, 6, True)
-        full = _random_coeffs(cls, 8, 6, False)
-        for f, g in ((h, full), (full, h)):
-            for inner in (inner_product_1d, inner_product_2d):
-                with pytest.raises(DimensionMismatchError):
-                    inner(f, g)
+            cls.zeros(3) - np.zeros((4,) * cls.ndim)
 
     def test_repr_names_the_subclass(self, cls):
-        assert repr(cls.zeros(2, hardy=True)) == "%s(order=2, hardy=True)" % cls.__name__
+        assert repr(cls.zeros(2)) == "%s(order=2)" % cls.__name__
         assert type(2.0 * cls.zeros(2)) is cls
 
 
@@ -215,19 +198,19 @@ def test_non_square_2d_rejected():
     with pytest.raises(DimensionMismatchError):
         FourierCoeffs2D(np.zeros((3, 5)))
     with pytest.raises(DimensionMismatchError):
-        FourierCoeffs2D.from_samples(np.zeros((9, 10)), 2)
+        quadrant_split(np.zeros((9, 10)), 2)
     with pytest.raises(DimensionMismatchError):
-        FourierCoeffs1D.from_samples(np.zeros((9, 9)), 2)
+        analytic_part(np.zeros((9, 9)), 2)
 
 
 class TestInnerProducts:
     def test_orthonormal_monomial(self):
-        f = from_terms(FourierCoeffs1D, 8, {1: 1.0}, hardy=True)
+        f = from_terms(FourierCoeffs1D, 8, {1: 1.0})
         assert inner_product_1d(f, f) == pytest.approx(1.0)
 
     def test_distinct_frequencies(self):
-        one = from_terms(FourierCoeffs1D, 8, {0: 1.0}, hardy=True)
-        z = from_terms(FourierCoeffs1D, 8, {1: 1.0}, hardy=True)
+        one = from_terms(FourierCoeffs1D, 8, {0: 1.0})
+        z = from_terms(FourierCoeffs1D, 8, {1: 1.0})
         assert inner_product_1d(one, z) == 0
 
     def test_kernel_pair_closed_form(self):
@@ -235,27 +218,17 @@ class TestInnerProducts:
         assert ip == pytest.approx(KERNEL_IP_05_03, abs=1e-12)
         assert ip == pytest.approx(kernel_ip(0.5, 0.3), abs=1e-12)
 
-    def test_mixed_layouts(self):
-        h = szego_coeffs(0.4, 16)
-        data = np.zeros(2 * h.order + 1, dtype=complex)
-        data[h.order:] = h.data
-        full = FourierCoeffs1D(data, hardy=False)
-        with pytest.raises(DimensionMismatchError):
-            inner_product_1d(h, full)
-        with pytest.raises(DimensionMismatchError):
-            inner_product_1d(full, h)
-
     def test_order_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             inner_product_1d(szego_coeffs(0.1, 8), szego_coeffs(0.1, 9))
 
     def test_2d_monomial(self):
-        e00 = from_terms(FourierCoeffs2D, 4, {(0, 0): 1.0}, hardy=True)
+        e00 = from_terms(FourierCoeffs2D, 4, {(0, 0): 1.0})
         assert inner_product_2d(e00, e00) == pytest.approx(1.0)
 
     def test_2d_disjoint(self):
-        zt = from_terms(FourierCoeffs2D, 4, {(1, 0): 1.0}, hardy=True)
-        zs = from_terms(FourierCoeffs2D, 4, {(0, 1): 1.0}, hardy=True)
+        zt = from_terms(FourierCoeffs2D, 4, {(1, 0): 1.0})
+        zs = from_terms(FourierCoeffs2D, 4, {(0, 1): 1.0})
         assert inner_product_2d(zt, zs) == 0
 
     def test_2d_tensor_factorization(self):
@@ -264,144 +237,138 @@ class TestInnerProducts:
         assert inner_product_2d(f, g) == pytest.approx(KERNEL_IP_05_03**2, abs=1e-10)
 
 
-def hilbert_transform(f):
-    """Hilbert transform of a real signal through its analytic part.
+def hilbert_transform(samples, order):
+    """Hilbert transform of real samples through their analytic part.
 
-    ``analytic_part`` realizes (f + iHf)/2 + c_0/2, so Hf = -i (2 f^+ - f - c_0).
+    ``analytic_part`` realizes (f + iHf)/2 + c_0/2 with c_0 real, so Hf = 2 Im f^+.
     """
-    n = f.order
-    full = np.zeros_like(f.data)
-    full[n:] = analytic_part(f).data
-    i_hf = 2.0 * full - f.data
-    i_hf[n] -= f.data[n]
-    return FourierCoeffs1D(-1j * i_hf, hardy=False)
+    return 2.0 * analytic_part(samples, order).boundary_samples(samples.size).imag
+
+
+# cos t and sin t on the smallest power-of-two grid for order 2, where every FFT is exact
+COS = real_samples(full_range(1, 2, {1: 0.5, -1: 0.5}), 8)
+SIN = real_samples(full_range(1, 2, {1: -0.5j, -1: 0.5j}), 8)
 
 
 class TestHilbert:
     """The analytic part against the Fourier multiplier -i sgn(k) of the Hilbert transform."""
 
     def test_cos_to_sin(self):
-        cos = from_terms(FourierCoeffs1D, 4, {1: 0.5, -1: 0.5})
-        h = hilbert_transform(cos)
-        sin = from_terms(FourierCoeffs1D, 4, {1: -0.5j, -1: 0.5j})
-        assert np.allclose(h.data, sin.data)
+        assert np.allclose(hilbert_transform(COS, 2), SIN)
 
     def test_constant_to_zero(self):
-        one = from_terms(FourierCoeffs1D, 4, {0: 1.0})
-        assert hilbert_transform(one).energy() == 0
+        assert np.all(hilbert_transform(np.ones(8), 2) == 0)
 
     def test_sin_to_minus_cos(self):
-        sin = from_terms(FourierCoeffs1D, 4, {1: -0.5j, -1: 0.5j})
-        h = hilbert_transform(sin)
-        cos = from_terms(FourierCoeffs1D, 4, {1: 0.5, -1: 0.5})
-        assert np.allclose(h.data, -cos.data)
+        assert np.allclose(hilbert_transform(SIN, 2), -COS)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_double_transform_removes_mean(self, seed):
         f = random_real_full_1d(seed, 24)
-        hh = hilbert_transform(hilbert_transform(f))
-        expected = -(f.data.copy())
-        expected[24] = 0.0
-        assert np.max(np.abs(hh.data - expected)) < 1e-10
+        samples = real_samples(f, 64)
+        hh = hilbert_transform(hilbert_transform(samples, 24), 24)
+        assert np.max(np.abs(hh + (samples - f[24].real))) < 1e-10
 
 
 class TestAnalyticPart:
     def test_cos(self):
-        ap = analytic_part(from_terms(FourierCoeffs1D, 4, {1: 0.5, -1: 0.5}))
+        ap = analytic_part(COS, 2)
         assert coeff(ap, 0) == 0 and coeff(ap, 1) == pytest.approx(0.5)
 
     def test_constant(self):
-        ap = analytic_part(from_terms(FourierCoeffs1D, 4, {0: 1.0}))
+        ap = analytic_part(np.ones(8), 2)
         assert coeff(ap, 0) == pytest.approx(1.0) and ap.energy() == pytest.approx(1.0)
 
     def test_linearity(self):
-        f = from_terms(FourierCoeffs1D, 4, {0: 3.0, 1: 1.0, -1: 1.0})
-        ap = analytic_part(f)
+        ap = analytic_part(3.0 + 2.0 * COS, 2)
         assert coeff(ap, 0) == pytest.approx(3.0) and coeff(ap, 1) == pytest.approx(1.0)
 
     def test_non_real_rejected(self):
-        f = from_terms(FourierCoeffs1D, 4, {1: 1.0})  # no Hermitian partner
+        samples = np.exp(2j * np.pi * np.arange(8) / 8)  # e^{it}: no Hermitian partner, so complex samples
         with pytest.raises(DomainError):
-            analytic_part(f)
+            analytic_part(samples, 2)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_reconstruction_identity(self, seed):
         f = random_real_full_1d(seed, 30)
-        ap = analytic_part(f)
-        size = 128
-        recon = 2.0 * ap.boundary_samples(size).real - coeff(ap, 0).real
-        assert np.max(np.abs(recon - f.boundary_samples(size).real)) < 1e-10
+        samples = real_samples(f, 128)
+        ap = analytic_part(samples, 30)
+        recon = 2.0 * ap.boundary_samples(128).real - coeff(ap, 0).real
+        assert np.max(np.abs(recon - samples)) < 1e-10
+
+
+def _torus_samples(terms, order=2, size=8):
+    """Samples of a real signal on the 2-torus from its ``full_range`` terms; on this grid every FFT is exact."""
+    return real_samples(full_range(2, order, terms), size)
 
 
 class TestQuadrantSplit:
     def test_cos_t_plus_s(self):
-        f = from_terms(FourierCoeffs2D, 4, {(1, 1): 0.5, (-1, -1): 0.5})
-        parts = quadrant_split(f)
+        parts = quadrant_split(_torus_samples({(1, 1): 0.5, (-1, -1): 0.5}), 2)
         assert coeff(parts.pp, 1, 1) == pytest.approx(0.5)
         assert coeff(parts.pm, 1, 1) == 0  # c_{1,-1}
         assert parts.pp.energy() == pytest.approx(0.25) and parts.pm.energy() == 0
         assert parts.F.energy() == 0 and parts.G.energy() == 0
 
     def test_constant(self):
-        f = from_terms(FourierCoeffs2D, 4, {(0, 0): 1.0})
-        parts = quadrant_split(f)
+        parts = quadrant_split(np.ones((8, 8)), 2)
         for block in (parts.pp, parts.pm):
             assert coeff(block, 0, 0) == pytest.approx(1.0)
         assert parts.c00 == pytest.approx(1.0)
         assert coeff(parts.F, 0) == pytest.approx(1.0) and coeff(parts.G, 0) == pytest.approx(1.0)
 
     def test_axis_coefficients_in_adjacent_quadrants(self):
-        f = from_terms(FourierCoeffs2D, 4, {(1, 0): 0.5, (-1, 0): 0.5})  # cos t
-        parts = quadrant_split(f)
+        parts = quadrant_split(_torus_samples({(1, 0): 0.5, (-1, 0): 0.5}), 2)  # cos t
         assert coeff(parts.pp, 1, 0) == pytest.approx(0.5)
         assert coeff(parts.pm, 1, 0) == pytest.approx(0.5)
         assert coeff(parts.F, 1) == pytest.approx(0.5)
         assert parts.G.energy() == 0
 
     def test_symmetry_violation_rejected(self):
-        f = from_terms(FourierCoeffs2D, 4, {(1, 1): 1.0})
+        t = 2.0 * np.pi * np.arange(8) / 8
+        samples = np.exp(1j * np.add.outer(t, t))  # e^{i(t+s)}: no Hermitian partner, so complex samples
         with pytest.raises(DomainError):
-            quadrant_split(f)
+            quadrant_split(samples, 2)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_blocks_are_spectrum_slices(self, seed):
         n = 10
-        f = random_real_full_2d(seed, n)
-        parts = quadrant_split(f)
-        assert all(p.hardy and p.order == n for p in (parts.pp, parts.pm, parts.F, parts.G))
+        samples = real_samples(random_real_full_2d(seed, n), 32)
+        f = reference_full_range(samples, n)  # c_{k,l} at [k + n, l + n]
+        parts = quadrant_split(samples, n)
+        assert all(p.order == n for p in (parts.pp, parts.pm, parts.F, parts.G))
         for k in range(n + 1):
-            assert coeff(parts.F, k) == coeff(f, k, 0) and coeff(parts.G, k) == coeff(f, 0, k)
+            assert coeff(parts.F, k) == f[k + n, n] and coeff(parts.G, k) == f[n, k + n]
             for l in range(n + 1):
-                assert coeff(parts.pp, k, l) == coeff(f, k, l)
-                assert coeff(parts.pm, k, l) == coeff(f, k, -l)
-        assert parts.c00 == coeff(f, 0, 0)
+                assert coeff(parts.pp, k, l) == f[k + n, l + n]
+                assert coeff(parts.pm, k, l) == f[k + n, n - l]
+        assert parts.c00 == f[n, n]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_conjugate_reflection(self, seed):
         """The other two quadrants are the conjugate reflections of ``pp`` and ``pm``."""
         n = 8
         f = random_real_full_2d(seed, n)
-        parts = quadrant_split(f)
-        assert np.allclose(f.data[n::-1, n::-1], np.conj(parts.pp.data))  # c_{-k,-l}
-        assert np.allclose(f.data[n::-1, n:], np.conj(parts.pm.data))  # c_{-k,l}
+        parts = quadrant_split(real_samples(f, 32), n)
+        assert np.allclose(f[n::-1, n::-1], np.conj(parts.pp.data))  # c_{-k,-l}
+        assert np.allclose(f[n::-1, n:], np.conj(parts.pm.data))  # c_{-k,l}
 
 
 class TestRealReconstruct2D:
     def test_cos_t_plus_s(self):
-        f = from_terms(FourierCoeffs2D, 4, {(1, 1): 0.5, (-1, -1): 0.5})
-        recon = real_field_2d(quadrant_split(f), 32)
-        assert np.max(np.abs(recon - f.boundary_samples(32).real)) < 1e-10
+        samples = _torus_samples({(1, 1): 0.5, (-1, -1): 0.5}, 4, 32)
+        recon = real_field_2d(quadrant_split(samples, 4), 32)
+        assert np.max(np.abs(recon - samples)) < 1e-10
 
     def test_constant(self):
-        f = from_terms(FourierCoeffs2D, 4, {(0, 0): 1.0})
-        recon = real_field_2d(quadrant_split(f), 16)
+        recon = real_field_2d(quadrant_split(np.ones((16, 16)), 4), 16)
         assert np.allclose(recon, 1.0)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_bandlimited(self, seed):
-        f = random_real_full_2d(seed, 16)
-        recon = real_field_2d(quadrant_split(f), 64)
-        assert np.max(np.abs(recon - f.boundary_samples(64).real)) < 1e-9
+        samples = real_samples(random_real_full_2d(seed, 16), 64)
+        recon = real_field_2d(quadrant_split(samples, 16), 64)
+        assert np.max(np.abs(recon - samples)) < 1e-9
 
     @settings(max_examples=60, deadline=None)
     @given(order=st.integers(0, 40), side_pick=st.integers(0, 2**16), seed=st.integers(0, 2**16))
@@ -417,10 +384,10 @@ class TestRealReconstruct2D:
         low, high = 2 * order + 1, 2 * next_pow2(2 * order + 2)
         side = low + side_pick % (high - low + 1)
         f = random_real_full_2d(seed, order)
-        got = real_field_2d(quadrant_split(f), side)
-        want = f.boundary_samples(side).real
+        want = real_samples(f, side)
+        got = real_field_2d(quadrant_split(want, order), side)
         assert got.shape == (side, side)
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.sum(np.abs(f.data))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.sum(np.abs(f))
 
 
 def random_field_parts(seed, orders):
@@ -429,7 +396,7 @@ def random_field_parts(seed, orders):
 
     def part(cls, order):
         shape = (order + 1,) * cls.ndim
-        return cls(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), hardy=True)
+        return cls(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
     classes = (FourierCoeffs2D, FourierCoeffs2D, FourierCoeffs1D, FourierCoeffs1D)
     blocks = [part(cls, n) for cls, n in zip(classes, orders)]
@@ -502,20 +469,19 @@ class TestInverseTransformBits:
     @settings(max_examples=80, deadline=None)
     @given(
         order=st.integers(0, 100),
-        hardy=st.booleans(),
         ndim=st.sampled_from([1, 2]),
         extra=st.integers(0, 300),
         seed=st.integers(0, 2**16),
     )
-    @example(order=64, hardy=True, ndim=2, extra=127, seed=0)  # side 192, neither odd nor a power of two
-    @example(order=64, hardy=False, ndim=2, extra=127, seed=1)  # side 256
-    @example(order=10, hardy=False, ndim=2, extra=0, seed=2)  # side 21: every row kept
-    @example(order=0, hardy=True, ndim=2, extra=0, seed=3)
-    def test_boundary_samples_match_ifftn(self, order, hardy, ndim, extra, seed):
+    @example(order=64, ndim=2, extra=127, seed=0)  # side 192, neither odd nor a power of two
+    @example(order=64, ndim=2, extra=191, seed=1)  # side 256
+    @example(order=10, ndim=2, extra=0, seed=2)  # side 11: every row kept
+    @example(order=0, ndim=2, extra=0, seed=3)
+    def test_boundary_samples_match_ifftn(self, order, ndim, extra, seed):
         rng = np.random.default_rng(seed)
-        shape = ((order + 1) if hardy else (2 * order + 1),) * ndim
+        shape = (order + 1,) * ndim
         cls = FourierCoeffs2D if ndim == 2 else FourierCoeffs1D
-        f = cls(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), hardy=hardy)
+        f = cls(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         side = shape[0] + extra
         assert same_bits(f.boundary_samples(side), reference_boundary_samples(f, side))
 
@@ -769,7 +735,7 @@ class TestEvalSeries:
     @settings(max_examples=30, deadline=None)
     @given(spec=grid_specs, order=st.integers(0, 300), seed=st.integers(0, 2**16))
     def test_msp_argmax_matches_polyval(self, spec, order, seed):
-        f = FourierCoeffs1D(_random_series(seed, order), hardy=True)
+        f = FourierCoeffs1D(_random_series(seed, order))
         gaps = []
 
         def oracle(pts):
