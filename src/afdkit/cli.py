@@ -707,12 +707,10 @@ def _load_synthesis(path, algorithm):
     if not 0.0 < M < math.inf:
         raise ConfigError("synthesis file %s needs a finite 'M' > 0, got %r" % (path, M))
     if algorithm == "poga1d":
-        params = field("atoms", lambda atoms: [complex(re, im) for re, im in atoms])
-        return [AtomSpec(a) for a in params], M
-    pairs = field("atoms", lambda atoms: [
-        (complex(a[0], a[1]), complex(b[0], b[1])) for a, b in atoms
-    ])
-    return [TensorAtomSpec.of(a, b) for a, b in pairs], M
+        return field("atoms", lambda atoms: [AtomSpec(complex(re, im)) for re, im in atoms]), M
+    return field("atoms", lambda atoms: [
+        TensorAtomSpec.of(complex(a[0], a[1]), complex(b[0], b[1])) for a, b in atoms
+    ]), M
 
 
 def _cmd_decompose(args):

@@ -456,13 +456,12 @@ def _refine(objective, best, best_val, spec):
     return best, best_val
 
 
-# Most rows of a pair table scored at once, the most rows a pga2d probe may
-# leave unscreened (and the rows poga2d scores in full to seed its screened
-# bounds), the relative and absolute inflation of every bound, the rank of
-# the basis that screens a table without gains, and the lanes of columns a
-# block of a table with gains scores whole.  A reduction keeps one
-# workspace of 24 bytes per pair of a block, 3.5 MB at the bench grid's
-# P = 1,153 points against 31.9 MB for the dense table and its product.
+# Most rows of a pair table scored at once, poga2d's seed rows (and the most
+# rows a pga2d probe may leave unscreened), the relative and absolute inflation
+# of every bound, the rank of the basis that screens a table without gains, and
+# the lanes of columns a block of a table with gains scores whole.  A reduction
+# keeps one workspace of 24 bytes per pair of a block, 3.5 MB at the bench
+# grid's P = 1,153 points against 31.9 MB for the dense table and its product.
 PAIR_BLOCK, PAIR_SEEDS, PAIR_RANK, PAIR_LANES = 128, 32, 16, 4
 PAIR_MARGIN, PAIR_FLOOR = 1e-9, 2.0**-1000
 
@@ -476,6 +475,29 @@ def _row_blocks(n):
     """
     count = -(-n // PAIR_BLOCK)
     return [slice(n * k // count, n * (k + 1) // count) for k in range(count)]
+
+
+def _scan_rows(bound, seeds, score, rho=1.0):
+    """The row scan of every 2-d selector; returns the largest bound of a row it left out, or -inf.
+
+    ``bound[i]`` is at least every value of row i, and ``score(rows)``
+    scores a sorted index array of rows and returns the best value so far.
+    The ``seeds`` (at least 1) rows of largest bound go first, then the
+    even blocks of ``_row_blocks`` of the other rows whose bound times
+    ``rho`` reaches the seeds' best, each without the rows that no longer
+    reach the best so far.  No row is scored twice, and a row left out
+    holds no value above best / rho (none of best at rho = 1).
+    """
+    first = np.sort(np.argsort(bound)[-seeds:])
+    left = np.ones(bound.size, dtype=bool)
+    left[first], best = False, score(first)
+    rows = np.flatnonzero(left & (rho * bound >= best))
+    for blk in _row_blocks(rows.size):
+        reach = rows[blk][rho * bound[rows[blk]] >= best]
+        if reach.size:
+            best = score(reach)
+            left[reach] = False
+    return float(np.max(bound, where=left, initial=-np.inf))
 
 
 class _PairTable:
@@ -632,21 +654,20 @@ def _kernel_table(block, a_pts, b_pts, grid, single=None, probe=True):
 def _pair_argmax(table):
     """Index pair and value of the first maximum of a ``_PairTable`` in (row, column) order.
 
-    Rows are scored in the blocks of ``_row_blocks`` in one workspace, and
-    the running best moves on a larger value, or on an equal one at an
-    earlier pair.  So no table of all pairs is allocated, and ties go to the
-    first pair, as ``np.argmax`` of the dense table gives them.  Rows get
-    the ring-majorant bound of ``bounds``, without gains only when
+    ``_scan_rows`` picks the rows, two seeds, in one workspace, and the
+    running best moves on a larger value, or on an equal one at an earlier
+    pair.  So no table of all pairs is allocated, and ties go to the first
+    pair, as ``np.argmax`` of the dense table gives them.  Rows get the
+    ring-majorant bound of ``bounds``, without gains only when
     ``table.probe`` holds: then the top row's largest value by its own
     product, less PAIR_MARGIN times its bound (far above matrix-vector
     rounding), is at most the maximum, and if more than ``PAIR_SEEDS`` rows
     reach it, or without a probe, ``screen`` tightens or sets the bounds.
-    The two rows of largest bound are the seeds, scored in full, then only
-    the other rows whose bounds reach their maximum; with gains a block
-    scores the whole lanes that hold a column whose largest term in the
-    block, plus its gain, reaches the running best.  No row is scored twice
-    and the tie-break holds, and ``block`` keeps the dense bits: the dense
-    ``np.argmax`` and value.  Nothing is written to the table.
+    With gains a block after the seeds scores only the whole lanes that
+    hold a column whose largest term in the block, plus its gain, reaches
+    the running best.  No row is scored twice and the tie-break holds, and
+    ``block`` keeps the dense bits: the dense ``np.argmax`` and value.
+    Nothing is written to the table.
     """
     n, m = table.shape
     row_bound, terms = table.bounds() if table.gains is not None or table.probe else (np.full(n, np.inf), None)
@@ -659,24 +680,24 @@ def _pair_argmax(table):
     if terms is None and not spared:
         screened = table.screen(work)[0]
         row_bound = row_bound if screened is None else np.minimum(row_bound, screened)
-    cols = slice(None)
-    seeds = np.sort(np.argsort(row_bound)[-2:])
-    values = table.block(seeds, work=work)
-    i, j = np.unravel_index(int(np.argmax(values)), values.shape)
-    best = (int(seeds[i]), int(j)), float(values[i, j])
-    rows = np.delete(np.arange(n), seeds)
-    rows = rows[row_bound[rows] >= best[1]]
-    for blk in _row_blocks(rows.size):
-        if terms is not None:
-            keep = (terms[0][rows[blk]].max(axis=0)[terms[1]] + table.gains[1]) * (1.0 + PAIR_MARGIN) + PAIR_FLOOR
+    best = None  # ((row, column), value) of the first maximum scored
+
+    def score(rows):
+        nonlocal best
+        cols = slice(None)
+        if terms is not None and best is not None:
+            keep = (terms[0][rows].max(axis=0)[terms[1]] + table.gains[1]) * (1.0 + PAIR_MARGIN) + PAIR_FLOOR
             cols = np.flatnonzero(np.repeat(np.logical_or.reduceat(keep >= best[1], range(0, m, PAIR_LANES)), PAIR_LANES)[:m])
             if not cols.size:
-                continue
-        values = table.block(rows[blk], cols, work=work)
+                return best[1]
+        values = table.block(rows, cols, work=work)
         i, j = np.unravel_index(int(np.argmax(values)), values.shape)
-        pair, value = (int(rows[blk][i]), int(np.arange(m)[cols][j])), float(values[i, j])
-        if value > best[1] or value == best[1] and pair < best[0]:
+        pair, value = (int(rows[i]), int(np.arange(m)[cols][j])), float(values[i, j])
+        if best is None or value > best[1] or value == best[1] and pair < best[0]:
             best = pair, value
+        return best[1]
+
+    _scan_rows(row_bound, 2, score)
     return best
 
 

@@ -33,8 +33,8 @@ from .errors import (
     SpanDegeneracyError,
 )
 from .hardy import (
-    PAIR_SEEDS, FourierCoeffs, Record, Step, _kernel_table, _row_blocks, eval_series, greedy, grid_points,
-    require_nonzero,
+    PAIR_BLOCK, PAIR_SEEDS, FourierCoeffs, Record, Step, _kernel_table, _row_blocks, _scan_rows, eval_series,
+    greedy, grid_points, require_nonzero,
 )
 from .szego import AtomSpec, TensorAtomSpec, normalized_atom_coeffs, tensor_atom_coeffs
 
@@ -171,14 +171,14 @@ class _Reduction:
     index ``start`` on, for every block in ascending order.  It keeps the
     largest r (``sup_r``) and the degenerate indices, those with
     r^2 < R2_SPAN, so r < EPS_SPAN, and the ``excluded`` base indices.
-    ``add`` takes the inner products |<g, atom_i>| and r^2 of spanned
-    blocks in any order.  In block-sized buffers it forms
-    r = sqrt(max(r^2, 0)) and the gain |<g, atom_i>| / r, -inf where
-    degenerate, and keeps in ``best`` the (gain, r, index) of the largest
-    gain, ties going to the least (r, index), or None while no usable entry
-    came in: the entry and the bits a whole-table reduction gives.  ``rest``
-    bounds the gains of the entries the scan left out of ``add``, -inf when
-    it left out none.
+    ``add`` takes the inner products |<g, atom_i>| and r^2 of spanned rows
+    of atoms (i = row * width + column), any set of them in any order.  In
+    block-sized buffers it forms r = sqrt(max(r^2, 0)) and the gain
+    |<g, atom_i>| / r, -inf where degenerate, and keeps in ``best`` the
+    (gain, r, index) of the largest gain, ties going to the least
+    (r, index), or None while no usable entry came in: the entry and the
+    bits a whole-table reduction gives.  ``rest`` bounds the gains of the
+    entries the scan left out of ``add``, -inf when it left out none.
     """
 
     def __init__(self, rho, excluded=()):
@@ -198,20 +198,20 @@ class _Reduction:
         self.degenerate.append(start + np.flatnonzero(degenerate))
         return degenerate
 
-    def add(self, start, inner, r_sq):
-        """Reduce one block of flat ``inner`` (overwritten by the gains) and ``r_sq`` values."""
+    def add(self, rows, inner, r_sq):
+        """Reduce the sorted ``rows``: rows x width blocks of ``inner`` (overwritten by the gains) and ``r_sq``."""
         r = np.maximum(r_sq, 0.0)
         np.sqrt(r, out=r)
         with np.errstate(divide="ignore", invalid="ignore"):
             gain = np.divide(inner, r, out=inner)
-        degenerate = np.concatenate(self.degenerate)
-        lo, hi = np.searchsorted(degenerate, (start, start + r.size))
-        gain[degenerate[lo:hi] - start] = -np.inf  # never picked
+        at, cols = np.divmod(np.concatenate(self.degenerate), gain.shape[1])
+        hit = np.isin(at, rows)
+        gain[np.searchsorted(rows, at[hit]), cols[hit]] = -np.inf  # never picked
         top = float(np.max(gain))
         if top > -np.inf:
             ties = np.flatnonzero(gain == top)
-            k = int(ties[np.argmin(r[ties])])
-            entry = (top, float(r[k]), int(start) + k)
+            i, j = divmod(int(ties[np.argmin(r.flat[ties])]), gain.shape[1])
+            entry = (top, float(r[i, j]), int(rows[i]) * gain.shape[1] + j)
             if self.best is None or (-top, *entry[1:]) < (-self.best[0], *self.best[1:]):
                 self.best = entry
 
@@ -293,14 +293,14 @@ class SzegoDictionary1D:
         return inner, state.r_sq
 
     def scan(self, g, frame, reduction, state):
-        """Feed every base atom's ``_inner_r_sq`` values to ``reduction`` as one block.
+        """Feed every base atom's ``_inner_r_sq`` values to ``reduction`` as one row.
 
         So a weak 1-d pick is the strong pick, which the weak rule allows.
         Returns (r^2, reduction), r^2 one entry per base atom.
         """
         inner, r_sq = self._inner_r_sq(g, frame, state)
         reduction.span(0, r_sq)
-        reduction.add(0, inner, r_sq)
+        reduction.add([0], inner[None], r_sq[None])
         return r_sq, reduction
 
 
@@ -350,47 +350,26 @@ class ProductSzegoDictionary2D:
         ]
 
     def scan(self, g, frame, reduction, state):
-        """Feed ``reduction`` the rows of pairs that certify a weak pick, in row blocks.
+        """Feed ``reduction`` the rows of pairs that certify a weak pick.
 
-        Without row bounds from ``_bounds`` every row is fed.  Else the
-        ``PAIR_SEEDS`` rows of largest bound (ring majorant or screen) are
-        scored and those that hold their top gain fed; then the blocks, by
-        descending largest bound of their rows not scored, each feed the
-        rows from the first to the last whose bound times rho reaches the
-        best gain fed.  A row left out holds no gain above 1/rho times the
-        pick, so the pick is at least rho times the supremum;
-        ``reduction.rest`` is the largest bound of such a row.  Rows are fed
-        with the bits of the whole product (``_PairTable.block``).  Returns
-        (r^2, reduction), r^2 one entry per pair.
+        ``hardy._scan_rows`` picks the rows by their ``_bounds``, from
+        ``PAIR_SEEDS`` seeds, and feeds them with the bits of the whole
+        product (``_PairTable.block``).  A row left out holds no gain above
+        1/rho times the pick, so the pick is at least rho times the
+        supremum, and ``reduction.rest`` is the largest bound of such a row.
+        Returns (r^2, reduction), r^2 one entry per pair.
         """
-        n = self.params.size
         table, bound, work = self._bounds(g, frame, reduction, state)
-        left = np.ones(n, dtype=bool)  # the rows not scored
-        if bound is None:
-            bound = np.full(n, np.inf)
-        else:
-            seeds = np.sort(np.argsort(bound)[-PAIR_SEEDS:])
-            inner = table.block(seeds, work=work)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gains = inner / np.sqrt(np.maximum(state.r_sq[seeds], 0.0))
-            rows, cols = np.divmod(np.concatenate(reduction.degenerate), n)
-            hit = np.isin(rows, seeds)
-            gains[np.searchsorted(seeds, rows[hit]), cols[hit]] = -np.inf
-            left[seeds], top = False, gains.max(axis=1)
-            for i in np.flatnonzero(top == top.max()):
-                reduction.add(seeds[i] * n, inner[i], state.r_sq[seeds[i]])
-        for blk in sorted(_row_blocks(n), key=lambda blk: -np.max(bound[blk], where=left[blk], initial=-np.inf)):
-            floor = -np.inf if reduction.best is None else reduction.best[0]
-            rows = blk.start + np.flatnonzero(left[blk] & (reduction.rho * bound[blk] >= floor))
-            if rows.size:
-                span = slice(rows[0], rows[-1] + 1)
-                reduction.add(span.start * n, table.block(span, work=work).ravel(), state.r_sq[span].ravel())
-                left[span] = False
-        reduction.rest = float(np.max(bound, where=left, initial=-np.inf))
+
+        def score(rows):
+            reduction.add(rows, table.block(rows, work=work), state.r_sq[rows])
+            return -np.inf if reduction.best is None else reduction.best[0]
+
+        reduction.rest = _scan_rows(bound, PAIR_SEEDS, score, reduction.rho)
         return state.r_sq.ravel(), reduction
 
     def _bounds(self, g, frame, reduction, state):
-        """The first pass of ``scan``: (the remainder's table, row bounds or None, the workspace).
+        """The first pass of ``scan``: (the remainder's table, row bounds, the workspace).
 
         With K the grid's kernel rows, the table |K G K^T| of
         ``hardy._kernel_table`` holds the inner products, and frame row B_j
@@ -406,7 +385,7 @@ class ProductSzegoDictionary2D:
         gain of at most unit (sqrt(max_b |h_ab|^2 / r_ab^2) + s_a /
         sqrt(min_b r_ab^2)), formed in float32 with 2^-60 added to s_a for
         |h| whose square underflows and inflated by 2^-18 for the rounding.
-        No bounds without a screen.
+        Without a screen every bound is inf.
         """
         side, pts, n = self.order + 1, self.params, self.params.size
         table = _kernel_table(_as_vector(g).reshape(side, side), pts, pts, self.grid)
@@ -414,11 +393,10 @@ class ProductSzegoDictionary2D:
             _kernel_table(frame.matrix[j].reshape(side, side), pts, pts, self.grid)
             for j in state.new_rows(frame, lambda: np.outer(*table.norms_sq))
         ]
-        blocks = _row_blocks(n)
-        work = np.empty(3 * max(blk.stop - blk.start for blk in blocks) * n)
+        work = np.empty(3 * min(PAIR_BLOCK, n) * n)  # the row sets of ``_scan_rows`` hold up to PAIR_BLOCK rows
         screen = table.heads() if len(frame) else None
         peak, least = np.empty((2, n), dtype=np.float32)  # max |h|^2 / r^2 and min r^2 of each row
-        for blk in blocks:
+        for blk in _row_blocks(n):
             r_sq = state.r_sq[blk]
             for frame_table in frame_tables:
                 square = frame_table.block(blk, work=work)
@@ -435,7 +413,7 @@ class ProductSzegoDictionary2D:
         if not len(frame):
             return table, table.bounds()[0] / np.sqrt(table.norms_sq[0] * table.norms_sq[0].min()), work
         if screen is None:
-            return table, None, work
+            return table, np.full(n, np.inf), work
         unit, _, _, slack, _ = screen
         bound = unit * (np.sqrt(peak) + (slack + 2.0**-60) / np.sqrt(least.astype(float)))
         return table, bound * (1.0 + 2.0**-18), work

@@ -48,7 +48,7 @@ class AtomSpec:
     m: int = 1
 
     def __post_init__(self):
-        if abs(self.a) >= 1.0:
+        if not abs(self.a) < 1.0:  # NaN too
             raise DomainError("disc parameter must satisfy |a| < 1, got |a| = %g" % abs(self.a))
         if self.m < 1:
             raise DomainError("multiplicity must be a positive integer")

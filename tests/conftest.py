@@ -347,33 +347,41 @@ def candidate_gain(g, atom, frame):
 
 
 class _RecordedReduction(_Reduction):
-    """A ``_Reduction`` that also keeps a copy of every block it is given."""
+    """A ``_Reduction`` that also keeps a copy of every row set it is given: (rows, inner, r^2)."""
 
     def __init__(self):
         super().__init__(1.0)
         self.blocks = []
 
-    def add(self, start, inner, r_sq):
-        self.blocks.append((start, inner.copy()))
-        super().add(start, inner, r_sq)
+    def add(self, rows, inner, r_sq):
+        self.blocks.append((np.array(rows), inner.copy(), r_sq.copy()))
+        super().add(rows, inner, r_sq)
 
 
 def dense_scan(dictionary, g, frame, state=None):
     """A scan's values for all base atoms: (gain, degenerate, sup_r, r_sq).
 
-    The inner products are the blocks the scan hands its reduction, in
-    order, so the scan must hand it every base atom, as the 1-d scan does;
-    the 2-d scan leaves out rows that cannot qualify.  r = sqrt(clip(r^2)),
-    the gain is inner / r and the mask r < EPS_SPAN, as the reduction forms
-    them, and ``sup_r`` is the reduction's own.  The scan gets a fresh
-    ``ScanState`` unless ``state`` is given.
+    The inner products are the row sets the scan hands its reduction, in
+    any order, so the scan must hand it every row of base atoms once, as
+    the 1-d scan does in one row; the 2-d scan leaves out rows that cannot
+    qualify.  Each set's rows are ascending and its r^2 has the bits of
+    the scan's.  r = sqrt(clip(r^2)), the gain is inner / r and the mask
+    r < EPS_SPAN, as the reduction forms them, and ``sup_r`` is the
+    reduction's own.  The scan gets a fresh ``ScanState`` unless ``state``
+    is given.
     """
     reduction = _RecordedReduction()
     r_sq = dictionary.scan(g, frame, reduction, ScanState() if state is None else state)[0]
-    starts = [start for start, _ in reduction.blocks]
-    inner = np.concatenate([block for _, block in reduction.blocks])
-    assert starts == list(np.cumsum([0] + [b.size for _, b in reduction.blocks[:-1]]))
-    assert inner.size == r_sq.size
+    width = reduction.blocks[0][1].shape[1]
+    rows = np.concatenate([rows for rows, _, _ in reduction.blocks])
+    assert all(np.all(np.diff(rows) > 0) for rows, _, _ in reduction.blocks)
+    assert np.array_equal(np.sort(rows), np.arange(r_sq.size // width)) and r_sq.size % width == 0
+    inner = np.empty((r_sq.size // width, width))
+    for rows, block, block_r_sq in reduction.blocks:
+        assert block.shape == block_r_sq.shape == (rows.size, width)
+        assert block_r_sq.tobytes() == r_sq.reshape(-1, width)[rows].tobytes()
+        inner[rows] = block
+    inner = inner.ravel()
     r = np.sqrt(np.clip(r_sq, 0.0, None))
     assert np.array_equal(np.concatenate(reduction.degenerate), np.flatnonzero(r < EPS_SPAN))
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -34,7 +34,7 @@ from afdkit import (
 from afdkit import afd2d, hardy
 from afdkit.afd1d import _tm_grid_size
 from afdkit.afd2d import _blaschke_toeplitz, _product_tm_objective
-from afdkit.cli import load_image_2d
+from afdkit.cli import load_image_2d, synth_field_2d
 from afdkit.hardy import (
     PAIR_BLOCK,
     PAIR_FLOOR,
@@ -47,8 +47,11 @@ from afdkit.hardy import (
     _kernel_table,
     _pair_argmax,
     _row_blocks,
+    _scan_rows,
     grid_radii,
+    quadrant_split,
 )
+from afdkit.poga import ProductSzegoDictionary2D, poga_decompose
 from conftest import (
     dn_energy,
     from_terms,
@@ -728,6 +731,82 @@ class TestPairReduction:
 BENCH_GRID = GridSpec(radial_count=24, angular_count=48, max_radius=0.85)
 
 
+class TestScanRows:
+    """``hardy._scan_rows``, the row scan of every 2-d selector, against dense row tables."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 300),
+        width=st.integers(1, 6),
+        seeds=st.integers(1, 32),
+        rho=st.one_of(st.just(1.0), st.floats(0.3, 1.0)),
+        inflated=st.floats(0.0, 1.0),
+        ties=st.booleans(),
+        unusable=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_scores_each_row_once_and_certifies_the_best(self, seed, n, width, seeds, rho, inflated, ties,
+                                                         unusable):
+        # row bounds exact or, for a share ``inflated`` of the rows, inflated up to 4x; values from four
+        # levels (ties) or continuous, and rows of -inf (no usable entry, bound 0), as poga2d's gains hold
+        rng = np.random.default_rng(seed)
+        values = rng.choice([0.0, 0.25, 0.5, 1.0], (n, width)) if ties else rng.random((n, width))
+        values[rng.random(n) < unusable] = -np.inf
+        bound = np.where(rng.random(n) < inflated, rng.uniform(1.0, 4.0, n), 1.0) * np.maximum(values.max(axis=1), 0.0)
+        calls, best = [], [-np.inf]
+
+        def score(rows):
+            calls.append(rows.copy())
+            best[0] = max(best[0], values[rows].max())
+            return best[0]
+
+        rest = _scan_rows(bound, seeds, score, rho)
+        scored = np.concatenate(calls)
+        assert np.unique(scored).size == scored.size  # no row scored twice
+        assert all(np.all(np.diff(rows) > 0) for rows in calls)
+        others = np.setdiff1d(np.arange(n), calls[0])
+        assert calls[0].size == min(seeds, n) and bound[calls[0]].min() >= bound[others].max(initial=-np.inf)
+        assert all(rows.size <= PAIR_BLOCK for rows in calls[1:])
+        dense = values.max()
+        assert best[0] == dense if rho == 1.0 else best[0] >= rho * dense
+        left = np.setdiff1d(np.arange(n), scored)
+        assert rest == bound[left].max(initial=-np.inf) >= values[left].max(initial=-np.inf)
+        assert np.all(rho * bound[left] < best[0])
+
+
+# The most pairs each 2-d selector may score (entries ``_PairTable.block`` returns, refinement and frame
+# tables included) on the ``pp`` part of ``synth_field_2d(64, seed, 256)``, 5 terms on the bench grid, seeds
+# 0 and 1: the counts of the shared row scan, the same under 1 and 2 BLAS threads.  Each is at most the
+# count of the separate loops it replaced; afd2d-tm at seed 0 scored 152,235 there, without the drop of the
+# rows that no longer reach the running best before each block.
+PINNED_PAIRS = {"afd2d-tm": (151_539, 28_753), "pga2d": (19_586, 42_771), "poga2d": (5_502_116, 5_505_575)}
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("selector", sorted(PINNED_PAIRS))
+def test_selectors_score_no_more_pairs_than_pinned(selector, seed, monkeypatch):
+    block, scored = _PairTable.block, []
+
+    def counted(table, rows=slice(None), cols=slice(None), work=None):
+        values = block(table, rows, cols, work)
+        scored.append(values.size)
+        return values
+
+    grid = GridSpec(radial_count=24, angular_count=48, refine_levels=2, max_radius=0.85)
+    f = quadrant_split(synth_field_2d(64, seed, 256), 64).pp
+    monkeypatch.setattr(_PairTable, "block", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if selector == "afd2d-tm":
+            record = afd2d_tm_decompose(f, 5, grid)
+        elif selector == "pga2d":
+            record = pga_decompose(f, 5, grid)
+        else:
+            record = poga_decompose(f, 5, ProductSzegoDictionary2D(64, grid))
+    assert len(record.steps) == 5
+    assert 0 < sum(scored) <= PINNED_PAIRS[selector][seed]
+
+
 class TestPairScreen:
     """The low-rank screen of a table without gains (pga2d) against the dense table."""
 
@@ -1137,6 +1216,34 @@ class TestPga:
         f = tensor_signal([(1.0, (a1, b1)), (0.5, (a2, b2))], order=64)
         record = pga_decompose(f, 4, grid)
         assert record.steps[-1].residual_energy / record.initial_energy < 1e-3
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        order=st.integers(8, 39),
+        radial=st.integers(1, 6),
+        angular=st.integers(12, 30),
+        max_radius=st.floats(0.3, 0.8),
+        n_atoms=st.integers(1, 6),
+        n_terms=st.integers(1, 10),
+    )
+    def test_rate_law(self, seed, order, radial, angular, max_radius, n_atoms, n_terms):
+        # DeVore & Temlyakov (1996): the pure greedy remainder of f = sum c_k e_k, e_k dictionary atoms
+        # with sum |c_k| = M, has ||g_m|| <= M (1 + m)^(-1/6).  The atoms are grid tensor atoms, the
+        # dictionary of the unrefined search; P = 13..181 grid points.  300 runs of this setting met
+        # it with a least bound-to-norm ratio of 2.23 at m >= 1, and 1 at m = 0 for one atom
+        grid = GridSpec(radial_count=radial, angular_count=angular, refine_levels=0, max_radius=max_radius)
+        pts = grid_points(grid)
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal(n_atoms) + 1j * rng.standard_normal(n_atoms)
+        pairs = [(pts[i], pts[j]) for i, j in rng.integers(pts.size, size=(n_atoms, 2))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            f = tensor_signal(list(zip(coeffs, pairs)), order)
+            record = pga_decompose(f, n_terms, grid)
+        M = float(np.sum(np.abs(coeffs)))
+        norms = np.sqrt([record.initial_energy] + record.residual_energies())
+        assert np.all(norms <= M * (1.0 + np.arange(norms.size)) ** (-1.0 / 6.0) * (1.0 + 1e-9))
 
     def test_reconstruction_matches_remainder(self):
         f = random_hardy_2d(40, 24)

@@ -821,30 +821,42 @@ class TestCliEndToEnd:
         assert "not UTF-8 text at byte 16" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "synthesis, message",
-        [('{"atoms": []}', "has no 'M'"), ('{"M": 2.0}', "has no 'atoms'"),
-         ('{"atoms": [[0.1]], "M": 2.0}', "malformed 'atoms'"),
-         ('{"atoms": [], "M": "two"}', "malformed 'M'"), ("M = 2", "is not JSON"),
-         ('{"atoms": [[0.3, 0.1]], "M": NaN}', "finite 'M' > 0"),
-         ('{"atoms": [[0.3, 0.1]], "M": Infinity}', "finite 'M' > 0"),
-         ('{"atoms": [[0.3, 0.1]], "M": 0}', "finite 'M' > 0"),
-         ('{"atoms": [[0.3, 0.1]], "M": -2.0}', "finite 'M' > 0"),
-         ('{"atoms": [], "M": 2.0}', "at least one atom")],
+        "algorithm, synthesis, message",
+        [("poga1d", '{"atoms": []}', "has no 'M'"), ("poga1d", '{"M": 2.0}', "has no 'atoms'"),
+         ("poga1d", '{"atoms": [[0.1]], "M": 2.0}', "malformed 'atoms'"),
+         ("poga1d", '{"atoms": [], "M": "two"}', "malformed 'M'"), ("poga1d", "M = 2", "is not JSON"),
+         ("poga1d", '{"atoms": [[0.3, 0.1]], "M": NaN}', "finite 'M' > 0"),
+         ("poga1d", '{"atoms": [[0.3, 0.1]], "M": Infinity}', "finite 'M' > 0"),
+         ("poga1d", '{"atoms": [[0.3, 0.1]], "M": 0}', "finite 'M' > 0"),
+         ("poga1d", '{"atoms": [[0.3, 0.1]], "M": -2.0}', "finite 'M' > 0"),
+         ("poga1d", '{"atoms": [], "M": 2.0}', "at least one atom"),
+         # an atom's parameter must lie in the open disc; NaN is not in it
+         ("poga1d", '{"atoms": [[0.3, 0.1], [NaN, 0]], "M": 2.0}', "malformed 'atoms'"),
+         ("poga1d", '{"atoms": [[1.5, 0]], "M": 2.0}', "malformed 'atoms'"),
+         ("poga2d", '{"atoms": [[[0.3, 0.1], [0.2, 0]], [[0.1, 0], [0, NaN]]], "M": 2.0}', "malformed 'atoms'"),
+         ("poga2d", '{"atoms": [[[0.3, 0.1], [0.6, 0.8]]], "M": 2.0}', "malformed 'atoms'")],
         ids=["missing-M", "missing-atoms", "malformed-atoms", "malformed-M", "not-json",
-             "nan-M", "infinite-M", "zero-M", "negative-M", "empty-atoms"],
+             "nan-M", "infinite-M", "zero-M", "negative-M", "empty-atoms",
+             "nan-atom-poga1d", "outside-disc-atom-poga1d", "nan-atom-poga2d", "outside-disc-atom-poga2d"],
     )
-    def test_decompose_rejects_bad_synthesis(self, tmp_path, capsys, synthesis, message):
-        sig = str(tmp_path / "sig.csv")
+    def test_decompose_rejects_bad_synthesis(self, tmp_path, capsys, algorithm, synthesis, message):
         meta = tmp_path / "meta.json"
         meta.write_text(synthesis)
-        assert cli_main(["synth", "--output", sig, "--seed", "2", "--order", "32"]) == 0
+        if algorithm == "poga1d":
+            signal = str(tmp_path / "sig.csv")
+            assert cli_main(["synth", "--output", signal, "--seed", "2", "--order", "32"]) == 0
+        else:
+            signal = str(tmp_path / "img.pgm")
+            assert cli_main(["synth", "--algorithm", "pga2d", "--output", signal, "--seed", "2", "--order", "8"]) == 0
         code = cli_main(
-            ["decompose", "--algorithm", "poga1d", "--input", sig, "--output",
-             str(tmp_path / "rec.txt"), "--order", "32", "--terms", "2", "--max-radius", "0.6",
-             "--synthesis", str(meta)]
+            ["decompose", "--algorithm", algorithm, "--input", signal, "--output",
+             str(tmp_path / "rec.txt"), "--order", "32" if algorithm == "poga1d" else "8", "--terms", "2",
+             "--max-radius", "0.6", "--synthesis", str(meta)]
         )
         assert code == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and (message.startswith("at least") or "synthesis file %s " % meta in err)
+        assert not (tmp_path / "rec.txt").exists()
 
     def test_one_atom_synthesis_passes_the_rate_check(self, tmp_path):
         # the rate bound at m = 1 equals ||f|| exactly for one atom; rounding

@@ -358,11 +358,14 @@ class TestBaseIndex:
 
     @staticmethod
     def points(params, seed):
-        """Every grid point, then each nudged by an ulp, random points of the disc and signed zeros."""
+        """Every grid point, then each nudged by an ulp, random points of the disc and signed zeros.
+
+        NaN is no spec's parameter (``AtomSpec`` rejects it), so its lookup is ``_grid_index``'s.
+        """
         rng = np.random.default_rng(seed)
         nudged = [np.nextafter(params.real, 1.0) + 1j * params.imag, params.real + 1j * np.nextafter(params.imag, -1.0)]
         disc = 0.99 * rng.uniform(0.0, 1.0, 50) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 50))
-        zeros = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(np.nan, 0.0)]
+        zeros = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
         return [complex(a) for a in np.concatenate([params, *nudged, disc, zeros])]
 
     @pytest.mark.parametrize("grid_index", range(4))
@@ -372,6 +375,9 @@ class TestBaseIndex:
         for a in self.points(dictionary.params, grid_index):
             assert dictionary.base_index(AtomSpec(a)) == reference.get(a)
             assert dictionary.base_index(AtomSpec(a, 2)) is None
+        assert dictionary._grid_index(complex(np.nan, 0.0)) is None
+        with pytest.raises(DomainError):
+            AtomSpec(complex(np.nan, 0.0))
 
     @pytest.mark.parametrize("grid_index", range(4))
     def test_2d_lookup_matches_a_dict(self, grid_index):
@@ -388,6 +394,8 @@ class TestBaseIndex:
             assert dictionary.base_index(TensorAtomSpec.of(a, b, 1, 3)) is None
         for i in rng.choice(size**2, 50):
             assert dictionary.base_index(dictionary.base_spec(i)) == i
+        with pytest.raises(DomainError):
+            TensorAtomSpec.of(complex(dictionary.params[0]), complex(0.0, np.nan))
 
 
 class TestRateReport:
@@ -579,8 +587,8 @@ class _ExactBounds(ProductSzegoDictionary2D):
 
     def _bounds(self, g, frame, reduction, state):
         table, bound, work = super()._bounds(g, frame, reduction, state)
-        if bound is None:
-            return table, None, work
+        if np.all(bound == np.inf):  # no screen: every row is scored
+            return table, bound, work
         gain, degenerate, _, _ = reference_scan_2d(self, g, frame)
         n = self.params.size
         return table, np.where(degenerate, 0.0, gain).reshape(n, n).max(axis=1) * self.factors, work
@@ -644,7 +652,7 @@ class _FixedScan:
 
     def scan(self, g, frame, reduction, state=None):
         reduction.span(0, self.r_sq)
-        reduction.add(0, self.inner.copy(), self.r_sq)
+        reduction.add([0], self.inner[None].copy(), self.r_sq[None])
         return self.r_sq, reduction
 
     def base_spec(self, i):
@@ -715,7 +723,7 @@ def test_ladder_walk_tries_as_many_rungs_as_the_frame_has_rows(rows):
 
 
 class TestReductionInBlocks:
-    """The running reduction keeps the best entry of the blocks it is fed, in any order."""
+    """The running reduction keeps the best entry of the row sets it is fed, in any order."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -725,6 +733,9 @@ class TestReductionInBlocks:
         data=st.data(),
     )
     def test_keeps_the_best_of_the_blocks_fed(self, entries, cuts, excluded, data):
+        # the entries form rows of ``width``; row sets fed in any order, some skipped
+        width = data.draw(st.integers(1, len(entries)), label="width")
+        entries = entries[: len(entries) // width * width]
         inner, r = (np.array(values) for values in zip(*entries))
         excluded = {i for i in excluded if i < r.size}
         with np.errstate(divide="ignore"):
@@ -732,19 +743,22 @@ class TestReductionInBlocks:
         degenerate = r < EPS_SPAN
         degenerate[sorted(excluded)] = True
 
-        # every block is spanned, in ascending order; the blocks fed are any of them, shuffled
+        # every block is spanned, in ascending order of the flat index
         reduction = _Reduction(1.0, excluded)
         bounds = sorted({0, r.size, *(c for c in cuts if c < r.size)})
-        blocks = list(zip(bounds, bounds[1:]))
-        for lo, hi in blocks:
+        for lo, hi in zip(bounds, bounds[1:]):
             reduction.span(lo, np.square(r[lo:hi]))
-        fed = data.draw(st.lists(st.sampled_from(blocks), unique=True), label="fed")
-        for lo, hi in fed:
-            reduction.add(lo, inner[lo:hi].copy(), np.square(r[lo:hi]))
+        order = data.draw(st.lists(st.integers(0, r.size // width - 1), unique=True), label="rows fed")
+        splits = sorted(data.draw(st.lists(st.integers(1, max(1, len(order))), max_size=4), label="splits"))
+        fed = [np.sort(rows) for rows in np.split(np.array(order, dtype=np.intp), splits) if rows.size]
+        for rows in fed:
+            at = rows[:, None] * width + np.arange(width)
+            reduction.add(rows, inner[at].copy(), np.square(r[at]))
         assert np.concatenate(reduction.degenerate).tolist() == np.flatnonzero(degenerate).tolist()
         assert reduction.sup_r == r.max()
 
-        usable = [i for lo, hi in fed for i in range(lo, hi) if not degenerate[i]]
+        usable = [i for i in (np.array(order, dtype=np.intp)[:, None] * width + np.arange(width)).ravel().tolist()
+                  if not degenerate[i]]
         if not usable:
             assert reduction.best is None
             return
@@ -976,7 +990,7 @@ class TestRowBounds:
         gain, degenerate, _, _ = reference_scan_2d(dictionary, g, frame)
         degenerate[sorted(excluded)] = True
         assert np.concatenate(reduction.degenerate).tolist() == np.flatnonzero(degenerate).tolist()
-        if bound is None:  # no screen, for a zero or extreme remainder: every row is scored
+        if np.all(bound == np.inf):  # no screen, for a zero or extreme remainder: every row is scored
             assert not 2.0**-500 < np.abs(g).max() < 2.0**500
             return
         gain = np.where(degenerate, -np.inf, gain).reshape(size, size)
