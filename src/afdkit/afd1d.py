@@ -18,7 +18,7 @@ import functools
 
 import numpy as np
 
-from .errors import DomainError, TruncationError
+from .errors import TruncationError
 from .hardy import (
     FourierCoeffs1D,
     Record,
@@ -32,7 +32,7 @@ from .hardy import (
     next_pow2,
     require_nonzero,
 )
-from .szego import _warn_deficit, szego_coeffs
+from .szego import AtomSpec, _warn_deficit, szego_coeffs
 
 __all__ = [
     "tm_matrix",
@@ -43,14 +43,6 @@ __all__ = [
 ]
 
 OVERSAMPLE = 4
-
-
-def _validate_params(params):
-    params = [complex(a) for a in params]
-    for a in params:
-        if abs(a) >= 1.0:
-            raise DomainError("parameter |a| must be < 1, got %g" % abs(a))
-    return params
 
 
 @functools.lru_cache(maxsize=8)
@@ -73,7 +65,7 @@ def tm_matrix(params, order):
     keeping frequencies 0..order; one batched FFT transforms all of them,
     with the bits of one FFT per row.
     """
-    params = _validate_params(params)
+    params = [AtomSpec(a).a for a in params]
     size = _tm_grid_size(order)
     z = _nodes(size)
     samples = np.empty((len(params), size), dtype=complex)
@@ -101,9 +93,7 @@ def backward_shift(f, a, *, _atom=None, _coeff=None):
     ``_coeff`` pass ``szego_coeffs(a, order)`` and ``<f, e_a>`` that
     ``afd_decompose_1d`` already built for the step.
     """
-    a = complex(a)
-    if abs(a) >= 1.0:
-        raise DomainError("parameter |a| must be < 1")
+    a = AtomSpec(a).a
     order = f.order
     atom = szego_coeffs(a, order) if _atom is None else _atom
     coeff = inner_product_1d(f, atom) if _coeff is None else _coeff

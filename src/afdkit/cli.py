@@ -87,7 +87,7 @@ def load_signal_1d(path, order):
 
     One real sample per line on a uniform grid over [0, 2 pi); lines that
     are blank or start with ``#`` are skipped.  Needs at least
-    ``2 * order + 2`` samples.
+    ``2 * order + 1`` samples, the rule of ``analytic_part``.
     """
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().split("\n")
@@ -98,13 +98,10 @@ def load_signal_1d(path, order):
         samples = None
     if samples is None or not np.isfinite(samples).all():
         _raise_bad_row(path, lines)
-    minimum = 2 * order + 2
-    if len(samples) < minimum:
-        raise IngestError(
-            "%s: need at least %d samples for order %d, got %d"
-            % (path, minimum, order, len(samples))
-        )
-    return analytic_part(samples, order)
+    try:
+        return analytic_part(samples, order)
+    except UsageError as exc:
+        raise IngestError("%s: %s" % (path, exc))
 
 
 def _raise_bad_row(path, lines):
@@ -162,22 +159,15 @@ def load_image_2d(path, order):
     """Load a square 8-bit PGM image and return its ``QuadrantParts``.
 
     Pixel values are mapped to [0, 1]; rows index the first torus variable.
+    The side must be at least ``2 * order + 1``, the rule of ``quadrant_split``.
     """
     with open(path, "rb") as handle:
         buf = handle.read()
     pixels, maxval = _parse_pgm(buf, path)
-    if pixels.shape[0] != pixels.shape[1]:
-        raise IngestError(
-            "%s: image must be square, got %dx%d" % (path, pixels.shape[0], pixels.shape[1])
-        )
-    minimum = 2 * order + 2
-    if pixels.shape[0] < minimum:
-        raise IngestError(
-            "%s: need a side of at least %d for order %d, got %d"
-            % (path, minimum, order, pixels.shape[0])
-        )
-    samples = pixels.astype(float) / maxval
-    return quadrant_split(samples, order)
+    try:
+        return quadrant_split(pixels.astype(float) / maxval, order)
+    except UsageError as exc:
+        raise IngestError("%s: %s" % (path, exc))
 
 
 def write_csv(path, header, values):
@@ -326,8 +316,8 @@ def _meta_field(meta, key, kind=str, default=None):
 def _atom(f, i):
     """The ``AtomSpec`` at offset i; its multiplicity, stored as a float, must be a whole number."""
     m = f[i + 2]
-    if not (m >= 0 and float(m).is_integer()):
-        raise RecordFormatError("step field %r is not a non-negative whole number" % m)
+    if not float(m).is_integer():
+        raise RecordFormatError("step field %r is not a whole number" % m)
     return AtomSpec(complex(f[i], f[i + 1]), int(m))
 
 

@@ -186,13 +186,13 @@ def _real_grid(samples, order, ndim):
     """``samples`` as a real ``ndim``-d grid with equal sides of at least 2N + 1, and that side."""
     samples = np.asarray(samples)
     if samples.ndim != ndim or len(set(samples.shape)) != 1:
-        raise DimensionMismatchError("expected a %d-d sample grid with equal sides" % ndim)
+        raise DimensionMismatchError("need a %d-d sample grid with equal sides, got shape %s" % (ndim, samples.shape))
     if np.iscomplexobj(samples):
         raise DomainError("expected real samples, got %s" % samples.dtype)
     size = samples.shape[0]
     if size < 2 * order + 1:
         raise DimensionMismatchError(
-            "need a grid side of at least %d for order %d, got %d" % (2 * order + 1, order, size)
+            "need at least %d samples per axis for order %d, got %d" % (2 * order + 1, order, size)
         )
     return samples, size
 

@@ -85,9 +85,7 @@ def szego_coeffs(a, order):
     |a|^(2 (order + 1)) of the unit norm; a warning is issued when the
     deficit exceeds 1e-8.
     """
-    a = complex(a)
-    if abs(a) >= 1.0:
-        raise DomainError("disc parameter must satisfy |a| < 1")
+    a = AtomSpec(a).a
     data = math.sqrt(1.0 - abs(a) ** 2) * np.conj(a) ** np.arange(order + 1)
     _warn_deficit(abs(a) ** (2 * (order + 1)), "Szego kernel at |a|=%.4f" % abs(a))
     return FourierCoeffs1D(data)

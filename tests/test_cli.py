@@ -83,8 +83,14 @@ class TestLoadSignal1D:
     def test_too_short_names_minimum(self, tmp_path):
         path = tmp_path / "short.csv"
         write_csv(path, np.zeros(10))
-        with pytest.raises(IngestError, match="at least 34"):
+        with pytest.raises(IngestError, match="at least 33"):
             load_signal_1d(path, 16)
+
+    def test_least_sample_count_is_2n_plus_1(self, tmp_path):
+        # the rule of analytic_part: 2N + 1 samples fix a real signal bandlimited to N
+        path = tmp_path / "least.csv"
+        write_csv(path, np.cos(2 * np.pi * np.arange(33) / 33))
+        assert coeff(load_signal_1d(path, 16), 1) == pytest.approx(0.5, abs=1e-14)
 
     def test_non_numeric_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -150,14 +156,15 @@ class TestLoadImage2D:
     def test_small_image_names_minimum(self, tmp_path):
         path = tmp_path / "small.pgm"
         write_pgm(path, np.zeros((3, 3)))
-        with pytest.raises(IngestError, match="at least 18"):
+        with pytest.raises(IngestError, match="at least 17"):
             load_image_2d(path, 8)
 
     def test_non_square_rejected(self, tmp_path):
         path = tmp_path / "rect.pgm"
         write_pgm(path, np.zeros((32, 64)))
-        with pytest.raises(IngestError, match="square"):
+        with pytest.raises(IngestError) as err:
             load_image_2d(path, 8)
+        assert str(err.value) == "%s: need a 2-d sample grid with equal sides, got shape (32, 64)" % path
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pgm"

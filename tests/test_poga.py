@@ -1087,15 +1087,27 @@ class TestEmptyFrameBound:
         rho=st.sampled_from([1.0, 0.7, 0.5]),
     )
     def test_picks_match_a_screened_run(self, seed, order, kind, on_grid, rho):
+        # at rho = 1 any valid bound feeds every row that can hold the maximum,
+        # so both bound schemes pick the same bits; a weak pick may differ
+        # between them, and each need only reach rho times the dense supremum
+        # on its own run's frame
         grid = GridSpec(radial_count=3, angular_count=12, refine_levels=0, max_radius=0.9)
         dictionary, screened = ProductSzegoDictionary2D(order, grid), _ScreenedDictionary(order, grid)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             g = self.signal(dictionary, seed, kind, on_grid)
             runs = [poga_decompose(g, 3, d, rho=rho) for d in (dictionary, screened)]
-        assert [(s.atom, bits(s.coeff.real), bits(s.coeff.imag), bits(s.r)) for s in runs[0].steps] == [
-            (s.atom, bits(s.coeff.real), bits(s.coeff.imag), bits(s.r)) for s in runs[1].steps
-        ]
+            if rho == 1.0:
+                assert [(s.atom, bits(s.coeff.real), bits(s.coeff.imag), bits(s.r)) for s in runs[0].steps] == [
+                    (s.atom, bits(s.coeff.real), bits(s.coeff.imag), bits(s.r)) for s in runs[1].steps
+                ]
+                return
+            for run in runs:
+                frame, residual = OrthoFrame(dictionary.dim), g
+                for s in run.steps:
+                    assert abs(s.coeff) >= rho * reference_select(residual, frame, dictionary)[3]
+                    vec, _ = frame.extend(dictionary.atom_vector(s.atom), spec=s.atom)
+                    residual = residual - s.coeff * vec
 
 
 def test_bench_size_step_peak_memory():

@@ -1,5 +1,7 @@
 """Kernel coefficients, normalization constants, tensor atoms."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,14 @@ from afdkit import (
     DomainError,
     TensorAtomSpec,
     TruncationWarning,
+    backward_shift,
     higher_order_coeffs,
     inner_product_1d,
     normalization,
     normalized_atom_coeffs,
     szego_coeffs,
     tensor_atom_coeffs,
+    tm_matrix,
 )
 from afdkit.hardy import eval_series
 from conftest import coeff, random_hardy_1d
@@ -31,6 +35,26 @@ class TestAtomSpec:
     def test_bad_multiplicity_rejected(self):
         with pytest.raises(DomainError):
             AtomSpec(0.5, 0)
+
+    # every function that takes a disc parameter applies AtomSpec's rule, with
+    # its message and no warning, to NaN parts and infinities as to the circle
+    @pytest.mark.parametrize("a", [complex("nan"), complex(0.3, float("nan")), 1.0, -1j, 1.5, complex("inf")])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            AtomSpec,
+            lambda a: TensorAtomSpec.of(0.5, a),
+            lambda a: szego_coeffs(a, 8),
+            lambda a: tm_matrix([0.5, a], 8),
+            lambda a: backward_shift(random_hardy_1d(0, 8), a),
+        ],
+        ids=["AtomSpec", "TensorAtomSpec.of", "szego_coeffs", "tm_matrix", "backward_shift"],
+    )
+    def test_every_disc_parameter_meets_the_one_rule(self, call, a):
+        with warnings.catch_warnings(), pytest.raises(DomainError) as err:
+            warnings.simplefilter("error")
+            call(a)
+        assert str(err.value) == "disc parameter must satisfy |a| < 1, got |a| = %g" % abs(a)
 
 
 class TestSzegoCoeffs:
