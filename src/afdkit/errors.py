@@ -34,24 +34,20 @@ class RecordFormatError(UsageError):
 
 
 class InvariantViolation(RuntimeError):
-    """A recorded decomposition fails one of its internal consistency checks."""
+    """A decomposition or its record fails one of its internal consistency checks."""
 
 
 class SpanDegeneracyError(RuntimeError):
     """Candidate atom is (numerically) inside the span of the current frame.
 
-    ``OrthoFrame.extend`` raises it, with the residual norm ``r``.  The
-    selection loop never sees it: the reduction of each scan block marks
-    the grid atoms with ``r < EPS_SPAN`` and the selected ones degenerate,
-    ``poga._reduce`` compares the escalated candidates' ``r`` with
-    ``EPS_SPAN`` itself, and ``poga._select`` marks a grid winner whose
+    ``OrthoFrame.extend`` raises it, with the residual norm ``r`` in its
+    message.  The selection loop never sees it: the reduction of each scan
+    block marks the grid atoms with ``r < EPS_SPAN`` and the selected ones
+    degenerate, ``poga._reduce`` compares the escalated candidates' ``r``
+    with ``EPS_SPAN`` itself, and ``poga._select`` marks a grid winner whose
     direct residual is below it and scans again.  The degenerate candidates
     escalate to the next multiplicity order.
     """
-
-    def __init__(self, message, r=0.0):
-        super().__init__(message)
-        self.r = float(r)
 
 
 class TruncationWarning(UserWarning):

@@ -30,6 +30,7 @@ from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
     DomainError,
+    InvariantViolation,
     SpanDegeneracyError,
 )
 from .hardy import (
@@ -65,17 +66,17 @@ def _as_vector(x):
 class OrthoFrame:
     """Orthonormal vectors built by Gram-Schmidt from selected atoms.
 
-    The classical step runs twice per extension (one refinement pass), which
-    keeps the frame orthonormal to machine precision even for near-parallel
-    kernels; a full re-orthogonalization kicks in should the Gram defect
-    ever exceed 1e-9.
+    The classical step runs twice per extension, behind the ``EPS_SPAN``
+    test, which keeps the frame orthonormal to rounding even for
+    near-parallel kernels (Giraud, Langou, Rozloznik & van den Eshof,
+    Numer. Math. 101, 2005).  There is no repair path: a Gram defect above
+    1e-9 after an extension is an ``InvariantViolation``.
     """
 
     def __init__(self, dim):
         self.dim = int(dim)
         self.matrix = np.zeros((0, self.dim), dtype=complex)
         self.specs = []
-        self.reorthogonalizations = 0  # each call rewrites rows that scans may have cached
 
     def __len__(self):
         return self.matrix.shape[0]
@@ -90,23 +91,25 @@ class OrthoFrame:
         res = x - (np.conj(self.matrix) @ x) @ self.matrix
         return res, float(np.linalg.norm(res))
 
-    def extend(self, x, spec=None):
-        """Append the normalized Gram-Schmidt residual of x.
+    def extend(self, x, spec):
+        """Append the normalized Gram-Schmidt residual of x, the atom of ``spec``.
 
         Returns (new basis vector, r) where r is the residual norm before
         normalization.  Raises SpanDegeneracyError when x is numerically in
-        the current span.
+        the current span, and InvariantViolation when the extended frame's
+        Gram defect exceeds 1e-9.
         """
         res, r = self.project_residual(x)
         if r < EPS_SPAN:
-            raise SpanDegeneracyError("atom lies in the span of the frame", r=r)
+            raise SpanDegeneracyError("atom lies in the span of the frame (r = %.3g)" % r)
         res = res - (np.conj(self.matrix) @ res) @ self.matrix
         norm = float(np.linalg.norm(res))
         vec = res / norm
         self.matrix = np.vstack([self.matrix, vec])
         self.specs.append(spec)
-        if self.gram_defect() > 1e-9:
-            self.reorthogonalize()
+        defect = self.gram_defect()
+        if defect > 1e-9:
+            raise InvariantViolation("frame of %d rows has Gram defect %.3g above 1e-9" % (len(self), defect))
         return self.matrix[-1], r
 
     def gram_defect(self):
@@ -115,25 +118,13 @@ class OrthoFrame:
         gram = np.conj(self.matrix) @ self.matrix.T
         return float(np.max(np.abs(gram - np.eye(len(self)))))
 
-    def reorthogonalize(self):
-        """Sequential double Gram-Schmidt pass over the existing basis."""
-        self.reorthogonalizations += 1
-        for k in range(len(self)):
-            v = self.matrix[k]
-            for _ in range(2):
-                if k:
-                    head = self.matrix[:k]
-                    v = v - (np.conj(head) @ v) @ head
-            self.matrix[k] = v / np.linalg.norm(v)
-
 
 @dataclass
 class ScanState:
     """What a dictionary scan keeps between the steps of one run on one frame.
 
     ``r_sq`` is the unclipped squared residual norm of every base atom
-    after the first ``rows`` frame rows were subtracted, valid while the
-    frame has been re-orthogonalized ``epoch`` times.  Inner products with
+    after the first ``rows`` frame rows were subtracted.  Inner products with
     the remainder are not kept: a scan computes them afresh.  ``atoms``
     holds the vectors of the escalated and selected atoms built so far, by
     spec, since a vector depends on its spec alone.
@@ -141,18 +132,12 @@ class ScanState:
 
     r_sq: np.ndarray | None = None
     rows: int = 0
-    epoch: int = 0
     atoms: dict = field(default_factory=dict)
 
     def new_rows(self, frame, norms_sq):
-        """Frame rows not yet subtracted from ``r_sq``, which restarts at ``norms_sq()``.
-
-        A fresh state or a re-orthogonalized frame starts the sum over.
-        """
-        if self.r_sq is None or self.epoch != frame.reorthogonalizations:
+        """Frame rows not yet subtracted from ``r_sq``, which a fresh state starts at ``norms_sq()``."""
+        if self.r_sq is None:
             self.r_sq = norms_sq()
-            self.rows = 0
-            self.epoch = frame.reorthogonalizations
         rows = range(self.rows, len(frame))
         self.rows = len(frame)
         return rows
@@ -461,7 +446,7 @@ def _select(g, frame, dictionary, rho, state=None):
     g = _as_vector(g)
     require_nonzero(float(np.linalg.norm(g)) ** 2, "greedy remainder")
     state = ScanState() if state is None else state
-    excluded = {dictionary.base_index(s) for s in frame.specs if s is not None} - {None}
+    excluded = {dictionary.base_index(s) for s in frame.specs} - {None}
     while True:
         _, reduction = dictionary.scan(g, frame, _Reduction(rho, excluded), state)
         (r_sel, gain, spec), sup_gain, index = _reduce(g, frame, dictionary, reduction, state)
@@ -487,7 +472,7 @@ def _reduce(g, frame, dictionary, reduction, state):
     bound of every candidate's gain.
     """
     escalated = []  # (r, gain, spec) in generation order
-    selected = set(s for s in frame.specs if s is not None)
+    selected = set(frame.specs)
     for i in np.concatenate(reduction.degenerate):
         for esc in _escalated_candidates(dictionary, dictionary.base_spec(i), selected):
             for _ in range(len(frame)):
@@ -569,7 +554,7 @@ def reconstruct_poga(record, dictionary):
         try:
             vec, _ = frame.extend(dictionary.atom_vector(step.atom), spec=step.atom)
         except SpanDegeneracyError as exc:
-            raise SpanDegeneracyError("step %d: %s" % (n, exc), r=exc.r) from None
+            raise SpanDegeneracyError("step %d: %s" % (n, exc)) from None
         out += step.coeff * vec
     return out
 

@@ -341,7 +341,7 @@ def candidate_gain(g, atom, frame):
     atom = _as_vector(atom)
     _, r = frame.project_residual(atom)
     if r < EPS_SPAN:
-        raise SpanDegeneracyError("candidate atom lies in the frame span", r=r)
+        raise SpanDegeneracyError("candidate atom lies in the frame span (r = %.3g)" % r)
     inner = abs(complex(np.vdot(atom, g)))
     return SelectionOutcome(atom=None, r=r, gain=inner / r)
 

@@ -15,6 +15,7 @@ from afdkit import (
     DegenerateInputError,
     DomainError,
     GridSpec,
+    InvariantViolation,
     OrthoFrame,
     ProductSzegoDictionary2D,
     Record,
@@ -130,24 +131,74 @@ class TestCandidateGain:
             assert out.gain >= raw - 1e-12
 
 
+# Gram defect allowance of a frame of n rows, as a multiple of n u, u = 2^-53: the
+# frame property below measured at most 6 n u over 900 P-OGA runs on random grids
+# (1-d orders 0-32 and 2-d orders 1-5, radii up to 0.995, rho in [0.3, 1])
+GRAM_UNITS = 16
+
+
+def gram_bound(frame):
+    return GRAM_UNITS * len(frame) * 2.0**-53
+
+
 class TestOrthoFrame:
     def test_near_parallel_atoms_stay_orthonormal(self):
         frame = OrthoFrame(ORDER + 1)
         for a in np.linspace(0.30, 0.70, 9):
             frame.extend(szego_coeffs(a, ORDER).data, spec=AtomSpec(a))
-        assert frame.gram_defect() < 1e-9
+        assert frame.gram_defect() <= gram_bound(frame)
 
     def test_extend_rejects_span_members(self):
         frame = kernel_frame([0.5])
-        with pytest.raises(SpanDegeneracyError):
-            frame.extend(szego_coeffs(0.5, ORDER).data)
+        with pytest.raises(SpanDegeneracyError, match=r"^atom lies in the span of the frame \(r = "):
+            frame.extend(szego_coeffs(0.5, ORDER).data, spec=AtomSpec(0.5))
 
-    def test_reorthogonalize_preserves_span(self):
-        frame = kernel_frame([0.5, 0.3, -0.2j])
-        before = frame.matrix.copy()
-        frame.reorthogonalize()
-        sol, *_ = np.linalg.lstsq(frame.matrix.T, before.T, rcond=None)
-        assert np.max(np.abs(frame.matrix.T @ sol - before.T)) < 1e-10
+    def test_scaled_rows_fail_the_next_extension(self):
+        # the frame detects a broken Gram matrix and does not repair it
+        frame = kernel_frame([0.5, 0.3])
+        frame.matrix[0] *= 1.0 + 1e-6
+        with pytest.raises(InvariantViolation, match="Gram defect"):
+            frame.extend(szego_coeffs(-0.2j, ORDER).data, spec=AtomSpec(-0.2j))
+
+
+class TestFrameGramBound:
+    """A P-OGA run to ``dim`` steps replays a frame whose Gram defect stays within ``gram_bound``.
+
+    The orders are those at which every run measured reached ``dim``: 1-d
+    orders 0-24 and 2-d orders 0-4, on grids of up to 4 rings and 12
+    angles of radius up to 0.995.
+    """
+
+    @staticmethod
+    def check(dictionary, f, rho):
+        record = poga_decompose(f, dictionary.dim, dictionary, rho=rho, threshold=0)
+        assert len(record.steps) == dictionary.dim
+        frame = OrthoFrame(dictionary.dim)
+        for step in record.steps:
+            frame.extend(dictionary.atom_vector(step.atom), spec=step.atom)
+            assert frame.gram_defect() <= gram_bound(frame)
+
+    grids = st.builds(
+        GridSpec,
+        radial_count=st.integers(1, 4),
+        angular_count=st.integers(3, 12),
+        refine_levels=st.just(0),
+        max_radius=st.floats(0.3, 0.995),
+    )
+
+    @settings(max_examples=80, deadline=None)
+    @given(order=st.integers(0, 24), grid=grids, seed=st.integers(0, 2**16), rho=st.floats(0.3, 1.0))
+    def test_1d(self, order, grid, seed, rho):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            self.check(SzegoDictionary1D(order, grid), random_hardy_1d(seed, order).data, rho)
+
+    @settings(max_examples=50, deadline=None)
+    @given(order=st.integers(0, 4), grid=grids, seed=st.integers(0, 2**16), rho=st.floats(0.3, 1.0))
+    def test_2d(self, order, grid, seed, rho):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            self.check(ProductSzegoDictionary2D(order, grid), random_hardy_2d(seed, order).data.ravel(), rho)
 
 
 class TestDictionaryScan:
@@ -857,9 +908,7 @@ class TestIncrementalScan2D:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             g, frame = _seeded_run(dictionary, 11)
-            for step in range(8):
-                if step == 4:
-                    frame.reorthogonalize()
+            for _ in range(8):
                 result = parts_bytes(scan_parts(dictionary, g, frame, state))
                 assert result == parts_bytes(scan_parts(dictionary, g, frame))
                 assert result == parts_bytes(reference_parts(dictionary, g, frame))
@@ -867,7 +916,6 @@ class TestIncrementalScan2D:
                 outcome = select_as_reference(g, frame, dictionary, state=state)
                 vec, _ = frame.extend(dictionary.atom_vector(outcome.atom), spec=outcome.atom)
                 g = g - np.vdot(vec, g) * vec
-        assert frame.reorthogonalizations >= 1
 
 
 def _step(g, frame, dictionary, state):
@@ -878,26 +926,11 @@ def _step(g, frame, dictionary, state):
 
 
 class TestCarriedTable2D:
-    """A stateful 2-d scan after a re-orthogonalization and on another remainder.
+    """A stateful 2-d scan on another remainder.
 
     The scan carries only r^2; the inner products are formed afresh at
     every call, so a stateful scan has the bits of a stateless one.
     """
-
-    def test_reorthogonalized_frame_restarts_the_table(self):
-        state = ScanState()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            g, frame = _seeded_run(SMALL_2D, 6)
-            for _ in range(3):
-                scan_parts(SMALL_2D, g, frame, state)
-                g = _step(g, frame, SMALL_2D, state)
-            frame.reorthogonalize()
-            result = parts_bytes(scan_parts(SMALL_2D, g, frame, state))
-            select_as_reference(g, frame, SMALL_2D, state=state)
-        assert result == parts_bytes(scan_parts(SMALL_2D, g, frame))
-        assert result == parts_bytes(reference_parts(SMALL_2D, g, frame))
-        assert state.epoch == 1 and state.rows == len(frame)
 
     def test_other_remainder_falls_back_to_the_full_product(self):
         state = ScanState()
