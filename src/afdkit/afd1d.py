@@ -80,23 +80,22 @@ def tm_matrix(params, order):
     return rows
 
 
-def backward_shift(f, a, *, _atom=None, _coeff=None):
+def backward_shift(f, a):
     """Generalized backward shift of a Hardy signal via the point a.
 
-    Returns (f - <f, e_a> e_a) * (1 - conj(a) z) / (z - a), computed by
+    Returns (c, f_+) with c = <f, e_a> and f_+ = (f - c e_a) * (1 - conj(a) z) / (z - a),
+    so f = c e_a + (z - a) / (1 - conj(a) z) * f_+.  f_+ is computed by
     pointwise boundary division on the cached nodes and projection back
     onto frequencies 0..order; the remainder is sampled by one zero-padded
     inverse FFT, the transform ``boundary_samples`` takes.  The discarded
     energy is theoretically zero (the numerator vanishes at a); it is
     asserted below 1e-8 of the input energy, and a violation signals
-    insufficient truncation for this |a|.  ``_atom`` and
-    ``_coeff`` pass ``szego_coeffs(a, order)`` and ``<f, e_a>`` that
-    ``afd_decompose_1d`` already built for the step.
+    insufficient truncation for this |a|.
     """
     a = AtomSpec(a).a
     order = f.order
-    atom = szego_coeffs(a, order) if _atom is None else _atom
-    coeff = inner_product_1d(f, atom) if _coeff is None else _coeff
+    atom = szego_coeffs(a, order)
+    coeff = inner_product_1d(f, atom)
     residual = f - coeff * atom
 
     size = _tm_grid_size(order)
@@ -115,7 +114,7 @@ def backward_shift(f, a, *, _atom=None, _coeff=None):
             "backward shift at |a|=%.4f discards %.3e of the energy; "
             "truncation order %d is too small" % (abs(a), discarded / total, order)
         )
-    return FourierCoeffs1D(kept.copy())
+    return coeff, FourierCoeffs1D(kept.copy())
 
 
 def msp_1d(f, grid):
@@ -157,9 +156,7 @@ def afd_decompose_1d(f, n_terms, grid, threshold=1e-12):
     def step():
         nonlocal remainder
         a, _ = msp_1d(remainder, grid)
-        atom = szego_coeffs(a, f.order)
-        coeff = inner_product_1d(remainder, atom)
-        remainder = backward_shift(remainder, a, _atom=atom, _coeff=coeff)
+        coeff, remainder = backward_shift(remainder, a)
         return Step(a=a, coeff=coeff, residual_energy=remainder.energy())
 
     return greedy(Record(initial_energy=f.energy()), n_terms, threshold, step)

@@ -162,15 +162,17 @@ def pga_step(g, grid, *, _probe=True):
     Maximizes |<g, e_a (x) e_b>| via the reproducing identity
     sqrt(1 - |a|^2) sqrt(1 - |b|^2) |g(a, b)| = |K_a C K_b^T|, the pair
     table of ``hardy._kernel_table``, reduced in row blocks without the
-    table of all pairs, then returns the selected tensor atom and its
-    coefficient.  ``_probe``: ``hardy._pair_argmax`` probes the ring
-    majorants before it screens, as ``pga_decompose`` has its first search do.
+    table of all pairs, then returns the selected tensor atom, its
+    coefficient c and the remainder g - c e_a (x) e_b.  ``_probe``:
+    ``hardy._pair_argmax`` probes the ring majorants before it screens, as
+    ``pga_decompose`` has its first search do.
     """
     require_nonzero(g.energy())
     a, b, _ = grid_argmax_pairs(lambda a_pts, b_pts: _kernel_table(g.data, a_pts, b_pts, grid, probe=_probe), grid)
     spec = TensorAtomSpec.of(a, b)
-    coeff = inner_product_2d(g, tensor_atom_coeffs(spec, g.order))
-    return spec, coeff
+    atom = tensor_atom_coeffs(spec, g.order)
+    coeff = inner_product_2d(g, atom)
+    return spec, coeff, g - coeff * atom
 
 
 def pga_decompose(f, n_terms, grid, threshold=1e-12):
@@ -184,8 +186,7 @@ def pga_decompose(f, n_terms, grid, threshold=1e-12):
 
     def step():
         nonlocal remainder
-        spec, coeff = pga_step(remainder, grid, _probe=remainder is f)
-        remainder = remainder - coeff * tensor_atom_coeffs(spec, f.order)
+        spec, coeff, remainder = pga_step(remainder, grid, _probe=remainder is f)
         return Step(atom=spec, coeff=coeff, residual_energy=remainder.energy())
 
     return greedy(Record(initial_energy=f.energy()), n_terms, threshold, step)

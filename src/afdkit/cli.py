@@ -313,7 +313,7 @@ def _meta_field(meta, key, kind=str, default=None):
     return out
 
 
-def _atom(f, i):
+def _decode_atom(f, i):
     """The ``AtomSpec`` at offset i; its multiplicity, stored as a float, must be a whole number."""
     m = f[i + 2]
     if not float(m).is_integer():
@@ -336,11 +336,11 @@ _KINDS = {
     "real": (1, lambda x: [x], lambda f, i: f[i]),
     "complex": (2, _floats, lambda f, i: complex(f[i], f[i + 1])),
     "point": (2, _floats, lambda f, i: AtomSpec(complex(f[i], f[i + 1])).a),
-    "atom": (3, lambda s: _floats(s.a, s.m), _atom),
+    "atom": (3, lambda s: _floats(s.a, s.m), _decode_atom),
     "pair": (4, lambda s: _floats(s.left.a) + _floats(s.right.a),
              lambda f, i: TensorAtomSpec.of(complex(f[i], f[i + 1]), complex(f[i + 2], f[i + 3]))),
     "tensor": (6, lambda s: _floats(s.left.a, s.left.m) + _floats(s.right.a, s.right.m),
-               lambda f, i: TensorAtomSpec(_atom(f, i), _atom(f, i + 3))),
+               lambda f, i: TensorAtomSpec(_decode_atom(f, i), _decode_atom(f, i + 3))),
     "block": (1, lambda b: [len(b)] + [x for c in b for x in _floats(c)],
               lambda f, i: np.array(f[i + 1:], dtype=float).view(complex)),
 }

@@ -229,7 +229,8 @@ def reference_blaschke_coeffs(params, order):
 def reference_backward_shift(f, a):
     """``afd1d.backward_shift`` with its nodes rebuilt and its samples from ``boundary_samples``."""
     atom = szego_coeffs(a, f.order)
-    residual = f - complex(np.vdot(atom.data, f.data)) * atom
+    c = complex(np.vdot(atom.data, f.data))
+    residual = f - c * atom
     size = _tm_grid_size(f.order)
     z = np.exp(2j * np.pi * np.arange(size) / size)
     samples = residual.boundary_samples(size)
@@ -239,7 +240,7 @@ def reference_backward_shift(f, a):
     discarded = float(np.sum(np.abs(spec) ** 2) - np.sum(np.abs(kept) ** 2))
     if discarded > 1e-8 * f.energy():
         raise TruncationError("discards %.3e" % (discarded / f.energy()))
-    return FourierCoeffs1D(kept.copy())
+    return c, FourierCoeffs1D(kept.copy())
 
 
 def reference_line_offsets(buf):

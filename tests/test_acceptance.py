@@ -298,7 +298,7 @@ def test_11_selector_oracle_equivalence():
     pts2 = grid_points(spec2)
     for seed in range(20):
         f = random_hardy_2d(60 + seed, 16)
-        chosen, _ = pga_step(f, spec2)
+        chosen, _, _ = pga_step(f, spec2)
         table = np.abs(
             (np.sqrt(1 - np.abs(pts2) ** 2)[:, None] * np.sqrt(1 - np.abs(pts2) ** 2)[None, :])
             * (pts2[:, None] ** np.arange(17)[None, :] @ f.data @ (pts2[:, None] ** np.arange(17)[None, :]).T)

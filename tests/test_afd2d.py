@@ -1167,13 +1167,13 @@ class TestPga:
     def test_atom_recovery(self):
         (a, b), = spread_pairs(4, GRID, 1)
         f = tensor_signal([(1.0, (a, b))])
-        spec, coeff = pga_step(f, GRID)
+        spec, coeff, _ = pga_step(f, GRID)
         assert spec.left.a == pytest.approx(a) and spec.right.a == pytest.approx(b)
         assert coeff == pytest.approx(1.0, abs=1e-9)
 
     def test_constant_selects_center(self):
         f = from_terms(FourierCoeffs2D, ORDER, {(0, 0): 1.0})
-        spec, coeff = pga_step(f, GRID)
+        spec, coeff, _ = pga_step(f, GRID)
         assert spec.left.a == 0 and spec.right.a == 0
         assert coeff == pytest.approx(1.0)
 
@@ -1181,7 +1181,7 @@ class TestPga:
     def test_oracle_equivalence(self, seed):
         grid = GridSpec(radial_count=4, angular_count=6, refine_levels=0, max_radius=0.5)
         f = random_hardy_2d(seed + 20, 16)
-        spec, _ = pga_step(f, grid)
+        spec, _, _ = pga_step(f, grid)
         pts = grid_points(grid)
         best, best_val = None, -1.0
         for pa in pts:
@@ -1203,6 +1203,25 @@ class TestPga:
         for i, step in enumerate(record.steps):
             assert abs(d[i] - d[i + 1] - abs(step.coeff) ** 2) < 1e-10
         assert all(d[i + 1] <= d[i] + 1e-15 for i in range(len(d) - 1))
+
+    def test_step_remainder_bits(self):
+        g = random_hardy_2d(41, 24)
+        for probe in (True, False, False, False):
+            spec, coeff, rest = pga_step(g, GRID, _probe=probe)
+            assert rest.data.tobytes() == (g - coeff * tensor_atom_coeffs(spec, g.order)).data.tobytes()
+            g = rest
+
+    def test_tensor_atom_built_once_per_step(self, monkeypatch):
+        calls = []
+
+        def counting(spec, order):
+            calls.append(spec)
+            return tensor_atom_coeffs(spec, order)
+
+        monkeypatch.setattr(afd2d, "tensor_atom_coeffs", counting)
+        record = pga_decompose(random_hardy_2d(42, 24), 5, GRID)
+        assert len(record.steps) == 5
+        assert calls == [step.atom for step in record.steps]
 
     def test_two_separated_atoms_converge(self):
         # far-apart high-radius tensor atoms are nearly orthogonal; the

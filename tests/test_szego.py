@@ -144,6 +144,18 @@ class TestNormalization:
     def test_last_rung_with_a_float_norm(self, a, m):
         assert 0.0 < normalization(AtomSpec(a, m)) < 1e-150
 
+    @pytest.mark.xfail(strict=True, raises=DomainError, reason=(
+        "ROADMAP item 1 (b): the closed-form ladder norm has no float value at this rung, which the "
+        "escalation ladder of a 1-d P-OGA run to dim reaches at order 128 on an 8 x 16 grid of radius "
+        "0.99 (rho 0.7, seed 1), so the run stops with DomainError; a norm computed from the truncated "
+        "vector gives the unit atom"))
+    def test_ladder_rung_of_a_run_to_dim_is_a_unit_atom(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            vec = normalized_atom_coeffs(AtomSpec(-0.378857 - 0.914641j, 78), 128)
+        assert np.all(np.isfinite(vec.data))
+        assert vec.energy() == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_normalizes_truncated_vector(self, m):
         spec = AtomSpec(0.4 + 0.3j, m)
