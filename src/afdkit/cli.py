@@ -297,8 +297,9 @@ def load_record(path):
     return record
 
 
-def _meta_field(meta, key, kind=str, default=None):
-    """A metadata value converted by ``kind``; absent, malformed or non-finite is a format error."""
+def _meta_field(meta, key, kind=str, default=None, setting=None):
+    """A metadata value converted by ``kind``; a value that is absent, malformed or non-finite, or
+    that fails the test of ``_SETTINGS[setting]`` when a setting is given, is a format error."""
     value = meta.get(key, default)
     if value is None:
         raise RecordFormatError("record has no meta %s" % key)
@@ -306,10 +307,13 @@ def _meta_field(meta, key, kind=str, default=None):
         out = kind(value)
     except ValueError:
         raise RecordFormatError("record meta %s has a malformed value %r" % (key, value))
-    if isinstance(out, float) and not math.isfinite(out):
+    if isinstance(out, (float, complex)) and not np.isfinite(out):
         raise RecordFormatError("record meta %s is not finite: %r" % (key, value))
     if isinstance(out, int) and out < 0:
         raise RecordFormatError("record meta %s is negative: %r" % (key, value))
+    if setting is not None and not _SETTINGS[setting][2](out):
+        rule = _SETTINGS[setting][3].split(" ", 1)[1]  # without the option name that starts it
+        raise RecordFormatError("record meta %s %s, got %r" % (key, rule, out))
     return out
 
 
@@ -368,20 +372,30 @@ ALGORITHMS = tuple(STEP_LAYOUTS)
 _SECTIONS_2D = (("main", None, "pp"), ("fpm", None, "pm"), ("F", "afd1d", "F"), ("G", "afd1d", "G"))
 
 
+_Layout = namedtuple("_Layout", "algorithm order samples M c00 dictionary sections")
+
+
 def _layout_sections(record):
     """The meta and decoded sections of a record, read once for ``verify`` and ``reconstruct``.
 
-    The record must hold meta ``algorithm``, ``order`` and ``samples`` and
-    exactly the sections of its layout, each run by its algorithm: ``main``
-    by the record's own, and for a 2-d --full-recon record every section of
-    ``_SECTIONS_2D`` and meta c00.  Anything else is a format error; a 2-d
-    record with some but not all of the --full-recon parts names what it
-    misses.  Returns (algorithm, order, samples, [(section,
-    ``QuadrantParts`` field, library record), ...]) in record order.
+    Every rule of a record's meta is stated here.  The record must hold
+    meta ``algorithm``, ``order`` and ``samples`` = next_pow2(2 order + 2),
+    the count ``decompose`` writes, and exactly the sections of its layout,
+    each run by its algorithm: ``main`` by the record's own, and for a 2-d
+    --full-recon record every section of ``_SECTIONS_2D`` and a finite meta
+    c00.  A meta M must be finite and > 0, and a POGA record needs the grid
+    of its dictionary, read after the sections are decoded.  Anything else
+    is a format error; a partial --full-recon set names what it misses.
+    Returns a ``_Layout``: M is None without one, c00 None without
+    --full-recon, dictionary None outside the POGA runs, and sections holds
+    (section, ``QuadrantParts`` field, library record) in record order.
     """
     meta = record.meta_dict()
     algorithm = _meta_field(meta, "algorithm")
     order, samples = _meta_field(meta, "order", int), _meta_field(meta, "samples", int)
+    if samples != next_pow2(2 * order + 2):
+        raise RecordFormatError("record meta samples must be next_pow2(2 order + 2) = %d at order %d, got %d"
+                                % (next_pow2(2 * order + 2), order, samples))
     layout = _SECTIONS_2D[:1]
     if algorithm not in ALGS_1D:
         names = {sec.name for sec in record.sections}
@@ -398,7 +412,18 @@ def _layout_sections(record):
             "record holds sections %s, expected %s" % (", ".join(held) or "none", ", ".join(expected))
         )
     attrs = {name: attr for name, _, attr in layout}
-    return algorithm, order, samples, [(s, attrs[s.name], decode_section(s, meta)) for s in record.sections]
+    sections = [(s, attrs[s.name], decode_section(s, meta)) for s in record.sections]
+    # a synthesis bound M follows the rule of --coeff-sum, which synth writes as M
+    M = _meta_field(meta, "M", float, setting="coeff_sum") if "M" in meta else None
+    c00 = None
+    if len(layout) > 1:  # "re im", two floats viewed as one complex; any other field count is malformed
+        c00 = _meta_field(meta, "c00", lambda v: np.array(v.split(" "), float).view(complex).item())
+    dictionary = None
+    if algorithm in _POGA:
+        grid = GridSpec(*[_meta_field(meta, key, int) for key in ("grid_radial", "grid_angular", "refine_levels")],
+                        max_radius=_meta_field(meta, "max_radius", float))
+        dictionary = (SzegoDictionary1D if algorithm == "poga1d" else ProductSzegoDictionary2D)(order, grid)
+    return _Layout(algorithm, order, samples, M, c00, dictionary, sections)
 
 
 def encode_section(name, algorithm, rec):
@@ -419,10 +444,7 @@ def decode_section(sec, meta):
     except KeyError:
         raise RecordFormatError("unknown algorithm %r in record" % sec.algorithm)
     poga = sec.algorithm in _POGA
-    rho = _meta_field(meta, "rho", float, "1") if poga else None
-    *_, valid, rule = _SETTINGS["rho"]
-    if poga and not valid(rho):
-        raise RecordFormatError("record meta %s, got %r" % (rule, rho))
+    rho = _meta_field(meta, "rho", float, "1", "rho") if poga else None
     top = _meta_field(meta, "order", int) + 1 if poga and "order" in meta else math.inf
     # (field, decode, offset) of each step field; ``width`` counts the floats
     # without block entries, and ``at`` is the offset of the block count, or None
@@ -480,8 +502,8 @@ def verify_record(record):
     ``reconstruct`` cannot read.
     """
     checks = []
-    meta = record.meta_dict()
-    for sec, _, rec in _layout_sections(record)[3]:
+    layout = _layout_sections(record)
+    for sec, _, rec in layout.sections:
         scale = max(1.0, sec.initial_energy)
         tol = 1e-8 * scale
         running = prev = sec.initial_energy
@@ -503,16 +525,13 @@ def verify_record(record):
         if sec.algorithm == "afd2d-tm":
             detail = "block energies match coefficients" if blocks_ok else "block energy mismatch"
             checks.append(CheckResult("%s.blocks" % sec.name, blocks_ok, detail))
-        if rec.rho is not None and "M" in meta:
-            M = _meta_field(meta, "M", float)
-            if M <= 0.0:
-                raise RecordFormatError("record meta M must be > 0, got %r" % M)
-            report = rate_report(rec, M)
+        if rec.rho is not None and layout.M is not None:
+            report = rate_report(rec, layout.M)
             min_slack = min((row.slack for row in report.rows), default=0.0)
             detail = "min slack %.3e, recurrence %s" % (min_slack, report.recurrence_ok)
             checks.append(CheckResult("%s.rate" % sec.name, report.ok, detail))
         if rec.rho is not None:
-            _replay_poga(rec, sec.name, sec.algorithm, meta)  # raises on linearly dependent atoms
+            _reconstruct_section(sec, rec, layout)  # raises on linearly dependent atoms
     return checks
 
 
@@ -629,16 +648,18 @@ def _run_grid(args):
                     refine_levels=getattr(args, "refine", 0), max_radius=args.max_radius)
 
 
-def _run_meta(args):
-    """The meta lines of a decomposition run's settings, in record order."""
+def _run_meta(args, M, c00):
+    """Every meta line of a decomposition run in record order; M and c00 are left out when None."""
     from . import __version__
 
-    settings = (("algorithm", args.algorithm), ("order", args.order), ("terms", args.terms),
-                ("grid_radial", args.grid_radial), ("grid_angular", args.grid_angular),
-                ("refine_levels", args.refine), ("max_radius", args.max_radius), ("rho", args.rho),
-                ("threshold", args.threshold))
+    lines = (("algorithm", args.algorithm), ("order", args.order), ("terms", args.terms),
+             ("grid_radial", args.grid_radial), ("grid_angular", args.grid_angular),
+             ("refine_levels", args.refine), ("max_radius", args.max_radius), ("rho", args.rho),
+             ("threshold", args.threshold), ("M", M), ("samples", next_pow2(2 * args.order + 2)), ("c00", c00))
     return [("generator", "afdkit %s" % __version__)] + [
-        (key, _fmt(value) if isinstance(value, float) else str(value)) for key, value in settings
+        (key, "%s %s" % (_fmt(value.real), _fmt(value.imag)) if isinstance(value, complex)
+         else _fmt(value) if isinstance(value, float) else str(value))
+        for key, value in lines if value is not None
     ]
 
 
@@ -694,7 +715,7 @@ def _load_synthesis(path, algorithm):
             raise ConfigError("synthesis file %s has a malformed %r" % (path, key))
 
     M = field("M", float)
-    if not 0.0 < M < math.inf:
+    if not _SETTINGS["coeff_sum"][2](M):
         raise ConfigError("synthesis file %s needs a finite 'M' > 0, got %r" % (path, M))
     if algorithm == "poga1d":
         return field("atoms", lambda atoms: [AtomSpec(complex(re, im)) for re, im in atoms]), M
@@ -705,21 +726,15 @@ def _load_synthesis(path, algorithm):
 
 def _cmd_decompose(args):
     grid = _run_grid(args)
-    record = RecordFile(meta=_run_meta(args))
-    synthesis = None
-    if args.synthesis:
-        synthesis, M = _load_synthesis(args.synthesis, args.algorithm)
-        record.meta.append(("M", _fmt(M)))
-
-    record.meta.append(("samples", str(next_pow2(2 * (args.order + 1)))))
+    synthesis, M = _load_synthesis(args.synthesis, args.algorithm) if args.synthesis else (None, None)
     if args.algorithm in ALGS_1D:
-        inputs = [("main", args.algorithm, load_signal_1d(args.input, args.order))]
+        inputs, c00 = [("main", args.algorithm, load_signal_1d(args.input, args.order))], None
     else:
         parts = load_image_2d(args.input, args.order)
         inputs = [(name, alg or args.algorithm, getattr(parts, attr))
                   for name, alg, attr in _SECTIONS_2D[: None if args.full_recon else 1]]
-        if args.full_recon:
-            record.meta.append(("c00", "%s %s" % (_fmt(parts.c00.real), _fmt(parts.c00.imag))))
+        c00 = parts.c00 if args.full_recon else None
+    record = RecordFile(meta=_run_meta(args, M, c00))
     recs = {}
     for name, alg, f in inputs:
         recs[name] = _decompose(alg, f, args, grid, synthesis if name == "main" else None)
@@ -741,48 +756,30 @@ def _cmd_verify(args):
     return 0
 
 
-def _reconstruct_section(sec, rec, order, meta):
-    """Hardy coefficients of the partial sum stored in ``sec``, decoded as ``rec``."""
+def _reconstruct_section(sec, rec, layout):
+    """Hardy coefficients of the partial sum in ``sec``, decoded as ``rec``; a dependent POGA atom is a format error."""
     rebuild = {"afd1d": reconstruct_1d, "afd2d-tm": reconstruct_product_tm, "pga2d": reconstruct_pga}
     if sec.algorithm in rebuild:
-        return rebuild[sec.algorithm](rec, order)
-    vec = _replay_poga(rec, sec.name, sec.algorithm, meta)
+        return rebuild[sec.algorithm](rec, layout.order)
+    try:
+        vec = reconstruct_poga(rec, layout.dictionary)
+    except SpanDegeneracyError as exc:
+        raise RecordFormatError("section %s: %s" % (sec.name, exc)) from None
     if sec.algorithm == "poga1d":
         return FourierCoeffs1D(vec)
-    return FourierCoeffs2D(vec.reshape(order + 1, order + 1))
-
-
-def _replay_poga(rec, name, algorithm, meta):
-    """Coefficients of a POGA section's partial sum; a dependent atom is a format error."""
-    order = _meta_field(meta, "order", int)
-    grid = GridSpec(
-        radial_count=_meta_field(meta, "grid_radial", int),
-        angular_count=_meta_field(meta, "grid_angular", int),
-        refine_levels=_meta_field(meta, "refine_levels", int),
-        max_radius=_meta_field(meta, "max_radius", float),
-    )
-    dictionary = (SzegoDictionary1D if algorithm == "poga1d" else ProductSzegoDictionary2D)(order, grid)
-    try:
-        return reconstruct_poga(rec, dictionary)
-    except SpanDegeneracyError as exc:
-        raise RecordFormatError("section %s: %s" % (name, exc)) from None
+    return FourierCoeffs2D(vec.reshape(layout.order + 1, layout.order + 1))
 
 
 def _cmd_reconstruct(args):
-    record = load_record(args.input)
-    meta = record.meta_dict()
-    algorithm, order, size, sections = _layout_sections(record)
-    parts = {attr: _reconstruct_section(sec, rec, order, meta) for sec, attr, rec in sections}
-    if algorithm in ALGS_1D:  # the one section, main, fills the first field of the 2-d layout
+    layout = _layout_sections(load_record(args.input))
+    parts = {attr: _reconstruct_section(sec, rec, layout) for sec, attr, rec in layout.sections}
+    size = layout.samples
+    if layout.algorithm in ALGS_1D:  # the one section, main, fills the first field of the 2-d layout
         write_csv(args.output, "# reconstruction", real_samples_1d(parts["pp"], size))
         print("wrote %d samples to %s" % (size, args.output))
         return 0
-    size = max(size, next_pow2(2 * order + 2))
-    if len(parts) == 1:
-        fieldvals = 2.0 * parts["pp"].boundary_samples(size).real
-    else:
-        c00 = _meta_field(meta, "c00", lambda v: float(v.split(" ")[0]))
-        fieldvals = real_field_2d(QuadrantParts(**parts, c00=c00), size)
+    fieldvals = (2.0 * parts["pp"].boundary_samples(size).real if layout.c00 is None
+                 else real_field_2d(QuadrantParts(**parts, c00=layout.c00), size))
     write_pgm(args.output, fieldvals)
     print("wrote %dx%d image to %s" % (size, size, args.output))
     return 0

@@ -56,6 +56,10 @@ from conftest import (
 )
 
 
+# the grid meta of a hand-written P-OGA record, whose dictionary it names
+POGA_GRID = [("grid_radial", "4"), ("grid_angular", "8"), ("refine_levels", "0"), ("max_radius", "0.8")]
+
+
 def write_csv(path, values, header=None):
     with open(path, "w", encoding="utf-8") as handle:
         if header:
@@ -622,7 +626,7 @@ class TestCliEndToEnd:
          ("afd1d", [], 1.25, [0.5, 0.0, 0.3, -0.25, float("nan")], "non-finite step fields"),
          ("poga1d", [("rho", "nan")], 1.0, [0.5, 0.0, 1.0, 0.6, 0.0, 0.8, 0.8, 0.64],
           "meta rho is not finite"),
-         ("poga1d", [("rho", "1"), ("M", "nan")], 1.0, [0.5, 0.0, 1.0, 0.6, 0.0, 0.8, 0.8, 0.64],
+         ("poga1d", [("rho", "1"), ("M", "nan")] + POGA_GRID, 1.0, [0.5, 0.0, 1.0, 0.6, 0.0, 0.8, 0.8, 0.64],
           "meta M is not finite")],
         ids=["energy-inf", "residual-nan", "meta-rho-nan", "meta-M-nan"],
     )
@@ -633,8 +637,11 @@ class TestCliEndToEnd:
         rec.sections.append(RecordSection("main", algorithm, energy, [step] if step else []))
         path = tmp_path / "rec.txt"
         save_record(rec, path)
+        out = tmp_path / "out.csv"
         assert cli_main(["verify", "--input", str(path)]) == 2
-        assert message in capsys.readouterr().err
+        assert cli_main(["reconstruct", "--input", str(path), "--output", str(out)]) == 2
+        assert capsys.readouterr().err.count(message) == 2
+        assert not out.exists()
 
     def test_reconstruct_rejects_non_finite_mean(self, tmp_path, capsys):
         rec = RecordFile(meta=[("algorithm", "pga2d"), ("order", "8"), ("samples", "32"),
@@ -645,8 +652,27 @@ class TestCliEndToEnd:
         path = tmp_path / "rec.txt"
         save_record(rec, path)
         out = tmp_path / "out.pgm"
+        assert cli_main(["verify", "--input", str(path)]) == 2
         assert cli_main(["reconstruct", "--input", str(path), "--output", str(out)]) == 2
-        assert "meta c00 is not finite" in capsys.readouterr().err
+        assert capsys.readouterr().err.count("meta c00 is not finite") == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("samples", [7, 20, 2 ** 62])
+    @pytest.mark.parametrize("algorithm, order, output", [("afd1d", 16, "out.csv"), ("pga2d", 8, "out.pgm")])
+    def test_samples_other_than_the_written_count_rejected(self, tmp_path, capsys, algorithm, order, output,
+                                                            samples):
+        # decompose writes samples = next_pow2(2 order + 2), 64 at order 16
+        # and 32 at order 8; any other count is a format error in both
+        # commands, 2^62 too, before an array of that size is asked for
+        rec = RecordFile(meta=[("algorithm", algorithm), ("order", str(order)), ("samples", str(samples))])
+        rec.sections.append(RecordSection("main", algorithm, 0.0, []))
+        path, out = tmp_path / "rec.txt", tmp_path / output
+        save_record(rec, path)
+        assert cli_main(["verify", "--input", str(path)]) == 2
+        assert cli_main(["reconstruct", "--input", str(path), "--output", str(out)]) == 2
+        message = "record meta samples must be next_pow2(2 order + 2) = %d at order %d, got %d" % (
+            next_pow2(2 * order + 2), order, samples)
+        assert capsys.readouterr().err.count(message) == 2
         assert not out.exists()
 
     # two poga1d steps with a consistent ledger: 1 - 0.36 = 0.64, 0.64 - 0.36 = 0.28
@@ -654,19 +680,22 @@ class TestCliEndToEnd:
 
     @pytest.mark.parametrize("key, value", [("M", "0"), ("rho", "0"), ("M", "-2"), ("rho", "-1"), ("rho", "2")])
     def test_verify_rejects_meta_out_of_domain(self, tmp_path, capsys, key, value):
-        meta = dict(algorithm="poga1d", order="16", samples="64", rho="1", M="2")
+        meta = dict([("algorithm", "poga1d"), ("order", "16"), ("samples", "64"), ("rho", "1"), ("M", "2")]
+                    + POGA_GRID)
         meta[key] = value
         rec = RecordFile(meta=list(meta.items()))
         rec.sections.append(RecordSection("main", "poga1d", 1.0, self.POGA_STEPS))
         path = tmp_path / "rec.txt"
         save_record(rec, path)
+        out = tmp_path / "out.csv"
         assert cli_main(["verify", "--input", str(path)]) == 2
-        assert "meta %s must" % key in capsys.readouterr().err
+        assert cli_main(["reconstruct", "--input", str(path), "--output", str(out)]) == 2
+        assert capsys.readouterr().err.count("meta %s must" % key) == 2
+        assert not out.exists()
 
     def dependent_poga_record(self, tmp_path):
         """A poga1d record with a consistent ledger whose two steps hold the same atom."""
-        meta = [("algorithm", "poga1d"), ("order", "16"), ("samples", "64"), ("grid_radial", "4"),
-                ("grid_angular", "8"), ("refine_levels", "0"), ("max_radius", "0.8"), ("rho", "1")]
+        meta = [("algorithm", "poga1d"), ("order", "16"), ("samples", "64")] + POGA_GRID + [("rho", "1")]
         steps = [self.POGA_STEPS[0], [0.5, 0.0, 1.0, 0.6, 0.0, 0.6, 0.8, 0.28]]
         rec = RecordFile(meta=meta)
         rec.sections.append(RecordSection("main", "poga1d", 1.0, steps))
@@ -1082,3 +1111,53 @@ class TestImageReconstruction:
         err = capsys.readouterr().err
         assert err.count("partial --full-recon set: no %s\n" % drop) == 2
         assert not (tmp_path / "out.pgm").exists()
+
+
+# the values an edit gives a meta line: out of every domain, malformed, or a
+# sample count other than the 32 decompose writes at order 8; none is large,
+# as a large grid or order would fill grid tables before any check ran
+META_VALUES = ["nan", "inf", "-1", "0", "x", "7", "20"]
+
+
+@pytest.fixture(scope="module")
+def small_records(tmp_path_factory):
+    """The text of a valid order-8 record of each algorithm: poga1d with meta M, 2-d ones with --full-recon."""
+    work = tmp_path_factory.mktemp("small")
+    sig, synthesis, img = (str(work / name) for name in ("s.csv", "s.json", "s.pgm"))
+    grid = ["--order", "8", "--grid-radial", "3", "--grid-angular", "6", "--max-radius", "0.2"]
+    assert cli_main(["synth", "--output", sig, "--seed", "2", "--atoms", "3", "--emit-meta", synthesis] + grid) == 0
+    assert cli_main(["synth", "--algorithm", "pga2d", "--output", img, "--seed", "2", "--order", "8"]) == 0
+    extra = {"afd1d": [], "poga1d": ["--synthesis", synthesis]}
+    texts = {}
+    for algorithm in ALGORITHMS:
+        rec = work / (algorithm + ".rec")
+        assert cli_main(["decompose", "--algorithm", algorithm, "--input", sig if algorithm in extra else img,
+                         "--output", str(rec), "--terms", "2", "--refine", "0"]
+                        + grid + extra.get(algorithm, ["--full-recon"])) == 0
+        assert cli_main(["verify", "--input", str(rec)]) == 0
+        texts[algorithm] = rec.read_text()
+    return texts
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_verify_and_reconstruct_refuse_the_same_meta_edits(small_records, data):
+    """Drop one meta line of a valid record, or give it a value of ``META_VALUES``:
+    ``verify`` exits 2 if and only if ``reconstruct`` does, and ``reconstruct``
+    writes its output only when it exits 0."""
+    algorithm = data.draw(st.sampled_from(ALGORITHMS))
+    lines = small_records[algorithm].split("\n")
+    i = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line.startswith("meta ")]))
+    value = data.draw(st.sampled_from([None] + META_VALUES))
+    if value is None:
+        del lines[i]
+    else:
+        lines[i] = "meta %s %s" % (lines[i].split(" ")[1], value)
+    with tempfile.TemporaryDirectory() as work:
+        rec, out = os.path.join(work, "r.rec"), os.path.join(work, "out")
+        with open(rec, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines))
+        verified = cli_main(["verify", "--input", rec])
+        rebuilt = cli_main(["reconstruct", "--input", rec, "--output", out])
+        assert (verified == 2) == (rebuilt == 2), (lines[i] if value else "dropped", verified, rebuilt)
+        assert rebuilt in (0, 2) and os.path.exists(out) == (rebuilt == 0)

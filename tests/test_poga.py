@@ -34,7 +34,7 @@ from afdkit import (
 )
 from afdkit import poga
 from afdkit.cli import RecordFile, encode_section, load_record, save_record, verify_record
-from afdkit.hardy import PAIR_BLOCK, PAIR_SEEDS
+from afdkit.hardy import PAIR_BLOCK, PAIR_SEEDS, next_pow2
 from afdkit.poga import EPS_SPAN, R2_SPAN, ScanState, _Reduction, _select
 from conftest import (
     candidate_gain,
@@ -382,7 +382,7 @@ class TestPogaDecompose:
             np.testing.assert_allclose(reconstruct_poga(record, dictionary), f, rtol=0, atol=1e-12)
             grid = dictionary.grid
             meta = [("algorithm", "poga1d" if dictionary.dim == 9 else "poga2d"), ("order", str(dictionary.order)),
-                    ("samples", "32"), ("grid_radial", str(grid.radial_count)),
+                    ("samples", str(next_pow2(2 * dictionary.order + 2))), ("grid_radial", str(grid.radial_count)),
                     ("grid_angular", str(grid.angular_count)), ("refine_levels", "0"),
                     ("max_radius", str(grid.max_radius)), ("rho", "1")]
             save_record(RecordFile(meta, [encode_section("main", meta[0][1], record)]), tmp_path / "dim.rec")
