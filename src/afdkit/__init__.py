@@ -15,7 +15,6 @@ from .errors import (
     InvariantViolation,
     RecordFormatError,
     SpanDegeneracyError,
-    TruncationError,
     TruncationWarning,
 )
 from .hardy import (

@@ -18,7 +18,7 @@ import functools
 
 import numpy as np
 
-from .errors import TruncationError
+from .errors import InvariantViolation
 from .hardy import (
     FourierCoeffs1D,
     Record,
@@ -87,10 +87,8 @@ def backward_shift(f, a):
     so f = c e_a + (z - a) / (1 - conj(a) z) * f_+.  f_+ is computed by
     pointwise boundary division on the cached nodes and projection back
     onto frequencies 0..order; the remainder is sampled by one zero-padded
-    inverse FFT, the transform ``boundary_samples`` takes.  The discarded
-    energy is theoretically zero (the numerator vanishes at a); it is
-    asserted below 1e-8 of the input energy, and a violation signals
-    insufficient truncation for this |a|.
+    inverse FFT, the transform ``boundary_samples`` takes.  The energy the
+    division puts past the order is lost; ``afd_decompose_1d`` checks it.
     """
     a = AtomSpec(a).a
     order = f.order
@@ -105,16 +103,7 @@ def backward_shift(f, a):
     samples = np.fft.ifft(spectrum)
     samples *= size
     samples *= (1.0 - np.conj(a) * z) / (z - a)
-    spec = np.fft.fft(samples) / size
-    kept = spec[: order + 1]
-    discarded = float(np.sum(np.abs(spec) ** 2) - np.sum(np.abs(kept) ** 2))
-    total = f.energy()
-    if total > 0 and discarded > 1e-8 * total:
-        raise TruncationError(
-            "backward shift at |a|=%.4f discards %.3e of the energy; "
-            "truncation order %d is too small" % (abs(a), discarded / total, order)
-        )
-    return coeff, FourierCoeffs1D(kept.copy())
+    return coeff, FourierCoeffs1D(np.fft.fft(samples)[: order + 1] / size)
 
 
 def msp_1d(f, grid):
@@ -148,18 +137,26 @@ def afd_decompose_1d(f, n_terms, grid, threshold=1e-12):
 
     Each step is a maximal selection and a backward shift, for ``n_terms``
     steps or until the residual energy drops below ``threshold`` times the
-    initial energy, whichever comes first.  The record satisfies
-    ||f||^2 = sum |coeff_k|^2 + final residual energy.
+    initial energy, whichever comes first.  A step that breaks the energy
+    ledger as ``verify`` checks it raises ``InvariantViolation``.
     """
-    remainder = f
+    record = Record(initial_energy=f.energy())
+    remainder, running, tol = f, record.initial_energy, record.ledger_tolerance()
 
     def step():
-        nonlocal remainder
+        nonlocal remainder, running
         a, _ = msp_1d(remainder, grid)
         coeff, remainder = backward_shift(remainder, a)
-        return Step(a=a, coeff=coeff, residual_energy=remainder.energy())
+        out = Step(a=a, coeff=coeff, residual_energy=remainder.energy())
+        running -= out.extracted_energy()
+        deviation = abs(running - out.residual_energy)
+        if not deviation <= tol:
+            raise InvariantViolation(
+                "afd1d step %d at |a|=%.4f breaks the energy ledger by %.3e (tol %.1e); truncation order %d is "
+                "too small" % (len(record.steps) + 1, abs(a), deviation, tol, f.order))
+        return out
 
-    return greedy(Record(initial_energy=f.energy()), n_terms, threshold, step)
+    return greedy(record, n_terms, threshold, step)
 
 
 def reconstruct_1d(record, order):

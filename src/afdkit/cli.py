@@ -25,7 +25,6 @@ from .errors import (
     InvariantViolation,
     RecordFormatError,
     SpanDegeneracyError,
-    TruncationError,
     UsageError,
 )
 from .hardy import (
@@ -225,7 +224,7 @@ def save_record(record, path):
 
 
 def load_record(path):
-    """Parse a record file; malformed input reports the offending byte offset."""
+    """Parse a record file; malformed input, a repeated meta key included, reports the offending byte offset."""
     with open(path, "rb") as handle:
         buf = handle.read()
     try:
@@ -266,6 +265,8 @@ def load_record(path):
             fail(i, "content after end marker")
         parts = line.split(" ")
         if parts[0] == "meta" and len(parts) >= 3:
+            if any(key == parts[1] for key, _ in record.meta):
+                fail(i, "repeated meta %s" % parts[1])
             record.meta.append((parts[1], " ".join(parts[2:])))
             i += 1
         elif parts[0] == "section" and len(parts) == 3:
@@ -297,10 +298,10 @@ def load_record(path):
     return record
 
 
-def _meta_field(meta, key, kind=str, default=None, setting=None):
+def _meta_field(meta, key, kind=str, setting=None):
     """A metadata value converted by ``kind``; a value that is absent, malformed or non-finite, or
     that fails the test of ``_SETTINGS[setting]`` when a setting is given, is a format error."""
-    value = meta.get(key, default)
+    value = meta.get(key)
     if value is None:
         raise RecordFormatError("record has no meta %s" % key)
     try:
@@ -383,9 +384,10 @@ def _layout_sections(record):
     the count ``decompose`` writes, and exactly the sections of its layout,
     each run by its algorithm: ``main`` by the record's own, and for a 2-d
     --full-recon record every section of ``_SECTIONS_2D`` and a finite meta
-    c00.  A meta M must be finite and > 0, and a POGA record needs the grid
-    of its dictionary, read after the sections are decoded.  Anything else
-    is a format error; a partial --full-recon set names what it misses.
+    c00.  A meta M must be finite and > 0, and a POGA record needs its meta
+    rho in (0, 1] and the grid of its dictionary, read after the sections
+    are decoded.  Anything else is a format error; a partial --full-recon
+    set names what it misses.
     Returns a ``_Layout``: M is None without one, c00 None without
     --full-recon, dictionary None outside the POGA runs, and sections holds
     (section, ``QuadrantParts`` field, library record) in record order.
@@ -412,7 +414,8 @@ def _layout_sections(record):
             "record holds sections %s, expected %s" % (", ".join(held) or "none", ", ".join(expected))
         )
     attrs = {name: attr for name, _, attr in layout}
-    sections = [(s, attrs[s.name], decode_section(s, meta)) for s in record.sections]
+    rho = _meta_field(meta, "rho", float, setting="rho") if algorithm in _POGA else None
+    sections = [(s, attrs[s.name], decode_section(s, order, rho)) for s in record.sections]
     # a synthesis bound M follows the rule of --coeff-sum, which synth writes as M
     M = _meta_field(meta, "M", float, setting="coeff_sum") if "M" in meta else None
     c00 = None
@@ -433,19 +436,17 @@ def encode_section(name, algorithm, rec):
     return RecordSection(name, algorithm, rec.initial_energy, steps)
 
 
-def decode_section(sec, meta):
-    """Library record of a file section; POGA records take ``rho`` from ``meta``.
+def decode_section(sec, order, rho=None):
+    """Library record of a file section at truncation order ``order``; a POGA section carries ``rho``.
 
-    Given meta ``order``, POGA multiplicities are at most order + 1, as at
-    a = 0: those rungs of a ladder span the truncated space already.
+    POGA multiplicities are at most order + 1, as at a = 0: those rungs of
+    a ladder span the truncated space already.
     """
     try:
         fields = STEP_LAYOUTS[sec.algorithm]
     except KeyError:
         raise RecordFormatError("unknown algorithm %r in record" % sec.algorithm)
     poga = sec.algorithm in _POGA
-    rho = _meta_field(meta, "rho", float, "1", "rho") if poga else None
-    top = _meta_field(meta, "order", int) + 1 if poga and "order" in meta else math.inf
     # (field, decode, offset) of each step field; ``width`` counts the floats
     # without block entries, and ``at`` is the offset of the block count, or None
     decoders, width, at = [], 0, None
@@ -454,7 +455,7 @@ def decode_section(sec, meta):
         decoders.append((name, decode, width))
         at = width if kind == "block" else at
         width += count
-    rec = Record(initial_energy=sec.initial_energy, rho=rho)
+    rec = Record(initial_energy=sec.initial_energy, rho=rho if poga else None)
     for n, values in enumerate(sec.steps, start=1):
         arity = width
         if at is not None:
@@ -471,18 +472,11 @@ def decode_section(sec, meta):
         if poga:
             atom = rec.steps[-1].atom
             m = max(atom.left.m, atom.right.m) if isinstance(atom, TensorAtomSpec) else atom.m
-            if m > top:
+            if m > order + 1:
                 raise RecordFormatError(
-                    "%s step %d has multiplicity %d, above order + 1 = %d" % (sec.algorithm, n, m, top)
+                    "%s step %d has multiplicity %d, above order + 1 = %d" % (sec.algorithm, n, m, order + 1)
                 )
     return rec
-
-
-def _extracted_energy(step):
-    """Energy one step removes: |coeff|^2, or the block energy of a product-TM step."""
-    if step.block is not None:
-        return float(np.sum(step.block.real ** 2 + step.block.imag ** 2))
-    return step.coeff.real * step.coeff.real + step.coeff.imag * step.coeff.imag
 
 
 CheckResult = namedtuple("CheckResult", "name ok detail")
@@ -494,7 +488,7 @@ def verify_record(record):
     Checks, per section: the energy ledger (initial energy minus the
     cumulative extracted energy reproduces each stored residual), residual
     monotonicity, and stored block energies for product-system records; the
-    ledger and the block energies hold to 1e-8 times max(1, initial energy).
+    ledger and the block energies hold to the record's ``ledger_tolerance``.
     When the metadata carries a synthesis bound M, the rate bound of the
     pre-orthogonal runs is re-checked as well.  A pre-orthogonal section
     replays its frame as ``reconstruct`` does, and an atom in the span of
@@ -504,13 +498,12 @@ def verify_record(record):
     checks = []
     layout = _layout_sections(record)
     for sec, _, rec in layout.sections:
-        scale = max(1.0, sec.initial_energy)
-        tol = 1e-8 * scale
+        tol, scale = rec.ledger_tolerance(), max(1.0, sec.initial_energy)
         running = prev = sec.initial_energy
         worst = 0.0
         monotone = blocks_ok = True
         for step in rec.steps:
-            energy = _extracted_energy(step)
+            energy = step.extracted_energy()
             running -= energy
             worst = max(worst, abs(running - step.residual_energy))
             if step.residual_energy > prev + 1e-12 * scale:
@@ -743,7 +736,7 @@ def _cmd_decompose(args):
     save_record(record, args.output)
     print("step,extracted_energy,residual_energy")
     for i, step in enumerate(recs["main"].steps, start=1):
-        print("%d,%.6e,%.6e" % (i, _extracted_energy(step), step.residual_energy))
+        print("%d,%.6e,%.6e" % (i, step.extracted_energy(), step.residual_energy))
     return 0
 
 
@@ -820,8 +813,8 @@ def build_parser():
 def cli_main(argv=None):
     """Entry point returning the process exit status.
 
-    0 on success, 1 on an ``InvariantViolation`` (broken ledger, negative
-    rate slack) or ``TruncationError``, 2 on a ``UsageError`` (a setting,
+    0 on success, 1 on an ``InvariantViolation`` (a broken ledger, at
+    ``decompose`` or ``verify``, or negative rate slack), 2 on a ``UsageError`` (a setting,
     input file or record the run cannot use) or ``OSError``.
     """
     try:
@@ -830,7 +823,7 @@ def cli_main(argv=None):
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (InvariantViolation, TruncationError) as exc:
+    except InvariantViolation as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except (UsageError, OSError) as exc:

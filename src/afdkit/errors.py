@@ -21,10 +21,6 @@ class DegenerateInputError(UsageError):
     """An operation that needs a nonzero signal received (numerically) zero."""
 
 
-class TruncationError(ArithmeticError):
-    """Truncation order too small for the requested operation to stay accurate."""
-
-
 class IngestError(UsageError):
     """Input file could not be parsed or violates the input contract."""
 

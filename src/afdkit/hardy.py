@@ -775,6 +775,12 @@ class Step:
     r: float | None = None
     r_sup: float | None = None
 
+    def extracted_energy(self):
+        """Energy the step removes: |coeff|^2, or the block energy of a product-TM step."""
+        if self.block is not None:
+            return float(np.sum(self.block.real ** 2 + self.block.imag ** 2))
+        return self.coeff.real * self.coeff.real + self.coeff.imag * self.coeff.imag
+
 
 @dataclass
 class Record:
@@ -783,6 +789,10 @@ class Record:
     initial_energy: float
     steps: list[Step] = field(default_factory=list)
     rho: float | None = None
+
+    def ledger_tolerance(self):
+        """How far the initial energy minus the extracted energy so far may be from a residual energy."""
+        return 1e-8 * max(1.0, self.initial_energy)
 
     def residual_energies(self):
         return [s.residual_energy for s in self.steps]

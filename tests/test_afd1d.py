@@ -14,7 +14,7 @@ from afdkit import (
     DomainError,
     FourierCoeffs1D,
     GridSpec,
-    TruncationError,
+    InvariantViolation,
     afd_decompose_1d,
     backward_shift,
     grid_points,
@@ -25,6 +25,7 @@ from afdkit import (
     tm_matrix,
 )
 from afdkit import afd1d
+from afdkit.cli import cli_main, real_samples_1d, write_csv
 from conftest import (
     coeff,
     dominant_atoms_on_grid,
@@ -152,14 +153,25 @@ class TestBackwardShift:
         c, shifted = backward_shift(f, radius * np.exp(2j * np.pi * angle))
         assert abs(f.energy() - abs(c) ** 2 - shifted.energy()) <= 1e-12 * f.energy()
 
-    def test_truncation_blowup_detected(self):
-        import warnings
+    # the one grid point 0.97 besides the center takes the first step of e_0.9 at order 16 there
+    BLOWUP = GridSpec(radial_count=1, angular_count=1, refine_levels=0, max_radius=0.97)
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            f = szego_coeffs(0.9, 16)
-            with pytest.raises(TruncationError):
-                backward_shift(f, 0.97)
+    @pytest.mark.filterwarnings("ignore::afdkit.TruncationWarning")
+    def test_truncation_blowup_detected(self):
+        with pytest.raises(InvariantViolation, match=r"step 1 at \|a\|=0\.9700 breaks the energy ledger by "
+                           r"\S+ \(tol 1\.0e-08\); truncation order 16 is too small"):
+            afd_decompose_1d(szego_coeffs(0.9, 16), 3, self.BLOWUP)
+
+    @pytest.mark.filterwarnings("ignore::afdkit.TruncationWarning")
+    def test_decompose_refuses_the_blowup(self, tmp_path, capsys):
+        sig, rec = str(tmp_path / "s.csv"), tmp_path / "s.rec"
+        write_csv(sig, "# e_0.9", real_samples_1d(szego_coeffs(0.9, 16), 64))
+        grid = self.BLOWUP
+        code = cli_main(["decompose", "--input", sig, "--output", str(rec), "--order", "16", "--terms", "3",
+                         "--grid-radial", str(grid.radial_count), "--grid-angular", str(grid.angular_count),
+                         "--refine", "0", "--max-radius", str(grid.max_radius)])
+        assert code == 1 and not rec.exists()
+        assert "step 1 at |a|=0.9700 breaks the energy ledger" in capsys.readouterr().err
 
 
 def _random_params(seed, count, radius):
@@ -184,12 +196,7 @@ class TestNodeTable:
         a = complex(_random_params(seed + 1, 1, radius)[0])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            try:
-                want_c, want = reference_backward_shift(f, a)
-            except TruncationError:
-                with pytest.raises(TruncationError):
-                    backward_shift(f, a)
-                return
+            want_c, want = reference_backward_shift(f, a)
             got_c, got = backward_shift(f, a)
         assert np.complex128(got_c).tobytes() == np.complex128(want_c).tobytes()
         assert got.data.tobytes() == want.data.tobytes()

@@ -288,7 +288,7 @@ class TestRecordRoundTrip:
         path = tmp_path / "rec.txt"
         save_record(RecordFile([("rho", "0.9")], [encode_section("main", algorithm, rec)]), path)
         loaded = load_record(path)
-        back = decode_section(section(loaded, "main"), loaded.meta_dict())
+        back = decode_section(section(loaded, "main"), 16, 0.9)
         assert type(back) is type(rec) and back.initial_energy == rec.initial_energy
         assert len(back.steps) == len(rec.steps)
         assert all(same_step(x, y) for x, y in zip(back.steps, rec.steps))
@@ -302,10 +302,10 @@ class TestRecordRoundTrip:
     def test_multiplicity_is_at_most_order_plus_one(self, algorithm, m):
         # m is the highest multiplicity of the library record, held by step 2
         section = encode_section("main", algorithm, library_record(algorithm))
-        assert len(decode_section(section, {"rho": "0.9", "order": str(m - 1)}).steps) == 2
+        assert len(decode_section(section, m - 1, 0.9).steps) == 2
         message = "step 2 has multiplicity %d, above order \\+ 1 = %d" % (m, m - 1)
         with pytest.raises(RecordFormatError, match=message):
-            decode_section(section, {"rho": "0.9", "order": str(m - 2)})
+            decode_section(section, m - 2, 0.9)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_encoded_save_load_save_is_byte_identical(self, tmp_path, algorithm):
@@ -406,6 +406,16 @@ class TestRecordRoundTrip:
                         % (energy, steps))
         with pytest.raises(RecordFormatError, match=message):
             load_record(path)
+
+    def test_repeated_meta_key_reports_its_offset(self, tmp_path, capsys):
+        path, out = tmp_path / "repeat.txt", tmp_path / "out.csv"
+        path.write_text("afdkit-record 1\nmeta samples 7\nmeta samples 256\nend\n")
+        with pytest.raises(RecordFormatError, match="repeated meta samples at byte 31"):
+            load_record(path)
+        assert cli_main(["verify", "--input", str(path)]) == 2
+        assert cli_main(["reconstruct", "--input", str(path), "--output", str(out)]) == 2
+        assert capsys.readouterr().err.count("repeated meta samples at byte 31\n") == 2
+        assert not out.exists()
 
     def test_verify_passes_consistent_record(self, tmp_path):
         rec = self._sample_record()
@@ -553,8 +563,9 @@ class TestCliEndToEnd:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 1 (a): the oversampled backward shift loses 1.231e-07 of the energy "
-        "at |a|=0.9854 under the default --max-radius 0.995; the exact shift of item 1 removes it",
+        reason="ROADMAP item 1 (a): under the default --max-radius 0.995 the oversampled backward shift "
+        "breaks the energy ledger by 4.509e-05 at step 3, |a|=0.9854, and decompose exits 1; the exact "
+        "shift of item 1 removes it",
     )
     def test_default_radius_decompose_and_verify(self, tmp_path, capsys):
         sig, rec = str(tmp_path / "s.csv"), str(tmp_path / "s.rec")
@@ -562,6 +573,25 @@ class TestCliEndToEnd:
         code = cli_main(["decompose", "--algorithm", "afd1d", "--input", sig, "--output", rec, "--terms", "8"])
         assert code == 0, capsys.readouterr().err
         assert cli_main(["verify", "--input", rec]) == 0
+
+    def test_afd2d_tm_full_recon_with_a_broken_f_ledger_is_refused(self, tmp_path, capsys):
+        # ROADMAP item 1 (b): the F section's afd1d step 5 breaks the ledger, which verify would reject
+        img, rec = str(tmp_path / "i.pgm"), tmp_path / "f.rec"
+        assert cli_main(["synth", "--algorithm", "pga2d", "--output", img, "--seed", "3"]) == 0
+        assert cli_main(["decompose", "--algorithm", "afd2d-tm", "--input", img, "--output", str(rec),
+                         "--terms", "5", "--full-recon"]) == 1
+        assert not rec.exists()
+        assert "error: afd1d step 5 at |a|=0.9387 breaks the energy ledger by 2.746e-08 (tol 1.0e-08)" in (
+            capsys.readouterr().err)
+
+    def test_order_64_afd1d_with_a_broken_ledger_is_refused(self, tmp_path, capsys):
+        sig, rec = str(tmp_path / "s.csv"), tmp_path / "s.rec"
+        assert cli_main(["synth", "--output", sig, "--seed", "2", "--order", "64", "--atoms", "6"]) == 0
+        assert cli_main(["decompose", "--algorithm", "afd1d", "--input", sig, "--output", str(rec),
+                         "--order", "64", "--terms", "3", "--max-radius", "0.9"]) == 1
+        assert not rec.exists()
+        assert "error: afd1d step 3 at |a|=0.8962 breaks the energy ledger by 5.255e-08 (tol 1.0e-08)" in (
+            capsys.readouterr().err)
 
     def test_usage_error_is_exit_2(self):
         assert cli_main(["decompose", "--bogus"]) == 2
@@ -691,6 +721,17 @@ class TestCliEndToEnd:
         assert cli_main(["verify", "--input", str(path)]) == 2
         assert cli_main(["reconstruct", "--input", str(path), "--output", str(out)]) == 2
         assert capsys.readouterr().err.count("meta %s must" % key) == 2
+        assert not out.exists()
+
+    def test_poga_record_without_rho_is_exit_2(self, tmp_path, capsys):
+        meta = [("algorithm", "poga1d"), ("order", "16"), ("samples", "64"), ("M", "2")] + POGA_GRID
+        rec = RecordFile(meta=meta)
+        rec.sections.append(RecordSection("main", "poga1d", 1.0, self.POGA_STEPS))
+        path, out = tmp_path / "rec.txt", tmp_path / "out.csv"
+        save_record(rec, path)
+        assert cli_main(["verify", "--input", str(path)]) == 2
+        assert cli_main(["reconstruct", "--input", str(path), "--output", str(out)]) == 2
+        assert capsys.readouterr().err.count("record has no meta rho\n") == 2
         assert not out.exists()
 
     def dependent_poga_record(self, tmp_path):
@@ -1062,8 +1103,8 @@ class TestImageReconstruction:
         parts = {}
         for sec in record.sections:
             rebuild = reconstruct_1d if sec.algorithm == "afd1d" else self.LIBRARY[algorithm]
-            parts[sec.name] = rebuild(decode_section(sec, meta), order)
-        size = max(int(meta["samples"]), next_pow2(2 * order + 2))
+            parts[sec.name] = rebuild(decode_section(sec, order), order)
+        size = int(meta["samples"])
         c00 = float(meta["c00"].split(" ")[0])
         field = reference_real_field_2d(
             QuadrantParts(parts["main"], parts["fpm"], parts["F"], parts["G"], c00), size
@@ -1085,8 +1126,8 @@ class TestImageReconstruction:
         record = load_record(rec)
         meta = record.meta_dict()
         assert [sec.name for sec in record.sections] == ["main"]
-        main = reconstruct_pga(decode_section(section(record, "main"), meta), int(meta["order"]))
-        size = max(int(meta["samples"]), next_pow2(2 * main.order + 2))
+        main = reconstruct_pga(decode_section(section(record, "main"), int(meta["order"])), int(meta["order"]))
+        size = int(meta["samples"])
         want = np.clip(np.round(2.0 * main.boundary_samples(size).real * 255.0), 0, 255)
         with open(out, "rb") as handle:
             got, _ = _parse_pgm(handle.read(), out)
@@ -1142,22 +1183,28 @@ def small_records(tmp_path_factory):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_verify_and_reconstruct_refuse_the_same_meta_edits(small_records, data):
-    """Drop one meta line of a valid record, or give it a value of ``META_VALUES``:
-    ``verify`` exits 2 if and only if ``reconstruct`` does, and ``reconstruct``
-    writes its output only when it exits 0."""
+    """Drop one meta line of a valid record, give it a value of ``META_VALUES``, or
+    repeat it, before or after itself, with such a value: ``verify`` exits 2 if
+    and only if ``reconstruct`` does, always on a repeated line, and
+    ``reconstruct`` writes its output only when it exits 0."""
     algorithm = data.draw(st.sampled_from(ALGORITHMS))
     lines = small_records[algorithm].split("\n")
     i = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line.startswith("meta ")]))
     value = data.draw(st.sampled_from([None] + META_VALUES))
+    repeat = value is not None and data.draw(st.booleans())
+    edited = "meta %s %s" % (lines[i].split(" ")[1], value)
     if value is None:
         del lines[i]
+    elif repeat:
+        lines.insert(i + data.draw(st.integers(0, 1)), edited)
     else:
-        lines[i] = "meta %s %s" % (lines[i].split(" ")[1], value)
+        lines[i] = edited
     with tempfile.TemporaryDirectory() as work:
         rec, out = os.path.join(work, "r.rec"), os.path.join(work, "out")
         with open(rec, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines))
         verified = cli_main(["verify", "--input", rec])
         rebuilt = cli_main(["reconstruct", "--input", rec, "--output", out])
-        assert (verified == 2) == (rebuilt == 2), (lines[i] if value else "dropped", verified, rebuilt)
+        assert (verified == 2) == (rebuilt == 2), (edited if value else "dropped", repeat, verified, rebuilt)
         assert rebuilt in (0, 2) and os.path.exists(out) == (rebuilt == 0)
+        assert verified == 2 or not repeat

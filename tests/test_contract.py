@@ -7,9 +7,10 @@ library change that drops one of them does not fail the benchmark: the
 replay errors out per op, or the tracer silently stops timing that layer.
 These tests read both files and fail instead.
 
-The exit codes of the command line: 0 on success, 1 when a record fails a
-check (``InvariantViolation``) or a kernel loses energy to truncation
-(``TruncationError``), and 2 on a ``UsageError`` or an ``OSError``.
+The exit codes of the command line: 0 on success, 1 on an
+``InvariantViolation`` (a record fails a check, or an afd1d step of
+``decompose`` breaks its energy ledger), and 2 on a ``UsageError`` or an
+``OSError``.
 """
 
 import ast
@@ -33,7 +34,6 @@ from afdkit.errors import (
     InvariantViolation,
     RecordFormatError,
     SpanDegeneracyError,
-    TruncationError,
     TruncationWarning,
     UsageError,
 )
@@ -78,7 +78,7 @@ def test_tracer_misses_only_the_known_boundaries():
 
 
 def test_every_error_picks_an_exit_code():
-    kinds = (UsageError, InvariantViolation, TruncationError, SpanDegeneracyError, Warning)
+    kinds = (UsageError, InvariantViolation, SpanDegeneracyError, Warning)
     classes = [obj for obj in vars(errors).values() if isinstance(obj, type) and obj.__module__ == errors.__name__]
     assert UsageError in classes and TruncationWarning in classes
     assert [c.__name__ for c in classes if not issubclass(c, kinds)] == []
@@ -91,12 +91,12 @@ def test_cli_main_names_only_the_contract_bases():
         for handler in ast.walk(tree) if isinstance(handler, ast.ExceptHandler) and handler.type is not None
         for node in ast.walk(handler.type) if isinstance(node, ast.Name)
     }
-    assert caught == {"SystemExit", "UsageError", "OSError", "InvariantViolation", "TruncationError"}
+    assert caught == {"SystemExit", "UsageError", "OSError", "InvariantViolation"}
 
 
 @pytest.mark.parametrize("error", [
     obj for obj in vars(errors).values()
-    if isinstance(obj, type) and issubclass(obj, (UsageError, InvariantViolation, TruncationError))
+    if isinstance(obj, type) and issubclass(obj, (UsageError, InvariantViolation))
 ], ids=lambda error: error.__name__)
 def test_each_error_exits_by_its_base(monkeypatch, capsys, error):
     def load_record(path):
@@ -235,8 +235,8 @@ _DECOMPOSE_2D = dict(_DECOMPOSE, max_radius=0.75, terms=2)
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 1 (a): the afd1d kernel cut off at the order has norm below 1 and its oversampled "
-    "backward shift loses energy, so decompose exits 1 at |a| = 0.875 and order 8, and one step at "
-    "|a| = 0.5 fails main.ledger"))
+    "backward shift loses energy, so at order 8 the first step, at |a| = 0.4375 or 0.5, breaks the energy "
+    "ledger and decompose exits 1"))
 @example(run=(_SYNTH_1D, dict(_DECOMPOSE, max_radius=0.875, terms=4)))
 @example(run=(_SYNTH_1D, dict(_DECOMPOSE, max_radius=0.5, terms=1)))
 @_QUIET
@@ -262,8 +262,8 @@ def test_poga1d_runs_keep_the_contract(run):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 1 (a) through the F and G sections of a --full-recon run: their afd1d backward shift "
-    "exits 1, or their ledgers fail"))
+    "ROADMAP item 1 (a) through the F and G sections of a --full-recon run: an afd1d step of theirs breaks "
+    "the energy ledger, and decompose exits 1"))
 @example(run=(_SYNTH_2D, dict(_DECOMPOSE_2D, full_recon=True)))
 @_QUIET
 @_CONTRACT
@@ -274,7 +274,8 @@ def test_afd2d_tm_runs_keep_the_contract(run):
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 1 (b): the pga2d tensor atom has norm below 1, so main.ledger fails; and item 1 (a) "
-    "through the F and G sections of a --full-recon run, whose afd1d backward shift exits 1"))
+    "through the F and G sections of a --full-recon run, where an afd1d step breaks the energy ledger and "
+    "decompose exits 1"))
 @example(run=(_SYNTH_2D, dict(_DECOMPOSE_2D, full_recon=False)))
 @example(run=(_SYNTH_2D, dict(_DECOMPOSE_2D, full_recon=True)))
 @_QUIET
@@ -285,8 +286,8 @@ def test_pga2d_runs_keep_the_contract(run):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 1 (a) through the F and G sections of a --full-recon run: their afd1d backward shift "
-    "exits 1, or their ledgers fail"))
+    "ROADMAP item 1 (a) through the F and G sections of a --full-recon run: an afd1d step of theirs breaks "
+    "the energy ledger, and decompose exits 1"))
 @example(run=(_SYNTH_2D, dict(_DECOMPOSE_2D, rho=1.0, full_recon=True)))
 @example(run=(_SYNTH_2D, dict(_DECOMPOSE_2D, order=9, max_radius=0.625, rho=1.0, full_recon=True)))
 @_QUIET
@@ -294,6 +295,27 @@ def test_pga2d_runs_keep_the_contract(run):
 @given(run=runs("poga2d"))
 def test_poga2d_runs_keep_the_contract(run):
     check_contract("poga2d", *run)
+
+
+@example(order=64, max_radius=0.9, synth={"seed": 2, "atoms": 6},
+         decompose={"grid_radial": 48, "grid_angular": 96, "refine": 2, "terms": 3})
+@_QUIET
+@_CONTRACT
+@given(order=st.integers(8, 64), max_radius=st.floats(0.3, 0.995),
+       synth=st.fixed_dictionaries({name: _DRAWS[name] for name in ("seed", "atoms")}),
+       decompose=st.fixed_dictionaries({name: _DRAWS[name] for name in ("grid_radial", "grid_angular", "refine",
+                                                                        "terms")}))
+def test_afd1d_decompose_writes_only_what_verify_accepts(order, max_radius, synth, decompose):
+    """decompose exits 0 or 1; exit 0 is followed by verify exit 0, and exit 1 names the broken
+    energy ledger and leaves no record."""
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "r.rec")
+        code, err = _run(work, "afd1d", dict(synth, order=order), dict(decompose, order=order, max_radius=max_radius))
+        assert code in (0, 1), err
+        if code == 1:
+            assert "breaks the energy ledger" in err and not os.path.exists(path), err
+        else:
+            assert _call(work, "verify", "--input", path) == (0, "")
 
 
 def _double_largest_coefficient(record):
