@@ -488,7 +488,8 @@ def verify_record(record):
     Checks, per section: the energy ledger (initial energy minus the
     cumulative extracted energy reproduces each stored residual), residual
     monotonicity, and stored block energies for product-system records; the
-    ledger and the block energies hold to the record's ``ledger_tolerance``.
+    ledger and the block energies hold to the record's ``ledger_tolerance``,
+    and a broken ledger names its first failing step.
     When the metadata carries a synthesis bound M, the rate bound of the
     pre-orthogonal runs is re-checked as well.  A pre-orthogonal section
     replays its frame as ``reconstruct`` does, and an atom in the span of
@@ -500,19 +501,21 @@ def verify_record(record):
     for sec, _, rec in layout.sections:
         tol, scale = rec.ledger_tolerance(), max(1.0, sec.initial_energy)
         running = prev = sec.initial_energy
-        worst = 0.0
+        deviations = []
         monotone = blocks_ok = True
         for step in rec.steps:
             energy = step.extracted_energy()
             running -= energy
-            worst = max(worst, abs(running - step.residual_energy))
+            deviations.append(abs(running - step.residual_energy))
             if step.residual_energy > prev + 1e-12 * scale:
                 monotone = False
             prev = step.residual_energy
             if step.block is not None and abs(energy - step.block_energy) > tol:
                 blocks_ok = False
-        checks.append(CheckResult("%s.ledger" % sec.name, worst <= tol,
-                                  "max residual deviation %.3e (tol %.1e)" % (worst, tol)))
+        broken = [n for n, deviation in enumerate(deviations, start=1) if not deviation <= tol]
+        detail = "max residual deviation %.3e (tol %.1e)" % (max(deviations, default=0.0), tol)
+        checks.append(CheckResult("%s.ledger" % sec.name, not broken,
+                                  detail + (", first at step %d" % broken[0] if broken else "")))
         checks.append(CheckResult("%s.monotone" % sec.name, monotone,
                                   "residual energies non-increasing" if monotone else "residual increased"))
         if sec.algorithm == "afd2d-tm":
@@ -732,7 +735,10 @@ def _cmd_decompose(args):
     for name, alg, f in inputs:
         recs[name] = _decompose(alg, f, args, grid, synthesis if name == "main" else None)
         record.sections.append(encode_section(name, alg, recs[name]))
-
+    # the checks of ``verify`` on the record in memory, which ``%.17g`` fields round-trip exactly
+    failed = ["%s (%s)" % (chk.name, chk.detail) for chk in verify_record(record) if not chk.ok]
+    if failed:
+        raise InvariantViolation("record fails %s; nothing written" % "; ".join(failed))
     save_record(record, args.output)
     print("step,extracted_energy,residual_energy")
     for i, step in enumerate(recs["main"].steps, start=1):
@@ -813,9 +819,10 @@ def build_parser():
 def cli_main(argv=None):
     """Entry point returning the process exit status.
 
-    0 on success, 1 on an ``InvariantViolation`` (a broken ledger, at
-    ``decompose`` or ``verify``, or negative rate slack), 2 on a ``UsageError`` (a setting,
-    input file or record the run cannot use) or ``OSError``.
+    0 on success, 1 on an ``InvariantViolation`` (a record that fails a
+    check of ``verify_record``, at ``decompose`` before it writes or at
+    ``verify``), 2 on a ``UsageError`` (a setting, input file or record the
+    run cannot use) or ``OSError``.
     """
     try:
         args = build_parser().parse_args(argv)

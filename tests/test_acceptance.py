@@ -360,13 +360,15 @@ def test_12_cli_end_to_end(tmp_path):
         == 0
     )
     assert cli_main(["verify", "--input", rec]) == 0
-    lines = open(rec).read().split("\n")
+    with open(rec) as handle:
+        lines = handle.read().split("\n")
     for i, line in enumerate(lines):
         if line.startswith("step "):
             fields = line.split(" ")
             fields[3] = "%.17g" % (float(fields[3]) + 1e-3)
             lines[i] = " ".join(fields)
             break
-    open(rec, "w").write("\n".join(lines))
+    with open(rec, "w") as handle:
+        handle.write("\n".join(lines))
     assert cli_main(["verify", "--input", rec]) == 1
     report("12 cli-end-to-end", "synth/decompose/verify exit 0; corrupted record exits 1", t0)

@@ -14,7 +14,6 @@ from afdkit import (
     DomainError,
     FourierCoeffs1D,
     GridSpec,
-    InvariantViolation,
     afd_decompose_1d,
     backward_shift,
     grid_points,
@@ -25,7 +24,7 @@ from afdkit import (
     tm_matrix,
 )
 from afdkit import afd1d
-from afdkit.cli import cli_main, real_samples_1d, write_csv
+from afdkit.cli import RecordFile, cli_main, encode_section, real_samples_1d, verify_record, write_csv
 from conftest import (
     coeff,
     dominant_atoms_on_grid,
@@ -158,9 +157,12 @@ class TestBackwardShift:
 
     @pytest.mark.filterwarnings("ignore::afdkit.TruncationWarning")
     def test_truncation_blowup_detected(self):
-        with pytest.raises(InvariantViolation, match=r"step 1 at \|a\|=0\.9700 breaks the energy ledger by "
-                           r"\S+ \(tol 1\.0e-08\); truncation order 16 is too small"):
-            afd_decompose_1d(szego_coeffs(0.9, 16), 3, self.BLOWUP)
+        # the library returns the record; its ledger check, which decompose runs before it writes, fails
+        rec = afd_decompose_1d(szego_coeffs(0.9, 16), 3, self.BLOWUP)
+        record = RecordFile(meta=[("algorithm", "afd1d"), ("order", "16"), ("samples", "64")],
+                            sections=[encode_section("main", "afd1d", rec)])
+        assert verify_record(record)[0] == (
+            "main.ledger", False, "max residual deviation 2.977e-01 (tol 1.0e-08), first at step 1")
 
     @pytest.mark.filterwarnings("ignore::afdkit.TruncationWarning")
     def test_decompose_refuses_the_blowup(self, tmp_path, capsys):
@@ -171,7 +173,8 @@ class TestBackwardShift:
                          "--grid-radial", str(grid.radial_count), "--grid-angular", str(grid.angular_count),
                          "--refine", "0", "--max-radius", str(grid.max_radius)])
         assert code == 1 and not rec.exists()
-        assert "step 1 at |a|=0.9700 breaks the energy ledger" in capsys.readouterr().err
+        assert ("error: record fails main.ledger (max residual deviation 2.977e-01 (tol 1.0e-08), first at "
+                "step 1); nothing written") in capsys.readouterr().err
 
 
 def _random_params(seed, count, radius):

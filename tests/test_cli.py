@@ -551,21 +551,23 @@ class TestCliEndToEnd:
         )
         assert cli_main(["verify", "--input", rec]) == 0
 
-        lines = open(rec).read().split("\n")
+        with open(rec) as handle:
+            lines = handle.read().split("\n")
         for i, line in enumerate(lines):
             if line.startswith("step "):
                 fields = line.split(" ")
                 fields[3] = "%.17g" % (float(fields[3]) + 1e-3)
                 lines[i] = " ".join(fields)
                 break
-        open(rec, "w").write("\n".join(lines))
+        with open(rec, "w") as handle:
+            handle.write("\n".join(lines))
         assert cli_main(["verify", "--input", rec]) == 1
 
     @pytest.mark.xfail(
         strict=True,
         reason="ROADMAP item 1 (a): under the default --max-radius 0.995 the oversampled backward shift "
-        "breaks the energy ledger by 4.509e-05 at step 3, |a|=0.9854, and decompose exits 1; the exact "
-        "shift of item 1 removes it",
+        "breaks the energy ledger by 4.509e-05 at step 3, |a|=0.9854, so decompose exits 1 naming main.ledger; "
+        "the exact shift of item 1 removes it",
     )
     def test_default_radius_decompose_and_verify(self, tmp_path, capsys):
         sig, rec = str(tmp_path / "s.csv"), str(tmp_path / "s.rec")
@@ -575,14 +577,14 @@ class TestCliEndToEnd:
         assert cli_main(["verify", "--input", rec]) == 0
 
     def test_afd2d_tm_full_recon_with_a_broken_f_ledger_is_refused(self, tmp_path, capsys):
-        # ROADMAP item 1 (b): the F section's afd1d step 5 breaks the ledger, which verify would reject
+        # ROADMAP item 1, reproduction (b), a part 1a fault: the F section's afd1d step 5 breaks the ledger
         img, rec = str(tmp_path / "i.pgm"), tmp_path / "f.rec"
         assert cli_main(["synth", "--algorithm", "pga2d", "--output", img, "--seed", "3"]) == 0
         assert cli_main(["decompose", "--algorithm", "afd2d-tm", "--input", img, "--output", str(rec),
                          "--terms", "5", "--full-recon"]) == 1
         assert not rec.exists()
-        assert "error: afd1d step 5 at |a|=0.9387 breaks the energy ledger by 2.746e-08 (tol 1.0e-08)" in (
-            capsys.readouterr().err)
+        assert ("error: record fails F.ledger (max residual deviation 2.746e-08 (tol 1.0e-08), first at step 5); "
+                "nothing written") in capsys.readouterr().err
 
     def test_order_64_afd1d_with_a_broken_ledger_is_refused(self, tmp_path, capsys):
         sig, rec = str(tmp_path / "s.csv"), tmp_path / "s.rec"
@@ -590,8 +592,18 @@ class TestCliEndToEnd:
         assert cli_main(["decompose", "--algorithm", "afd1d", "--input", sig, "--output", str(rec),
                          "--order", "64", "--terms", "3", "--max-radius", "0.9"]) == 1
         assert not rec.exists()
-        assert "error: afd1d step 3 at |a|=0.8962 breaks the energy ledger by 5.255e-08 (tol 1.0e-08)" in (
-            capsys.readouterr().err)
+        assert ("error: record fails main.ledger (max residual deviation 5.255e-08 (tol 1.0e-08), first at step "
+                "3); nothing written") in capsys.readouterr().err
+
+    def test_pga2d_with_a_broken_ledger_is_refused(self, tmp_path, capsys):
+        # ROADMAP item 1, reproduction (c), a part 1b fault: a tensor atom of norm below 1 drifts the ledger
+        img, rec = str(tmp_path / "d.pgm"), tmp_path / "d.rec"
+        assert cli_main(["synth", "--algorithm", "pga2d", "--output", img, "--seed", "0"]) == 0
+        assert cli_main(["decompose", "--algorithm", "pga2d", "--input", img, "--output", str(rec),
+                         "--terms", "10"]) == 1
+        assert not rec.exists()
+        assert ("error: record fails main.ledger (max residual deviation 1.175e-07 (tol 1.0e-08), first at step "
+                "10); nothing written") in capsys.readouterr().err
 
     def test_usage_error_is_exit_2(self):
         assert cli_main(["decompose", "--bogus"]) == 2
@@ -972,7 +984,8 @@ class TestCliEndToEnd:
             )
             == 0
         )
-        assert json.load(open(meta))["M"] == 2.0
+        with open(meta) as handle:
+            assert json.load(handle)["M"] == 2.0
         assert (
             cli_main(
                 ["decompose", "--algorithm", "poga1d", "--input", sig, "--output", rec,

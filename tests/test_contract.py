@@ -8,9 +8,9 @@ replay errors out per op, or the tracer silently stops timing that layer.
 These tests read both files and fail instead.
 
 The exit codes of the command line: 0 on success, 1 on an
-``InvariantViolation`` (a record fails a check, or an afd1d step of
-``decompose`` breaks its energy ledger), and 2 on a ``UsageError`` or an
-``OSError``.
+``InvariantViolation`` (a record fails a check of ``verify``, which
+``decompose`` makes before it writes, or a P-OGA frame loses its
+orthogonality), and 2 on a ``UsageError`` or an ``OSError``.
 """
 
 import ast
@@ -21,6 +21,7 @@ import inspect
 import io
 import os
 import pathlib
+import re
 import tempfile
 
 import pytest
@@ -211,14 +212,18 @@ def _run(work, algorithm, synth, decompose):
     return code, err
 
 
+def _names_a_setting(err, synth, decompose):
+    """Whether the error output names a drawn setting, as an option or by its name."""
+    return any(name in err or name.replace("_", "-") in err for name in {**synth, **decompose})
+
+
 def check_contract(algorithm, synth, decompose):
     """synth, then decompose, exits 0 or exits 2 naming a setting; after exit 0, verify exits 0."""
     with tempfile.TemporaryDirectory() as work:
         code, err = _run(work, algorithm, synth, decompose)
         assert code in (0, 2), err
         if code == 2:
-            named = [name for name in {**synth, **decompose} if name in err or name.replace("_", "-") in err]
-            assert named, err
+            assert _names_a_setting(err, synth, decompose), err
             return
         assert _call(work, "verify", "--input", os.path.join(work, "r.rec")) == (0, "")
 
@@ -231,12 +236,17 @@ _SYNTH_1D = {"order": 8, "grid_radial": 2, "grid_angular": 3, "max_radius": 0.5,
 _SYNTH_2D = {"order": 8, "seed": 0}
 _DECOMPOSE = {"order": 8, "grid_radial": 2, "grid_angular": 3, "refine": 0, "threshold": 0.0}
 _DECOMPOSE_2D = dict(_DECOMPOSE, max_radius=0.75, terms=2)
+# a poga1d synthesis whose one atom the decompose grid misses
+_OFF_GRID = ({"order": 22, "grid_radial": 4, "grid_angular": 13, "max_radius": 0.629, "seed": 980, "atoms": 1,
+              "coeff_sum": 1.0},
+             dict(_DECOMPOSE, order=22, grid_radial=5, grid_angular=15, max_radius=0.814, terms=3, rho=1.0,
+                  synthesis=True))
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 1 (a): the afd1d kernel cut off at the order has norm below 1 and its oversampled "
     "backward shift loses energy, so at order 8 the first step, at |a| = 0.4375 or 0.5, breaks the energy "
-    "ledger and decompose exits 1"))
+    "ledger and decompose exits 1 naming main.ledger"))
 @example(run=(_SYNTH_1D, dict(_DECOMPOSE, max_radius=0.875, terms=4)))
 @example(run=(_SYNTH_1D, dict(_DECOMPOSE, max_radius=0.5, terms=1)))
 @_QUIET
@@ -248,12 +258,9 @@ def test_afd1d_runs_keep_the_contract(run):
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "off-grid synthesis: synth draws its atoms from its own grid, and the rate bound of meta M holds "
-    "only for atoms of the decompose grid's dictionary, so main.rate fails when that grid misses them "
-    "(ROADMAP item 11)"))
-@example(run=({"order": 22, "grid_radial": 4, "grid_angular": 13, "max_radius": 0.629, "seed": 980, "atoms": 1,
-               "coeff_sum": 1.0},
-              dict(_DECOMPOSE, order=22, grid_radial=5, grid_angular=15, max_radius=0.814, terms=3, rho=1.0,
-                   synthesis=True)))
+    "only for atoms of the decompose grid's dictionary, so when that grid misses them decompose exits 1 "
+    "naming main.rate (ROADMAP item 11)"))
+@example(run=_OFF_GRID)
 @_QUIET
 @_CONTRACT
 @given(run=runs("poga1d"))
@@ -261,9 +268,17 @@ def test_poga1d_runs_keep_the_contract(run):
     check_contract("poga1d", *run)
 
 
+def test_off_grid_poga1d_synthesis_is_refused():
+    with tempfile.TemporaryDirectory() as work:
+        code, err = _run(work, "poga1d", *_OFF_GRID)
+        assert code == 1 and not os.path.exists(os.path.join(work, "r.rec")), err
+        assert re.fullmatch(r"error: record fails main\.rate \(min slack \S+, recurrence False\); nothing written\n",
+                            err), err
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 1 (a) through the F and G sections of a --full-recon run: an afd1d step of theirs breaks "
-    "the energy ledger, and decompose exits 1"))
+    "the energy ledger, and decompose exits 1 naming F.ledger or G.ledger"))
 @example(run=(_SYNTH_2D, dict(_DECOMPOSE_2D, full_recon=True)))
 @_QUIET
 @_CONTRACT
@@ -273,9 +288,9 @@ def test_afd2d_tm_runs_keep_the_contract(run):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 1 (b): the pga2d tensor atom has norm below 1, so main.ledger fails; and item 1 (a) "
-    "through the F and G sections of a --full-recon run, where an afd1d step breaks the energy ledger and "
-    "decompose exits 1"))
+    "ROADMAP item 1 (b): the pga2d tensor atom has norm below 1, so decompose exits 1 naming main.ledger; "
+    "and item 1 (a) through the F and G sections of a --full-recon run, where an afd1d step breaks the "
+    "energy ledger and decompose exits 1 naming F.ledger or G.ledger"))
 @example(run=(_SYNTH_2D, dict(_DECOMPOSE_2D, full_recon=False)))
 @example(run=(_SYNTH_2D, dict(_DECOMPOSE_2D, full_recon=True)))
 @_QUIET
@@ -287,7 +302,7 @@ def test_pga2d_runs_keep_the_contract(run):
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 1 (a) through the F and G sections of a --full-recon run: an afd1d step of theirs breaks "
-    "the energy ledger, and decompose exits 1"))
+    "the energy ledger, and decompose exits 1 naming F.ledger or G.ledger"))
 @example(run=(_SYNTH_2D, dict(_DECOMPOSE_2D, rho=1.0, full_recon=True)))
 @example(run=(_SYNTH_2D, dict(_DECOMPOSE_2D, order=9, max_radius=0.625, rho=1.0, full_recon=True)))
 @_QUIET
@@ -297,25 +312,55 @@ def test_poga2d_runs_keep_the_contract(run):
     check_contract("poga2d", *run)
 
 
-@example(order=64, max_radius=0.9, synth={"seed": 2, "atoms": 6},
-         decompose={"grid_radial": 48, "grid_angular": 96, "refine": 2, "terms": 3})
+# every run of every algorithm, as (algorithm, synth settings, decompose settings)
+_ANY_RUN = st.sampled_from(cli.ALGORITHMS).flatmap(lambda algorithm: runs(algorithm).map(lambda run: (algorithm, *run)))
+# the error of an exit 1 of decompose: the checks of verify the record fails, each with its detail
+_REFUSAL = re.compile(r"error: record fails (\w+\.(ledger|monotone|blocks|rate) \([^;]*\); )+nothing written\n")
+
+
+@example(run=("afd1d", {"order": 64, "seed": 2, "atoms": 6},
+              {"order": 64, "max_radius": 0.9, "grid_radial": 48, "grid_angular": 96, "refine": 2, "terms": 3}))
 @_QUIET
-@_CONTRACT
-@given(order=st.integers(8, 64), max_radius=st.floats(0.3, 0.995),
-       synth=st.fixed_dictionaries({name: _DRAWS[name] for name in ("seed", "atoms")}),
-       decompose=st.fixed_dictionaries({name: _DRAWS[name] for name in ("grid_radial", "grid_angular", "refine",
-                                                                        "terms")}))
-def test_afd1d_decompose_writes_only_what_verify_accepts(order, max_radius, synth, decompose):
-    """decompose exits 0 or 1; exit 0 is followed by verify exit 0, and exit 1 names the broken
-    energy ledger and leaves no record."""
+@settings(_CONTRACT, max_examples=40 * len(cli.ALGORITHMS))
+@given(run=_ANY_RUN)
+def test_decompose_writes_only_what_verify_accepts(run):
+    """decompose exits 0, 1 or 2: exit 0 is followed by verify exit 0, exit 1 names the failed checks
+    and leaves no record, and exit 2 names a setting."""
+    algorithm, synth, decompose = run
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "r.rec")
-        code, err = _run(work, "afd1d", dict(synth, order=order), dict(decompose, order=order, max_radius=max_radius))
-        assert code in (0, 1), err
-        if code == 1:
-            assert "breaks the energy ledger" in err and not os.path.exists(path), err
-        else:
+        code, err = _run(work, algorithm, synth, decompose)
+        assert code in (0, 1, 2), err
+        if code == 0:
             assert _call(work, "verify", "--input", path) == (0, "")
+        elif code == 1:
+            assert _REFUSAL.fullmatch(err) and not os.path.exists(path), err
+        else:
+            assert _names_a_setting(err, synth, decompose), err
+
+
+# one run of each algorithm; each writes every section its algorithm can, and poga1d checks main.rate
+_RECORD_RUNS = {
+    "afd1d": (_SYNTH_1D, dict(_DECOMPOSE, max_radius=0.5, terms=3)),
+    "poga1d": (_SYNTH_1D, dict(_DECOMPOSE, max_radius=0.5, terms=3, rho=0.5, synthesis=True)),
+    "afd2d-tm": (_SYNTH_2D, dict(_DECOMPOSE_2D, full_recon=True)),
+    "pga2d": (_SYNTH_2D, dict(_DECOMPOSE_2D, full_recon=True)),
+    "poga2d": (_SYNTH_2D, dict(_DECOMPOSE_2D, rho=0.5, full_recon=True)),
+}
+
+
+@pytest.mark.parametrize("algorithm", cli.ALGORITHMS)
+@_QUIET
+def test_decompose_checks_the_record_verify_reads(algorithm, tmp_path, monkeypatch):
+    """The checks decompose makes on its record in memory are those verify makes on the file, check for check."""
+    original, seen = cli.verify_record, []
+    monkeypatch.setattr(cli, "verify_record", lambda record: seen.append(record) or original(record))
+    code, err = _run(str(tmp_path), algorithm, *_RECORD_RUNS[algorithm])
+    assert code in (0, 1) and len(seen) == 1, err
+    path = str(tmp_path / "saved.rec")
+    save_record(seen[0], path)
+    in_memory, on_file = original(seen[0]), original(load_record(path))
+    assert in_memory == on_file and len(on_file) >= 2
 
 
 def _double_largest_coefficient(record):
